@@ -8,12 +8,13 @@
     vectors in the test suite. Only encryption is implemented — the KDF
     never decrypts.
 
-    The hot path is {!label_hash_with}: rounds run in place over a 16-int
-    state held in domain-local scratch (safe under parallel garbling), the
-    GF(2^8) doublings/triplings come from precomputed tables, and the
-    fixed key schedule is expanded once at module initialization — the
-    per-gate hash does no [Bytes] traffic, no lazy checks, and no schedule
-    lookups. *)
+    Every entry point runs one T-table core ({!encrypt_words}): the state
+    is four 32-bit column words held in local [int]s, a round is sixteen
+    lookups into four 256-entry tables (SubBytes, ShiftRows and
+    MixColumns fused) XORed with a round-key word, and the schedule is 44
+    precomputed words. The per-gate hash {!label_hash_bytes} loads the
+    label straight into the column words and stores the digest back into
+    the plane — no state array, no domain-local scratch, no allocation. *)
 
 (* --- GF(2^8) arithmetic -------------------------------------------- *)
 
@@ -69,209 +70,143 @@ let sbox =
 let x2 = Array.init 256 xtime
 let x3 = Array.init 256 (fun b -> xtime b lxor b)
 
-let rcon = [| 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0x1b; 0x36 |]
+(* --- T-tables ---------------------------------------------------------- *)
+
+(* Columns are big-endian 32-bit words (row 0 in the top byte). t0[b] is
+   the MixColumns image of S(b) entering at row 0, the column
+   (2s, s, s, 3s); t1..t3 are its byte rotations for rows 1..3. One
+   round's output column c is then
+     t0[row 0 of c] ^ t1[row 1 of c+1] ^ t2[row 2 of c+2] ^ t3[row 3 of c+3]
+   which is SubBytes, ShiftRows and MixColumns at once. *)
+let t0 = Array.map (fun s -> (x2.(s) lsl 24) lor (s lsl 16) lor (s lsl 8) lor x3.(s)) sbox
+let rotr8 w = (w lsr 8) lor ((w land 0xff) lsl 24)
+let t1 = Array.map rotr8 t0
+let t2 = Array.map rotr8 t1
+let t3 = Array.map rotr8 t2
 
 (* --- key schedule ---------------------------------------------------- *)
 
-type schedule = int array array  (* 11 round keys of 16 bytes *)
+type schedule = int array  (* 44 round-key words, 4 per round *)
+
+let rcon = [| 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0x1b; 0x36 |]
+
+let sub_word w =
+  (sbox.(w lsr 24) lsl 24)
+  lor (sbox.((w lsr 16) land 0xff) lsl 16)
+  lor (sbox.((w lsr 8) land 0xff) lsl 8)
+  lor sbox.(w land 0xff)
 
 let expand_key (key : Bytes.t) : schedule =
   if Bytes.length key <> 16 then
     invalid_arg
       (Printf.sprintf "Aes128.expand_key: key of %d bytes, expected exactly 16"
          (Bytes.length key));
-  (* 44 words of 4 bytes *)
-  let w = Array.make 44 [| 0; 0; 0; 0 |] in
+  let w = Array.make 44 0 in
   for i = 0 to 3 do
-    w.(i) <-
-      [|
-        Char.code (Bytes.get key (4 * i));
-        Char.code (Bytes.get key ((4 * i) + 1));
-        Char.code (Bytes.get key ((4 * i) + 2));
-        Char.code (Bytes.get key ((4 * i) + 3));
-      |]
+    w.(i) <- Int32.to_int (Bytes.get_int32_be key (4 * i)) land 0xFFFF_FFFF
   done;
   for i = 4 to 43 do
-    let temp = Array.copy w.(i - 1) in
+    let temp = w.(i - 1) in
     let temp =
-      if i mod 4 = 0 then begin
+      if i mod 4 = 0 then
         (* rotword + subword + rcon *)
-        let rotated = [| temp.(1); temp.(2); temp.(3); temp.(0) |] in
-        let subbed = Array.map (fun b -> sbox.(b)) rotated in
-        subbed.(0) <- subbed.(0) lxor rcon.((i / 4) - 1);
-        subbed
-      end
+        sub_word (((temp lsl 8) lor (temp lsr 24)) land 0xFFFF_FFFF)
+        lxor (rcon.((i / 4) - 1) lsl 24)
       else temp
     in
-    w.(i) <- Array.map2 ( lxor ) w.(i - 4) temp
+    w.(i) <- w.(i - 4) lxor temp
   done;
-  Array.init 11 (fun r ->
-      Array.concat [ w.(4 * r); w.((4 * r) + 1); w.((4 * r) + 2); w.((4 * r) + 3) ])
+  w
 
-(* --- rounds ----------------------------------------------------------- *)
+(* --- the core ----------------------------------------------------------- *)
 
-(* State: 16 bytes in column-major order as FIPS 197, held as an int
-   array. Rounds run fully in place; SubBytes and ShiftRows are fused
-   into the register reads of each round (new[r + 4c] reads
-   old[r + 4((c + r) mod 4)] through the S-box), then MixColumns and
-   AddRoundKey write the column back. *)
-let encrypt_state (sched : schedule) (st : int array) : unit =
-  let rk = sched.(0) in
-  for i = 0 to 15 do
-    st.(i) <- st.(i) lxor rk.(i)
-  done;
+(* Unaligned native-endian int64 access into [Bytes]. These compile to
+   plain loads/stores in native code, so the operands stay unboxed. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* The int64 helpers must inline: a call would box their operands. *)
+let hi32 v = Int64.to_int (Int64.shift_right_logical v 32) [@@inline always]
+let lo32 v = Int64.to_int v land 0xFFFF_FFFF [@@inline always]
+
+let pack hi lo = Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
+[@@inline always]
+
+(* Final-round column: SubBytes and ShiftRows only, then round-key word
+   [k]. *)
+let last (rk : schedule) k w x y z =
+  sub_word
+    ((w land 0xff00_0000) lor (x land 0xff_0000) lor (y land 0xff00) lor (z land 0xff))
+  lxor rk.(k)
+
+(* Encrypt the block whose column words are [c0..c3] (each < 2^32) and
+   store it at [dst.(off, off+16)] as two native-order int64s, columns
+   0-1 then 2-3. Taking the words as [int]s and storing the result keeps
+   every intermediate unboxed across the call. *)
+let encrypt_words (rk : schedule) c0 c1 c2 c3 (dst : Bytes.t) off =
+  let s0 = ref (c0 lxor rk.(0)) and s1 = ref (c1 lxor rk.(1)) in
+  let s2 = ref (c2 lxor rk.(2)) and s3 = ref (c3 lxor rk.(3)) in
   for round = 1 to 9 do
-    let rk = sched.(round) in
-    let s0 = sbox.(st.(0)) and s1 = sbox.(st.(5)) and s2 = sbox.(st.(10)) and s3 = sbox.(st.(15)) in
-    let s4 = sbox.(st.(4)) and s5 = sbox.(st.(9)) and s6 = sbox.(st.(14)) and s7 = sbox.(st.(3)) in
-    let s8 = sbox.(st.(8)) and s9 = sbox.(st.(13)) and s10 = sbox.(st.(2)) and s11 = sbox.(st.(7)) in
-    let s12 = sbox.(st.(12)) and s13 = sbox.(st.(1)) and s14 = sbox.(st.(6)) and s15 = sbox.(st.(11)) in
-    st.(0) <- x2.(s0) lxor x3.(s1) lxor s2 lxor s3 lxor rk.(0);
-    st.(1) <- s0 lxor x2.(s1) lxor x3.(s2) lxor s3 lxor rk.(1);
-    st.(2) <- s0 lxor s1 lxor x2.(s2) lxor x3.(s3) lxor rk.(2);
-    st.(3) <- x3.(s0) lxor s1 lxor s2 lxor x2.(s3) lxor rk.(3);
-    st.(4) <- x2.(s4) lxor x3.(s5) lxor s6 lxor s7 lxor rk.(4);
-    st.(5) <- s4 lxor x2.(s5) lxor x3.(s6) lxor s7 lxor rk.(5);
-    st.(6) <- s4 lxor s5 lxor x2.(s6) lxor x3.(s7) lxor rk.(6);
-    st.(7) <- x3.(s4) lxor s5 lxor s6 lxor x2.(s7) lxor rk.(7);
-    st.(8) <- x2.(s8) lxor x3.(s9) lxor s10 lxor s11 lxor rk.(8);
-    st.(9) <- s8 lxor x2.(s9) lxor x3.(s10) lxor s11 lxor rk.(9);
-    st.(10) <- s8 lxor s9 lxor x2.(s10) lxor x3.(s11) lxor rk.(10);
-    st.(11) <- x3.(s8) lxor s9 lxor s10 lxor x2.(s11) lxor rk.(11);
-    st.(12) <- x2.(s12) lxor x3.(s13) lxor s14 lxor s15 lxor rk.(12);
-    st.(13) <- s12 lxor x2.(s13) lxor x3.(s14) lxor s15 lxor rk.(13);
-    st.(14) <- s12 lxor s13 lxor x2.(s14) lxor x3.(s15) lxor rk.(14);
-    st.(15) <- x3.(s12) lxor s13 lxor s14 lxor x2.(s15) lxor rk.(15)
+    let k = 4 * round in
+    let a = !s0 and b = !s1 and c = !s2 and d = !s3 in
+    s0 := t0.(a lsr 24) lxor t1.((b lsr 16) land 0xff) lxor t2.((c lsr 8) land 0xff)
+          lxor t3.(d land 0xff) lxor rk.(k);
+    s1 := t0.(b lsr 24) lxor t1.((c lsr 16) land 0xff) lxor t2.((d lsr 8) land 0xff)
+          lxor t3.(a land 0xff) lxor rk.(k + 1);
+    s2 := t0.(c lsr 24) lxor t1.((d lsr 16) land 0xff) lxor t2.((a lsr 8) land 0xff)
+          lxor t3.(b land 0xff) lxor rk.(k + 2);
+    s3 := t0.(d lsr 24) lxor t1.((a lsr 16) land 0xff) lxor t2.((b lsr 8) land 0xff)
+          lxor t3.(c land 0xff) lxor rk.(k + 3)
   done;
-  let rk = sched.(10) in
-  let s0 = sbox.(st.(0)) and s1 = sbox.(st.(5)) and s2 = sbox.(st.(10)) and s3 = sbox.(st.(15)) in
-  let s4 = sbox.(st.(4)) and s5 = sbox.(st.(9)) and s6 = sbox.(st.(14)) and s7 = sbox.(st.(3)) in
-  let s8 = sbox.(st.(8)) and s9 = sbox.(st.(13)) and s10 = sbox.(st.(2)) and s11 = sbox.(st.(7)) in
-  let s12 = sbox.(st.(12)) and s13 = sbox.(st.(1)) and s14 = sbox.(st.(6)) and s15 = sbox.(st.(11)) in
-  st.(0) <- s0 lxor rk.(0);
-  st.(1) <- s1 lxor rk.(1);
-  st.(2) <- s2 lxor rk.(2);
-  st.(3) <- s3 lxor rk.(3);
-  st.(4) <- s4 lxor rk.(4);
-  st.(5) <- s5 lxor rk.(5);
-  st.(6) <- s6 lxor rk.(6);
-  st.(7) <- s7 lxor rk.(7);
-  st.(8) <- s8 lxor rk.(8);
-  st.(9) <- s9 lxor rk.(9);
-  st.(10) <- s10 lxor rk.(10);
-  st.(11) <- s11 lxor rk.(11);
-  st.(12) <- s12 lxor rk.(12);
-  st.(13) <- s13 lxor rk.(13);
-  st.(14) <- s14 lxor rk.(14);
-  st.(15) <- s15 lxor rk.(15)
+  let a = !s0 and b = !s1 and c = !s2 and d = !s3 in
+  set64u dst off (pack (last rk 40 a b c d) (last rk 41 b c d a));
+  set64u dst (off + 8) (pack (last rk 42 c d a b) (last rk 43 d a b c))
 
 let encrypt_block (sched : schedule) (input : Bytes.t) : Bytes.t =
   if Bytes.length input <> 16 then
     invalid_arg
       (Printf.sprintf "Aes128.encrypt_block: block of %d bytes, expected exactly 16"
          (Bytes.length input));
-  let state = Array.init 16 (fun i -> Char.code (Bytes.get input i)) in
-  encrypt_state sched state;
+  let hi = Bytes.get_int64_be input 0 and lo = Bytes.get_int64_be input 8 in
   let out = Bytes.create 16 in
-  Array.iteri (fun i b -> Bytes.set out i (Char.chr b)) state;
+  encrypt_words sched (hi32 hi) (lo32 hi) (hi32 lo) (lo32 lo) out 0;
+  Bytes.set_int64_be out 0 (get64u out 0);
+  Bytes.set_int64_be out 8 (get64u out 8);
   out
-
-(* --- int64-pair convenience for wire labels -------------------------- *)
-
-(* Pack/unpack between an (hi, lo) big-endian pair and the int state,
-   avoiding Bytes round-trips on the hot path. *)
-let state_of_pair (st : int array) hi lo =
-  for i = 0 to 7 do
-    st.(i) <- Int64.to_int (Int64.logand (Int64.shift_right_logical hi (56 - (8 * i))) 0xFFL);
-    st.(8 + i) <- Int64.to_int (Int64.logand (Int64.shift_right_logical lo (56 - (8 * i))) 0xFFL)
-  done
-
-let pair_of_state (st : int array) =
-  let word off =
-    let v = ref 0L in
-    for i = 0 to 7 do
-      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int st.(off + i))
-    done;
-    !v
-  in
-  (word 0, word 8)
-
-(* Per-domain scratch state: parallel garblers each get their own. *)
-let scratch = Domain.DLS.new_key (fun () -> Array.make 16 0)
-
-let encrypt_pair sched (hi, lo) =
-  let st = Domain.DLS.get scratch in
-  state_of_pair st hi lo;
-  encrypt_state sched st;
-  pair_of_state st
 
 (** The fixed key used for garbling KDFs (a nothing-up-my-sleeve value),
     expanded once at module initialization. *)
 let fixed_key : schedule =
   expand_key (Bytes.of_string "\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f")
 
-let fixed_schedule = lazy fixed_key
+(* H(x, tweak) = pi(x') XOR x' with x' = (2 hi XOR tweak, 2 lo XOR
+   NOT tweak), written to [dst.(off, off+16)] in the plane layout. *)
+let hash_into sched ~tweak hi lo dst off =
+  let hi' = Int64.logxor (Int64.shift_left hi 1) tweak in
+  let lo' = Int64.logxor (Int64.shift_left lo 1) (Int64.lognot tweak) in
+  encrypt_words sched (hi32 hi') (lo32 hi') (hi32 lo') (lo32 lo') dst off;
+  set64u dst off (Int64.logxor (get64u dst off) hi');
+  set64u dst (off + 8) (Int64.logxor (get64u dst (off + 8)) lo')
+[@@inline always]
 
 (** Fixed-key hash for wire labels under an explicit (pre-expanded)
     schedule: H(x, tweak) = pi(x') XOR x' where x' = 2x XOR tweak (the
     standard correlation-robust construction). *)
 let label_hash_with (sched : schedule) ~tweak (hi, lo) =
-  let hi' = Int64.logxor (Int64.shift_left hi 1) tweak in
-  let lo' = Int64.logxor (Int64.shift_left lo 1) (Int64.lognot tweak) in
-  let st = Domain.DLS.get scratch in
-  state_of_pair st hi' lo';
-  encrypt_state sched st;
-  let chi, clo = pair_of_state st in
-  (Int64.logxor chi hi', Int64.logxor clo lo')
+  let out = Bytes.create 16 in
+  hash_into sched ~tweak hi lo out 0;
+  (get64u out 0, get64u out 8)
 
 let label_hash ~tweak pair = label_hash_with fixed_key ~tweak pair
-
-(* Unaligned native-endian int64 access into [Bytes]. These compile to
-   plain loads/stores in native code — the operands stay unboxed, which
-   is the whole point of the [Bytes]-plane variant below. *)
-external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (** The label hash over [Bytes] planes: reads the 128-bit label at
     [src.(soff, soff+16)] ([hi] first, [lo] at [soff + 8], native byte
     order) and writes H(label, tweak) at [dst.(doff, doff+16)] in the
     same layout. Bit-identical to {!label_hash_with} at the same
-    [tweak] value; unlike it, every intermediate stays unboxed — the
-    per-gate call allocates nothing. Offsets are not bounds-checked:
-    callers are the garbling inner loops, which size their planes from
-    the circuit before the loop. *)
+    [tweak] value; every intermediate stays unboxed, so the per-gate
+    call allocates nothing. Offsets are not bounds-checked: callers are
+    the garbling inner loops, which size their planes from the circuit
+    before the loop. *)
 let label_hash_bytes (sched : schedule) ~tweak (src : Bytes.t) soff (dst : Bytes.t) doff =
-  let tweak64 = Int64.of_int tweak in
-  let hi' = Int64.logxor (Int64.shift_left (get64u src soff) 1) tweak64 in
-  let lo' = Int64.logxor (Int64.shift_left (get64u src (soff + 8)) 1) (Int64.lognot tweak64) in
-  let st = Domain.DLS.get scratch in
-  (* [state_of_pair]/[pair_of_state] inlined by hand: calling them would
-     box [hi']/[lo'] at the call boundary and allocate the result pair,
-     which is exactly what this variant exists to avoid. *)
-  for i = 0 to 7 do
-    st.(i) <- Int64.to_int (Int64.logand (Int64.shift_right_logical hi' (56 - (8 * i))) 0xFFL);
-    st.(8 + i) <- Int64.to_int (Int64.logand (Int64.shift_right_logical lo' (56 - (8 * i))) 0xFFL)
-  done;
-  encrypt_state sched st;
-  let chi =
-    Int64.logor (Int64.shift_left (Int64.of_int st.(0)) 56)
-      (Int64.logor (Int64.shift_left (Int64.of_int st.(1)) 48)
-         (Int64.logor (Int64.shift_left (Int64.of_int st.(2)) 40)
-            (Int64.logor (Int64.shift_left (Int64.of_int st.(3)) 32)
-               (Int64.logor (Int64.shift_left (Int64.of_int st.(4)) 24)
-                  (Int64.logor (Int64.shift_left (Int64.of_int st.(5)) 16)
-                     (Int64.logor (Int64.shift_left (Int64.of_int st.(6)) 8)
-                        (Int64.of_int st.(7))))))))
-  in
-  let clo =
-    Int64.logor (Int64.shift_left (Int64.of_int st.(8)) 56)
-      (Int64.logor (Int64.shift_left (Int64.of_int st.(9)) 48)
-         (Int64.logor (Int64.shift_left (Int64.of_int st.(10)) 40)
-            (Int64.logor (Int64.shift_left (Int64.of_int st.(11)) 32)
-               (Int64.logor (Int64.shift_left (Int64.of_int st.(12)) 24)
-                  (Int64.logor (Int64.shift_left (Int64.of_int st.(13)) 16)
-                     (Int64.logor (Int64.shift_left (Int64.of_int st.(14)) 8)
-                        (Int64.of_int st.(15))))))))
-  in
-  set64u dst doff (Int64.logxor chi hi');
-  set64u dst (doff + 8) (Int64.logxor clo lo')
+  hash_into sched ~tweak:(Int64.of_int tweak) (get64u src soff) (get64u src (soff + 8)) dst
+    doff

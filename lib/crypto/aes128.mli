@@ -1,9 +1,10 @@
 (** AES-128 encryption (FIPS 197), pure OCaml, used as a fixed-key
     permutation for fast garbled-circuit key derivation. Encryption only;
-    validated against the FIPS-197 vectors. The label-hash hot path runs
-    in place over domain-local scratch (safe under parallel garbling) with
-    table-driven MixColumns and a key schedule expanded once at module
-    initialization. *)
+    validated against the FIPS-197 vectors. Every entry point runs one
+    T-table core over four 32-bit column words held in locals, with a
+    44-word key schedule expanded once; the per-gate hash allocates
+    nothing and keeps no domain-local state, so it is safe under parallel
+    garbling. *)
 
 (** The AES S-box, derived from the GF(2^8) arithmetic (test hook). *)
 val sbox : int array
@@ -16,19 +17,13 @@ val expand_key : Bytes.t -> schedule
 (** @raise Invalid_argument unless the block is 16 bytes. *)
 val encrypt_block : schedule -> Bytes.t -> Bytes.t
 
-(** Encrypt a 128-bit block given as an int64 pair. *)
-val encrypt_pair : schedule -> int64 * int64 -> int64 * int64
-
 (** The fixed key schedule used by garbling KDFs, expanded at module
     initialization (no lazy check on the hot path). *)
 val fixed_key : schedule
 
-(** [lazy fixed_key]; kept for callers that want an explicit suspension. *)
-val fixed_schedule : schedule Lazy.t
-
 (** Fixed-key correlation-robust hash for wire labels under an explicit
-    pre-expanded schedule (the per-gate fast path):
-    H(x, tweak) = pi(x') XOR x' with x' derived from x and the tweak. *)
+    pre-expanded schedule: H(x, tweak) = pi(x') XOR x' with x' derived
+    from x and the tweak. *)
 val label_hash_with : schedule -> tweak:int64 -> int64 * int64 -> int64 * int64
 
 (** {!label_hash_with} under {!fixed_key}. *)

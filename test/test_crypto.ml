@@ -877,6 +877,71 @@ let test_aes_fips_vector () =
   let hex = Sha256.to_hex ct in
   Alcotest.(check string) "FIPS 197 C.1" "69c4e0d86a7b0430d8cdb78070b4c55a" hex
 
+let test_aes_fips_appendix_b () =
+  (* FIPS 197 appendix B: a key with no structure, so every byte lane of
+     every round key is exercised *)
+  let key = Bytes.of_string "\x2b\x7e\x15\x16\x28\xae\xd2\xa6\xab\xf7\x15\x88\x09\xcf\x4f\x3c" in
+  let plaintext = Bytes.of_string "\x32\x43\xf6\xa8\x88\x5a\x30\x8d\x31\x31\x98\xa2\xe0\x37\x07\x34" in
+  let ct = Aes128.encrypt_block (Aes128.expand_key key) plaintext in
+  Alcotest.(check string) "FIPS 197 B" "3925841d02dc09fbdc118597196a0b32" (Sha256.to_hex ct)
+
+(* Golden outputs of the fixed-key label hash, captured from the
+   byte-wise round function the T-table core replaced. *)
+let test_aes_label_hash_golden () =
+  let check name ~tweak label (hi, lo) =
+    let got_hi, got_lo = Aes128.label_hash ~tweak label in
+    Alcotest.check check_i64 (name ^ " hi") hi got_hi;
+    Alcotest.check check_i64 (name ^ " lo") lo got_lo
+  in
+  let label = (0x0001020304050607L, 0x08090a0b0c0d0e0fL) in
+  check "tweak 0" ~tweak:0L label (0xb3d1bb4d736f309eL, 0x565b907bfe1532a0L);
+  check "tweak 1" ~tweak:1L label (0x1785220d85a1e419L, 0xba116b0462293e4dL);
+  check "wide tweak" ~tweak:0x1_0000_0001L (-1L, 0x123456789abcdef0L)
+    (0x886332206ab559d7L, 0x5f03317ddec65823L)
+
+(* The plane entry point and the pair entry point agree on every label
+   and tweak (offsets are deliberately unaligned). *)
+let aes_label_hash_bytes_matches_pair =
+  QCheck.Test.make ~count:500 ~name:"label_hash_bytes = label_hash_with"
+    QCheck.(triple int64 int64 int)
+    (fun (hi, lo, tweak) ->
+      let src = Bytes.make 21 '\x00' and dst = Bytes.make 19 '\x00' in
+      Bytes.set_int64_ne src 5 hi;
+      Bytes.set_int64_ne src 13 lo;
+      Aes128.label_hash_bytes Aes128.fixed_key ~tweak src 5 dst 3;
+      let want_hi, want_lo =
+        Aes128.label_hash_with Aes128.fixed_key ~tweak:(Int64.of_int tweak) (hi, lo)
+      in
+      Int64.equal (Bytes.get_int64_ne dst 3) want_hi
+      && Int64.equal (Bytes.get_int64_ne dst 11) want_lo)
+
+(* DESIGN.md §14's allocation-free property, checked at the AES boundary:
+   the per-gate hash allocates nothing at all. *)
+let test_aes_label_hash_bytes_no_alloc () =
+  let src = Bytes.make 16 '\x5a' and dst = Bytes.make 16 '\x00' in
+  let sched = Aes128.fixed_key in
+  Aes128.label_hash_bytes sched ~tweak:0 src 0 dst 0;
+  let before = Gc.minor_words () in
+  for tweak = 1 to 10_000 do
+    Aes128.label_hash_bytes sched ~tweak src 0 dst 0
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 10k hashes" 0. words
+
+(* Pins the whole AES-KDF garbling path: the SHA-256 of [tables ‖ decode]
+   for a fixed-seed garbling of the 52-bit x * y + z circuit. *)
+let test_aes_garbled_tables_golden () =
+  let module Bb = Boolean_circuit.Builder in
+  let b = Bb.create () in
+  let word () = Circuits.input_word b 52 in
+  let x = word () and y = word () and z = word () in
+  let out = Circuits.add_word b (Circuits.mul_word b x y) z in
+  let circuit = Bb.finalize b ~outputs:(Circuits.materialize_word b 0 out) in
+  let g = Garbling.garble ~kdf:Garbling.Aes128_kdf (Prg.create 52L) circuit in
+  Alcotest.(check string) "tables ‖ decode digest"
+    "87d56f9eeeeb3f457284ca9a4b8c39547581b8183600addcc5f3b90b4687c3da"
+    (Sha256.to_hex (Sha256.digest_bytes (Bytes.cat g.Garbling.tables g.Garbling.decode)))
+
 let test_aes_sbox () =
   Alcotest.(check int) "sbox(0)" 0x63 Aes128.sbox.(0);
   Alcotest.(check int) "sbox(0x53)" 0xed Aes128.sbox.(0x53);
@@ -1495,9 +1560,15 @@ let () =
       ( "aes",
         [
           Alcotest.test_case "FIPS vector" `Quick test_aes_fips_vector;
+          Alcotest.test_case "FIPS appendix B vector" `Quick test_aes_fips_appendix_b;
           Alcotest.test_case "sbox" `Quick test_aes_sbox;
+          Alcotest.test_case "label hash golden" `Quick test_aes_label_hash_golden;
+          Alcotest.test_case "label_hash_bytes allocates nothing" `Quick
+            test_aes_label_hash_bytes_no_alloc;
+          Alcotest.test_case "garbled tables golden" `Quick test_aes_garbled_tables_golden;
           Alcotest.test_case "AES-kdf garbling" `Quick test_garbling_aes_kdf;
-        ] );
+        ]
+        @ qsuite [ aes_label_hash_bytes_matches_pair ] );
       ( "ot-extension",
         [
           Alcotest.test_case "correctness" `Quick test_ot_extension_correct;
