@@ -38,11 +38,51 @@ type series_point = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable results: every figure point is also accumulated as a
-   JSON record and written to BENCH_1.json at exit (EXPERIMENTS.md
-   documents the schema). *)
+(* Machine-readable results: every section appends JSON records to one
+   sink, keyed by output file, and [write_bench_files] writes each file
+   that received records at exit under one header (EXPERIMENTS.md
+   documents the schemas). *)
 
-let bench_records : Json.t list ref = ref []
+let bench_files =
+  [
+    ("BENCH_1.json", "figures");
+    ("BENCH_2.json", "gc-perf");
+    ("BENCH_4.json", "checkpoint-overhead");
+    ("BENCH_5.json", "fuzz-perf");
+    ("BENCH_6.json", "gc-perf");
+    ("BENCH_7.json", "gc-perf");
+    ("BENCH_10.json", "sort-perf");
+  ]
+
+let bench_records : (string, Json.t list) Hashtbl.t = Hashtbl.create 8
+
+let emit file record =
+  assert (List.mem_assoc file bench_files);
+  let rev = Option.value ~default:[] (Hashtbl.find_opt bench_records file) in
+  Hashtbl.replace bench_records file (record :: rev)
+
+let write_bench_files () =
+  List.iter
+    (fun (path, section) ->
+      match Hashtbl.find_opt bench_records path with
+      | None -> ()
+      | Some rev ->
+          let doc =
+            Json.Obj
+              [
+                ("harness", Json.Str "secyan-bench");
+                ("section", Json.Str section);
+                ("seed", Json.Str (Int64.to_string seed));
+                ("cores", Json.Int (Domain.recommended_domain_count ()));
+                ("records", Json.List (List.rev rev));
+              ]
+          in
+          let oc = open_out path in
+          output_string oc (Json.to_string doc);
+          output_char oc '\n';
+          close_out oc;
+          line "wrote %s (%d records)" path (List.length rev))
+    bench_files
 
 (* Depth-1 span breakdown of a traced run: one entry per protocol phase. *)
 let phase_breakdown root =
@@ -61,7 +101,7 @@ let phase_breakdown root =
        (Span.children root))
 
 let record ~section ~query ~sf (p : series_point) ~phases =
-  bench_records :=
+  emit "BENCH_1.json" @@
     Json.Obj
       [
         ("section", Json.Str section);
@@ -78,23 +118,6 @@ let record ~section ~query ~sf (p : series_point) ~phases =
         ("plain_mb", Json.Float p.plain_mb);
         ("phases", phases);
       ]
-    :: !bench_records
-
-let write_bench_json () =
-  let path = "BENCH_1.json" in
-  let doc =
-    Json.Obj
-      [
-        ("harness", Json.Str "secyan-bench");
-        ("seed", Json.Str (Int64.to_string seed));
-        ("records", Json.List (List.rev !bench_records));
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  line "wrote %s (%d records)" path (List.length !bench_records)
 
 let print_series title points =
   hrule ();
@@ -315,12 +338,12 @@ let ablation_psi () =
               sr.Secyan.Shared_relation.annots
           else sr
         in
-        let before = Comm.tally ctx.Context.comm in
+        let before = Context.tally ctx in
         let (_ : Secyan.Shared_relation.t), secs =
           time (fun () ->
               Secyan.Oblivious_semijoin.join_constrained ctx ring32 ~left:sl ~right:sr)
         in
-        (secs, Comm.diff (Comm.tally ctx.Context.comm) before)
+        (secs, Comm.diff (Context.tally ctx) before)
       in
       let clear_s, clear_t = run false in
       let shared_s, shared_t = run true in
@@ -343,13 +366,13 @@ let ablation_gc () =
         let rows = List.init n (fun i -> ([| Value.Int i |], Int64.of_int (i mod 5))) in
         let r = Relation.of_list ~name:"R" ~schema:(Schema.of_list [ "g" ]) rows in
         let sr = Secyan.Shared_relation.of_plain ctx ~owner:Party.Alice r in
-        let before = Comm.tally ctx.Context.comm in
+        let before = Context.tally ctx in
         let (_ : Secyan.Shared_relation.t), secs =
           time (fun () ->
               Secyan.Oblivious_agg.aggregate ctx (Semiring.ring ~bits:32) sr
                 ~attrs:(Schema.of_list [ "g" ]))
         in
-        (secs, Comm.diff (Comm.tally ctx.Context.comm) before)
+        (secs, Comm.diff (Context.tally ctx) before)
       in
       let real_s, real_t = run Context.Real in
       let sim_s, sim_t = run Context.Sim in
@@ -379,12 +402,12 @@ let ablation_ring () =
       in
       let sl = Secyan.Shared_relation.of_plain ctx ~owner:Party.Alice left in
       let sr = Secyan.Shared_relation.of_plain ctx ~owner:Party.Bob right in
-      let before = Comm.tally ctx.Context.comm in
+      let before = Context.tally ctx in
       let (_ : Secyan.Shared_relation.t), secs =
         time (fun () -> Secyan.Oblivious_semijoin.join_constrained ctx semiring ~left:sl ~right:sr)
       in
       line "%-6d %10.3f %10.2f" bits secs
-        (Comm.total_megabytes (Comm.diff (Comm.tally ctx.Context.comm) before)))
+        (Comm.total_megabytes (Comm.diff (Context.tally ctx) before)))
     [ 16; 32; 48; 52; 60 ]
 
 (* Where does Q3's cost go? Per-operator breakdown at scale m. *)
@@ -398,10 +421,10 @@ let breakdown () =
   let semiring = q.Secyan.Query.semiring in
   let get l = List.assoc l q.Secyan.Query.inputs in
   let step name f =
-    let before = Comm.tally ctx.Context.comm in
+    let before = Context.tally ctx in
     let r, secs = time f in
     line "  %-28s %8.3f s %10.2f MB" name secs
-      (Comm.total_megabytes (Comm.diff (Comm.tally ctx.Context.comm) before));
+      (Comm.total_megabytes (Comm.diff (Context.tally ctx) before));
     r
   in
   let sh l =
@@ -533,50 +556,10 @@ let micro () =
 
 let requested_domains = ref 1
 
-let bench2_records : Json.t list ref = ref []
-
-let write_bench2_json () =
-  let path = "BENCH_2.json" in
-  let doc =
-    Json.Obj
-      [
-        ("harness", Json.Str "secyan-bench");
-        ("section", Json.Str "gc-perf");
-        ("seed", Json.Str (Int64.to_string seed));
-        ("cores", Json.Int (Domain.recommended_domain_count ()));
-        ("records", Json.List (List.rev !bench2_records));
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  line "wrote %s (%d records)" path (List.length !bench2_records)
-
 (* Per-domain contention timelines and metrics overhead: records go to
    BENCH_6.json (EXPERIMENTS.md documents the schema). The timelines are
    the instrumented view of ROADMAP item 1 — where the wall-clock goes
    (busy vs queue-wait vs lock-wait) as the pool grows. *)
-
-let bench6_records : Json.t list ref = ref []
-
-let write_bench6_json () =
-  let path = "BENCH_6.json" in
-  let doc =
-    Json.Obj
-      [
-        ("harness", Json.Str "secyan-bench");
-        ("section", Json.Str "gc-perf");
-        ("seed", Json.Str (Int64.to_string seed));
-        ("cores", Json.Int (Domain.recommended_domain_count ()));
-        ("records", Json.List (List.rev !bench6_records));
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  line "wrote %s (%d records)" path (List.length !bench6_records)
 
 (* Allocation-free kernel proof and the domain-scaling sweep: records go
    to BENCH_7.json (EXPERIMENTS.md documents the schema). The cross-
@@ -584,26 +567,6 @@ let write_bench6_json () =
    ([alloc_reduction_ok], [scaling_ok], [identical_at_all_pool_sizes]);
    words-per-gate and the reduction factor are machine-absolute
    diagnostics (DESIGN.md §14). *)
-
-let bench7_records : Json.t list ref = ref []
-
-let write_bench7_json () =
-  let path = "BENCH_7.json" in
-  let doc =
-    Json.Obj
-      [
-        ("harness", Json.Str "secyan-bench");
-        ("section", Json.Str "gc-perf");
-        ("seed", Json.Str (Int64.to_string seed));
-        ("cores", Json.Int (Domain.recommended_domain_count ()));
-        ("records", Json.List (List.rev !bench7_records));
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  line "wrote %s (%d records)" path (List.length !bench7_records)
 
 (* Bechamel OLS estimate for one run of [f], in nanoseconds. *)
 let ns_per_run name f =
@@ -635,13 +598,12 @@ let gc_perf () =
   line "%-24s %12.1f ns/op  (%.2fx faster)" "label-hash-aes128" aes_ns (sha_ns /. aes_ns);
   List.iter
     (fun (kdf, ns) ->
-      bench2_records :=
+      emit "BENCH_2.json" @@
         Json.Obj
           [
             ("kind", Json.Str "label-hash"); ("kdf", Json.Str kdf);
             ("ns_per_op", Json.Float ns);
-          ]
-        :: !bench2_records)
+          ])
     [ ("sha256", sha_ns); ("aes128", aes_ns) ];
   (* 2. whole-circuit garbling throughput in AND gates per second *)
   let circuit =
@@ -660,14 +622,13 @@ let gc_perf () =
       let gates_per_s = float_of_int ands /. (ns *. 1e-9) in
       line "%-24s %12.1f ns/circuit  %10.0f AND gates/s" ("garble-32b-mul-" ^ name) ns
         gates_per_s;
-      bench2_records :=
+      emit "BENCH_2.json" @@
         Json.Obj
           [
             ("kind", Json.Str "garble-throughput"); ("kdf", Json.Str name);
             ("and_gates", Json.Int ands); ("ns_per_circuit", Json.Float ns);
             ("and_gates_per_s", Json.Float gates_per_s);
-          ]
-        :: !bench2_records)
+          ])
     [ ("sha256", Garbling.Sha256_kdf); ("aes128", Garbling.Aes128_kdf) ];
   (* 3. batch wall-clock across pool sizes, with a determinism cross-check *)
   let items = 48 in
@@ -698,7 +659,7 @@ let gc_perf () =
         (Printf.sprintf "batch-garble-%dd" domains)
         (secs *. 1e3) items (base_secs /. secs) identical;
       if not identical then line "  !! parallel batch diverged from sequential";
-      bench2_records :=
+      emit "BENCH_2.json" @@
         Json.Obj
           [
             ("kind", Json.Str "batch-wallclock"); ("domains", Json.Int domains);
@@ -707,8 +668,7 @@ let gc_perf () =
             ("and_gates_per_s", Json.Float (float_of_int (ands * items) /. secs));
             ("speedup_vs_domains1", Json.Float (base_secs /. secs));
             ("identical_to_sequential", Json.Bool identical);
-          ]
-        :: !bench2_records)
+          ])
     pool_sizes;
   (* 4. per-domain contention timelines: where each participant's
      wall-clock goes (busy vs queue-wait vs lock-wait) as the pool grows
@@ -738,7 +698,7 @@ let gc_perf () =
       line "%-24s %12.3f ms  busy %5.1f%%  queue-wait %5.1f%%  lock-wait %5.1f%%"
         (Printf.sprintf "timeline-%dd" domains)
         (secs *. 1e3) (100. *. busy) (100. *. queue) (100. *. lock);
-      bench6_records :=
+      emit "BENCH_6.json" @@
         Json.Obj
           [
             ("kind", Json.Str "domain-timeline"); ("domains", Json.Int domains);
@@ -747,8 +707,7 @@ let gc_perf () =
             ("queue_wait_frac", Json.Float queue);
             ("lock_wait_frac", Json.Float lock);
             ("timelines", Json.List (List.map Profile.timeline_json tls));
-          ]
-        :: !bench6_records)
+          ])
     timeline_sizes;
   (* 5. metrics overhead on a full protocol run: the registry must stay
      within single-digit percent of a metrics-off run (DESIGN.md §13's
@@ -774,15 +733,14 @@ let gc_perf () =
   let overhead_pct = 100. *. (on_secs -. off_secs) /. off_secs in
   line "%-24s off %.3f ms  on %.3f ms  overhead %.2f%%" "metrics-overhead-q3-xs"
     (off_secs *. 1e3) (on_secs *. 1e3) overhead_pct;
-  bench6_records :=
+  emit "BENCH_6.json" @@
     Json.Obj
       [
         ("kind", Json.Str "metrics-overhead"); ("query", Json.Str "Q3");
         ("scale", Json.Str "xs"); ("reps", Json.Int reps);
         ("off_seconds", Json.Float off_secs); ("on_seconds", Json.Float on_secs);
         ("overhead_pct", Json.Float overhead_pct);
-      ]
-    :: !bench6_records;
+      ];
   (* 6. allocation-free kernels (DESIGN.md §14): words allocated per AND
      gate by the boxed reference vs the unboxed arena implementation, the
      batch engine's steady-state per-item allocation (read back through
@@ -822,7 +780,7 @@ let gc_perf () =
   let record_alloc impl (minor, major) =
     line "%-24s %12.2f minor words/AND  %10.4f major words/AND" ("alloc-" ^ impl) minor
       major;
-    bench7_records :=
+    emit "BENCH_7.json" @@
       Json.Obj
         [
           ("kind", Json.Str "alloc-per-gate"); ("impl", Json.Str impl);
@@ -830,7 +788,6 @@ let gc_perf () =
           ("minor_words_per_gate", Json.Float minor);
           ("major_words_per_gate", Json.Float major);
         ]
-      :: !bench7_records
   in
   let ((boxed_minor, _) as boxed_alloc) = alloc_per_gate boxed in
   record_alloc "boxed" boxed_alloc;
@@ -863,7 +820,7 @@ let gc_perf () =
   line "%-24s %12.0f minor words/item  (%.2f per AND gate)" "batch-alloc-steady"
     item_minor
     (item_minor /. float_of_int ands);
-  bench7_records :=
+  emit "BENCH_7.json" @@
     Json.Obj
       [
         ("kind", Json.Str "batch-alloc"); ("domains", Json.Int 1);
@@ -871,8 +828,7 @@ let gc_perf () =
         ("minor_words_per_item", Json.Float item_minor);
         ("minor_words_per_gate", Json.Float (item_minor /. float_of_int ands));
         ("major_words_per_item", Json.Float item_major);
-      ]
-    :: !bench7_records;
+      ];
   (* the scaling sweep: always domains 1/2/4/8 (plus --domains if larger)
      so regenerated files match record-for-record on any machine;
      wall-clock scaling is only asserted for pool sizes the host can
@@ -903,7 +859,7 @@ let gc_perf () =
           (Printf.sprintf "sweep-%dd" domains)
           (secs *. 1e3) speedup identical;
         if not identical then line "  !! parallel batch diverged from sequential";
-        bench7_records :=
+        emit "BENCH_7.json" @@
           Json.Obj
             [
               ("kind", Json.Str "domain-sweep"); ("domains", Json.Int domains);
@@ -912,8 +868,7 @@ let gc_perf () =
               ("and_gates_per_s", Json.Float (float_of_int (ands * items) /. secs));
               ("speedup_vs_domains1", Json.Float speedup);
               ("identical_to_sequential", Json.Bool identical);
-            ]
-          :: !bench7_records;
+            ];
         (domains, speedup, identical))
       sweep_sizes
   in
@@ -930,7 +885,7 @@ let gc_perf () =
   line "%-24s reduction %.0fx (ok %b)  scaling ok %b (asserted on %d of %d pool sizes; %d cores)"
     "scaling-summary" alloc_reduction alloc_reduction_ok scaling_ok (List.length gated)
     (List.length sweep_results) cores;
-  bench7_records :=
+  emit "BENCH_7.json" @@
     Json.Obj
       [
         ("kind", Json.Str "scaling-summary"); ("items", Json.Int items);
@@ -938,8 +893,7 @@ let gc_perf () =
         ("alloc_reduction_ok", Json.Bool alloc_reduction_ok);
         ("scaling_ok", Json.Bool scaling_ok);
         ("identical_at_all_pool_sizes", Json.Bool all_identical);
-      ]
-    :: !bench7_records;
+      ];
   Secyan_metrics.set_enabled was_enabled
 
 (* ------------------------------------------------------------------ *)
@@ -947,25 +901,6 @@ let gc_perf () =
    checkpointed run (a snapshot at every phase/operator boundary) vs a
    plain run, q3/q10 at scale xs. Results go to BENCH_4.json
    (EXPERIMENTS.md documents the schema). *)
-
-let bench4_records : Json.t list ref = ref []
-
-let write_bench4_json () =
-  let path = "BENCH_4.json" in
-  let doc =
-    Json.Obj
-      [
-        ("harness", Json.Str "secyan-bench");
-        ("section", Json.Str "checkpoint-overhead");
-        ("seed", Json.Str (Int64.to_string seed));
-        ("records", Json.List (List.rev !bench4_records));
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  line "wrote %s (%d records)" path (List.length !bench4_records)
 
 let rm_rf_flat dir =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
@@ -1015,7 +950,7 @@ let checkpoint_overhead () =
       (100. *. overhead_s /. plain_s)
       written bytes
       (if identical then "" else "   !! tally diverged");
-    bench4_records :=
+    emit "BENCH_4.json" @@
       Json.Obj
         [
           ("query", Json.Str q.Secyan.Query.name);
@@ -1030,7 +965,6 @@ let checkpoint_overhead () =
           ("checkpoint_bytes", Json.Int bytes);
           ("tally_identical", Json.Bool identical);
         ]
-      :: !bench4_records
   in
   List.iter measure [ Secyan_tpch.Queries.q3; Secyan_tpch.Queries.q10 ]
 
@@ -1039,25 +973,6 @@ let checkpoint_overhead () =
    differential oracle, with and without the obliviousness audit, plus
    the shrinker's cost on a synthetic failure. Results go to BENCH_5.json
    (EXPERIMENTS.md documents the schema). *)
-
-let bench5_records : Json.t list ref = ref []
-
-let write_bench5_json () =
-  let path = "BENCH_5.json" in
-  let doc =
-    Json.Obj
-      [
-        ("harness", Json.Str "secyan-bench");
-        ("section", Json.Str "fuzz-perf");
-        ("seed", Json.Str (Int64.to_string seed));
-        ("records", Json.List (List.rev !bench5_records));
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  line "wrote %s (%d records)" path (List.length !bench5_records)
 
 let fuzz_perf () =
   hrule ();
@@ -1072,7 +987,7 @@ let fuzz_perf () =
       stats.Secyan_fuzz.Runner.cases stats.Secyan_fuzz.Runner.seconds per_s
       stats.Secyan_fuzz.Runner.gc_checked stats.Secyan_fuzz.Runner.audits_run
       (List.length stats.Secyan_fuzz.Runner.failures);
-    bench5_records :=
+    emit "BENCH_5.json" @@
       Json.Obj
         [
           ("kind", Json.Str "campaign");
@@ -1084,7 +999,6 @@ let fuzz_perf () =
           ("seconds", Json.Float stats.Secyan_fuzz.Runner.seconds);
           ("instances_per_s", Json.Float per_s);
         ]
-      :: !bench5_records
   in
   campaign ~audit:false ~cases:100;
   campaign ~audit:true ~cases:100;
@@ -1104,7 +1018,7 @@ let fuzz_perf () =
   in
   line "%-28s %d -> %d rows in %d steps (%.3f s)" "shrink (synthetic)" (rows t)
     (rows r.Secyan_fuzz.Shrink.instance) r.Secyan_fuzz.Shrink.steps secs;
-  bench5_records :=
+  emit "BENCH_5.json" @@
     Json.Obj
       [
         ("kind", Json.Str "shrink");
@@ -1113,31 +1027,12 @@ let fuzz_perf () =
         ("steps", Json.Int r.Secyan_fuzz.Shrink.steps);
         ("seconds", Json.Float secs);
       ]
-    :: !bench5_records
 
 (* ------------------------------------------------------------------ *)
 (* Oblivious sort / top-k perf (DESIGN.md §17): comparator schedule size
    vs the closed form, AND gates, communication, rounds, and wall-clock
    of the bitonic sort as n grows, plus a domains sweep at fixed n.
    Results go to BENCH_10.json (EXPERIMENTS.md documents the schema). *)
-
-let bench10_records : Json.t list ref = ref []
-
-let write_bench10_json () =
-  let path = "BENCH_10.json" in
-  let doc =
-    Json.Obj
-      [
-        ("harness", Json.Str "secyan-bench");
-        ("seed", Json.Str (Int64.to_string seed));
-        ("records", Json.List (List.rev !bench10_records));
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  line "wrote %s (%d records)" path (List.length !bench10_records)
 
 let sort_perf () =
   hrule ();
@@ -1191,10 +1086,10 @@ let sort_perf () =
     settle ();
     let ctx = Context.create ~bits:32 ~domains ~seed () in
     let rows = make_rows ctx n in
-    let before_tally = Comm.tally ctx.Context.comm in
+    let before_tally = Context.tally ctx in
     let before_ands = and_gates ctx in
     let revealed, secs = time (fun () -> Oblivious_sort.top_k_reveal ctx ~k ~to_:Party.Alice rows) in
-    let after_tally = Comm.tally ctx.Context.comm in
+    let after_tally = Context.tally ctx in
     let ands = and_gates ctx - before_ands in
     let bits =
       after_tally.Comm.alice_to_bob_bits - before_tally.Comm.alice_to_bob_bits
@@ -1222,7 +1117,7 @@ let sort_perf () =
       line "%-6d %7d %12d %12d %10.2f %7d %9.1f%s" n net.Sorting_network.padded
         comparators ands mb rounds (secs *. 1e3)
         (if closed_form_ok && sorted_ok then "" else "  !! check failed");
-      bench10_records :=
+      emit "BENCH_10.json" @@
         Json.Obj
           [
             ("kind", Json.Str "sort-scaling"); ("n", Json.Int n);
@@ -1236,8 +1131,7 @@ let sort_perf () =
             ("comm_bits", Json.Int bits);
             ("rounds", Json.Int rounds);
             ("seconds", Json.Float secs);
-          ]
-        :: !bench10_records)
+          ])
     sizes;
   (* domains sweep at fixed n: identical reveal, wall-clock speedup *)
   let sweep_n = 128 in
@@ -1258,7 +1152,7 @@ let sort_perf () =
       line "%-24s %12.3f ms  (speedup %.2fx, identical %b)"
         (Printf.sprintf "sort-sweep-%dd" domains)
         (secs *. 1e3) speedup identical;
-      bench10_records :=
+      emit "BENCH_10.json" @@
         Json.Obj
           [
             ("kind", Json.Str "sort-domain-sweep"); ("n", Json.Int sweep_n);
@@ -1269,8 +1163,7 @@ let sort_perf () =
             ("seconds", Json.Float secs);
             ("speedup_vs_domains1", Json.Float speedup);
             ("identical_to_sequential", Json.Bool identical);
-          ]
-        :: !bench10_records)
+          ])
     sweep_sizes
 
 (* ------------------------------------------------------------------ *)
@@ -1369,10 +1262,5 @@ let () =
       | Some f -> f ()
       | None -> line "unknown section %s" name)
     sections;
-  if !bench_records <> [] then write_bench_json ();
-  if !bench2_records <> [] then write_bench2_json ();
-  if !bench4_records <> [] then write_bench4_json ();
-  if !bench5_records <> [] then write_bench5_json ();
-  if !bench6_records <> [] then write_bench6_json ();
-  if !bench7_records <> [] then write_bench7_json ();
-  if !bench10_records <> [] then write_bench10_json ()
+  write_bench_files ()
+

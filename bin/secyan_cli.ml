@@ -353,8 +353,8 @@ let run_cmd query scale sf seed backend domains transport chaos chaos_seed malic
      surface). *)
   let cancel =
     match (deadline, memory_budget) with
-    | None, None -> Deadline.never ()
-    | timeout_s, memory_budget_mb -> Deadline.create ?timeout_s ?memory_budget_mb ()
+    | None, None -> Secyan_deadline.never ()
+    | timeout_s, memory_budget_mb -> Secyan_deadline.create ?timeout_s ?memory_budget_mb ()
   in
   let supervisor =
     if fault_spec <> None || deadline <> None || memory_budget <> None then
@@ -532,11 +532,11 @@ let run_cmd query scale sf seed backend domains transport chaos chaos_seed malic
       phase expected got offset;
     checkpoint_hint ();
     finish 7
-  | Deadline.Cancelled { reason; where } ->
+  | Secyan_deadline.Cancelled { reason; where } ->
     (* The query was cancelled cooperatively — deadline, memory budget,
        or explicit — with state intact and, when checkpointing, a
        resumable snapshot of everything completed. *)
-    Fmt.epr "query cancelled at %s: %s@." where (Deadline.reason_to_string reason);
+    Fmt.epr "query cancelled at %s: %s@." where (Secyan_deadline.reason_to_string reason);
     checkpoint_hint ();
     finish 5
   | Gc_protocol.Supervision_error { phase; item; cause } ->

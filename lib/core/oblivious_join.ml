@@ -44,9 +44,9 @@ let reveal_to_alice ctx semiring (sr : Shared_relation.t) : Relation.t =
        crosses the channel (inside the circuit in the paper; accounted
        here as the equivalent masked transfer) *)
     if Party.equal sr.Shared_relation.owner Party.Bob then begin
-      Comm.send ctx.Context.comm ~from:Party.Bob
+      Context.send ctx ~from:Party.Bob
         ~bits:(n * Schema.arity (Shared_relation.schema sr) * 64);
-      Comm.bump_rounds ctx.Context.comm 1
+      Context.bump_rounds ctx 1
     end;
     let keep =
       Array.mapi
@@ -96,8 +96,8 @@ let run ctx semiring (relations : Shared_relation.t list) : t =
       |> List.map (fun (t, _) -> (t, Semiring.one semiring)))
   in
   let out = Relation.cardinality joined in
-  Comm.send ctx.Context.comm ~from:Party.Alice ~bits:64;
-  Comm.bump_rounds ctx.Context.comm 1;
+  Context.send ctx ~from:Party.Alice ~bits:64;
+  Context.bump_rounds ctx 1;
   if out = 0 then { joined; annots = [||] }
   else begin
     (* Step 3: per relation, align annotation shares with J* through an

@@ -7,9 +7,9 @@
     - the execution stage: either the shared working relations plus the
       number of plan operators already executed, or the completed
       oblivious join;
-    - the [Comm] tally and the protocol counters of {!Context.t}, so
-      resumed accounting continues from (not restarts at) the crash
-      point;
+    - the ledger of {!Context.t} — communication tally and protocol
+      counters in one array — so resumed accounting continues from (not
+      restarts at) the crash point;
     - the positions of the three PRG streams (Alice's, Bob's, the
       dealer's) and of the global dummy-id stream — all randomness and
       all dummy padding flows through these four, so restoring them makes
@@ -156,25 +156,13 @@ type stage =
 
 type snapshot = {
   stage : stage;
-  comm : Comm.tally;
   prg_alice : int64 array;
   prg_bob : int64 array;
   dealer : int64 array;
-  counters : int array;  (** protocol counters; checkpoint counters zeroed *)
+  counters : int array;  (** the ledger, traffic included; checkpoint counters zeroed *)
   dummy_count : int;
   transport_seqs : int64 array option;
 }
-
-let write_tally w (t : Comm.tally) =
-  W.i64 w (Int64.of_int t.Comm.alice_to_bob_bits);
-  W.i64 w (Int64.of_int t.Comm.bob_to_alice_bits);
-  W.i64 w (Int64.of_int t.Comm.rounds)
-
-let read_tally r : Comm.tally =
-  let alice_to_bob_bits = Int64.to_int (R.i64 r) in
-  let bob_to_alice_bits = Int64.to_int (R.i64 r) in
-  let rounds = Int64.to_int (R.i64 r) in
-  { Comm.alice_to_bob_bits; bob_to_alice_bits; rounds }
 
 let write_stage w = function
   | Ops { done_ops; remaining; rels } ->
@@ -215,7 +203,6 @@ let read_stage r =
 let encode_snapshot (s : snapshot) : Bytes.t =
   let w = W.create () in
   write_stage w s.stage;
-  write_tally w s.comm;
   W.i64_array w s.prg_alice;
   W.i64_array w s.prg_bob;
   W.i64_array w s.dealer;
@@ -231,7 +218,6 @@ let encode_snapshot (s : snapshot) : Bytes.t =
 let decode_snapshot ~path (payload : Bytes.t) : snapshot =
   let r = R.create ~path payload in
   let stage = read_stage r in
-  let comm = read_tally r in
   let prg_alice = R.i64_array r in
   let prg_bob = R.i64_array r in
   let dealer = R.i64_array r in
@@ -258,7 +244,7 @@ let decode_snapshot ~path (payload : Bytes.t) : snapshot =
       R.malformed r
         (Printf.sprintf "transport seqs: %d state words, expected 4" (Array.length seqs))
   | _ -> ());
-  { stage; comm; prg_alice; prg_bob; dealer; counters; dummy_count; transport_seqs }
+  { stage; prg_alice; prg_bob; dealer; counters; dummy_count; transport_seqs }
 
 (* --- query fingerprint ------------------------------------------------ *)
 
@@ -320,7 +306,6 @@ let capture (ctx : Context.t) ~(stage : stage) : snapshot =
   counters.(Trace_sink.counter_index Trace_sink.Checkpoint_bytes) <- 0;
   {
     stage;
-    comm = Comm.tally ctx.Context.comm;
     prg_alice = Prg.state ctx.Context.prg_alice;
     prg_bob = Prg.state ctx.Context.prg_bob;
     dealer = Prg.state ctx.Context.dealer;
@@ -329,9 +314,9 @@ let capture (ctx : Context.t) ~(stage : stage) : snapshot =
     transport_seqs = Option.map Secyan_net.Resilient.seq_state ctx.Context.transport;
   }
 
-(** Reinstate a snapshot's execution point on [ctx]: absolute [Comm]
-    tally, the three PRG stream positions, the protocol counters (the
-    process's own checkpoint counters are kept), the dummy-id stream, and
+(** Reinstate a snapshot's execution point on [ctx]: the ledger (absolute
+    traffic and protocol counters; the process's own checkpoint counters
+    are kept), the three PRG stream positions, the dummy-id stream, and
     — when both the snapshot and the context carry one — the transport's
     sequence counters, after the session-resume handshake agrees on the
     checkpoint epoch being resumed. *)
@@ -345,7 +330,6 @@ let restore (ctx : Context.t) ~session ~epoch (s : snapshot) : unit =
       Secyan_net.Resilient.resume_handshake tr ~alice:(session, epoch) ~bob:(session, epoch);
       Secyan_net.Resilient.restore_seq_state tr seqs
   | _ -> ());
-  Comm.restore ctx.Context.comm s.comm;
   Prg.set_state ctx.Context.prg_alice s.prg_alice;
   Prg.set_state ctx.Context.prg_bob s.prg_bob;
   Prg.set_state ctx.Context.dealer s.dealer;

@@ -1,7 +1,8 @@
 (** Canonical versioned serialization of the protocol's working state and
     the save/restore machinery behind durable checkpoints (DESIGN.md §11):
     what a resumed process cannot re-derive — shared working relations or
-    the completed join, the [Comm] tally, protocol counters, the three PRG
+    the completed join, the context's ledger (tally and protocol
+    counters), the three PRG
     stream positions, the dummy-id stream, and (with a real channel) the
     transport sequence counters. Everything else is deliberately not
     persisted and re-derived deterministically on replay. *)
@@ -20,11 +21,10 @@ type stage =
 
 type snapshot = {
   stage : stage;
-  comm : Comm.tally;
   prg_alice : int64 array;
   prg_bob : int64 array;
   dealer : int64 array;
-  counters : int array;  (** protocol counters; checkpoint counters zeroed *)
+  counters : int array;  (** the ledger, traffic included; checkpoint counters zeroed *)
   dummy_count : int;
   transport_seqs : int64 array option;
 }
@@ -46,9 +46,9 @@ val fingerprint : Context.t -> Query.t -> string
 (** Capture the context's current execution point around [stage]. *)
 val capture : Context.t -> stage:stage -> snapshot
 
-(** Reinstate a snapshot on [ctx]: absolute [Comm] tally, PRG stream
-    positions, protocol counters (the process's own checkpoint counters
-    are kept), dummy-id stream, and — when both sides carry one — the
+(** Reinstate a snapshot on [ctx]: the ledger (absolute tally and
+    protocol counters; the process's own checkpoint counters are kept),
+    PRG stream positions, dummy-id stream, and — when both sides carry one — the
     transport sequence counters, after a session-resume handshake on
     [(session, epoch)]. *)
 val restore : Context.t -> session:string -> epoch:int -> snapshot -> unit

@@ -27,7 +27,7 @@ let of_plain ctx ~owner (rel : Relation.t) : t =
   let annots =
     Array.map (fun v -> Secret_share.share ctx ~owner v) rel.Relation.annots
   in
-  Comm.bump_rounds ctx.Context.comm 1;
+  Context.bump_rounds ctx 1;
   { owner; rel; annots; clear_annots = Some rel.Relation.annots }
 
 (** Wrap an operator output: fresh shares, no cleartext annotations. *)

@@ -6,7 +6,7 @@
 
     {v
       magic   "SYCP"                     4 bytes
-      version u8                         currently 1
+      version u8                         currently 2
       crc     u32 big-endian             CRC-32 of every byte after this field
       ----------------------------------- covered by crc ---------------
       fingerprint  str                   canonical query/config digest
@@ -138,7 +138,7 @@ end
 (* --- envelope -------------------------------------------------------- *)
 
 let magic = "SYCP"
-let version = 1
+let version = 2
 
 (* magic + version + crc + the three str length prefixes + epoch + payload
    length: everything in the envelope except the string bodies. *)

@@ -1,11 +1,13 @@
-(** Communication accounting for the simulated two-party channel.
+(** Communication tallies of the simulated two-party channel.
 
     Both parties live in one process, so "sending" a message is an
     accounting event: the protocol code declares every transfer with its
-    exact bit count and direction, and declares round boundaries. The
-    evaluation of the paper reports communication volume and notes that the
-    number of rounds depends only on the query, so these two counters are
-    the observables our benchmarks reproduce. *)
+    exact bit count and direction, and declares round boundaries, through
+    [Context.send] / [Context.bump_rounds], which keep the running totals
+    in the context's counter ledger. A [tally] is an immutable reading of
+    those totals. The evaluation of the paper reports communication volume
+    and notes that the number of rounds depends only on the query, so
+    these are the observables our benchmarks reproduce. *)
 
 type tally = {
   alice_to_bob_bits : int;
@@ -14,117 +16,6 @@ type tally = {
 }
 
 let empty_tally = { alice_to_bob_bits = 0; bob_to_alice_bits = 0; rounds = 0 }
-
-type t = {
-  mutable alice_to_bob : int;
-  mutable bob_to_alice : int;
-  mutable rounds : int;
-  (* Listener hooks, None (no-op) by default: a tracer subscribes to
-     attribute traffic to its active span. Kept as options so the
-     untraced [send] hot path pays exactly one branch and allocates
-     nothing. *)
-  mutable send_listener : (from:Party.t -> bits:int -> unit) option;
-  mutable rounds_listener : (int -> unit) option;
-  (* The physical channel, None (pure accounting) by default: when a real
-     transport is attached to the context, every [send] additionally moves
-     a payload of the declared size over it. The tally above is updated
-     first and from the declared bit count alone, so accounting stays
-     bit-identical whether or not bytes actually cross a wire. *)
-  mutable wire : (from:Party.t -> bits:int -> unit) option;
-  (* The protocol state machine guarding the wire, attached alongside it:
-     every [send] consults it before the wire fires, so traffic the
-     receive path would reject as out-of-phase is caught at the source as
-     a typed [Protocol_schema.Protocol_violation]. *)
-  mutable schema : Protocol_schema.t option;
-}
-
-let create () =
-  { alice_to_bob = 0; bob_to_alice = 0; rounds = 0;
-    send_listener = None; rounds_listener = None; wire = None; schema = None }
-
-(** Subscribe to (with [Some f]) or unsubscribe from (with [None]) every
-    subsequent [send] event. At most one listener at a time — subscribing
-    over a live listener raises instead of silently replacing it, so two
-    tracers cannot fight over one channel unnoticed.
-    @raise Invalid_argument if a listener is already attached. *)
-let on_send t listener =
-  (match (listener, t.send_listener) with
-  | Some _, Some _ ->
-      invalid_arg
-        "Comm.on_send: a send listener is already attached (at most one at a time; \
-         unsubscribe it first with on_send t None)"
-  | _ -> ());
-  t.send_listener <- listener
-
-(** Like [on_send], for [bump_rounds] events.
-    @raise Invalid_argument if a listener is already attached. *)
-let on_rounds t listener =
-  (match (listener, t.rounds_listener) with
-  | Some _, Some _ ->
-      invalid_arg
-        "Comm.on_rounds: a rounds listener is already attached (at most one at a time; \
-         unsubscribe it first with on_rounds t None)"
-  | _ -> ());
-  t.rounds_listener <- listener
-
-(** Attach (or with [None] detach) the physical channel behind [send].
-    @raise Invalid_argument if a wire is already attached. *)
-let set_wire t wire =
-  (match (wire, t.wire) with
-  | Some _, Some _ ->
-      invalid_arg "Comm.set_wire: a wire is already attached (at most one at a time)"
-  | _ -> ());
-  t.wire <- wire
-
-(** Attach (or with [None] detach) the protocol state machine consulted
-    before each wired send; attached together with the wire by
-    [Context.create]. *)
-let set_schema t schema = t.schema <- schema
-
-let schema t = t.schema
-
-let send t ~from ~bits =
-  if bits < 0 then
-    invalid_arg (Printf.sprintf "Comm.send: bit count %d is negative (expected >= 0)" bits);
-  (match (from : Party.t) with
-  | Alice -> t.alice_to_bob <- t.alice_to_bob + bits
-  | Bob -> t.bob_to_alice <- t.bob_to_alice + bits);
-  (match t.send_listener with None -> () | Some f -> f ~from ~bits);
-  match t.wire with
-  | None -> ()
-  | Some f ->
-      (* Consult the state machine before any payload crosses the wire:
-         what is this message, and may it be sent in the current phase? *)
-      (match t.schema with
-      | None -> ()
-      | Some s -> ignore (Protocol_schema.check_send s ~bits : Secyan_net.Envelope.kind));
-      f ~from ~bits
-
-(** Declare [n] additional communication rounds. Primitive protocols bump
-    this by their (constant) round count. *)
-let bump_rounds t n =
-  t.rounds <- t.rounds + n;
-  match t.rounds_listener with None -> () | Some f -> f n
-
-let tally t =
-  { alice_to_bob_bits = t.alice_to_bob; bob_to_alice_bits = t.bob_to_alice; rounds = t.rounds }
-
-(** Zero the counters in place, keeping listeners and wire attached.
-    Listeners do not fire — this is bookkeeping for channel reuse (the GC
-    batch engine recycles per-item channels across batches), not
-    traffic. *)
-let reset t =
-  t.alice_to_bob <- 0;
-  t.bob_to_alice <- 0;
-  t.rounds <- 0
-
-(** Overwrite the counters with an absolute tally. Listeners and the wire
-    do not fire: this is state restoration (checkpoint resume), not
-    traffic. *)
-let restore t (tally : tally) =
-  t.alice_to_bob <- tally.alice_to_bob_bits;
-  t.bob_to_alice <- tally.bob_to_alice_bits;
-  t.rounds <- tally.rounds
 
 let diff later earlier = {
   alice_to_bob_bits = later.alice_to_bob_bits - earlier.alice_to_bob_bits;

@@ -1,6 +1,6 @@
-(** Communication accounting for the simulated two-party channel: every
-    protocol step declares its transfers (exact bit counts and direction)
-    and round boundaries. These counters are the communication figures the
+(** Communication tallies: immutable readings of the bits each way and
+    rounds that protocol steps declare through [Context.send] and
+    [Context.bump_rounds]. These are the communication figures the
     benchmarks report. *)
 
 type tally = {
@@ -10,69 +10,6 @@ type tally = {
 }
 
 val empty_tally : tally
-
-type t
-
-val create : unit -> t
-
-(** Account [bits] sent by [from] to the other party. [bits = 0] is legal
-    and a no-op on the tally (listeners still fire). When a wire is
-    attached (see {!set_wire}) the send additionally moves a payload of
-    the declared size over the physical channel — after the tally update,
-    which depends on the declared bit count alone, so accounting is
-    bit-identical with and without a transport.
-    @raise Invalid_argument on negative counts. *)
-val send : t -> from:Party.t -> bits:int -> unit
-
-(** Declare [n] additional communication rounds. *)
-val bump_rounds : t -> int -> unit
-
-(** [on_send t (Some f)] subscribes [f] to every subsequent {!send} event
-    (after the tally is updated); [on_send t None] unsubscribes. At most
-    one listener at a time — subscribing while one is attached raises
-    rather than silently replacing it. The default is no listener, in
-    which case {!send} pays exactly one extra branch and allocates
-    nothing. A listener may detach itself (or attach a successor) from
-    inside its own callback: the channel reads the subscription once per
-    event, before invoking it. Used by the tracing layer to attribute
-    traffic to its active span.
-    @raise Invalid_argument if a send listener is already attached. *)
-val on_send : t -> (from:Party.t -> bits:int -> unit) option -> unit
-
-(** Like {!on_send}, for {!bump_rounds} events.
-    @raise Invalid_argument if a rounds listener is already attached. *)
-val on_rounds : t -> (int -> unit) option -> unit
-
-(** Attach (or with [None] detach) the physical channel behind {!send}:
-    the callback receives every send after accounting and is expected to
-    move a payload of the declared size over a real transport. At most
-    one wire at a time.
-    @raise Invalid_argument if a wire is already attached. *)
-val set_wire : t -> (from:Party.t -> bits:int -> unit) option -> unit
-
-(** Attach (or with [None] detach) the protocol state machine consulted
-    by {!send} before each wired send: the outgoing message's kind is
-    derived from the current protocol span and checked against the
-    machine's legality table, so out-of-phase traffic is caught at the
-    source as a typed [Protocol_schema.Protocol_violation]. No-op for
-    unwired (pure accounting) channels. Attached together with the wire
-    by [Context.create]. *)
-val set_schema : t -> Protocol_schema.t option -> unit
-
-(** The attached state machine, if any. *)
-val schema : t -> Protocol_schema.t option
-
-val tally : t -> tally
-
-(** Zero the counters in place (listeners and wire stay attached and do
-    not fire): channel reuse, not traffic. The GC batch engine recycles
-    per-item channels across batches with this. *)
-val reset : t -> unit
-
-(** Overwrite the counters with an absolute tally, e.g. one captured in a
-    checkpoint. Listeners and the wire do not fire — this is state
-    restoration, not traffic. *)
-val restore : t -> tally -> unit
 val diff : tally -> tally -> tally
 val add : tally -> tally -> tally
 val total_bits : tally -> int

@@ -1,5 +1,5 @@
 (** Shared state for one protocol execution: the annotation ring, security
-    parameters, communication channel, and each party's randomness.
+    parameters, the accounting ledger, and each party's randomness.
 
     The [dealer] stream realizes the trusted-dealer substitution described
     in DESIGN.md: correlated randomness (OT correlations, OPRF keys, fresh
@@ -12,7 +12,6 @@ type gc_backend =
   | Sim   (** evaluate in the clear inside the runtime; identical cost accounting *)
 
 type t = {
-  comm : Comm.t;
   ring : Zn.t;
   kappa : int;        (** computational security parameter (bits) *)
   sigma : int;        (** statistical security parameter (bits) *)
@@ -28,26 +27,30 @@ type t = {
   mutable sink : Trace_sink.t;
       (** observability sink; {!Trace_sink.noop} unless a tracer attached *)
   counters : int array;
-      (** running totals of every {!Trace_sink.counter} (indexed by
-          [Trace_sink.counter_index]), maintained by {!bump} whether or
-          not a tracer is attached — the context's own account of its
-          primitive work, snapshotted into checkpoints *)
+      (** the ledger: running totals of every {!Trace_sink.counter}
+          (indexed by [Trace_sink.counter_index]) — primitive work and
+          traffic alike — maintained by {!bump}/{!send}/{!bump_rounds}
+          whether or not a tracer is attached. The context's only
+          accounting state, snapshotted into checkpoints *)
+  batch_item : bool;
+      (** a per-item context of a parallel batch: its ledger is a private
+          delta that {!absorb} folds into the owning context, so its
+          writes are not mirrored into the metrics registry *)
   transport : Secyan_net.Resilient.t option;
-      (** the physical channel behind [comm], if any; [None] keeps the
+      (** the physical channel behind {!send}, if any; [None] keeps the
           classic pure-accounting simulation *)
   checkpoint : Checkpoint.sink option;
       (** durable snapshot stream for the run, if checkpointing is on *)
   mutable batch_ctxs : t array;
       (** the batch engine's cache of per-item contexts ([[||]] until the
-          first batch): private channel/PRGs/counters reused across
-          batches so steady-state [map_batch] allocates no per-item
-          context state. Owned by {!Gc_protocol.map_batch}; reseeded and
-          reset per batch, so nothing here carries state between
-          batches. *)
-  mutable cancel : Deadline.t;
+          first batch): private ledger/PRGs reused across batches so
+          steady-state [map_batch] allocates no per-item context state.
+          Owned by {!Gc_protocol.map_batch}; reseeded and reset per batch,
+          so nothing here carries state between batches. *)
+  mutable cancel : Secyan_deadline.t;
       (** the query's cancel token (deadline / memory budget / explicit),
           checked at phase boundaries, batch-item claims, and transport
-          waits; defaults to an unconstrained {!Deadline.never} *)
+          waits; defaults to an unconstrained {!Secyan_deadline.never} *)
   mutable supervisor : Domain_pool.supervisor option;
       (** when set, batch entry points run under pool supervision
           (heartbeats, fail-fast, hang detection) instead of plain
@@ -59,76 +62,117 @@ type t = {
   schema : Protocol_schema.t option;
       (** the protocol state machine guarding the attached transport
           ([None] without one): [with_span] drives its phase tracking,
-          [Comm.send] consults it pre-send, and the wire validates every
+          {!send} consults it pre-send, and the wire validates every
           received payload against it *)
 }
 
-(** Bump a typed primitive counter: always added to the context's running
-    totals, forwarded to the active span when a tracer is attached, and
-    mirrored into the metrics registry when metrics are enabled. *)
+(** Add [n] to one ledger counter: the running totals, then the active
+    span of an attached tracer, then the metrics registry (skipped by
+    batch items — {!absorb} mirrors their work once merged). *)
 let bump t counter n =
   let i = Trace_sink.counter_index counter in
   t.counters.(i) <- t.counters.(i) + n;
   t.sink.Trace_sink.bump counter n;
-  Trace_sink.registry_bump counter n
+  if not t.batch_item then Trace_sink.registry_bump counter n
 
-(* Totals + sink only, no registry mirror: for folding in work that a
-   parallel item context already mirrored when it did the work. *)
-let bump_merged t counter n =
-  let i = Trace_sink.counter_index counter in
-  t.counters.(i) <- t.counters.(i) + n;
-  t.sink.Trace_sink.bump counter n
-
-(* With a transport attached, every [Comm.send] moves a payload of the
+(* With a transport attached, every [send] moves a payload of the
    declared size over the real channel. The payload content is a fixed
    filler — the protocol itself is simulated in-process, so only the
    transfer's size, framing, and fate (delivered / retried / failed) are
-   meaningful — and the tally never depends on it, so accounted
+   meaningful — and the ledger never depends on it, so accounted
    communication stays bit-identical to the simulated path.
 
    Each payload travels inside a typed [Envelope] tagged with the message
-   kind the current protocol span implies, chunked at [Envelope.max_body]
-   so no single frame exceeds the receive-side acceptance cap. The
-   delivered payload is validated against the schema — version, kind,
-   declared and actual lengths, phase legality — so a Byzantine peer
-   mutating bitwise-intact frames surfaces as a typed
+   kind the current protocol span implies — checked against the state
+   machine before anything crosses the wire, so traffic the receive path
+   would reject as out-of-phase is caught at the source — and chunked at
+   [Envelope.max_body] so no single frame exceeds the receive-side
+   acceptance cap. The delivered payload is validated against the schema
+   — version, kind, declared and actual lengths, phase legality — so a
+   Byzantine peer mutating bitwise-intact frames surfaces as a typed
    [Protocol_schema.Protocol_violation], not as silent acceptance. *)
-let wire_of ~schema transport =
-  fun ~from ~bits ->
-    let dir =
-      match (from : Party.t) with
-      | Alice -> Secyan_net.Transport.Alice_to_bob
-      | Bob -> Secyan_net.Transport.Bob_to_alice
-    in
-    match schema with
-    | None ->
-        let payload = Bytes.make ((bits + 7) / 8) '\xa5' in
-        ignore (Secyan_net.Resilient.transfer transport ~dir payload : Bytes.t)
-    | Some s ->
-        let kind = Protocol_schema.outgoing_kind s in
-        let total = (bits + 7) / 8 in
-        let max_body = Secyan_net.Envelope.max_body in
-        let chunks = max 1 ((total + max_body - 1) / max_body) in
-        for c = 0 to chunks - 1 do
-          let body_len = min max_body (total - (c * max_body)) in
-          let body = Bytes.make (max body_len 0) '\xa5' in
-          let msg = Secyan_net.Envelope.encode ~kind body in
-          let echoed = Secyan_net.Resilient.transfer transport ~dir msg in
-          Protocol_schema.validate s ~kind ~expect_body:(Bytes.length body) echoed
-        done
+let push_wire t transport ~from ~bits =
+  let dir =
+    match (from : Party.t) with
+    | Alice -> Secyan_net.Transport.Alice_to_bob
+    | Bob -> Secyan_net.Transport.Bob_to_alice
+  in
+  match t.schema with
+  | None ->
+      let payload = Bytes.make ((bits + 7) / 8) '\xa5' in
+      ignore (Secyan_net.Resilient.transfer transport ~dir payload : Bytes.t)
+  | Some s ->
+      let kind = Protocol_schema.check_send s ~bits in
+      let total = (bits + 7) / 8 in
+      let max_body = Secyan_net.Envelope.max_body in
+      let chunks = max 1 ((total + max_body - 1) / max_body) in
+      for c = 0 to chunks - 1 do
+        let body_len = min max_body (total - (c * max_body)) in
+        let body = Bytes.make (max body_len 0) '\xa5' in
+        let msg = Secyan_net.Envelope.encode ~kind body in
+        let echoed = Secyan_net.Resilient.transfer transport ~dir msg in
+        Protocol_schema.validate s ~kind ~expect_body:(Bytes.length body) echoed
+      done
+
+let send t ~from ~bits =
+  if bits < 0 then
+    invalid_arg (Printf.sprintf "Context.send: bit count %d is negative (expected >= 0)" bits);
+  bump t
+    (match (from : Party.t) with
+    | Alice -> Trace_sink.Alice_to_bob_bits
+    | Bob -> Trace_sink.Bob_to_alice_bits)
+    bits;
+  bump t Trace_sink.Sends 1;
+  match t.transport with None -> () | Some tr -> push_wire t tr ~from ~bits
+
+let bump_rounds t n = bump t Trace_sink.Rounds n
+
+let tally_of_counters (counters : int array) : Comm.tally =
+  let get c = counters.(Trace_sink.counter_index c) in
+  {
+    Comm.alice_to_bob_bits = get Trace_sink.Alice_to_bob_bits;
+    bob_to_alice_bits = get Trace_sink.Bob_to_alice_bits;
+    rounds = get Trace_sink.Rounds;
+  }
+
+let tally t = tally_of_counters t.counters
+
+(** Fold the ledgers of a finished parallel batch's item contexts into
+    [t], from the domain that owns [t]. Work counters and rounds are
+    bumped once each with the batch total; the items' traffic crosses
+    [t]'s channel as one send per direction carrying the batch total
+    (their individual sends were private to the item contexts). Sums are
+    order-independent, so the result is bit-identical for every pool
+    size, and each unit of work reaches the sink and the registry
+    exactly once. *)
+let absorb t (items : t array) =
+  let sum c =
+    let i = Trace_sink.counter_index c in
+    Array.fold_left (fun acc item -> acc + item.counters.(i)) 0 items
+  in
+  List.iter
+    (fun c ->
+      let n = sum c in
+      if n <> 0 then bump t c n)
+    Trace_sink.work_counters;
+  let a_bits = sum Trace_sink.Alice_to_bob_bits in
+  let b_bits = sum Trace_sink.Bob_to_alice_bits in
+  let rounds = sum Trace_sink.Rounds in
+  if a_bits > 0 then send t ~from:Party.Alice ~bits:a_bits;
+  if b_bits > 0 then send t ~from:Party.Bob ~bits:b_bits;
+  if rounds > 0 then bump_rounds t rounds
 
 let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
     ?(gc_kdf = Garbling.Aes128_kdf) ?(domains = 1) ?transport ?checkpoint
     ?cancel ?supervisor ~seed () =
   let domains = max 1 domains in
   let master = Prg.create seed in
-  let cancel = match cancel with Some c -> c | None -> Deadline.never () in
+  let cancel = match cancel with Some c -> c | None -> Secyan_deadline.never () in
   let schema =
     match transport with None -> None | Some _ -> Some (Protocol_schema.create ())
   in
   let t =
     {
-      comm = Comm.create ();
       ring = Zn.create bits;
       kappa;
       sigma;
@@ -141,6 +185,7 @@ let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
       dealer = Prg.split master;
       sink = Trace_sink.noop;
       counters = Array.make Trace_sink.n_counters 0;
+      batch_item = false;
       transport;
       checkpoint;
       batch_ctxs = [||];
@@ -154,8 +199,6 @@ let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
   | None -> ()
   | Some tr ->
       Secyan_net.Resilient.set_cancel tr (Some cancel);
-      Comm.set_wire t.comm (Some (wire_of ~schema tr));
-      Comm.set_schema t.comm schema;
       (* Resilience events surface as typed counters of whatever sink is
          attached when they fire (the closure reads [t.sink] per event,
          so tracers attached later still see them). *)
@@ -198,9 +241,9 @@ let set_cancel t cancel =
   | None -> ()
   | Some tr -> Secyan_net.Resilient.set_cancel tr (Some cancel)
 
-(** Poll the cancel token and raise [Deadline.Cancelled] naming the
+(** Poll the cancel token and raise [Secyan_deadline.Cancelled] naming the
     current protocol phase if it has fired. The phase-boundary check. *)
-let check_cancel t = Deadline.check ~where:t.current_label t.cancel
+let check_cancel t = Secyan_deadline.check ~where:t.current_label t.cancel
 
 (** Run [f] inside a span named [name] of the attached tracer; when no
     tracer is attached this is just [f ()] plus phase-label maintenance
@@ -257,18 +300,6 @@ let restore_counters t totals =
          (Array.length totals) Trace_sink.n_counters);
   Array.blit totals 0 t.counters 0 Trace_sink.n_counters
 
-(** Fold a private counter delta (e.g. a parallel worker's) into this
-    context: totals and the attached tracer both see one bump per nonzero
-    counter. Call from the domain that owns the context. The metrics
-    registry is deliberately {e not} re-bumped: the item context that did
-    the work already mirrored it there. *)
-let merge_counters t (counts : int array) =
-  List.iter
-    (fun c ->
-      let n = counts.(Trace_sink.counter_index c) in
-      if n <> 0 then bump_merged t c n)
-    Trace_sink.all_counters
-
 let prg_of t = function
   | Party.Alice -> t.prg_alice
   | Party.Bob -> t.prg_bob
@@ -278,7 +309,6 @@ let ring_bits t = Zn.bits t.ring
 (** Snapshot-and-measure helper: runs [f] and returns its result with the
     communication it generated. *)
 let measured t f =
-  let before = Comm.tally t.comm in
+  let before = tally t in
   let result = f () in
-  let after = Comm.tally t.comm in
-  (result, Comm.diff after before)
+  (result, Comm.diff (tally t) before)

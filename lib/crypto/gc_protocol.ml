@@ -23,9 +23,9 @@
     Batches fan their independent items across the context's
     {!Domain_pool} ([Context.domains], default 1 = sequential). Each item
     runs in a per-item context whose PRGs are split sequentially from the
-    shared streams and whose channel/counters are private, merged once
-    per batch — so results, communication, rounds, and primitive counters
-    are bit-identical for every pool size (see DESIGN.md §9).
+    shared streams and whose ledger is private, absorbed once per batch —
+    so results, communication, rounds, and primitive counters are
+    bit-identical for every pool size (see DESIGN.md §9).
 
     Alice is always the generator, Bob the evaluator. *)
 
@@ -93,7 +93,6 @@ let build_circuit ctx ~inputs ~build =
    bumped separately, once per batch. *)
 let account_executions ctx (bc : built) (sample_bits : (Party.t * bool) array) ~times =
   let kappa = ctx.Context.kappa in
-  let comm = ctx.Context.comm in
   let n_bob_inputs =
     Array.fold_left
       (fun acc (owner, _) -> if Party.equal owner Party.Bob then acc + 1 else acc)
@@ -103,14 +102,14 @@ let account_executions ctx (bc : built) (sample_bits : (Party.t * bool) array) ~
   Context.bump ctx Trace_sink.Gc_circuits times;
   Context.bump ctx Trace_sink.And_gates (times * Boolean_circuit.and_count bc.circuit);
   Context.bump ctx Trace_sink.Ots (times * n_bob_inputs);
-  Comm.send comm ~from:Party.Alice
+  Context.send ctx ~from:Party.Alice
     ~bits:
       (times
       * ((Boolean_circuit.and_count bc.circuit * Cost_model.and_gate_bits ~kappa)
         + (n_alice_inputs * Cost_model.garbler_input_bits ~kappa)));
   let recv_bits, send_bits = Cost_model.evaluator_input_ot ~kappa in
-  Comm.send comm ~from:Party.Bob ~bits:(times * n_bob_inputs * recv_bits);
-  Comm.send comm ~from:Party.Alice ~bits:(times * n_bob_inputs * send_bits)
+  Context.send ctx ~from:Party.Bob ~bits:(times * n_bob_inputs * recv_bits);
+  Context.send ctx ~from:Party.Alice ~bits:(times * n_bob_inputs * send_bits)
 
 (* Yao-share outputs under the Real backend: Alice holds the color of the
    false label (her Boolean share); Bob holds the color of the active label.
@@ -154,13 +153,12 @@ let run_with ctx bc input_bits =
    Costs accounted per the ABY OT-based construction; the openings of a
    whole batch travel in one message each way (rounds bumped by caller). *)
 let b2a ctx (bits : bool_share array) : Secret_share.t =
-  let comm = ctx.Context.comm in
   let width = Array.length bits in
   Context.bump ctx Trace_sink.B2a_words 1;
   Context.bump ctx Trace_sink.Ots width;
-  Comm.send comm ~from:Party.Alice
+  Context.send ctx ~from:Party.Alice
     ~bits:(Cost_model.b2a_word_bits ~kappa:ctx.Context.kappa ~bits:width / 2);
-  Comm.send comm ~from:Party.Bob
+  Context.send ctx ~from:Party.Bob
     ~bits:(Cost_model.b2a_word_bits ~kappa:ctx.Context.kappa ~bits:width / 2);
   let acc = ref Secret_share.zero in
   Array.iteri
@@ -255,8 +253,8 @@ let m_supervision_failures =
        "secyan_supervision_failures_total")
 
 (* The per-item contexts of a batch over [ctx]: the expensive allocated
-   state of each slot — the private channel, the three PRGs, the counter
-   array, any nested batch cache — is recycled across batches through
+   state of each slot — the three PRGs, the ledger, any nested batch
+   cache — is recycled across batches through
    [ctx.batch_ctxs] and reseeded/reset per batch; only a fresh context
    *record* per item is built each time. The record must be rebuilt, not
    reused: record-copy views of a context (e.g. the ring override in
@@ -279,23 +277,23 @@ let prepare_item_ctxs ctx n : Context.t array =
           Prg.split_into ctx.Context.prg_alice c.Context.prg_alice;
           Prg.split_into ctx.Context.prg_bob c.Context.prg_bob;
           Prg.split_into ctx.Context.dealer c.Context.dealer;
-          Comm.reset c.Context.comm;
           Array.fill c.Context.counters 0 Trace_sink.n_counters 0;
-          { ctx with Context.comm = c.Context.comm;
-            prg_alice = c.Context.prg_alice; prg_bob = c.Context.prg_bob;
+          { ctx with Context.prg_alice = c.Context.prg_alice; prg_bob = c.Context.prg_bob;
             dealer = c.Context.dealer; sink = Trace_sink.noop;
-            counters = c.Context.counters; batch_ctxs = c.Context.batch_ctxs;
-            schema = None }
+            counters = c.Context.counters; batch_item = true; transport = None;
+            batch_ctxs = c.Context.batch_ctxs; schema = None }
         end
         else begin
           let prg_alice = Prg.split ctx.Context.prg_alice in
           let prg_bob = Prg.split ctx.Context.prg_bob in
           let dealer = Prg.split ctx.Context.dealer in
-          (* [schema = None]: item channels have no wire, and workers must
-             not touch the shared state machine from their own domains. *)
-          { ctx with Context.comm = Comm.create (); prg_alice; prg_bob; dealer;
+          (* [transport = None, schema = None]: item sends stay in the
+             item's ledger (the parent pushes their total over its wire),
+             and workers must not touch the shared state machine from
+             their own domains. *)
+          { ctx with Context.prg_alice; prg_bob; dealer;
             sink = Trace_sink.noop; counters = Array.make Trace_sink.n_counters 0;
-            batch_ctxs = [||]; schema = None }
+            batch_item = true; transport = None; batch_ctxs = [||]; schema = None }
         end)
   in
   (* Never shrink the cache: a smaller batch recycles a prefix and leaves
@@ -306,14 +304,14 @@ let prepare_item_ctxs ctx n : Context.t array =
 (* Run [f] over the [n] independent batch items on the context's pool.
 
    Each item gets a private context (see [prepare_item_ctxs]): a noop
-   sink, and private channel/PRGs/counters whose state is a function of
-   the item index alone. Item 0 runs on the caller — its result seeds the
+   sink, and a private ledger and PRGs whose state is a function of the
+   item index alone. Item 0 runs on the caller — its result seeds the
    result array, so no [Option] box is ever created per item — and the
-   remaining items fan out over the pool. After the barrier the private
-   deltas are folded back into the parent context in one aggregated step
-   per direction: sums are order-independent, so tallies, span counters,
-   and listener totals are bit-identical for every pool size, including
-   1. Item code must not open spans (the item sink ignores them). *)
+   remaining items fan out over the pool. After the barrier one
+   [Context.absorb] folds the item ledgers into the parent: sums are
+   order-independent, so tallies, span counters, and registry totals are
+   bit-identical for every pool size, including 1. Item code must not
+   open spans (the item sink ignores them). *)
 let map_batch ctx ~n (f : Context.t -> int -> 'a) : 'a array =
   if n = 0 then [||]
   else begin
@@ -378,7 +376,7 @@ let map_batch ctx ~n (f : Context.t -> int -> 'a) : 'a array =
               match fault with
               | Domain_pool.Item_raised { item; exn } -> (
                   match exn with
-                  | Deadline.Cancelled _ ->
+                  | Secyan_deadline.Cancelled _ ->
                       (* cancellation is not a supervision failure *)
                       raise exn
                   | _ ->
@@ -408,18 +406,7 @@ let map_batch ctx ~n (f : Context.t -> int -> 'a) : 'a array =
             (function Some r -> r | None -> assert false (* barrier: all ran *))
             slots
     in
-    let a_bits = ref 0 and b_bits = ref 0 and rounds = ref 0 in
-    for i = 0 to n - 1 do
-      let ictx = item_ctxs.(i) in
-      let t = Comm.tally ictx.Context.comm in
-      a_bits := !a_bits + t.Comm.alice_to_bob_bits;
-      b_bits := !b_bits + t.Comm.bob_to_alice_bits;
-      rounds := !rounds + t.Comm.rounds;
-      Context.merge_counters ctx ictx.Context.counters
-    done;
-    if !a_bits > 0 then Comm.send ctx.Context.comm ~from:Party.Alice ~bits:!a_bits;
-    if !b_bits > 0 then Comm.send ctx.Context.comm ~from:Party.Bob ~bits:!b_bits;
-    if !rounds > 0 then Comm.bump_rounds ctx.Context.comm !rounds;
+    Context.absorb ctx item_ctxs;
     if metrics_on then begin
       Secyan_metrics.observe (Lazy.force m_batch_items) (float_of_int n);
       Secyan_metrics.observe (Lazy.force m_batch_seconds) (Unix.gettimeofday () -. t_start)
@@ -447,14 +434,14 @@ let eval_to_shares_batch ctx ~(items : input list array) ~build : Secret_share.t
                (Array.length all_bits.(0))))
       all_bits;
     account_executions ctx bc all_bits.(0) ~times:(Array.length items);
-    Comm.bump_rounds ctx.Context.comm 2;
+    Context.bump_rounds ctx 2;
     let results =
       map_batch ctx ~n:(Array.length items) (fun ictx i ->
           let out_bits = run_with ictx bc all_bits.(i) in
           let words = slice_outputs bc.output_widths out_bits in
           Array.of_list (List.map (b2a ictx) words))
     in
-    Comm.bump_rounds ctx.Context.comm 1;
+    Context.bump_rounds ctx 1;
     results
 
 (** Single-item variant. *)
@@ -472,10 +459,10 @@ let eval_reveal_batch ctx ~to_ ~(items : input list array) ~build : int64 array 
     let bc = build_circuit ctx ~inputs:items.(0) ~build in
     let all_bits = Array.map (bits_of_inputs ctx) items in
     account_executions ctx bc all_bits.(0) ~times:(Array.length items);
-    Comm.bump_rounds ctx.Context.comm 2;
+    Context.bump_rounds ctx 2;
     let n_out = Boolean_circuit.n_outputs bc.circuit in
-    Comm.send ctx.Context.comm ~from:(Party.other to_) ~bits:(Array.length items * n_out);
-    Comm.bump_rounds ctx.Context.comm 1;
+    Context.send ctx ~from:(Party.other to_) ~bits:(Array.length items * n_out);
+    Context.bump_rounds ctx 1;
     map_batch ctx ~n:(Array.length items) (fun ictx i ->
         let out_bits = run_with ictx bc all_bits.(i) in
         let words = slice_outputs bc.output_widths out_bits in

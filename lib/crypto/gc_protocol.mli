@@ -33,7 +33,7 @@ val supervision_cause_to_string : supervision_cause -> string
     under (e.g. ["gc:shares"]); [item] the faulting global batch item
     ([-1] when no single item is at fault). Raised only when the owning
     context has a supervisor attached; cancellation raises
-    [Deadline.Cancelled] instead, never this. The context stays usable:
+    [Secyan_deadline.Cancelled] instead, never this. The context stays usable:
     a subsequent query on it runs correctly (sequentially, if the pool
     was poisoned). *)
 exception

@@ -133,9 +133,9 @@ let account ctx prog =
   Context.bump ctx Trace_sink.Oep_switches (n_switches prog);
   let total = n_switches prog * bits_per_switch in
   (* OT per switch: receiver column one way, masked pair the other. *)
-  Comm.send ctx.Context.comm ~from:Party.Alice ~bits:(total / 2);
-  Comm.send ctx.Context.comm ~from:Party.Bob ~bits:(total - (total / 2));
-  Comm.bump_rounds ctx.Context.comm 2
+  Context.send ctx ~from:Party.Alice ~bits:(total / 2);
+  Context.send ctx ~from:Party.Bob ~bits:(total - (total / 2));
+  Context.bump_rounds ctx 2
 
 (** Obliviously map a shared vector through [xi] held by [holder]:
     returns fresh shares of [x_{xi(i)}]. *)

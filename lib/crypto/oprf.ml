@@ -21,13 +21,12 @@ let batch ctx ~sender ~out_bits ~(programming : (int64 * int64) list array)
          (Array.length queries) n_bins);
   Context.with_span ctx "oprf:batch" @@ fun () ->
   let receiver = Party.other sender in
-  let comm = ctx.Context.comm in
   let per_bin = Cost_model.opprf_bin_bits ~kappa:ctx.Context.kappa ~sigma:ctx.Context.sigma in
   (* receiver's OPRF evaluations (OT-extension traffic), then the sender's
      programmed hints *)
-  Comm.send comm ~from:receiver ~bits:(n_bins * ctx.Context.kappa);
-  Comm.send comm ~from:sender ~bits:(n_bins * per_bin);
-  Comm.bump_rounds comm 2;
+  Context.send ctx ~from:receiver ~bits:(n_bins * ctx.Context.kappa);
+  Context.send ctx ~from:sender ~bits:(n_bins * per_bin);
+  Context.bump_rounds ctx 2;
   let instance_key = Prg.next_int64 ctx.Context.dealer in
   let mask = if out_bits >= 64 then -1L else Int64.sub (Int64.shift_left 1L out_bits) 1L in
   Array.init n_bins (fun i ->

@@ -84,7 +84,7 @@ let extend ctx ~sender ~(messages : (block * block) array) ~(choices : bool arra
     Array.init kappa (fun i ->
         if s_bits.(i) then column_xor_choice t_cols.(i) choices else Bytes.copy t_cols.(i))
   in
-  Comm.send ctx.Context.comm ~from:receiver ~bits:(kappa * m);
+  Context.send ctx ~from:receiver ~bits:(kappa * m);
   (* transpose: receiver's rows t_j; sender's rows q_j = t_j XOR (r_j . s) *)
   let s_block = row_of_columns (Array.map (fun b ->
       let c = column_create 1 in column_set c 0 b; c) s_bits) 0 in
@@ -97,8 +97,8 @@ let extend ctx ~sender ~(messages : (block * block) array) ~(choices : bool arra
         let m0, m1 = messages.(j) in
         (block_xor m0 pad0, block_xor m1 pad1))
   in
-  Comm.send ctx.Context.comm ~from:sender ~bits:(m * 2 * 2 * 64);
-  Comm.bump_rounds ctx.Context.comm 2;
+  Context.send ctx ~from:sender ~bits:(m * 2 * 2 * 64);
+  Context.bump_rounds ctx 2;
   (* receiver unmasks its chosen message with H(j, t_j) *)
   Array.init m (fun j ->
       let tj = row_of_columns t_cols j in

@@ -19,7 +19,7 @@
     parent, and nested runs (query compositions) are handled by plain
     stack discipline. The innermost label also classifies what an
     outgoing message {e is} (a ["psi:*"] span sends PSI traffic), which
-    is what {!Comm.send} consults before any payload crosses the wire and
+    is what [Context.send] consults before any payload crosses the wire and
     what the receive path checks the peer's envelope against.
 
     Everything that fails validation raises the typed
@@ -148,7 +148,7 @@ let violation t ~expected ~got ~offset =
   Secyan_metrics.add m_violations 1;
   raise (Protocol_violation { phase = phase_name (phase t); expected; got; offset })
 
-(* Pre-send consultation from [Comm.send]: derive what the outgoing
+(* Pre-send consultation from [Context.send]: derive what the outgoing
    message is from the current span and verify the state machine allows
    it — a self-check that protocol code cannot emit traffic the receive
    path would reject. Returns the kind for the wire to tag the envelope

@@ -6,7 +6,7 @@
     {!Protocol_violation} — never an untyped exception escape, never an
     allocation driven by a lying length field. Phase tracking piggybacks
     on [Context.with_span]'s span discipline; {!check_send} is consulted
-    by [Comm.send] before any payload crosses the wire, and {!validate}
+    by [Context.send] before any payload crosses the wire, and {!validate}
     checks everything that arrives. *)
 
 type phase =
@@ -64,7 +64,7 @@ val label : t -> string
 (** The kind an outgoing message sent right now would carry. *)
 val outgoing_kind : t -> Secyan_net.Envelope.kind
 
-(** Pre-send consultation from [Comm.send]: derive the outgoing message's
+(** Pre-send consultation from [Context.send]: derive the outgoing message's
     kind from the current span and verify the machine allows it.
     @raise Protocol_violation when the current phase forbids it. *)
 val check_send : t -> bits:int -> Secyan_net.Envelope.kind

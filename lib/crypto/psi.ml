@@ -51,7 +51,6 @@ let with_payloads ctx ~receiver ~(alice_set : int64 array)
           element)"
          (Array.length bob_payloads) (Array.length bob_set));
   Context.with_span ctx "psi:payloads" @@ fun () ->
-  let comm = ctx.Context.comm in
   let ring_bits = Context.ring_bits ctx in
   let cmp = cmp_bits ctx in
   (* 1. The receiver builds the cuckoo table and sends the hash keys. *)
@@ -62,8 +61,8 @@ let with_payloads ctx ~receiver ~(alice_set : int64 array)
     in
     Cuckoo_hash.build ~context (Context.prg_of ctx receiver) alice_set
   in
-  Comm.send comm ~from:receiver ~bits:(3 * 64);
-  Comm.bump_rounds comm 1;
+  Context.send ctx ~from:receiver ~bits:(3 * 64);
+  Context.bump_rounds ctx 1;
   let b = table.Cuckoo_hash.keys.Cuckoo_hash.n_bins in
   Context.bump ctx Trace_sink.Cuckoo_bins b;
   (* 2. The sender simple-hashes Y and draws per-bin targets and masks. *)

@@ -24,7 +24,7 @@ let share ctx ~owner v =
   let v = Zn.norm ring v in
   let own = Zn.random ring (Context.prg_of ctx owner) in
   let other = Zn.sub ring v own in
-  Comm.send ctx.comm ~from:owner ~bits:(Zn.bits ring);
+  Context.send ctx ~from:owner ~bits:(Zn.bits ring);
   match owner with
   | Party.Alice -> { a = own; b = other }
   | Party.Bob -> { a = other; b = own }
@@ -43,25 +43,25 @@ let fresh_of_value ctx v =
 (** The counterparty sends its share to [receiver], who reconstructs. *)
 let reveal_to ctx receiver t =
   let ring = ctx.Context.ring in
-  Comm.send ctx.comm ~from:(Party.other receiver) ~bits:(Zn.bits ring);
-  Comm.bump_rounds ctx.comm 1;
+  Context.send ctx ~from:(Party.other receiver) ~bits:(Zn.bits ring);
+  Context.bump_rounds ctx 1;
   Zn.add ring t.a t.b
 
 (** Batched reveal: one message carrying all of the counterparty's shares
     (a single round regardless of the batch size). *)
 let reveal_batch ctx receiver shares =
   let ring = ctx.Context.ring in
-  Comm.send ctx.comm ~from:(Party.other receiver)
+  Context.send ctx ~from:(Party.other receiver)
     ~bits:(Array.length shares * Zn.bits ring);
-  Comm.bump_rounds ctx.comm 1;
+  Context.bump_rounds ctx 1;
   Array.map (fun t -> Zn.add ring t.a t.b) shares
 
 (** Reveal to both parties (each sends its share to the other). *)
 let open_both ctx t =
   let ring = ctx.Context.ring in
-  Comm.send ctx.comm ~from:Party.Alice ~bits:(Zn.bits ring);
-  Comm.send ctx.comm ~from:Party.Bob ~bits:(Zn.bits ring);
-  Comm.bump_rounds ctx.comm 1;
+  Context.send ctx ~from:Party.Alice ~bits:(Zn.bits ring);
+  Context.send ctx ~from:Party.Bob ~bits:(Zn.bits ring);
+  Context.bump_rounds ctx 1;
   Zn.add ring t.a t.b
 
 (* Linear operations: local, no communication. *)

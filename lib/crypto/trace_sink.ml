@@ -2,12 +2,13 @@
     layer living above it.
 
     The crypto library cannot depend on the tracing library (the tracer
-    needs [Context] and [Comm]), so the coupling is inverted: every
-    [Context.t] carries a sink — a record of callbacks — that defaults to
-    {!noop}. Primitives announce span boundaries and bump typed counters
-    through the sink; an attached tracer replaces it with recording
-    closures. Untraced runs pay one physical-equality check per span and a
-    call to a shared no-op closure per counter bump — no allocation. *)
+    needs [Context]), so the coupling is inverted: every [Context.t]
+    carries a sink — a record of callbacks — that defaults to {!noop}.
+    Primitives announce span boundaries and every write to the context's
+    ledger (work counters and traffic alike) reaches the sink as a typed
+    counter bump; an attached tracer replaces it with recording closures.
+    Untraced runs pay one physical-equality check per span and a call to a
+    shared no-op closure per counter bump — no allocation. *)
 
 (** Typed event counters bumped by the primitives. Semantics:
 
@@ -36,7 +37,12 @@
     - [Checkpoint_bytes]: total on-disk bytes of those snapshots. Both
       checkpoint counters count {e persistence} work, not protocol work:
       they are excluded from checkpoint payloads so that resumed and
-      uninterrupted runs agree on every protocol counter. *)
+      uninterrupted runs agree on every protocol counter.
+    - [Alice_to_bob_bits], [Bob_to_alice_bits]: declared communication
+      each way ([Context.send]).
+    - [Rounds]: declared communication rounds ([Context.bump_rounds]).
+    - [Sends]: [Context.send] events (a parallel batch counts its one
+      aggregated transfer per direction, not its items' sends). *)
 type counter =
   | And_gates
   | Ots
@@ -49,8 +55,12 @@ type counter =
   | Frames_corrupted
   | Checkpoints_written
   | Checkpoint_bytes
+  | Alice_to_bob_bits
+  | Bob_to_alice_bits
+  | Rounds
+  | Sends
 
-let n_counters = 11
+let n_counters = 15
 
 let counter_index = function
   | And_gates -> 0
@@ -64,6 +74,10 @@ let counter_index = function
   | Frames_corrupted -> 8
   | Checkpoints_written -> 9
   | Checkpoint_bytes -> 10
+  | Alice_to_bob_bits -> 11
+  | Bob_to_alice_bits -> 12
+  | Rounds -> 13
+  | Sends -> 14
 
 let counter_name = function
   | And_gates -> "and_gates"
@@ -77,10 +91,16 @@ let counter_name = function
   | Frames_corrupted -> "frames_corrupted"
   | Checkpoints_written -> "checkpoints_written"
   | Checkpoint_bytes -> "checkpoint_bytes"
+  | Alice_to_bob_bits -> "alice_to_bob_bits"
+  | Bob_to_alice_bits -> "bob_to_alice_bits"
+  | Rounds -> "rounds"
+  | Sends -> "sends"
 
-let all_counters =
+let work_counters =
   [ And_gates; Ots; Oep_switches; Cuckoo_bins; B2a_words; Gc_circuits; Retries; Timeouts;
     Frames_corrupted; Checkpoints_written; Checkpoint_bytes ]
+
+let all_counters = work_counters @ [ Alice_to_bob_bits; Bob_to_alice_bits; Rounds; Sends ]
 
 let counter_help = function
   | And_gates -> "AND gates garbled or cost-equivalently simulated"
@@ -94,6 +114,10 @@ let counter_help = function
   | Frames_corrupted -> "frames rejected by the transport CRC check"
   | Checkpoints_written -> "durable protocol-state snapshots emitted"
   | Checkpoint_bytes -> "total on-disk bytes of checkpoints"
+  | Alice_to_bob_bits -> "declared communication from Alice to Bob, in bits"
+  | Bob_to_alice_bits -> "declared communication from Bob to Alice, in bits"
+  | Rounds -> "declared communication rounds"
+  | Sends -> "declared transfers"
 
 (* Mirror every typed counter into the process-wide metrics registry
    (Prometheus convention: monotonic counters end in _total). Interned
@@ -109,8 +133,9 @@ let registry_counters =
           all_counters))
 
 (** Forward one counter bump to the metrics registry (no-op when metrics
-    are disabled). [Context.bump] calls this exactly once per unit of
-    work — merged parallel-batch deltas do not re-forward. *)
+    are disabled). The context ledger calls this exactly once per unit of
+    work: batch-item ledgers never forward, the merge into the owning
+    context does. *)
 let registry_bump c n =
   if Secyan_metrics.enabled () then
     Secyan_metrics.add (Lazy.force registry_counters).(counter_index c) n
@@ -124,30 +149,3 @@ type t = {
 (** The default sink: does nothing. Compared with [==] by fast paths, so
     keep this the unique physical no-op value. *)
 let noop = { enter = (fun _ -> ()); exit = (fun () -> ()); bump = (fun _ _ -> ()) }
-
-(** A private accumulator sink and its backing array (indexed by
-    {!counter_index}): bumps add to the array; span boundaries are
-    ignored, so the code running under it must not open spans. Used by
-    the parallel batch engine to give each worker a domain-private
-    counter delta that the caller later folds into the real sink with
-    {!merge_into} — the recording sink itself is only ever touched by
-    the domain that owns the trace. *)
-let accumulator () =
-  let counts = Array.make n_counters 0 in
-  let sink =
-    {
-      enter = (fun _ -> ());
-      exit = (fun () -> ());
-      bump = (fun c n -> counts.(counter_index c) <- counts.(counter_index c) + n);
-    }
-  in
-  (sink, counts)
-
-(** Fold an accumulated counter delta into [sink], one bump per nonzero
-    counter. Call it from the domain that owns [sink]. *)
-let merge_into sink (counts : int array) =
-  List.iter
-    (fun c ->
-      let n = counts.(counter_index c) in
-      if n <> 0 then sink.bump c n)
-    all_counters

@@ -102,7 +102,7 @@ let mutated_run ?checkpoint ~deadline_s (t : Gen.instance) spec =
     Wire_mutator.wrap ~seed:(ctx_seed t) ~spec (Secyan_net.Transport.inproc ())
   in
   let transport = Secyan_net.Resilient.create raw in
-  let cancel = Deadline.create ~timeout_s:deadline_s ~memory_budget_mb:2048. () in
+  let cancel = Secyan_deadline.create ~timeout_s:deadline_s ~memory_budget_mb:2048. () in
   let ctx =
     Context.create ~bits:(Semiring.bits q.Secyan.Query.semiring) ~transport ?checkpoint
       ~cancel ~seed:(ctx_seed t) ()
@@ -125,9 +125,9 @@ let mutated_run ?checkpoint ~deadline_s (t : Gen.instance) spec =
   | exception Secyan_net.Resilient.Resume_mismatch _ -> finish (`Transport "resume mismatch")
   | exception Checkpoint.Checkpoint_error { kind; _ } ->
       finish (`Transport (Printf.sprintf "checkpoint: %s" (Checkpoint.error_kind_name kind)))
-  | exception Deadline.Cancelled { reason; where } ->
+  | exception Secyan_deadline.Cancelled { reason; where } ->
       finish
-        (`Deadline (Printf.sprintf "%s at %s" (Deadline.reason_to_string reason) where))
+        (`Deadline (Printf.sprintf "%s at %s" (Secyan_deadline.reason_to_string reason) where))
   | exception e -> finish (`Crash (Printexc.to_string e))
 
 (* Honest resume from whatever checkpoint the violated run left behind;

@@ -247,15 +247,13 @@ let compare_json ?(tolerance = 0.15) ?(strict = false) ~base ~next () =
   | Error e, _ -> Error (Printf.sprintf "base: %s" e)
   | _, Error e -> Error (Printf.sprintf "new: %s" e)
   | Ok base_rs, Ok new_rs ->
-      let section j =
-        Option.bind (Json.member "section" j) Json.to_string_opt
-        |> Option.value ~default:"?"
-      in
-      if section base <> section next then
-        Error
-          (Printf.sprintf "section mismatch: base %S vs new %S" (section base)
-             (section next))
-      else begin
+      (* A file written before every BENCH file carried a section has
+         none; it matches any. *)
+      let section j = Option.bind (Json.member "section" j) Json.to_string_opt in
+      match (section base, section next) with
+      | Some b, Some n when b <> n ->
+          Error (Printf.sprintf "section mismatch: base %S vs new %S" b n)
+      | _ -> begin
         let new_by_key = Hashtbl.create 32 in
         List.iter (fun r -> Hashtbl.replace new_by_key (record_key r) r) new_rs;
         let compared = ref 0 in

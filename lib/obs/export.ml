@@ -35,7 +35,7 @@ let pretty ppf root =
     (* Only counters that fired anywhere in the trace get a column. *)
     List.filter
       (fun c -> Span.counter root c > 0)
-      Trace_sink.all_counters
+      Trace_sink.work_counters
   in
   Format.fprintf ppf "%-*s  %10s  %12s  %12s  %6s" name_w "span" "wall" "a->b" "b->a" "rounds";
   List.iter
@@ -66,7 +66,7 @@ let span_args span =
       (fun c ->
         let v = counters.(Trace_sink.counter_index c) in
         if v = 0 then None else Some (Trace_sink.counter_name c, Json.Int v))
-      Trace_sink.all_counters
+      Trace_sink.work_counters
   in
   Json.Obj
     ([
@@ -117,7 +117,7 @@ let span_record ~depth ~path span =
   let counter_fields =
     List.map
       (fun c -> (Trace_sink.counter_name c, Json.Int counters.(Trace_sink.counter_index c)))
-      Trace_sink.all_counters
+      Trace_sink.work_counters
   in
   Json.Obj
     [

@@ -1,10 +1,11 @@
-(** One node of a protocol trace: a named interval with the communication,
-    rounds, and primitive-counter deltas that occurred while it was the
-    innermost open span ("self" metrics), plus its child spans.
+(** One node of a protocol trace: a named interval with the ledger
+    deltas — traffic, rounds, sends and primitive counters — that
+    occurred while it was the innermost open span ("self" metrics), plus
+    its child spans.
 
     Inclusive metrics (self + all descendants) are derived on demand, so
-    recording stays allocation-light: the tracer only mutates integer
-    fields of the active span. *)
+    recording stays allocation-light: the tracer only mutates the integer
+    counter array of the active span. *)
 
 open Secyan_crypto
 
@@ -12,10 +13,6 @@ type t = {
   name : string;
   start_s : float;    (** seconds since the trace origin *)
   mutable dur_s : float;  (** set when the span closes; -1 while open *)
-  mutable self_alice_to_bob_bits : int;
-  mutable self_bob_to_alice_bits : int;
-  mutable self_rounds : int;
-  mutable self_sends : int;  (** number of [Comm.send] events *)
   self_counters : int array;  (** indexed by [Trace_sink.counter_index] *)
   mutable rev_children : t list;  (** newest first *)
 }
@@ -25,10 +22,6 @@ let create ~name ~start_s =
     name;
     start_s;
     dur_s = -1.;
-    self_alice_to_bob_bits = 0;
-    self_bob_to_alice_bits = 0;
-    self_rounds = 0;
-    self_sends = 0;
     self_counters = Array.make Trace_sink.n_counters 0;
     rev_children = [];
   }
@@ -37,19 +30,7 @@ let add_child parent child = parent.rev_children <- child :: parent.rev_children
 
 let children t = List.rev t.rev_children
 
-let self_tally t : Comm.tally =
-  {
-    Comm.alice_to_bob_bits = t.self_alice_to_bob_bits;
-    bob_to_alice_bits = t.self_bob_to_alice_bits;
-    rounds = t.self_rounds;
-  }
-
-(** Inclusive communication: self plus all descendants. *)
-let rec tally t : Comm.tally =
-  List.fold_left (fun acc c -> Comm.add acc (tally c)) (self_tally t) t.rev_children
-
-(** Inclusive [Comm.send] event count. *)
-let rec sends t = List.fold_left (fun acc c -> acc + sends c) t.self_sends t.rev_children
+let self_tally t = Context.tally_of_counters t.self_counters
 
 (** Inclusive counters, indexed by [Trace_sink.counter_index]. *)
 let rec counters t =
@@ -63,6 +44,12 @@ let rec counters t =
 
 (** Inclusive value of one typed counter. *)
 let counter t c = (counters t).(Trace_sink.counter_index c)
+
+(** Inclusive communication: self plus all descendants. *)
+let tally t = Context.tally_of_counters (counters t)
+
+(** Inclusive [Context.send] event count. *)
+let sends t = counter t Trace_sink.Sends
 
 let rec n_spans t = List.fold_left (fun acc c -> acc + n_spans c) 1 t.rev_children
 

@@ -1,6 +1,7 @@
-(** One node of a protocol trace: a named interval with the traffic,
-    rounds, and primitive counters recorded while it was the innermost
-    open span, plus child spans. Inclusive metrics are derived on demand. *)
+(** One node of a protocol trace: a named interval with the ledger
+    deltas — traffic, rounds, sends, and primitive counters — recorded
+    while it was the innermost open span, plus child spans. Inclusive
+    metrics are derived on demand. *)
 
 open Secyan_crypto
 
@@ -8,10 +9,6 @@ type t = {
   name : string;
   start_s : float;    (** seconds since the trace origin *)
   mutable dur_s : float;  (** set when the span closes; -1 while open *)
-  mutable self_alice_to_bob_bits : int;
-  mutable self_bob_to_alice_bits : int;
-  mutable self_rounds : int;
-  mutable self_sends : int;  (** number of [Comm.send] events *)
   self_counters : int array;  (** indexed by [Trace_sink.counter_index] *)
   mutable rev_children : t list;  (** newest first *)
 }
@@ -28,7 +25,7 @@ val self_tally : t -> Comm.tally
 (** Inclusive traffic: self plus all descendants. *)
 val tally : t -> Comm.tally
 
-(** Inclusive [Comm.send] event count. *)
+(** Inclusive [Context.send] event count. *)
 val sends : t -> int
 
 (** Inclusive counters, indexed by [Trace_sink.counter_index]. *)

@@ -1,14 +1,13 @@
 (** The tracer: maintains a stack of open spans over one {!Context.t} and
     turns a protocol execution into a {!Span.t} tree.
 
-    Attachment installs a {!Trace_sink.t} on the context (so
-    [Context.with_span] and primitive counter bumps reach the tracer) and
-    subscribes to the context's [Comm] listener hooks (so every
-    [Comm.send] / [Comm.bump_rounds] is attributed to the active span in
-    real time). Detaching restores the no-op sink, returning the context
-    to its zero-overhead untraced state. The tracer draws no randomness
-    and never touches the channel, so traced and untraced runs produce
-    identical transcripts. *)
+    Attachment installs a {!Trace_sink.t} on the context, so
+    [Context.with_span] and every write to the context's ledger — primitive
+    counters, [Context.send], [Context.bump_rounds] — reach the tracer and
+    are attributed to the active span in real time. Detaching restores the
+    no-op sink, returning the context to its zero-overhead untraced state.
+    The tracer draws no randomness and never touches the channel, so
+    traced and untraced runs produce identical transcripts. *)
 
 open Secyan_crypto
 
@@ -53,34 +52,22 @@ let sink t : Trace_sink.t =
         span.Span.self_counters.(i) <- span.Span.self_counters.(i) + n);
   }
 
-(** Attach the tracer to [ctx]: installs the recording sink and the
-    [Comm] listeners. A tracer observes one context at a time.
+(** Attach the tracer to [ctx] by installing the recording sink. A
+    tracer observes one context at a time.
     @raise Invalid_argument if this tracer is already attached. *)
 let attach t ctx =
   (match t.attached_to with
   | Some _ -> invalid_arg "Trace.attach: tracer already attached"
   | None -> ());
   t.attached_to <- Some ctx;
-  Context.set_sink ctx (sink t);
-  Comm.on_send ctx.Context.comm
-    (Some
-       (fun ~from ~bits ->
-         let span = active t in
-         (match (from : Party.t) with
-         | Alice -> span.Span.self_alice_to_bob_bits <- span.Span.self_alice_to_bob_bits + bits
-         | Bob -> span.Span.self_bob_to_alice_bits <- span.Span.self_bob_to_alice_bits + bits);
-         span.Span.self_sends <- span.Span.self_sends + 1));
-  Comm.on_rounds ctx.Context.comm
-    (Some (fun n -> let span = active t in span.Span.self_rounds <- span.Span.self_rounds + n))
+  Context.set_sink ctx (sink t)
 
-(** Restore the context's no-op sink and drop the [Comm] listeners. *)
+(** Restore the context's no-op sink. *)
 let detach t =
   match t.attached_to with
   | None -> ()
   | Some ctx ->
       Context.set_sink ctx Trace_sink.noop;
-      Comm.on_send ctx.Context.comm None;
-      Comm.on_rounds ctx.Context.comm None;
       t.attached_to <- None
 
 (** Detach, close any spans left open, stamp the root duration, and

@@ -1,18 +1,18 @@
 (** The tracer: records a protocol execution over one {!Context.t} as a
     {!Span.t} tree.
 
-    Attaching installs a recording {!Trace_sink.t} on the context and
-    subscribes to its [Comm] listener hooks, so span entry/exit, every
-    [Comm.send] / [Comm.bump_rounds], and every primitive counter bump
-    is attributed to the innermost open span. The tracer draws no
-    randomness and never touches the channel: traced and untraced runs
-    produce identical protocol transcripts and tallies.
+    Attaching installs a recording {!Trace_sink.t} on the context, so
+    span entry/exit and every write to the context's ledger — primitive
+    counters, [Context.send], [Context.bump_rounds] — is attributed to
+    the innermost open span. The tracer draws no randomness and never
+    touches the channel: traced and untraced runs produce identical
+    protocol transcripts and tallies.
 
     The recording sink is single-domain: only the domain that attached
-    the tracer may touch it. Parallel batches respect this by giving
-    each worker a private {!Trace_sink.accumulator} and folding the
-    deltas into the tracer once per batch from the owning domain
-    ({!Trace_sink.merge_into}), so traced parallel runs yield the same
+    the tracer may touch it. Parallel batches respect this by running
+    each item on a private ledger under the no-op sink and folding the
+    ledgers into the traced context once per batch from the owning
+    domain ([Context.absorb]), so traced parallel runs yield the same
     span tree — traffic, rounds, and counters — as sequential ones. *)
 
 open Secyan_crypto
@@ -21,12 +21,11 @@ type t
 
 val create : ?name:string -> unit -> t
 
-(** Attach to a context: install the recording sink and [Comm]
-    listeners. @raise Invalid_argument if already attached. *)
+(** Attach to a context: install the recording sink.
+    @raise Invalid_argument if already attached. *)
 val attach : t -> Context.t -> unit
 
-(** Restore the context's no-op sink and drop the listeners. No-op if
-    not attached. *)
+(** Restore the context's no-op sink. No-op if not attached. *)
 val detach : t -> unit
 
 (** Detach, close any spans still open, stamp the root duration, and

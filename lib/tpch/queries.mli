@@ -24,7 +24,7 @@ val semiring : Semiring.t
 val context :
   ?gc_backend:Context.gc_backend -> ?domains:int ->
   ?transport:Secyan_net.Resilient.t -> ?checkpoint:Checkpoint.sink ->
-  ?cancel:Deadline.t -> ?supervisor:Domain_pool.supervisor ->
+  ?cancel:Secyan_deadline.t -> ?supervisor:Domain_pool.supervisor ->
   seed:int64 -> unit -> Context.t
 
 (** {2 Relation shaping helpers} (shared with {!Extra_queries}) *)

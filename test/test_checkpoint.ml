@@ -265,27 +265,27 @@ let cancel_and_resume make () =
   in
   let dir = tmpdir () in
   Fun.protect ~finally:(fun () -> rm_rf_flat dir) @@ fun () ->
-  let tok = Secyan_crypto.Deadline.never () in
+  let tok = Secyan_deadline.never () in
   let sink = Checkpoint.sink ~dir () in
   let watcher =
     Domain.spawn (fun () ->
         let t0 = Unix.gettimeofday () in
         while
           sink.Checkpoint.written < 2
-          && Secyan_crypto.Deadline.cancelled tok = None
+          && Secyan_deadline.cancelled tok = None
           && Unix.gettimeofday () -. t0 < 60.0
         do
           Unix.sleepf 0.0002
         done;
-        ignore (Secyan_crypto.Deadline.cancel tok (Secyan_crypto.Deadline.User "test")))
+        ignore (Secyan_deadline.cancel tok (Secyan_deadline.User "test")))
   in
   let cancel_ctx = Queries.context ~checkpoint:sink ~cancel:tok ~seed:99L () in
   (Fun.protect ~finally:(fun () -> close cancel_ctx) @@ fun () ->
    match Secyan.Secure_yannakakis.run cancel_ctx q with
    | _ -> Alcotest.fail "the fired token must interrupt the run"
    | exception
-       Secyan_crypto.Deadline.Cancelled
-         { reason = Secyan_crypto.Deadline.User _; where } ->
+       Secyan_deadline.Cancelled
+         { reason = Secyan_deadline.User _; where } ->
        Alcotest.(check bool) "cancellation names its site" true (where <> ""));
   Domain.join watcher;
   Alcotest.(check bool) "cancel left snapshots behind" true (sink.Checkpoint.written >= 2);

@@ -115,9 +115,9 @@ let test_share_linear_ops () =
 let test_share_reveal_costs () =
   let ctx = ctx_sim () in
   let x = Secret_share.share ctx ~owner:Party.Alice 77L in
-  let before = Comm.tally ctx.Context.comm in
+  let before = Context.tally ctx in
   let v = Secret_share.reveal_to ctx Party.Alice x in
-  let after = Comm.tally ctx.Context.comm in
+  let after = Context.tally ctx in
   Alcotest.check check_i64 "revealed value" 77L v;
   let d = Comm.diff after before in
   Alcotest.(check int) "bob sent one ring element" (Zn.bits ctx.Context.ring)
@@ -381,7 +381,7 @@ let test_gc_sim () = Alcotest.check check_i64 "(10+32)*7 (sim)" 294L (run_gc (ct
 let test_gc_backends_same_cost () =
   let cost ctx =
     let _ = run_gc ctx in
-    Comm.tally ctx.Context.comm
+    Context.tally ctx
   in
   let real = cost (ctx_real ()) and sim = cost (ctx_sim ()) in
   Alcotest.(check bool) "identical tallies" true (Comm.equal real sim)
@@ -563,10 +563,9 @@ let gc_batch_expected ~n_items =
 
 let gc_run_instrumented ~domains ~backend =
   let ctx = Context.create ~gc_backend:backend ~domains ~seed:42L () in
-  let sink, counts = Trace_sink.accumulator () in
-  Context.set_sink ctx sink;
   let shares, revealed = gc_batch_fixture ctx ~n_items:17 in
-  let tally = Comm.tally ctx.Context.comm in
+  let tally = Context.tally ctx in
+  let counts = Context.counter_totals ctx in
   Context.shutdown_pool ctx;
   (shares, revealed, tally, counts)
 
@@ -604,7 +603,7 @@ let gc_run_with ~gc_backend ~gc_kdf =
   let ctx = Context.create ~gc_backend ~gc_kdf ~seed:42L () in
   let shares, revealed = gc_batch_fixture ctx ~n_items:13 in
   let reconstructed = Array.map (Array.map (Secret_share.reconstruct ctx)) shares in
-  let tally = Comm.tally ctx.Context.comm in
+  let tally = Context.tally ctx in
   (reconstructed, revealed, tally)
 
 let test_gc_kdf_backend_agreement () =
@@ -624,39 +623,6 @@ let test_gc_kdf_backend_agreement () =
       Alcotest.(check bool) (name ^ ": revealed outputs agree") true (v0 = v);
       Alcotest.(check bool) (name ^ ": comm tallies agree") true (Comm.equal t0 t))
     combos
-
-(* ------------------------------------------------------------------ *)
-(* Oblivious transfer *)
-
-let test_ot_single () =
-  let ctx = ctx_sim () in
-  List.iter
-    (fun choice ->
-      let got =
-        Oblivious_transfer.transfer ctx ~sender:Party.Alice ~bits:32
-          ~messages:{ Oblivious_transfer.m0 = 111L; m1 = 222L }
-          ~choice_bit:choice
-      in
-      Alcotest.check check_i64 "chosen message" (if choice then 222L else 111L) got)
-    [ false; true ]
-
-let test_ot_batch () =
-  let ctx = ctx_sim () in
-  let n = 50 in
-  let prg = Prg.create 123L in
-  let messages =
-    Array.init n (fun _ ->
-        { Oblivious_transfer.m0 = Prg.bits prg 32; m1 = Prg.bits prg 32 })
-  in
-  let choices = Array.init n (fun _ -> Prg.bool prg) in
-  let got = Oblivious_transfer.transfer_batch ctx ~sender:Party.Bob ~bits:32 ~messages ~choices in
-  Array.iteri
-    (fun i g ->
-      let m = messages.(i) in
-      Alcotest.check check_i64 "batch element"
-        (if choices.(i) then m.Oblivious_transfer.m1 else m.Oblivious_transfer.m0)
-        g)
-    got
 
 (* ------------------------------------------------------------------ *)
 (* Permutation networks *)
@@ -987,11 +953,11 @@ let test_ot_extension_correct () =
 
 let test_ot_extension_accounts_comm () =
   let ctx = ctx_sim () in
-  let before = Comm.tally ctx.Context.comm in
+  let before = Context.tally ctx in
   let messages = Array.make 64 ((1L, 2L), (3L, 4L)) in
   let choices = Array.make 64 false in
   let _ = Ot_extension.extend ctx ~sender:Party.Bob ~messages ~choices in
-  let d = Comm.diff (Comm.tally ctx.Context.comm) before in
+  let d = Comm.diff (Context.tally ctx) before in
   (* matrix columns one way, masked message pairs the other *)
   Alcotest.(check int) "receiver bits" (128 * 64) d.Comm.alice_to_bob_bits;
   Alcotest.(check int) "sender bits" (64 * 256) d.Comm.bob_to_alice_bits;
@@ -1339,39 +1305,42 @@ let test_transcript_oblivious () =
     let _ =
       Psi.with_payloads ctx ~receiver:Party.Alice ~alice_set ~bob_set ~bob_payloads:(Array.map (fun _ -> 1L) bob_set)
     in
-    Comm.tally ctx.Context.comm
+    Context.tally ctx
   in
   let t1 = run 1L [| 2; 4; 6; 8; 10 |] (* big intersection *) in
   let t2 = run 2L [| 101; 103; 105; 107; 109 |] (* empty intersection *) in
   Alcotest.(check bool) "identical transcript sizes" true (Comm.equal t1 t2)
 
 (* ------------------------------------------------------------------ *)
-(* Comm accounting *)
+(* Ledger traffic accounting (Context.send / bump_rounds / tally) *)
 
 let check_tally = Alcotest.testable Comm.pp Comm.equal
 
+let sends ctx = (Context.counter_totals ctx).(Trace_sink.counter_index Trace_sink.Sends)
+
 let test_comm_send_zero () =
-  let c = Comm.create () in
-  Comm.send c ~from:Party.Alice ~bits:0;
-  Comm.send c ~from:Party.Bob ~bits:0;
+  let c = Context.create ~seed:1L () in
+  Context.send c ~from:Party.Alice ~bits:0;
+  Context.send c ~from:Party.Bob ~bits:0;
   Alcotest.check check_tally "zero-bit sends leave the tally empty" Comm.empty_tally
-    (Comm.tally c)
+    (Context.tally c);
+  Alcotest.(check int) "both sends counted" 2 (sends c)
 
 let test_comm_send_negative () =
-  let c = Comm.create () in
+  let c = Context.create ~seed:1L () in
   Alcotest.check_raises "negative count rejected"
-    (Invalid_argument "Comm.send: bit count -1 is negative (expected >= 0)") (fun () ->
-      Comm.send c ~from:Party.Alice ~bits:(-1))
+    (Invalid_argument "Context.send: bit count -1 is negative (expected >= 0)") (fun () ->
+      Context.send c ~from:Party.Alice ~bits:(-1))
 
 let test_comm_tally_arithmetic () =
-  let c = Comm.create () in
-  Comm.send c ~from:Party.Alice ~bits:100;
-  Comm.bump_rounds c 1;
-  let mid = Comm.tally c in
-  Comm.send c ~from:Party.Bob ~bits:40;
-  Comm.send c ~from:Party.Alice ~bits:7;
-  Comm.bump_rounds c 2;
-  let final = Comm.tally c in
+  let c = Context.create ~seed:1L () in
+  Context.send c ~from:Party.Alice ~bits:100;
+  Context.bump_rounds c 1;
+  let mid = Context.tally c in
+  Context.send c ~from:Party.Bob ~bits:40;
+  Context.send c ~from:Party.Alice ~bits:7;
+  Context.bump_rounds c 2;
+  let final = Context.tally c in
   let delta = Comm.diff final mid in
   Alcotest.(check int) "delta a->b" 7 delta.Comm.alice_to_bob_bits;
   Alcotest.(check int) "delta b->a" 40 delta.Comm.bob_to_alice_bits;
@@ -1381,82 +1350,47 @@ let test_comm_tally_arithmetic () =
   Alcotest.(check bool) "equal is structural" true
     (Comm.equal final { Comm.alice_to_bob_bits = 107; bob_to_alice_bits = 40; rounds = 3 })
 
+(* Traffic reaches the attached sink as typed ledger bumps — bits, then
+   the send event — and a detached sink hears nothing more; the ledger
+   counts regardless of what is attached. *)
 let test_comm_listeners () =
-  let c = Comm.create () in
-  let sends = ref [] and rounds = ref 0 in
-  Comm.on_send c (Some (fun ~from ~bits -> sends := (from, bits) :: !sends));
-  Comm.on_rounds c (Some (fun n -> rounds := !rounds + n));
-  Comm.send c ~from:Party.Alice ~bits:5;
-  Comm.send c ~from:Party.Bob ~bits:0;
-  Comm.bump_rounds c 3;
-  Alcotest.(check int) "both sends observed (even zero-bit)" 2 (List.length !sends);
-  Alcotest.(check bool) "direction and size reported" true
-    (List.mem (Party.Alice, 5) !sends && List.mem (Party.Bob, 0) !sends);
-  Alcotest.(check int) "rounds observed" 3 !rounds;
-  Comm.on_send c None;
-  Comm.on_rounds c None;
-  Comm.send c ~from:Party.Alice ~bits:9;
-  Comm.bump_rounds c 1;
-  Alcotest.(check int) "unsubscribed send listener silent" 2 (List.length !sends);
-  Alcotest.(check int) "unsubscribed rounds listener silent" 3 !rounds;
-  (* the tally kept counting regardless of listeners *)
-  Alcotest.(check int) "tally still complete" 14 (Comm.tally c).Comm.alice_to_bob_bits
-
-let raises_invalid f =
-  match f () with () -> false | exception Invalid_argument _ -> true
-
-let test_comm_listener_exclusive () =
-  let c = Comm.create () in
-  Comm.on_send c (Some (fun ~from:_ ~bits:_ -> ()));
-  Alcotest.(check bool) "second send listener rejected" true
-    (raises_invalid (fun () -> Comm.on_send c (Some (fun ~from:_ ~bits:_ -> ()))));
-  Comm.on_send c None;
-  (* after an explicit detach, subscribing again is fine *)
-  Comm.on_send c (Some (fun ~from:_ ~bits:_ -> ()));
-  Comm.on_send c None;
-  Comm.on_rounds c (Some ignore);
-  Alcotest.(check bool) "second rounds listener rejected" true
-    (raises_invalid (fun () -> Comm.on_rounds c (Some ignore)));
-  Comm.on_rounds c None;
-  Comm.set_wire c (Some (fun ~from:_ ~bits:_ -> ()));
-  Alcotest.(check bool) "second wire rejected" true
-    (raises_invalid (fun () -> Comm.set_wire c (Some (fun ~from:_ ~bits:_ -> ()))));
-  Comm.set_wire c None
+  let c = Context.create ~seed:1L () in
+  let events = ref [] in
+  Context.set_sink c
+    { Trace_sink.noop with Trace_sink.bump = (fun k n -> events := (k, n) :: !events) };
+  Context.send c ~from:Party.Alice ~bits:5;
+  Context.send c ~from:Party.Bob ~bits:0;
+  Context.bump_rounds c 3;
+  Alcotest.(check bool) "every event observed in order (even zero-bit)" true
+    (List.rev !events
+    = Trace_sink.
+        [
+          (Alice_to_bob_bits, 5); (Sends, 1); (Bob_to_alice_bits, 0); (Sends, 1); (Rounds, 3);
+        ]);
+  Context.set_sink c Trace_sink.noop;
+  Context.send c ~from:Party.Alice ~bits:9;
+  Context.bump_rounds c 1;
+  Alcotest.(check int) "detached sink silent" 5 (List.length !events);
+  Alcotest.(check int) "tally still complete" 14 (Context.tally c).Comm.alice_to_bob_bits;
+  Alcotest.(check int) "sends still counted" 3 (sends c)
 
 let test_comm_listener_detach_during_send () =
-  let c = Comm.create () in
-  (* a listener may detach itself from inside its own callback *)
+  (* a sink may detach itself from inside its own callback: each ledger
+     write reads the context's sink afresh *)
+  let c = Context.create ~seed:1L () in
   let calls = ref 0 in
-  Comm.on_send c
-    (Some
-       (fun ~from:_ ~bits:_ ->
-         incr calls;
-         Comm.on_send c None));
-  Comm.send c ~from:Party.Alice ~bits:8;
-  Comm.send c ~from:Party.Alice ~bits:8;
-  Alcotest.(check int) "self-detaching listener fired exactly once" 1 !calls;
-  (* ... or hand over to a successor mid-send *)
-  let successor = ref 0 in
-  Comm.on_send c
-    (Some
-       (fun ~from:_ ~bits:_ ->
-         Comm.on_send c None;
-         Comm.on_send c (Some (fun ~from:_ ~bits:_ -> incr successor))));
-  Comm.send c ~from:Party.Bob ~bits:1;
-  Comm.send c ~from:Party.Bob ~bits:1;
-  Alcotest.(check int) "successor sees only later sends" 1 !successor;
-  (* same discipline on the rounds listener *)
-  let rounds = ref 0 in
-  Comm.on_rounds c
-    (Some
-       (fun n ->
-         rounds := !rounds + n;
-         Comm.on_rounds c None));
-  Comm.bump_rounds c 2;
-  Comm.bump_rounds c 5;
-  Alcotest.(check int) "self-detaching rounds listener fired once" 2 !rounds;
-  (* the tally was never affected by listener churn *)
-  Alcotest.(check int) "tally unaffected" 16 (Comm.tally c).Comm.alice_to_bob_bits
+  Context.set_sink c
+    {
+      Trace_sink.noop with
+      Trace_sink.bump =
+        (fun _ _ ->
+          incr calls;
+          Context.set_sink c Trace_sink.noop);
+    };
+  Context.send c ~from:Party.Alice ~bits:8;
+  Context.send c ~from:Party.Alice ~bits:8;
+  Alcotest.(check int) "self-detaching sink fired exactly once" 1 !calls;
+  Alcotest.(check int) "tally unaffected" 16 (Context.tally c).Comm.alice_to_bob_bits
 
 (* ------------------------------------------------------------------ *)
 
@@ -1471,7 +1405,6 @@ let () =
           Alcotest.test_case "negative send rejected" `Quick test_comm_send_negative;
           Alcotest.test_case "tally arithmetic" `Quick test_comm_tally_arithmetic;
           Alcotest.test_case "listeners" `Quick test_comm_listeners;
-          Alcotest.test_case "listener exclusivity" `Quick test_comm_listener_exclusive;
           Alcotest.test_case "listener detach during send" `Quick
             test_comm_listener_detach_during_send;
         ] );
@@ -1538,11 +1471,6 @@ let () =
           Alcotest.test_case "parallel batches deterministic" `Quick
             test_gc_parallel_deterministic;
           Alcotest.test_case "batch context cache reuse" `Quick test_gc_batch_cache_reuse;
-        ] );
-      ( "oblivious-transfer",
-        [
-          Alcotest.test_case "single" `Quick test_ot_single;
-          Alcotest.test_case "batch" `Quick test_ot_batch;
         ] );
       ( "permutation-network",
         Alcotest.test_case "switch counts" `Quick test_perm_network_switch_count

@@ -133,36 +133,52 @@ let test_context_bump_mirrors () =
   | Secyan_metrics.Counter n -> Alcotest.(check int) "ots mirrored" 2 n
   | _ -> Alcotest.fail "expected a counter"
 
-(* A parallel batch must mirror each unit of work exactly once: the item
-   contexts mirror as they bump, and the merge into the owning context
-   must not mirror again. *)
+(* A parallel batch must mirror each unit of work exactly once: item
+   ledgers never mirror, and absorbing them into the owning context
+   mirrors the batch totals once — work and traffic counters alike, so
+   the registry equals the context's own ledger at every pool size. *)
 let test_parallel_batch_no_double_count () =
   with_metrics @@ fun () ->
-  Secyan_metrics.reset ();
-  let ctx = Context.create ~gc_backend:Context.Real ~domains:2 ~seed () in
-  let inp = Prg.create 5L in
-  let items =
-    Array.init 6 (fun _ ->
-        [
-          Gc_protocol.Priv { owner = Party.Alice; value = Prg.bits inp 16; bits = 32 };
-          Gc_protocol.Priv { owner = Party.Bob; value = Prg.bits inp 16; bits = 32 };
-        ])
-  in
   let build b words = [ Circuits.mul_word b words.(0) words.(1) ] in
-  let _ = Gc_protocol.eval_to_shares_batch ctx ~items ~build in
-  let totals = Context.counter_totals ctx in
-  Context.shutdown_pool ctx;
-  let mirrored name =
-    match (get_sample name).Secyan_metrics.value with
+  let run domains =
+    Secyan_metrics.reset ();
+    let ctx = Context.create ~gc_backend:Context.Real ~domains ~seed () in
+    let inp = Prg.create 5L in
+    let items =
+      Array.init 6 (fun _ ->
+          [
+            Gc_protocol.Priv { owner = Party.Alice; value = Prg.bits inp 16; bits = 32 };
+            Gc_protocol.Priv { owner = Party.Bob; value = Prg.bits inp 16; bits = 32 };
+          ])
+    in
+    let _ = Gc_protocol.eval_to_shares_batch ctx ~items ~build in
+    let totals = Context.counter_totals ctx in
+    Context.shutdown_pool ctx;
+    totals
+  in
+  let mirrored c =
+    match (get_sample ("secyan_" ^ Trace_sink.counter_name c ^ "_total")).Secyan_metrics.value with
     | Secyan_metrics.Counter n -> n
     | _ -> Alcotest.fail "expected a counter"
   in
-  Alcotest.(check int) "and_gates mirrored once"
-    totals.(Trace_sink.counter_index Trace_sink.And_gates)
-    (mirrored "secyan_and_gates_total");
-  Alcotest.(check int) "ots mirrored once"
-    totals.(Trace_sink.counter_index Trace_sink.Ots)
-    (mirrored "secyan_ots_total")
+  let base = run 1 in
+  List.iter
+    (fun domains ->
+      let totals = run domains in
+      Alcotest.(check (array int))
+        (Printf.sprintf "ledger identical at pool size %d" domains)
+        base totals;
+      List.iter
+        (fun c ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s mirrored once at pool size %d" (Trace_sink.counter_name c)
+               domains)
+            totals.(Trace_sink.counter_index c) (mirrored c))
+        Trace_sink.all_counters)
+    [ 1; 2; 4 ];
+  Alcotest.(check bool) "the batch moved traffic" true
+    (base.(Trace_sink.counter_index Trace_sink.Alice_to_bob_bits) > 0
+    && base.(Trace_sink.counter_index Trace_sink.Sends) > 0)
 
 (* Per-item allocation observability (DESIGN.md §14): every batch item
    records its minor/major word delta, at any pool size, and turning the

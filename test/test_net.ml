@@ -431,7 +431,6 @@ let with_watchdog ~seconds name f =
    deliberately huge) retry budget. *)
 let test_stall_bounded_by_deadline () =
   with_watchdog ~seconds:30.0 "stall-vs-deadline" @@ fun () ->
-  let module Deadline = Secyan_crypto.Deadline in
   let raw = Transport.inproc () in
   let stalled =
     {
@@ -450,11 +449,11 @@ let test_stall_bounded_by_deadline () =
   in
   let t = Resilient.create ~config ~seed:7L stalled in
   Fun.protect ~finally:(fun () -> Resilient.close t) @@ fun () ->
-  Resilient.set_cancel t (Some (Deadline.create ~timeout_s:0.3 ()));
+  Resilient.set_cancel t (Some (Secyan_deadline.create ~timeout_s:0.3 ()));
   let t0 = Unix.gettimeofday () in
   (match Resilient.transfer t ~dir:Transport.Alice_to_bob (Bytes.of_string "x") with
   | _ -> Alcotest.fail "a stalled peer cannot deliver"
-  | exception Deadline.Cancelled { where; _ } ->
+  | exception Secyan_deadline.Cancelled { where; _ } ->
       Alcotest.(check string) "cancelled at the transfer site" "net:transfer" where);
   let elapsed = Unix.gettimeofday () -. t0 in
   Alcotest.(check bool) "bounded by the deadline, not the retry budget" true (elapsed < 5.0)

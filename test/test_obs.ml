@@ -64,6 +64,95 @@ let test_root_tally_exact () =
   Alcotest.check check_tally "root tally = reported query tally"
     stats.Secyan.Secure_yannakakis.tally (Span.tally root)
 
+(* One ledger, read two ways: the trace root's inclusive counters and
+   tally must equal the context ledger's delta over the traced run — for
+   Sim on one domain, for Real over tcp on two domains (batch merges and
+   the wire in play), and for a checkpoint-resumed run, whose root covers
+   only the work done after the resume. *)
+let ledger_queries =
+  [
+    ("q3", Secyan_tpch.Queries.q3);
+    ("q10", Secyan_tpch.Queries.q10);
+    ("q18", fun d -> Secyan_tpch.Queries.q18 d);
+  ]
+
+let check_root_is_ledger_delta name root ~base ~after =
+  Alcotest.(check (array int))
+    (name ^ ": root counters = ledger delta")
+    (Array.map2 ( - ) after base) (Span.counters root);
+  Alcotest.check check_tally (name ^ ": root tally = ledger tally delta")
+    (Comm.diff (Context.tally_of_counters after) (Context.tally_of_counters base))
+    (Span.tally root)
+
+let traced_ledger_run name ctx q =
+  let base = Context.counter_totals ctx in
+  let (_, stats), root =
+    Trace.with_tracing ctx (fun () -> Secyan.Secure_yannakakis.run ctx q)
+  in
+  check_root_is_ledger_delta name root ~base ~after:(Context.counter_totals ctx);
+  Alcotest.check check_tally (name ^ ": root tally = Context.tally")
+    (Context.tally ctx) (Span.tally root);
+  Alcotest.check check_tally (name ^ ": root tally = reported tally")
+    stats.Secyan.Secure_yannakakis.tally (Span.tally root)
+
+let test_root_is_ledger_sim () =
+  let d = dataset () in
+  List.iter
+    (fun (name, make) ->
+      let ctx = Secyan_tpch.Queries.context ~seed () in
+      traced_ledger_run (name ^ " sim") ctx (make d))
+    ledger_queries
+
+let test_root_is_ledger_real_tcp () =
+  let d = dataset () in
+  List.iter
+    (fun (name, make) ->
+      let transport = Secyan_net.Resilient.create (Secyan_net.Transport.tcp ()) in
+      let ctx =
+        Secyan_tpch.Queries.context ~gc_backend:Context.Real ~domains:2 ~transport ~seed ()
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Context.close_transport ctx;
+          Context.shutdown_pool ctx)
+        (fun () -> traced_ledger_run (name ^ " real/tcp/2d") ctx (make d)))
+    ledger_queries
+
+let test_root_is_ledger_resumed () =
+  let d = dataset () in
+  List.iter
+    (fun (name, make) ->
+      let name = name ^ " resumed" in
+      let q = make d in
+      let dir = Filename.temp_dir "secyan-obs-ck" "" in
+      Fun.protect
+        ~finally:(fun () ->
+          Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+          Sys.rmdir dir)
+      @@ fun () ->
+      let first = Secyan_tpch.Queries.context ~checkpoint:(Checkpoint.sink ~dir ()) ~seed () in
+      let _, full = Secyan.Secure_yannakakis.run first q in
+      (* the ledger the resumed run starts from: the latest snapshot's *)
+      let restored =
+        match Checkpoint.latest_path dir with
+        | Some (_, path) ->
+            let l = Checkpoint.read_file path in
+            (Secyan.Protocol_state.decode_snapshot ~path l.Checkpoint.payload)
+              .Secyan.Protocol_state.counters
+        | None -> Alcotest.fail "no checkpoint written"
+      in
+      let ctx = Secyan_tpch.Queries.context ~checkpoint:(Checkpoint.sink ~dir ()) ~seed () in
+      let (_, stats), root =
+        Trace.with_tracing ctx (fun () -> Secyan.Secure_yannakakis.run ~resume:true ctx q)
+      in
+      check_root_is_ledger_delta name root ~base:restored ~after:(Context.counter_totals ctx);
+      Alcotest.check check_tally (name ^ ": whole-run tally unchanged by resume")
+        full.Secyan.Secure_yannakakis.tally stats.Secyan.Secure_yannakakis.tally;
+      Alcotest.(check bool) (name ^ ": root covers only post-resume work") true
+        (Comm.total_bits (Span.tally root)
+        < Comm.total_bits stats.Secyan.Secure_yannakakis.tally))
+    ledger_queries
+
 let test_phases_present () =
   let _, _, root = Lazy.force traced_q3 in
   let names = List.map (fun (c : Span.t) -> c.Span.name) (Span.children root) in
@@ -172,8 +261,7 @@ let test_traced_parallel_identical () =
     Span.iter
       (fun ~depth ~path span ->
         acc :=
-          (depth, path, Span.self_tally span, span.Span.self_sends,
-           Array.to_list span.Span.self_counters)
+          (depth, path, Array.to_list span.Span.self_counters)
           :: !acc)
       root;
     List.rev !acc
@@ -203,15 +291,15 @@ let test_noop_sink_is_default () =
 
 let test_measure () =
   let ctx = Context.create ~seed () in
-  let before = Comm.tally ctx.Context.comm in
+  let before = Context.tally ctx in
   let (), secs, delta =
     Trace.measure ctx (fun () ->
-        Comm.send ctx.Context.comm ~from:Party.Alice ~bits:123;
-        Comm.bump_rounds ctx.Context.comm 1)
+        Context.send ctx ~from:Party.Alice ~bits:123;
+        Context.bump_rounds ctx 1)
   in
   Alcotest.(check bool) "non-negative time" true (secs >= 0.);
   Alcotest.check check_tally "delta matches manual diff"
-    (Comm.diff (Comm.tally ctx.Context.comm) before)
+    (Comm.diff (Context.tally ctx) before)
     delta;
   Alcotest.(check int) "delta bits" 123 delta.Comm.alice_to_bob_bits
 
@@ -220,7 +308,7 @@ let test_measure () =
    (not added to) the outer one. *)
 let test_measure_nesting () =
   let ctx = Context.create ~seed () in
-  let send bits = Comm.send ctx.Context.comm ~from:Party.Alice ~bits in
+  let send bits = Context.send ctx ~from:Party.Alice ~bits in
   let (inner_delta, _), _, outer_delta =
     Trace.measure ctx (fun () ->
         send 100;
@@ -237,7 +325,7 @@ let test_measure_nesting () =
    inclusive tally but not its self tally. *)
 let test_span_attribution_nested () =
   let ctx = Context.create ~seed () in
-  let send bits = Comm.send ctx.Context.comm ~from:Party.Alice ~bits in
+  let send bits = Context.send ctx ~from:Party.Alice ~bits in
   let (), root =
     Trace.with_tracing ~name:"parent" ctx (fun () ->
         send 100;
@@ -359,6 +447,11 @@ let () =
           Alcotest.test_case "nesting well-formed" `Quick test_span_nesting;
           Alcotest.test_case "root tally exact" `Quick test_root_tally_exact;
           Alcotest.test_case "phases present" `Quick test_phases_present;
+          Alcotest.test_case "root is the ledger delta (sim)" `Quick test_root_is_ledger_sim;
+          Alcotest.test_case "root is the ledger delta (real, tcp, 2 domains)" `Quick
+            test_root_is_ledger_real_tcp;
+          Alcotest.test_case "root is the ledger delta (resumed)" `Quick
+            test_root_is_ledger_resumed;
         ] );
       ( "counters",
         [

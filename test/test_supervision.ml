@@ -36,11 +36,11 @@ let with_watchdog ~seconds name f =
 (* Deadline arithmetic                                                *)
 
 let test_ns_of_s_edges () =
-  Alcotest.(check int64) "zero" 0L (Deadline.ns_of_s 0.);
-  Alcotest.(check int64) "negative clamps to zero" 0L (Deadline.ns_of_s (-3.));
-  Alcotest.(check int64) "one second" 1_000_000_000L (Deadline.ns_of_s 1.0);
-  Alcotest.(check int64) "infinity saturates" Int64.max_int (Deadline.ns_of_s infinity);
-  Alcotest.(check int64) "huge saturates" Int64.max_int (Deadline.ns_of_s 1e12)
+  Alcotest.(check int64) "zero" 0L (Secyan_deadline.ns_of_s 0.);
+  Alcotest.(check int64) "negative clamps to zero" 0L (Secyan_deadline.ns_of_s (-3.));
+  Alcotest.(check int64) "one second" 1_000_000_000L (Secyan_deadline.ns_of_s 1.0);
+  Alcotest.(check int64) "infinity saturates" Int64.max_int (Secyan_deadline.ns_of_s infinity);
+  Alcotest.(check int64) "huge saturates" Int64.max_int (Secyan_deadline.ns_of_s 1e12)
 
 let test_sat_add_near_max () =
   (* a deadline near the end of the int64 ns range must mean "never",
@@ -50,12 +50,12 @@ let test_sat_add_near_max () =
       Alcotest.(check int64)
         (Printf.sprintf "max_int + %Ld saturates" b)
         Int64.max_int
-        (Deadline.sat_add_ns Int64.max_int b))
+        (Secyan_deadline.sat_add_ns Int64.max_int b))
     [ 0L; 1L; Int64.max_int ];
   Alcotest.(check int64) "now + infinite timeout = never" Int64.max_int
-    (Deadline.sat_add_ns (Deadline.now_ns ()) (Deadline.ns_of_s infinity));
+    (Secyan_deadline.sat_add_ns (Secyan_deadline.now_ns ()) (Secyan_deadline.ns_of_s infinity));
   Alcotest.(check int64) "min_int - 1 saturates" Int64.min_int
-    (Deadline.sat_add_ns Int64.min_int (-1L))
+    (Secyan_deadline.sat_add_ns Int64.min_int (-1L))
 
 (* Independent overflow spec: the exact sum, clamped. Same-signed
    operands whose two's-complement sum flipped sign overflowed. *)
@@ -69,43 +69,43 @@ let prop_sat_add_saturates =
         else if a < 0L && b < 0L && s >= 0L then Int64.min_int
         else s
       in
-      Deadline.sat_add_ns a b = expected
+      Secyan_deadline.sat_add_ns a b = expected
       (* and therefore monotone in the second operand's sign *)
-      && (if b >= 0L then Deadline.sat_add_ns a b >= a else Deadline.sat_add_ns a b <= a))
+      && (if b >= 0L then Secyan_deadline.sat_add_ns a b >= a else Secyan_deadline.sat_add_ns a b <= a))
 
 let test_remaining_monotone_decay () =
-  let tok = Deadline.create ~timeout_s:60.0 () in
-  let first = Deadline.remaining_ns tok in
+  let tok = Secyan_deadline.create ~timeout_s:60.0 () in
+  let first = Secyan_deadline.remaining_ns tok in
   Alcotest.(check bool) "remaining starts at most the budget" true
-    (first <= Deadline.ns_of_s 60.0);
+    (first <= Secyan_deadline.ns_of_s 60.0);
   let prev = ref first in
   for _ = 1 to 1000 do
-    let r = Deadline.remaining_ns tok in
+    let r = Secyan_deadline.remaining_ns tok in
     Alcotest.(check bool) "non-increasing" true (r <= !prev);
     Alcotest.(check bool) "non-negative" true (r >= 0L);
     prev := r
   done;
-  let never = Deadline.never () in
-  Alcotest.(check bool) "unconstrained token is cheap" false (Deadline.constrained never);
+  let never = Secyan_deadline.never () in
+  Alcotest.(check bool) "unconstrained token is cheap" false (Secyan_deadline.constrained never);
   Alcotest.(check int64) "never-token remaining_ns = max" Int64.max_int
-    (Deadline.remaining_ns never);
+    (Secyan_deadline.remaining_ns never);
   Alcotest.(check bool) "never-token remaining_s = infinity" true
-    (Deadline.remaining_s never = infinity)
+    (Secyan_deadline.remaining_s never = infinity)
 
 let test_expired_token_fires_typed () =
-  let tok = Deadline.create ~timeout_s:0.0 () in
+  let tok = Secyan_deadline.create ~timeout_s:0.0 () in
   Alcotest.(check bool) "token with a deadline is constrained" true
-    (Deadline.constrained tok);
+    (Secyan_deadline.constrained tok);
   Unix.sleepf 0.002;
-  (match Deadline.poll tok with
-  | Some (Deadline.Expired { budget_s }) ->
+  (match Secyan_deadline.poll tok with
+  | Some (Secyan_deadline.Expired { budget_s }) ->
       Alcotest.(check (float 0.)) "configured budget recorded" 0.0 budget_s
-  | Some r -> Alcotest.failf "wrong reason: %s" (Deadline.reason_to_string r)
+  | Some r -> Alcotest.failf "wrong reason: %s" (Secyan_deadline.reason_to_string r)
   | None -> Alcotest.fail "an elapsed deadline must trip the token");
-  Alcotest.(check int64) "no remaining budget" 0L (Deadline.remaining_ns tok);
-  match Deadline.check ~where:"unit-test" tok with
+  Alcotest.(check int64) "no remaining budget" 0L (Secyan_deadline.remaining_ns tok);
+  match Secyan_deadline.check ~where:"unit-test" tok with
   | () -> Alcotest.fail "check on a fired token must raise"
-  | exception Deadline.Cancelled { where; reason = Deadline.Expired _ } ->
+  | exception Secyan_deadline.Cancelled { where; reason = Secyan_deadline.Expired _ } ->
       Alcotest.(check string) "where names the check site" "unit-test" where
   | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
 
@@ -113,7 +113,7 @@ let test_expired_token_fires_typed () =
    recorded reason is the winner's, and it never changes afterwards. *)
 let test_cancel_concurrent_first_wins () =
   for _trial = 1 to 50 do
-    let tok = Deadline.never () in
+    let tok = Secyan_deadline.never () in
     let n = 4 in
     let go = Atomic.make false in
     let wins = Array.make n false in
@@ -123,24 +123,24 @@ let test_cancel_concurrent_first_wins () =
               while not (Atomic.get go) do
                 Domain.cpu_relax ()
               done;
-              wins.(i) <- Deadline.cancel tok (Deadline.User (string_of_int i))))
+              wins.(i) <- Secyan_deadline.cancel tok (Secyan_deadline.User (string_of_int i))))
     in
     Atomic.set go true;
     List.iter Domain.join domains;
     let winners = List.filter Fun.id (Array.to_list wins) in
     Alcotest.(check int) "exactly one winner" 1 (List.length winners);
-    (match Deadline.cancelled tok with
-    | Some (Deadline.User s) ->
+    (match Secyan_deadline.cancelled tok with
+    | Some (Secyan_deadline.User s) ->
         Alcotest.(check bool) "recorded reason is the winner's" true
           wins.(int_of_string s);
         Alcotest.(check bool) "late cancel is a no-op" false
-          (Deadline.cancel tok (Deadline.User "late"));
-        (match Deadline.cancelled tok with
-        | Some (Deadline.User s') -> Alcotest.(check string) "reason immutable" s s'
+          (Secyan_deadline.cancel tok (Secyan_deadline.User "late"));
+        (match Secyan_deadline.cancelled tok with
+        | Some (Secyan_deadline.User s') -> Alcotest.(check string) "reason immutable" s s'
         | _ -> Alcotest.fail "reason changed after losing cancel")
     | _ -> Alcotest.fail "no reason recorded");
     Alcotest.(check bool) "fired token reads as constrained" true
-      (Deadline.constrained tok)
+      (Secyan_deadline.constrained tok)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -179,16 +179,16 @@ let test_pool_cancel_aborts_quiescently () =
   let pool = Domain_pool.create 4 in
   Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
   let n = 256 in
-  let tok = Deadline.never () in
+  let tok = Secyan_deadline.never () in
   let counts = per_item_counts n in
   (match
      Domain_pool.run ~cancel:tok pool ~n ~f:(fun i ->
          Atomic.incr counts.(i);
          ignore (Sys.opaque_identity (Bytes.create 64));
-         if i = 10 then ignore (Deadline.cancel tok (Deadline.User "mid-batch")))
+         if i = 10 then ignore (Secyan_deadline.cancel tok (Secyan_deadline.User "mid-batch")))
    with
   | () -> Alcotest.fail "a fired token must abort the batch"
-  | exception Deadline.Cancelled { reason = Deadline.User "mid-batch"; _ } -> ()
+  | exception Secyan_deadline.Cancelled { reason = Secyan_deadline.User "mid-batch"; _ } -> ()
   | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e));
   check_no_item_ran_twice counts;
   Alcotest.(check int) "the cancelling item itself ran" 1 (Atomic.get counts.(10));
@@ -297,13 +297,13 @@ let test_supervised_hang_poisons_pool () =
 let test_supervised_cancel_wins_over_failure_free_abort () =
   let pool = Domain_pool.create 2 in
   Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
-  let tok = Deadline.never () in
+  let tok = Secyan_deadline.never () in
   (match
      Domain_pool.run_supervised ~cancel:tok pool ~supervisor:fast_supervisor ~n:64
-       ~f:(fun i -> if i = 2 then ignore (Deadline.cancel tok (Deadline.User "halt")))
+       ~f:(fun i -> if i = 2 then ignore (Secyan_deadline.cancel tok (Secyan_deadline.User "halt")))
    with
   | () -> Alcotest.fail "the fired token must abort the batch"
-  | exception Deadline.Cancelled { reason = Deadline.User "halt"; _ } -> ()
+  | exception Secyan_deadline.Cancelled { reason = Secyan_deadline.User "halt"; _ } -> ()
   | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e));
   Alcotest.(check bool) "cancellation does not poison" false (Domain_pool.poisoned pool)
 
@@ -339,9 +339,9 @@ let run_fault_case ~qname ~make ~fault () =
   let q = make d in
   let cancel =
     match fault with
-    | Deadline_expiry -> Deadline.create ~timeout_s:0.002 ()
-    | Over_budget -> Deadline.create ~memory_budget_mb:1.0 ()
-    | Worker_raise | Worker_hang -> Deadline.never ()
+    | Deadline_expiry -> Secyan_deadline.create ~timeout_s:0.002 ()
+    | Over_budget -> Secyan_deadline.create ~memory_budget_mb:1.0 ()
+    | Worker_raise | Worker_hang -> Secyan_deadline.never ()
   in
   (match fault with
   | Worker_raise -> Fault_inject.arm [ (0, Fault_inject.Raise) ]
@@ -355,13 +355,13 @@ let run_fault_case ~qname ~make ~fault () =
   @@ fun () ->
   (match Secyan.Secure_yannakakis.run ctx q with
   | _ -> Alcotest.failf "%s: the fault must surface" name
-  | exception Deadline.Cancelled { reason; where } -> (
+  | exception Secyan_deadline.Cancelled { reason; where } -> (
       Alcotest.(check bool) "cancellation names its site" true (where <> "");
       match (fault, reason) with
-      | Deadline_expiry, Deadline.Expired _ | Over_budget, Deadline.Over_budget _ -> ()
+      | Deadline_expiry, Secyan_deadline.Expired _ | Over_budget, Secyan_deadline.Over_budget _ -> ()
       | _ ->
           Alcotest.failf "%s: wrong cancellation reason: %s" name
-            (Deadline.reason_to_string reason))
+            (Secyan_deadline.reason_to_string reason))
   | exception Gc_protocol.Supervision_error { phase; item; cause } -> (
       Alcotest.(check bool) "failure names its phase" true (phase <> "");
       match (fault, cause) with
@@ -376,7 +376,7 @@ let run_fault_case ~qname ~make ~fault () =
   (* recovery: the same context must run the query correctly afterwards
      (sequentially, if the pool was poisoned) *)
   Fault_inject.disarm ();
-  Context.set_cancel ctx (Deadline.never ());
+  Context.set_cancel ctx (Secyan_deadline.never ());
   check_query_correct (name ^ ": rerun on the same context = plaintext") ctx q
 
 let matrix_queries =
