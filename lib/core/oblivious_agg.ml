@@ -55,6 +55,52 @@ let emit_output (sorted : Relation.t) ~attrs equal_next out_annots ~owner ~name 
   in
   Shared_relation.of_shares ~owner rel out_annots
 
+(* The chain's inputs: the owner's n-1 one-bit "same key as the next
+   tuple" indicators, then the n aligned annotation shares. *)
+let chain_inputs ~owner equal_next aligned =
+  List.init (Array.length equal_next) (fun i ->
+      Gc_protocol.Priv { owner; value = (if equal_next.(i) then 1L else 0L); bits = 1 })
+  @ List.map (fun s -> Gc_protocol.Shared s) (Array.to_list aligned)
+
+(** The N-1 merge gates of pi^plus over [n >= 2] sorted tuples: within a
+    run of equal keys accumulate, at a run boundary emit and reset. *)
+let merge_chain semiring ~n b (words : Circuits.word array) =
+  let ind i = words.(i).(0) in
+  let v i = words.(n - 1 + i) in
+  let z = ref (v 0) in
+  let outs = Array.make n (v 0) in
+  for i = 0 to n - 2 do
+    let keep = ind i in
+    let not_keep = Boolean_circuit.Builder.bnot b keep in
+    outs.(i) <- Circuits.zero_unless b not_keep !z;
+    z := Semiring.circuit_add semiring b (Circuits.zero_unless b keep !z) (v (i + 1))
+  done;
+  outs.(n - 1) <- !z;
+  Array.to_list outs
+
+(** The OR-merge gates of pi^1 over [n >= 1] sorted tuples; each output
+    is the semiring's times-identity for a present group, else zero. *)
+let nonzero_chain semiring ~n b (words : Circuits.word array) =
+  let ind i = words.(i).(0) in
+  let nz i = Circuits.nonzero_word b words.(n - 1 + i) in
+  let z = ref (nz 0) in
+  let outs = Array.make n (nz 0) in
+  for i = 0 to n - 2 do
+    let keep = ind i in
+    let not_keep = Boolean_circuit.Builder.bnot b keep in
+    outs.(i) <- Boolean_circuit.Builder.band b not_keep !z;
+    z := Boolean_circuit.Builder.bor b (Boolean_circuit.Builder.band b keep !z) (nz (i + 1))
+  done;
+  outs.(n - 1) <- !z;
+  (* a present group's annotation is the semiring's times-identity
+     (1 for rings, the encoded 0 for tropical semirings) *)
+  let sbits = Semiring.bits semiring in
+  let one_w = Circuits.const_word ~bits:sbits (Semiring.one semiring) in
+  let zero_w = Circuits.const_word ~bits:sbits 0L in
+  List.map
+    (fun bit -> Circuits.materialize_word b 0 (Circuits.mux_word b ~sel:bit one_w zero_w))
+    (Array.to_list outs)
+
 (** Semantically-equivalent pi^plus_attrs(R), owner and size preserved. *)
 let aggregate ctx semiring (sr : Shared_relation.t) ~attrs : Shared_relation.t =
   let owner = sr.Shared_relation.owner in
@@ -66,29 +112,10 @@ let aggregate ctx semiring (sr : Shared_relation.t) ~attrs : Shared_relation.t =
   else begin
     let out_annots =
       if n = 1 then [| aligned.(0) |]
-      else begin
-        let inputs =
-          List.init (n - 1) (fun i ->
-              Gc_protocol.Priv
-                { owner; value = (if equal_next.(i) then 1L else 0L); bits = 1 })
-          @ List.map (fun s -> Gc_protocol.Shared s) (Array.to_list aligned)
-        in
-        let build b (words : Circuits.word array) =
-          let ind i = words.(i).(0) in
-          let v i = words.(n - 1 + i) in
-          let z = ref (v 0) in
-          let outs = Array.make n (v 0) in
-          for i = 0 to n - 2 do
-            let keep = ind i in
-            let not_keep = Boolean_circuit.Builder.bnot b keep in
-            outs.(i) <- Circuits.zero_unless b not_keep !z;
-            z := Semiring.circuit_add semiring b (Circuits.zero_unless b keep !z) (v (i + 1))
-          done;
-          outs.(n - 1) <- !z;
-          Array.to_list outs
-        in
-        Gc_protocol.eval_to_shares ctx ~inputs ~build
-      end
+      else
+        Gc_protocol.eval_to_shares ctx
+          ~inputs:(chain_inputs ~owner equal_next aligned)
+          ~build:(merge_chain semiring ~n)
     in
     emit_output sorted ~attrs equal_next out_annots ~owner ~name
   end
@@ -104,32 +131,10 @@ let project_nonzero ctx semiring (sr : Shared_relation.t) ~attrs : Shared_relati
   let n = Relation.cardinality sorted in
   if n = 0 then emit_output sorted ~attrs equal_next [||] ~owner ~name
   else begin
-    let inputs =
-      List.init (max 0 (n - 1)) (fun i ->
-          Gc_protocol.Priv { owner; value = (if equal_next.(i) then 1L else 0L); bits = 1 })
-      @ List.map (fun s -> Gc_protocol.Shared s) (Array.to_list aligned)
+    let out_annots =
+      Gc_protocol.eval_to_shares ctx
+        ~inputs:(chain_inputs ~owner equal_next aligned)
+        ~build:(nonzero_chain semiring ~n)
     in
-    let build b (words : Circuits.word array) =
-      let ind i = words.(i).(0) in
-      let nz i = Circuits.nonzero_word b words.(n - 1 + i) in
-      let z = ref (nz 0) in
-      let outs = Array.make n (nz 0) in
-      for i = 0 to n - 2 do
-        let keep = ind i in
-        let not_keep = Boolean_circuit.Builder.bnot b keep in
-        outs.(i) <- Boolean_circuit.Builder.band b not_keep !z;
-        z := Boolean_circuit.Builder.bor b (Boolean_circuit.Builder.band b keep !z) (nz (i + 1))
-      done;
-      outs.(n - 1) <- !z;
-      (* a present group's annotation is the semiring's times-identity
-         (1 for rings, the encoded 0 for tropical semirings) *)
-      let sbits = Semiring.bits semiring in
-      let one_w = Circuits.const_word ~bits:sbits (Semiring.one semiring) in
-      let zero_w = Circuits.const_word ~bits:sbits 0L in
-      List.map
-        (fun bit -> Circuits.materialize_word b 0 (Circuits.mux_word b ~sel:bit one_w zero_w))
-        (Array.to_list outs)
-    in
-    let out_annots = Gc_protocol.eval_to_shares ctx ~inputs ~build in
     emit_output sorted ~attrs equal_next out_annots ~owner ~name
   end

@@ -21,3 +21,14 @@ val aggregate :
     [cardinality r]. Used to build annotated semijoins (§6.2). *)
 val project_nonzero :
   Context.t -> Semiring.t -> Shared_relation.t -> attrs:Schema.t -> Shared_relation.t
+
+(** The two operators' garbled circuits, as {!Gc_protocol} builders over
+    the chain's input words (the n-1 one-bit equal-next indicators, then
+    the n annotations). [merge_chain semiring ~n] is {!aggregate}'s N-1
+    merge gates ([n >= 2]); [nonzero_chain semiring ~n] is
+    {!project_nonzero}'s OR-merge gates ([n >= 1]). *)
+val merge_chain :
+  Semiring.t -> n:int -> Boolean_circuit.Builder.b -> Circuits.word array -> Circuits.word list
+
+val nonzero_chain :
+  Semiring.t -> n:int -> Boolean_circuit.Builder.b -> Circuits.word array -> Circuits.word list

@@ -1,16 +1,22 @@
 (** Boolean circuits consumed by the garbled-circuit protocol: AND / XOR /
     NOT gates only, so with free-XOR garbling the AND count is the cost
     figure. Input wires occupy ids [0 .. n_inputs-1]; gate [i] defines
-    wire [n_inputs + i]. *)
+    wire [n_inputs + i].
 
-type gate =
-  | And of int * int
-  | Xor of int * int
-  | Not of int
+    The format is flat: gate [i]'s opcode is byte [i] of [ops] (one of
+    {!op_and}, {!op_xor}, {!op_not}) and its operands are [lhs.(i)] and
+    [rhs.(i)], both wires below [n_inputs + i]; a NOT carries its operand
+    in both. Circuits come only from {!Builder.finalize}. *)
 
-type t = {
+val op_and : char
+val op_xor : char
+val op_not : char
+
+type t = private {
   n_inputs : int;
-  gates : gate array;
+  ops : Bytes.t;
+  lhs : int array;
+  rhs : int array;
   outputs : int array;
   and_count : int;
 }
@@ -24,11 +30,12 @@ val n_outputs : t -> int
 val eval : t -> bool array -> bool array
 
 (** Circuit builder with constant folding (constants never become
-    wires). Gates are stored in growable arrays — builders routinely hold
-    millions of gates. *)
+    wires). Gates are stored in growable flat columns — builders
+    routinely hold millions of gates. *)
 module Builder : sig
-  (** A builder value: a known constant, or a wire id. *)
-  type value = Const of bool | Wire of int
+  (** A builder value: a wire id or a folded constant, as an unboxed
+      int. *)
+  type value [@@immediate]
 
   type b
 

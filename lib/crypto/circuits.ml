@@ -21,9 +21,11 @@ let bool_array_of_int64 ~bits v =
   Array.init bits (fun i -> Int64.logand (Int64.shift_right_logical v i) 1L = 1L)
 
 let int64_of_bool_array bits_arr =
-  Array.to_list bits_arr
-  |> List.mapi (fun i bit -> if bit then Int64.shift_left 1L i else 0L)
-  |> List.fold_left Int64.logor 0L
+  let v = ref 0L in
+  for i = 0 to Array.length bits_arr - 1 do
+    if bits_arr.(i) then v := Int64.logor !v (Int64.shift_left 1L i)
+  done;
+  !v
 
 let xor_word b (x : word) (y : word) : word =
   Array.init (width x) (fun i -> bxor b x.(i) y.(i))
@@ -138,5 +140,3 @@ let rec sum_words b = function
     when a word may contain folded constants). [anchor] is any input wire. *)
 let materialize_word b anchor (x : word) : word =
   Array.map (fun v -> materialize b anchor v) x
-
-let output_word ~outputs (x : word) = Array.iter (fun v -> outputs := v :: !outputs) x

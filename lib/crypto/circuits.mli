@@ -63,5 +63,3 @@ val sum_words : Boolean_circuit.Builder.b -> word list -> word
 (** Materialize every possibly-constant bit onto real wires (before
     [finalize]); [anchor] is any existing input wire id. *)
 val materialize_word : Boolean_circuit.Builder.b -> int -> word -> word
-
-val output_word : outputs:Boolean_circuit.Builder.value list ref -> word -> unit

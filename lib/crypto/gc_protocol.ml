@@ -41,25 +41,52 @@ type built = {
   output_widths : int list;
 }
 
-(* The (owner, bit) assignment for every input wire of a circuit built from
-   [inputs], in wire order. *)
-let bits_of_inputs ctx inputs : (Party.t * bool) array =
+(* The number of input wires of a circuit built from [inputs]. *)
+let input_width ctx inputs =
+  List.fold_left
+    (fun acc input ->
+      match input with
+      | Priv { bits; _ } -> acc + bits
+      | Shared _ -> acc + (2 * Context.ring_bits ctx))
+    0 inputs
+
+(* The cleartext bit of every input wire of a circuit built from [inputs],
+   in wire order, written into one pre-sized array. *)
+let bits_of_inputs ctx inputs : bool array =
   let ring_bits = Context.ring_bits ctx in
-  let buf = ref [] in
-  let push owner value bits =
+  let buf = Array.make (input_width ctx inputs) false in
+  let pos = ref 0 in
+  let push value bits =
     for i = 0 to bits - 1 do
-      buf := (owner, Int64.logand (Int64.shift_right_logical value i) 1L = 1L) :: !buf
-    done
+      buf.(!pos + i) <- Int64.logand (Int64.shift_right_logical value i) 1L = 1L
+    done;
+    pos := !pos + bits
   in
   List.iter
     (fun input ->
       match input with
-      | Priv { owner; value; bits } -> push owner value bits
+      | Priv { value; bits; _ } -> push value bits
       | Shared s ->
-          push Party.Alice s.Secret_share.a ring_bits;
-          push Party.Bob s.Secret_share.b ring_bits)
+          push s.Secret_share.a ring_bits;
+          push s.Secret_share.b ring_bits)
     inputs;
-  Array.of_list (List.rev !buf)
+  buf
+
+(* Every item of a batch is evaluated on the circuit built from
+   [items.(0)]: an item with a different input width would be truncated
+   or over-read, so the whole batch is rejected up front. *)
+let check_same_shape ~fn ctx (items : input list array) =
+  let width = input_width ctx items.(0) in
+  Array.iter
+    (fun inputs ->
+      let w = input_width ctx inputs in
+      if w <> width then
+        invalid_arg
+          (Printf.sprintf
+             "Gc_protocol.%s: item with %d input bits in a batch whose first item has %d \
+              (all items must share the circuit shape)"
+             fn w width))
+    items
 
 (* Assemble the circuit from the *shape* of [inputs] (widths and kinds;
    the values are supplied separately at evaluation time). *)
@@ -88,17 +115,25 @@ let build_circuit ctx ~inputs ~build =
   let circuit = Bb.finalize b ~outputs in
   { circuit; output_widths = List.map Array.length out_words }
 
+(** The circuit a batch over items shaped like [inputs] evaluates. *)
+let circuit ctx ~inputs ~build = (build_circuit ctx ~inputs ~build).circuit
+
 (* Account the transfer costs of executing the circuit [times] times:
    garbled tables, garbler input labels, evaluator input OTs. Rounds are
    bumped separately, once per batch. *)
-let account_executions ctx (bc : built) (sample_bits : (Party.t * bool) array) ~times =
+let account_executions ctx (bc : built) (shape : input list) ~times =
   let kappa = ctx.Context.kappa in
+  let ring_bits = Context.ring_bits ctx in
   let n_bob_inputs =
-    Array.fold_left
-      (fun acc (owner, _) -> if Party.equal owner Party.Bob then acc + 1 else acc)
-      0 sample_bits
+    List.fold_left
+      (fun acc input ->
+        match input with
+        | Priv { owner = Party.Bob; bits; _ } -> acc + bits
+        | Priv { owner = Party.Alice; _ } -> acc
+        | Shared _ -> acc + ring_bits)
+      0 shape
   in
-  let n_alice_inputs = Array.length sample_bits - n_bob_inputs in
+  let n_alice_inputs = input_width ctx shape - n_bob_inputs in
   Context.bump ctx Trace_sink.Gc_circuits times;
   Context.bump ctx Trace_sink.And_gates (times * Boolean_circuit.and_count bc.circuit);
   Context.bump ctx Trace_sink.Ots (times * n_bob_inputs);
@@ -116,7 +151,7 @@ let account_executions ctx (bc : built) (sample_bits : (Party.t * bool) array) ~
    XOR of the two is the cleartext bit. *)
 type bool_share = { alice_bit : bool; bob_bit : bool }
 
-let run_real ctx (bc : built) (input_bits : (Party.t * bool) array) : bool_share array =
+let run_real ctx (bc : built) (input_bits : bool array) : bool_share array =
   let kdf = ctx.Context.gc_kdf in
   (* The executing domain's arena: garble writes its planes there and
      eval reuses them in place, so the whole item runs without per-gate
@@ -127,14 +162,14 @@ let run_real ctx (bc : built) (input_bits : (Party.t * bool) array) : bool_share
   (* Bob's labels arrive via OT (accounted by the caller); functionally he
      receives exactly the label of his input bit — selecting the active
      label per input below is that exchange, collapsed into the plane. *)
-  let colors = Garbling.eval_colors ~kdf ~arena g (fun i -> snd input_bits.(i)) in
+  let colors = Garbling.eval_colors ~kdf ~arena g (Array.get input_bits) in
   Array.init
     (Boolean_circuit.n_outputs bc.circuit)
     (fun i ->
       { alice_bit = Garbling.decode_bit g i; bob_bit = Bytes.get colors i = '\001' })
 
-let run_sim ctx (bc : built) (input_bits : (Party.t * bool) array) : bool_share array =
-  let clear = Boolean_circuit.eval bc.circuit (Array.map snd input_bits) in
+let run_sim ctx (bc : built) (input_bits : bool array) : bool_share array =
+  let clear = Boolean_circuit.eval bc.circuit input_bits in
   (* Fresh random Boolean sharing of each output bit. *)
   Array.map
     (fun bit ->
@@ -421,23 +456,13 @@ let eval_to_shares_batch ctx ~(items : input list array) ~build : Secret_share.t
   if Array.length items = 0 then [||]
   else
     Context.with_span ctx "gc:shares" @@ fun () ->
+    check_same_shape ~fn:"eval_to_shares_batch" ctx items;
     let bc = build_circuit ctx ~inputs:items.(0) ~build in
-    let all_bits = Array.map (bits_of_inputs ctx) items in
-    Array.iter
-      (fun bits ->
-        if Array.length bits <> Array.length all_bits.(0) then
-          invalid_arg
-            (Printf.sprintf
-               "Gc_protocol.eval_to_shares_batch: item with %d input bits in a batch \
-                whose first item has %d (all items must share the circuit shape)"
-               (Array.length bits)
-               (Array.length all_bits.(0))))
-      all_bits;
-    account_executions ctx bc all_bits.(0) ~times:(Array.length items);
+    account_executions ctx bc items.(0) ~times:(Array.length items);
     Context.bump_rounds ctx 2;
     let results =
       map_batch ctx ~n:(Array.length items) (fun ictx i ->
-          let out_bits = run_with ictx bc all_bits.(i) in
+          let out_bits = run_with ictx bc (bits_of_inputs ictx items.(i)) in
           let words = slice_outputs bc.output_widths out_bits in
           Array.of_list (List.map (b2a ictx) words))
     in
@@ -456,15 +481,15 @@ let eval_reveal_batch ctx ~to_ ~(items : input list array) ~build : int64 array 
   if Array.length items = 0 then [||]
   else
     Context.with_span ctx "gc:reveal" @@ fun () ->
+    check_same_shape ~fn:"eval_reveal_batch" ctx items;
     let bc = build_circuit ctx ~inputs:items.(0) ~build in
-    let all_bits = Array.map (bits_of_inputs ctx) items in
-    account_executions ctx bc all_bits.(0) ~times:(Array.length items);
+    account_executions ctx bc items.(0) ~times:(Array.length items);
     Context.bump_rounds ctx 2;
     let n_out = Boolean_circuit.n_outputs bc.circuit in
     Context.send ctx ~from:(Party.other to_) ~bits:(Array.length items * n_out);
     Context.bump_rounds ctx 1;
     map_batch ctx ~n:(Array.length items) (fun ictx i ->
-        let out_bits = run_with ictx bc all_bits.(i) in
+        let out_bits = run_with ictx bc (bits_of_inputs ictx items.(i)) in
         let words = slice_outputs bc.output_widths out_bits in
         Array.of_list
           (List.map

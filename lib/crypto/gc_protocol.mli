@@ -16,6 +16,14 @@ type input =
       (** an arithmetically shared ring element; the circuit sees its
           reconstruction (an adder front-end is prepended) *)
 
+(** The circuit that a batch over items shaped like [inputs] evaluates
+    (only the shape of [inputs] matters, not the values). *)
+val circuit :
+  Context.t ->
+  inputs:input list ->
+  build:(Boolean_circuit.Builder.b -> Circuits.word array -> Circuits.word list) ->
+  Boolean_circuit.t
+
 (** Why a supervised batch failed (DESIGN.md §15). *)
 type supervision_cause =
   | Batch_item_raised of { message : string }

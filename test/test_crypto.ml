@@ -234,6 +234,30 @@ let test_and_count_add () =
   let c = Bb.finalize b ~outputs:(Circuits.materialize_word b 0 s) in
   Alcotest.(check int) "adder AND count" 31 (Boolean_circuit.and_count c)
 
+(* Clear evaluation runs over a one-byte-per-wire plane: on the
+   8,009-gate x * y + z circuit it allocates the output array and the
+   plane, never a word per gate. *)
+let test_eval_no_per_gate_alloc () =
+  let module Bb = Boolean_circuit.Builder in
+  let b = Bb.create () in
+  let word () = Circuits.input_word b 52 in
+  let x = word () and y = word () and z = word () in
+  let out = Circuits.add_word b (Circuits.mul_word b x y) z in
+  let circuit = Bb.finalize b ~outputs:(Circuits.materialize_word b 0 out) in
+  Alcotest.(check bool) "at least 8k gates" true (Boolean_circuit.n_gates circuit >= 8000);
+  let inputs = Array.init circuit.Boolean_circuit.n_inputs (fun i -> i mod 3 = 0) in
+  ignore (Boolean_circuit.eval circuit inputs : bool array);
+  let before = Gc.minor_words () in
+  ignore (Boolean_circuit.eval circuit inputs : bool array);
+  let words = Gc.minor_words () -. before in
+  let bound =
+    (Boolean_circuit.n_outputs circuit + 1)
+    + ((Boolean_circuit.n_wires circuit / 8) + 2)
+    + 16
+  in
+  if words > float_of_int bound then
+    Alcotest.failf "eval allocated %.0f minor words (bound %d)" words bound
+
 (* ------------------------------------------------------------------ *)
 (* Garbling: random circuits decode to the clear evaluation *)
 
@@ -400,6 +424,31 @@ let test_gc_reveal () =
       in
       Alcotest.check check_i64 "100-42 revealed" 58L got.(0))
     [ ctx_real (); ctx_sim () ]
+
+(* Every item of a batch runs on the circuit built from the first item's
+   shape, so both batch entry points reject an item of a different input
+   width before anything is evaluated or accounted. *)
+let test_gc_batch_shape_mismatch () =
+  let item bits = [ Gc_protocol.Priv { owner = Party.Bob; value = 5L; bits } ] in
+  let items = [| item 8; item 16 |] in
+  let build _ (words : Circuits.word array) = [ words.(0) ] in
+  List.iter
+    (fun (backend, ctx) ->
+      let rejects entry f =
+        let before = Context.tally ctx in
+        (match f () with
+        | () -> Alcotest.failf "%s %s accepted a mismatched batch" backend entry
+        | exception Invalid_argument _ -> ());
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s accounts nothing" backend entry)
+          true
+          (Comm.equal before (Context.tally ctx))
+      in
+      rejects "eval_to_shares_batch" (fun () ->
+          ignore (Gc_protocol.eval_to_shares_batch ctx ~items ~build));
+      rejects "eval_reveal_batch" (fun () ->
+          ignore (Gc_protocol.eval_reveal_batch ctx ~to_:Party.Alice ~items ~build)))
+    [ ("sim", ctx_sim ()); ("real", ctx_real ()) ]
 
 let gc_random_agreement =
   QCheck.Test.make ~count:50 ~name:"gc real/sim agree on random mul-add"
@@ -1435,6 +1484,8 @@ let () =
         ] );
       ( "circuits",
         Alcotest.test_case "adder AND count" `Quick test_and_count_add
+        :: Alcotest.test_case "clear eval allocates no per-gate words" `Quick
+             test_eval_no_per_gate_alloc
         :: qsuite
              [
                circuit_add; circuit_sub; circuit_mul; circuit_eq; circuit_lt;
@@ -1455,6 +1506,7 @@ let () =
           Alcotest.test_case "backends same cost" `Quick test_gc_backends_same_cost;
           Alcotest.test_case "reveal" `Quick test_gc_reveal;
           Alcotest.test_case "kdf/backend agreement" `Quick test_gc_kdf_backend_agreement;
+          Alcotest.test_case "mismatched batch rejected" `Quick test_gc_batch_shape_mismatch;
         ]
         @ qsuite [ gc_random_agreement ] );
       ( "domain-pool",

@@ -124,6 +124,54 @@ let test_oblivious_project_nonzero () =
     (content (Operators.project_nonzero ring32 ~attrs r))
     (content (Shared_relation.reconstruct ctx out))
 
+(* Gate-for-gate identity of the circuits the builder emits: a SHA-256
+   over a canonical per-gate encoding (opcode byte, then lhs and rhs as
+   64-bit little-endian ints, a NOT repeating its operand), then every
+   output wire. The digests and AND counts were taken from the boxed
+   circuit representation this flat format replaced. *)
+let circuit_digest (c : Boolean_circuit.t) =
+  let buf = Buffer.create (17 * Boolean_circuit.n_gates c) in
+  let int x = Buffer.add_int64_le buf (Int64.of_int x) in
+  for i = 0 to Boolean_circuit.n_gates c - 1 do
+    Buffer.add_char buf (Bytes.get c.Boolean_circuit.ops i);
+    int c.Boolean_circuit.lhs.(i);
+    int c.Boolean_circuit.rhs.(i)
+  done;
+  Array.iter int c.Boolean_circuit.outputs;
+  Sha256.to_hex (Sha256.digest_string (Buffer.contents buf))
+
+let test_circuit_digests () =
+  let module Bb = Boolean_circuit.Builder in
+  let ring_bits = 52 in
+  let semiring = Semiring.ring ~bits:ring_bits in
+  let kernel =
+    let b = Bb.create () in
+    let word () = Circuits.input_word b ring_bits in
+    let x = word () and y = word () and z = word () in
+    let out = Circuits.add_word b (Circuits.mul_word b x y) z in
+    Bb.finalize b ~outputs:(Circuits.materialize_word b 0 out)
+  in
+  let n = 17 in
+  let ctx = Context.create ~bits:ring_bits ~gc_backend:Context.Sim ~seed:7L () in
+  let inputs =
+    List.init (n - 1) (fun _ ->
+        Gc_protocol.Priv { owner = Party.Bob; value = 0L; bits = 1 })
+    @ List.init n (fun _ -> Gc_protocol.Shared Secret_share.zero)
+  in
+  let chain build = Gc_protocol.circuit ctx ~inputs ~build:(build semiring ~n) in
+  List.iter
+    (fun (name, c, ands, digest) ->
+      Alcotest.(check int) (name ^ " AND count") ands (Boolean_circuit.and_count c);
+      Alcotest.(check string) (name ^ " digest") digest (circuit_digest c))
+    [
+      ( "x*y+z", kernel, 2704,
+        "fcdec7b79ad25a95baa18065d5ea5da75c95f0d0e287f11a50d8d31df3a7c73e" );
+      ( "merge chain", chain Oblivious_agg.merge_chain, 3347,
+        "bbd082a777e769c13df5c9065603baae039bbdc01e51ce503ea0e94e26b40180" );
+      ( "nonzero chain", chain Oblivious_agg.nonzero_chain, 1833,
+        "0081017166f88b35f966ba4938fcf7d5634cd7604358b665317978d6f9d64592" );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Oblivious semijoin / constrained join (§6.2) *)
 
@@ -728,6 +776,7 @@ let () =
           Alcotest.test_case "single tuple" `Quick test_oblivious_agg_single;
           Alcotest.test_case "with dummies" `Quick test_oblivious_agg_with_dummies;
           Alcotest.test_case "project nonzero" `Quick test_oblivious_project_nonzero;
+          Alcotest.test_case "circuit digests" `Quick test_circuit_digests;
         ]
         @ qsuite [ oblivious_agg_random ] );
       ( "oblivious-semijoin",
