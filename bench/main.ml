@@ -503,6 +503,7 @@ let micro () =
   let prg = Prg.create 1L in
   let elements = Array.init 256 (fun i -> Int64.of_int ((i * 7919) + 3)) in
   let perm = Prg.permutation prg 256 in
+  let perm_65536 = Prg.permutation (Prg.create 3L) 65536 in
   let sha_input = Bytes.make 64 'x' in
   let circuit =
     let module Bb = Boolean_circuit.Builder in
@@ -524,6 +525,8 @@ let micro () =
         (Staged.stage (fun () -> ignore (Cuckoo_hash.build prg elements)));
       Test.make ~name:"benes-route-256"
         (Staged.stage (fun () -> ignore (Permutation_network.build perm)));
+      Test.make ~name:"benes-route-65536"
+        (Staged.stage (fun () -> ignore (Permutation_network.build perm_65536)));
       Test.make ~name:"garble-32b-mul-sha"
         (Staged.stage (fun () ->
              ignore (Garbling.garble ~kdf:Garbling.Sha256_kdf garble_prg circuit)));

@@ -17,7 +17,7 @@ type program = {
   n_sources : int;
   n_outputs : int;
   perm1 : Permutation_network.t;
-  dup_ctrl : bool array;   (** duplication-chain controls over the first N wires *)
+  dup_ctrl : Bytes.t;   (** duplication-chain controls over the first N wires *)
   perm2 : Permutation_network.t;
 }
 
@@ -32,69 +32,61 @@ let program ~m xi =
           (Printf.sprintf "Oep.program: xi.(%d) = %d outside the source range [0, %d)" i s m))
     xi;
   let p = m + n in
-  (* Sort output indices by source (stable) so copies are adjacent. *)
-  let order = Array.init n (fun i -> i) in
-  Array.stable_sort (fun i j -> compare xi.(i) xi.(j)) order;
+  (* Sort output indices by source (stable counting sort over [0, m)) so
+     copies are adjacent. *)
+  let start = Array.make (m + 1) 0 in
+  Array.iter (fun s -> start.(s + 1) <- start.(s + 1) + 1) xi;
+  for s = 1 to m do
+    start.(s) <- start.(s) + start.(s - 1)
+  done;
+  let order = Array.make n 0 in
+  Array.iteri
+    (fun i s ->
+      order.(start.(s)) <- i;
+      start.(s) <- start.(s) + 1)
+    xi;
   (* perm1: dest position k takes, for first occurrences, the wire carrying
      source xi.(order.(k)); other positions take distinct filler wires. *)
   let perm1 = Array.make p (-1) in
   let used_source = Array.make m false in
-  let dup_ctrl = Array.make n false in
+  let dup_ctrl = Bytes.make n '\000' in
   for k = 0 to n - 1 do
     let s = xi.(order.(k)) in
-    let first = (k = 0) || xi.(order.(k - 1)) <> s in
-    dup_ctrl.(k) <- not first;
-    if first then begin
+    if k > 0 && xi.(order.(k - 1)) = s then Bytes.set dup_ctrl k '\001'
+    else begin
       perm1.(k) <- s;
       used_source.(s) <- true
     end
   done;
-  (* Fillers: sources never used, plus the n padding wires m..p-1. *)
-  let fillers = ref [] in
-  for s = m - 1 downto 0 do
-    if not used_source.(s) then fillers := s :: !fillers
-  done;
-  for w = m to p - 1 do
-    fillers := w :: !fillers
-  done;
-  let fillers = ref !fillers in
-  let next_filler () =
-    match !fillers with
-    | f :: rest ->
-        fillers := rest;
-        f
-    (* unreachable counting invariant: over p = m + n wires, the number of
-       unused sources plus padding wires equals the number of unassigned
-       perm1 slots, so the filler pool cannot run dry *)
-    | [] -> assert false
-  in
+  (* Fillers, in the order they are handed out: the n padding wires
+     p-1 down to m, then the sources never used, in increasing order. Over
+     p = m + n wires their number equals the number of unassigned perm1
+     slots, so the source cursor never runs past m. *)
+  let padding = ref p and source = ref 0 in
   for k = 0 to p - 1 do
-    if perm1.(k) = -1 then perm1.(k) <- next_filler ()
+    if perm1.(k) = -1 then
+      if !padding > m then begin
+        decr padding;
+        perm1.(k) <- !padding
+      end
+      else begin
+        while used_source.(!source) do
+          incr source
+        done;
+        perm1.(k) <- !source;
+        incr source
+      end
   done;
   (* perm2: output i must receive the copy sitting at sorted position
-     inverse_order(i); positions n..p-1 map to leftovers. *)
+     inverse_order(i); [order] takes positions 0..n-1, so the other p - n
+     outputs take positions n..p-1 in increasing order. *)
   let perm2 = Array.make p (-1) in
-  let taken = Array.make p false in
-  Array.iteri
-    (fun k i ->
-      perm2.(i) <- k;
-      taken.(k) <- true)
-    order;
-  let spare = ref [] in
-  for k = p - 1 downto 0 do
-    if not taken.(k) then spare := k :: !spare
-  done;
-  let spare = ref !spare in
+  Array.iteri (fun k i -> perm2.(i) <- k) order;
+  let spare = ref n in
   for i = 0 to p - 1 do
     if perm2.(i) = -1 then begin
-      match !spare with
-      | s :: rest ->
-          perm2.(i) <- s;
-          spare := rest
-      (* unreachable counting invariant: [order] marks exactly |order|
-         positions taken, leaving p - |order| spares for the p - |order|
-         outputs with perm2.(i) = -1 *)
-      | [] -> assert false
+      perm2.(i) <- !spare;
+      incr spare
     end
   done;
   {
@@ -107,7 +99,7 @@ let program ~m xi =
 
 let n_switches prog =
   Permutation_network.n_switches prog.perm1
-  + Array.length prog.dup_ctrl
+  + Bytes.length prog.dup_ctrl
   + Permutation_network.n_switches prog.perm2
 
 (** Reference clear-data evaluation of the programmed networks; used by
@@ -118,7 +110,7 @@ let apply_clear prog (data : 'a array) : 'a array =
   let after1 = Permutation_network.apply prog.perm1 padded in
   let work = Array.copy after1 in
   for k = 0 to prog.n_outputs - 1 do
-    if prog.dup_ctrl.(k) then work.(k) <- work.(k - 1)
+    if Bytes.get prog.dup_ctrl k = '\001' then work.(k) <- work.(k - 1)
   done;
   let after2 = Permutation_network.apply prog.perm2 work in
   Array.init prog.n_outputs (fun i ->

@@ -7,7 +7,16 @@
     O~((M+N) log(M+N)) communication) are exact; their oblivious
     evaluation is realized through the dealer model (DESIGN.md §2.5). *)
 
-type program
+(** The programmer's controls: [perm1], then the duplication chain (byte
+    [k] copies wire [k - 1] onto wire [k] when ['\001']), then [perm2],
+    over [n_sources + n_outputs] wires. *)
+type program = {
+  n_sources : int;
+  n_outputs : int;
+  perm1 : Permutation_network.t;
+  dup_ctrl : Bytes.t;
+  perm2 : Permutation_network.t;
+}
 
 (** Program the networks realizing [xi] over [m] sources.
 

@@ -678,19 +678,78 @@ let test_gc_kdf_backend_agreement () =
 
 let perm_network_correct =
   QCheck.Test.make ~count:200 ~name:"Benes network realizes its permutation"
-    QCheck.(int_range 1 64)
+    QCheck.(oneof [ int_range 1 64; int_range 65 5000 ])
     (fun n ->
       let prg = Prg.create (Int64.of_int (n * 31)) in
       let perm = Prg.permutation prg n in
       let net = Permutation_network.build perm in
       let out = Permutation_network.apply net (Array.init n (fun i -> i)) in
-      Array.for_all (fun j -> out.(j) = perm.(j)) (Array.init n (fun j -> j)))
+      Permutation_network.n_switches net = Permutation_network.switch_count_for n
+      && Array.for_all (fun j -> out.(j) = perm.(j)) (Array.init n (fun j -> j)))
 
 let test_perm_network_switch_count () =
   (* Benes over 2^k wires has n log n - n/2 switches. *)
   Alcotest.(check int) "n=8" 20 (Permutation_network.switch_count_for 8);
   Alcotest.(check int) "n=16" 56 (Permutation_network.switch_count_for 16);
   Alcotest.(check int) "n=2" 1 (Permutation_network.switch_count_for 2)
+
+let hex_digest s = Sha256.to_hex (Sha256.digest_string s)
+
+(* Golden programs, captured from the list router that built one
+   [{ a; b; swap }] record per switch before networks became control
+   strings. The control digest is a SHA-256 over each switch's swap byte
+   in switch order; the endpoint digest is a SHA-256 over each switch's
+   [(a, b)] as two 64-bit little-endian ints, which pins the implicit
+   layout that [iter_switches] derives to the recorded wires. *)
+let test_perm_network_golden () =
+  let endpoint_digest net =
+    let buf = Buffer.create (16 * Permutation_network.n_switches net) in
+    Permutation_network.iter_switches net (fun a b _ ->
+        Buffer.add_int64_le buf (Int64.of_int a);
+        Buffer.add_int64_le buf (Int64.of_int b));
+    hex_digest (Buffer.contents buf)
+  in
+  List.iter
+    (fun (n, switches, controls, endpoints) ->
+      let net = Permutation_network.build (Prg.permutation (Prg.create (Int64.of_int n)) n) in
+      let name = Printf.sprintf "width %d" n in
+      Alcotest.(check int) (name ^ " switches") switches (Permutation_network.n_switches net);
+      Alcotest.(check string) (name ^ " controls") controls
+        (hex_digest (Bytes.to_string net.Permutation_network.controls));
+      Alcotest.(check string) (name ^ " endpoints") endpoints (endpoint_digest net))
+    [
+      ( 2, 1, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db" );
+      ( 3, 6, "7b9453f4b6c2ef939d3959400b0ef356025da295b5402bab5e3ec0312f166c52",
+        "43206696ede98b9bd1c3954f19e1571b25653d818260b28a1a0cf89b142ebc7a" );
+      ( 5, 20, "39e08b5d690f286839f204d1e292395840fdb858483b2f45e84d46926a441020",
+        "e2a57aa02bdfc8fa2295489f51c0f9944445a1a45e6a4dbe727c144da4064d72" );
+      ( 8, 20, "c810030a19bd51d27ea0fb5cf154e8bb6b89e25d7ad0b6ec8fc33688446e8f5a",
+        "e2a57aa02bdfc8fa2295489f51c0f9944445a1a45e6a4dbe727c144da4064d72" );
+      ( 13, 56, "1a802e1426e9f023e97d2b8735e7eb6900254e823cd66cc57809de6c073e709e",
+        "b4053daa7d3f8721b458f49e36b5de43d6ce07f0ad3ffe697773052fce55687c" );
+      ( 100, 832, "1a14313026fe72dc72791c61f1015b572538a008932314a8a039093801bbef4f",
+        "fed82b4a8474b0e061dc55995ae2c5309fbba106a75c5d0babefe38b002aec99" );
+      ( 1000, 9728, "10e50fec033bd0191e8694b839f7c75bfe117b6325cf4ddf32d78fdf4ef74eb2",
+        "2c5a6f859501dc792960db584bdca55ddb66282fc3d4d3d58d46dd45cd1446e4" );
+      ( 4097, 102400, "544afb56d40fad7f7f07fb4862f1975d0723eadb11db34f16442491a46b2fffc",
+        "086929a7143b9b62a6318f5ddf8f5cf59d7eea8e65659c366f5e20697772634f" );
+    ]
+
+(* Routing scratch is a few words per wire, allocated once per build: on
+   4096 wires the whole build allocates the per-depth sub-permutations
+   (< 2P words), the inverse (P), the route plane and the control string
+   (one byte per switch), never a word per switch. *)
+let test_perm_network_build_alloc () =
+  let p = 4096 in
+  let perm = Prg.permutation (Prg.create 4096L) p in
+  ignore (Permutation_network.build perm : Permutation_network.t);
+  let before = Gc.allocated_bytes () in
+  let net = Permutation_network.build perm in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  let bound = (4 * p) + (Permutation_network.n_switches net / 8) + 256 in
+  if words > float_of_int bound then
+    Alcotest.failf "build allocated %.0f words on %d wires (bound %d)" words p bound
 
 (* ------------------------------------------------------------------ *)
 (* Cuckoo hashing *)
@@ -750,6 +809,40 @@ let oep_program_correct =
       let data = Array.init m (fun i -> i * 10) in
       let out = Oep.apply_clear prog data in
       Array.length out = n && Array.for_all2 (fun o s -> o = s * 10) out xi)
+
+(* The OEP's switch count is a function of the public sizes m and n
+   alone: two Benes networks over m + n wires plus an n-switch
+   duplication chain, whatever xi is. *)
+let oep_switches_size_only =
+  QCheck.Test.make ~count:100 ~name:"OEP switch count depends on sizes only"
+    QCheck.(triple (int_range 1 300) (int_range 0 300) small_nat)
+    (fun (m, n, seed) ->
+      let prg = Prg.create (Int64.of_int seed) in
+      let xi = Array.init n (fun _ -> Prg.below prg m) in
+      Oep.n_switches (Oep.program ~m xi)
+      = (2 * Permutation_network.switch_count_for (m + n)) + n)
+
+(* Golden OEP programs over xi with duplicates, captured from the list
+   router: a SHA-256 over every swap byte of perm1, the duplication chain
+   and perm2, in that order. *)
+let test_oep_program_golden () =
+  let check name ~m xi switches digest =
+    let prog = Oep.program ~m xi in
+    Alcotest.(check int) (name ^ " switches") switches (Oep.n_switches prog);
+    Alcotest.(check string) (name ^ " controls") digest
+      (hex_digest
+         (String.concat ""
+            [
+              Bytes.to_string prog.Oep.perm1.Permutation_network.controls;
+              Bytes.to_string prog.Oep.dup_ctrl;
+              Bytes.to_string prog.Oep.perm2.Permutation_network.controls;
+            ]))
+  in
+  check "m=10" ~m:10 [| 3; 3; 0; 9; 1; 1; 1 |] 295
+    "3a2d1cf960c7d9a4d683109c182ad08e54d7e9418d822c9d8514354514e701b4";
+  let prg = Prg.create 1200L in
+  check "m=500" ~m:500 (Array.init 1200 (fun _ -> Prg.below prg 500)) 44208
+    "5dac674a03a92493a6325181e3e59b660802989390cf99aa28a46499355caab2"
 
 let test_oep_shared () =
   let ctx = ctx_sim () in
@@ -1526,6 +1619,9 @@ let () =
         ] );
       ( "permutation-network",
         Alcotest.test_case "switch counts" `Quick test_perm_network_switch_count
+        :: Alcotest.test_case "golden controls" `Quick test_perm_network_golden
+        :: Alcotest.test_case "build allocates no per-switch words" `Quick
+             test_perm_network_build_alloc
         :: qsuite [ perm_network_correct ] );
       ( "cuckoo",
         [
@@ -1536,7 +1632,8 @@ let () =
       ( "oep",
         Alcotest.test_case "shared" `Quick test_oep_shared
         :: Alcotest.test_case "fresh randomness" `Quick test_oep_fresh_randomness
-        :: qsuite [ oep_program_correct ] );
+        :: Alcotest.test_case "golden controls" `Quick test_oep_program_golden
+        :: qsuite [ oep_program_correct; oep_switches_size_only ] );
       ( "aes",
         [
           Alcotest.test_case "FIPS vector" `Quick test_aes_fips_vector;
