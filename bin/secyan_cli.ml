@@ -43,9 +43,9 @@ let verify_arg =
 
 let domains_arg =
   let doc =
-    "Worker domains for the garbled-circuit batch engine (default 1 = sequential). \
-     Results, communication, and round counts are bit-identical for every value; \
-     only wall-clock changes."
+    "Domains that claim garbled-circuit batch items (default 1 = sequential; a watched \
+     pool, see --hang-timeout, adds the watching caller). Results, communication, and \
+     round counts are bit-identical for every value; only wall-clock changes."
   in
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
 
@@ -155,19 +155,21 @@ let fault_arg =
      sibling of --chaos). $(docv) is comma-separated $(b,raise:ITEM), \
      $(b,hang:ITEM:SECS), or $(b,alloc:ITEM:MIB), with ITEM a global batch-item index \
      — e.g. $(b,raise:12) makes item 12 raise (exit 6, supervision error), \
-     $(b,hang:12:30) hangs it (the heartbeat supervisor detects it after \
+     $(b,hang:12:30) hangs it (the watching caller detects it after \
      --hang-timeout), $(b,alloc:12:256) allocates 256 MiB against --memory-budget. \
-     Implies supervised execution."
+     Implies a watched pool (default --hang-timeout 10)."
   in
   Arg.(value & opt (some string) None & info [ "fault" ] ~docv:"SPEC" ~doc)
 
 let hang_timeout_arg =
   let doc =
-    "Supervision hang timeout, seconds: a pool worker silent this long while holding a \
-     batch item is declared hung, the batch fails typed (exit 6), and the engine falls \
-     back to sequential execution for the rest of the process."
+    "Watch the batch pool for hangs: --domains workers claim batch items while the \
+     caller watches, and a worker silent for $(docv) while holding an item is declared \
+     hung, the batch fails typed (exit 6), and the engine falls back to sequential \
+     execution for the rest of the process. Defaults to 10 when --fault, --deadline \
+     or --memory-budget is given; otherwise the pool is unwatched."
   in
-  Arg.(value & opt float 10. & info [ "hang-timeout" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt (some float) None & info [ "hang-timeout" ] ~docv:"SECONDS" ~doc)
 
 let checkpoint_dir_arg =
   let doc =
@@ -348,23 +350,23 @@ let run_cmd query scale sf seed backend domains transport chaos chaos_seed malic
   let d = Secyan_tpch.Datagen.generate ~sf ~seed in
   Fmt.pr "dataset: sf=%g (%d total rows)@." sf (Secyan_tpch.Datagen.total_rows d);
   (* The robustness layer: a cancel token carrying the deadline/memory
-     budget, and pool supervision whenever any of the fault-tolerance
-     flags is in play (supervision changes no result, only how failures
+     budget, and a watched pool whenever any of the fault-tolerance flags
+     is in play (watching changes no result, only how failures
      surface). *)
   let cancel =
     match (deadline, memory_budget) with
     | None, None -> Secyan_deadline.never ()
     | timeout_s, memory_budget_mb -> Secyan_deadline.create ?timeout_s ?memory_budget_mb ()
   in
-  let supervisor =
-    if fault_spec <> None || deadline <> None || memory_budget <> None then
-      Some { Domain_pool.default_supervisor with hang_timeout_s = hang_timeout }
-    else None
+  let hang_timeout_s =
+    if hang_timeout = None && (fault_spec <> None || deadline <> None || memory_budget <> None)
+    then Some 10.
+    else hang_timeout
   in
   Option.iter Fault_inject.arm fault_spec;
   let ctx =
     Secyan_tpch.Queries.context ~gc_backend:backend ~domains ?transport:tr ?checkpoint:ck
-      ~cancel ?supervisor ~seed ()
+      ~cancel ?hang_timeout_s ~seed ()
   in
   if metrics <> None then Secyan_obs.Metrics.set_enabled true;
   (* Attach the per-phase GC sampler and the live progress reporter
@@ -540,16 +542,12 @@ let run_cmd query scale sf seed backend domains transport chaos chaos_seed malic
     checkpoint_hint ();
     finish 5
   | Gc_protocol.Supervision_error { phase; item; cause } ->
-    (* A supervised batch failed typed: the batch is quiescent, arenas
-       were reset, and the engine degrades to sequential execution if
-       the pool was poisoned — never a hang, never corrupted state. *)
+    (* A batch failed typed: the batch is quiescent, arenas were reset,
+       and the engine degrades to sequential execution if the pool was
+       poisoned — never a hang, never corrupted state. *)
     Fmt.epr "supervision failure in %s (item %d): %s@." phase item
       (Gc_protocol.supervision_cause_to_string cause);
     checkpoint_hint ();
-    finish 6
-  | Domain_pool.Pool_shutdown { unclaimed } ->
-    Fmt.epr "supervision failure: pool shut down mid-batch (%d items unclaimed)@."
-      unclaimed;
     finish 6)
 
 (* --- plan ---------------------------------------------------------- *)

@@ -20,7 +20,8 @@ type t = {
       (** key-derivation function for garbled rows (default fixed-key AES) *)
   domains : int;      (** parallelism of the batch-garbling engine *)
   pool : Domain_pool.t Lazy.t;
-      (** the work pool, spawned on first parallel batch; size [domains] *)
+      (** the work pool, made on first batch: [domains] claimants,
+          watched when the context was created with a hang timeout *)
   prg_alice : Prg.t;
   prg_bob : Prg.t;
   dealer : Prg.t;
@@ -51,10 +52,6 @@ type t = {
       (** the query's cancel token (deadline / memory budget / explicit),
           checked at phase boundaries, batch-item claims, and transport
           waits; defaults to an unconstrained {!Secyan_deadline.never} *)
-  mutable supervisor : Domain_pool.supervisor option;
-      (** when set, batch entry points run under pool supervision
-          (heartbeats, fail-fast, hang detection) instead of plain
-          barriers *)
   mutable current_label : string;
       (** the innermost span name ([with_span] maintains it even when no
           tracer is attached) — names the protocol phase in [Cancelled]
@@ -164,7 +161,7 @@ let absorb t (items : t array) =
 
 let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
     ?(gc_kdf = Garbling.Aes128_kdf) ?(domains = 1) ?transport ?checkpoint
-    ?cancel ?supervisor ~seed () =
+    ?cancel ?hang_timeout_s ~seed () =
   let domains = max 1 domains in
   let master = Prg.create seed in
   let cancel = match cancel with Some c -> c | None -> Secyan_deadline.never () in
@@ -179,7 +176,7 @@ let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
       gc_backend;
       gc_kdf;
       domains;
-      pool = lazy (Domain_pool.create domains);
+      pool = lazy (Domain_pool.create ?hang_timeout_s domains);
       prg_alice = Prg.split master;
       prg_bob = Prg.split master;
       dealer = Prg.split master;
@@ -190,7 +187,6 @@ let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
       checkpoint;
       batch_ctxs = [||];
       cancel;
-      supervisor;
       current_label = "init";
       schema;
     }
@@ -217,7 +213,7 @@ let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
 let close_transport t =
   match t.transport with None -> () | Some tr -> Secyan_net.Resilient.close tr
 
-(** The context's work pool (spawned on first use). *)
+(** The context's work pool (made on first use). *)
 let pool t = Lazy.force t.pool
 
 (** The pool if it was ever spawned, without spawning it. *)

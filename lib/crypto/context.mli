@@ -16,7 +16,8 @@ type t = {
       (** key-derivation function for garbled rows (default fixed-key AES) *)
   domains : int;      (** parallelism of the batch-garbling engine *)
   pool : Domain_pool.t Lazy.t;
-      (** the work pool, spawned on first parallel batch; size [domains] *)
+      (** the work pool, made on first batch: [domains] claimants,
+          watched when the context was created with a hang timeout *)
   prg_alice : Prg.t;
   prg_bob : Prg.t;
   dealer : Prg.t;
@@ -46,10 +47,6 @@ type t = {
       (** the query's cancel token; checked at phase boundaries,
           batch-item claims, and transport waits. Prefer {!set_cancel}
           over assigning — it also re-points the transport. *)
-  mutable supervisor : Domain_pool.supervisor option;
-      (** when set, batch entry points run pool-supervised (heartbeats,
-          fail-fast, hang detection) and fail as
-          [Gc_protocol.Supervision_error] *)
   mutable current_label : string;
       (** innermost span name, maintained by {!with_span} even untraced;
           names the phase in cancellation/supervision errors *)
@@ -79,17 +76,19 @@ type t = {
     the query's cancel token — a deadline or memory budget cancels, never
     kills, and surfaces as [Secyan_deadline.Cancelled] at the next check;
     attached transports cap their waits by its remaining budget.
-    [supervisor] turns on pool supervision for the batch entry points
-    (DESIGN.md §15). Neither affects results, communication, or rounds:
-    an unfired token and a supervised pool are observationally identical
-    to the defaults. *)
+    [hang_timeout_s] makes the pool watched (DESIGN.md §15): [domains]
+    workers claim batch items with per-claim heartbeats while the caller
+    watches, and a worker silent past the timeout fails its batch as a
+    hang. Neither affects results, communication, or rounds: an unfired
+    token and a watched pool are observationally identical to the
+    defaults. *)
 val create :
   ?bits:int -> ?kappa:int -> ?sigma:int -> ?gc_backend:gc_backend ->
   ?gc_kdf:Garbling.kdf -> ?domains:int -> ?transport:Secyan_net.Resilient.t ->
   ?checkpoint:Checkpoint.sink -> ?cancel:Secyan_deadline.t ->
-  ?supervisor:Domain_pool.supervisor -> seed:int64 -> unit -> t
+  ?hang_timeout_s:float -> seed:int64 -> unit -> t
 
-(** The context's work pool (spawned on first use). *)
+(** The context's work pool (made on first use). *)
 val pool : t -> Domain_pool.t
 
 (** The pool if it was ever spawned, without spawning it. *)

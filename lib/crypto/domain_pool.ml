@@ -2,14 +2,20 @@
 
     The pool runs index-parallel loops: [run pool ~n ~f] executes [f i]
     exactly once for every [i] in [0, n), spreading the items over the
-    pool's domains plus the calling domain. Items must be independent —
-    the pool provides no ordering between them, only a completion barrier
-    (all items finished, and their writes published, before [run]
-    returns).
+    pool's [size] claimants. Items must be independent — the pool
+    provides no ordering between them, only a completion barrier (all
+    items finished, and their writes published, before [run] returns).
 
-    A pool of size 1 spawns no domains and [run] degenerates to a plain
-    sequential [for] loop — exactly the pre-pool behaviour, with zero
-    synchronization.
+    The caller's role is fixed at [create] by the hang timeout:
+    - unwatched (no timeout): the caller and [size - 1] workers claim
+      items and meet at a condvar barrier. Size 1 spawns no domains and
+      [run] is a plain sequential loop on the caller.
+    - watched ([hang_timeout_s]): [size] workers claim items and stamp a
+      per-claim heartbeat, and the caller only watches for (a) a recorded
+      item exception, (b) a worker silent past the timeout while holding
+      a claim, (c) the cancel token firing, (d) pool shutdown. Watching
+      adds a domain rather than removing a claimant, so a watched pool
+      of size 1 detects hangs too.
 
     Workers are persistent: they are spawned once at [create] and park on
     a mutex/condition-variable queue between batches, so per-batch
@@ -17,33 +23,25 @@
     [shutdown] joins the workers; pools also register an [at_exit] hook so
     forgotten pools cannot hang program termination.
 
-    {2 Cancellation and abort safety}
+    {2 Abort safety}
 
-    Every batch carries an [abort] flag and an [active] participant
-    count. A participant {e increments [active] before} it re-checks
-    [abort]/[stop]/the cancel token, and only claims an item if the
-    check passed; aborters and the supervisor wait for [active] to reach
-    zero (minus known-hung workers). Under SC atomics this means: once
-    an observer has seen [abort] set and [active] drained, no
-    participant can touch another item or write into the batch's
-    recycled per-item contexts — the batch is quiescent, not merely
-    abandoned. That ordering is the whole point; do not reorder the
-    [active] increment after the abort check.
+    Every batch is fail-fast: the first item exception, a fired cancel
+    token or a shutdown sets the batch's [abort] flag. A participant
+    {e increments [active] before} it re-checks [abort]/[stop]/the cancel
+    token, and only claims an item if the check passed; the barrier
+    waits for [active] to reach zero (minus known-hung workers). Under SC
+    atomics this means: once an observer has seen [abort] set and
+    [active] drained, no participant can touch another item or write
+    into the batch's recycled per-item contexts — the batch is
+    quiescent, not merely abandoned. That ordering is the whole point;
+    do not reorder the [active] increment after the abort check.
 
-    {2 Supervision}
-
-    [run_supervised] keeps the calling domain out of the claim loop and
-    turns it into a supervisor: workers stamp a heartbeat and publish
-    the claimed item index before running it, and the supervisor polls
-    for (a) a recorded item exception (fail-fast abort), (b) a worker
-    silent past [hang_timeout_s] while holding a claim, (c) the cancel
-    token firing, (d) pool shutdown. A hang poisons the pool — the hung
-    domain cannot be joined or recovered, so every later batch runs
-    sequentially on the caller ({!poisoned}) and [shutdown] skips the
-    hung slot (the domain leaks until process exit, which is the only
-    sound option OCaml offers). Heartbeats are per-claim, so a single
-    item must finish within [hang_timeout_s]; size the timeout for the
-    workload, not the batch.
+    A hang poisons the pool — the hung domain cannot be joined or
+    recovered, so every later batch runs sequentially on the caller
+    ({!poisoned}) and [shutdown] skips the hung slot (the domain leaks
+    until process exit, which is the only sound option OCaml offers).
+    Heartbeats are per-claim, so a single item must finish within the
+    timeout; size it for the workload, not the batch.
 
     When [Secyan_metrics.enabled], every participant keeps a contention
     timeline — nanoseconds spent running items (busy), parked or waiting
@@ -51,8 +49,8 @@
     plus batches/items claimed and condvar wakeups — readable via
     {!timelines}. Timing uses [Unix.gettimeofday] (microsecond
     resolution), which is far finer than the millisecond-scale waits the
-    profile exists to expose. With metrics disabled no clock is read and
-    the code paths are the unprofiled originals. *)
+    profile exists to expose. With metrics disabled an unwatched pool
+    reads no clock. *)
 
 type timeline = {
   slot : int;  (* 0 = the calling domain, 1.. = workers *)
@@ -90,12 +88,8 @@ let () =
              slot item silent_s)
     | _ -> None)
 
-type supervisor = {
-  hang_timeout_s : float;  (* a claimed item silent longer than this is hung *)
-  poll_interval_s : float;
-}
-
-let default_supervisor = { hang_timeout_s = 10.; poll_interval_s = 0.002 }
+(* How often a watching caller samples heartbeats and batch progress. *)
+let poll_interval = 0.002
 
 type job = {
   f : int -> unit;
@@ -105,20 +99,19 @@ type job = {
   active : int Atomic.t;    (* participants inside the claim/run loop *)
   abort : bool Atomic.t;    (* stop claiming; drain and leave *)
   cancel : Secyan_deadline.t option;  (* polled before every claim *)
-  fail_fast : bool;         (* abort the batch on the first item exception *)
-  heartbeat : bool;         (* publish claims/beats (supervised batches) *)
   failure : worker_fault option Atomic.t;  (* first fault wins *)
 }
 
 type t = {
-  size : int;
+  size : int;  (* domains that claim items *)
+  hang_timeout_s : float option;  (* [Some _]: the caller watches *)
   lock : Mutex.t;
   work : Condition.t;  (* a job was posted, or shutdown requested *)
   idle : Condition.t;  (* a job completed, or a participant left the batch *)
   mutable pending : job option;
   stop : bool Atomic.t;
   poisoned : bool Atomic.t;  (* a worker hung; all later batches sequential *)
-  hung : bool array;         (* per slot, written by the supervisor under lock *)
+  hung : bool array;         (* per slot, written by the watcher under lock *)
   claims : int Atomic.t array;   (* per slot: running item index, -1 when idle *)
   beats : int Atomic.t array;    (* per slot: last heartbeat, ns since epoch *)
   mutable domains : (int * unit Domain.t) list;  (* (slot, domain) *)
@@ -127,6 +120,10 @@ type t = {
 
 let size t = t.size
 let poisoned t = Atomic.get t.poisoned
+let watched t = Option.is_some t.hang_timeout_s
+
+(* Workers occupy slots 1 .. [workers t]; slot 0 is the caller. *)
+let workers t = Array.length t.timelines - 1
 
 let profiling () = Secyan_metrics.enabled ()
 
@@ -138,7 +135,7 @@ let now_ns_int () = int_of_float (Unix.gettimeofday () *. 1e9)
 
 let m_hangs =
   lazy
-    (Secyan_metrics.counter ~help:"pool workers declared hung by the supervisor"
+    (Secyan_metrics.counter ~help:"pool workers declared hung by the watching caller"
        "secyan_worker_hangs_total")
 
 let m_poisoned =
@@ -183,11 +180,12 @@ let stopping t job =
   | _ -> false
 
 (* Claim and run items of [job] until the index space is exhausted or the
-   batch aborts. Exceptions from [f] are recorded (first wins) and
-   re-raised by [run] on the calling domain; the item still counts as
-   finished so the barrier cannot deadlock. Leaving participants
-   unpublish the job (so parked workers do not rediscover it) and
-   broadcast [idle] so a caller blocked on the barrier re-evaluates. *)
+   batch aborts. The first exception from [f] is recorded and aborts the
+   batch; the item still counts as finished so the barrier cannot
+   deadlock. In a watched pool each claim is published with a heartbeat.
+   Leaving participants unpublish the job (so parked workers do not
+   rediscover it) and broadcast [idle] so a caller blocked on the barrier
+   re-evaluates. *)
 let drain t tl ~slot job =
   let leave () =
     lock_timed t tl;
@@ -201,8 +199,9 @@ let drain t tl ~slot job =
     try job.f i
     with e ->
       record_fault job (Item_raised { item = i; exn = e });
-      if job.fail_fast then Atomic.set job.abort true
+      Atomic.set job.abort true
   in
+  let heartbeat = watched t in
   let rec go claimed_any =
     (* [active] up BEFORE the abort check: an observer that sees abort
        set and active = 0 knows no further claim can happen. *)
@@ -218,7 +217,7 @@ let drain t tl ~slot job =
         leave ()
       end
       else begin
-        if job.heartbeat then begin
+        if heartbeat then begin
           Atomic.set t.beats.(slot) (now_ns_int ());
           Atomic.set t.claims.(slot) i
         end;
@@ -230,7 +229,7 @@ let drain t tl ~slot job =
           tl.items <- tl.items + 1
         end
         else run_item i;
-        if job.heartbeat then Atomic.set t.claims.(slot) (-1);
+        if heartbeat then Atomic.set t.claims.(slot) (-1);
         ignore (Atomic.fetch_and_add job.finished 1 : int);
         Atomic.decr job.active;
         if Atomic.get job.finished = job.n then begin
@@ -272,8 +271,8 @@ let rec worker t slot =
    sees [stop] at its next claim, leaves the batch, re-checks [stop],
    and exits — the batch's caller is woken via [idle] and raises the
    typed {!Pool_shutdown} instead of returning partial results. Slots
-   declared hung by a supervisor are never joined (a join would hang
-   forever); those domains leak until process exit by design. *)
+   declared hung are never joined (a join would hang forever); those
+   domains leak until process exit by design. *)
 let shutdown t =
   Mutex.lock t.lock;
   Atomic.set t.stop true;
@@ -285,27 +284,29 @@ let shutdown t =
   Mutex.unlock t.lock;
   List.iter (fun (_, d) -> Domain.join d) joinable
 
-let create size =
+let create ?hang_timeout_s size =
   let size = max 1 (min size 128) in
+  let slots = if Option.is_some hang_timeout_s then size + 1 else size in
   let t =
     {
       size;
+      hang_timeout_s;
       lock = Mutex.create ();
       work = Condition.create ();
       idle = Condition.create ();
       pending = None;
       stop = Atomic.make false;
       poisoned = Atomic.make false;
-      hung = Array.make size false;
-      claims = Array.init size (fun _ -> Atomic.make (-1));
-      beats = Array.init size (fun _ -> Atomic.make 0);
+      hung = Array.make slots false;
+      claims = Array.init slots (fun _ -> Atomic.make (-1));
+      beats = Array.init slots (fun _ -> Atomic.make 0);
       domains = [];
-      timelines = Array.init size fresh_timeline;
+      timelines = Array.init slots fresh_timeline;
     }
   in
-  if size > 1 then begin
+  if slots > 1 then begin
     t.domains <-
-      List.init (size - 1) (fun i ->
+      List.init (slots - 1) (fun i ->
           let slot = i + 1 in
           ( slot,
             Domain.spawn (fun () ->
@@ -317,36 +318,36 @@ let create size =
   end;
   t
 
-(* Sequential execution on the caller — the size-1 / shut-down / poisoned
-   path. Still polls the cancel token between items so a sequential
-   fallback honours deadlines exactly like the pooled path. *)
+(* Sequential execution on the caller — the path of an unwatched size-1
+   pool, a shut-down or poisoned pool, and one-item unwatched batches.
+   Same contract as the pooled path: the cancel token is polled before
+   every item, and the first item exception stops the batch as
+   [Item_raised]. *)
 let run_sequential ?cancel t ~n ~f =
-  let step i =
+  let tl = t.timelines.(0) in
+  let t0 = if profiling () then now_ns () else 0. in
+  let ran = ref 0 in
+  let account () =
+    if profiling () then begin
+      (* all of a sequential batch's wall-clock is busy time *)
+      let d = now_ns () -. t0 in
+      tl.busy_ns <- tl.busy_ns +. d;
+      tl.run_ns <- tl.run_ns +. d;
+      tl.items <- tl.items + !ran;
+      if !ran > 0 then tl.batches <- tl.batches + 1
+    end
+  in
+  Fun.protect ~finally:account @@ fun () ->
+  for i = 0 to n - 1 do
     (match cancel with
     | Some c -> Secyan_deadline.check ~where:"pool:item" c
     | None -> ());
-    f i
-  in
-  if profiling () then begin
-    (* profiled sequential path: all wall-clock is busy time *)
-    let tl = t.timelines.(0) in
-    let t0 = now_ns () in
-    for i = 0 to n - 1 do
-      step i
-    done;
-    let d = now_ns () -. t0 in
-    tl.busy_ns <- tl.busy_ns +. d;
-    tl.run_ns <- tl.run_ns +. d;
-    tl.items <- tl.items + n;
-    tl.batches <- tl.batches + 1
-  end
-  else
-    for i = 0 to n - 1 do
-      step i
-    done
+    (try f i with e -> raise (Pool_failure (Item_raised { item = i; exn = e })));
+    incr ran
+  done
 
 let sequential_only t =
-  t.size = 1 || Atomic.get t.stop
+  workers t = 0 || Atomic.get t.stop
   ||
   if Atomic.get t.poisoned then begin
     Secyan_metrics.add (Lazy.force m_sequential_fallbacks) 1;
@@ -360,22 +361,11 @@ let post t tl job =
   Condition.broadcast t.work;
   Mutex.unlock t.lock
 
-(* Quiescent: every item done, or the batch aborted and no participant
-   can claim another item ([active] drained, modulo known-hung workers —
-   plain batches have none). *)
-let batch_quiescent t job =
-  Atomic.get job.finished = job.n
-  || ((Atomic.get job.abort || Atomic.get t.stop) && Atomic.get job.active = 0)
-
 (* Raise the typed outcome of an incomplete or faulted batch; returns
    normally only when every item finished and none raised. Priority:
-   recorded item fault, then cancellation, then shutdown. *)
-let resolve t job ~supervised =
+   recorded fault, then cancellation, then shutdown. *)
+let resolve t job =
   (match Atomic.get job.failure with
-  | Some (Item_raised { exn; _ }) when not supervised ->
-      (* plain [run] keeps the historical contract: first exception,
-         re-raised as itself *)
-      raise exn
   | Some fault -> raise (Pool_failure fault)
   | None -> ());
   if Atomic.get job.finished < job.n then begin
@@ -389,39 +379,32 @@ let resolve t job ~supervised =
       assert false
   end
 
-let run ?cancel t ~n ~f =
-  if n > 0 then
-    if sequential_only t || n = 1 then run_sequential ?cancel t ~n ~f
-    else begin
-      let tl = t.timelines.(0) in
-      let t_start = if profiling () then now_ns () else 0. in
-      let job =
-        { f; n; next = Atomic.make 0; finished = Atomic.make 0;
-          active = Atomic.make 0; abort = Atomic.make false; cancel;
-          fail_fast = false; heartbeat = false; failure = Atomic.make None }
-      in
-      post t tl job;
-      drain t tl ~slot:0 job;
-      lock_timed t tl;
-      while not (batch_quiescent t job) do
-        if profiling () then begin
-          let t0 = now_ns () in
-          Condition.wait t.idle t.lock;
-          tl.queue_wait_ns <- tl.queue_wait_ns +. (now_ns () -. t0);
-          tl.wakeups <- tl.wakeups + 1
-        end
-        else Condition.wait t.idle t.lock
-      done;
-      Mutex.unlock t.lock;
-      if profiling () then tl.run_ns <- tl.run_ns +. (now_ns () -. t_start);
-      resolve t job ~supervised:false
+(* The claiming caller's barrier: drain alongside the workers, then wait
+   until every item is done or the aborted batch has no active
+   participant. *)
+let claim_and_wait t tl job =
+  drain t tl ~slot:0 job;
+  lock_timed t tl;
+  while
+    not
+      (Atomic.get job.finished = job.n
+      || ((Atomic.get job.abort || Atomic.get t.stop) && Atomic.get job.active = 0))
+  do
+    if profiling () then begin
+      let t0 = now_ns () in
+      Condition.wait t.idle t.lock;
+      tl.queue_wait_ns <- tl.queue_wait_ns +. (now_ns () -. t0);
+      tl.wakeups <- tl.wakeups + 1
     end
+    else Condition.wait t.idle t.lock
+  done;
+  Mutex.unlock t.lock
 
 (* Count hung workers still inside the claim loop: they contribute to
-   [active] but will never drain, so the supervisor nets them out. *)
+   [active] but will never drain, so the watcher nets them out. *)
 let hung_active t =
   let k = ref 0 in
-  for slot = 1 to t.size - 1 do
+  for slot = 1 to workers t do
     if t.hung.(slot) && Atomic.get t.claims.(slot) >= 0 then incr k
   done;
   !k
@@ -439,73 +422,63 @@ let declare_hung t job ~slot ~item ~silent_s =
     Atomic.set job.abort true
   end
 
-let run_supervised ?cancel ?(supervisor = default_supervisor) t ~n ~f =
-  if n > 0 then
-    if sequential_only t || t.size = 1 then begin
-      (* Sequential supervision: fail fast, with the item identified. *)
-      let step i =
-        (match cancel with
-        | Some c -> Secyan_deadline.check ~where:"pool:item" c
-        | None -> ());
-        try f i
-        with
-        | Secyan_deadline.Cancelled _ as c -> raise c
-        | e -> raise (Pool_failure (Item_raised { item = i; exn = e }))
-      in
-      for i = 0 to n - 1 do
-        step i
-      done
+(* The watching caller's barrier. It polls rather than waiting on [idle]
+   because OCaml's [Condition] has no timed wait, and hang detection
+   needs a clock anyway. A watcher stuck inside [f] could rescue nobody,
+   which is why it never claims. *)
+let watch_and_wait t tl job ~hang_timeout_s =
+  let t0 = if profiling () then now_ns () else 0. in
+  let rec go () =
+    if Atomic.get job.finished < job.n then begin
+      (match job.cancel with
+      | Some c when Secyan_deadline.poll c <> None -> Atomic.set job.abort true
+      | _ -> ());
+      if Atomic.get t.stop then Atomic.set job.abort true;
+      let now = now_ns_int () in
+      for slot = 1 to workers t do
+        if not t.hung.(slot) then begin
+          let item = Atomic.get t.claims.(slot) in
+          if item >= 0 then begin
+            let silent_s = float_of_int (now - Atomic.get t.beats.(slot)) *. 1e-9 in
+            if silent_s > hang_timeout_s then declare_hung t job ~slot ~item ~silent_s
+          end
+        end
+      done;
+      if not (Atomic.get job.abort && Atomic.get job.active <= hung_active t) then begin
+        Unix.sleepf poll_interval;
+        go ()
+      end
     end
+  in
+  go ();
+  if profiling () then tl.queue_wait_ns <- tl.queue_wait_ns +. (now_ns () -. t0)
+
+let run ?cancel t ~n ~f =
+  if n > 0 then
+    if sequential_only t || (n = 1 && not (watched t)) then run_sequential ?cancel t ~n ~f
     else begin
+      let tl = t.timelines.(0) in
+      let t_start = if profiling () then now_ns () else 0. in
       let job =
         { f; n; next = Atomic.make 0; finished = Atomic.make 0;
           active = Atomic.make 0; abort = Atomic.make false; cancel;
-          fail_fast = true; heartbeat = true; failure = Atomic.make None }
+          failure = Atomic.make None }
       in
-      (* Pre-stamp every worker's heartbeat: a worker that never gets to
-         claim (all parked) must not look hung. *)
-      let t0 = now_ns_int () in
-      for slot = 1 to t.size - 1 do
-        Atomic.set t.beats.(slot) t0
-      done;
-      post t (t.timelines.(0)) job;
-      (* The caller supervises instead of claiming items: a supervisor
-         stuck inside [f] could rescue nobody. It polls rather than
-         waiting on [idle] because OCaml's [Condition] has no timed
-         wait, and hang detection needs a clock anyway. *)
-      let rec watch () =
-        if Atomic.get job.finished = job.n then ()
-        else begin
-          (match cancel with
-          | Some c when Secyan_deadline.poll c <> None ->
-              Atomic.set job.abort true
-          | _ -> ());
-          if Atomic.get t.stop then Atomic.set job.abort true;
+      (match t.hang_timeout_s with
+      | None ->
+          post t tl job;
+          claim_and_wait t tl job
+      | Some hang_timeout_s ->
+          (* Pre-stamp every worker's heartbeat: a worker that never gets
+             to claim (all parked) must not look hung. *)
           let now = now_ns_int () in
-          for slot = 1 to t.size - 1 do
-            if not t.hung.(slot) then begin
-              let item = Atomic.get t.claims.(slot) in
-              if item >= 0 then begin
-                let silent_s =
-                  float_of_int (now - Atomic.get t.beats.(slot)) *. 1e-9
-                in
-                if silent_s > supervisor.hang_timeout_s then
-                  declare_hung t job ~slot ~item ~silent_s
-              end
-            end
+          for slot = 1 to workers t do
+            Atomic.set t.beats.(slot) now
           done;
-          if
-            (Atomic.get job.abort || Atomic.get t.stop)
-            && Atomic.get job.active <= hung_active t
-          then ()
-          else begin
-            Unix.sleepf supervisor.poll_interval_s;
-            watch ()
-          end
-        end
-      in
-      watch ();
-      resolve t job ~supervised:true
+          post t tl job;
+          watch_and_wait t tl job ~hang_timeout_s);
+      if profiling () then tl.run_ns <- tl.run_ns +. (now_ns () -. t_start);
+      resolve t job
     end
 
 type timeline_snapshot = {

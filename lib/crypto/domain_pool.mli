@@ -1,24 +1,34 @@
 (** A dependency-free work pool over [Domain.spawn]: persistent worker
     domains parked on a mutex/condvar queue, fed index-parallel loops.
 
-    Size 1 spawns no domains and runs loops as plain sequential [for] —
-    exactly the single-domain behaviour, with zero synchronization.
+    [size] always counts the domains that claim items. The caller's role
+    is set when the pool is created:
+    - unwatched (no [hang_timeout_s]): the caller and [size - 1] workers
+      claim items and meet at a condvar barrier. Size 1 spawns no
+      domains and runs loops as a plain sequential [for] on the caller.
+    - watched: [size] workers claim items with per-claim heartbeats and
+      the caller only watches for hangs, cancellation and shutdown — one
+      more domain than claimants, so hangs are detected at every size,
+      including 1.
 
-    Batches are abort-safe: a fired cancel token, a shutdown, or (under
-    {!run_supervised}) a worker fault stops further claims, and the
-    barrier waits until no participant can touch another item before the
-    typed outcome is raised — an aborted batch is quiescent, never
-    merely abandoned (DESIGN.md §15). *)
+    Every batch is fail-fast, and an aborted batch is quiescent before
+    its one typed outcome is raised: {!Pool_failure}, [Cancelled] or
+    {!Pool_shutdown} (DESIGN.md §15). *)
 
 type t
 
-(** [create size] spawns [size - 1] persistent worker domains (the caller
-    of {!run} is the remaining participant). [size] is clamped to
-    [\[1, 128\]]. Pools register an [at_exit] {!shutdown} so a forgotten
-    pool cannot hang program termination. *)
-val create : int -> t
+(** [create ?hang_timeout_s size] makes a pool of [size] claimants,
+    clamped to [\[1, 128\]]. Without [hang_timeout_s] it spawns
+    [size - 1] workers (the caller of {!run} is the remaining claimant).
+    With it, it spawns [size] workers and the caller watches: a claimed
+    item silent past [hang_timeout_s] is declared hung (heartbeats are
+    per-claim — one item must finish within the timeout). Pools that
+    spawn workers register an [at_exit] {!shutdown} so a forgotten pool
+    cannot hang program termination. *)
+val create : ?hang_timeout_s:float -> int -> t
 
-(** Total parallelism, including the calling domain. *)
+(** The number of domains that claim items (the watching caller of a
+    watched pool is not counted). *)
 val size : t -> int
 
 (** A worker hung and was abandoned: the pool runs every later batch
@@ -26,7 +36,7 @@ val size : t -> int
     wedged). *)
 val poisoned : t -> bool
 
-(** What went wrong inside a supervised batch. *)
+(** What went wrong inside a batch. *)
 type worker_fault =
   | Item_raised of { item : int; exn : exn }
       (** [f item] raised; the batch was abort-failed (fail-fast) *)
@@ -38,57 +48,29 @@ type worker_fault =
     Raised to the batch caller instead of returning partial results. *)
 exception Pool_shutdown of { unclaimed : int }
 
-(** A supervised batch failed; carries the first {!worker_fault}. *)
+(** A batch failed; carries the first {!worker_fault}. *)
 exception Pool_failure of worker_fault
 
-(** Supervision knobs: a claimed item silent past [hang_timeout_s] is
-    declared hung (heartbeats are per-claim — one item must finish
-    within the timeout); the supervisor samples every
-    [poll_interval_s]. *)
-type supervisor = { hang_timeout_s : float; poll_interval_s : float }
+(** [run t ~n ~f] executes [f i] once for every [i] in [0, n) and
+    returns once every item has finished (a full barrier: the items'
+    writes are published to the caller); an aborted batch runs each item
+    at most once. Items must be mutually
+    independent, and their results must not depend on which domain runs
+    them. On a poisoned or shut-down pool the batch runs sequentially on
+    the caller under the same contract.
 
-(** 10 s hang timeout, 2 ms poll. *)
-val default_supervisor : supervisor
+    The first item exception stops further claims (fail-fast). [cancel]
+    is polled before every item claim: once it fires the batch aborts
+    (claimants stop claiming, running items finish). An unconstrained,
+    unfired token costs two atomic reads per item. Outcomes are raised
+    after quiescence; for [Worker_hung], quiescence nets out the hung
+    worker, which may still be running — the caller must drop, not
+    reuse, any state that worker could touch.
 
-(** [run t ~n ~f] executes [f i] exactly once for every [i] in [0, n),
-    across the pool's domains plus the caller, and returns once every
-    item has finished (a full barrier: the items' writes are published to
-    the caller). Items must be mutually independent. If any [f i] raises,
-    the remaining items still run and the first exception is re-raised in
-    the caller after the barrier.
-
-    [cancel] is polled before every item claim: once it fires the batch
-    aborts (participants stop claiming, running items finish) and the
-    caller raises [Secyan_deadline.Cancelled] after quiescence. An
-    unconstrained, unfired token costs two atomic reads per item.
-
-    @raise Pool_shutdown if {!shutdown} lands mid-batch, after the batch
-    is quiescent. *)
-val run : ?cancel:Secyan_deadline.t -> t -> n:int -> f:(int -> unit) -> unit
-
-(** Like {!run}, but the caller supervises instead of claiming items:
-    workers heartbeat per claim, the first item exception abort-fails
-    the whole batch (fail-fast, unlike {!run}), and a worker silent past
-    [supervisor.hang_timeout_s] poisons the pool and fails the batch as
-    [Worker_hung]. On a poisoned, shut-down, or size-1 pool the batch
-    runs sequentially on the caller with the same fail-fast contract.
-    Determinism note: item results must not depend on which domain runs
-    them (they do not — per-item contexts are seeded by item index), so
-    supervised and plain runs produce bit-identical results.
-
-    @raise Pool_failure with the first fault, after quiescence (for
-    [Worker_hung], quiescence nets out the hung worker, which may still
-    be running — the caller must drop, not reuse, any state that worker
-    could touch).
+    @raise Pool_failure with the first fault.
     @raise Secyan_deadline.Cancelled when [cancel] fired mid-batch.
-    @raise Pool_shutdown as {!run}. *)
-val run_supervised :
-  ?cancel:Secyan_deadline.t ->
-  ?supervisor:supervisor ->
-  t ->
-  n:int ->
-  f:(int -> unit) ->
-  unit
+    @raise Pool_shutdown if {!shutdown} lands mid-batch. *)
+val run : ?cancel:Secyan_deadline.t -> t -> n:int -> f:(int -> unit) -> unit
 
 (** Join the worker domains. Idempotent — a second call, a call racing
     the [at_exit] hook, or a call after a worker-side exception all
@@ -102,17 +84,19 @@ val shutdown : t -> unit
 
 (** {1 Contention profiling}
 
-    Recorded only while [Secyan_metrics.enabled]; with metrics off the
-    pool never reads a clock (supervised batches excepted — supervision
-    is clock-based by nature). *)
+    Recorded only while [Secyan_metrics.enabled]; with metrics off an
+    unwatched pool never reads a clock (watching is clock-based by
+    nature). *)
 
 (** One participant's accumulated timeline. [domain] 0 is the calling
-    domain; workers are 1 .. size-1. For workers [wall_ns] is the time
+    domain; workers are 1 .. size-1 (unwatched) or 1 .. size (watched,
+    where the caller claims no items). For workers [wall_ns] is the time
     since the domain was spawned (or since {!reset_timelines}); for the
-    caller it is the total time spent inside {!run}. While profiling,
-    busy + queue-wait + lock-wait accounts for a participant's wall
-    clock (workers spend the rest of their lives parked, which counts
-    as queue-wait). *)
+    caller it is the total time spent inside {!run}, sequential batches
+    included. While profiling, busy + queue-wait + lock-wait accounts
+    for a participant's wall clock (workers spend the rest of their
+    lives parked, and a watching caller its batches watching, which
+    both count as queue-wait). *)
 type timeline_snapshot = {
   domain : int;
   busy_ns : float;        (** running items *)

@@ -12,8 +12,8 @@
 
     The injection point is [Gc_protocol.map_batch]'s per-item wrapper,
     which calls {!fire} on the claiming domain before running the item —
-    so a [raise] exercises the fail-fast path, a [hang] the heartbeat
-    supervisor, and an [alloc] the memory-budget guard, all through the
+    so a [raise] exercises the fail-fast path, a [hang] the watching
+    caller of a watched pool, and an [alloc] the memory-budget guard, all through the
     exact production code paths. Disarmed, {!fire} is one branch on an
     armed flag. *)
 

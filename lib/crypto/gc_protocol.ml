@@ -284,7 +284,7 @@ let () =
 let m_supervision_failures =
   lazy
     (Secyan_metrics.counter
-       ~help:"supervised GC batches failed (item fault, hang, or shutdown)"
+       ~help:"GC batches failed (item fault, hang, or shutdown)"
        "secyan_supervision_failures_total")
 
 (* The per-item contexts of a batch over [ctx]: the expensive allocated
@@ -340,13 +340,15 @@ let prepare_item_ctxs ctx n : Context.t array =
 
    Each item gets a private context (see [prepare_item_ctxs]): a noop
    sink, and a private ledger and PRGs whose state is a function of the
-   item index alone. Item 0 runs on the caller — its result seeds the
-   result array, so no [Option] box is ever created per item — and the
-   remaining items fan out over the pool. After the barrier one
-   [Context.absorb] folds the item ledgers into the parent: sums are
-   order-independent, so tallies, span counters, and registry totals are
-   bit-identical for every pool size, including 1. Item code must not
-   open spans (the item sink ignores them). *)
+   item index alone. After the barrier one [Context.absorb] folds the
+   item ledgers into the parent: sums are order-independent, so tallies,
+   span counters, and registry totals are bit-identical for every pool
+   size, including 1, watched or not. Results live in a fresh [Option]
+   array (not the recycled cache), so a straggler's late write after an
+   abort can never corrupt a later batch's results. Every pool fault
+   surfaces as the typed {!Supervision_error} naming the protocol phase;
+   cancellation surfaces as itself. Item code must not open spans (the
+   item sink ignores them). *)
 let map_batch ctx ~n (f : Context.t -> int -> 'a) : 'a array =
   if n = 0 then [||]
   else begin
@@ -380,66 +382,34 @@ let map_batch ctx ~n (f : Context.t -> int -> 'a) : 'a array =
         Garbling.Arena.reset (Garbling.Arena.current ());
         raise e
     in
+    let slots = Array.make n None in
+    let fail item cause =
+      Secyan_metrics.add (Lazy.force m_supervision_failures) 1;
+      raise (Supervision_error { phase = ctx.Context.current_label; item; cause })
+    in
+    (match
+       Domain_pool.run ~cancel:ctx.Context.cancel (Context.pool ctx) ~n
+         ~f:(fun i -> slots.(i) <- Some (run_item i))
+     with
+    | () -> ()
+    | exception
+        Domain_pool.Pool_failure
+          (Domain_pool.Item_raised { exn = Secyan_deadline.Cancelled _ as exn; _ }) ->
+        raise exn
+    | exception Domain_pool.Pool_failure (Domain_pool.Item_raised { item; exn }) ->
+        fail (fault_base + item) (Batch_item_raised { message = Printexc.to_string exn })
+    | exception Domain_pool.Pool_failure (Domain_pool.Worker_hung { slot; item; silent_s })
+      ->
+        (* The hung worker may eventually resume and write into its
+           recycled per-item context; drop the whole cache so no later
+           batch can reuse state it might touch. The pool itself is
+           already poisoned (sequential from here on). *)
+        ctx.Context.batch_ctxs <- [||];
+        fail (fault_base + item) (Batch_worker_hung { slot; silent_s })
+    | exception Domain_pool.Pool_shutdown { unclaimed } ->
+        fail (-1) (Batch_shutdown { unclaimed }));
     let results =
-      match ctx.Context.supervisor with
-      | None ->
-          (* Plain path: item 0 runs on the caller — its result seeds the
-             array, so no per-item [Option] box — and the rest fan out
-             over the pool, which polls the cancel token per claim. *)
-          let results = Array.make n (run_item 0) in
-          if n > 1 then
-            Domain_pool.run ~cancel:ctx.Context.cancel (Context.pool ctx)
-              ~n:(n - 1)
-              ~f:(fun i -> results.(i + 1) <- run_item (i + 1));
-          results
-      | Some supervisor ->
-          (* Supervised path: the caller watches heartbeats instead of
-             claiming items, the first fault abort-fails the batch, and
-             every fault surfaces as the typed {!Supervision_error}
-             naming the protocol phase. Results live in a fresh [Option]
-             array (not the recycled cache), so a straggler's late write
-             after an abort can never corrupt a later batch's results. *)
-          let slots = Array.make n None in
-          (try
-             Domain_pool.run_supervised ~cancel:ctx.Context.cancel ~supervisor
-               (Context.pool ctx) ~n
-               ~f:(fun i -> slots.(i) <- Some (run_item i))
-           with
-          | Domain_pool.Pool_failure fault -> (
-              Secyan_metrics.add (Lazy.force m_supervision_failures) 1;
-              let phase = ctx.Context.current_label in
-              match fault with
-              | Domain_pool.Item_raised { item; exn } -> (
-                  match exn with
-                  | Secyan_deadline.Cancelled _ ->
-                      (* cancellation is not a supervision failure *)
-                      raise exn
-                  | _ ->
-                      raise
-                        (Supervision_error
-                           { phase; item = fault_base + item;
-                             cause = Batch_item_raised
-                                 { message = Printexc.to_string exn } }))
-              | Domain_pool.Worker_hung { slot; item; silent_s } ->
-                  (* The hung worker may eventually resume and write into
-                     its recycled per-item context; drop the whole cache
-                     so no later batch can reuse state it might touch.
-                     The pool itself is already poisoned (sequential from
-                     here on). *)
-                  ctx.Context.batch_ctxs <- [||];
-                  raise
-                    (Supervision_error
-                       { phase; item = fault_base + item;
-                         cause = Batch_worker_hung { slot; silent_s } }))
-          | Domain_pool.Pool_shutdown { unclaimed } ->
-              Secyan_metrics.add (Lazy.force m_supervision_failures) 1;
-              raise
-                (Supervision_error
-                   { phase = ctx.Context.current_label; item = -1;
-                     cause = Batch_shutdown { unclaimed } }));
-          Array.map
-            (function Some r -> r | None -> assert false (* barrier: all ran *))
-            slots
+      Array.map (function Some r -> r | None -> assert false (* barrier: all ran *)) slots
     in
     Context.absorb ctx item_ctxs;
     if metrics_on then begin

@@ -24,7 +24,7 @@ val circuit :
   build:(Boolean_circuit.Builder.b -> Circuits.word array -> Circuits.word list) ->
   Boolean_circuit.t
 
-(** Why a supervised batch failed (DESIGN.md §15). *)
+(** Why a batch failed (DESIGN.md §15). *)
 type supervision_cause =
   | Batch_item_raised of { message : string }
       (** an item raised; the batch was abort-failed fail-fast *)
@@ -37,13 +37,13 @@ type supervision_cause =
 
 val supervision_cause_to_string : supervision_cause -> string
 
-(** A supervised batch failed. [phase] is the protocol span the batch ran
-    under (e.g. ["gc:shares"]); [item] the faulting global batch item
-    ([-1] when no single item is at fault). Raised only when the owning
-    context has a supervisor attached; cancellation raises
-    [Secyan_deadline.Cancelled] instead, never this. The context stays usable:
-    a subsequent query on it runs correctly (sequentially, if the pool
-    was poisoned). *)
+(** A batch failed. [phase] is the protocol span the batch ran under
+    (e.g. ["gc:shares"]); [item] the faulting global batch item ([-1]
+    when no single item is at fault). Hangs are detected only when the
+    context was created with a hang timeout; cancellation raises
+    [Secyan_deadline.Cancelled] instead, never this. The context stays
+    usable: a subsequent query on it runs correctly (sequentially, if
+    the pool was poisoned). *)
 exception
   Supervision_error of { phase : string; item : int; cause : supervision_cause }
 

@@ -22,9 +22,9 @@ let ring_bits = 52
 let semiring = Semiring.ring ~bits:ring_bits
 
 let context ?(gc_backend = Context.Sim) ?(domains = 1) ?transport ?checkpoint ?cancel
-    ?supervisor ~seed () =
+    ?hang_timeout_s ~seed () =
   Context.create ~bits:ring_bits ~gc_backend ~domains ?transport ?checkpoint ?cancel
-    ?supervisor ~seed ()
+    ?hang_timeout_s ~seed ()
 
 (* --- relation shaping helpers ------------------------------------- *)
 

@@ -18,13 +18,13 @@ val semiring : Semiring.t
     bit-identical for every value); [transport] attaches a real framed
     channel behind the communication accounting (default: pure
     simulation); [checkpoint] attaches a durable snapshot stream for
-    checkpoint/resume (default: none); [cancel]/[supervisor] thread the
-    robustness layer through (default: unconstrained token, no
-    supervision — see DESIGN.md §15). *)
+    checkpoint/resume (default: none); [cancel]/[hang_timeout_s] thread the
+    robustness layer through (default: unconstrained token, unwatched
+    pool — see DESIGN.md §15). *)
 val context :
   ?gc_backend:Context.gc_backend -> ?domains:int ->
   ?transport:Secyan_net.Resilient.t -> ?checkpoint:Checkpoint.sink ->
-  ?cancel:Secyan_deadline.t -> ?supervisor:Domain_pool.supervisor ->
+  ?cancel:Secyan_deadline.t -> ?hang_timeout_s:float ->
   seed:int64 -> unit -> Context.t
 
 (** {2 Relation shaping helpers} (shared with {!Extra_queries}) *)

@@ -477,22 +477,38 @@ let gc_random_agreement =
 
 let test_pool_covers_indices () =
   List.iter
-    (fun size ->
-      let pool = Domain_pool.create size in
+    (fun (size, hang_timeout_s) ->
+      let pool = Domain_pool.create ?hang_timeout_s size in
       let n = 1000 in
       let hits = Array.make n 0 in
       Domain_pool.run pool ~n ~f:(fun i -> hits.(i) <- hits.(i) + 1);
       Domain_pool.shutdown pool;
       Alcotest.(check bool)
-        (Printf.sprintf "each index exactly once (size %d)" size)
+        (Printf.sprintf "each index exactly once (size %d%s)" size
+           (if hang_timeout_s = None then "" else ", watched"))
         true
         (Array.for_all (fun h -> h = 1) hits))
-    [ 1; 2; 4 ]
+    [ (1, None); (2, None); (4, None); (1, Some 10.); (2, Some 10.) ]
+
+(* A failing item surfaces as the typed [Item_raised]. Items that do
+   not fail take 0.5 ms so the fail-fast abort reliably lands first. *)
+let check_item_raised ~msg ?item f =
+  match f () with
+  | () -> Alcotest.fail "the item exception must fail the batch"
+  | exception Domain_pool.Pool_failure (Domain_pool.Item_raised { item = i; exn }) ->
+      Option.iter (fun item -> Alcotest.(check int) "faulting item named" item i) item;
+      Alcotest.(check bool) "original exception carried" true (exn = Failure msg)
+  | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
 
 let test_pool_propagates_exn () =
   let pool = Domain_pool.create 3 in
-  Alcotest.check_raises "worker exception resurfaces" (Failure "boom") (fun () ->
-      Domain_pool.run pool ~n:64 ~f:(fun i -> if i = 17 then failwith "boom"));
+  let ran = Atomic.make 0 in
+  check_item_raised ~msg:"boom" ~item:17 (fun () ->
+      Domain_pool.run pool ~n:64 ~f:(fun i ->
+          Atomic.incr ran;
+          if i = 17 then failwith "boom" else Unix.sleepf 0.0005));
+  Alcotest.(check bool) "fail-fast skipped the tail" true (Atomic.get ran < 64);
+  Alcotest.(check bool) "an item fault does not poison" false (Domain_pool.poisoned pool);
   (* the pool survives a failed batch *)
   let total = Atomic.make 0 in
   Domain_pool.run pool ~n:10 ~f:(fun i -> ignore (Atomic.fetch_and_add total i));
@@ -504,7 +520,7 @@ let test_pool_shutdown_after_worker_exn () =
      (not only on the calling domain); the pool must neither wedge on
      shutdown nor leak its domains. *)
   let pool = Domain_pool.create 4 in
-  Alcotest.check_raises "all-raise batch resurfaces" (Failure "every item dies") (fun () ->
+  check_item_raised ~msg:"every item dies" (fun () ->
       Domain_pool.run pool ~n:128 ~f:(fun _ -> failwith "every item dies"));
   Domain_pool.shutdown pool;
   (* domains were joined, not leaked: a fresh full-size pool spawns and
@@ -518,7 +534,7 @@ let test_pool_shutdown_after_worker_exn () =
 let test_context_shutdown_pool_after_failing_batch () =
   let ctx = Context.create ~domains:3 ~seed:11L () in
   let pool = Context.pool ctx in
-  Alcotest.check_raises "failing batch resurfaces" (Failure "batch dies") (fun () ->
+  check_item_raised ~msg:"batch dies" (fun () ->
       Domain_pool.run pool ~n:32 ~f:(fun i -> if i land 1 = 0 then failwith "batch dies"));
   (* the failed batch left no job pending: shutdown joins promptly *)
   Context.shutdown_pool ctx;
@@ -536,50 +552,71 @@ let test_pool_shutdown_idempotent () =
   Domain_pool.run pool ~n:8 ~f:(fun i -> hits.(i) <- true);
   Alcotest.(check bool) "sequential fallback after shutdown" true (Array.for_all Fun.id hits)
 
+(* Every participant's busy + waits accounts for its wall clock, for
+   both caller roles and the sequential loop: an unwatched pool (the
+   caller claims), a watched pool of size k (k claiming workers plus the
+   watching caller, which claims nothing), and an unwatched size-1 pool
+   (sequential, all on the caller). *)
 let test_pool_timelines_account_wall () =
   let was = Secyan_metrics.enabled () in
   Secyan_metrics.set_enabled true;
   Fun.protect ~finally:(fun () -> Secyan_metrics.set_enabled was) @@ fun () ->
-  let pool = Domain_pool.create 2 in
-  Domain_pool.run pool ~n:12 ~f:(fun i ->
-      ignore (Sys.opaque_identity (Array.init ((i * 53 mod 400) + 100) Fun.id)));
-  let tls = Domain_pool.timelines pool in
-  Alcotest.(check int) "one timeline per participant" 2 (List.length tls);
-  Alcotest.(check int) "every item accounted" 12
-    (List.fold_left (fun acc tl -> acc + tl.Domain_pool.items) 0 tls);
   List.iter
-    (fun tl ->
-      let accounted =
-        tl.Domain_pool.busy_ns +. tl.Domain_pool.queue_wait_ns
-        +. tl.Domain_pool.lock_wait_ns
+    (fun (size, hang_timeout_s, participants) ->
+      let label =
+        Printf.sprintf "size %d%s" size (if hang_timeout_s = None then "" else " watched")
       in
-      (* busy + waits accounts for the wall clock (5% slack plus 1ms of
-         clock-read noise on very short runs) *)
-      Alcotest.(check bool)
-        (Printf.sprintf "domain %d accounted <= wall" tl.Domain_pool.domain)
-        true
-        (accounted <= (tl.Domain_pool.wall_ns *. 1.05) +. 1e6);
-      if tl.Domain_pool.items > 0 then begin
-        Alcotest.(check bool) "claimed at least one batch" true (tl.Domain_pool.batches >= 1);
-        Alcotest.(check bool) "busy time recorded" true (tl.Domain_pool.busy_ns > 0.)
-      end)
-    tls;
-  Domain_pool.reset_timelines pool;
-  List.iter
-    (fun tl ->
-      Alcotest.(check int) "items zeroed" 0 tl.Domain_pool.items;
-      Alcotest.(check int) "batches zeroed" 0 tl.Domain_pool.batches;
-      Alcotest.(check (float 0.)) "busy zeroed" 0. tl.Domain_pool.busy_ns)
-    (Domain_pool.timelines pool);
-  (* timelines survive shutdown without error, and record nothing while
-     metrics are disabled *)
-  Secyan_metrics.set_enabled false;
-  Domain_pool.reset_timelines pool;
-  Domain_pool.run pool ~n:4 ~f:(fun _ -> ());
-  List.iter
-    (fun tl -> Alcotest.(check int) "disabled records no items" 0 tl.Domain_pool.items)
-    (Domain_pool.timelines pool);
-  Domain_pool.shutdown pool
+      let pool = Domain_pool.create ?hang_timeout_s size in
+      Alcotest.(check int) (label ^ ": size counts claimants") size (Domain_pool.size pool);
+      Domain_pool.run pool ~n:12 ~f:(fun i ->
+          ignore (Sys.opaque_identity (Array.init ((i * 53 mod 400) + 100) Fun.id)));
+      let tls = Domain_pool.timelines pool in
+      Alcotest.(check int) (label ^ ": one timeline per participant") participants
+        (List.length tls);
+      Alcotest.(check int) (label ^ ": every item accounted") 12
+        (List.fold_left (fun acc tl -> acc + tl.Domain_pool.items) 0 tls);
+      let caller = List.hd tls in
+      Alcotest.(check bool) (label ^ ": caller wall recorded") true
+        (caller.Domain_pool.wall_ns > 0.);
+      if hang_timeout_s <> None then
+        Alcotest.(check int) (label ^ ": watching caller claims nothing") 0
+          caller.Domain_pool.items;
+      List.iter
+        (fun tl ->
+          let accounted =
+            tl.Domain_pool.busy_ns +. tl.Domain_pool.queue_wait_ns
+            +. tl.Domain_pool.lock_wait_ns
+          in
+          (* busy + waits accounts for the wall clock (5% slack plus 1ms of
+             clock-read noise on very short runs) *)
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: domain %d accounted <= wall" label tl.Domain_pool.domain)
+            true
+            (accounted <= (tl.Domain_pool.wall_ns *. 1.05) +. 1e6);
+          if tl.Domain_pool.items > 0 then begin
+            Alcotest.(check bool) "claimed at least one batch" true
+              (tl.Domain_pool.batches >= 1);
+            Alcotest.(check bool) "busy time recorded" true (tl.Domain_pool.busy_ns > 0.)
+          end)
+        tls;
+      Domain_pool.reset_timelines pool;
+      List.iter
+        (fun tl ->
+          Alcotest.(check int) "items zeroed" 0 tl.Domain_pool.items;
+          Alcotest.(check int) "batches zeroed" 0 tl.Domain_pool.batches;
+          Alcotest.(check (float 0.)) "busy zeroed" 0. tl.Domain_pool.busy_ns)
+        (Domain_pool.timelines pool);
+      (* timelines survive shutdown without error, and record nothing while
+         metrics are disabled *)
+      Secyan_metrics.set_enabled false;
+      Domain_pool.reset_timelines pool;
+      Domain_pool.run pool ~n:4 ~f:(fun _ -> ());
+      List.iter
+        (fun tl -> Alcotest.(check int) "disabled records no items" 0 tl.Domain_pool.items)
+        (Domain_pool.timelines pool);
+      Secyan_metrics.set_enabled true;
+      Domain_pool.shutdown pool)
+    [ (2, None, 2); (2, Some 10., 3); (1, Some 10., 2); (1, None, 1) ]
 
 (* ------------------------------------------------------------------ *)
 (* Parallel batches: determinism across pool sizes, agreement across

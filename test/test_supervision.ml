@@ -165,7 +165,7 @@ let test_fault_spec_parse () =
 (* ------------------------------------------------------------------ *)
 (* Pool batches: cancel, shutdown, fail-fast, hang                    *)
 
-let fast_supervisor = { Domain_pool.hang_timeout_s = 0.25; poll_interval_s = 0.002 }
+let fast_timeout = 0.25
 
 let per_item_counts n = Array.init n (fun _ -> Atomic.make 0)
 
@@ -234,73 +234,65 @@ let test_pool_shutdown_mid_batch_typed () =
   Domain_pool.run pool ~n:32 ~f:(fun _ -> Atomic.incr again);
   Alcotest.(check int) "sequential fallback ran everything" 32 (Atomic.get again)
 
+(* Every batch is fail-fast with the typed [Item_raised], watched or
+   not: the faulting item is named, the tail is skipped, the pool is not
+   poisoned, and it runs later batches. Non-faulting items take 1 ms so
+   the abort reliably lands before the index space is exhausted. *)
 let test_supervised_fail_fast_vs_plain () =
-  let pool = Domain_pool.create 2 in
-  Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
-  (* plain run: the historical contract — every item still runs, the
-     first exception is re-raised after the barrier *)
-  let plain = per_item_counts 64 in
-  (match
-     Domain_pool.run pool ~n:64 ~f:(fun i ->
-         Atomic.incr plain.(i);
-         if i = 3 then failwith "boom")
-   with
-  | () -> Alcotest.fail "the item exception must surface"
-  | exception Failure msg when msg = "boom" -> ()
-  | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e));
-  Alcotest.(check int) "plain run still ran every item" 64
-    (Array.fold_left (fun a c -> a + Atomic.get c) 0 plain);
-  (* supervised run: fail-fast — the batch aborts at the first fault *)
-  let sup = per_item_counts 64 in
-  (match
-     Domain_pool.run_supervised pool ~supervisor:fast_supervisor ~n:64 ~f:(fun i ->
-         Atomic.incr sup.(i);
-         if i = 3 then failwith "boom")
-   with
-  | () -> Alcotest.fail "the fault must fail the batch"
-  | exception Domain_pool.Pool_failure (Domain_pool.Item_raised { item; exn }) ->
-      Alcotest.(check int) "faulting item identified" 3 item;
-      Alcotest.(check bool) "original exception carried" true
-        (match exn with Failure msg -> msg = "boom" | _ -> false)
-  | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e));
-  check_no_item_ran_twice sup;
-  Alcotest.(check bool) "fail-fast skipped the tail" true
-    (Array.fold_left (fun a c -> a + Atomic.get c) 0 sup < 64);
-  Alcotest.(check bool) "an item fault does not poison the pool" false
-    (Domain_pool.poisoned pool);
-  (* and the pool still runs supervised batches *)
-  let again = Atomic.make 0 in
-  Domain_pool.run_supervised pool ~supervisor:fast_supervisor ~n:16 ~f:(fun _ ->
-      Atomic.incr again);
-  Alcotest.(check int) "pool usable after fault" 16 (Atomic.get again)
+  List.iter
+    (fun (label, hang_timeout_s) ->
+      let pool = Domain_pool.create ?hang_timeout_s 2 in
+      Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
+      let counts = per_item_counts 64 in
+      (match
+         Domain_pool.run pool ~n:64 ~f:(fun i ->
+             Atomic.incr counts.(i);
+             if i = 3 then failwith "boom" else Unix.sleepf 0.001)
+       with
+      | () -> Alcotest.failf "%s: the fault must fail the batch" label
+      | exception Domain_pool.Pool_failure (Domain_pool.Item_raised { item; exn }) ->
+          Alcotest.(check int) (label ^ ": faulting item identified") 3 item;
+          Alcotest.(check bool) (label ^ ": original exception carried") true
+            (match exn with Failure msg -> msg = "boom" | _ -> false)
+      | exception e -> Alcotest.failf "%s: wrong exception: %s" label (Printexc.to_string e));
+      check_no_item_ran_twice counts;
+      Alcotest.(check bool) (label ^ ": fail-fast skipped the tail") true
+        (Array.fold_left (fun a c -> a + Atomic.get c) 0 counts < 64);
+      Alcotest.(check bool) (label ^ ": an item fault does not poison the pool") false
+        (Domain_pool.poisoned pool);
+      let again = Atomic.make 0 in
+      Domain_pool.run pool ~n:16 ~f:(fun _ -> Atomic.incr again);
+      Alcotest.(check int) (label ^ ": pool usable after fault") 16 (Atomic.get again))
+    [ ("unwatched", None); ("watched", Some fast_timeout) ]
 
+(* Watching adds a domain instead of removing a claimant, so a watched
+   pool detects hangs at every size, including 1. *)
 let test_supervised_hang_poisons_pool () =
   with_watchdog ~seconds:60.0 "hang-detection" @@ fun () ->
-  let pool = Domain_pool.create 2 in
-  Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
-  (match
-     Domain_pool.run_supervised pool ~supervisor:fast_supervisor ~n:8 ~f:(fun i ->
-         if i = 0 then Unix.sleepf 2.0)
-   with
-  | () -> Alcotest.fail "the hang must fail the batch"
-  | exception Domain_pool.Pool_failure (Domain_pool.Worker_hung { item; silent_s; _ }) ->
-      Alcotest.(check int) "hung item identified" 0 item;
-      Alcotest.(check bool) "silence at least the timeout" true (silent_s >= 0.2)
-  | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e));
-  Alcotest.(check bool) "pool poisoned" true (Domain_pool.poisoned pool);
-  (* graceful degradation: later batches run sequentially on the caller *)
-  let again = Atomic.make 0 in
-  Domain_pool.run_supervised pool ~supervisor:fast_supervisor ~n:16 ~f:(fun _ ->
-      Atomic.incr again);
-  Alcotest.(check int) "sequential fallback after poisoning" 16 (Atomic.get again)
+  List.iter
+    (fun size ->
+      let pool = Domain_pool.create ~hang_timeout_s:fast_timeout size in
+      Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
+      (match Domain_pool.run pool ~n:8 ~f:(fun i -> if i = 0 then Unix.sleepf 2.0) with
+      | () -> Alcotest.failf "size %d: the hang must fail the batch" size
+      | exception Domain_pool.Pool_failure (Domain_pool.Worker_hung { item; silent_s; _ }) ->
+          Alcotest.(check int) "hung item identified" 0 item;
+          Alcotest.(check bool) "silence at least the timeout" true (silent_s >= 0.2)
+      | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e));
+      Alcotest.(check bool) "pool poisoned" true (Domain_pool.poisoned pool);
+      (* graceful degradation: later batches run sequentially on the caller *)
+      let again = Atomic.make 0 in
+      Domain_pool.run pool ~n:16 ~f:(fun _ -> Atomic.incr again);
+      Alcotest.(check int) "sequential fallback after poisoning" 16 (Atomic.get again))
+    [ 1; 2 ]
 
 let test_supervised_cancel_wins_over_failure_free_abort () =
-  let pool = Domain_pool.create 2 in
+  let pool = Domain_pool.create ~hang_timeout_s:fast_timeout 2 in
   Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
   let tok = Secyan_deadline.never () in
   (match
-     Domain_pool.run_supervised ~cancel:tok pool ~supervisor:fast_supervisor ~n:64
-       ~f:(fun i -> if i = 2 then ignore (Secyan_deadline.cancel tok (Secyan_deadline.User "halt")))
+     Domain_pool.run ~cancel:tok pool ~n:64 ~f:(fun i ->
+         if i = 2 then ignore (Secyan_deadline.cancel tok (Secyan_deadline.User "halt")))
    with
   | () -> Alcotest.fail "the fired token must abort the batch"
   | exception Secyan_deadline.Cancelled { reason = Secyan_deadline.User "halt"; _ } -> ()
@@ -332,8 +324,8 @@ let compute_fault_name = function
   | Deadline_expiry -> "deadline-expiry"
   | Over_budget -> "over-budget"
 
-let run_fault_case ~qname ~make ~fault () =
-  let name = Printf.sprintf "%s/%s" qname (compute_fault_name fault) in
+let run_fault_case ~qname ~make ~domains ~fault () =
+  let name = Printf.sprintf "%s/%s/domains:%d" qname (compute_fault_name fault) domains in
   with_watchdog ~seconds:120.0 name @@ fun () ->
   let d = xs () in
   let q = make d in
@@ -347,7 +339,7 @@ let run_fault_case ~qname ~make ~fault () =
   | Worker_raise -> Fault_inject.arm [ (0, Fault_inject.Raise) ]
   | Worker_hang -> Fault_inject.arm [ (0, Fault_inject.Hang 2.0) ]
   | Deadline_expiry | Over_budget -> Fault_inject.disarm ());
-  let ctx = Queries.context ~domains:2 ~cancel ~supervisor:fast_supervisor ~seed:99L () in
+  let ctx = Queries.context ~domains ~cancel ~hang_timeout_s:fast_timeout ~seed:99L () in
   Fun.protect
     ~finally:(fun () ->
       Fault_inject.disarm ();
@@ -394,27 +386,39 @@ let fault_matrix_cases =
           Alcotest.test_case
             (Printf.sprintf "%s under %s" qname (compute_fault_name fault))
             `Slow
-            (run_fault_case ~qname ~make ~fault))
-        [ Worker_raise; Worker_hang; Deadline_expiry; Over_budget ])
+            (run_fault_case ~qname ~make ~domains:2 ~fault))
+        [ Worker_raise; Worker_hang; Deadline_expiry; Over_budget ]
+      @ [
+          Alcotest.test_case
+            (Printf.sprintf "%s under %s (domains:1)" qname (compute_fault_name Worker_hang))
+            `Slow
+            (run_fault_case ~qname ~make ~domains:1 ~fault:Worker_hang);
+        ])
     matrix_queries
 
-(* Supervision must be observationally free: supervised and plain runs
-   of the same query are bit-identical in result and tally. *)
+(* Watching must be observationally free: watched and unwatched runs of
+   the same query are bit-identical in result and tally, and so is a
+   watched size-1 pool (one worker claiming while the caller watches). *)
 let test_supervised_run_bit_identical () =
   with_watchdog ~seconds:120.0 "supervised-bit-identity" @@ fun () ->
   let d = xs () in
   let q = Queries.q3 d in
-  let run ?supervisor () =
-    let ctx = Queries.context ~domains:2 ?supervisor ~seed:99L () in
+  let run ~domains ?hang_timeout_s () =
+    let ctx = Queries.context ~domains ?hang_timeout_s ~seed:99L () in
     Fun.protect ~finally:(fun () -> close ctx) @@ fun () ->
     let revealed, stats = Secyan.Secure_yannakakis.run ctx q in
     ( project_content q.Secyan.Query.output revealed,
       stats.Secyan.Secure_yannakakis.tally )
   in
-  let plain_rel, plain_tally = run () in
-  let sup_rel, sup_tally = run ~supervisor:Domain_pool.default_supervisor () in
-  Alcotest.(check (list (pair string int64))) "same revealed result" plain_rel sup_rel;
-  Alcotest.(check bool) "tally bit-identical" true (Comm.equal plain_tally sup_tally)
+  let plain_rel, plain_tally = run ~domains:2 () in
+  List.iter
+    (fun (label, domains) ->
+      let rel, tally = run ~domains ~hang_timeout_s:10. () in
+      Alcotest.(check (list (pair string int64))) (label ^ ": same revealed result")
+        plain_rel rel;
+      Alcotest.(check bool) (label ^ ": tally bit-identical") true
+        (Comm.equal plain_tally tally))
+    [ ("watched, 2 domains", 2); ("watched, 1 domain", 1) ]
 
 (* ------------------------------------------------------------------ *)
 
