@@ -3,6 +3,8 @@
 
      secyan_cli run --query q3 --scale m
      secyan_cli run --query q9 --sf 0.0004 --backend real --verify
+     secyan_cli run --sql "SELECT c_mktsegment, COUNT(*) FROM customer, orders
+       WHERE customer.custkey = orders.custkey GROUP BY c_mktsegment" --verify
      secyan_cli plan --query q18 --scale xs
      secyan_cli estimate --query q3 --scale l
      secyan_cli generate --scale s *)
@@ -25,11 +27,25 @@ let seed_arg =
   let doc = "Random seed for data generation and the protocol." in
   Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"SEED" ~doc)
 
+let figure_queries = [ ("q3", `Q3); ("q10", `Q10); ("q18", `Q18); ("q8", `Q8); ("q9", `Q9) ]
+
 let query_arg =
   let doc = "Query: q3, q10, q18, q8 or q9." in
-  Arg.(required & opt (some (enum
-    [ ("q3", `Q3); ("q10", `Q10); ("q18", `Q18); ("q8", `Q8); ("q9", `Q9) ]))
-    None & info [ "q"; "query" ] ~docv:"QUERY" ~doc)
+  Arg.(required & opt (some (enum figure_queries)) None
+    & info [ "q"; "query" ] ~docv:"QUERY" ~doc)
+
+let run_query_arg =
+  let doc = "Figure query: q3, q10, q18, q8 or q9. Give exactly one of --query and --sql." in
+  Arg.(value & opt (some (enum figure_queries)) None
+    & info [ "q"; "query" ] ~docv:"QUERY" ~doc)
+
+let sql_arg =
+  let doc =
+    "Run the ad-hoc SQL $(docv) over the TPC-H catalog (odd tables owned by Alice, even \
+     by Bob), including ORDER BY / LIMIT as an oblivious top-k phase. Give exactly one \
+     of --query and --sql."
+  in
+  Arg.(value & opt (some string) None & info [ "sql" ] ~docv:"STATEMENT" ~doc)
 
 let backend_arg =
   let doc = "Garbled-circuit backend: sim (default; cost-exact simulation) or real \
@@ -67,10 +83,13 @@ let trace_out_arg =
 
 let metrics_arg =
   let doc =
-    "Enable the metrics registry (counters, gauges, histograms recorded in the crypto \
-     and transport hot paths) and export a snapshot after the run. $(docv) is \
-     $(b,pretty) (aligned table, the default), $(b,jsonl) (one JSON object per metric \
-     per line) or $(b,prometheus) (Prometheus text exposition format)."
+    "Export a metrics snapshot after the run: the run's ledger totals as \
+     $(b,secyan_<counter>_total) counters (equal to the cost line, work restored by \
+     --resume included), plus the metrics registry this flag enables (pool, \
+     supervision, arena, schema and wire counters, histograms and gauges recorded in \
+     the crypto and transport hot paths). $(docv) is $(b,pretty) (aligned table, the \
+     default), $(b,jsonl) (one JSON object per metric per line) or $(b,prometheus) \
+     (Prometheus text exposition format)."
   in
   Arg.(value
     & opt ~vopt:(Some `Pretty)
@@ -176,7 +195,8 @@ let checkpoint_dir_arg =
     "Write a durable protocol-state checkpoint into $(docv) at every phase/operator \
      boundary. A run killed mid-protocol can then be restarted with $(b,--resume); the \
      resumed run's results, communication tallies, and round counts are bit-identical to \
-     an uninterrupted run. Only single-protocol queries (q3, q10, q18) are checkpointable."
+     an uninterrupted run. Only single-protocol queries (q3, q10, q18, --sql) are \
+     checkpointable."
   in
   Arg.(value & opt (some string) None & info [ "checkpoint-dir" ] ~docv:"DIR" ~doc)
 
@@ -290,12 +310,46 @@ let resolve_sf scale sf =
 
 (* --- run ----------------------------------------------------------- *)
 
-let print_rows (r : Relation.t) =
-  let rows = Relation.nonzero r in
+(* The protocol query behind each figure query: q8 and q9 are
+   compositions of several runs, represented here by one inner run
+   (q8's numerator, q9's volume for one nation). *)
+let figure_protocol d = function
+  | `Q3 -> Secyan_tpch.Queries.q3 d
+  | `Q10 -> Secyan_tpch.Queries.q10 d
+  | `Q18 -> Secyan_tpch.Queries.q18 d
+  | `Q8 -> Secyan_tpch.Queries.q8_inner d ~numerator:true
+  | `Q9 -> Secyan_tpch.Queries.q9_inner d ~nationkey:2 ~volume:true
+
+(* The TPC-H tables for [run --sql]: odd tables to Alice, even to Bob,
+   the worst-case partition. *)
+let sql_catalog d =
+  List.mapi
+    (fun i (name, relation) ->
+      ( name,
+        { Secyan_sql.Compiler.relation;
+          owner = (if i mod 2 = 0 then Party.Alice else Party.Bob) } ))
+    [
+      ("customer", d.Secyan_tpch.Datagen.customer);
+      ("orders", d.Secyan_tpch.Datagen.orders);
+      ("lineitem", d.Secyan_tpch.Datagen.lineitem);
+      ("part", d.Secyan_tpch.Datagen.part);
+      ("supplier", d.Secyan_tpch.Datagen.supplier);
+      ("partsupp", d.Secyan_tpch.Datagen.partsupp);
+      ("nation", d.Secyan_tpch.Datagen.nation);
+    ]
+
+(* [Relation.nonzero] preserves physical order, which for ordered
+   queries is the query order produced by the oblivious sort. *)
+let print_rows (q : Secyan.Query.t) (r : Relation.t) =
+  let rows =
+    List.filter_map
+      (fun (t, a) -> Option.map (fun v -> (t, v)) (Semiring.to_value q.Secyan.Query.semiring a))
+      (Relation.nonzero r)
+  in
   Fmt.pr "%d result rows:@." (List.length rows);
   List.iteri
-    (fun i (t, a) ->
-      if i < 25 then Fmt.pr "  %a -> %Ld@." Tuple.pp t a
+    (fun i (t, v) ->
+      if i < 25 then Fmt.pr "  %a -> %Ld@." Tuple.pp t v
       else if i = 25 then Fmt.pr "  ... (%d more)@." (List.length rows - 25))
     rows
 
@@ -310,45 +364,87 @@ let content output (r : Relation.t) =
   |> List.map (fun (t, a) -> (Tuple.repr (Tuple.project r.Relation.schema output t), a))
   |> List.sort compare
 
+(* Print the verdict of a plaintext cross-check; its exit code. *)
+let verdict ?(ordered = false) ok =
+  Fmt.pr "verify vs plaintext%s: %s@." (if ordered then " (ordered)" else "")
+    (if ok then "OK" else "MISMATCH");
+  if ok then 0 else 1
+
+(* Check a protocol query's revealed result against the plaintext
+   oracle: ordered queries row-for-row in query order, unordered ones as
+   sorted multisets. *)
+let verify_query (q : Secyan.Query.t) revealed =
+  let expected = Secyan.Query.plaintext q in
+  let ordered = Secyan.Query.has_order q in
+  verdict ~ordered
+    (if ordered then
+       List.map (fun (t, a) -> (Tuple.repr t, a)) (Secyan.Query.ordered_rows q expected)
+       = List.map (fun (t, a) -> (Tuple.repr t, a)) (Relation.nonzero revealed)
+     else content q.Secyan.Query.output expected = content q.Secyan.Query.output revealed)
+
 (* Validate the checkpoint flags and build the sink. Compositions (q8,
    q9) run several protocol executions over one context, so a single
    checkpoint stream cannot name their restart point — refuse up front
    instead of resuming wrongly. *)
-let make_checkpoint query checkpoint_dir resume =
-  let checkpointable = match query with `Q3 | `Q10 | `Q18 -> true | `Q8 | `Q9 -> false in
+let make_checkpoint source checkpoint_dir resume =
+  let checkpointable =
+    match source with `Sql _ | `Query (`Q3 | `Q10 | `Q18) -> true | `Query (`Q8 | `Q9) -> false
+  in
   match (checkpoint_dir, resume) with
   | None, true -> Error "--resume requires --checkpoint-dir"
   | Some _, _ when not checkpointable ->
       Error
-        "--checkpoint-dir supports the single-protocol queries (q3, q10, q18); q8 and q9 \
-         are compositions of several protocol runs"
+        "--checkpoint-dir supports the single-protocol queries (q3, q10, q18, --sql); q8 \
+         and q9 are compositions of several protocol runs"
   | dir, _ -> Ok (Option.map (fun dir -> Checkpoint.sink ~dir ()) dir)
 
-let run_cmd query scale sf seed backend domains transport chaos chaos_seed malicious
+(* What [run] executes: one protocol query (a figure query or compiled
+   SQL), or one of the two compositions. *)
+let job_of d = function
+  | `Query `Q8 -> Ok `Q8
+  | `Query `Q9 -> Ok `Q9
+  | `Query ((`Q3 | `Q10 | `Q18) as fq) -> Ok (`Protocol (figure_protocol d fq))
+  | `Sql statement -> (
+      match Secyan_sql.Compiler.query (sql_catalog d) statement with
+      | q -> Ok (`Protocol q)
+      | exception Secyan_sql.Compiler.Error msg -> Error ("SQL error: " ^ msg)
+      | exception Secyan_sql.Parser.Error e ->
+          Error ("parse error: " ^ Secyan_sql.Parser.error_message e))
+
+let run_cmd query sql scale sf seed backend domains transport chaos chaos_seed malicious
     checkpoint_dir resume deadline memory_budget fault hang_timeout verify trace trace_out
     metrics metrics_out progress progress_out =
-  match make_transport transport chaos chaos_seed malicious with
-  | Error msg ->
-      Fmt.epr "transport error: %s@." msg;
-      2
-  | Ok tr ->
-  match make_checkpoint query checkpoint_dir resume with
-  | Error msg ->
-      Fmt.epr "checkpoint error: %s@." msg;
-      2
-  | Ok ck ->
+  let ( let* ) = Result.bind in
+  let labelled label = Result.map_error (fun msg -> label ^ ": " ^ msg) in
   match
-    (match fault with
-    | None -> Ok None
-    | Some s -> Result.map Option.some (Fault_inject.parse_spec s))
+    let* source =
+      match (query, sql) with
+      | Some q, None -> Ok (`Query q)
+      | None, Some statement -> Ok (`Sql statement)
+      | _ -> Error "usage error: give exactly one of --query and --sql"
+    in
+    let* tr = labelled "transport error" (make_transport transport chaos chaos_seed malicious) in
+    let* ck = labelled "checkpoint error" (make_checkpoint source checkpoint_dir resume) in
+    let* fault_spec =
+      match fault with
+      | None -> Ok None
+      | Some s -> labelled "fault error" (Result.map Option.some (Fault_inject.parse_spec s))
+    in
+    Ok (source, tr, ck, fault_spec)
   with
   | Error msg ->
-      Fmt.epr "fault error: %s@." msg;
+      Fmt.epr "%s@." msg;
       2
-  | Ok fault_spec ->
+  | Ok (source, tr, ck, fault_spec) ->
   let sf = resolve_sf scale sf in
   let d = Secyan_tpch.Datagen.generate ~sf ~seed in
   Fmt.pr "dataset: sf=%g (%d total rows)@." sf (Secyan_tpch.Datagen.total_rows d);
+  match job_of d source with
+  | Error msg ->
+      Fmt.epr "%s@." msg;
+      Option.iter Secyan_net.Resilient.close tr;
+      1
+  | Ok job ->
   (* The robustness layer: a cancel token carrying the deadline/memory
      budget, and a watched pool whenever any of the fault-tolerance flags
      is in play (watching changes no result, only how failures
@@ -364,9 +460,15 @@ let run_cmd query scale sf seed backend domains transport chaos chaos_seed malic
     else hang_timeout
   in
   Option.iter Fault_inject.arm fault_spec;
+  (* the query's annotation ring; the compositions use the TPC-H one *)
+  let bits =
+    match job with
+    | `Protocol q -> Semiring.bits q.Secyan.Query.semiring
+    | `Q8 | `Q9 -> Secyan_tpch.Queries.ring_bits
+  in
   let ctx =
-    Secyan_tpch.Queries.context ~gc_backend:backend ~domains ?transport:tr ?checkpoint:ck
-      ~cancel ?hang_timeout_s ~seed ()
+    Context.create ~bits ~gc_backend:backend ~domains ?transport:tr ?checkpoint:ck ~cancel
+      ?hang_timeout_s ~seed ()
   in
   if metrics <> None then Secyan_obs.Metrics.set_enabled true;
   (* Attach the per-phase GC sampler and the live progress reporter
@@ -406,45 +508,54 @@ let run_cmd query scale sf seed backend domains transport chaos chaos_seed malic
         (match metrics_out with
         | None ->
             Fmt.pr "@.";
-            Secyan_obs.Metrics.export format Format.std_formatter
+            Secyan_obs.Metrics.export ~ledger:ctx format Format.std_formatter
         | Some file ->
             let oc = open_out file in
-            Secyan_obs.Metrics.export format (Format.formatter_of_out_channel oc);
+            Secyan_obs.Metrics.export ~ledger:ctx format (Format.formatter_of_out_channel oc);
             close_out oc;
             Fmt.pr "metrics written to %s@." file)
   in
-  let simple q =
-    Fmt.pr "query %s, join tree %a (root %s)@." q.Secyan.Query.name Join_tree.pp
-      q.Secyan.Query.tree (Join_tree.root q.Secyan.Query.tree);
-    let total = Secyan.Secure_yannakakis.estimate_and_gates ctx q in
-    let revealed, stats =
-      traced ~name:q.Secyan.Query.name trace trace_out ctx (fun () ->
-          observed ~total (fun () -> Secyan.Secure_yannakakis.run ~resume ctx q))
-    in
-    if Secyan.Query.has_order q then
-      Fmt.pr "top-k phase: rows below are in query order (ORDER BY%s)@."
-        (match q.Secyan.Query.limit with
-        | Some k -> Printf.sprintf ", LIMIT %d" k
-        | None -> "");
-    print_rows revealed;
-    print_cost stats.Secyan.Secure_yannakakis.tally stats.Secyan.Secure_yannakakis.seconds;
-    if verify then begin
-      let expected = Secyan.Query.plaintext q in
-      (* ordered queries compare row-for-row in order against the
-         plaintext oracle; unordered ones as sorted multisets *)
-      let ok =
+  let execute = function
+    | `Protocol q ->
+        Fmt.pr "query %s, join tree %a (root %s)@." q.Secyan.Query.name Join_tree.pp
+          q.Secyan.Query.tree (Join_tree.root q.Secyan.Query.tree);
+        let total = Secyan.Secure_yannakakis.estimate_and_gates ctx q in
+        let revealed, stats =
+          traced ~name:q.Secyan.Query.name trace trace_out ctx (fun () ->
+              observed ~total (fun () -> Secyan.Secure_yannakakis.run ~resume ctx q))
+        in
         if Secyan.Query.has_order q then
-          List.map
-            (fun (t, a) -> (Tuple.repr t, a))
-            (Secyan.Query.ordered_rows q expected)
-          = List.map (fun (t, a) -> (Tuple.repr t, a)) (Relation.nonzero revealed)
-        else content q.Secyan.Query.output expected = content q.Secyan.Query.output revealed
-      in
-      Fmt.pr "verify vs plaintext%s: %s@."
-        (if Secyan.Query.has_order q then " (ordered)" else "")
-        (if ok then "OK" else "MISMATCH");
-      if not ok then exit 1
-    end
+          Fmt.pr "top-k phase: rows below are in query order (ORDER BY%s)@."
+            (match q.Secyan.Query.limit with
+            | Some k -> Printf.sprintf ", LIMIT %d" k
+            | None -> "");
+        print_rows q revealed;
+        print_cost stats.Secyan.Secure_yannakakis.tally stats.Secyan.Secure_yannakakis.seconds;
+        if verify then verify_query q revealed else 0
+    | `Q8 ->
+        let r =
+          traced ~name:"q8" trace trace_out ctx (fun () ->
+              observed (fun () -> Secyan_tpch.Queries.run_q8 ctx d))
+        in
+        Fmt.pr "market share per year (x1000):@.";
+        List.iter (fun (y, v) -> Fmt.pr "  %d -> %Ld@." y v) r.Secyan_tpch.Queries.shares_per_year;
+        print_cost r.Secyan_tpch.Queries.tally r.Secyan_tpch.Queries.seconds;
+        if verify then
+          verdict (Secyan_tpch.Queries.q8_plaintext d = r.Secyan_tpch.Queries.shares_per_year)
+        else 0
+    | `Q9 ->
+        let r =
+          traced ~name:"q9" trace trace_out ctx (fun () ->
+              observed (fun () -> Secyan_tpch.Queries.run_q9 ctx d))
+        in
+        let rows = List.filter (fun (_, _, a) -> a <> 0) r.Secyan_tpch.Queries.rows in
+        Fmt.pr "profit per (nation, year), cents:@.";
+        List.iter (fun (n, y, a) -> Fmt.pr "  nation %2d, %d -> %d@." n y a) rows;
+        print_cost r.Secyan_tpch.Queries.tally r.Secyan_tpch.Queries.seconds;
+        if verify then
+          verdict
+            (List.sort compare (Secyan_tpch.Queries.q9_plaintext d) = List.sort compare rows)
+        else 0
   in
   let finish code =
     (match fault_spec with
@@ -467,41 +578,7 @@ let run_cmd query scale sf seed backend domains transport chaos chaos_seed malic
     | Some dir -> Fmt.epr "resumable checkpoint in %s (rerun with --resume)@." dir
     | None -> ()
   in
-  (try
-  (match query with
-  | `Q3 -> simple (Secyan_tpch.Queries.q3 d)
-  | `Q10 -> simple (Secyan_tpch.Queries.q10 d)
-  | `Q18 -> simple (Secyan_tpch.Queries.q18 d)
-  | `Q8 ->
-      let r =
-        traced ~name:"q8" trace trace_out ctx (fun () ->
-            observed (fun () -> Secyan_tpch.Queries.run_q8 ctx d))
-      in
-      Fmt.pr "market share per year (x1000):@.";
-      List.iter (fun (y, v) -> Fmt.pr "  %d -> %Ld@." y v) r.Secyan_tpch.Queries.shares_per_year;
-      print_cost r.Secyan_tpch.Queries.tally r.Secyan_tpch.Queries.seconds;
-      if verify then begin
-        let ok = Secyan_tpch.Queries.q8_plaintext d = r.Secyan_tpch.Queries.shares_per_year in
-        Fmt.pr "verify vs plaintext: %s@." (if ok then "OK" else "MISMATCH");
-        if not ok then exit 1
-      end
-  | `Q9 ->
-      let r =
-        traced ~name:"q9" trace trace_out ctx (fun () ->
-            observed (fun () -> Secyan_tpch.Queries.run_q9 ctx d))
-      in
-      let rows = List.filter (fun (_, _, a) -> a <> 0) r.Secyan_tpch.Queries.rows in
-      Fmt.pr "profit per (nation, year), cents:@.";
-      List.iter (fun (n, y, a) -> Fmt.pr "  nation %2d, %d -> %d@." n y a) rows;
-      print_cost r.Secyan_tpch.Queries.tally r.Secyan_tpch.Queries.seconds;
-      if verify then begin
-        let expected = List.sort compare (Secyan_tpch.Queries.q9_plaintext d) in
-        let ok = expected = List.sort compare rows in
-        Fmt.pr "verify vs plaintext: %s@." (if ok then "OK" else "MISMATCH");
-        if not ok then exit 1
-      end);
-  finish 0
-  with
+  try finish (execute job) with
   | Secyan_net.Resilient.Transport_error { kind; attempts; elapsed; detail } ->
     (* The protocol surfaced a typed, unrecoverable channel fault instead
        of hanging or producing a wrong answer; report it cleanly. *)
@@ -548,21 +625,13 @@ let run_cmd query scale sf seed backend domains transport chaos chaos_seed malic
     Fmt.epr "supervision failure in %s (item %d): %s@." phase item
       (Gc_protocol.supervision_cause_to_string cause);
     checkpoint_hint ();
-    finish 6)
+    finish 6
 
 (* --- plan ---------------------------------------------------------- *)
 
 let plan_cmd query scale sf seed =
   let sf = resolve_sf scale sf in
-  let d = Secyan_tpch.Datagen.generate ~sf ~seed in
-  let q =
-    match query with
-    | `Q3 -> Secyan_tpch.Queries.q3 d
-    | `Q10 -> Secyan_tpch.Queries.q10 d
-    | `Q18 -> Secyan_tpch.Queries.q18 d
-    | `Q8 -> Secyan_tpch.Queries.q8_inner d ~numerator:true
-    | `Q9 -> Secyan_tpch.Queries.q9_inner d ~nationkey:2 ~volume:true
-  in
+  let q = figure_protocol (Secyan_tpch.Datagen.generate ~sf ~seed) query in
   Fmt.pr "query %s@." q.Secyan.Query.name;
   Fmt.pr "join tree: %a (root %s)@." Join_tree.pp q.Secyan.Query.tree
     (Join_tree.root q.Secyan.Query.tree);
@@ -600,29 +669,21 @@ let plan_cmd query scale sf seed =
 
 let estimate_cmd query scale sf seed =
   let sf = resolve_sf scale sf in
-  let d = Secyan_tpch.Datagen.generate ~sf ~seed in
-  let qs =
-    match query with
-    | `Q3 -> [ (Secyan_tpch.Queries.q3 d, 1) ]
-    | `Q10 -> [ (Secyan_tpch.Queries.q10 d, 1) ]
-    | `Q18 -> [ (Secyan_tpch.Queries.q18 d, 1) ]
-    | `Q8 -> [ (Secyan_tpch.Queries.q8_inner d ~numerator:true, 2) ]
-    | `Q9 -> [ (Secyan_tpch.Queries.q9_inner d ~nationkey:2 ~volume:true, 50) ]
-  in
-  List.iter
-    (fun (q, runs) ->
-      let e = Secyan_smcql.Cartesian_gc.estimate ~kappa:128 q in
-      let f = float_of_int runs in
-      Fmt.pr "garbled-circuit baseline for %s (x%d runs):@." q.Secyan.Query.name runs;
-      Fmt.pr "  Cartesian product rows: %.3g@." (e.Secyan_smcql.Cartesian_gc.product_rows *. f);
-      Fmt.pr "  AND gates per row:      %d@." e.Secyan_smcql.Cartesian_gc.and_gates_per_row;
-      Fmt.pr "  total AND gates:        %.3g@." (e.Secyan_smcql.Cartesian_gc.total_and_gates *. f);
-      Fmt.pr "  communication:          %.3g MB@."
-        (e.Secyan_smcql.Cartesian_gc.comm_bytes *. f /. (1024. *. 1024.));
-      Fmt.pr "  estimated time:         %.3g s (%.1f years)@."
-        (e.Secyan_smcql.Cartesian_gc.seconds *. f)
-        (e.Secyan_smcql.Cartesian_gc.seconds *. f /. (365.25 *. 86400.)))
-    qs;
+  let q = figure_protocol (Secyan_tpch.Datagen.generate ~sf ~seed) query in
+  (* the inner run repeats: q8 once per numerator/denominator, q9 once
+     per nation and measure *)
+  let runs = match query with `Q8 -> 2 | `Q9 -> 50 | `Q3 | `Q10 | `Q18 -> 1 in
+  let e = Secyan_smcql.Cartesian_gc.estimate ~kappa:128 q in
+  let f = float_of_int runs in
+  Fmt.pr "garbled-circuit baseline for %s (x%d runs):@." q.Secyan.Query.name runs;
+  Fmt.pr "  Cartesian product rows: %.3g@." (e.Secyan_smcql.Cartesian_gc.product_rows *. f);
+  Fmt.pr "  AND gates per row:      %d@." e.Secyan_smcql.Cartesian_gc.and_gates_per_row;
+  Fmt.pr "  total AND gates:        %.3g@." (e.Secyan_smcql.Cartesian_gc.total_and_gates *. f);
+  Fmt.pr "  communication:          %.3g MB@."
+    (e.Secyan_smcql.Cartesian_gc.comm_bytes *. f /. (1024. *. 1024.));
+  Fmt.pr "  estimated time:         %.3g s (%.1f years)@."
+    (e.Secyan_smcql.Cartesian_gc.seconds *. f)
+    (e.Secyan_smcql.Cartesian_gc.seconds *. f /. (365.25 *. 86400.));
   0
 
 (* --- generate ------------------------------------------------------ *)
@@ -646,85 +707,6 @@ let generate_cmd scale sf seed =
     ];
   Fmt.pr "  total: %d rows@." (Secyan_tpch.Datagen.total_rows d);
   0
-
-(* --- sql ------------------------------------------------------------ *)
-
-let sql_cmd statement scale sf seed backend domains transport chaos chaos_seed malicious
-    verify =
-  match make_transport transport chaos chaos_seed malicious with
-  | Error msg ->
-      Fmt.epr "transport error: %s@." msg;
-      2
-  | Ok tr ->
-  let sf = resolve_sf scale sf in
-  let d = Secyan_tpch.Datagen.generate ~sf ~seed in
-  (* odd tables to Alice, even to Bob: the worst-case partition *)
-  let catalog =
-    [
-      ("customer", { Secyan_sql.Compiler.relation = d.Secyan_tpch.Datagen.customer; owner = Party.Alice });
-      ("orders", { Secyan_sql.Compiler.relation = d.Secyan_tpch.Datagen.orders; owner = Party.Bob });
-      ("lineitem", { Secyan_sql.Compiler.relation = d.Secyan_tpch.Datagen.lineitem; owner = Party.Alice });
-      ("part", { Secyan_sql.Compiler.relation = d.Secyan_tpch.Datagen.part; owner = Party.Bob });
-      ("supplier", { Secyan_sql.Compiler.relation = d.Secyan_tpch.Datagen.supplier; owner = Party.Alice });
-      ("partsupp", { Secyan_sql.Compiler.relation = d.Secyan_tpch.Datagen.partsupp; owner = Party.Bob });
-      ("nation", { Secyan_sql.Compiler.relation = d.Secyan_tpch.Datagen.nation; owner = Party.Alice });
-    ]
-  in
-  match Secyan_sql.Compiler.query catalog statement with
-  | exception Secyan_sql.Compiler.Error msg ->
-      Fmt.epr "SQL error: %s@." msg;
-      1
-  | exception Secyan_sql.Parser.Error e ->
-      Fmt.epr "parse error: %s@." (Secyan_sql.Parser.error_message e);
-      1
-  | q ->
-      Fmt.pr "join tree: %a (root %s)@." Join_tree.pp q.Secyan.Query.tree
-        (Join_tree.root q.Secyan.Query.tree);
-      if Secyan.Query.has_order q then
-        Fmt.pr "top-k phase: rows below are in query order (ORDER BY%s)@."
-          (match q.Secyan.Query.limit with
-          | Some k -> Printf.sprintf ", LIMIT %d" k
-          | None -> "");
-      let ctx = Context.create ~bits:(Semiring.bits q.Secyan.Query.semiring)
-          ~gc_backend:backend ~domains ?transport:tr ~seed () in
-      let revealed, stats = Secyan.Secure_yannakakis.run ctx q in
-      (* [Relation.nonzero] preserves physical order, which for ordered
-         queries is the query order produced by the oblivious sort *)
-      List.iter
-        (fun (t, a) ->
-          match Semiring.to_value q.Secyan.Query.semiring a with
-          | Some value -> Fmt.pr "  %a -> %Ld@." Tuple.pp t value
-          | None -> ())
-        (Relation.nonzero revealed);
-      print_cost stats.Secyan.Secure_yannakakis.tally stats.Secyan.Secure_yannakakis.seconds;
-      let code =
-        if not verify then 0
-        else begin
-          let expected = Secyan.Query.plaintext q in
-          let ok =
-            if Secyan.Query.has_order q then
-              List.map
-                (fun (t, a) -> (Tuple.repr t, a))
-                (Secyan.Query.ordered_rows q expected)
-              = List.map (fun (t, a) -> (Tuple.repr t, a)) (Relation.nonzero revealed)
-            else
-              content q.Secyan.Query.output expected
-              = content q.Secyan.Query.output revealed
-          in
-          Fmt.pr "verify vs plaintext%s: %s@."
-            (if Secyan.Query.has_order q then " (ordered)" else "")
-            (if ok then "OK" else "MISMATCH");
-          if ok then 0 else 1
-        end
-      in
-      print_transport_stats tr;
-      Context.close_transport ctx;
-      Context.shutdown_pool ctx;
-      code
-
-let statement_arg =
-  let doc = "The SQL statement to run." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"SQL" ~doc)
 
 (* --- fuzz ----------------------------------------------------------- *)
 
@@ -886,8 +868,12 @@ let peer_fuzz_cmd seed cases deadline_s resume_every out =
 (* --- command wiring ------------------------------------------------- *)
 
 let run_t =
-  Cmd.v (Cmd.info "run" ~doc:"Run a query through the secure Yannakakis protocol")
-    Term.(const run_cmd $ query_arg $ scale_arg $ sf_arg $ seed_arg $ backend_arg
+  Cmd.v
+    (Cmd.info "run"
+       ~doc:
+         "Run a figure query (--query) or an ad-hoc SQL statement (--sql) through the \
+          secure Yannakakis protocol")
+    Term.(const run_cmd $ run_query_arg $ sql_arg $ scale_arg $ sf_arg $ seed_arg $ backend_arg
           $ domains_arg $ transport_arg $ chaos_arg $ chaos_seed_arg $ malicious_arg
           $ checkpoint_dir_arg $ resume_arg $ deadline_arg $ memory_budget_arg
           $ fault_arg $ hang_timeout_arg $ verify_arg $ trace_arg $ trace_out_arg
@@ -904,16 +890,6 @@ let estimate_t =
 let generate_t =
   Cmd.v (Cmd.info "generate" ~doc:"Show TPC-H dataset sizes at a scale")
     Term.(const generate_cmd $ scale_arg $ sf_arg $ seed_arg)
-
-let sql_t =
-  Cmd.v
-    (Cmd.info "sql"
-       ~doc:
-         "Run an ad-hoc SQL query (including ORDER BY / LIMIT as an oblivious top-k \
-          phase) securely over the TPC-H catalog")
-    Term.(const sql_cmd $ statement_arg $ scale_arg $ sf_arg $ seed_arg $ backend_arg
-          $ domains_arg $ transport_arg $ chaos_arg $ chaos_seed_arg $ malicious_arg
-          $ verify_arg)
 
 let fuzz_t =
   Cmd.v
@@ -945,4 +921,4 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group info
-          [ run_t; plan_t; estimate_t; generate_t; sql_t; fuzz_t; peer_fuzz_t ]))
+          [ run_t; plan_t; estimate_t; generate_t; fuzz_t; peer_fuzz_t ]))

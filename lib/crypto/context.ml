@@ -16,8 +16,6 @@ type t = {
   kappa : int;        (** computational security parameter (bits) *)
   sigma : int;        (** statistical security parameter (bits) *)
   gc_backend : gc_backend;
-  gc_kdf : Garbling.kdf;
-      (** key-derivation function for garbled rows (default fixed-key AES) *)
   domains : int;      (** parallelism of the batch-garbling engine *)
   pool : Domain_pool.t Lazy.t;
       (** the work pool, made on first batch: [domains] claimants,
@@ -33,10 +31,6 @@ type t = {
           traffic alike — maintained by {!bump}/{!send}/{!bump_rounds}
           whether or not a tracer is attached. The context's only
           accounting state, snapshotted into checkpoints *)
-  batch_item : bool;
-      (** a per-item context of a parallel batch: its ledger is a private
-          delta that {!absorb} folds into the owning context, so its
-          writes are not mirrored into the metrics registry *)
   transport : Secyan_net.Resilient.t option;
       (** the physical channel behind {!send}, if any; [None] keeps the
           classic pure-accounting simulation *)
@@ -64,13 +58,11 @@ type t = {
 }
 
 (** Add [n] to one ledger counter: the running totals, then the active
-    span of an attached tracer, then the metrics registry (skipped by
-    batch items — {!absorb} mirrors their work once merged). *)
+    span of an attached tracer. *)
 let bump t counter n =
   let i = Trace_sink.counter_index counter in
   t.counters.(i) <- t.counters.(i) + n;
-  t.sink.Trace_sink.bump counter n;
-  if not t.batch_item then Trace_sink.registry_bump counter n
+  t.sink.Trace_sink.bump counter n
 
 (* With a transport attached, every [send] moves a payload of the
    declared size over the real channel. The payload content is a fixed
@@ -140,8 +132,7 @@ let tally t = tally_of_counters t.counters
     [t]'s channel as one send per direction carrying the batch total
     (their individual sends were private to the item contexts). Sums are
     order-independent, so the result is bit-identical for every pool
-    size, and each unit of work reaches the sink and the registry
-    exactly once. *)
+    size, and each unit of work reaches the sink exactly once. *)
 let absorb t (items : t array) =
   let sum c =
     let i = Trace_sink.counter_index c in
@@ -160,7 +151,7 @@ let absorb t (items : t array) =
   if rounds > 0 then bump_rounds t rounds
 
 let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
-    ?(gc_kdf = Garbling.Aes128_kdf) ?(domains = 1) ?transport ?checkpoint
+    ?(domains = 1) ?transport ?checkpoint
     ?cancel ?hang_timeout_s ~seed () =
   let domains = max 1 domains in
   let master = Prg.create seed in
@@ -174,7 +165,6 @@ let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
       kappa;
       sigma;
       gc_backend;
-      gc_kdf;
       domains;
       pool = lazy (Domain_pool.create ?hang_timeout_s domains);
       prg_alice = Prg.split master;
@@ -182,7 +172,6 @@ let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
       dealer = Prg.split master;
       sink = Trace_sink.noop;
       counters = Array.make Trace_sink.n_counters 0;
-      batch_item = false;
       transport;
       checkpoint;
       batch_ctxs = [||];

@@ -12,8 +12,6 @@ type t = {
   kappa : int;        (** computational security parameter (bits) *)
   sigma : int;        (** statistical security parameter (bits) *)
   gc_backend : gc_backend;
-  gc_kdf : Garbling.kdf;
-      (** key-derivation function for garbled rows (default fixed-key AES) *)
   domains : int;      (** parallelism of the batch-garbling engine *)
   pool : Domain_pool.t Lazy.t;
       (** the work pool, made on first batch: [domains] claimants,
@@ -31,10 +29,6 @@ type t = {
           accounting state; snapshotted into checkpoints. Record-copy
           views ([{ ctx with ring }]) share it, so they account into the
           context they were copied from *)
-  batch_item : bool;
-      (** a per-item context of a parallel batch, whose ledger {!absorb}
-          folds into the owning context; its writes skip the metrics
-          registry *)
   transport : Secyan_net.Resilient.t option;
       (** the physical channel behind {!send}, if any; [None] keeps the
           classic pure-accounting simulation *)
@@ -60,7 +54,7 @@ type t = {
 }
 
 (** Defaults match the paper's evaluation: bits = 32 annotation ring,
-    kappa = 128, sigma = 40, simulated GC backend, fixed-key AES KDF,
+    kappa = 128, sigma = 40, simulated GC backend,
     [domains = 1] (fully sequential). [domains > 1] parallelizes the GC
     batch entry points with bit-identical results, communication, and
     rounds (see DESIGN.md §9). [transport] attaches a real framed channel
@@ -84,7 +78,7 @@ type t = {
     defaults. *)
 val create :
   ?bits:int -> ?kappa:int -> ?sigma:int -> ?gc_backend:gc_backend ->
-  ?gc_kdf:Garbling.kdf -> ?domains:int -> ?transport:Secyan_net.Resilient.t ->
+  ?domains:int -> ?transport:Secyan_net.Resilient.t ->
   ?checkpoint:Checkpoint.sink -> ?cancel:Secyan_deadline.t ->
   ?hang_timeout_s:float -> seed:int64 -> unit -> t
 
@@ -126,9 +120,8 @@ val check_cancel : t -> unit
     [f ()] when untraced. The span closes even if [f] raises. *)
 val with_span : t -> string -> (unit -> 'a) -> 'a
 
-(** The ledger's one write path: add [n] to a counter's running total,
-    forward it to the attached sink, and mirror it into the metrics
-    registry (except in batch items). *)
+(** The ledger's one write path: add [n] to a counter's running total
+    and forward it to the attached sink. *)
 val bump : t -> Trace_sink.counter -> int -> unit
 
 (** Account [bits] sent by [from] to the other party: the direction's

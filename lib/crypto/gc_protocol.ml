@@ -152,17 +152,16 @@ let account_executions ctx (bc : built) (shape : input list) ~times =
 type bool_share = { alice_bit : bool; bob_bit : bool }
 
 let run_real ctx (bc : built) (input_bits : bool array) : bool_share array =
-  let kdf = ctx.Context.gc_kdf in
   (* The executing domain's arena: garble writes its planes there and
      eval reuses them in place, so the whole item runs without per-gate
      or per-wire allocation; the planes are recycled by the next item on
      this domain (after the [bool_share]s below are built). *)
   let arena = Garbling.Arena.current () in
-  let g = Garbling.garble ~kdf ~arena ctx.Context.prg_alice bc.circuit in
+  let g = Garbling.garble ~arena ctx.Context.prg_alice bc.circuit in
   (* Bob's labels arrive via OT (accounted by the caller); functionally he
      receives exactly the label of his input bit — selecting the active
      label per input below is that exchange, collapsed into the plane. *)
-  let colors = Garbling.eval_colors ~kdf ~arena g (Array.get input_bits) in
+  let colors = Garbling.eval_colors ~arena g (Array.get input_bits) in
   Array.init
     (Boolean_circuit.n_outputs bc.circuit)
     (fun i ->
@@ -315,7 +314,7 @@ let prepare_item_ctxs ctx n : Context.t array =
           Array.fill c.Context.counters 0 Trace_sink.n_counters 0;
           { ctx with Context.prg_alice = c.Context.prg_alice; prg_bob = c.Context.prg_bob;
             dealer = c.Context.dealer; sink = Trace_sink.noop;
-            counters = c.Context.counters; batch_item = true; transport = None;
+            counters = c.Context.counters; transport = None;
             batch_ctxs = c.Context.batch_ctxs; schema = None }
         end
         else begin
@@ -328,7 +327,7 @@ let prepare_item_ctxs ctx n : Context.t array =
              their own domains. *)
           { ctx with Context.prg_alice; prg_bob; dealer;
             sink = Trace_sink.noop; counters = Array.make Trace_sink.n_counters 0;
-            batch_item = true; transport = None; batch_ctxs = [||]; schema = None }
+            transport = None; batch_ctxs = [||]; schema = None }
         end)
   in
   (* Never shrink the cache: a smaller batch recycles a prefix and leaves
@@ -341,9 +340,9 @@ let prepare_item_ctxs ctx n : Context.t array =
    Each item gets a private context (see [prepare_item_ctxs]): a noop
    sink, and a private ledger and PRGs whose state is a function of the
    item index alone. After the barrier one [Context.absorb] folds the
-   item ledgers into the parent: sums are order-independent, so tallies,
-   span counters, and registry totals are bit-identical for every pool
-   size, including 1, watched or not. Results live in a fresh [Option]
+   item ledgers into the parent: sums are order-independent, so tallies
+   and span counters are bit-identical for every pool size, including 1,
+   watched or not. Results live in a fresh [Option]
    array (not the recycled cache), so a straggler's late write after an
    abort can never corrupt a later batch's results. Every pool fault
    surfaces as the typed {!Supervision_error} naming the protocol phase;

@@ -119,27 +119,6 @@ let counter_help = function
   | Rounds -> "declared communication rounds"
   | Sends -> "declared transfers"
 
-(* Mirror every typed counter into the process-wide metrics registry
-   (Prometheus convention: monotonic counters end in _total). Interned
-   lazily so processes that never enable metrics allocate nothing. *)
-let registry_counters =
-  (* [all_counters] is in [counter_index] order *)
-  lazy
-    (Array.of_list
-       (List.map
-          (fun c ->
-            Secyan_metrics.counter ~help:(counter_help c)
-              ("secyan_" ^ counter_name c ^ "_total"))
-          all_counters))
-
-(** Forward one counter bump to the metrics registry (no-op when metrics
-    are disabled). The context ledger calls this exactly once per unit of
-    work: batch-item ledgers never forward, the merge into the owning
-    context does. *)
-let registry_bump c n =
-  if Secyan_metrics.enabled () then
-    Secyan_metrics.add (Lazy.force registry_counters).(counter_index c) n
-
 type t = {
   enter : string -> unit;  (** open a child span under the active span *)
   exit : unit -> unit;     (** close the active span *)

@@ -52,11 +52,6 @@ val all_counters : counter list
 (** One-line description of a counter, used as metric help text. *)
 val counter_help : counter -> string
 
-(** Mirror one counter bump into the [Secyan_metrics] registry as
-    [secyan_<name>_total] (no-op while metrics are disabled). Called by
-    the context ledger exactly once per unit of work. *)
-val registry_bump : counter -> int -> unit
-
 type t = {
   enter : string -> unit;  (** open a child span under the active span *)
   exit : unit -> unit;     (** close the active span *)

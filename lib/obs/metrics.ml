@@ -1,16 +1,44 @@
-(** Exporters over the {!Secyan_metrics} registry: pretty tables for
-    terminals, JSONL for machine diffing, and Prometheus text exposition
-    for scrapers. The registry itself (handles, recording, the enable
-    flag) lives at the bottom of the dependency chain so the crypto and
-    net hot paths can record into it; this module re-exports the control
-    surface so CLI-level code needs only [Secyan_obs.Metrics]. *)
+(** Exporters over the {!Secyan_metrics} registry and a context's
+    ledger: pretty tables for terminals, JSONL for machine diffing, and
+    Prometheus text exposition for scrapers. The registry itself
+    (handles, recording, the enable flag) lives at the bottom of the
+    dependency chain so the crypto and net hot paths can record into it;
+    this module re-exports the control surface so CLI-level code needs
+    only [Secyan_obs.Metrics]. *)
+
+open Secyan_crypto
 
 (* --- registry re-exports -------------------------------------------- *)
 
 let enabled = Secyan_metrics.enabled
 let set_enabled = Secyan_metrics.set_enabled
-let snapshot = Secyan_metrics.snapshot
 let reset = Secyan_metrics.reset
+
+(* --- samples --------------------------------------------------------- *)
+
+let by_name (a : Secyan_metrics.sample) (b : Secyan_metrics.sample) =
+  String.compare a.Secyan_metrics.name b.Secyan_metrics.name
+
+(* The ledger's counters as monotonic [secyan_<name>_total] samples
+   (Prometheus convention), rendered at export: the ledger is the only
+   record of them, so the registry holds no copy. *)
+let ledger_samples ctx =
+  let totals = Context.counter_totals ctx in
+  List.sort by_name
+    (List.map
+       (fun c ->
+         {
+           Secyan_metrics.name = "secyan_" ^ Trace_sink.counter_name c ^ "_total";
+           help = Trace_sink.counter_help c;
+           value = Secyan_metrics.Counter totals.(Trace_sink.counter_index c);
+         })
+       Trace_sink.all_counters)
+
+let snapshot ?ledger () =
+  let registry = Secyan_metrics.snapshot () in
+  match ledger with
+  | None -> registry
+  | Some ctx -> List.merge by_name (ledger_samples ctx) registry
 
 type format = Pretty | Jsonl | Prometheus
 
@@ -152,16 +180,16 @@ let prometheus ppf samples =
 
 (* --- entry point ----------------------------------------------------- *)
 
-(** Render the current registry snapshot in [format]. *)
-let export format ppf =
-  let samples = snapshot () in
+(** Render the current snapshot in [format]. *)
+let export ?ledger format ppf =
+  let samples = snapshot ?ledger () in
   (match format with
   | Pretty -> pretty ppf samples
   | Jsonl -> jsonl ppf samples
   | Prometheus -> prometheus ppf samples);
   Format.pp_print_flush ppf ()
 
-let export_string format =
+let export_string ?ledger format =
   let buf = Buffer.create 4096 in
-  export format (Format.formatter_of_buffer buf);
+  export ?ledger format (Format.formatter_of_buffer buf);
   Buffer.contents buf

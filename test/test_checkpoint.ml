@@ -318,6 +318,60 @@ let test_resume_wrong_query_rejected () =
   expect_error Checkpoint.Fingerprint_mismatch (fun () ->
       Secyan.Secure_yannakakis.run ~resume:true ctx2 (Queries.q10 d))
 
+(* The metrics export renders the ledger, and a resume restores the
+   ledger: after a resume the exported traffic totals are the run's whole
+   tally (restored work included), equal to an uninterrupted run's. *)
+let test_resume_export_equals_tally () =
+  let d = xs () in
+  let q = Queries.q3 d in
+  let clean_tr = Resilient.create (Transport.inproc ()) in
+  let clean_ctx = Queries.context ~transport:clean_tr ~seed:99L () in
+  let clean_tally =
+    Fun.protect ~finally:(fun () -> close clean_ctx) @@ fun () ->
+    (snd (Secyan.Secure_yannakakis.run clean_ctx q)).Secyan.Secure_yannakakis.tally
+  in
+  let transfers = (Resilient.stats clean_tr).Resilient.transfers in
+  let dir = tmpdir () in
+  Fun.protect ~finally:(fun () -> rm_rf_flat dir) @@ fun () ->
+  let faulty, _ =
+    Chaos.wrap ~seed:7L ~spec:[ (Chaos.Disconnect, transfers - 5) ] (Transport.inproc ())
+  in
+  let crash_ctx =
+    Queries.context ~transport:(Resilient.create ~seed:7L faulty)
+      ~checkpoint:(Checkpoint.sink ~dir ()) ~seed:99L ()
+  in
+  (Fun.protect ~finally:(fun () -> close crash_ctx) @@ fun () ->
+   match Secyan.Secure_yannakakis.run crash_ctx q with
+   | _ -> Alcotest.fail "the disconnect must kill the run"
+   | exception Resilient.Transport_error _ -> ());
+  let resume_sink = Checkpoint.sink ~dir () in
+  let resume_ctx =
+    Queries.context ~transport:(Resilient.create (Transport.inproc ()))
+      ~checkpoint:resume_sink ~seed:99L ()
+  in
+  Fun.protect ~finally:(fun () -> close resume_ctx) @@ fun () ->
+  ignore (Secyan.Secure_yannakakis.run ~resume:true resume_ctx q);
+  Alcotest.(check bool) "really resumed mid-stream" true
+    (Option.is_some resume_sink.Checkpoint.resumed_from);
+  let exported name =
+    match
+      List.find_opt
+        (fun s -> s.Secyan_metrics.name = name)
+        (Secyan_obs.Metrics.snapshot ~ledger:resume_ctx ())
+    with
+    | Some { Secyan_metrics.value = Secyan_metrics.Counter n; _ } -> n
+    | _ -> Alcotest.failf "no counter %s in the export" name
+  in
+  let tally = Context.tally resume_ctx in
+  Alcotest.(check int) "exported A->B bits = tally" tally.Comm.alice_to_bob_bits
+    (exported "secyan_alice_to_bob_bits_total");
+  Alcotest.(check int) "exported B->A bits = tally" tally.Comm.bob_to_alice_bits
+    (exported "secyan_bob_to_alice_bits_total");
+  Alcotest.(check int) "exported rounds = tally" tally.Comm.rounds
+    (exported "secyan_rounds_total");
+  Alcotest.(check bool) "tally equals the uninterrupted run's" true
+    (Comm.equal clean_tally tally)
+
 (* a corrupted latest checkpoint must fail typed, never silently load *)
 let test_resume_corrupted_rejected () =
   let dir = tmpdir () in
@@ -411,6 +465,8 @@ let () =
             (kill_and_resume (Queries.q18 ?threshold:None));
           Alcotest.test_case "wrong query rejected" `Slow test_resume_wrong_query_rejected;
           Alcotest.test_case "corrupted rejected" `Slow test_resume_corrupted_rejected;
+          Alcotest.test_case "resumed export equals tally" `Slow
+            test_resume_export_equals_tally;
         ] );
       ( "resume-disagreement",
         [

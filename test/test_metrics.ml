@@ -1,6 +1,6 @@
 (* Tests for the metrics layer: the lock-striped registry (lib/metrics),
-   merge-on-read correctness across pool sizes, the registry mirror of
-   the protocol counters, the exporters, the live progress reporter, and
+   merge-on-read correctness across pool sizes, the ledger counters in
+   the export, the exporters, the live progress reporter, and
    the BENCH regression differ. The registry is a process-wide
    singleton, so every test uses uniquely-named metrics and restores the
    enable flag it found. *)
@@ -117,31 +117,28 @@ let test_merge_bit_identical () =
   Secyan_metrics.reset ()
 
 (* ------------------------------------------------------------------ *)
-(* Registry mirror of the protocol counters *)
+(* Ledger counters in the export *)
 
-let test_context_bump_mirrors () =
-  with_metrics @@ fun () ->
-  Secyan_metrics.reset ();
-  let ctx = Context.create ~seed () in
-  Context.bump ctx Trace_sink.And_gates 5;
-  Context.bump ctx Trace_sink.And_gates 7;
-  Context.bump ctx Trace_sink.Ots 2;
-  (match (get_sample "secyan_and_gates_total").Secyan_metrics.value with
-  | Secyan_metrics.Counter n -> Alcotest.(check int) "and_gates mirrored" 12 n
-  | _ -> Alcotest.fail "expected a counter");
-  match (get_sample "secyan_ots_total").Secyan_metrics.value with
-  | Secyan_metrics.Counter n -> Alcotest.(check int) "ots mirrored" 2 n
-  | _ -> Alcotest.fail "expected a counter"
+(* The [secyan_<counter>_total] samples of a JSONL export, by name. *)
+let exported_ledger ctx =
+  Metrics.export_string ~ledger:ctx Metrics.Jsonl
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         match Json.parse line with
+         | Ok (Json.Obj fields) -> (
+             match (List.assoc_opt "name" fields, List.assoc_opt "value" fields) with
+             | Some (Json.Str name), Some (Json.Int v) -> Some (name, v)
+             | _ -> None)
+         | _ -> None)
 
-(* A parallel batch must mirror each unit of work exactly once: item
-   ledgers never mirror, and absorbing them into the owning context
-   mirrors the batch totals once — work and traffic counters alike, so
-   the registry equals the context's own ledger at every pool size. *)
+(* A parallel batch counts each unit of work exactly once: item ledgers
+   are private deltas that [Context.absorb] folds into the owning
+   context, so the ledger is identical at every pool size, and the
+   export renders exactly that ledger — work and traffic counters
+   alike. *)
 let test_parallel_batch_no_double_count () =
-  with_metrics @@ fun () ->
   let build b words = [ Circuits.mul_word b words.(0) words.(1) ] in
   let run domains =
-    Secyan_metrics.reset ();
     let ctx = Context.create ~gc_backend:Context.Real ~domains ~seed () in
     let inp = Prg.create 5L in
     let items =
@@ -152,28 +149,23 @@ let test_parallel_batch_no_double_count () =
           ])
     in
     let _ = Gc_protocol.eval_to_shares_batch ctx ~items ~build in
-    let totals = Context.counter_totals ctx in
     Context.shutdown_pool ctx;
-    totals
+    (Context.counter_totals ctx, exported_ledger ctx)
   in
-  let mirrored c =
-    match (get_sample ("secyan_" ^ Trace_sink.counter_name c ^ "_total")).Secyan_metrics.value with
-    | Secyan_metrics.Counter n -> n
-    | _ -> Alcotest.fail "expected a counter"
-  in
-  let base = run 1 in
+  let base, _ = run 1 in
   List.iter
     (fun domains ->
-      let totals = run domains in
+      let totals, exported = run domains in
       Alcotest.(check (array int))
         (Printf.sprintf "ledger identical at pool size %d" domains)
         base totals;
       List.iter
         (fun c ->
-          Alcotest.(check int)
-            (Printf.sprintf "%s mirrored once at pool size %d" (Trace_sink.counter_name c)
-               domains)
-            totals.(Trace_sink.counter_index c) (mirrored c))
+          let name = "secyan_" ^ Trace_sink.counter_name c ^ "_total" in
+          Alcotest.(check (option int))
+            (Printf.sprintf "%s exported from the ledger at pool size %d" name domains)
+            (Some totals.(Trace_sink.counter_index c))
+            (List.assoc_opt name exported))
         Trace_sink.all_counters)
     [ 1; 2; 4 ];
   Alcotest.(check bool) "the batch moved traffic" true
@@ -529,7 +521,6 @@ let () =
       ( "merge",
         [
           Alcotest.test_case "bit-identical across pool sizes" `Quick test_merge_bit_identical;
-          Alcotest.test_case "context bump mirrors" `Quick test_context_bump_mirrors;
           Alcotest.test_case "parallel batch no double count" `Quick
             test_parallel_batch_no_double_count;
           Alcotest.test_case "batch allocation histograms" `Quick
