@@ -131,6 +131,20 @@ let exported_ledger ctx =
              | _ -> None)
          | _ -> None)
 
+(* Every [Context.bump] reaches the export: the [secyan_<counter>_total]
+   samples are rendered from the context's ledger, so they carry the
+   bumped sums. *)
+let test_context_bump_mirrors () =
+  let ctx = Context.create ~seed () in
+  Context.bump ctx Trace_sink.And_gates 5;
+  Context.bump ctx Trace_sink.And_gates 7;
+  Context.bump ctx Trace_sink.Ots 2;
+  let exported = exported_ledger ctx in
+  Alcotest.(check (option int)) "and_gates exported" (Some 12)
+    (List.assoc_opt "secyan_and_gates_total" exported);
+  Alcotest.(check (option int)) "ots exported" (Some 2)
+    (List.assoc_opt "secyan_ots_total" exported)
+
 (* A parallel batch counts each unit of work exactly once: item ledgers
    are private deltas that [Context.absorb] folds into the owning
    context, so the ledger is identical at every pool size, and the
@@ -521,6 +535,7 @@ let () =
       ( "merge",
         [
           Alcotest.test_case "bit-identical across pool sizes" `Quick test_merge_bit_identical;
+          Alcotest.test_case "context bump mirrors" `Quick test_context_bump_mirrors;
           Alcotest.test_case "parallel batch no double count" `Quick
             test_parallel_batch_no_double_count;
           Alcotest.test_case "batch allocation histograms" `Quick
