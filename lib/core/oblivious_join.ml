@@ -11,7 +11,7 @@
        Yannakakis) and sends only OUT = |J*| to Bob.
     3. Annotations: per relation, Alice programs the extended permutation
        xi_F(i) = index of pi_F(t_i) in R_F; an OEP aligns the annotation
-       shares with J*, and one batched circuit multiplies across relations.
+       shares with J*, and batched products multiply across relations.
 
     Output: J* (Alice's tuples) with annotations in shared form. *)
 
@@ -62,6 +62,28 @@ let reveal_to_alice ctx semiring (sr : Shared_relation.t) : Relation.t =
       ~schema:(Shared_relation.schema sr) ~tuples
       ~annots:(Array.map (fun k -> if k then Semiring.one semiring else Semiring.zero) keep)
   end
+
+(* The element-wise product of equal-length share columns, one level of
+   a balanced tree per batch: adjacent columns multiply pairwise in one
+   [Secret_share.mul_batch], and an odd column out passes up unchanged. *)
+let rec product_tree ctx = function
+  | [] -> invalid_arg "Oblivious_join.product_tree: no columns"
+  | [ only ] -> only
+  | cols ->
+      let rec pair = function
+        | x :: y :: rest ->
+            let ps, odd = pair rest in
+            ((x, y) :: ps, odd)
+        | odd -> ([], odd)
+      in
+      let pairs, odd = pair cols in
+      let n = Array.length (List.hd cols) in
+      let products =
+        Secret_share.mul_batch ctx
+          (Array.concat (List.map fst pairs))
+          (Array.concat (List.map snd pairs))
+      in
+      product_tree ctx (List.mapi (fun p _ -> Array.sub products (p * n) n) pairs @ odd)
 
 (** Run the oblivious join over the remaining relations. [reveal_out]
     controls whether |J*| (after any padding the caller applied) goes to
@@ -121,7 +143,7 @@ let run ctx semiring (relations : Shared_relation.t list) : t =
       Array.map
         (fun ((sr : Shared_relation.t), (view : Relation.t)) ->
           let schema = Shared_relation.schema sr in
-          let tbl : (string, int array) Hashtbl.t = Hashtbl.create 64 in
+          let tbl : (string, int list) Hashtbl.t = Hashtbl.create 64 in
           (* walk backwards so each key's duplicates come out in index order *)
           for i = Array.length view.Relation.tuples - 1 downto 0 do
             let t = view.Relation.tuples.(i) in
@@ -130,13 +152,13 @@ let run ctx semiring (relations : Shared_relation.t list) : t =
             if (not (Tuple.is_dummy t)) && not (Semiring.is_zero view.Relation.annots.(i))
             then begin
               let key = Tuple.repr (Tuple.project schema schema t) in
-              let prev =
-                Option.value ~default:[||] (Hashtbl.find_opt tbl key)
-              in
-              Hashtbl.replace tbl key (Array.append [| i |] prev)
+              let prev = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
+              Hashtbl.replace tbl key (i :: prev)
             end
           done;
-          tbl)
+          Hashtbl.to_seq tbl
+          |> Seq.map (fun (key, is) -> (key, Array.of_list is))
+          |> Hashtbl.of_seq)
         views_arr
     in
     (* group the (identical) copies of each J* row, preserving order *)
@@ -178,13 +200,16 @@ let run ctx semiring (relations : Shared_relation.t list) : t =
           Oep.apply_shared ctx ~holder:Party.Alice ~xi:xis.(f)
             ~m:(Shared_relation.cardinality sr) sr.Shared_relation.annots)
     in
-    (* One batched circuit: annotation of each J* tuple is the product of
-       its per-relation annotations. *)
-    let k = List.length aligned in
+    (* The annotation of each J* tuple is the product of its
+       per-relation annotations: for the ring, a balanced tree of OT-based
+       product batches (k columns take ⌈log₂ k⌉ batches); otherwise one
+       batched circuit. *)
     let annots =
       match aligned with
       | [ only ] -> only
+      | _ when semiring.Semiring.kind = Semiring.Ring -> product_tree ctx aligned
       | _ ->
+          let k = List.length aligned in
           let items =
             Array.init out (fun i ->
                 List.map (fun arr -> Gc_protocol.Shared arr.(i)) aligned)

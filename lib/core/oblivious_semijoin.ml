@@ -12,7 +12,7 @@
     - different owners, shared annotations: PSI with secret-shared
       payloads (§5.5);
     - same owner: no PSI at all — the owner matches tuples locally and a
-      single OEP + multiply circuit re-randomizes.
+      single OEP + product re-randomizes.
 
     [semijoin] is R_F semijoin R_F' = R_F join pi^1(R_F'), with pi^1
     computed locally when the right annotations are clear, and by the
@@ -21,12 +21,14 @@
 open Secyan_crypto
 open Secyan_relational
 
-(* Final step shared by all paths: new annotations v_j x z'_j through one
-   batched circuit. *)
+(* Final step shared by all paths: new annotations v_j x z'_j in one
+   batch — an OT-based product for the ring, a circuit otherwise. *)
 let multiply_annotations ctx semiring (left : Shared_relation.t)
     (z' : Secret_share.t array) : Secret_share.t array =
   let m = Shared_relation.cardinality left in
   if m = 0 then [||]
+  else if semiring.Semiring.kind = Semiring.Ring then
+    Secret_share.mul_batch ctx left.Shared_relation.annots z'
   else begin
     let items =
       Array.init m (fun j ->

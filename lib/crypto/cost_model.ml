@@ -5,7 +5,9 @@
     one place. Values follow the standard semi-honest constructions the
     paper builds on: half-gates garbling (2 kappa bits per AND gate), IKNP
     OT extension (kappa-bit column from the receiver plus the two padded
-    messages from the sender), and ABY-style B2A share conversion. *)
+    messages from the sender), ABY-style B2A share conversion, and the
+    OT-based (Gilboa) product of two shared ring elements (DESIGN.md §2
+    item 9): bits·kappa + bits(bits+1)/2 bits each way per product. *)
 
 (** Garbled table for one AND gate (half-gates: two kappa-bit rows). *)
 let and_gate_bits ~kappa = 2 * kappa
@@ -29,6 +31,15 @@ let output_decode_bits = 1
     correlated OT: one OT of a [bits]-wide correction per bit). *)
 let b2a_word_bits ~kappa ~bits = bits * (ot_receiver_bits ~kappa + ot_sender_bits ~msg_bits:bits)
 
+(** One OT-based (Gilboa) product of two [bits]-wide shared values, per
+    direction: each party receives one cross term's [bits] correlated
+    OTs (a kappa-bit IKNP column each) and sends the other's, whose
+    [i]-th OT carries one (bits - i)-bit correction. Returned as
+    (receiver's choice traffic, sender's correction traffic); their sum,
+    bits·kappa + bits(bits+1)/2, is 8,034 bits at 52 bits and kappa = 128. *)
+let ot_product_bits ~kappa ~bits =
+  (bits * ot_receiver_bits ~kappa, bits * (bits + 1) / 2)
+
 (** PSTY19 circuit-PSI OPPRF hint: per cuckoo bin, the sender transmits a
     programmed hint of width sigma + log overhead; we charge
     (kappa + hint) bits per bin for the OPRF evaluations plus hints. *)
@@ -39,12 +50,12 @@ let opprf_bin_bits ~kappa ~sigma = kappa + sigma + 24
 let oep_switch_bits ~kappa ~bits = ot_receiver_bits ~kappa + ot_sender_bits ~msg_bits:(2 * bits)
 
 (** Rough AND-gate count of one per-tuple merge/aggregate circuit over a
-    [bits]-wide annotation ring. Most per-tuple circuits are
-    comparison/selection logic and adders; only a fraction of the tuples
-    pass through a full multiplier, so the blended figure is well below
-    a schoolbook multiplier's 2 bits^2. The constants are calibrated
-    against measured [And_gates] totals of the TPC-H queries at small
-    scales (within ~2x in either direction). Progress-estimation only —
-    protocol cost accounting always charges the exact per-circuit gate
-    counts, never this figure. *)
-let merge_circuit_and_gates ~bits = (bits * bits / 8) + (4 * bits)
+    [bits]-wide annotation ring. The per-tuple circuits left are
+    comparison/selection logic and adders, linear in [bits]; ring products
+    run as OT-based products with no AND gates ({!ot_product_bits}), so
+    there is no multiplier term. Calibrated against measured [And_gates]
+    totals of Q3/Q10/Q18 at scales xs–m (0.8–1.7x, pinned within 2x by
+    the test suite). Progress-estimation only — protocol cost accounting
+    always charges the exact per-circuit gate counts, never this
+    figure. *)
+let merge_circuit_and_gates ~bits = 4 * bits

@@ -1,7 +1,8 @@
 (** Communication-cost constants for the simulated primitives, auditable
     in one place (DESIGN.md §2): half-gates garbling, IKNP OT extension,
-    ABY-style B2A conversion, PSTY19 OPPRF hints, and permutation-network
-    switches. All values are in bits. *)
+    ABY-style B2A conversion, OT-based (Gilboa) ring products, PSTY19
+    OPPRF hints, and permutation-network switches. All values are in
+    bits. *)
 
 (** Garbled table for one AND gate (half-gates: two kappa-bit rows). *)
 val and_gate_bits : kappa:int -> int
@@ -22,6 +23,11 @@ val output_decode_bits : int
 
 (** Boolean-to-arithmetic conversion of one [bits]-wide word. *)
 val b2a_word_bits : kappa:int -> bits:int -> int
+
+(** One OT-based product of two [bits]-wide shared values, per direction:
+    (receiver's choice traffic, sender's correction traffic), summing to
+    bits·kappa + bits(bits+1)/2. *)
+val ot_product_bits : kappa:int -> bits:int -> int * int
 
 (** Per-cuckoo-bin OPPRF traffic (PSTY19 hint + OPRF evaluation). *)
 val opprf_bin_bits : kappa:int -> sigma:int -> int

@@ -1,9 +1,10 @@
 (** Arithmetic secret sharing over Z_{2^l} (paper §5.1).
 
     [v] is split as v = (a + b) mod 2^l where Alice holds [a] and Bob holds
-    [b]; each share alone is uniformly random. Linear operations are local;
-    everything else goes through the protocols built on top (garbled
-    circuits, PSI, OEP).
+    [b]; each share alone is uniformly random. Linear operations are local,
+    products of two shared values take OT-based multiplication
+    ([mul_batch]); everything else goes through the protocols built on
+    top (garbled circuits, PSI, OEP).
 
     The record exposes both shares because both simulated parties live in
     one process. Protocol code accesses a party's share only through
@@ -94,5 +95,75 @@ let zero = { a = 0L; b = 0L }
 let sum ctx = function
   | [] -> zero
   | first :: rest -> List.fold_left (add ctx) first rest
+
+(* One cross term [x·y] mod 2^l of a Gilboa product: the sender holds
+   [x], the receiver holds [y], and the OT for bit [i] of [y] carries
+   [x] mod 2^(l-i) as its correlation (bits at or above l - i vanish once
+   scaled by 2^i). Each OT is a dealer-supplied random OT — (m0, m1) to
+   the sender, (c, m_c) to the receiver — derandomized online: the
+   receiver sends e = y_i xor c, the sender keeps m_e and sends the one
+   (l-i)-bit correction d = m_e + x - m_(1-e), and the receiver holds
+   m_c + y_i·d = m_e + y_i·x. Returns (sender's share, receiver's
+   share). *)
+let cross_term ring dealer ~x ~y =
+  let l = Zn.bits ring in
+  let s = ref 0L and r = ref 0L in
+  for i = 0 to l - 1 do
+    let w = l - i in
+    let m0 = Prg.bits dealer w in
+    let m1 = Prg.bits dealer w in
+    let c = Prg.bool dealer in
+    let mc = if c then m1 else m0 in
+    let b = Int64.logand (Int64.shift_right_logical y i) 1L = 1L in
+    let e = b <> c in
+    let keep, other = if e then (m1, m0) else (m0, m1) in
+    let mask = Int64.pred (Int64.shift_left 1L w) in
+    let d = Int64.logand (Int64.sub (Int64.add keep x) other) mask in
+    let t = if b then Int64.add mc d else mc in
+    s := Int64.sub !s (Int64.shift_left keep i);
+    r := Int64.add !r (Int64.shift_left t i)
+  done;
+  (Zn.norm ring !s, Zn.norm ring !r)
+
+(** Batched product of shared values (DESIGN.md §2): x_A·y_A and x_B·y_B
+    locally, each cross term by l correlated OTs. Two rounds for the whole
+    batch — the receivers' choice corrections, then the senders' OT
+    corrections, one message per direction each. *)
+let mul_batch ctx xs ys =
+  let m = Array.length xs in
+  if Array.length ys <> m then
+    invalid_arg
+      (Printf.sprintf "Secret_share.mul_batch: %d left operands, %d right" m
+         (Array.length ys));
+  if m = 0 then [||]
+  else
+    Context.with_span ctx "ot:mul" @@ fun () ->
+    let ring = ctx.Context.ring in
+    let l = Zn.bits ring in
+    let choice_bits, correction_bits =
+      Cost_model.ot_product_bits ~kappa:ctx.Context.kappa ~bits:l
+    in
+    Context.bump ctx Trace_sink.Ots (2 * m * l);
+    Context.send ctx ~from:Party.Alice ~bits:(m * choice_bits);
+    Context.send ctx ~from:Party.Bob ~bits:(m * choice_bits);
+    Context.send ctx ~from:Party.Alice ~bits:(m * correction_bits);
+    Context.send ctx ~from:Party.Bob ~bits:(m * correction_bits);
+    Context.bump_rounds ctx 2;
+    match ctx.Context.gc_backend with
+    | Context.Sim ->
+        Array.map2
+          (fun x y ->
+            fresh_of_value ctx (Zn.mul ring (reconstruct ctx x) (reconstruct ctx y)))
+          xs ys
+    | Context.Real ->
+        let dealer = ctx.Context.dealer in
+        Array.map2
+          (fun x y ->
+            (* Alice sends for x_A·y_B, Bob sends for x_B·y_A *)
+            let ab_a, ab_b = cross_term ring dealer ~x:x.a ~y:y.b in
+            let ba_b, ba_a = cross_term ring dealer ~x:x.b ~y:y.a in
+            { a = Zn.add ring (Zn.add ring (Zn.mul ring x.a y.a) ab_a) ba_a;
+              b = Zn.add ring (Zn.add ring (Zn.mul ring x.b y.b) ab_b) ba_b })
+          xs ys
 
 let pp fmt t = Fmt.pf fmt "[[a=%Ld;b=%Ld]]" t.a t.b

@@ -39,4 +39,19 @@ val add_public : Context.t -> t -> int64 -> t
 val scale_public : Context.t -> t -> int64 -> t
 val zero : t
 val sum : Context.t -> t list -> t
+
+(** {2 Multiplication} *)
+
+(** [mul_batch ctx xs ys] shares [xs.(i) · ys.(i)] mod 2^l, freshly
+    randomized, by the OT-based (Gilboa) product: each party multiplies
+    its own shares locally, and each of the two cross terms costs [l]
+    correlated OTs from the dealer, the [i]-th carrying l−i bits.
+    [Real] runs the derandomized-OT message arithmetic; [Sim] reshares
+    the product. Both account the same cost under an ["ot:mul"] span:
+    2 rounds for the whole batch, one send per direction per round
+    ({!Cost_model.ot_product_bits} per product), and [2l] OTs per
+    product. An empty batch costs nothing.
+    @raise Invalid_argument on arrays of different lengths. *)
+val mul_batch : Context.t -> t array -> t array -> t array
+
 val pp : Format.formatter -> t -> unit

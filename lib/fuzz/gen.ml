@@ -33,16 +33,22 @@ let random_value rng = function
   | K_str -> Value.Str (Printf.sprintf "s%d" (Rng.below rng 5))
   | K_date -> Value.Date (8000 + Rng.below rng 100)
 
-(* Boundary annotations sit at the signed/unsigned edges of the 32-bit
-   ring: 2^31 - 1, 2^31 (most negative signed), 2^32 - 1 (-1 signed). *)
-let ring_boundaries = [| 0x7FFF_FFFFL; 0x8000_0000L; 0xFFFF_FFFFL |]
+(* Boundary annotations sit at the signed/unsigned edges of the ring's
+   width l: 2^(l-1) - 1, 2^(l-1) (most negative signed), 2^l - 1 (-1
+   signed). *)
+let ring_boundary (semiring : Semiring.t) k =
+  let half = Int64.shift_left 1L (Semiring.bits semiring - 1) in
+  match k with
+  | 0 -> Int64.sub half 1L
+  | 1 -> half
+  | _ -> Int64.sub (Zn.modulus semiring.Semiring.zn) 1L
 
 let random_annot rng (semiring : Semiring.t) =
   match semiring.Semiring.kind with
   | Semiring.Ring ->
       let c = Rng.below rng 8 in
       if c = 0 then 0L
-      else if c = 1 then ring_boundaries.(Rng.below rng 3)
+      else if c = 1 then ring_boundary semiring (Rng.below rng 3)
       else Int64.of_int (1 + Rng.below rng 1000)
   | Semiring.Boolean -> if Rng.below rng 4 = 0 then 0L else 1L
   | Semiring.Tropical_min | Semiring.Tropical_max ->
@@ -51,9 +57,15 @@ let random_annot rng (semiring : Semiring.t) =
       else if c = 1 then Semiring.of_value semiring (Int64.of_int (100_000 + Rng.below rng 1000))
       else Semiring.of_value semiring (Int64.of_int (Rng.below rng 1000))
 
-let random_semiring rng =
+(* The Ring width spans the figure queries' 52 bits; the tropical
+   semirings stay at 32 bits. *)
+let ring_widths = [| 16; 32; 52 |]
+
+let random_semiring rng ~width_rng =
   match Rng.below rng 4 with
-  | 0 -> Semiring.ring ~bits:32
+  | 0 ->
+      let bits = ring_widths.(Rng.below width_rng (Array.length ring_widths)) in
+      Semiring.ring ~bits
   | 1 -> Semiring.boolean
   | 2 -> Semiring.tropical_min ~bits:32
   | _ -> Semiring.tropical_max ~bits:32
@@ -73,7 +85,11 @@ let generate ~seed ~case =
     !edges @ own
   in
   let schemas = Array.init n schema_of in
-  let semiring = random_semiring rng in
+  (* the Ring width comes from a SEPARATE stream, like the order clause
+     below, so pinned seeds keep their join structure and content *)
+  let semiring =
+    random_semiring rng ~width_rng:(case_rng (Int64.logxor seed 0x5E1D7E5E1D7E5E1DL) case)
+  in
   (* output: attributes of a random root-connected subtree (always
      free-connex for some rooted tree of this acyclic hypergraph), or a
      scalar aggregate *)

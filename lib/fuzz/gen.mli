@@ -1,7 +1,9 @@
 (** Seeded generator of random free-connex join-aggregate instances:
     random acyclic join trees with a free-connex output set, random
-    semirings, and databases exercising skew, duplicate keys, empty
-    relations, all-dummy padded inputs, and boundary annotations.
+    semirings (the Ring at 16, 32 or 52 bits, drawn from a separate
+    stream), and databases exercising skew, duplicate keys, empty
+    relations, all-dummy padded inputs, and boundary annotations of the
+    drawn width.
 
     Half the instances additionally carry an ORDER BY / LIMIT clause
     (mixed aggregate/attribute keys, both directions, limits covering

@@ -121,6 +121,7 @@ let test_kind_of_label () =
       ("oprf:batch", Envelope.Oprf);
       ("oep:route", Envelope.Oep);
       ("ot:ext", Envelope.Ot);
+      ("ot:mul", Envelope.Ot);
       ("gc:shares", Envelope.Gc);
       ("reveal", Envelope.Reveal);
       ("reveal:orders", Envelope.Reveal);

@@ -131,6 +131,63 @@ let test_share_uniform_shares () =
   let distinct = List.sort_uniq compare shares in
   Alcotest.(check bool) "shares look random" true (List.length distinct > 10)
 
+(* OT-based products: an l-bit batch of m products under one backend,
+   returning the reconstructed products and the ledger delta. *)
+let run_mul_batch backend ~l xs ys =
+  let ctx = Context.create ~bits:l ~gc_backend:backend ~seed:11L () in
+  let share owner v = Secret_share.share ctx ~owner v in
+  let sx = Array.map (share Party.Alice) xs and sy = Array.map (share Party.Bob) ys in
+  let before = Context.counter_totals ctx in
+  let z = Secret_share.mul_batch ctx sx sy in
+  let delta = Array.map2 ( - ) (Context.counter_totals ctx) before in
+  (Array.map (Secret_share.reconstruct ctx) z, delta)
+
+(* An l-bit operand: the wraparound boundaries 2^l - 1 and 2^(l-1), 0, 1,
+   or uniform. *)
+let mul_operand ~l st =
+  let r = Zn.create l in
+  match Random.State.int st 5 with
+  | 0 -> Int64.sub (Zn.modulus r) 1L
+  | 1 -> Int64.shift_left 1L (l - 1)
+  | 2 -> 0L
+  | 3 -> 1L
+  | _ -> Zn.norm r (Random.State.int64 st Int64.max_int)
+
+(* Products equal [Zn.mul] under both backends, at every width and at
+   batch sizes 0, 1 and random; Real and Sim tallies are equal, the cost
+   is exactly m·(l·kappa + l(l+1)/2) bits each way in 2 rounds with 2ml
+   OTs and no AND gates, and a same-shape batch of other values costs the
+   same. *)
+let mul_batch_matches_zn =
+  QCheck.Test.make ~count:150 ~name:"mul_batch = Zn.mul, exact cost"
+    QCheck.(triple (int_range 1 62) (int_range 0 2) int)
+    (fun (l, size, seed) ->
+      let st = Random.State.make [| seed |] in
+      let m = match size with 0 -> 0 | 1 -> 1 | _ -> 2 + Random.State.int st 30 in
+      let operands () = Array.init m (fun _ -> mul_operand ~l st) in
+      let xs = operands () and ys = operands () in
+      let ring = Zn.create l in
+      let expected = Array.map2 (Zn.mul ring) xs ys in
+      let real, real_cost = run_mul_batch Context.Real ~l xs ys in
+      let sim, sim_cost = run_mul_batch Context.Sim ~l xs ys in
+      let _, twin_cost = run_mul_batch Context.Real ~l (operands ()) (operands ()) in
+      let count c cost = cost.(Trace_sink.counter_index c) in
+      let bits = m * ((l * 128) + (l * (l + 1) / 2)) in
+      real = expected && sim = expected && real_cost = sim_cost && twin_cost = real_cost
+      && count Trace_sink.Alice_to_bob_bits real_cost = bits
+      && count Trace_sink.Bob_to_alice_bits real_cost = bits
+      && count Trace_sink.Rounds real_cost = (if m = 0 then 0 else 2)
+      && count Trace_sink.Sends real_cost = (if m = 0 then 0 else 4)
+      && count Trace_sink.Ots real_cost = 2 * m * l
+      && count Trace_sink.And_gates real_cost = 0)
+
+let test_mul_batch_cost_model () =
+  Alcotest.(check (pair int int)) "52-bit product, kappa 128" (6656, 1378)
+    (Cost_model.ot_product_bits ~kappa:128 ~bits:52);
+  Alcotest.check_raises "length mismatch"
+    (Invalid_argument "Secret_share.mul_batch: 1 left operands, 0 right") (fun () ->
+      ignore (Secret_share.mul_batch (ctx_sim ()) [| Secret_share.zero |] [||]))
+
 (* ------------------------------------------------------------------ *)
 (* Word circuits vs int64 reference semantics *)
 
@@ -1606,7 +1663,9 @@ let () =
           Alcotest.test_case "linear ops" `Quick test_share_linear_ops;
           Alcotest.test_case "reveal costs" `Quick test_share_reveal_costs;
           Alcotest.test_case "uniform shares" `Quick test_share_uniform_shares;
-        ] );
+          Alcotest.test_case "product cost model" `Quick test_mul_batch_cost_model;
+        ]
+        @ qsuite [ mul_batch_matches_zn ] );
       ( "circuits",
         Alcotest.test_case "adder AND count" `Quick test_and_count_add
         :: Alcotest.test_case "clear eval allocates no per-gate words" `Quick

@@ -172,6 +172,31 @@ let test_gen_deterministic () =
       if sig_of a <> sig_of b then Alcotest.failf "case %d not deterministic" case)
     [ 0; 1; 7; 23 ]
 
+(* The CI campaign (seed 42, 200 cases) must reach every Ring width the
+   products run at, the figure queries' 52 bits included, with boundary
+   annotations of that width; tropical rings stay at 32 bits. *)
+let test_gen_ring_widths () =
+  let ring = ref [] and boundary = ref [] in
+  for case = 0 to 199 do
+    let q = (Gen.generate ~seed:42L ~case).Gen.query in
+    let s = q.Query.semiring in
+    let bits = Semiring.bits s in
+    match s.Semiring.kind with
+    | Semiring.Ring ->
+        ring := bits :: !ring;
+        let top = Int64.pred (Int64.shift_left 1L bits) in
+        List.iter
+          (fun (_, (i : Query.input)) ->
+            if Array.mem top i.Query.relation.Relation.annots then boundary := bits :: !boundary)
+          q.Query.inputs
+    | Semiring.Tropical_min | Semiring.Tropical_max ->
+        Alcotest.(check int) "tropical width" 32 bits
+    | Semiring.Boolean -> ()
+  done;
+  Alcotest.(check (list int)) "ring widths drawn" [ 16; 32; 52 ] (List.sort_uniq compare !ring);
+  Alcotest.(check (list int)) "all-ones boundary at every width" [ 16; 32; 52 ]
+    (List.sort_uniq compare !boundary)
+
 let test_gen_masks () =
   Value.reset_dummies ();
   let t = Gen.generate ~seed:42L ~case:3 in
@@ -319,6 +344,7 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_gen_deterministic;
           Alcotest.test_case "masks" `Quick test_gen_masks;
+          Alcotest.test_case "ring widths" `Quick test_gen_ring_widths;
         ] );
       ( "campaign",
         [

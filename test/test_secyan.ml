@@ -302,6 +302,44 @@ let test_oblivious_join () =
   in
   Alcotest.(check (list (pair string check_i64))) "join results" (content expected) (content got)
 
+(* The k-way product is a balanced tree of OT-based product batches; with
+   duplicate tuples every J* copy must still get a distinct combination.
+   Both backends agree with the plaintext join and account equally. *)
+let test_oblivious_join_k_way () =
+  let rels =
+    [
+      rel "R1" [ "a"; "b" ] [ ([ 1; 10 ], 2); ([ 1; 10 ], 5); ([ 2; 20 ], 3); ([ 9; 90 ], 0) ];
+      rel "R2" [ "b"; "c" ] [ ([ 10; 5 ], 7); ([ 20; 6 ], 1); ([ 20; 6 ], 4) ];
+      rel "R3" [ "c"; "d" ] [ ([ 5; 1 ], -1); ([ 6; 2 ], 9) ];
+      rel "R4" [ "d" ] [ ([ 1 ], 3); ([ 2 ], 11); ([ 2 ], 1) ];
+    ]
+  in
+  List.iter
+    (fun k ->
+      let rs = List.filteri (fun i _ -> i < k) rels in
+      let expected =
+        List.fold_left (Operators.join ring32) (List.hd rs) (List.tl rs) |> content
+      in
+      let run backend =
+        let ctx = Context.create ~gc_backend:backend ~seed:7L () in
+        let srs =
+          List.mapi
+            (fun i r -> shared ctx ~owner:(if i mod 2 = 0 then Party.Alice else Party.Bob) r)
+            rs
+        in
+        let out, cost = Context.measured ctx (fun () -> Oblivious_join.run ctx ring32 srs) in
+        ( content
+            (Relation.with_annots out.Oblivious_join.joined
+               (Array.map (Secret_share.reconstruct ctx) out.Oblivious_join.annots)),
+          cost )
+      in
+      let sim, sim_cost = run Context.Sim and real, real_cost = run Context.Real in
+      let name = Printf.sprintf "k = %d" k in
+      Alcotest.(check (list (pair string check_i64))) (name ^ " sim") expected sim;
+      Alcotest.(check (list (pair string check_i64))) (name ^ " real") expected real;
+      Alcotest.(check bool) (name ^ " real/sim same cost") true (Comm.equal sim_cost real_cost))
+    [ 2; 3; 4 ]
+
 let test_oblivious_join_single_relation () =
   let ctx = ctx_sim () in
   let r = rel "R" [ "a" ] [ ([ 1 ], 5); ([ 2 ], 0); ([ 3 ], 7) ] in
@@ -793,6 +831,7 @@ let () =
         [
           Alcotest.test_case "two relations" `Quick test_oblivious_join;
           Alcotest.test_case "single relation" `Quick test_oblivious_join_single_relation;
+          Alcotest.test_case "k-way product tree" `Quick test_oblivious_join_k_way;
         ] );
       ( "protocol",
         [

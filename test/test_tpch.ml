@@ -255,6 +255,27 @@ let test_q9_per_nation_cost_uniform () =
     (Secyan_crypto.Comm.total_bits t2)
     (Secyan_crypto.Comm.total_bits t17)
 
+(* The progress estimate (ETA only) must stay within 2x of the measured
+   AND-gate total, or --progress stalls far from (or races to) 100%. *)
+let test_progress_estimate_within_2x () =
+  List.iter
+    (fun scale ->
+      let d = Datagen.generate ~sf:(Datagen.preset_sf scale) ~seed:1L in
+      List.iter
+        (fun (name, q) ->
+          let ctx = Queries.context ~seed:1L () in
+          let estimate = Secyan.Secure_yannakakis.estimate_and_gates ctx q in
+          ignore (Secyan.Secure_yannakakis.run ctx q);
+          let measured =
+            (Secyan_crypto.Context.counter_totals ctx).(Secyan_crypto.Trace_sink.counter_index
+                                                          Secyan_crypto.Trace_sink.And_gates)
+          in
+          if estimate > 2 * measured || measured > 2 * estimate then
+            Alcotest.failf "%s at %s: estimate %d vs measured %d AND gates" name scale
+              estimate measured)
+        [ ("Q3", Queries.q3 d); ("Q10", Queries.q10 d); ("Q18", Queries.q18 d) ])
+    [ "xs"; "s" ]
+
 let test_effective_input_size_monotone () =
   let size sf = Queries.effective_input_bytes (Queries.q3 (Datagen.generate ~sf ~seed:1L)) in
   Alcotest.(check bool) "monotone in scale" true (size 1.2e-4 > size 4e-5)
@@ -325,5 +346,7 @@ let () =
           Alcotest.test_case "rounds scale-free" `Quick test_rounds_scale_free;
           Alcotest.test_case "Q9 per-nation cost uniform" `Quick test_q9_per_nation_cost_uniform;
           Alcotest.test_case "effective input size" `Quick test_effective_input_size_monotone;
+          Alcotest.test_case "progress estimate within 2x" `Quick
+            test_progress_estimate_within_2x;
         ] );
     ]
