@@ -8,9 +8,14 @@
    (communication = input size, §8.2).
 
    Also: design-choice ablations (PSI with clear vs secret-shared
-   payloads; real vs simulated garbling) and Bechamel microbenches of the
-   primitives. Select sections via argv: figure2..figure6, figures,
-   ablations, micro, all. *)
+   payloads; real vs simulated garbling; annotation ring width), a
+   per-step cost breakdown of Q3, extra TPC-H queries, Bechamel
+   microbenches of the primitives, checkpoint overhead and fuzz-campaign
+   throughput. Select sections via argv: figure2..figure6,
+   ablation-psi, ablation-gc, ablation-ring, breakdown, extra-queries,
+   micro, checkpoint-overhead, fuzz-perf, or the groups figures,
+   ablations and all. End-to-end Real-backend timing lives in
+   e2ebench/. *)
 
 open Secyan_crypto
 open Secyan_relational
@@ -46,12 +51,8 @@ type series_point = {
 let bench_files =
   [
     ("BENCH_1.json", "figures");
-    ("BENCH_2.json", "gc-perf");
     ("BENCH_4.json", "checkpoint-overhead");
     ("BENCH_5.json", "fuzz-perf");
-    ("BENCH_6.json", "gc-perf");
-    ("BENCH_7.json", "gc-perf");
-    ("BENCH_10.json", "sort-perf");
   ]
 
 let bench_records : (string, Json.t list) Hashtbl.t = Hashtbl.create 8
@@ -381,8 +382,10 @@ let ablation_gc () =
     [ 64; 256; 1024 ]
 
 (* Annotation ring width: the paper uses l = 32; our TPC-H queries need
-   l = 52 for cent-precision sums. Multiplication circuits are O(l^2), so
-   this measures what the wider ring costs. *)
+   l = 52 for cent-precision sums. Annotation products are OT-based,
+   l*kappa + l(l+1)/2 bits each way, and the remaining circuits (PSI
+   payloads, merge chains) are ~O(l), so this measures what the wider
+   ring costs. *)
 let ablation_ring () =
   hrule ();
   line "Ablation: annotation ring width (Q3-shaped constrained join, 1000 tuples)";
@@ -553,353 +556,6 @@ let micro () =
     tests
 
 (* ------------------------------------------------------------------ *)
-(* GC engine performance: KDF microbenches, garbling throughput, and
-   parallel batch wall-clock. Results go to BENCH_2.json (EXPERIMENTS.md
-   documents the schema). [--domains N] sets the largest pool measured. *)
-
-let requested_domains = ref 1
-
-(* Per-domain contention timelines and metrics overhead: records go to
-   BENCH_6.json (EXPERIMENTS.md documents the schema). The timelines are
-   the instrumented view of ROADMAP item 1 — where the wall-clock goes
-   (busy vs queue-wait vs lock-wait) as the pool grows. *)
-
-(* Allocation-free kernel proof and the domain-scaling sweep: records go
-   to BENCH_7.json (EXPERIMENTS.md documents the schema). The cross-
-   machine CI gates are the exact booleans of the scaling-summary record
-   ([alloc_reduction_ok], [scaling_ok], [identical_at_all_pool_sizes]);
-   words-per-gate and the reduction factor are machine-absolute
-   diagnostics (DESIGN.md §14). *)
-
-(* Bechamel OLS estimate for one run of [f], in nanoseconds. *)
-let ns_per_run name f =
-  let open Bechamel in
-  let open Bechamel.Toolkit in
-  let test = Test.make ~name (Staged.stage f) in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true () in
-  let results = Benchmark.all cfg Instance.[ monotonic_clock ] test in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let analysis = Analyze.all ols Instance.monotonic_clock results in
-  let est = ref nan in
-  Hashtbl.iter
-    (fun _ r -> match Analyze.OLS.estimates r with Some [ e ] -> est := e | _ -> ())
-    analysis;
-  !est
-
-let gc_perf () =
-  hrule ();
-  line "GC engine performance (label hashes, garbling throughput, parallel batches)";
-  hrule ();
-  (* 1. per-label KDF cost: the acceptance criterion is AES < SHA-256 *)
-  let prg = Prg.create 3L in
-  let label = Garbling.Label.random prg in
-  let sha_ns = ns_per_run "label-hash-sha256" (fun () ->
-      ignore (Garbling.Label.hash label ~tweak:42L)) in
-  let aes_ns = ns_per_run "label-hash-aes128" (fun () ->
-      ignore (Garbling.Label.hash_aes label ~tweak:42L)) in
-  line "%-24s %12.1f ns/op" "label-hash-sha256" sha_ns;
-  line "%-24s %12.1f ns/op  (%.2fx faster)" "label-hash-aes128" aes_ns (sha_ns /. aes_ns);
-  List.iter
-    (fun (kdf, ns) ->
-      emit "BENCH_2.json" @@
-        Json.Obj
-          [
-            ("kind", Json.Str "label-hash"); ("kdf", Json.Str kdf);
-            ("ns_per_op", Json.Float ns);
-          ])
-    [ ("sha256", sha_ns); ("aes128", aes_ns) ];
-  (* 2. whole-circuit garbling throughput in AND gates per second *)
-  let circuit =
-    let module Bb = Boolean_circuit.Builder in
-    let b = Bb.create () in
-    let x = Circuits.input_word b 32 and y = Circuits.input_word b 32 in
-    let out = Circuits.mul_word b x y in
-    Bb.finalize b ~outputs:(Circuits.materialize_word b 0 out)
-  in
-  let ands = Boolean_circuit.and_count circuit in
-  let garble_prg = Prg.create 2L in
-  List.iter
-    (fun (name, kdf) ->
-      let ns = ns_per_run ("garble-" ^ name) (fun () ->
-          ignore (Garbling.garble ~kdf garble_prg circuit)) in
-      let gates_per_s = float_of_int ands /. (ns *. 1e-9) in
-      line "%-24s %12.1f ns/circuit  %10.0f AND gates/s" ("garble-32b-mul-" ^ name) ns
-        gates_per_s;
-      emit "BENCH_2.json" @@
-        Json.Obj
-          [
-            ("kind", Json.Str "garble-throughput"); ("kdf", Json.Str name);
-            ("and_gates", Json.Int ands); ("ns_per_circuit", Json.Float ns);
-            ("and_gates_per_s", Json.Float gates_per_s);
-          ])
-    [ ("sha256", Garbling.Sha256_kdf); ("aes128", Garbling.Aes128_kdf) ];
-  (* 3. batch wall-clock across pool sizes, with a determinism cross-check *)
-  let items = 48 in
-  let batch_inputs () =
-    let inp = Prg.create 7L in
-    Array.init items (fun _ ->
-        [
-          Gc_protocol.Priv { owner = Party.Alice; value = Prg.bits inp 16; bits = 32 };
-          Gc_protocol.Priv { owner = Party.Bob; value = Prg.bits inp 16; bits = 32 };
-        ])
-  in
-  let build b words = [ Circuits.mul_word b words.(0) words.(1) ] in
-  let batch domains =
-    let ctx = Context.create ~gc_backend:Context.Real ~domains ~seed () in
-    let shares, secs =
-      time (fun () -> Gc_protocol.eval_to_shares_batch ctx ~items:(batch_inputs ()) ~build)
-    in
-    Context.shutdown_pool ctx;
-    (shares, secs)
-  in
-  let pool_sizes = List.sort_uniq compare [ 1; 2; max 1 !requested_domains ] in
-  let baseline, base_secs = batch 1 in
-  List.iter
-    (fun domains ->
-      let shares, secs = if domains = 1 then (baseline, base_secs) else batch domains in
-      let identical = shares = baseline in
-      line "%-24s %12.3f ms  (%d items, speedup %.2fx, identical %b)"
-        (Printf.sprintf "batch-garble-%dd" domains)
-        (secs *. 1e3) items (base_secs /. secs) identical;
-      if not identical then line "  !! parallel batch diverged from sequential";
-      emit "BENCH_2.json" @@
-        Json.Obj
-          [
-            ("kind", Json.Str "batch-wallclock"); ("domains", Json.Int domains);
-            ("items", Json.Int items); ("and_gates", Json.Int (ands * items));
-            ("seconds", Json.Float secs);
-            ("and_gates_per_s", Json.Float (float_of_int (ands * items) /. secs));
-            ("speedup_vs_domains1", Json.Float (base_secs /. secs));
-            ("identical_to_sequential", Json.Bool identical);
-          ])
-    pool_sizes;
-  (* 4. per-domain contention timelines: where each participant's
-     wall-clock goes (busy vs queue-wait vs lock-wait) as the pool grows
-     — the instrumented view of the ROADMAP item-1 regression. *)
-  let was_enabled = Secyan_metrics.enabled () in
-  Secyan_metrics.set_enabled true;
-  let timeline_sizes = List.sort_uniq compare [ 1; 2; 4; max 1 !requested_domains ] in
-  List.iter
-    (fun domains ->
-      settle ();
-      let ctx = Context.create ~gc_backend:Context.Real ~domains ~seed () in
-      let _, secs =
-        time (fun () -> Gc_protocol.eval_to_shares_batch ctx ~items:(batch_inputs ()) ~build)
-      in
-      let tls =
-        match Context.pool_opt ctx with
-        | Some pool -> Domain_pool.timelines pool
-        | None -> []
-      in
-      Context.shutdown_pool ctx;
-      let sum f = List.fold_left (fun acc tl -> acc +. f tl) 0. tls in
-      let wall = sum (fun tl -> tl.Domain_pool.wall_ns) in
-      let frac f = if wall > 0. then sum f /. wall else 0. in
-      let busy = frac (fun tl -> tl.Domain_pool.busy_ns) in
-      let queue = frac (fun tl -> tl.Domain_pool.queue_wait_ns) in
-      let lock = frac (fun tl -> tl.Domain_pool.lock_wait_ns) in
-      line "%-24s %12.3f ms  busy %5.1f%%  queue-wait %5.1f%%  lock-wait %5.1f%%"
-        (Printf.sprintf "timeline-%dd" domains)
-        (secs *. 1e3) (100. *. busy) (100. *. queue) (100. *. lock);
-      emit "BENCH_6.json" @@
-        Json.Obj
-          [
-            ("kind", Json.Str "domain-timeline"); ("domains", Json.Int domains);
-            ("items", Json.Int items); ("seconds", Json.Float secs);
-            ("busy_frac", Json.Float busy);
-            ("queue_wait_frac", Json.Float queue);
-            ("lock_wait_frac", Json.Float lock);
-            ("timelines", Json.List (List.map Profile.timeline_json tls));
-          ])
-    timeline_sizes;
-  (* 5. metrics overhead on a full protocol run: the registry must stay
-     within single-digit percent of a metrics-off run (DESIGN.md §13's
-     budget; the acceptance bar is <= 3%). Best-of-reps on both sides to
-     suppress scheduler noise. *)
-  let sf = Secyan_tpch.Datagen.preset_sf "xs" in
-  let d = Secyan_tpch.Datagen.generate ~sf ~seed in
-  let run_secs () =
-    settle ();
-    let ctx = Secyan_tpch.Queries.context ~seed () in
-    let q = Secyan_tpch.Queries.q3 d in
-    let _, secs = time (fun () -> Secyan.Secure_yannakakis.run ctx q) in
-    Context.shutdown_pool ctx;
-    secs
-  in
-  let reps = 5 in
-  let best f = List.fold_left (fun acc _ -> Float.min acc (f ())) infinity (List.init reps Fun.id) in
-  Secyan_metrics.set_enabled false;
-  let off_secs = best run_secs in
-  Secyan_metrics.set_enabled true;
-  let on_secs = best run_secs in
-  Secyan_metrics.set_enabled was_enabled;
-  let overhead_pct = 100. *. (on_secs -. off_secs) /. off_secs in
-  line "%-24s off %.3f ms  on %.3f ms  overhead %.2f%%" "metrics-overhead-q3-xs"
-    (off_secs *. 1e3) (on_secs *. 1e3) overhead_pct;
-  emit "BENCH_6.json" @@
-    Json.Obj
-      [
-        ("kind", Json.Str "metrics-overhead"); ("query", Json.Str "Q3");
-        ("scale", Json.Str "xs"); ("reps", Json.Int reps);
-        ("off_seconds", Json.Float off_secs); ("on_seconds", Json.Float on_secs);
-        ("overhead_pct", Json.Float overhead_pct);
-      ];
-  (* 6. allocation-free kernels (DESIGN.md §14): words allocated per AND
-     gate by the boxed reference vs the unboxed arena implementation, the
-     batch engine's steady-state per-item allocation (read back through
-     the [secyan_gc_item_*_words] registry histograms), and the domains
-     1/2/4/8 scaling sweep. Records go to BENCH_7.json; CI gates on the
-     scaling-summary booleans, which are machine-independent. *)
-  Secyan_metrics.set_enabled false;
-  let n_inputs = circuit.Boolean_circuit.n_inputs in
-  let input_bit i = i land 1 = 1 in
-  let alloc_reps = 32 in
-  let alloc_per_gate f =
-    f ();
-    (* warmed up: arenas grown, lazy state forced. [Gc.minor_words] (not
-       [quick_stat], which only advances at GC points) so sub-minor-heap
-       allocation volumes still resolve. *)
-    let minor0 = Gc.minor_words () in
-    let major0 = (Gc.quick_stat ()).Gc.major_words in
-    for _ = 1 to alloc_reps do f () done;
-    let per w0 w1 = (w1 -. w0) /. float_of_int (alloc_reps * ands) in
-    ( per minor0 (Gc.minor_words ()),
-      per major0 (Gc.quick_stat ()).Gc.major_words )
-  in
-  let boxed_prg = Prg.create 9L in
-  let boxed () =
-    let g = Garbling_reference.garble boxed_prg circuit in
-    let labels =
-      Array.init n_inputs (fun i -> Garbling_reference.encode_input g i (input_bit i))
-    in
-    ignore (Garbling_reference.eval_labels g labels : Garbling.Label.t array)
-  in
-  let arena = Garbling.Arena.create () in
-  let unboxed_prg = Prg.create 9L in
-  let unboxed () =
-    let g = Garbling.garble ~arena unboxed_prg circuit in
-    ignore (Garbling.eval_colors ~arena g input_bit : Bytes.t)
-  in
-  let record_alloc impl (minor, major) =
-    line "%-24s %12.2f minor words/AND  %10.4f major words/AND" ("alloc-" ^ impl) minor
-      major;
-    emit "BENCH_7.json" @@
-      Json.Obj
-        [
-          ("kind", Json.Str "alloc-per-gate"); ("impl", Json.Str impl);
-          ("and_gates", Json.Int ands); ("reps", Json.Int alloc_reps);
-          ("minor_words_per_gate", Json.Float minor);
-          ("major_words_per_gate", Json.Float major);
-        ]
-  in
-  let ((boxed_minor, _) as boxed_alloc) = alloc_per_gate boxed in
-  record_alloc "boxed" boxed_alloc;
-  let ((unboxed_minor, _) as unboxed_alloc) = alloc_per_gate unboxed in
-  record_alloc "unboxed" unboxed_alloc;
-  let alloc_reduction = boxed_minor /. Float.max unboxed_minor 1e-9 in
-  line "%-24s %12.1fx fewer minor words/AND (gate: >= 10x)" "alloc-reduction"
-    alloc_reduction;
-  (* steady-state batch-engine allocation: the second batch on a context
-     runs on recycled item contexts and warmed arenas *)
-  Secyan_metrics.set_enabled true;
-  let alloc_ctx = Context.create ~gc_backend:Context.Real ~domains:1 ~seed () in
-  ignore (Gc_protocol.eval_to_shares_batch alloc_ctx ~items:(batch_inputs ()) ~build);
-  Secyan_metrics.reset ();
-  ignore (Gc_protocol.eval_to_shares_batch alloc_ctx ~items:(batch_inputs ()) ~build);
-  Context.shutdown_pool alloc_ctx;
-  let hist_mean name =
-    match
-      List.find_opt
-        (fun (s : Secyan_metrics.sample) -> s.Secyan_metrics.name = name)
-        (Secyan_metrics.snapshot ())
-    with
-    | Some { Secyan_metrics.value = Secyan_metrics.Histogram h; _ }
-      when h.Secyan_metrics.count > 0 ->
-        h.Secyan_metrics.sum /. float_of_int h.Secyan_metrics.count
-    | _ -> 0.
-  in
-  let item_minor = hist_mean "secyan_gc_item_minor_words" in
-  let item_major = hist_mean "secyan_gc_item_major_words" in
-  line "%-24s %12.0f minor words/item  (%.2f per AND gate)" "batch-alloc-steady"
-    item_minor
-    (item_minor /. float_of_int ands);
-  emit "BENCH_7.json" @@
-    Json.Obj
-      [
-        ("kind", Json.Str "batch-alloc"); ("domains", Json.Int 1);
-        ("items", Json.Int items);
-        ("minor_words_per_item", Json.Float item_minor);
-        ("minor_words_per_gate", Json.Float (item_minor /. float_of_int ands));
-        ("major_words_per_item", Json.Float item_major);
-      ];
-  (* the scaling sweep: always domains 1/2/4/8 (plus --domains if larger)
-     so regenerated files match record-for-record on any machine;
-     wall-clock scaling is only asserted for pool sizes the host can
-     actually run in parallel *)
-  Secyan_metrics.set_enabled false;
-  let sweep_sizes = List.sort_uniq compare [ 1; 2; 4; 8; max 1 !requested_domains ] in
-  let sweep_reps = 3 in
-  let sweep domains =
-    let shares = ref [||] and best = ref infinity in
-    for _ = 1 to sweep_reps do
-      settle ();
-      let s, secs = batch domains in
-      shares := s;
-      if secs < !best then best := secs
-    done;
-    (!shares, !best)
-  in
-  let sweep_base, sweep_base_secs = sweep 1 in
-  let sweep_results =
-    List.map
-      (fun domains ->
-        let shares, secs =
-          if domains = 1 then (sweep_base, sweep_base_secs) else sweep domains
-        in
-        let identical = shares = sweep_base in
-        let speedup = sweep_base_secs /. secs in
-        line "%-24s %12.3f ms  (speedup %.2fx, identical %b)"
-          (Printf.sprintf "sweep-%dd" domains)
-          (secs *. 1e3) speedup identical;
-        if not identical then line "  !! parallel batch diverged from sequential";
-        emit "BENCH_7.json" @@
-          Json.Obj
-            [
-              ("kind", Json.Str "domain-sweep"); ("domains", Json.Int domains);
-              ("items", Json.Int items); ("and_gates", Json.Int (ands * items));
-              ("seconds", Json.Float secs);
-              ("and_gates_per_s", Json.Float (float_of_int (ands * items) /. secs));
-              ("speedup_vs_domains1", Json.Float speedup);
-              ("identical_to_sequential", Json.Bool identical);
-            ];
-        (domains, speedup, identical))
-      sweep_sizes
-  in
-  let cores = Domain.recommended_domain_count () in
-  let gated = List.filter (fun (d, _, _) -> d <= cores) sweep_results in
-  let rec monotone = function
-    | (_, s1, _) :: ((_, s2, _) :: _ as rest) -> s2 >= s1 -. 0.1 && monotone rest
-    | _ -> true
-  in
-  let all_identical = List.for_all (fun (_, _, id) -> id) sweep_results in
-  let at2_ok = cores < 2 || List.for_all (fun (d, s, _) -> d <> 2 || s >= 0.9) gated in
-  let scaling_ok = all_identical && at2_ok && monotone gated in
-  let alloc_reduction_ok = alloc_reduction >= 10. in
-  line "%-24s reduction %.0fx (ok %b)  scaling ok %b (asserted on %d of %d pool sizes; %d cores)"
-    "scaling-summary" alloc_reduction alloc_reduction_ok scaling_ok (List.length gated)
-    (List.length sweep_results) cores;
-  emit "BENCH_7.json" @@
-    Json.Obj
-      [
-        ("kind", Json.Str "scaling-summary"); ("items", Json.Int items);
-        ("alloc_reduction", Json.Float alloc_reduction);
-        ("alloc_reduction_ok", Json.Bool alloc_reduction_ok);
-        ("scaling_ok", Json.Bool scaling_ok);
-        ("identical_at_all_pool_sizes", Json.Bool all_identical);
-      ];
-  Secyan_metrics.set_enabled was_enabled
-
-(* ------------------------------------------------------------------ *)
 (* Checkpoint overhead: wall-clock and bytes-written delta of a fully
    checkpointed run (a snapshot at every phase/operator boundary) vs a
    plain run, q3/q10 at scale xs. Results go to BENCH_4.json
@@ -1032,144 +688,6 @@ let fuzz_perf () =
       ]
 
 (* ------------------------------------------------------------------ *)
-(* Oblivious sort / top-k perf (DESIGN.md §17): comparator schedule size
-   vs the closed form, AND gates, communication, rounds, and wall-clock
-   of the bitonic sort as n grows, plus a domains sweep at fixed n.
-   Results go to BENCH_10.json (EXPERIMENTS.md documents the schema). *)
-
-let sort_perf () =
-  hrule ();
-  line "oblivious sort / top-k: bitonic schedule cost vs n (DESIGN.md section 17)";
-  hrule ();
-  let key_bits = 16 and idx_bits = 16 in
-  (* synthetic rows shaped like the engine's order phase: one private
-     rank key, a private row-index payload and a shared annotation *)
-  let make_rows ctx n =
-    let prg = Prg.create (Int64.of_int (0x5017 + n)) in
-    Array.init n (fun i ->
-        let key = Int64.logand (Prg.next_int64 prg) 0xFFFFL in
-        {
-          Oblivious_sort.valid =
-            Gc_protocol.Priv { owner = Party.Alice; value = 1L; bits = 1 };
-          valid_if_nonzero = None;
-          keys =
-            [
-              {
-                Oblivious_sort.word =
-                  {
-                    Oblivious_sort.input =
-                      Gc_protocol.Priv { owner = Party.Alice; value = key; bits = key_bits };
-                    width = key_bits;
-                  };
-                descending = true;
-                signed = false;
-              };
-            ];
-          payload =
-            [
-              {
-                Oblivious_sort.input =
-                  Gc_protocol.Priv
-                    { owner = Party.Alice; value = Int64.of_int i; bits = idx_bits };
-                width = idx_bits;
-              };
-              {
-                Oblivious_sort.input =
-                  Gc_protocol.Shared
-                    (Secret_share.of_public ctx (Int64.of_int (i * 7)));
-                width = 32;
-              };
-            ];
-        })
-  in
-  let and_gates ctx =
-    (Context.counter_totals ctx).(Trace_sink.counter_index Trace_sink.And_gates)
-  in
-  let run ~domains ~k n =
-    settle ();
-    let ctx = Context.create ~bits:32 ~domains ~seed () in
-    let rows = make_rows ctx n in
-    let before_tally = Context.tally ctx in
-    let before_ands = and_gates ctx in
-    let revealed, secs = time (fun () -> Oblivious_sort.top_k_reveal ctx ~k ~to_:Party.Alice rows) in
-    let after_tally = Context.tally ctx in
-    let ands = and_gates ctx - before_ands in
-    let bits =
-      after_tally.Comm.alice_to_bob_bits - before_tally.Comm.alice_to_bob_bits
-      + after_tally.Comm.bob_to_alice_bits - before_tally.Comm.bob_to_alice_bits
-    in
-    let rounds = after_tally.Comm.rounds - before_tally.Comm.rounds in
-    Context.shutdown_pool ctx;
-    (revealed, ands, bits, rounds, secs)
-  in
-  line "%-6s %7s %12s %12s %10s %7s %9s" "n" "padded" "comparators" "AND-gates"
-    "comm-MB" "rounds" "ms";
-  let sizes = [ 16; 32; 64; 128; 256 ] in
-  List.iter
-    (fun n ->
-      let net = Sorting_network.build n in
-      let comparators = Sorting_network.comparator_count net in
-      (* the closed form the builder enforces; recheck it here so the
-         regression gate sees any drift *)
-      let closed_form_ok = comparators = Sorting_network.expected_count n in
-      let k = min n 10 in
-      let revealed, ands, bits, rounds, secs = run ~domains:1 ~k n in
-      (* sanity: the revealed top-k indices really are key-sorted *)
-      let sorted_ok = Array.for_all (fun (invalid, _) -> not invalid) revealed in
-      let mb = float_of_int bits /. 8. /. 1024. /. 1024. in
-      line "%-6d %7d %12d %12d %10.2f %7d %9.1f%s" n net.Sorting_network.padded
-        comparators ands mb rounds (secs *. 1e3)
-        (if closed_form_ok && sorted_ok then "" else "  !! check failed");
-      emit "BENCH_10.json" @@
-        Json.Obj
-          [
-            ("kind", Json.Str "sort-scaling"); ("n", Json.Int n);
-            ("padded", Json.Int net.Sorting_network.padded);
-            ("k", Json.Int k);
-            ("comparators", Json.Int comparators);
-            ("passes", Json.Int (Sorting_network.pass_count net));
-            ("closed_form_ok", Json.Bool closed_form_ok);
-            ("top_k_all_valid", Json.Bool sorted_ok);
-            ("and_gates", Json.Int ands);
-            ("comm_bits", Json.Int bits);
-            ("rounds", Json.Int rounds);
-            ("seconds", Json.Float secs);
-          ])
-    sizes;
-  (* domains sweep at fixed n: identical reveal, wall-clock speedup *)
-  let sweep_n = 128 in
-  let sweep_sizes = List.sort_uniq compare [ 1; 2; 4; max 1 !requested_domains ] in
-  let base = ref None in
-  List.iter
-    (fun domains ->
-      let revealed, ands, bits, rounds, secs = run ~domains ~k:10 sweep_n in
-      let base_revealed, base_secs =
-        match !base with
-        | None ->
-            base := Some (revealed, secs);
-            (revealed, secs)
-        | Some b -> b
-      in
-      let identical = revealed = base_revealed in
-      let speedup = base_secs /. secs in
-      line "%-24s %12.3f ms  (speedup %.2fx, identical %b)"
-        (Printf.sprintf "sort-sweep-%dd" domains)
-        (secs *. 1e3) speedup identical;
-      emit "BENCH_10.json" @@
-        Json.Obj
-          [
-            ("kind", Json.Str "sort-domain-sweep"); ("n", Json.Int sweep_n);
-            ("domains", Json.Int domains);
-            ("and_gates", Json.Int ands);
-            ("comm_bits", Json.Int bits);
-            ("rounds", Json.Int rounds);
-            ("seconds", Json.Float secs);
-            ("speedup_vs_domains1", Json.Float speedup);
-            ("identical_to_sequential", Json.Bool identical);
-          ])
-    sweep_sizes
-
-(* ------------------------------------------------------------------ *)
 
 let all_sections =
   [
@@ -1177,71 +695,13 @@ let all_sections =
     ("figure5", figure5); ("figure6", figure6);
     ("ablation-psi", ablation_psi); ("ablation-gc", ablation_gc);
     ("ablation-ring", ablation_ring); ("breakdown", breakdown);
-    ("extra-queries", extra_queries); ("micro", micro); ("gc-perf", gc_perf);
+    ("extra-queries", extra_queries); ("micro", micro);
     ("checkpoint-overhead", checkpoint_overhead); ("fuzz-perf", fuzz_perf);
-    ("sort-perf", sort_perf);
   ]
 
-(* [bench diff BASE.json NEW.json [--tolerance T] [--strict]]: the BENCH
-   regression gate. Exit 1 on regression, 2 on usage/parse errors. *)
-let diff_main args =
-  let usage () =
-    prerr_endline "usage: bench diff BASE.json NEW.json [--tolerance T] [--strict]";
-    exit 2
-  in
-  let tolerance = ref 0.15 and strict = ref false and files = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "--strict" :: rest ->
-        strict := true;
-        parse rest
-    | "--tolerance" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some t when t >= 0. -> tolerance := t
-        | _ -> usage ());
-        parse rest
-    | arg :: rest when String.length arg > 12 && String.sub arg 0 12 = "--tolerance=" -> (
-        match float_of_string_opt (String.sub arg 12 (String.length arg - 12)) with
-        | Some t when t >= 0. ->
-            tolerance := t;
-            parse rest
-        | _ -> usage ())
-    | arg :: _ when String.length arg >= 2 && String.sub arg 0 2 = "--" -> usage ()
-    | file :: rest ->
-        files := file :: !files;
-        parse rest
-  in
-  parse args;
-  match List.rev !files with
-  | [ base; next ] -> (
-      match Bench_diff.compare_files ~tolerance:!tolerance ~strict:!strict ~base ~next () with
-      | Error e ->
-          Printf.eprintf "bench diff: %s\n" e;
-          exit 2
-      | Ok report ->
-          Bench_diff.pp_report Format.std_formatter report;
-          Format.pp_print_flush Format.std_formatter ();
-          exit (if Bench_diff.regressions report = [] then 0 else 1))
-  | _ -> usage ()
-
 let () =
-  (match Array.to_list Sys.argv with
-  | _ :: "diff" :: rest -> diff_main rest
-  | _ -> ());
-  (* consume [--domains N] (or --domains=N) before section selection *)
-  let rec strip_domains = function
-    | [] -> []
-    | "--domains" :: n :: rest ->
-        requested_domains := int_of_string n;
-        strip_domains rest
-    | arg :: rest when String.length arg > 10 && String.sub arg 0 10 = "--domains=" ->
-        requested_domains :=
-          int_of_string (String.sub arg 10 (String.length arg - 10));
-        strip_domains rest
-    | arg :: rest -> arg :: strip_domains rest
-  in
   let requested =
-    match strip_domains (List.tl (Array.to_list Sys.argv)) with
+    match List.tl (Array.to_list Sys.argv) with
     | [] -> [ "all" ]
     | args -> args
   in

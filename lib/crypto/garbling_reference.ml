@@ -10,9 +10,8 @@
     - the test suite can assert, on randomized circuits, that the unboxed
       kernels are {e bit-identical} to this reference (labels, tables,
       decode bits, outputs), and
-    - the bench harness can measure the allocation rate the rewrite
-      removed ([bench gc-perf] reports boxed vs. unboxed minor-heap words
-      per AND gate).
+    - the test suite can bound the allocation rate the rewrite removed
+      (boxed vs. unboxed minor-heap words per AND gate).
 
     No production code calls into this module; it carries no metrics so
     its allocation profile is purely the garbling math. *)

@@ -3,9 +3,9 @@
 
     Bit-identical to {!Garbling} by construction (same half-gates math,
     same PRG draw order, same KDF tweak schedule) — the test suite
-    asserts this on randomized circuits, and [bench gc-perf] uses the
-    module to measure the minor-heap allocation rate the unboxed rewrite
-    removed. Not called by any production path; see DESIGN.md §14. *)
+    asserts this on randomized circuits, and bounds the minor-heap
+    allocation rate the unboxed rewrite removed against this module.
+    Not called by any production path; see DESIGN.md §14. *)
 
 module Label = Garbling.Label
 

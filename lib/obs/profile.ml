@@ -1,8 +1,7 @@
 (** Contention/GC profiling glue above the raw registry: a per-phase GC
     sampler driven by the span stream, and publishers that turn
     {!Secyan_crypto.Domain_pool} timelines and GC phase samples into
-    labelled registry gauges (so one [--metrics] export carries them) and
-    into JSON (so BENCH files carry them).
+    labelled registry gauges (so one [--metrics] export carries them).
 
     The GC sampler works by wrapping the context's {!Trace_sink.t}: every
     time a phase-level span opens ([phase:*] or [reveal] — the names
@@ -148,38 +147,3 @@ let publish_gc_phases phases =
       g "secyan_gc_phase_compactions" "heap compactions during the phase"
         (float_of_int p.compactions))
     phases
-
-(* --- JSON shapes for BENCH files and heartbeats ---------------------- *)
-
-let timeline_json (tl : Domain_pool.timeline_snapshot) =
-  let open Domain_pool in
-  let accounted = tl.busy_ns +. tl.queue_wait_ns +. tl.lock_wait_ns in
-  Json.Obj
-    [
-      ("domain", Json.Int tl.domain);
-      ("busy_ms", Json.Float (tl.busy_ns *. 1e-6));
-      ("queue_wait_ms", Json.Float (tl.queue_wait_ns *. 1e-6));
-      ("lock_wait_ms", Json.Float (tl.lock_wait_ns *. 1e-6));
-      ("wall_ms", Json.Float (tl.wall_ns *. 1e-6));
-      ( "accounted_frac",
-        Json.Float (if tl.wall_ns > 0. then accounted /. tl.wall_ns else 1.) );
-      ("batches", Json.Int tl.batches);
-      ("items", Json.Int tl.items);
-      ("wakeups", Json.Int tl.wakeups);
-    ]
-
-let timelines_json pool =
-  Json.List (List.map timeline_json (Domain_pool.timelines pool))
-
-let gc_phase_json p =
-  Json.Obj
-    [
-      ("phase", Json.Str p.phase);
-      ("seconds", Json.Float p.seconds);
-      ("minor_words", Json.Float p.minor_words);
-      ("promoted_words", Json.Float p.promoted_words);
-      ("major_words", Json.Float p.major_words);
-      ("minor_collections", Json.Int p.minor_collections);
-      ("major_collections", Json.Int p.major_collections);
-      ("compactions", Json.Int p.compactions);
-    ]

@@ -1,7 +1,7 @@
 (** Contention/GC profiling glue above the raw registry: a per-phase GC
     sampler driven by the span stream, and publishers that turn
     {!Secyan_crypto.Domain_pool} timelines and GC samples into labelled
-    registry gauges and BENCH-file JSON. See DESIGN.md §13. *)
+    registry gauges. See DESIGN.md §13. *)
 
 open Secyan_crypto
 
@@ -41,7 +41,3 @@ val publish_pool_timelines : ?labels:string -> Domain_pool.t -> unit
 (** Publish GC phase samples as labelled gauges
     ([secyan_gc_phase_minor_words{phase="phase:reduce"}], ...). *)
 val publish_gc_phases : gc_phase list -> unit
-
-val timeline_json : Domain_pool.timeline_snapshot -> Json.t
-val timelines_json : Domain_pool.t -> Json.t
-val gc_phase_json : gc_phase -> Json.t

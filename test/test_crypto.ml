@@ -434,6 +434,53 @@ let test_garbling_arena_reuse () =
       [ (6, 40); (4, 200); (8, 12) ]
   done
 
+(* DESIGN.md §14's allocation-free garbling kernels: garble + evaluate of
+   the 32-bit multiplier through the unboxed arena path allocates at least
+   10x fewer minor words per AND gate than the boxed reference, and at
+   most 8 words per AND gate outright. Counts, not timings: the figures
+   are deterministic for a given compiler. *)
+let test_garbling_alloc_per_and () =
+  let module Bb = Boolean_circuit.Builder in
+  let b = Bb.create () in
+  let x = Circuits.input_word b 32 and y = Circuits.input_word b 32 in
+  let circuit =
+    Bb.finalize b ~outputs:(Circuits.materialize_word b 0 (Circuits.mul_word b x y))
+  in
+  let ands = Boolean_circuit.and_count circuit in
+  let n_inputs = circuit.Boolean_circuit.n_inputs in
+  let input_bit i = i land 1 = 1 in
+  let reps = 32 in
+  let minor_words_per_and f =
+    (* warm up first: arenas grown, lazy state forced *)
+    f ();
+    let before = Gc.minor_words () in
+    for _ = 1 to reps do
+      f ()
+    done;
+    (Gc.minor_words () -. before) /. float_of_int (reps * ands)
+  in
+  let boxed_prg = Prg.create 9L in
+  let boxed =
+    minor_words_per_and (fun () ->
+        let g = Garbling_reference.garble boxed_prg circuit in
+        let labels =
+          Array.init n_inputs (fun i -> Garbling_reference.encode_input g i (input_bit i))
+        in
+        ignore (Garbling_reference.eval_labels g labels : Garbling.Label.t array))
+  in
+  let arena = Garbling.Arena.create () in
+  let unboxed_prg = Prg.create 9L in
+  let unboxed =
+    minor_words_per_and (fun () ->
+        let g = Garbling.garble ~arena unboxed_prg circuit in
+        ignore (Garbling.eval_colors ~arena g input_bit : Bytes.t))
+  in
+  Alcotest.(check int) "32-bit multiplier AND gates" 993 ands;
+  if unboxed > 8. then
+    Alcotest.failf "unboxed garble+eval allocates %.2f minor words per AND (bound 8)" unboxed;
+  if boxed < 10. *. unboxed then
+    Alcotest.failf "boxed/unboxed minor words per AND = %.2f / %.2f < 10x" boxed unboxed
+
 (* ------------------------------------------------------------------ *)
 (* GC protocol: Real and Sim agree on values and on communication *)
 
@@ -1285,9 +1332,10 @@ let sorting_network_structure =
 (* ------------------------------------------------------------------ *)
 (* Oblivious sort / top-k (DESIGN.md §17) *)
 
-(* one descending unsigned key, payload = row index; mirrors the engine's
-   order phase in miniature *)
-let obl_rows ctx ?(key_bits = 8) ?(valid = fun _ -> true) keys =
+(* one unsigned key, payload = row index; mirrors the engine's order
+   phase in miniature *)
+let obl_rows ctx ?(key_bits = 8) ?(descending = false) ?(idx_bits = 8) ?(payload_bits = 16)
+    ?(valid = fun _ -> true) keys =
   Array.mapi
     (fun i key ->
       {
@@ -1305,7 +1353,7 @@ let obl_rows ctx ?(key_bits = 8) ?(valid = fun _ -> true) keys =
                       { owner = Party.Alice; value = Int64.of_int key; bits = key_bits };
                   width = key_bits;
                 };
-              descending = false;
+              descending;
               signed = false;
             };
           ];
@@ -1313,13 +1361,13 @@ let obl_rows ctx ?(key_bits = 8) ?(valid = fun _ -> true) keys =
           [
             {
               Oblivious_sort.input =
-                Gc_protocol.Priv { owner = Party.Alice; value = Int64.of_int i; bits = 8 };
-              width = 8;
+                Gc_protocol.Priv { owner = Party.Alice; value = Int64.of_int i; bits = idx_bits };
+              width = idx_bits;
             };
             {
               Oblivious_sort.input =
                 Gc_protocol.Shared (Secret_share.of_public ctx (Int64.of_int (100 + i)));
-              width = 16;
+              width = payload_bits;
             };
           ];
       })
@@ -1352,6 +1400,51 @@ let oblivious_sort_matches_clear =
                if payload.(1) <> Int64.of_int (100 + idx) then (-1) else keys.(idx))
       in
       Array.length revealed = min k n && got = expect)
+
+(* Exact cost of [top_k_reveal] at n = 16..256 (k = min n 10): AND gates,
+   bits both ways summed, rounds. Rows carry one descending 16-bit key, a
+   16-bit private index and a 32-bit shared payload. Cost depends on the
+   public shape alone, so a moved pin is a protocol change. n = 128 is
+   rerun on a 2-domain pool: reveal and tally must not move. *)
+let test_top_k_cost_pins () =
+  let rows ctx n =
+    let prg = Prg.create (Int64.of_int (0x5017 + n)) in
+    Array.init n (fun _ -> Int64.to_int (Int64.logand (Prg.next_int64 prg) 0xFFFFL))
+    |> obl_rows ctx ~key_bits:16 ~descending:true ~idx_bits:16 ~payload_bits:32
+  in
+  let and_gates ctx =
+    (Context.counter_totals ctx).(Trace_sink.counter_index Trace_sink.And_gates)
+  in
+  let run ~domains n =
+    let ctx = Context.create ~bits:32 ~domains ~seed:20210618L () in
+    let rows = rows ctx n in
+    let before = Context.tally ctx and ands_before = and_gates ctx in
+    let revealed = Oblivious_sort.top_k_reveal ctx ~k:(min n 10) ~to_:Party.Alice rows in
+    let t = Comm.diff (Context.tally ctx) before in
+    let ands = and_gates ctx - ands_before in
+    Context.shutdown_pool ctx;
+    (revealed, t, (ands, t.Comm.alice_to_bob_bits + t.Comm.bob_to_alice_bits, t.Comm.rounds))
+  in
+  let cost = Alcotest.(triple int int int) in
+  List.iter
+    (fun (n, pin) ->
+      let revealed, _, got = run ~domains:1 n in
+      Alcotest.check cost (Printf.sprintf "n=%d (AND gates, bits, rounds)" n) pin got;
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d: every revealed row valid" n)
+        true
+        (Array.for_all (fun (invalid, _) -> not invalid) revealed))
+    [
+      (16, (32096, 21038368, 34));
+      (32, (95792, 62474176, 49));
+      (64, (267424, 173903552, 67));
+      (128, (711808, 462037184, 88));
+      (256, (1828096, 1185172928, 112));
+    ];
+  let seq_revealed, seq_tally, _ = run ~domains:1 128 in
+  let par_revealed, par_tally, _ = run ~domains:2 128 in
+  Alcotest.(check bool) "n=128: 2-domain reveal identical" true (seq_revealed = par_revealed);
+  Alcotest.(check bool) "n=128: 2-domain tally identical" true (Comm.equal seq_tally par_tally)
 
 let test_oblivious_sort_validity () =
   (* invalid rows sink below every valid row and never surface in top-k *)
@@ -1682,6 +1775,8 @@ let () =
           Alcotest.test_case "unboxed matches boxed reference" `Quick
             test_garbling_unboxed_matches_reference;
           Alcotest.test_case "arena reuse interleaved" `Quick test_garbling_arena_reuse;
+          Alcotest.test_case "unboxed allocates 10x fewer words per AND" `Quick
+            test_garbling_alloc_per_and;
         ] );
       ( "gc-protocol",
         [
@@ -1753,6 +1848,7 @@ let () =
              ] );
       ( "oblivious-sort",
         Alcotest.test_case "validity guard" `Quick test_oblivious_sort_validity
+        :: Alcotest.test_case "top-k cost pins" `Quick test_top_k_cost_pins
         :: Alcotest.test_case "shape errors" `Quick test_oblivious_sort_shape_mismatch
         :: Alcotest.test_case "narrow ring limbs" `Quick test_oblivious_sort_narrow_ring
         :: qsuite [ oblivious_sort_matches_clear ] );

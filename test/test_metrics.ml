@@ -228,41 +228,6 @@ let test_batch_alloc_words_histograms () =
     h4.Secyan_metrics.count major.Secyan_metrics.count
 
 (* ------------------------------------------------------------------ *)
-(* Pool timelines *)
-
-let test_pool_timelines () =
-  with_metrics @@ fun () ->
-  let pool = Domain_pool.create 2 in
-  Domain_pool.run pool ~n:16 ~f:(fun i ->
-      ignore (Sys.opaque_identity (Array.init ((i * 37 mod 211) + 64) Fun.id)));
-  let tls = Domain_pool.timelines pool in
-  Alcotest.(check int) "one snapshot per participant" 2 (List.length tls);
-  Alcotest.(check int) "items accounted" 16
-    (List.fold_left (fun acc tl -> acc + tl.Domain_pool.items) 0 tls);
-  List.iter
-    (fun tl ->
-      let accounted =
-        tl.Domain_pool.busy_ns +. tl.Domain_pool.queue_wait_ns +. tl.Domain_pool.lock_wait_ns
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "domain %d: accounted within 5%% of wall" tl.Domain_pool.domain)
-        true
-        (accounted <= (tl.Domain_pool.wall_ns *. 1.05) +. 1e6);
-      if tl.Domain_pool.items > 0 then
-        Alcotest.(check bool)
-          (Printf.sprintf "domain %d: claimed a batch" tl.Domain_pool.domain)
-          true
-          (tl.Domain_pool.batches >= 1))
-    tls;
-  Domain_pool.reset_timelines pool;
-  List.iter
-    (fun tl ->
-      Alcotest.(check int) "items reset" 0 tl.Domain_pool.items;
-      Alcotest.(check (float 0.)) "busy reset" 0. tl.Domain_pool.busy_ns)
-    (Domain_pool.timelines pool);
-  Domain_pool.shutdown pool
-
-(* ------------------------------------------------------------------ *)
 (* Exporters *)
 
 let test_prometheus_format () =
@@ -404,121 +369,6 @@ let test_progress_composes_with_tracer () =
   Alcotest.(check bool) "root tally identical" true (Comm.equal plain_tally prog_tally)
 
 (* ------------------------------------------------------------------ *)
-(* bench diff *)
-
-let bench_doc records =
-  Json.Obj
-    [
-      ("harness", Json.Str "secyan-bench");
-      ("section", Json.Str "gc-perf");
-      ("records", Json.List records);
-    ]
-
-let record ?(speedup = 1.0) ?(seconds = 0.5) ?(identical = true) ?(overhead_pct = 2.0)
-    domains =
-  Json.Obj
-    [
-      ("kind", Json.Str "batch-wallclock");
-      ("domains", Json.Int domains);
-      ("items", Json.Int 48);
-      ("and_gates", Json.Int 47664);
-      ("seconds", Json.Float seconds);
-      ("speedup_vs_domains1", Json.Float speedup);
-      ("overhead_pct", Json.Float overhead_pct);
-      ("identical_to_sequential", Json.Bool identical);
-    ]
-
-let diff ?tolerance ?strict base next =
-  match
-    Bench_diff.compare_json ?tolerance ?strict ~base:(bench_doc base) ~next:(bench_doc next)
-      ()
-  with
-  | Ok r -> r
-  | Error e -> Alcotest.failf "diff errored: %s" e
-
-let test_diff_equal_ok () =
-  let rs = [ record 1; record ~speedup:0.9 2 ] in
-  let r = diff rs rs in
-  Alcotest.(check int) "no regressions" 0 (List.length (Bench_diff.regressions r));
-  Alcotest.(check int) "both records matched" 2 r.Bench_diff.matched_records
-
-let test_diff_flags_degraded_ratio () =
-  let base = [ record ~speedup:1.0 2 ] in
-  let degraded = [ record ~speedup:0.7 2 ] in
-  let r = diff base degraded in
-  Alcotest.(check int) "one regression" 1 (List.length (Bench_diff.regressions r));
-  let i = List.hd (Bench_diff.regressions r) in
-  Alcotest.(check string) "on the speedup field" "speedup_vs_domains1" i.Bench_diff.field;
-  (* an improvement of the same magnitude is not a regression *)
-  let improved = [ record ~speedup:1.3 2 ] in
-  Alcotest.(check int) "improvement passes" 0
-    (List.length (Bench_diff.regressions (diff base improved)))
-
-let test_diff_tolerance_band () =
-  let base = [ record ~speedup:1.0 2 ] in
-  let slightly = [ record ~speedup:0.9 2 ] in
-  Alcotest.(check int) "within 15% band" 0
-    (List.length (Bench_diff.regressions (diff base slightly)));
-  Alcotest.(check int) "outside a 5% band" 1
-    (List.length (Bench_diff.regressions (diff ~tolerance:0.05 base slightly)))
-
-let test_diff_exact_fields () =
-  let base = [ record 2 ] in
-  let flipped = [ record ~identical:false 2 ] in
-  Alcotest.(check int) "bool flip is a regression" 1
-    (List.length (Bench_diff.regressions (diff base flipped)))
-
-let test_diff_missing_record () =
-  let base = [ record 1; record 2 ] in
-  let partial = [ record 1 ] in
-  let r = diff base partial in
-  Alcotest.(check int) "missing record is a regression" 1
-    (List.length (Bench_diff.regressions r))
-
-let test_diff_machine_fields_strict_only () =
-  let base = [ record ~seconds:0.5 2 ] in
-  let slower = [ record ~seconds:5.0 2 ] in
-  Alcotest.(check int) "seconds ungated by default" 0
-    (List.length (Bench_diff.regressions (diff base slower)));
-  Alcotest.(check int) "seconds gated under strict" 1
-    (List.length (Bench_diff.regressions (diff ~strict:true base slower)))
-
-let test_diff_pct_absolute_band () =
-  let base = [ record ~overhead_pct:1.0 2 ] in
-  (* 1% -> 2% overhead is one percentage point, far inside a 15-point
-     band, even though it is a 100% relative change *)
-  let doubled = [ record ~overhead_pct:2.0 2 ] in
-  Alcotest.(check int) "small absolute move passes" 0
-    (List.length (Bench_diff.regressions (diff base doubled)));
-  let jumped = [ record ~overhead_pct:40.0 2 ] in
-  Alcotest.(check int) "39-point jump regresses" 1
-    (List.length (Bench_diff.regressions (diff base jumped)))
-
-let test_diff_files_roundtrip () =
-  let write doc =
-    let file = Filename.temp_file "secyan_bench" ".json" in
-    let oc = open_out file in
-    output_string oc (Json.to_string doc);
-    close_out oc;
-    file
-  in
-  let base = write (bench_doc [ record 1; record ~speedup:0.9 2 ]) in
-  let degraded = write (bench_doc [ record 1; record ~speedup:0.5 2 ]) in
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.remove base;
-      Sys.remove degraded)
-    (fun () ->
-      (match Bench_diff.compare_files ~base ~next:base () with
-      | Ok r -> Alcotest.(check int) "self-diff clean" 0 (List.length (Bench_diff.regressions r))
-      | Error e -> Alcotest.failf "self-diff errored: %s" e);
-      match Bench_diff.compare_files ~base ~next:degraded () with
-      | Ok r ->
-          Alcotest.(check bool) "degraded file regresses" true
-            (Bench_diff.regressions r <> [])
-      | Error e -> Alcotest.failf "degraded diff errored: %s" e)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "secyan_metrics"
@@ -541,8 +391,6 @@ let () =
           Alcotest.test_case "batch allocation histograms" `Quick
             test_batch_alloc_words_histograms;
         ] );
-      ( "timelines",
-        [ Alcotest.test_case "pool timelines account wall" `Quick test_pool_timelines ] );
       ( "exporters",
         [
           Alcotest.test_case "prometheus format" `Quick test_prometheus_format;
@@ -555,17 +403,5 @@ let () =
           Alcotest.test_case "progress heartbeats" `Quick test_progress_heartbeats;
           Alcotest.test_case "progress composes with tracer" `Quick
             test_progress_composes_with_tracer;
-        ] );
-      ( "bench-diff",
-        [
-          Alcotest.test_case "equal files pass" `Quick test_diff_equal_ok;
-          Alcotest.test_case "degraded ratio flagged" `Quick test_diff_flags_degraded_ratio;
-          Alcotest.test_case "tolerance band" `Quick test_diff_tolerance_band;
-          Alcotest.test_case "exact fields" `Quick test_diff_exact_fields;
-          Alcotest.test_case "missing record" `Quick test_diff_missing_record;
-          Alcotest.test_case "machine fields strict-only" `Quick
-            test_diff_machine_fields_strict_only;
-          Alcotest.test_case "pct absolute band" `Quick test_diff_pct_absolute_band;
-          Alcotest.test_case "files roundtrip" `Quick test_diff_files_roundtrip;
         ] );
     ]
