@@ -127,8 +127,10 @@ let transport_arg =
 let chaos_arg =
   let doc =
     "Deterministic fault injection on the transport (requires --transport pipe or tcp). \
-     $(docv) is a comma-separated schedule of $(b,kind:n) bursts with kind one of drop, \
-     duplicate, corrupt, delay, disconnect — e.g. $(b,drop:3,delay:5) drops a burst of 3 \
+     $(docv) is in the fault grammar shared with --malicious and --fault: comma-separated \
+     $(b,kind:n) entries, blanks around an entry ignored. Here each entry is a burst of n \
+     frames with kind one of drop, duplicate (or dup), corrupt, delay, disconnect — e.g. \
+     $(b,drop:3,delay:5) drops a burst of 3 \
      frames and delays a burst of 5; $(b,disconnect:40) kills the channel at message 40. \
      Burst positions are derived from --chaos-seed."
   in
@@ -141,9 +143,10 @@ let chaos_seed_arg =
 let malicious_arg =
   let doc =
     "Deterministic Byzantine-peer simulation on the transport (requires --transport \
-     pipe or tcp). $(docv) is a comma-separated schedule of $(b,kind:i) mutations with \
-     kind one of truncate, extend, retag, replay, reorder, splice, length-lie, applied \
-     at global message index i — e.g. $(b,retag:3,length-lie:12). Unlike --chaos, each \
+     pipe or tcp). $(docv) is in the fault grammar shared with --chaos and --fault: \
+     comma-separated $(b,kind:i) entries, each a mutation with kind one of truncate, \
+     extend, retag, replay, reorder, splice, length-lie (or lie), applied at global \
+     message index i — e.g. $(b,retag:3,length-lie:12). Unlike --chaos, each \
      mutation is re-encoded with a valid CRC, so it reaches the typed envelope and the \
      protocol state machine; a rejected run exits 7 with a typed protocol violation. \
      Mutation randomness is derived from --chaos-seed."
@@ -171,8 +174,9 @@ let memory_budget_arg =
 let fault_arg =
   let doc =
     "Deterministic in-process fault injection in the batch engine (the compute-side \
-     sibling of --chaos). $(docv) is comma-separated $(b,raise:ITEM), \
-     $(b,hang:ITEM:SECS), or $(b,alloc:ITEM:MIB), with ITEM a global batch-item index \
+     sibling of --chaos). $(docv) is in the fault grammar shared with --chaos and \
+     --malicious: comma-separated $(b,raise:ITEM), $(b,hang:ITEM:SECS), or \
+     $(b,alloc:ITEM:MIB) entries (at least one), with ITEM a global batch-item index \
      — e.g. $(b,raise:12) makes item 12 raise (exit 6, supervision error), \
      $(b,hang:12:30) hangs it (the watching caller detects it after \
      --hang-timeout), $(b,alloc:12:256) allocates 256 MiB against --memory-budget. \
@@ -212,48 +216,35 @@ let resume_arg =
    the pure simulation). Distinct from the protocol seed on purpose:
    faults must be reproducible independently of the data. *)
 let make_transport transport chaos chaos_seed malicious =
+  let module Chaos = Secyan_net.Chaos in
   match (transport, chaos, malicious) with
   | `Sim, None, None -> Ok None
   | `Sim, Some _, _ -> Error "--chaos requires --transport pipe or tcp"
   | `Sim, None, Some _ -> Error "--malicious requires --transport pipe or tcp"
-  | (`Pipe | `Tcp), _, _ -> (
-      let raw =
-        match transport with
-        | `Pipe -> Secyan_net.Transport.inproc ()
-        | `Tcp -> Secyan_net.Transport.tcp ()
-        | `Sim -> assert false
+  | ((`Pipe | `Tcp) as backend), _, _ -> (
+      (* --malicious sits closest to the raw channel (its mutations are
+         semantically wrong but CRC-valid frames); --chaos line faults
+         layer above it. *)
+      let parse layout = function
+        | None -> Ok []
+        | Some s -> Result.map (fun spec -> [ (layout, spec) ]) (Chaos.parse_spec ~layout s)
       in
-      let config =
-        match transport with
-        | `Tcp -> { Secyan_net.Resilient.default_config with sleep = Unix.sleepf }
-        | _ -> Secyan_net.Resilient.default_config
-      in
-      (* The malicious wrapper sits closest to the raw channel (its
-         mutations are semantically-wrong-but-CRC-valid frames); the
-         chaos wrapper's line faults layer above it. *)
-      let with_malicious raw =
-        match malicious with
-        | None -> Ok raw
-        | Some spec_string -> (
-            match Secyan_fuzz.Wire_mutator.parse_spec spec_string with
-            | Error e -> Error e
-            | Ok spec ->
-                let raw, _injected =
-                  Secyan_fuzz.Wire_mutator.wrap ~seed:chaos_seed ~spec raw
-                in
-                Ok raw)
-      in
-      match with_malicious raw with
-      | Error e -> Error e
-      | Ok raw -> (
-          match chaos with
-          | None -> Ok (Some (Secyan_net.Resilient.create ~config ~seed:chaos_seed raw))
-          | Some spec_string -> (
-              match Secyan_net.Chaos.parse_spec spec_string with
-              | Error e -> Error e
-              | Ok spec ->
-                  let raw, _injected = Secyan_net.Chaos.wrap ~seed:chaos_seed ~spec raw in
-                  Ok (Some (Secyan_net.Resilient.create ~config ~seed:chaos_seed raw)))))
+      match (parse Chaos.Indexed malicious, parse Chaos.Bursts chaos) with
+      | Error e, _ | _, Error e -> Error e
+      | Ok inner, Ok outer ->
+          let raw, config =
+            match backend with
+            | `Pipe -> (Secyan_net.Transport.inproc (), Secyan_net.Resilient.default_config)
+            | `Tcp ->
+                ( Secyan_net.Transport.tcp (),
+                  { Secyan_net.Resilient.default_config with sleep = Unix.sleepf } )
+          in
+          let raw =
+            List.fold_left
+              (fun raw (layout, spec) -> fst (Chaos.wrap ~seed:chaos_seed ~layout ~spec raw))
+              raw (inner @ outer)
+          in
+          Ok (Some (Secyan_net.Resilient.create ~config ~seed:chaos_seed raw)))
 
 let print_checkpoint_stats = function
   | None -> ()

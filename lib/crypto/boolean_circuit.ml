@@ -199,7 +199,3 @@ module Builder = struct
       let z = emit b op_xor anchor anchor in
       if v = c_true then bnot b z else z
 end
-
-let pp_stats fmt t =
-  Fmt.pf fmt "%d inputs, %d gates (%d AND), %d outputs" t.n_inputs (n_gates t) t.and_count
-    (n_outputs t)

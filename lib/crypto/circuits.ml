@@ -75,8 +75,6 @@ let eq_word b (x : word) (y : word) =
 let nonzero_word b (x : word) =
   Array.fold_left (fun acc bit -> bor b acc bit) (const_ false) x
 
-let is_zero_word b (x : word) = bnot b (nonzero_word b x)
-
 (** Unsigned x < y via the borrow chain of x - y: one AND per bit. *)
 let lt_word b (x : word) (y : word) =
   let borrow = ref (const_ false) in
@@ -90,7 +88,6 @@ let lt_word b (x : word) (y : word) =
   !borrow
 
 let gt_word b x y = lt_word b y x
-let le_word b x y = bnot b (lt_word b y x)
 
 (** [mux_word b ~sel x y] = if sel then x else y; one AND per bit. *)
 let mux_word b ~sel (x : word) (y : word) : word =
@@ -122,19 +119,6 @@ let div_word b x y = fst (divmod_word b x y)
 
 (** Conditional word: sel ? x : 0. One AND per bit. *)
 let zero_unless b sel (x : word) : word = gate_word b sel x
-
-(** Sum a list of words modulo 2^n (balanced tree keeps depth low;
-    gate count is the same either way). *)
-let rec sum_words b = function
-  | [] -> invalid_arg "Circuits.sum_words: empty word list (expected at least one addend)"
-  | [ w ] -> w
-  | words ->
-      let rec pair = function
-        | [] -> []
-        | [ w ] -> [ w ]
-        | w1 :: w2 :: rest -> add_word b w1 w2 :: pair rest
-      in
-      sum_words b (pair words)
 
 (** Materialize every bit of a word onto real wires (used before finalize
     when a word may contain folded constants). [anchor] is any input wire. *)

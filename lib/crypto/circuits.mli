@@ -30,16 +30,12 @@ val eq_word :
   Boolean_circuit.Builder.b -> word -> word -> Boolean_circuit.Builder.value
 
 val nonzero_word : Boolean_circuit.Builder.b -> word -> Boolean_circuit.Builder.value
-val is_zero_word : Boolean_circuit.Builder.b -> word -> Boolean_circuit.Builder.value
 
 (** Unsigned comparison via the borrow chain. *)
 val lt_word :
   Boolean_circuit.Builder.b -> word -> word -> Boolean_circuit.Builder.value
 
 val gt_word :
-  Boolean_circuit.Builder.b -> word -> word -> Boolean_circuit.Builder.value
-
-val le_word :
   Boolean_circuit.Builder.b -> word -> word -> Boolean_circuit.Builder.value
 
 (** [mux_word b ~sel x y] = if sel then x else y. *)
@@ -55,10 +51,6 @@ val div_word : Boolean_circuit.Builder.b -> word -> word -> word
 (** sel ? x : 0 — the gating used everywhere annotations may be absent. *)
 val zero_unless :
   Boolean_circuit.Builder.b -> Boolean_circuit.Builder.value -> word -> word
-
-(** Sum of a non-empty list of words (balanced tree).
-    @raise Invalid_argument on an empty list. *)
-val sum_words : Boolean_circuit.Builder.b -> word list -> word
 
 (** Materialize every possibly-constant bit onto real wires (before
     [finalize]); [anchor] is any existing input wire id. *)

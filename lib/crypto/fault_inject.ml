@@ -1,5 +1,5 @@
 (** In-process fault injection for the batch engine — the supervision
-    layer's counterpart of the PR 3 wire chaos harness (Secyan_net.Chaos).
+    layer's counterpart of the wire fault harness (Secyan_net.Chaos).
 
     Chaos perturbs the channel; this perturbs the {e compute}: a spec
     like ["raise:12,hang:40:2.5,alloc:7:64"] makes batch item 12 raise,
@@ -37,11 +37,12 @@ let fault_to_string = function
   | Hang s -> Printf.sprintf "hang(%gs)" s
   | Alloc mb -> Printf.sprintf "alloc(%dMiB)" mb
 
-(* ["raise:N" | "hang:N:SECS" | "alloc:N:MIB"], comma-separated; same
-   shape as Chaos.parse_spec. *)
+(* ["raise:N" | "hang:N:SECS" | "alloc:N:MIB"] in the grammar shared
+   with --chaos and --malicious; the empty spec is an error here. *)
 let parse_spec s =
-  let parse_one part =
-    match String.split_on_char ':' (String.trim part) with
+  let entry fields =
+    let part = String.concat ":" fields in
+    match fields with
     | [ "raise"; n ] -> (
         match int_of_string_opt n with
         | Some i when i >= 0 -> Ok (i, Raise)
@@ -60,19 +61,9 @@ let parse_spec s =
              "unknown fault %S (want raise:ITEM, hang:ITEM:SECS, or alloc:ITEM:MIB)"
              part)
   in
-  let parts =
-    List.filter (fun p -> String.trim p <> "") (String.split_on_char ',' s)
-  in
-  if parts = [] then Error "empty fault spec"
-  else
-    List.fold_left
-      (fun acc part ->
-        match (acc, parse_one part) with
-        | Error e, _ -> Error e
-        | _, Error e -> Error e
-        | Ok sp, Ok f -> Ok (f :: sp))
-      (Ok []) parts
-    |> Result.map List.rev
+  match Secyan_net.Chaos.parse_entries entry s with
+  | Ok [] -> Error "empty fault spec"
+  | r -> r
 
 (* Armed state. [armed_spec] is written from the main domain (arm/disarm
    between queries) and read from worker domains mid-batch; the

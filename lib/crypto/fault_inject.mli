@@ -1,6 +1,6 @@
 (** In-process fault injection for the batch engine: deterministic
     worker-raise / worker-hang / alloc-pressure faults keyed by global
-    batch-item index — the compute-side sibling of the PR 3 wire chaos
+    batch-item index — the compute-side sibling of the wire chaos
     harness. Armed via the CLI's [--fault] or directly in tests; the
     injection point is [Gc_protocol.map_batch]'s per-item wrapper, so
     faults exercise the production supervision paths. Disarmed, {!fire}
@@ -20,7 +20,8 @@ type spec = (int * fault) list
 
 val fault_to_string : fault -> string
 
-(** Parse ["raise:ITEM,hang:ITEM:SECS,alloc:ITEM:MIB"]. *)
+(** Parse ["raise:ITEM,hang:ITEM:SECS,alloc:ITEM:MIB"] in the grammar of
+    {!Secyan_net.Chaos.parse_entries}; the empty spec is an error. *)
 val parse_spec : string -> (spec, string) result
 
 (** Arm [spec] for the next run: resets the global item counter, drops

@@ -54,9 +54,6 @@ end
 (** Key-derivation function used for garbled rows. *)
 type kdf = Sha256_kdf | Aes128_kdf
 
-let hash_with kdf =
-  match kdf with Sha256_kdf -> Label.hash | Aes128_kdf -> Label.hash_aes
-
 (* Unaligned native-endian int64 access into the label planes. The layout
    convention everywhere below: wire [w]'s false (resp. active) label
    lives at byte offset [16 * w], [hi] first, [lo] at [+ 8]; AND gate

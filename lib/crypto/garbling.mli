@@ -42,8 +42,6 @@ end
     is [Aes128_kdf] (the standard choice in MPC practice). *)
 type kdf = Sha256_kdf | Aes128_kdf
 
-val hash_with : kdf -> Label.t -> tweak:int64 -> Label.t
-
 (** Per-domain scratch arena for the garble/eval planes: grown
     geometrically, never shrunk, reused across items, so steady-state
     garbling of same-shaped circuits allocates nothing. Each domain owns

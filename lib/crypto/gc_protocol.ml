@@ -472,10 +472,3 @@ let eval_reveal ctx ~to_ ~inputs ~build : int64 array =
   match eval_reveal_batch ctx ~to_ ~items:[| inputs |] ~build with
   | [| values |] -> values
   | _ -> assert false
-
-(** Convenience: evaluate a circuit whose single output word is an
-    indicator or ring element, returned as one share. *)
-let eval_to_share ctx ~inputs ~build =
-  match eval_to_shares ctx ~inputs ~build:(fun b words -> [ build b words ]) with
-  | [| s |] -> s
-  | _ -> assert false

@@ -78,10 +78,3 @@ val eval_reveal :
   inputs:input list ->
   build:(Boolean_circuit.Builder.b -> Circuits.word array -> Circuits.word list) ->
   int64 array
-
-(** Single-input-list, single-output-word convenience. *)
-val eval_to_share :
-  Context.t ->
-  inputs:input list ->
-  build:(Boolean_circuit.Builder.b -> Circuits.word array -> Circuits.word) ->
-  Secret_share.t

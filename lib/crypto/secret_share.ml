@@ -8,7 +8,7 @@
 
     The record exposes both shares because both simulated parties live in
     one process. Protocol code accesses a party's share only through
-    [share_of], and reconstruction outside of [reveal_to]/[open_both] is
+    [share_of], and reconstruction outside of [reveal_to]/[reveal_batch] is
     reserved for the "ideal functionality" inside simulated primitives and
     for tests. *)
 
@@ -56,14 +56,6 @@ let reveal_batch ctx receiver shares =
     ~bits:(Array.length shares * Zn.bits ring);
   Context.bump_rounds ctx 1;
   Array.map (fun t -> Zn.add ring t.a t.b) shares
-
-(** Reveal to both parties (each sends its share to the other). *)
-let open_both ctx t =
-  let ring = ctx.Context.ring in
-  Context.send ctx ~from:Party.Alice ~bits:(Zn.bits ring);
-  Context.send ctx ~from:Party.Bob ~bits:(Zn.bits ring);
-  Context.bump_rounds ctx 1;
-  Zn.add ring t.a t.b
 
 (* Linear operations: local, no communication. *)
 

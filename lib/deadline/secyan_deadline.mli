@@ -86,4 +86,3 @@ val sat_add_ns : int64 -> int64 -> int64
 val ns_of_s : float -> int64
 
 val reason_to_string : reason -> string
-val pp_reason : Format.formatter -> reason -> unit

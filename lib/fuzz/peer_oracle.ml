@@ -2,8 +2,8 @@
     differential {!Oracle}.
 
     Each case replays a recorded honest transcript shape under seeded
-    structured wire mutations ({!Wire_mutator}) and holds the honest
-    party to the Byzantine-hardening invariant:
+    structured wire mutations ({!Secyan_net.Chaos}'s [Indexed] layout)
+    and holds the honest party to the Byzantine-hardening invariant:
 
     {e terminate, within the deadline and within bounded resident
     memory, with either the correct output or a typed
@@ -89,8 +89,8 @@ let derive_spec ~rng ~transcript_len =
   let n = 1 + Secyan_net.Rng.below rng 3 in
   List.init n (fun _ ->
       let m =
-        List.nth Wire_mutator.all_mutations
-          (Secyan_net.Rng.below rng (List.length Wire_mutator.all_mutations))
+        List.nth Secyan_net.Chaos.byzantine
+          (Secyan_net.Rng.below rng (List.length Secyan_net.Chaos.byzantine))
       in
       (m, Secyan_net.Rng.below rng (max 1 transcript_len)))
 
@@ -99,7 +99,8 @@ let derive_spec ~rng ~transcript_len =
 let mutated_run ?checkpoint ~deadline_s (t : Gen.instance) spec =
   let q = t.Gen.query in
   let raw, injected =
-    Wire_mutator.wrap ~seed:(ctx_seed t) ~spec (Secyan_net.Transport.inproc ())
+    Secyan_net.Chaos.wrap ~seed:(ctx_seed t) ~layout:Indexed ~spec
+      (Secyan_net.Transport.inproc ())
   in
   let transport = Secyan_net.Resilient.create raw in
   let cancel = Secyan_deadline.create ~timeout_s:deadline_s ~memory_budget_mb:2048. () in
@@ -170,21 +171,16 @@ let remove_dir d =
       (try Unix.rmdir d with Unix.Unix_error _ -> ())
   | exception Sys_error _ -> ()
 
-let injected_string injected =
-  String.concat ","
-    (List.map
-       (fun (m, i) -> Printf.sprintf "%s:%d" (Wire_mutator.mutation_name m) i)
-       injected)
-
 let run_case ?(deadline_s = 10.) ?(check_resume = false) ~seed ~case () =
   Value.reset_dummies ();
   let t = Gen.generate ~seed ~case in
   let reference_content, reference_tally, transcript_len = reference_run t in
   let rng = Secyan_net.Rng.create (Int64.logxor (ctx_seed t) 0x5EED_F00DL) in
   let spec = derive_spec ~rng ~transcript_len in
-  let spec_s = Wire_mutator.spec_to_string spec in
+  let spec_s = Secyan_net.Chaos.spec_to_string ~layout:Indexed spec in
   let finish ?(resume_checked = false) ?(detail = "") ~injected ~ok outcome =
-    { case; spec = spec_s; injected = injected_string injected; outcome; detail;
+    { case; spec = spec_s;
+      injected = Secyan_net.Chaos.spec_to_string ~layout:Indexed injected; outcome; detail;
       resume_checked; ok }
   in
   match mutated_run ~deadline_s t spec with

@@ -1,13 +1,12 @@
 (* Byzantine-peer hardening (DESIGN.md §16): the typed envelope codec and
    its pre-allocation gate, the protocol state machine's phase tracking
-   and legality table, the Byzantine wire mutator's determinism, and a
+   and legality table, the Byzantine mutations' determinism, and a
    mini adversarial campaign holding the honest party to the hardening
    invariant — typed rejection or correct output, never a crash, hang,
    or silently accepted wrong answer. *)
 
 open Secyan_net
 module Protocol_schema = Secyan_crypto.Protocol_schema
-module Wire_mutator = Secyan_fuzz.Wire_mutator
 module Peer_oracle = Secyan_fuzz.Peer_oracle
 
 (* ------------------------------------------------------------------ *)
@@ -251,21 +250,27 @@ let test_hello_identity_cap () =
   | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Wire mutator                                                       *)
+(* Byzantine mutations (Chaos, Indexed layout)                        *)
+
+let parse_indexed = Chaos.parse_spec ~layout:Chaos.Indexed
 
 let test_mutator_spec_roundtrip () =
-  (match Wire_mutator.parse_spec "retag:3,replay:12,length-lie:0" with
+  (match parse_indexed "retag:3,replay:12,length-lie:0,reorder:2" with
   | Ok s ->
       Alcotest.(check string)
-        "roundtrip" "retag:3,replay:12,length-lie:0" (Wire_mutator.spec_to_string s)
+        "roundtrip" "retag:3,replay:12,length-lie:0,reorder:2"
+        (Chaos.spec_to_string ~layout:Chaos.Indexed s)
   | Error e -> Alcotest.failf "parse failed: %s" e);
-  (match Wire_mutator.parse_spec "" with
+  (match parse_indexed "" with
   | Ok [] -> ()
   | Ok _ | Error _ -> Alcotest.fail "empty spec parses to the empty schedule");
-  (match Wire_mutator.parse_spec "smash:3" with
+  (match parse_indexed "smash:3" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown mutation must be rejected");
-  match Wire_mutator.parse_spec "retag:-1" with
+  (match parse_indexed "drop:3" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a --chaos kind must be rejected under --malicious");
+  match parse_indexed "retag:-1" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "negative index must be rejected"
 
@@ -280,7 +285,7 @@ let mutator_trace ~seed ~spec =
       Transport.send_frame = (fun dir f -> out := (dir, Bytes.to_string f) :: !out);
     }
   in
-  let byz, injected = Wire_mutator.wrap ~seed ~spec sink in
+  let byz, injected = Chaos.wrap ~seed ~layout:Chaos.Indexed ~spec sink in
   for i = 0 to 19 do
     let kind = List.nth [ Envelope.Psi; Envelope.Gc; Envelope.Op ] (i mod 3) in
     let payload = Envelope.encode ~kind (Bytes.make (4 + i) (Char.chr (65 + i))) in
@@ -294,12 +299,12 @@ let prop_mutator_deterministic =
     QCheck.(pair int64 (small_list (pair (int_bound 6) (int_bound 19))))
     (fun (seed, raw_spec) ->
       let spec =
-        List.map (fun (m, i) -> (List.nth Wire_mutator.all_mutations m, i)) raw_spec
+        List.map (fun (m, i) -> (List.nth Chaos.byzantine m, i)) raw_spec
       in
       mutator_trace ~seed ~spec = mutator_trace ~seed ~spec)
 
 let test_mutator_mutates_scheduled_index () =
-  let spec = [ (Wire_mutator.Retag, 4) ] in
+  let spec = [ (Chaos.Retag, 4) ] in
   let honest, _ = mutator_trace ~seed:9L ~spec:[] in
   let mutated, injected = mutator_trace ~seed:9L ~spec in
   Alcotest.(check int) "one mutation fired" 1 (List.length injected);
@@ -310,8 +315,105 @@ let test_mutator_mutates_scheduled_index () =
       else Alcotest.(check string) (Printf.sprintf "index %d intact" i) h m)
     (List.combine honest mutated)
 
+(* A schedule without replay or splice keeps no transcript: 64 honest
+   1 MiB frames after a [retag:0] must not stay live in the major heap. *)
+let test_mutator_keeps_no_transcript () =
+  let raw = Transport.inproc () in
+  let sink = { raw with Transport.send_frame = (fun _ _ -> ()) } in
+  let byz, _ = Chaos.wrap ~layout:Chaos.Indexed ~spec:[ (Chaos.Retag, 0) ] sink in
+  let body = Bytes.make (1 lsl 20) 'x' in
+  let frame = Frame.encode ~seq:0L (Envelope.encode ~kind:Envelope.Op body) in
+  let live_mib () =
+    Gc.full_major ();
+    float_of_int ((Gc.stat ()).Gc.live_words * (Sys.word_size / 8)) /. 1048576.
+  in
+  let before = live_mib () in
+  for _ = 1 to 64 do
+    byz.Transport.send_frame Transport.Alice_to_bob frame
+  done;
+  let grown = live_mib () -. before in
+  (* one more send keeps the wrapper reachable across the measurement *)
+  byz.Transport.send_frame Transport.Alice_to_bob frame;
+  Alcotest.(check bool)
+    (Printf.sprintf "live major heap grew %.1f MiB (bound 32)" grown)
+    true (grown < 32.)
+
+(* A length lie in the frame header refreshes the CRC, so the receiver
+   rejects the frame at the length check ([Bad_length], not [Bad_crc])
+   and a stream reader waits for bytes that never come. The other
+   length lies sit in the envelope inside a valid frame. *)
+let test_frame_length_lie_passes_crc () =
+  let frame = Frame.encode ~seq:3L (Envelope.encode ~kind:Envelope.Gc (Bytes.make 40 'g')) in
+  let len = Bytes.length frame in
+  let header_lies =
+    List.filter_map
+      (fun seed ->
+        let out = ref Bytes.empty in
+        let raw = Transport.inproc () in
+        let sink = { raw with Transport.send_frame = (fun _ f -> out := f) } in
+        let byz, _ =
+          Chaos.wrap ~seed ~layout:Chaos.Indexed ~spec:[ (Chaos.Length_lie, 0) ] sink
+        in
+        byz.Transport.send_frame Transport.Alice_to_bob frame;
+        match Frame.decode !out with Ok _ -> None | Error e -> Some (!out, e))
+      (List.init 30 Int64.of_int)
+  in
+  Alcotest.(check bool) "some seed lies in the frame header" true (header_lies <> []);
+  List.iter
+    (fun (lied, err) ->
+      Alcotest.(check string) "decode: length error" (Frame.error_to_string Frame.Bad_length)
+        (Frame.error_to_string err);
+      Alcotest.(check int) "same size on the wire" len (Bytes.length lied);
+      let field = Frame.header_len - 4 in
+      Alcotest.(check bool) "only the length field and CRC differ" true
+        (Bytes.sub lied 0 field = Bytes.sub frame 0 field
+        && Bytes.sub lied Frame.header_len (len - Frame.header_len - 4)
+           = Bytes.sub frame Frame.header_len (len - Frame.header_len - 4));
+      Alcotest.(check int) "CRC valid" (Crc32.digest lied ~pos:2 ~len:(len - 6))
+        (Int32.to_int (Bytes.get_int32_le lied (len - 4)) land 0xFFFF_FFFF);
+      match Frame.required lied ~pos:0 ~len with
+      | Ok (Some n) -> Alcotest.(check bool) "required asks for more bytes" true (n > len)
+      | Ok None | Error _ -> Alcotest.fail "required must accept the lied header")
+    header_lies
+
 (* ------------------------------------------------------------------ *)
-(* Mini adversarial campaign                                          *)
+(* Peer-fuzz pins and mini adversarial campaign                       *)
+
+(* Seed 42, cases 0-19: the drawn schedule, the mutations that fired and
+   the outcome of each case. [Peer_oracle.derive_spec] indexes
+   [Chaos.byzantine] by RNG draw, so a reordered list or a drifted
+   mutation shows here. *)
+let test_peer_fuzz_pins () =
+  List.iteri
+    (fun case expected ->
+      let r = Peer_oracle.run_case ~seed:42L ~case () in
+      Alcotest.(check (triple string string string))
+        (Printf.sprintf "case %d" case) expected
+        ( r.Peer_oracle.spec,
+          r.Peer_oracle.injected,
+          Peer_oracle.outcome_name r.Peer_oracle.outcome ))
+    [
+      ("extend:21", "extend:21", "protocol-violation");
+      ("replay:19,splice:8,length-lie:13", "splice:8", "protocol-violation");
+      ("truncate:13,extend:42", "truncate:13", "protocol-violation");
+      ("extend:1", "extend:1", "protocol-violation");
+      ("length-lie:7", "length-lie:7", "protocol-violation");
+      ("length-lie:17", "length-lie:17", "protocol-violation");
+      ("reorder:44,replay:27,replay:46", "replay:27", "protocol-violation");
+      ("replay:71,length-lie:25", "length-lie:25", "protocol-violation");
+      ("truncate:55,reorder:49", "reorder:49,truncate:55", "protocol-violation");
+      ("replay:83,retag:46,length-lie:111", "retag:46", "protocol-violation");
+      ("length-lie:158,extend:116,replay:247", "extend:116", "protocol-violation");
+      ("replay:50,extend:302", "replay:50", "protocol-violation");
+      ("extend:49,truncate:56,reorder:106", "extend:49", "protocol-violation");
+      ("length-lie:80", "length-lie:80", "correct");
+      ("reorder:77,reorder:69", "reorder:69,reorder:77", "correct");
+      ("retag:44,replay:10", "replay:10", "protocol-violation");
+      ("extend:102", "extend:102", "protocol-violation");
+      ("reorder:141,reorder:133", "reorder:133,reorder:141", "correct");
+      ("retag:0,extend:3", "retag:0", "protocol-violation");
+      ("extend:6,length-lie:11,truncate:20", "extend:6", "protocol-violation");
+    ]
 
 let test_mini_campaign () =
   let cases = 40 in
@@ -356,8 +458,15 @@ let () =
           Alcotest.test_case "spec roundtrip" `Quick test_mutator_spec_roundtrip;
           Alcotest.test_case "mutates only the scheduled index" `Quick
             test_mutator_mutates_scheduled_index;
+          Alcotest.test_case "keeps no transcript without replay" `Quick
+            test_mutator_keeps_no_transcript;
+          Alcotest.test_case "frame length lie passes CRC" `Quick
+            test_frame_length_lie_passes_crc;
         ] );
       ("properties", qsuite [ prop_envelope_roundtrip; prop_mutator_deterministic ]);
       ( "campaign",
-        [ Alcotest.test_case "mini adversarial campaign" `Slow test_mini_campaign ] );
+        [
+          Alcotest.test_case "peer-fuzz pins (seed 42, cases 0-19)" `Quick test_peer_fuzz_pins;
+          Alcotest.test_case "mini adversarial campaign" `Slow test_mini_campaign;
+        ] );
     ]

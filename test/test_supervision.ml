@@ -160,7 +160,8 @@ let test_fault_spec_parse () =
       match Fault_inject.parse_spec bad with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "spec %S must be rejected" bad)
-    [ ""; "raise"; "raise:"; "raise:x"; "raise:-1"; "hang:1"; "alloc:1:x"; "zap:3" ]
+    [ ""; " "; "raise"; "raise:"; "raise:x"; "raise:-1"; "hang:1"; "alloc:1:x"; "zap:3";
+      "raise:1,,"; ",raise:1" ]
 
 (* ------------------------------------------------------------------ *)
 (* Pool batches: cancel, shutdown, fail-fast, hang                    *)
