@@ -276,6 +276,46 @@ let test_progress_estimate_within_2x () =
         [ ("Q3", Queries.q3 d); ("Q10", Queries.q10 d); ("Q18", Queries.q18 d) ])
     [ "xs"; "s" ]
 
+(* Exact cost of the figure queries at scale xs, as [secyan_cli run
+   --query Q --scale xs] runs them (data and protocol seed 1): (AND
+   gates, bits A->B, bits B->A, rounds, OEP switches, OTs). Every field
+   is a function of public sizes alone, so a change that moves one is a
+   protocol change and updates the pin with its reason. *)
+let figure_cost ?(gc_backend = Secyan_crypto.Context.Sim) query =
+  let d = Datagen.generate ~sf:(Datagen.preset_sf "xs") ~seed:1L in
+  let ctx = Queries.context ~gc_backend ~seed:1L () in
+  (match query with
+  | `Q3 -> ignore (Secyan.Secure_yannakakis.run ctx (Queries.q3 d))
+  | `Q10 -> ignore (Secyan.Secure_yannakakis.run ctx (Queries.q10 d))
+  | `Q18 -> ignore (Secyan.Secure_yannakakis.run ctx (Queries.q18 d))
+  | `Q8 -> ignore (Queries.run_q8 ctx d));
+  let totals = Secyan_crypto.Context.counter_totals ctx in
+  let get c = totals.(Secyan_crypto.Trace_sink.counter_index c) in
+  Secyan_crypto.Trace_sink.
+    ( get And_gates,
+      get Alice_to_bob_bits,
+      get Bob_to_alice_bits,
+      get Rounds,
+      get Oep_switches,
+      get Ots )
+
+let cost_fields = Alcotest.(pair (pair (triple int int int) int) (pair int int))
+let nest (a, b, c, d, e, f) = (((a, b, c), d), (e, f))
+
+let test_figure_cost_pins () =
+  List.iter
+    (fun (name, query, pin) ->
+      Alcotest.check cost_fields (name ^ " at xs") (nest pin) (nest (figure_cost query)))
+    [
+      ("Q3", `Q3, (109458, 62412382, 19898370, 72, 55682, 89245));
+      ("Q10", `Q10, (85012, 46877525, 15628707, 69, 48870, 62428));
+      ("Q18", `Q18, (160935, 93842067, 32646981, 97, 94106, 142119));
+      ("Q8", `Q8, (376642, 254411390, 92631678, 186, 236764, 467052));
+    ];
+  Alcotest.check cost_fields "Q3 at xs: Real tally = Sim tally"
+    (nest (figure_cost `Q3))
+    (nest (figure_cost ~gc_backend:Secyan_crypto.Context.Real `Q3))
+
 let test_effective_input_size_monotone () =
   let size sf = Queries.effective_input_bytes (Queries.q3 (Datagen.generate ~sf ~seed:1L)) in
   Alcotest.(check bool) "monotone in scale" true (size 1.2e-4 > size 4e-5)
@@ -348,5 +388,6 @@ let () =
           Alcotest.test_case "effective input size" `Quick test_effective_input_size_monotone;
           Alcotest.test_case "progress estimate within 2x" `Quick
             test_progress_estimate_within_2x;
+          Alcotest.test_case "figure query cost pins" `Quick test_figure_cost_pins;
         ] );
     ]
