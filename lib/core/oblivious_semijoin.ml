@@ -121,22 +121,18 @@ let join_constrained ctx semiring ~(left : Shared_relation.t) ~(right : Shared_r
           (fun t -> Tuple.encode_on (Shared_relation.schema right) key_attrs t)
           right.Shared_relation.rel.Relation.tuples
       in
-      let table, bin_payload =
+      let { Psi.table; payload } =
         match right.Shared_relation.clear_annots with
         | Some clear ->
             (* §6.5: right owner knows its annotations — plain PSI with
                payloads suffices *)
-            let r = Psi.with_payloads ctx ~receiver:owner ~alice_set ~bob_set ~bob_payloads:clear in
-            (r.Psi.table, r.Psi.payload)
+            Psi.with_payloads ctx ~receiver:owner ~alice_set ~bob_set ~bob_payloads:clear
         | None ->
-            let r =
-              Psi_shared_payload.run ctx ~receiver:owner ~alice_set ~bob_set
-                ~bob_payload_shares:right.Shared_relation.annots
-            in
-            (r.Psi_shared_payload.table, r.Psi_shared_payload.payload)
+            Psi.with_shared_payloads ctx ~receiver:owner ~alice_set ~bob_set
+              ~bob_payload_shares:right.Shared_relation.annots
       in
       let xi = xi_from_table left ~key_attrs table in
-      Oep.apply_shared ctx ~holder:owner ~xi ~m:(Array.length bin_payload) bin_payload
+      Oep.apply_shared ctx ~holder:owner ~xi ~m:(Array.length payload) payload
     end
   in
   let annots = multiply_annotations ctx semiring left z' in

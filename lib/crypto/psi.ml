@@ -6,9 +6,8 @@
     element of Y into its three candidate bins; a batched OPPRF delivers,
     per bin, a value that matches Bob's per-bin target exactly when Alice's
     bin element is in Y (plus the masked payload); a single garbled circuit
-    then turns these into secret-shared indicator bits and payloads:
+    then turns these into secret-shared payloads:
 
-      ind_i     = [ Ind(x_i in Y) ]
       payload_i = [ z_j ]  if x_i = y_j, else [ 0 ]
 
     Elements must be distinct 60-bit encodings (see {!dummy_for_bin}): the
@@ -28,28 +27,25 @@ let check_element x =
                        bits are reserved for bin dummies)" x element_bits)
 
 type result = {
-  table : Cuckoo_hash.table;       (** Alice's cuckoo table over X *)
-  ind : Secret_share.t array;      (** per bin: shared Ind(x_i in Y) *)
+  table : Cuckoo_hash.table;       (** the receiver's cuckoo table over X *)
   payload : Secret_share.t array;  (** per bin: shared payload or 0 *)
 }
-
-let n_bins r = Array.length r.ind
 
 (** Comparison width for the OPPRF targets: sigma bits of statistical
     security plus slack for the number of comparisons. *)
 let cmp_bits ctx = min 58 (ctx.Context.sigma + 16)
 
-let with_payloads ctx ~receiver ~(alice_set : int64 array)
-    ~(bob_set : int64 array) ~(bob_payloads : int64 array) : result =
+let check_counts ~fn ~what n_payloads n =
+  if n_payloads <> n then
+    invalid_arg
+      (Printf.sprintf "Psi.%s: %d %s for %d set elements (expected one per element)" fn
+         n_payloads what n)
+
+let shares ctx ~receiver ~(alice_set : int64 array)
+    ~(bob_set : int64 array) ~(bob_payloads : int64 array) =
   let sender = Party.other receiver in
   Array.iter check_element alice_set;
   Array.iter check_element bob_set;
-  if Array.length bob_set <> Array.length bob_payloads then
-    invalid_arg
-      (Printf.sprintf
-         "Psi.with_payloads: %d payloads for %d set elements (expected one payload per \
-          element)"
-         (Array.length bob_payloads) (Array.length bob_set));
   Context.with_span ctx "psi:payloads" @@ fun () ->
   let ring_bits = Context.ring_bits ctx in
   let cmp = cmp_bits ctx in
@@ -106,12 +102,74 @@ let with_payloads ctx ~receiver ~(alice_set : int64 array)
     [ [| ind |]; payload ]
   in
   let shares = Gc_protocol.eval_to_shares_batch ctx ~items ~build in
-  let ind = Array.map (fun s -> s.(0)) shares in
-  let payload = Array.map (fun s -> s.(1)) shares in
-  { table; ind; payload }
+  (table, Array.map (fun s -> s.(0)) shares, Array.map (fun s -> s.(1)) shares)
 
-(** Membership-only variant (payloads all zero): used when annotations are
-    public 1s and the semijoin degenerates to plain PSI (paper §6.5). *)
-let membership ctx ?(receiver = Party.Alice) ~alice_set ~bob_set () : result =
-  with_payloads ctx ~receiver ~alice_set ~bob_set
-    ~bob_payloads:(Array.make (Array.length bob_set) 0L)
+let with_payloads ctx ~receiver ~alice_set ~bob_set ~bob_payloads : result =
+  check_counts ~fn:"with_payloads" ~what:"payloads" (Array.length bob_payloads)
+    (Array.length bob_set);
+  let table, _, payload = shares ctx ~receiver ~alice_set ~bob_set ~bob_payloads in
+  { table; payload }
+
+(** PSI with secret-shared payloads (paper §5.5).
+
+    In multi-join queries the payloads of Bob's set are intermediate
+    annotations held in shared form, so they cannot be fed to the PSI
+    protocol directly. The paper's fix:
+
+    1. extend the shared payload vector [z_1..z_N] with B zeros;
+    2. Bob draws a random permutation xi1 of [N+B] and the parties OEP the
+       shares into z'_j = z_{xi1(j)};
+    3. run PSI where the payload of y_j is the *index* xi1^{-1}(j);
+    4. a garbled circuit reveals to Alice, per bin i, the index
+       k_i = xi1^{-1}(j) on a match and k_i = xi1^{-1}(N+i) otherwise —
+       uniformly random distinct indices that leak nothing;
+    5. a second OEP with xi2(i) = k_i (held by Alice) maps the z' shares to
+       z''_i = payload of the matching y_j, or 0. *)
+let with_shared_payloads ctx ~receiver ~(alice_set : int64 array) ~(bob_set : int64 array)
+    ~(bob_payload_shares : Secret_share.t array) : result =
+  let sender = Party.other receiver in
+  let n = Array.length bob_set in
+  check_counts ~fn:"with_shared_payloads" ~what:"payload shares"
+    (Array.length bob_payload_shares) n;
+  Context.with_span ctx "psi:shared-payloads" @@ fun () ->
+  let b = Cuckoo_hash.n_bins_for (Array.length alice_set) in
+  let total = n + b in
+  let index_bits =
+    let rec needed b = if 1 lsl b >= total then b else needed (b + 1) in
+    needed 1
+  in
+  let ictx =
+    if index_bits <= Context.ring_bits ctx then ctx
+    else { ctx with Context.ring = Zn.create index_bits }
+  in
+  let xi1 = Prg.permutation (Context.prg_of ctx sender) total in
+  let xi1_inv = Array.make total 0 in
+  Array.iteri (fun j src -> xi1_inv.(src) <- j) xi1;
+  let extended =
+    Array.init total (fun j -> if j < n then bob_payload_shares.(j) else Secret_share.zero)
+  in
+  let z' = Oep.apply_shared ctx ~holder:sender ~xi:xi1 ~m:total extended in
+  let index_payloads = Array.init n (fun j -> Int64.of_int xi1_inv.(j)) in
+  let table, ind, payload =
+    shares ictx ~receiver ~alice_set ~bob_set ~bob_payloads:index_payloads
+  in
+  let items =
+    Array.init b (fun i ->
+        [
+          Gc_protocol.Shared ind.(i);
+          Gc_protocol.Shared payload.(i);
+          Gc_protocol.Priv
+            {
+              owner = sender;
+              value = Int64.of_int xi1_inv.(n + i);
+              bits = Context.ring_bits ictx;
+            };
+        ])
+  in
+  let build builder (words : Circuits.word array) =
+    [ Circuits.mux_word builder ~sel:words.(0).(0) words.(1) words.(2) ]
+  in
+  let ks = Gc_protocol.eval_reveal_batch ictx ~to_:receiver ~items ~build in
+  let xi2 = Array.map (fun k -> Int64.to_int k.(0)) ks in
+  let payload = Oep.apply_shared ctx ~holder:receiver ~xi:xi2 ~m:total z' in
+  { table; payload }

@@ -1010,28 +1010,63 @@ let test_oep_fresh_randomness () =
 (* ------------------------------------------------------------------ *)
 (* PSI *)
 
-let test_psi_with_payloads () =
-  let ctx = ctx_sim () in
-  let alice_set = Array.init 40 (fun i -> Int64.of_int ((i * 3) + 1)) in
-  let bob_set = Array.init 30 (fun i -> Int64.of_int ((i * 2) + 1)) in
-  let bob_payloads = Array.map (fun y -> Int64.mul y 100L) bob_set in
-  let r = Psi.with_payloads ctx ~receiver:Party.Alice ~alice_set ~bob_set ~bob_payloads in
-  let bob_mem = Array.to_list bob_set in
+(* The two PSI entry points over the same clear payloads; the §5.5 one
+   gets them as fresh shares of the sender. *)
+let psi_entries =
+  [
+    ( "clear",
+      fun ctx ~receiver ~alice_set ~bob_set ~payloads ->
+        Psi.with_payloads ctx ~receiver ~alice_set ~bob_set ~bob_payloads:payloads );
+    ( "shared",
+      fun ctx ~receiver ~alice_set ~bob_set ~payloads ->
+        Psi.with_shared_payloads ctx ~receiver ~alice_set ~bob_set
+          ~bob_payload_shares:
+            (Array.map (Secret_share.share ctx ~owner:(Party.other receiver)) payloads) );
+  ]
+
+let psi_payload_sum ctx (r : Psi.result) =
+  Array.fold_left (fun acc s -> Int64.add acc (Secret_share.reconstruct ctx s)) 0L
+    r.Psi.payload
+
+(* Every bin carries what the callers consume: the matching element's
+   payload for a member, 0 for a non-member or an empty bin. Returns the
+   (member, non-member, empty) bin counts so callers can insist that
+   each case occurred. *)
+let check_bin_payloads ctx label ~bob_set ~payloads (r : Psi.result) =
+  let hits = ref 0 and misses = ref 0 and empties = ref 0 in
   Array.iteri
     (fun i slot ->
-      let ind = Secret_share.reconstruct ctx r.Psi.ind.(i) in
-      let pay = Secret_share.reconstruct ctx r.Psi.payload.(i) in
-      match slot with
-      | Some x when List.exists (Int64.equal x) bob_mem ->
-          Alcotest.check check_i64 "member ind" 1L ind;
-          Alcotest.check check_i64 "member payload" (Int64.mul x 100L) pay
-      | Some _ ->
-          Alcotest.check check_i64 "non-member ind" 0L ind;
-          Alcotest.check check_i64 "non-member payload" 0L pay
-      | None ->
-          Alcotest.check check_i64 "empty bin ind" 0L ind;
-          Alcotest.check check_i64 "empty bin payload" 0L pay)
-    r.Psi.table.Cuckoo_hash.slots
+      let expected =
+        match slot with
+        | None ->
+            incr empties;
+            0L
+        | Some x -> (
+            match Array.find_index (Int64.equal x) bob_set with
+            | Some j ->
+                incr hits;
+                payloads.(j)
+            | None ->
+                incr misses;
+                0L)
+      in
+      Alcotest.check check_i64 (Printf.sprintf "%s bin %d" label i) expected
+        (Secret_share.reconstruct ctx r.Psi.payload.(i)))
+    r.Psi.table.Cuckoo_hash.slots;
+  (!hits, !misses, !empties)
+
+let check_psi_cases label ctx ~receiver ~alice_set ~bob_set ~payloads entry =
+  let r = entry ctx ~receiver ~alice_set ~bob_set ~payloads in
+  let hits, misses, empties = check_bin_payloads ctx label ~bob_set ~payloads r in
+  Alcotest.(check bool) (label ^ ": members, non-members and empty bins all occur") true
+    (hits > 0 && misses > 0 && empties > 0)
+
+let test_psi_with_payloads () =
+  let alice_set = Array.init 40 (fun i -> Int64.of_int ((i * 3) + 1)) in
+  let bob_set = Array.init 30 (fun i -> Int64.of_int ((i * 2) + 1)) in
+  check_psi_cases "clear" (ctx_sim ()) ~receiver:Party.Alice ~alice_set ~bob_set
+    ~payloads:(Array.map (fun y -> Int64.mul y 100L) bob_set)
+    (List.assoc "clear" psi_entries)
 
 let test_psi_element_bounds () =
   let ctx = ctx_sim () in
@@ -1043,71 +1078,54 @@ let test_psi_element_bounds () =
           (Int64.shift_left 1L 61)))
     (fun () ->
       ignore
-        (Psi.membership ctx ~alice_set:[| Int64.shift_left 1L 61 |] ~bob_set:[| 1L |] ()))
+        (Psi.with_payloads ctx ~receiver:Party.Alice ~alice_set:[| Int64.shift_left 1L 61 |]
+           ~bob_set:[| 1L |] ~bob_payloads:[| 0L |]))
 
 let test_psi_shared_payload () =
-  let ctx = ctx_sim () in
   let alice_set = Array.init 25 (fun i -> Int64.of_int ((i * 5) + 2)) in
   let bob_set = Array.init 20 (fun i -> Int64.of_int ((i * 3) + 2)) in
-  let payload_values = Array.map (fun y -> Int64.add y 7L) bob_set in
-  let bob_payload_shares =
-    Array.map (fun v -> Secret_share.share ctx ~owner:Party.Bob v) payload_values
-  in
-  let r = Psi_shared_payload.run ctx ~receiver:Party.Alice ~alice_set ~bob_set ~bob_payload_shares in
-  let find_payload x =
-    let rec go j =
-      if j >= Array.length bob_set then None
-      else if Int64.equal bob_set.(j) x then Some payload_values.(j)
-      else go (j + 1)
-    in
-    go 0
-  in
-  Array.iteri
-    (fun i slot ->
-      let ind = Secret_share.reconstruct ctx r.Psi_shared_payload.ind.(i) in
-      let pay = Secret_share.reconstruct ctx r.Psi_shared_payload.payload.(i) in
-      match slot with
-      | Some x -> (
-          match find_payload x with
-          | Some z ->
-              Alcotest.check check_i64 "shared-payload ind" 1L ind;
-              Alcotest.check check_i64 "shared-payload value" z pay
-          | None ->
-              Alcotest.check check_i64 "miss ind" 0L ind;
-              Alcotest.check check_i64 "miss payload" 0L pay)
-      | None ->
-          Alcotest.check check_i64 "empty ind" 0L ind;
-          Alcotest.check check_i64 "empty payload" 0L pay)
-    r.Psi_shared_payload.table.Cuckoo_hash.slots
+  List.iter
+    (fun receiver ->
+      check_psi_cases
+        ("shared, receiver " ^ Party.to_string receiver)
+        (ctx_sim ()) ~receiver ~alice_set ~bob_set
+        ~payloads:(Array.map (fun y -> Int64.add y 7L) bob_set)
+        (List.assoc "shared" psi_entries))
+    [ Party.Alice; Party.Bob ]
 
 let test_psi_shared_payload_narrow_ring () =
-  (* regression: the protocol's intermediate payloads are indices in
-     [0, N+B), which must survive a ring narrower than their width — a
-     1-bit boolean ring once truncated them to their low bit *)
+  (* regression: the protocol's revealed indices live in [0, N+B), which
+     must survive a ring narrower than their width — a 1-bit boolean ring
+     once truncated them to their low bit *)
   List.iter
     (fun seed ->
       let ctx = Context.create ~bits:1 ~seed () in
-      let alice_set = [| 2L; 5L; 9L |] in
       let bob_set = [| 5L; 9L; 11L |] in
-      let bob_payload_shares =
-        Array.map (fun _ -> Secret_share.share ctx ~owner:Party.Bob 1L) bob_set
-      in
       let r =
-        Psi_shared_payload.run ctx ~receiver:Party.Alice ~alice_set ~bob_set
-          ~bob_payload_shares
+        (List.assoc "shared" psi_entries) ctx ~receiver:Party.Alice
+          ~alice_set:[| 2L; 5L; 9L |] ~bob_set ~payloads:[| 1L; 1L; 1L |]
       in
-      Array.iteri
-        (fun i slot ->
-          let ind = Secret_share.reconstruct ctx r.Psi_shared_payload.ind.(i) in
-          let pay = Secret_share.reconstruct ctx r.Psi_shared_payload.payload.(i) in
-          let expected =
-            match slot with Some (5L | 9L) -> 1L | Some _ | None -> 0L
-          in
-          Alcotest.check check_i64 (Printf.sprintf "seed %Ld bin %d ind" seed i) expected ind;
-          Alcotest.check check_i64 (Printf.sprintf "seed %Ld bin %d payload" seed i) expected
-            pay)
-        r.Psi_shared_payload.table.Cuckoo_hash.slots)
+      ignore
+        (check_bin_payloads ctx (Printf.sprintf "seed %Ld" seed) ~bob_set
+           ~payloads:[| 1L; 1L; 1L |] r))
     [ 1L; 2L; 3L; 4L; 5L; 6L; 7L; 8L ]
+
+(* Each entry point costs the same under both GC backends and returns the
+   same payloads. *)
+let test_psi_backends_same_cost () =
+  let alice_set = Array.init 12 (fun i -> Int64.of_int ((i * 3) + 1)) in
+  let bob_set = Array.init 10 (fun i -> Int64.of_int ((i * 2) + 1)) in
+  let payloads = Array.map (fun y -> Int64.add y 3L) bob_set in
+  List.iter
+    (fun (name, entry) ->
+      let run ctx =
+        let r = entry ctx ~receiver:Party.Bob ~alice_set ~bob_set ~payloads in
+        (Array.map (Secret_share.reconstruct ctx) r.Psi.payload, Context.tally ctx)
+      in
+      let p_sim, t_sim = run (ctx_sim ()) and p_real, t_real = run (ctx_real ()) in
+      Alcotest.(check bool) (name ^ ": Sim tally = Real tally") true (Comm.equal t_sim t_real);
+      Alcotest.(check (array check_i64)) (name ^ ": Sim payloads = Real payloads") p_sim p_real)
+    psi_entries
 
 (* ------------------------------------------------------------------ *)
 (* AES-128 *)
@@ -1576,28 +1594,24 @@ let test_oblivious_sort_narrow_ring () =
 
 let test_psi_boundary_sizes () =
   (* empty and singleton sets must not break the hashing or the circuits *)
-  let ctx = ctx_sim () in
-  let r = Psi.with_payloads ctx ~receiver:Party.Alice ~alice_set:[||] ~bob_set:[| 5L |]
-      ~bob_payloads:[| 7L |] in
-  Array.iter
-    (fun s -> Alcotest.check check_i64 "empty X: all zero" 0L (Secret_share.reconstruct ctx s))
-    r.Psi.ind;
-  let ctx = ctx_sim () in
-  let r = Psi.with_payloads ctx ~receiver:Party.Alice ~alice_set:[| 5L |] ~bob_set:[||]
-      ~bob_payloads:[||] in
-  Array.iter
-    (fun s -> Alcotest.check check_i64 "empty Y: all zero" 0L (Secret_share.reconstruct ctx s))
-    r.Psi.ind;
-  let ctx = ctx_sim () in
-  let r = Psi.with_payloads ctx ~receiver:Party.Alice ~alice_set:[| 5L |] ~bob_set:[| 5L |]
-      ~bob_payloads:[| 9L |] in
-  let hits =
-    Array.fold_left (fun acc s -> Int64.add acc (Secret_share.reconstruct ctx s)) 0L r.Psi.ind
-  in
-  Alcotest.check check_i64 "singleton match" 1L hits
+  List.iter
+    (fun (name, entry) ->
+      List.iter
+        (fun (case, alice_set, bob_set, payloads, expected) ->
+          let ctx = ctx_sim () in
+          let r = entry ctx ~receiver:Party.Alice ~alice_set ~bob_set ~payloads in
+          Alcotest.check check_i64 (Printf.sprintf "%s, %s" name case) expected
+            (psi_payload_sum ctx r))
+        [
+          ("empty X: all zero", [||], [| 5L |], [| 7L |], 0L);
+          ("empty Y: all zero", [| 5L |], [||], [||], 0L);
+          ("singleton match", [| 5L |], [| 5L |], [| 9L |], 9L);
+        ])
+    psi_entries
 
-let psi_random_sets =
-  QCheck.Test.make ~count:20 ~name:"PSI indicator sum = intersection size"
+let psi_random_sets (name, entry) =
+  QCheck.Test.make ~count:20
+    ~name:(Printf.sprintf "PSI payload sum = intersection size (%s)" name)
     QCheck.(pair (int_bound 100000) (pair (int_range 1 60) (int_range 1 60)))
     (fun (seed, (m, n)) ->
       let prg = Prg.create (Int64.of_int seed) in
@@ -1605,35 +1619,35 @@ let psi_random_sets =
           (List.init k (fun _ -> Int64.of_int (1 + Prg.below prg 80)))) in
       let xs = set m and ys = set n in
       let ctx = Context.create ~gc_backend:Context.Sim ~seed:(Int64.of_int (seed + 9)) () in
-      let r = Psi.with_payloads ctx ~receiver:Party.Bob ~alice_set:xs ~bob_set:ys
-          ~bob_payloads:(Array.map (fun _ -> 1L) ys) in
-      let hits =
-        Array.fold_left (fun acc s -> Int64.add acc (Secret_share.reconstruct ctx s)) 0L
-          r.Psi.ind
+      let r =
+        entry ctx ~receiver:Party.Bob ~alice_set:xs ~bob_set:ys
+          ~payloads:(Array.map (fun _ -> 1L) ys)
       in
       let expected =
         Array.fold_left
           (fun acc x -> if Array.exists (Int64.equal x) ys then acc + 1 else acc)
           0 xs
       in
-      Int64.equal hits (Int64.of_int expected))
+      Int64.equal (psi_payload_sum ctx r) (Int64.of_int expected))
 
 (* ------------------------------------------------------------------ *)
 (* Obliviousness: same-size inputs yield identical transcript sizes *)
 
 let test_transcript_oblivious () =
-  let run seed data =
-    let ctx = Context.create ~gc_backend:Context.Sim ~seed () in
-    let alice_set = Array.map Int64.of_int data in
-    let bob_set = [| 2L; 4L; 6L; 8L |] in
-    let _ =
-      Psi.with_payloads ctx ~receiver:Party.Alice ~alice_set ~bob_set ~bob_payloads:(Array.map (fun _ -> 1L) bob_set)
-    in
-    Context.tally ctx
-  in
-  let t1 = run 1L [| 2; 4; 6; 8; 10 |] (* big intersection *) in
-  let t2 = run 2L [| 101; 103; 105; 107; 109 |] (* empty intersection *) in
-  Alcotest.(check bool) "identical transcript sizes" true (Comm.equal t1 t2)
+  List.iter
+    (fun (name, entry) ->
+      let run seed data =
+        let ctx = Context.create ~gc_backend:Context.Sim ~seed () in
+        let bob_set = [| 2L; 4L; 6L; 8L |] in
+        ignore
+          (entry ctx ~receiver:Party.Alice ~alice_set:(Array.map Int64.of_int data) ~bob_set
+             ~payloads:(Array.map (fun _ -> 1L) bob_set));
+        Context.tally ctx
+      in
+      let t1 = run 1L [| 2; 4; 6; 8; 10 |] (* big intersection *) in
+      let t2 = run 2L [| 101; 103; 105; 107; 109 |] (* empty intersection *) in
+      Alcotest.(check bool) (name ^ ": identical transcript sizes") true (Comm.equal t1 t2))
+    psi_entries
 
 (* ------------------------------------------------------------------ *)
 (* Ledger traffic accounting (Context.send / bump_rounds / tally) *)
@@ -1861,6 +1875,7 @@ let () =
             test_psi_shared_payload_narrow_ring;
           Alcotest.test_case "boundary sizes" `Quick test_psi_boundary_sizes;
           Alcotest.test_case "transcript oblivious" `Quick test_transcript_oblivious;
+          Alcotest.test_case "backends same cost" `Quick test_psi_backends_same_cost;
         ]
-        @ qsuite [ psi_random_sets ] );
+        @ qsuite (List.map psi_random_sets psi_entries) );
     ]
