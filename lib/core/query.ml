@@ -32,9 +32,6 @@ type t = {
 
 let has_order t = t.order_by <> [] || t.limit <> None
 
-let total_input_size t =
-  List.fold_left (fun acc (_, i) -> acc + Relation.cardinality i.relation) 0 t.inputs
-
 let hypergraph_of_inputs inputs =
   Hypergraph.create
     (List.map

@@ -37,9 +37,6 @@ type t = {
     oblivious sort phase). *)
 val has_order : t -> bool
 
-(** Total input cardinality (the paper's IN). *)
-val total_input_size : t -> int
-
 (** Build a query, deriving a rooted join tree automatically (no ORDER
     BY / LIMIT; attach those with {!with_order}).
 

@@ -392,9 +392,9 @@ let estimate_and_gates ctx (q : Query.t) =
   let tuples = function
     | Yannakakis.Fold { child; parent; _ } -> card child + card parent
     | Yannakakis.Stop { node; _ } | Yannakakis.Root_project { node; _ } -> card node
-    | Yannakakis.Semijoin_up { child; parent } | Yannakakis.Semijoin_down { child; parent }
-      ->
+    | Yannakakis.Semijoin_up { child; parent }
+    | Yannakakis.Semijoin_down { child; parent }
+    | Yannakakis.Join_up { child; parent } ->
         card child + card parent
-    | Yannakakis.Join_up _ -> Query.total_input_size q
   in
   List.fold_left (fun acc op -> acc + (tuples op * per_tuple)) 0 plan

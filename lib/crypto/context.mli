@@ -26,9 +26,7 @@ type t = {
           (indexed by [Trace_sink.counter_index]) — primitive work and
           traffic alike — maintained by {!bump}, {!send} and
           {!bump_rounds} whether or not a tracer is attached. The only
-          accounting state; snapshotted into checkpoints. Record-copy
-          views ([{ ctx with ring }]) share it, so they account into the
-          context they were copied from *)
+          accounting state; snapshotted into checkpoints *)
   transport : Secyan_net.Resilient.t option;
       (** the physical channel behind {!send}, if any; [None] keeps the
           classic pure-accounting simulation *)

@@ -5,11 +5,6 @@
 
 type keys = { k1 : int64; k2 : int64; k3 : int64; n_bins : int }
 
-val expansion : float
-
-(** Bin count for an M-element table: ceil(1.27 M), at least 2. *)
-val n_bins_for : int -> int
-
 val fresh_keys : Prg.t -> int -> keys
 
 (** The bin of element [x] under hash function [0 <= which <= 2]. *)
@@ -38,8 +33,9 @@ exception
     context : string;
   }
 
-(** Build a cuckoo table over distinct elements; draws fresh keys and
-    retries on the (2^-sigma-probability) insertion failure.
+(** Build a cuckoo table over distinct elements, by default into
+    ceil(1.27 M) bins (at least 2); draws fresh keys and retries on the
+    (2^-sigma-probability) insertion failure.
 
     @raise Build_error after 64 fruitless key refreshes. *)
 val build : ?n_bins:int -> ?context:string -> Prg.t -> int64 array -> table

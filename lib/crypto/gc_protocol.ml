@@ -290,11 +290,8 @@ let m_supervision_failures =
    state of each slot — the three PRGs, the ledger, any nested batch
    cache — is recycled across batches through
    [ctx.batch_ctxs] and reseeded/reset per batch; only a fresh context
-   *record* per item is built each time. The record must be rebuilt, not
-   reused: record-copy views of a context (e.g. the ring override in
-   [Psi_shared_payload]) share the cache array, so a cached record could
-   carry immutable fields (ring, kappa, backend) of a different view
-   than the one running this batch.
+   *record* per item is built each time, copying the immutable fields
+   (ring, kappa, backend) of the context running this batch.
 
    Child PRGs are reseeded *sequentially* from the shared streams in item
    order — exactly the draws [Prg.split] made when contexts were fresh

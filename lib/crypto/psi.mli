@@ -1,7 +1,7 @@
 (** Circuit-based private set intersection with payloads (paper §5.3,
     following Pinkas et al. PSTY19): cuckoo hashing on the receiver's
-    side, simple hashing + batched OPPRF on the sender's, and one garbled
-    circuit per bin.
+    side, simple hashing + two batched OPPRFs on the sender's, and one
+    garbled circuit per bin.
 
     Elements must be distinct encodings below 2^60 (the top bits are
     reserved for per-bin dummies). Cost O~(M + N), constant rounds. *)
@@ -34,7 +34,9 @@ val with_payloads :
   result
 
 (** PSI whose payloads are secret-shared (paper §5.5), for multi-join
-    queries where the sender's payloads are intermediate annotations.
+    queries where the sender's payloads are intermediate annotations: an
+    OEP, PSI over permuted indices whose per-bin circuit reveals one index
+    k_i to the receiver, and a second OEP programmed with the k_i.
 
     @raise Invalid_argument on oversized elements or mismatched payload
     counts. *)
@@ -45,3 +47,12 @@ val with_shared_payloads :
   bob_set:int64 array ->
   bob_payload_shares:Secret_share.t array ->
   result
+
+(** The per-bin circuits, exposed to pin their gate counts. Both read the
+    receiver's OPPRF outputs (a_i, w_i) and the sender's target and mask
+    (r_i, m_i). [clear_bin] ({!with_payloads}) outputs
+    (a_i = r_i) ? (w_i XOR m_i) : 0; [index_bin] ({!with_shared_payloads})
+    also reads the sender's dummy index d_i and outputs
+    k_i = (a_i = r_i) ? (w_i XOR m_i) : d_i. *)
+val clear_bin : Boolean_circuit.Builder.b -> Circuits.word array -> Circuits.word list
+val index_bin : Boolean_circuit.Builder.b -> Circuits.word array -> Circuits.word list

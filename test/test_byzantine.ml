@@ -396,21 +396,21 @@ let test_peer_fuzz_pins () =
       ("extend:21", "extend:21", "protocol-violation");
       ("replay:19,splice:8,length-lie:13", "splice:8", "protocol-violation");
       ("truncate:13,extend:42", "truncate:13", "protocol-violation");
-      ("extend:1", "extend:1", "protocol-violation");
-      ("length-lie:7", "length-lie:7", "protocol-violation");
+      ("extend:41", "extend:41", "protocol-violation");
+      ("length-lie:35", "length-lie:35", "protocol-violation");
       ("length-lie:17", "length-lie:17", "protocol-violation");
-      ("reorder:44,replay:27,replay:46", "replay:27", "protocol-violation");
-      ("replay:71,length-lie:25", "length-lie:25", "protocol-violation");
-      ("truncate:55,reorder:49", "reorder:49,truncate:55", "protocol-violation");
-      ("replay:83,retag:46,length-lie:111", "retag:46", "protocol-violation");
-      ("length-lie:158,extend:116,replay:247", "extend:116", "protocol-violation");
-      ("replay:50,extend:302", "replay:50", "protocol-violation");
-      ("extend:49,truncate:56,reorder:106", "extend:49", "protocol-violation");
-      ("length-lie:80", "length-lie:80", "correct");
-      ("reorder:77,reorder:69", "reorder:69,reorder:77", "correct");
-      ("retag:44,replay:10", "replay:10", "protocol-violation");
-      ("extend:102", "extend:102", "protocol-violation");
-      ("reorder:141,reorder:133", "reorder:133,reorder:141", "correct");
+      ("reorder:2,replay:73,replay:3", "reorder:2,replay:3,replay:73", "protocol-violation");
+      ("replay:62,length-lie:16", "length-lie:16", "protocol-violation");
+      ("truncate:51,reorder:91", "truncate:51", "protocol-violation");
+      ("replay:48,retag:54,length-lie:102", "replay:48", "protocol-violation");
+      ("length-lie:19,extend:233,replay:59", "length-lie:19,replay:59", "protocol-violation");
+      ("replay:360,extend:385", "replay:360", "protocol-violation");
+      ("extend:106,truncate:88,reorder:109", "truncate:88", "protocol-violation");
+      ("length-lie:130", "length-lie:130", "correct");
+      ("reorder:27,reorder:39", "reorder:27,reorder:39", "correct");
+      ("retag:93,replay:1", "replay:1,retag:93", "protocol-violation");
+      ("extend:80", "extend:80", "protocol-violation");
+      ("reorder:86,reorder:128", "reorder:86,reorder:128", "correct");
       ("retag:0,extend:3", "retag:0", "protocol-violation");
       ("extend:6,length-lie:11,truncate:20", "extend:6", "protocol-violation");
     ]

@@ -127,8 +127,9 @@ let test_oblivious_project_nonzero () =
 (* Gate-for-gate identity of the circuits the builder emits: a SHA-256
    over a canonical per-gate encoding (opcode byte, then lhs and rhs as
    64-bit little-endian ints, a NOT repeating its operand), then every
-   output wire. The digests and AND counts were taken from the boxed
-   circuit representation this flat format replaced. *)
+   output wire. The kernel and chain pins were taken from the boxed
+   circuit representation this flat format replaced; the PSI bin pins
+   from this format. *)
 let circuit_digest (c : Boolean_circuit.t) =
   let buf = Buffer.create (17 * Boolean_circuit.n_gates c) in
   let int x = Buffer.add_int64_le buf (Int64.of_int x) in
@@ -159,6 +160,18 @@ let test_circuit_digests () =
     @ List.init n (fun _ -> Gc_protocol.Shared Secret_share.zero)
   in
   let chain build = Gc_protocol.circuit ctx ~inputs ~build:(build semiring ~n) in
+  (* PSI's per-bin circuits: receiver's (a_i, w_i), sender's (r_i, m_i),
+     and for the index reveal the sender's dummy index d_i *)
+  let psi_bin ~payload_bits ~extra build =
+    let priv owner bits = Gc_protocol.Priv { owner; value = 0L; bits } in
+    let cmp = Psi.cmp_bits ctx in
+    Gc_protocol.circuit ctx ~build
+      ~inputs:
+        ([ priv Party.Alice cmp; priv Party.Alice payload_bits; priv Party.Bob cmp;
+           priv Party.Bob payload_bits ]
+        @ List.map (priv Party.Bob) extra)
+  in
+  let index_bits = 9 in
   List.iter
     (fun (name, c, ands, digest) ->
       Alcotest.(check int) (name ^ " AND count") ands (Boolean_circuit.and_count c);
@@ -170,6 +183,12 @@ let test_circuit_digests () =
         "bbd082a777e769c13df5c9065603baae039bbdc01e51ce503ea0e94e26b40180" );
       ( "nonzero chain", chain Oblivious_agg.nonzero_chain, 1833,
         "0081017166f88b35f966ba4938fcf7d5634cd7604358b665317978d6f9d64592" );
+      ( "PSI clear bin", psi_bin ~payload_bits:ring_bits ~extra:[] Psi.clear_bin, 107,
+        "611720c4a85faec1ed5a6e71265486bdb882519c8b180d08c66f7b1861329384" );
+      ( "PSI index-reveal bin",
+        psi_bin ~payload_bits:index_bits ~extra:[ index_bits ] Psi.index_bin,
+        55 + index_bits,
+        "579ee2f6a9186c92febfc4780d501a5cbc1606773b5b446273da04127f29f89e" );
     ]
 
 (* ------------------------------------------------------------------ *)

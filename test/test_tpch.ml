@@ -307,10 +307,10 @@ let test_figure_cost_pins () =
     (fun (name, query, pin) ->
       Alcotest.check cost_fields (name ^ " at xs") (nest pin) (nest (figure_cost query)))
     [
-      ("Q3", `Q3, (109458, 62412382, 19898370, 72, 55682, 89245));
-      ("Q10", `Q10, (85012, 46877525, 15628707, 69, 48870, 62428));
-      ("Q18", `Q18, (160935, 93842067, 32646981, 97, 94106, 142119));
-      ("Q8", `Q8, (376642, 254411390, 92631678, 186, 236764, 467052));
+      ("Q3", `Q3, (78966, 44041260, 16042056, 66, 55682, 58291));
+      ("Q10", `Q10, (68251, 36744961, 13462614, 63, 48870, 45052));
+      ("Q18", `Q18, (129005, 73782876, 27749784, 88, 94106, 103004));
+      ("Q8", `Q8, (197064, 143030176, 66582130, 168, 236764, 258858));
     ];
   Alcotest.check cost_fields "Q3 at xs: Real tally = Sim tally"
     (nest (figure_cost `Q3))
