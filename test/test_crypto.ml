@@ -1609,9 +1609,15 @@ let test_psi_boundary_sizes () =
         ])
     psi_entries
 
-let psi_random_sets (name, entry) =
-  QCheck.Test.make ~count:20
-    ~name:(Printf.sprintf "PSI payload sum = intersection size (%s)" name)
+(* All payloads are 1, so each bin's payload is its membership indicator.
+   The clear entry keeps the property's original name. *)
+let psi_random_sets (entry_name, entry) =
+  let name =
+    match entry_name with
+    | "clear" -> "PSI indicator sum = intersection size"
+    | n -> Printf.sprintf "PSI %s indicator sum = intersection size" n
+  in
+  QCheck.Test.make ~count:20 ~name
     QCheck.(pair (int_bound 100000) (pair (int_range 1 60) (int_range 1 60)))
     (fun (seed, (m, n)) ->
       let prg = Prg.create (Int64.of_int seed) in
