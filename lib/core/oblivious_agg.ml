@@ -1,23 +1,35 @@
 (** Oblivious projection-aggregation (paper §6.1).
 
-    The owner sorts the relation on the group-by attributes, an OEP aligns
-    the annotation shares with the sorted order, and a garbled circuit of
-    N-1 "merge gates" scans the sorted sequence: within a run of equal
-    keys it accumulates, and at each run boundary it emits the aggregate
-    and resets. The owner then builds the output relation: the last tuple
-    of each run carries the run's (shared) aggregate; every other position
+    The owner sorts the relation on the group-by attributes and an OEP
+    aligns the annotation shares with the sorted order. The owner knows
+    the run boundaries (equal keys) in the clear; the aggregate of each
+    run then lands on the run's last position:
+
+    - [Ring] is a segmented sum in arithmetic shares (DESIGN.md §2
+      item 11). Each party takes local prefix sums of its aligned shares,
+      and one extended OEP programmed by the owner routes to every
+      position the prefix at the last run end at or before it. One local
+      subtraction per position leaves each run's sum at its last position
+      and a fresh sharing of zero everywhere else.
+    - The boolean and tropical semirings garble the paper's N-1 "merge
+      gates" ([merge_chain]): within a run of equal keys the circuit
+      accumulates, and at each run boundary it emits the aggregate and
+      resets.
+
+    The owner then builds the output relation: the last tuple of each
+    run carries the run's (shared) aggregate; every other position
     becomes a dummy with a shared zero — so the output has exactly N
     tuples and is semantically equivalent to pi^plus_F(R) without leaking
     group sizes.
 
-    pi^1 (project-nonzero) is the same protocol with per-tuple nonzero
-    indicators feeding OR-merge gates. *)
+    pi^1 (project-nonzero) garbles per-tuple nonzero indicators through
+    OR-merge gates ([nonzero_chain]) for every semiring. *)
 
 open Secyan_crypto
 open Secyan_relational
 
 (* Sort the relation, realign annotation shares via OEP, and return the
-   merge-gate equality indicators (known to the owner). *)
+   equal-next indicators that mark the runs (known to the owner). *)
 let prepare ctx (sr : Shared_relation.t) ~attrs =
   let sorted, perm = Relation.sort_by attrs sr.Shared_relation.rel in
   let n = Relation.cardinality sorted in
@@ -101,6 +113,25 @@ let nonzero_chain semiring ~n b (words : Circuits.word array) =
     (fun bit -> Circuits.materialize_word b 0 (Circuits.mux_word b ~sel:bit one_w zero_w))
     (Array.to_list outs)
 
+(* The Ring aggregate as a segmented sum: P = [0; P_0..P_{n-1}] are the
+   local prefix sums of the aligned shares, and output i of the extended
+   OEP is P at 1 + L(i), where L(i) is the last run end at or before i
+   (P's leading 0 when there is none). Output i minus output i-1 is then
+   P_i - P_{s(i)-1} at a last-of-run position i with run start s(i), and
+   a fresh sharing of 0 elsewhere. The switch count depends on n alone. *)
+let segmented_sum ctx ~owner equal_next aligned =
+  let n = Array.length aligned in
+  let prefix = Array.make (n + 1) Secret_share.zero in
+  Array.iteri (fun i s -> prefix.(i + 1) <- Secret_share.add ctx prefix.(i) s) aligned;
+  let last_end = ref 0 in
+  let xi =
+    Array.init n (fun i ->
+        if i = n - 1 || not equal_next.(i) then last_end := i + 1;
+        !last_end)
+  in
+  let y = Oep.apply_shared ctx ~holder:owner ~xi ~m:(n + 1) prefix in
+  Array.mapi (fun i yi -> if i = 0 then yi else Secret_share.sub ctx yi y.(i - 1)) y
+
 (** Semantically-equivalent pi^plus_attrs(R), owner and size preserved. *)
 let aggregate ctx semiring (sr : Shared_relation.t) ~attrs : Shared_relation.t =
   let owner = sr.Shared_relation.owner in
@@ -108,17 +139,17 @@ let aggregate ctx semiring (sr : Shared_relation.t) ~attrs : Shared_relation.t =
   Context.with_span ctx ("agg:" ^ sr.Shared_relation.rel.Relation.name) @@ fun () ->
   let sorted, aligned, equal_next = prepare ctx sr ~attrs in
   let n = Relation.cardinality sorted in
-  if n = 0 then emit_output sorted ~attrs equal_next [||] ~owner ~name
-  else begin
-    let out_annots =
-      if n = 1 then [| aligned.(0) |]
-      else
-        Gc_protocol.eval_to_shares ctx
-          ~inputs:(chain_inputs ~owner equal_next aligned)
-          ~build:(merge_chain semiring ~n)
-    in
-    emit_output sorted ~attrs equal_next out_annots ~owner ~name
-  end
+  let out_annots =
+    if n = 0 then [||]
+    else if semiring.Semiring.kind = Semiring.Ring then
+      segmented_sum ctx ~owner equal_next aligned
+    else if n = 1 then [| aligned.(0) |]
+    else
+      Gc_protocol.eval_to_shares ctx
+        ~inputs:(chain_inputs ~owner equal_next aligned)
+        ~build:(merge_chain semiring ~n)
+  in
+  emit_output sorted ~attrs equal_next out_annots ~owner ~name
 
 (** Semantically-equivalent pi^1_attrs(R): distinct keys of the
     nonzero-annotated tuples, annotation [1] when present, [0] otherwise;

@@ -1,7 +1,10 @@
-(** Oblivious projection-aggregation (paper §6.1): sort + OEP + a garbled
-    circuit of merge gates. Both operators preserve the relation's owner
-    and cardinality; group sizes, aggregate values, and which output
-    tuples are dummies all stay hidden. *)
+(** Oblivious projection-aggregation (paper §6.1): sort + an aligning
+    OEP, then a segmented sum for [Ring] (local prefix sums + one
+    extended OEP) or a garbled circuit of merge gates for the other
+    semirings. Both operators preserve the relation's owner and
+    cardinality; group sizes, aggregate values, and which output tuples
+    are dummies all stay hidden, and the cost depends on the cardinality
+    alone. *)
 
 open Secyan_crypto
 open Secyan_relational
@@ -25,8 +28,9 @@ val project_nonzero :
 (** The two operators' garbled circuits, as {!Gc_protocol} builders over
     the chain's input words (the n-1 one-bit equal-next indicators, then
     the n annotations). [merge_chain semiring ~n] is {!aggregate}'s N-1
-    merge gates ([n >= 2]); [nonzero_chain semiring ~n] is
-    {!project_nonzero}'s OR-merge gates ([n >= 1]). *)
+    merge gates ([n >= 2]) for the boolean and tropical semirings (a
+    [Ring] aggregate garbles nothing); [nonzero_chain semiring ~n] is
+    {!project_nonzero}'s OR-merge gates ([n >= 1]) for every semiring. *)
 val merge_chain :
   Semiring.t -> n:int -> Boolean_circuit.Builder.b -> Circuits.word array -> Circuits.word list
 

@@ -375,26 +375,67 @@ let run ?resume ctx (q : Query.t) : Relation.t * result =
   let r = { r with tally = Comm.add r.tally tally; seconds = r.seconds +. seconds } in
   (revealed, r)
 
-(** Rough AND-gate total of a run, for progress estimation (ETA) only:
-    every plan operator touches its relations tuple-by-tuple through
-    per-tuple merge/aggregate circuits, so the estimate charges
-    [Cost_model.merge_circuit_and_gates] per involved tuple. Deliberately
-    coarse — progress percentages are clamped below 100% until the run
-    actually finishes. *)
+(** Rough AND-gate total of a run, for progress estimation (ETA) only,
+    from public sizes and owners. It charges the circuits that still
+    garble, walking the plan as the run does:
+    - a cross-party constrained join or semijoin: one PSI circuit per
+      cuckoo bin of the left relation, a [Psi.cmp_bits]-wide equality
+      test plus one AND per payload bit (a ring word for clear right
+      annotations, an index for shared ones);
+    - [project_nonzero] over a semijoin's shared right relation, and the
+      oblivious join's reveal circuits: per tuple, an adder that joins
+      the two shares and a nonzero test;
+    - for the non-ring semirings, the aggregation merge chain and the
+      product circuits, [Cost_model.merge_circuit_and_gates] per tuple.
+    Ring aggregation (a segmented sum through one OEP) and ring products
+    (OT-based) garble nothing. The top-k sort is not charged: its size
+    is the output size, which only the run reveals. Progress percentages
+    are clamped below 100% until the run actually finishes. *)
 let estimate_and_gates ctx (q : Query.t) =
-  let per_tuple = Cost_model.merge_circuit_and_gates ~bits:(Context.ring_bits ctx) in
-  let card name =
-    match List.assoc_opt name q.Query.inputs with
-    | Some i -> Relation.cardinality i.Query.relation
-    | None -> 0
+  let bits = Context.ring_bits ctx in
+  let per_tuple =
+    if q.Query.semiring.Semiring.kind = Semiring.Ring then 0
+    else Cost_model.merge_circuit_and_gates ~bits
+  in
+  let input l = List.assoc l q.Query.inputs in
+  let owner l = (input l).Query.owner in
+  let card l = Relation.cardinality (input l).Query.relation in
+  (* operators keep owners and sizes; what changes is whether a node's
+     annotations are still clear to its owner, and whether it is folded *)
+  let shared = Hashtbl.create 8 and folded = Hashtbl.create 8 in
+  let clear l = not (Hashtbl.mem shared l) in
+  let make_shared l = Hashtbl.replace shared l () in
+  let shared_word = 2 * (bits - 1) in
+  let psi ~left ~right =
+    if Party.equal (owner left) (owner right) then 0
+    else
+      let bins = Cuckoo_hash.n_bins_for (card left) in
+      let payload = if clear right then bits else Psi.index_bits (card right + bins) in
+      bins * (Psi.cmp_bits ctx - 1 + payload)
+  in
+  let semijoin ~left ~right =
+    let nonzero_chain = if clear right then 0 else card right * (shared_word + 2) in
+    let cost = nonzero_chain + psi ~left ~right + (card left * per_tuple) in
+    make_shared left;
+    cost
+  in
+  let op = function
+    | Yannakakis.Fold { child; parent; _ } ->
+        (* the PSI's right side is the child's aggregate, always shared *)
+        make_shared child;
+        let cost = ((card child + card parent) * per_tuple) + psi ~left:parent ~right:child in
+        make_shared parent;
+        Hashtbl.replace folded child ();
+        cost
+    | Yannakakis.Stop { node; _ } | Yannakakis.Root_project { node; _ } ->
+        make_shared node;
+        card node * per_tuple
+    | Yannakakis.Semijoin_up { child; parent } -> semijoin ~left:parent ~right:child
+    | Yannakakis.Semijoin_down { child; parent } -> semijoin ~left:child ~right:parent
+    | Yannakakis.Join_up _ -> 0
   in
   let plan = Yannakakis.plan q.Query.tree ~output:q.Query.output in
-  let tuples = function
-    | Yannakakis.Fold { child; parent; _ } -> card child + card parent
-    | Yannakakis.Stop { node; _ } | Yannakakis.Root_project { node; _ } -> card node
-    | Yannakakis.Semijoin_up { child; parent }
-    | Yannakakis.Semijoin_down { child; parent }
-    | Yannakakis.Join_up { child; parent } ->
-        card child + card parent
-  in
-  List.fold_left (fun acc op -> acc + (tuples op * per_tuple)) 0 plan
+  let operators = List.fold_left (fun acc o -> acc + op o) 0 plan in
+  List.fold_left
+    (fun acc (l, _) -> if Hashtbl.mem folded l then acc else acc + (card l * shared_word))
+    operators q.Query.inputs

@@ -31,6 +31,9 @@ val run_shared : ?resume:bool -> Context.t -> Query.t -> result
     designated receiver: the standard top-level entry point. *)
 val run : ?resume:bool -> Context.t -> Query.t -> Relation.t * result
 
-(** Rough AND-gate total of a run over this context's ring width —
-    progress-estimation (ETA) input only, never cost accounting. *)
+(** Rough AND-gate total of a run over this context's ring width, from
+    public sizes and owners: the PSI, nonzero and reveal circuits, and
+    the non-ring semirings' merge and product circuits; the top-k sort
+    is not charged. Progress-estimation (ETA) input only, never cost
+    accounting. *)
 val estimate_and_gates : Context.t -> Query.t -> int

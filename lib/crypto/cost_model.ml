@@ -46,13 +46,11 @@ let opprf_bin_bits ~kappa ~sigma = kappa + sigma + 24
     one OT carrying the two swapped outputs. *)
 let oep_switch_bits ~kappa ~bits = ot_receiver_bits ~kappa + ot_sender_bits ~msg_bits:(2 * bits)
 
-(** Rough AND-gate count of one per-tuple merge/aggregate circuit over a
-    [bits]-wide annotation ring. The per-tuple circuits left are
-    comparison/selection logic and adders, linear in [bits]; ring products
-    run as OT-based products with no AND gates ({!ot_product_bits}), so
-    there is no multiplier term. Calibrated against measured [And_gates]
-    totals of Q3/Q10/Q18 at scales xs–m (0.8–1.7x, pinned within 2x by
-    the test suite). Progress-estimation only — protocol cost accounting
-    always charges the exact per-circuit gate counts, never this
-    figure. *)
+(** Rough AND-gate count of one per-tuple merge or product circuit of
+    a non-ring semiring (boolean, tropical) over [bits]-wide words:
+    comparison/selection logic and adders, linear in [bits]. Ring
+    aggregation and ring products garble nothing (a segmented sum
+    through one OEP; {!ot_product_bits}). Progress-estimation only —
+    protocol cost accounting always charges the exact per-circuit gate
+    counts, never this figure. *)
 let merge_circuit_and_gates ~bits = 4 * bits

@@ -34,7 +34,7 @@ val opprf_bin_bits : kappa:int -> sigma:int -> int
     payloads. *)
 val oep_switch_bits : kappa:int -> bits:int -> int
 
-(** Rough AND-gate count of one per-tuple merge/aggregate circuit over a
-    [bits]-wide ring. Progress estimation only; never used for cost
-    accounting. *)
+(** Rough AND-gate count of one per-tuple merge or product circuit of a
+    non-ring semiring over [bits]-wide words. Progress estimation only;
+    never used for cost accounting. *)
 val merge_circuit_and_gates : bits:int -> int

@@ -33,8 +33,11 @@ exception
     context : string;
   }
 
+(** The default bin count for M elements: ceil(1.27 M), at least 2. *)
+val n_bins_for : int -> int
+
 (** Build a cuckoo table over distinct elements, by default into
-    ceil(1.27 M) bins (at least 2); draws fresh keys and retries on the
+    [n_bins_for M] bins; draws fresh keys and retries on the
     (2^-sigma-probability) insertion failure.
 
     @raise Build_error after 64 fruitless key refreshes. *)

@@ -114,6 +114,11 @@ let with_payloads ctx ~receiver ~alice_set ~bob_set ~bob_payloads : result =
   let shares = Gc_protocol.eval_to_shares_batch ctx ~items ~build:clear_bin in
   { table; payload = Array.map (fun s -> s.(0)) shares }
 
+(** Width of the §5.5 index words over [total] = N + B positions. *)
+let index_bits total =
+  let rec needed b = if 1 lsl b >= total then b else needed (b + 1) in
+  needed 1
+
 (** Secret-shared payloads (paper §5.5): the multi-join case, where the
     sender's payloads z_1..z_N are intermediate annotations in shared form
     and cannot enter the OPPRF.
@@ -139,10 +144,7 @@ let with_shared_payloads ctx ~receiver ~alice_set ~bob_set ~bob_payload_shares :
   Context.with_span ctx "psi:shared-payloads" @@ fun () ->
   let table = cuckoo_table ctx ~receiver ~alice_set ~bob_set in
   let total = n + Array.length table.Cuckoo_hash.slots in
-  let index_bits =
-    let rec needed b = if 1 lsl b >= total then b else needed (b + 1) in
-    needed 1
-  in
+  let index_bits = index_bits total in
   let xi1 = Prg.permutation (Context.prg_of ctx sender) total in
   let xi1_inv = Array.make total 0 in
   Array.iteri (fun j src -> xi1_inv.(src) <- j) xi1;

@@ -33,6 +33,11 @@ val with_payloads :
   bob_payloads:int64 array ->
   result
 
+(** The width of {!with_shared_payloads}' index words over [total] =
+    N + B positions (sender elements plus cuckoo bins): ceil(log2 total),
+    at least 1. *)
+val index_bits : int -> int
+
 (** PSI whose payloads are secret-shared (paper §5.5), for multi-join
     queries where the sender's payloads are intermediate annotations: an
     OEP, PSI over permuted indices whose per-bin circuit reveals one index

@@ -401,18 +401,18 @@ let test_peer_fuzz_pins () =
       ("length-lie:17", "length-lie:17", "protocol-violation");
       ("reorder:2,replay:73,replay:3", "reorder:2,replay:3,replay:73", "protocol-violation");
       ("replay:62,length-lie:16", "length-lie:16", "protocol-violation");
-      ("truncate:51,reorder:91", "truncate:51", "protocol-violation");
-      ("replay:48,retag:54,length-lie:102", "replay:48", "protocol-violation");
-      ("length-lie:19,extend:233,replay:59", "length-lie:19,replay:59", "protocol-violation");
+      ("truncate:53,reorder:9", "reorder:9,truncate:53", "protocol-violation");
+      ("replay:59,retag:43,length-lie:46", "retag:43", "protocol-violation");
+      ("length-lie:138,extend:44,replay:167", "extend:44", "protocol-violation");
       ("replay:360,extend:385", "replay:360", "protocol-violation");
-      ("extend:106,truncate:88,reorder:109", "truncate:88", "protocol-violation");
+      ("extend:106,truncate:89,reorder:133", "truncate:89", "protocol-violation");
       ("length-lie:130", "length-lie:130", "correct");
-      ("reorder:27,reorder:39", "reorder:27,reorder:39", "correct");
+      ("reorder:65,reorder:9", "reorder:9,reorder:65", "correct");
       ("retag:93,replay:1", "replay:1,retag:93", "protocol-violation");
       ("extend:80", "extend:80", "protocol-violation");
       ("reorder:86,reorder:128", "reorder:86,reorder:128", "correct");
-      ("retag:0,extend:3", "retag:0", "protocol-violation");
-      ("extend:6,length-lie:11,truncate:20", "extend:6", "protocol-violation");
+      ("retag:1,extend:7", "retag:1", "protocol-violation");
+      ("extend:8,length-lie:4,truncate:7", "length-lie:4", "protocol-violation");
     ]
 
 let test_mini_campaign () =

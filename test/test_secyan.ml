@@ -110,6 +110,86 @@ let oblivious_agg_random =
       content (Operators.aggregate ring32 ~attrs r)
       = content (Shared_relation.reconstruct ctx out))
 
+(* A relation over (g, x) whose sorted runs of equal g follow [layout]
+   (one run, all singletons, or random groups): [real] tuples with
+   annotations drawn over the whole [width]-bit ring, and [dummies]
+   zero-annotated dummies, all in a random order. *)
+let run_layout_relation prg ~layout ~width ~real ~dummies =
+  let schema = Schema.of_list [ "g"; "x" ] in
+  let group i =
+    match layout with
+    | `One_run -> 0
+    | `Singletons -> i
+    | `Random -> Prg.below prg (1 + (real / 2))
+  in
+  let rows =
+    Array.append
+      (Array.init real (fun i -> ([| v (group i); v i |], Prg.bits prg width)))
+      (Array.make dummies (Tuple.dummy schema, 0L))
+  in
+  let order = Prg.permutation prg (Array.length rows) in
+  Relation.of_list ~name:"R" ~schema (Array.to_list (Array.map (fun i -> rows.(i)) order))
+
+(* The Ring aggregate (a segmented sum through one OEP, DESIGN.md §2
+   item 11) against the plaintext aggregate, over ring widths 16/32/52
+   and both backends. *)
+let ring_agg_matches ~seed ~layout ~width ~backend ~real ~dummies =
+  let prg = Prg.create (Int64.of_int seed) in
+  let r = run_layout_relation prg ~layout ~width ~real ~dummies in
+  let semiring = Semiring.ring ~bits:width in
+  let ctx = Context.create ~bits:width ~gc_backend:backend ~seed:(Int64.of_int (seed + 1)) () in
+  let owner = if seed mod 2 = 0 then Party.Alice else Party.Bob in
+  let attrs = Schema.of_list [ "g" ] in
+  let out = Oblivious_agg.aggregate ctx semiring (shared ctx ~owner r) ~attrs in
+  Shared_relation.cardinality out = real + dummies
+  && content (Operators.aggregate semiring ~attrs r)
+     = content (Shared_relation.reconstruct ctx out)
+
+let layouts = [| `One_run; `Singletons; `Random |]
+let widths = [| 16; 32; 52 |]
+let backends = [| Context.Sim; Context.Real |]
+
+let ring_agg_random =
+  QCheck.Test.make ~count:60 ~name:"ring aggregate = plaintext aggregate"
+    QCheck.(quad (int_bound 100000) (int_range 0 12) (int_range 0 3) (int_bound 17))
+    (fun (seed, real, dummies, shape) ->
+      ring_agg_matches ~seed ~layout:layouts.(shape mod 3) ~width:widths.(shape / 3 mod 3)
+        ~backend:backends.(shape / 9) ~real ~dummies)
+
+(* The edge layouts the random property may miss, for every width and
+   backend: n = 0, a lone tuple, a lone dummy, one run, all singletons,
+   and dummies between runs. *)
+let test_ring_agg_edges () =
+  Array.iteri
+    (fun b backend ->
+      Array.iteri
+        (fun w width ->
+          List.iteri
+            (fun i (layout, real, dummies) ->
+              if not (ring_agg_matches ~seed:(i + (10 * w) + (100 * b)) ~layout ~width ~backend
+                        ~real ~dummies)
+              then Alcotest.failf "width %d, backend %d, edge case %d" width b i)
+            [ (`Random, 0, 0); (`One_run, 1, 0); (`One_run, 0, 1); (`One_run, 6, 0);
+              (`Singletons, 6, 0); (`Random, 9, 3); (`One_run, 5, 2) ])
+        widths)
+    backends
+
+(* Cost is a function of public sizes alone: the same n under different
+   run layouts gives the same ledger, counter for counter. *)
+let test_ring_agg_cost_public () =
+  let totals layout =
+    let prg = Prg.create 3L in
+    let r = run_layout_relation prg ~layout ~width:32 ~real:10 ~dummies:2 in
+    let ctx = ctx_sim ~seed:11L () in
+    ignore
+      (Oblivious_agg.aggregate ctx ring32 (shared ctx ~owner:Party.Bob r)
+         ~attrs:(Schema.of_list [ "g" ]));
+    Context.counter_totals ctx
+  in
+  let one_run = totals `One_run in
+  Alcotest.(check (array int)) "one run = singletons" one_run (totals `Singletons);
+  Alcotest.(check (array int)) "one run = random groups" one_run (totals `Random)
+
 let test_oblivious_project_nonzero () =
   let ctx = ctx_sim () in
   let r =
@@ -127,9 +207,9 @@ let test_oblivious_project_nonzero () =
 (* Gate-for-gate identity of the circuits the builder emits: a SHA-256
    over a canonical per-gate encoding (opcode byte, then lhs and rhs as
    64-bit little-endian ints, a NOT repeating its operand), then every
-   output wire. The kernel and chain pins were taken from the boxed
-   circuit representation this flat format replaced; the PSI bin pins
-   from this format. *)
+   output wire. The kernel and nonzero-chain pins were taken from the
+   boxed circuit representation this flat format replaced; the PSI bin
+   and tropical merge-chain pins from this format. *)
 let circuit_digest (c : Boolean_circuit.t) =
   let buf = Buffer.create (17 * Boolean_circuit.n_gates c) in
   let int x = Buffer.add_int64_le buf (Int64.of_int x) in
@@ -154,12 +234,19 @@ let test_circuit_digests () =
   in
   let n = 17 in
   let ctx = Context.create ~bits:ring_bits ~gc_backend:Context.Sim ~seed:7L () in
-  let inputs =
-    List.init (n - 1) (fun _ ->
-        Gc_protocol.Priv { owner = Party.Bob; value = 0L; bits = 1 })
-    @ List.init n (fun _ -> Gc_protocol.Shared Secret_share.zero)
+  (* the chains over a context whose ring is the semiring's width, as a
+     query runs them; [merge_chain] serves only the non-Ring semirings *)
+  let chain semiring build =
+    let ctx =
+      Context.create ~bits:(Semiring.bits semiring) ~gc_backend:Context.Sim ~seed:7L ()
+    in
+    let inputs =
+      List.init (n - 1) (fun _ ->
+          Gc_protocol.Priv { owner = Party.Bob; value = 0L; bits = 1 })
+      @ List.init n (fun _ -> Gc_protocol.Shared Secret_share.zero)
+    in
+    Gc_protocol.circuit ctx ~inputs ~build:(build semiring ~n)
   in
-  let chain build = Gc_protocol.circuit ctx ~inputs ~build:(build semiring ~n) in
   (* PSI's per-bin circuits: receiver's (a_i, w_i), sender's (r_i, m_i),
      and for the index reveal the sender's dummy index d_i *)
   let psi_bin ~payload_bits ~extra build =
@@ -179,9 +266,10 @@ let test_circuit_digests () =
     [
       ( "x*y+z", kernel, 2704,
         "fcdec7b79ad25a95baa18065d5ea5da75c95f0d0e287f11a50d8d31df3a7c73e" );
-      ( "merge chain", chain Oblivious_agg.merge_chain, 3347,
-        "bbd082a777e769c13df5c9065603baae039bbdc01e51ce503ea0e94e26b40180" );
-      ( "nonzero chain", chain Oblivious_agg.nonzero_chain, 1833,
+      ( "merge chain (tropical min)",
+        chain (Semiring.tropical_min ~bits:32) Oblivious_agg.merge_chain, 2575,
+        "5594c344086812761be25a33808f5269b24cbb14d618a4eb2a95551d8b6686d8" );
+      ( "nonzero chain", chain semiring Oblivious_agg.nonzero_chain, 1833,
         "0081017166f88b35f966ba4938fcf7d5634cd7604358b665317978d6f9d64592" );
       ( "PSI clear bin", psi_bin ~payload_bits:ring_bits ~extra:[] Psi.clear_bin, 107,
         "611720c4a85faec1ed5a6e71265486bdb882519c8b180d08c66f7b1861329384" );
@@ -834,8 +922,11 @@ let () =
           Alcotest.test_case "with dummies" `Quick test_oblivious_agg_with_dummies;
           Alcotest.test_case "project nonzero" `Quick test_oblivious_project_nonzero;
           Alcotest.test_case "circuit digests" `Quick test_circuit_digests;
+          Alcotest.test_case "ring aggregate edge layouts" `Quick test_ring_agg_edges;
+          Alcotest.test_case "ring aggregate cost from public sizes" `Quick
+            test_ring_agg_cost_public;
         ]
-        @ qsuite [ oblivious_agg_random ] );
+        @ qsuite [ oblivious_agg_random; ring_agg_random ] );
       ( "oblivious-semijoin",
         [
           Alcotest.test_case "cross-party" `Quick test_join_constrained_cross;

@@ -276,13 +276,13 @@ let test_progress_estimate_within_2x () =
         [ ("Q3", Queries.q3 d); ("Q10", Queries.q10 d); ("Q18", Queries.q18 d) ])
     [ "xs"; "s" ]
 
-(* Exact cost of the figure queries at scale xs, as [secyan_cli run
-   --query Q --scale xs] runs them (data and protocol seed 1): (AND
-   gates, bits A->B, bits B->A, rounds, OEP switches, OTs). Every field
-   is a function of public sizes alone, so a change that moves one is a
-   protocol change and updates the pin with its reason. *)
-let figure_cost ?(gc_backend = Secyan_crypto.Context.Sim) query =
-  let d = Datagen.generate ~sf:(Datagen.preset_sf "xs") ~seed:1L in
+(* Exact cost of the figure queries, as [secyan_cli run --query Q --scale
+   S] runs them (data and protocol seed 1): (AND gates, bits A->B, bits
+   B->A, rounds, OEP switches, OTs). Every field is a function of public
+   sizes alone, so a change that moves one is a protocol change and
+   updates the pin with its reason. *)
+let figure_cost ?(gc_backend = Secyan_crypto.Context.Sim) ?(scale = "xs") query =
+  let d = Datagen.generate ~sf:(Datagen.preset_sf scale) ~seed:1L in
   let ctx = Queries.context ~gc_backend ~seed:1L () in
   (match query with
   | `Q3 -> ignore (Secyan.Secure_yannakakis.run ctx (Queries.q3 d))
@@ -307,11 +307,13 @@ let test_figure_cost_pins () =
     (fun (name, query, pin) ->
       Alcotest.check cost_fields (name ^ " at xs") (nest pin) (nest (figure_cost query)))
     [
-      ("Q3", `Q3, (78966, 44041260, 16042056, 66, 55682, 58291));
-      ("Q10", `Q10, (68251, 36744961, 13462614, 63, 48870, 45052));
-      ("Q18", `Q18, (129005, 73782876, 27749784, 88, 94106, 103004));
-      ("Q8", `Q8, (197064, 143030176, 66582130, 168, 236764, 258858));
+      ("Q3", `Q3, (17013, 22071068, 14003768, 65, 66478, 26720));
+      ("Q10", `Q10, (7122, 15075273, 11460126, 60, 59577, 13897));
+      ("Q18", `Q18, (31671, 39424716, 24679432, 86, 111988, 53236));
+      ("Q8", `Q8, (70172, 98007040, 62402002, 164, 258948, 194052));
     ];
+  Alcotest.check cost_fields "Q3 at s" (nest (48863, 70740594, 47417820, 65, 233328, 77834))
+    (nest (figure_cost ~scale:"s" `Q3));
   Alcotest.check cost_fields "Q3 at xs: Real tally = Sim tally"
     (nest (figure_cost `Q3))
     (nest (figure_cost ~gc_backend:Secyan_crypto.Context.Real `Q3))
