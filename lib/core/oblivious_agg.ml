@@ -35,7 +35,7 @@ let prepare ctx (sr : Shared_relation.t) ~attrs =
   let n = Relation.cardinality sorted in
   let aligned =
     if n = 0 then [||]
-    else Oep.apply_shared ctx ~holder:sr.Shared_relation.owner ~xi:perm ~m:n
+    else Oep.permute_shared ctx ~holder:sr.Shared_relation.owner ~xi:perm ~m:n
         sr.Shared_relation.annots
   in
   let key i =

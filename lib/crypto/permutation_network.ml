@@ -99,18 +99,21 @@ let rec route controls perms inv route_plane d off len =
   end
 
 (** Build a programmed network realizing [perm]: output [j] carries input
-    [perm.(j)]. Wires beyond [Array.length perm] (padding) map identically. *)
+    [perm.(j)]. Wires beyond [Array.length perm] (padding) map identically.
+    A network over 0 or 1 wires has no switches. *)
 let build perm =
   let n = Array.length perm in
-  let padded = next_pow2 (max 2 n) in
-  let rec depths len = if len <= 1 then 0 else 1 + depths (len / 2) in
-  let perms = Array.init (depths padded) (fun d -> Array.make (padded lsr d) 0) in
-  Array.blit perm 0 perms.(0) 0 n;
-  for j = n to padded - 1 do
-    perms.(0).(j) <- j
-  done;
+  let padded = next_pow2 n in
   let controls = Bytes.create (switch_count padded) in
-  route controls perms (Array.make padded 0) (Bytes.create padded) 0 0 padded;
+  if padded > 1 then begin
+    let rec depths len = if len <= 1 then 0 else 1 + depths (len / 2) in
+    let perms = Array.init (depths padded) (fun d -> Array.make (padded lsr d) 0) in
+    Array.blit perm 0 perms.(0) 0 n;
+    for j = n to padded - 1 do
+      perms.(0).(j) <- j
+    done;
+    route controls perms (Array.make padded 0) (Bytes.create padded) 0 0 padded
+  end;
   { n; padded; controls }
 
 (** Visit the switches in evaluation order as [f a b swap]: the two wires
@@ -153,4 +156,4 @@ let apply t data =
 
 (** Switch count of a Benes network over [n] logical wires, without
     building one; used for cost formulas. *)
-let switch_count_for n = switch_count (next_pow2 (max 2 n))
+let switch_count_for n = switch_count (next_pow2 n)

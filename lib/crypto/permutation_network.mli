@@ -14,7 +14,8 @@ type t = {
 
 val n_switches : t -> int
 
-(** Program a network so that output [j] carries input [perm.(j)]. *)
+(** Program a network so that output [j] carries input [perm.(j)]. A
+    network over 0 or 1 wires has no switch and passes its data through. *)
 val build : int array -> t
 
 (** Visit the switches in evaluation order as [f a b swap]. A subnetwork

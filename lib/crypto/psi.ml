@@ -133,6 +133,12 @@ let index_bits total =
     4. A second OEP with xi2(i) = k_i (held by the receiver) maps z' to
        z''_i = the payload of the matching y_j, or 0.
 
+    Both maps are injective, so each OEP is one permutation network
+    ([Oep.permute_shared]): xi1 is a permutation, and the k_i are
+    distinct because the receiver's padded set has distinct keys (a
+    matching bin reveals its element's own position) and any other bin
+    reveals its own dummy N+i.
+
     Indices travel in [index_bits]-wide words, never in the annotation
     ring, so a ring narrower than log2(N+B) (a boolean query's 1 bit)
     loses nothing. *)
@@ -151,7 +157,7 @@ let with_shared_payloads ctx ~receiver ~alice_set ~bob_set ~bob_payload_shares :
   let extended =
     Array.init total (fun j -> if j < n then bob_payload_shares.(j) else Secret_share.zero)
   in
-  let z' = Oep.apply_shared ctx ~holder:sender ~xi:xi1 ~m:total extended in
+  let z' = Oep.permute_shared ctx ~holder:sender ~xi:xi1 ~m:total extended in
   let items =
     opprf_bins ctx ~receiver ~table ~bob_set ~payload_bits:index_bits
       ~payloads:(Array.init n (fun j -> Int64.of_int xi1_inv.(j)))
@@ -164,4 +170,4 @@ let with_shared_payloads ctx ~receiver ~alice_set ~bob_set ~bob_payload_shares :
   in
   let ks = Gc_protocol.eval_reveal_batch ctx ~to_:receiver ~items ~build:index_bin in
   let xi2 = Array.map (fun k -> Int64.to_int k.(0)) ks in
-  { table; payload = Oep.apply_shared ctx ~holder:receiver ~xi:xi2 ~m:total z' }
+  { table; payload = Oep.permute_shared ctx ~holder:receiver ~xi:xi2 ~m:total z' }

@@ -827,7 +827,17 @@ let test_perm_network_switch_count () =
   (* Benes over 2^k wires has n log n - n/2 switches. *)
   Alcotest.(check int) "n=8" 20 (Permutation_network.switch_count_for 8);
   Alcotest.(check int) "n=16" 56 (Permutation_network.switch_count_for 16);
-  Alcotest.(check int) "n=2" 1 (Permutation_network.switch_count_for 2)
+  Alcotest.(check int) "n=2" 1 (Permutation_network.switch_count_for 2);
+  (* 0 or 1 wires: no switch, data passes through *)
+  List.iter
+    (fun n ->
+      let name = Printf.sprintf "n=%d" n in
+      let net = Permutation_network.build (Array.init n (fun i -> i)) in
+      Alcotest.(check int) name 0 (Permutation_network.switch_count_for n);
+      Alcotest.(check int) (name ^ " built") 0 (Permutation_network.n_switches net);
+      Alcotest.(check (array string)) (name ^ " passes through")
+        (Array.make n "x") (Permutation_network.apply net (Array.make n "x")))
+    [ 0; 1 ]
 
 let hex_digest s = Sha256.to_hex (Sha256.digest_string s)
 
@@ -946,53 +956,88 @@ let oep_program_correct =
       let out = Oep.apply_clear prog data in
       Array.length out = n && Array.for_all2 (fun o s -> o = s * 10) out xi)
 
+(* A random injection [n] -> [m]: the first n values of a permutation. *)
+let random_injection prg ~m ~n = Array.sub (Prg.permutation prg m) 0 n
+
+let oep_injective_correct =
+  QCheck.Test.make ~count:100 ~name:"OEP injective network realizes xi"
+    QCheck.(map (fun (m, k) -> (m, k mod (m + 1))) (pair (int_range 1 300) (int_range 0 300)))
+    (fun (m, n) ->
+      let xi = random_injection (Prg.create (Int64.of_int ((m * 1000) + n))) ~m ~n in
+      let prog = Oep.program_injective ~m xi in
+      let out = Oep.apply_clear prog (Array.init m (fun i -> i * 10)) in
+      Array.length out = n && Array.for_all2 (fun o s -> o = s * 10) out xi)
+
+let test_oep_injective_rejects_repeat () =
+  let repeat i s =
+    Invalid_argument (Printf.sprintf "Oep.program_injective: xi.(%d) = %d repeats an earlier value" i s)
+  in
+  Alcotest.check_raises "program_injective" (repeat 2 3) (fun () ->
+      ignore (Oep.program_injective ~m:5 [| 0; 3; 3 |]));
+  let ctx = ctx_sim () in
+  let values = Array.init 5 (fun i -> Secret_share.share ctx ~owner:Party.Bob (Int64.of_int i)) in
+  Alcotest.check_raises "permute_shared" (repeat 2 4) (fun () ->
+      ignore (Oep.permute_shared ctx ~holder:Party.Alice ~xi:[| 4; 1; 4 |] ~m:5 values))
+
 (* The OEP's switch count is a function of the public sizes m and n
-   alone: two Benes networks over m + n wires plus an n-switch
-   duplication chain, whatever xi is. *)
+   alone, whatever xi is: an extended map costs a Benes network over
+   max(m, n) wires, an n-switch duplication chain and a Benes network
+   over n wires; an injective one a single Benes network over m wires.
+   m and n range independently, so both m > n and n > m occur. *)
 let oep_switches_size_only =
   QCheck.Test.make ~count:100 ~name:"OEP switch count depends on sizes only"
     QCheck.(triple (int_range 1 300) (int_range 0 300) small_nat)
     (fun (m, n, seed) ->
       let prg = Prg.create (Int64.of_int seed) in
       let xi = Array.init n (fun _ -> Prg.below prg m) in
-      Oep.n_switches (Oep.program ~m xi)
-      = (2 * Permutation_network.switch_count_for (m + n)) + n)
+      let s = Permutation_network.switch_count_for in
+      Oep.n_switches (Oep.program ~m xi) = s (max m n) + n + s n
+      && (n > m
+         || Oep.n_switches (Oep.program_injective ~m (random_injection prg ~m ~n)) = s m))
 
-(* Golden OEP programs over xi with duplicates, captured from the list
-   router: a SHA-256 over every swap byte of perm1, the duplication chain
-   and perm2, in that order. *)
+(* Golden OEP programs, a SHA-256 over every swap byte of the program's
+   networks in evaluation order: perm1, the duplication chain and perm2
+   of extended maps with duplicates (m > n and n > m), and the one
+   network of an injective map. *)
 let test_oep_program_golden () =
-  let check name ~m xi switches digest =
-    let prog = Oep.program ~m xi in
+  let check name prog switches digest =
     Alcotest.(check int) (name ^ " switches") switches (Oep.n_switches prog);
+    let controls =
+      match prog with
+      | Oep.Extended { perm1; dup_ctrl; perm2 } ->
+          [ perm1.Permutation_network.controls; dup_ctrl; perm2.Permutation_network.controls ]
+      | Oep.Injective { perm; _ } -> [ perm.Permutation_network.controls ]
+    in
     Alcotest.(check string) (name ^ " controls") digest
-      (hex_digest
-         (String.concat ""
-            [
-              Bytes.to_string prog.Oep.perm1.Permutation_network.controls;
-              Bytes.to_string prog.Oep.dup_ctrl;
-              Bytes.to_string prog.Oep.perm2.Permutation_network.controls;
-            ]))
+      (hex_digest (String.concat "" (List.map Bytes.to_string controls)))
   in
-  check "m=10" ~m:10 [| 3; 3; 0; 9; 1; 1; 1 |] 295
-    "3a2d1cf960c7d9a4d683109c182ad08e54d7e9418d822c9d8514354514e701b4";
+  check "m=10" (Oep.program ~m:10 [| 3; 3; 0; 9; 1; 1; 1 |]) 83
+    "0310f056cb8969aecebd002c4c09f92b336770f36c5a5d1deea56c91d80c0320";
   let prg = Prg.create 1200L in
-  check "m=500" ~m:500 (Array.init 1200 (fun _ -> Prg.below prg 500)) 44208
-    "5dac674a03a92493a6325181e3e59b660802989390cf99aa28a46499355caab2"
+  check "m=500" (Oep.program ~m:500 (Array.init 1200 (fun _ -> Prg.below prg 500))) 44208
+    "ff786b991b6137b1f91293e8c776519feae9d023a11f2d51487cbc5d9b798317";
+  check "m=1000 injective"
+    (Oep.program_injective ~m:1000 (random_injection (Prg.create 1000L) ~m:1000 ~n:700))
+    9728 "4e03fdcbb188cbd457350d142a00f8f2781ae0880fc17ed2ac6138a66db15437"
 
+(* Output i of both shared OEPs reconstructs to source xi.(i): extended
+   maps with more sources than outputs and more outputs than sources, and
+   injective maps onto fewer and onto all sources. *)
 let test_oep_shared () =
   let ctx = ctx_sim () in
-  let values =
-    Array.init 10 (fun i -> Secret_share.share ctx ~owner:Party.Bob (Int64.of_int (i * 100)))
+  let check name oep ~m xi =
+    let values =
+      Array.init m (fun i -> Secret_share.share ctx ~owner:Party.Bob (Int64.of_int (i * 100)))
+    in
+    let out = oep ctx ~holder:Party.Alice ~xi ~m values in
+    Alcotest.(check (list check_i64)) name
+      (Array.to_list (Array.map (fun s -> Int64.of_int (s * 100)) xi))
+      (Array.to_list (Array.map (Secret_share.reconstruct ctx) out))
   in
-  let xi = [| 3; 3; 0; 9; 1; 1; 1 |] in
-  let out = Oep.apply_shared ctx ~holder:Party.Alice ~xi ~m:10 values in
-  Array.iteri
-    (fun i s ->
-      Alcotest.check check_i64 "permuted value"
-        (Int64.of_int (xi.(i) * 100))
-        (Secret_share.reconstruct ctx s))
-    out
+  check "extended m > n" Oep.apply_shared ~m:10 [| 3; 3; 0; 9; 1; 1; 1 |];
+  check "extended n > m" Oep.apply_shared ~m:3 [| 2; 0; 0; 1; 2; 2; 0; 1 |];
+  check "injective m > n" Oep.permute_shared ~m:9 [| 8; 2; 0; 5 |];
+  check "injective m = n" Oep.permute_shared ~m:6 [| 3; 0; 5; 1; 4; 2 |]
 
 let test_oep_fresh_randomness () =
   (* Output shares must not equal input shares even when xi is identity. *)
@@ -1839,7 +1884,9 @@ let () =
         Alcotest.test_case "shared" `Quick test_oep_shared
         :: Alcotest.test_case "fresh randomness" `Quick test_oep_fresh_randomness
         :: Alcotest.test_case "golden controls" `Quick test_oep_program_golden
-        :: qsuite [ oep_program_correct; oep_switches_size_only ] );
+        :: Alcotest.test_case "injective rejects a repeated index" `Quick
+             test_oep_injective_rejects_repeat
+        :: qsuite [ oep_program_correct; oep_injective_correct; oep_switches_size_only ] );
       ( "aes",
         [
           Alcotest.test_case "FIPS vector" `Quick test_aes_fips_vector;

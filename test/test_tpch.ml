@@ -288,7 +288,8 @@ let figure_cost ?(gc_backend = Secyan_crypto.Context.Sim) ?(scale = "xs") query 
   | `Q3 -> ignore (Secyan.Secure_yannakakis.run ctx (Queries.q3 d))
   | `Q10 -> ignore (Secyan.Secure_yannakakis.run ctx (Queries.q10 d))
   | `Q18 -> ignore (Secyan.Secure_yannakakis.run ctx (Queries.q18 d))
-  | `Q8 -> ignore (Queries.run_q8 ctx d));
+  | `Q8 -> ignore (Queries.run_q8 ctx d)
+  | `Q9 -> ignore (Queries.run_q9 ctx d));
   let totals = Secyan_crypto.Context.counter_totals ctx in
   let get c = totals.(Secyan_crypto.Trace_sink.counter_index c) in
   Secyan_crypto.Trace_sink.
@@ -307,12 +308,13 @@ let test_figure_cost_pins () =
     (fun (name, query, pin) ->
       Alcotest.check cost_fields (name ^ " at xs") (nest pin) (nest (figure_cost query)))
     [
-      ("Q3", `Q3, (17013, 22071068, 14003768, 65, 66478, 26720));
-      ("Q10", `Q10, (7122, 15075273, 11460126, 60, 59577, 13897));
-      ("Q18", `Q18, (31671, 39424716, 24679432, 86, 111988, 53236));
-      ("Q8", `Q8, (70172, 98007040, 62402002, 164, 258948, 194052));
+      ("Q3", `Q3, (17013, 14328284, 6260984, 65, 20390, 26720));
+      ("Q10", `Q10, (7122, 8225409, 4610262, 60, 18804, 13897));
+      ("Q18", `Q18, (31671, 26523660, 11778376, 86, 35196, 53236));
+      ("Q8", `Q8, (70172, 67752592, 32147554, 164, 78862, 194052));
+      ("Q9", `Q9, (2478800, 2370144750, 1094918400, 4100, 2588700, 6642850));
     ];
-  Alcotest.check cost_fields "Q3 at s" (nest (48863, 70740594, 47417820, 65, 233328, 77834))
+  Alcotest.check cost_fields "Q3 at s" (nest (48863, 43223370, 19900596, 65, 69535, 77834))
     (nest (figure_cost ~scale:"s" `Q3));
   Alcotest.check cost_fields "Q3 at xs: Real tally = Sim tally"
     (nest (figure_cost `Q3))
