@@ -100,14 +100,14 @@ module Arena = struct
   }
 
   let m_grows =
-    lazy
-      (Secyan_metrics.counter ~help:"arena plane growth events (steady state: none)"
-         "secyan_arena_grows_total")
+    Secyan_metrics.lazily (fun () ->
+        Secyan_metrics.counter ~help:"arena plane growth events (steady state: none)"
+          "secyan_arena_grows_total")
 
   let m_bytes =
-    lazy
-      (Secyan_metrics.counter ~help:"bytes added to arena planes by growth"
-         "secyan_arena_grow_bytes_total")
+    Secyan_metrics.lazily (fun () ->
+        Secyan_metrics.counter ~help:"bytes added to arena planes by growth"
+          "secyan_arena_grow_bytes_total")
 
   let create () =
     {
@@ -134,8 +134,8 @@ module Arena = struct
     else begin
       let cap = max need (max 64 (2 * Bytes.length cur)) in
       if Secyan_metrics.enabled () then begin
-        Secyan_metrics.add (Lazy.force m_grows) 1;
-        Secyan_metrics.add (Lazy.force m_bytes) (cap - Bytes.length cur)
+        Secyan_metrics.add (m_grows ()) 1;
+        Secyan_metrics.add (m_bytes ()) (cap - Bytes.length cur)
       end;
       Bytes.create cap
     end
@@ -150,10 +150,9 @@ module Arena = struct
     a.colors <- grown a.colors (max 1 n_outputs)
 
   let m_resets =
-    lazy
-      (Secyan_metrics.counter
-         ~help:"arena planes dropped after a faulted batch item"
-         "secyan_arena_resets_total")
+    Secyan_metrics.lazily (fun () ->
+        Secyan_metrics.counter ~help:"arena planes dropped after a faulted batch item"
+          "secyan_arena_resets_total")
 
   (* Drop every plane back to empty. After an item raises mid-garble the
      planes hold a half-written circuit; any [garbled] value aliasing
@@ -162,7 +161,7 @@ module Arena = struct
      (DESIGN.md §15 arena-reset rule). Costs one regrowth cycle, only
      ever paid after a fault. *)
   let reset a =
-    Secyan_metrics.add (Lazy.force m_resets) 1;
+    Secyan_metrics.add (m_resets ()) 1;
     a.wires_g <- Bytes.create 0;
     a.wires_e <- Bytes.create 0;
     a.tables <- Bytes.create 0;
@@ -186,14 +185,13 @@ type garbled = {
    gate (two per half gate), so labels/s ~ 4 x gates / elapsed; the
    per-circuit gate count doubles as a circuit-size profile. *)
 let m_garble_gates =
-  lazy
-    (Secyan_metrics.histogram ~help:"AND gates per garbled circuit"
-       "secyan_garble_and_gates")
+  Secyan_metrics.lazily (fun () ->
+      Secyan_metrics.histogram ~help:"AND gates per garbled circuit" "secyan_garble_and_gates")
 
 let m_garble_labels_per_s =
-  lazy
-    (Secyan_metrics.histogram ~help:"label hashes per second while garbling (4 per AND gate)"
-       "secyan_garble_labels_per_s")
+  Secyan_metrics.lazily (fun () ->
+      Secyan_metrics.histogram ~help:"label hashes per second while garbling (4 per AND gate)"
+        "secyan_garble_labels_per_s")
 
 (** Garble [circuit] with randomness from [prg] (the generator's stream).
     With [?arena] the result's planes alias the arena and stay valid only
@@ -289,9 +287,9 @@ let garble ?(kdf = Aes128_kdf) ?arena prg circuit =
     circuit.outputs;
   if Secyan_metrics.enabled () then begin
     let dt = Unix.gettimeofday () -. t_start in
-    Secyan_metrics.observe (Lazy.force m_garble_gates) (float_of_int circuit.and_count);
+    Secyan_metrics.observe (m_garble_gates ()) (float_of_int circuit.and_count);
     if dt > 0. then
-      Secyan_metrics.observe (Lazy.force m_garble_labels_per_s)
+      Secyan_metrics.observe (m_garble_labels_per_s ())
         (4. *. float_of_int circuit.and_count /. dt)
   end;
   { circuit; wires; delta_hi; delta_lo; tables; decode }

@@ -222,15 +222,15 @@ let slice_outputs widths (flat : 'a array) =
    parallel fan-outs are and how long each takes end to end (including
    the pool barrier and the per-batch delta merge). *)
 let m_batch_items =
-  lazy
-    (Secyan_metrics.histogram
-       ~help:"items per GC parallel batch (fan-out width)" "secyan_gc_batch_items")
+  Secyan_metrics.lazily (fun () ->
+      Secyan_metrics.histogram ~help:"items per GC parallel batch (fan-out width)"
+        "secyan_gc_batch_items")
 
 let m_batch_seconds =
-  lazy
-    (Secyan_metrics.histogram
-       ~help:"wall-clock seconds per GC parallel batch (pool barrier and merge included)"
-       "secyan_gc_batch_seconds")
+  Secyan_metrics.lazily (fun () ->
+      Secyan_metrics.histogram
+        ~help:"wall-clock seconds per GC parallel batch (pool barrier and merge included)"
+        "secyan_gc_batch_seconds")
 
 (* Allocation-rate observability (DESIGN.md §14): minor/major heap words
    allocated per batch item, measured as GC-counter deltas on the
@@ -243,16 +243,16 @@ let m_batch_seconds =
    within a few hundred words (boxed boundary values only), not the tens
    of words *per AND gate* the boxed kernels used to cost. *)
 let m_item_minor_words =
-  lazy
-    (Secyan_metrics.histogram
-       ~help:"minor-heap words allocated per GC batch item (executing domain)"
-       "secyan_gc_item_minor_words")
+  Secyan_metrics.lazily (fun () ->
+      Secyan_metrics.histogram
+        ~help:"minor-heap words allocated per GC batch item (executing domain)"
+        "secyan_gc_item_minor_words")
 
 let m_item_major_words =
-  lazy
-    (Secyan_metrics.histogram
-       ~help:"major-heap words allocated per GC batch item, promotions included"
-       "secyan_gc_item_major_words")
+  Secyan_metrics.lazily (fun () ->
+      Secyan_metrics.histogram
+        ~help:"major-heap words allocated per GC batch item, promotions included"
+        "secyan_gc_item_major_words")
 
 (* --- batch supervision ------------------------------------------------ *)
 
@@ -281,10 +281,9 @@ let () =
     | _ -> None)
 
 let m_supervision_failures =
-  lazy
-    (Secyan_metrics.counter
-       ~help:"GC batches failed (item fault, hang, or shutdown)"
-       "secyan_supervision_failures_total")
+  Secyan_metrics.lazily (fun () ->
+      Secyan_metrics.counter ~help:"GC batches failed (item fault, hang, or shutdown)"
+        "secyan_supervision_failures_total")
 
 (* The per-item contexts of a batch over [ctx]: the expensive allocated
    state of each slot — the three PRGs, the ledger, any nested batch
@@ -365,8 +364,8 @@ let map_batch ctx ~n (f : Context.t -> int -> 'a) : 'a array =
           let major0 = (Gc.quick_stat ()).Gc.major_words in
           let r = f item_ctxs.(i) i in
           let minor1 = Gc.minor_words () in
-          Secyan_metrics.observe (Lazy.force m_item_minor_words) (minor1 -. minor0);
-          Secyan_metrics.observe (Lazy.force m_item_major_words)
+          Secyan_metrics.observe (m_item_minor_words ()) (minor1 -. minor0);
+          Secyan_metrics.observe (m_item_major_words ())
             ((Gc.quick_stat ()).Gc.major_words -. major0);
           r
         end
@@ -380,7 +379,7 @@ let map_batch ctx ~n (f : Context.t -> int -> 'a) : 'a array =
     in
     let slots = Array.make n None in
     let fail item cause =
-      Secyan_metrics.add (Lazy.force m_supervision_failures) 1;
+      Secyan_metrics.add (m_supervision_failures ()) 1;
       raise (Supervision_error { phase = ctx.Context.current_label; item; cause })
     in
     (match
@@ -409,8 +408,8 @@ let map_batch ctx ~n (f : Context.t -> int -> 'a) : 'a array =
     in
     Context.absorb ctx item_ctxs;
     if metrics_on then begin
-      Secyan_metrics.observe (Lazy.force m_batch_items) (float_of_int n);
-      Secyan_metrics.observe (Lazy.force m_batch_seconds) (Unix.gettimeofday () -. t_start)
+      Secyan_metrics.observe (m_batch_items ()) (float_of_int n);
+      Secyan_metrics.observe (m_batch_seconds ()) (Unix.gettimeofday () -. t_start)
     end;
     results
   end

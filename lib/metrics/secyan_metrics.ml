@@ -95,6 +95,16 @@ let gauge ~help name =
 
 let set g v = if Atomic.get enabled_flag then Atomic.set g.g_cell v
 
+let lazily register =
+  let cell = Atomic.make None in
+  fun () ->
+    match Atomic.get cell with
+    | Some m -> m
+    | None ->
+        let m = register () in
+        Atomic.set cell (Some m);
+        m
+
 (* 2^-20 .. 2^30: spans ~1 microsecond to ~18 minutes when observing
    seconds, and 1 .. 10^9 when observing counts, rates, or bytes. 51
    buckets * 16 stripes * one word is ~6 KB per histogram — cheap. *)

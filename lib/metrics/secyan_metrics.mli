@@ -51,6 +51,14 @@ val set : gauge -> float -> unit
     @raise Invalid_argument on non-increasing bounds. *)
 val histogram : ?buckets:float array -> help:string -> string -> histogram
 
+(** [lazily register] defers [register] (a [counter], [gauge] or
+    [histogram] call) to its first use, like [lazy], but may be forced
+    from several domains at once: [Lazy.force] raises
+    [CamlinternalLazy.Undefined] when two domains race on one suspension.
+    Metrics intern by name, so a race registers once and every caller
+    gets the same handle. *)
+val lazily : (unit -> 'a) -> unit -> 'a
+
 (** [observe h v] records one observation when metrics are enabled. *)
 val observe : histogram -> float -> unit
 

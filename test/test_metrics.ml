@@ -67,6 +67,29 @@ let test_kind_clash_rejected () =
       ignore (Secyan_metrics.counter ~help:"test" "test_kind_clash");
       ignore (Secyan_metrics.gauge ~help:"test" "test_kind_clash"))
 
+(* Pool workers force deferred registrations: forcing one from several
+   domains at once must neither raise (racing [Lazy.force] raises
+   [CamlinternalLazy.Undefined]) nor hand out two handles. The slow
+   registration keeps every domain inside it together. *)
+let test_lazily_across_domains () =
+  let get =
+    Secyan_metrics.lazily (fun () ->
+        Unix.sleepf 0.02;
+        Secyan_metrics.counter ~help:"test" "test_lazily_total")
+  in
+  let go = Atomic.make false in
+  let workers =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get go) do
+              Domain.cpu_relax ()
+            done;
+            get ()))
+  in
+  Atomic.set go true;
+  let handles = List.map Domain.join workers in
+  List.iter (fun h -> Alcotest.(check bool) "one handle" true (h == get ())) handles
+
 let test_histogram_counts_and_sum () =
   with_metrics @@ fun () ->
   let h = Secyan_metrics.histogram ~help:"test" "test_hist_counts" in
@@ -381,6 +404,7 @@ let () =
           Alcotest.test_case "kind clash rejected" `Quick test_kind_clash_rejected;
           Alcotest.test_case "histogram counts and sum" `Quick test_histogram_counts_and_sum;
           Alcotest.test_case "snapshot sorted" `Quick test_snapshot_sorted;
+          Alcotest.test_case "lazily forced across domains" `Quick test_lazily_across_domains;
         ] );
       ( "merge",
         [
