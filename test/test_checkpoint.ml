@@ -96,6 +96,23 @@ let close ctx =
   Secyan_crypto.Context.close_transport ctx;
   Secyan_crypto.Context.shutdown_pool ctx
 
+(* protocol counters with the per-process checkpoint accounting masked
+   out: those legitimately differ between a plain run and a checkpointed
+   or resumed one. [mask_transport] additionally masks the
+   transport-chatter counters (retries, timeouts, corrupt frames) for
+   runs resumed over a faulty channel — retransmissions are below the
+   protocol's accounting, so everything else must still match exactly. *)
+let protocol_counters ?(mask_transport = false) ctx =
+  let c = Secyan_crypto.Context.counter_totals ctx in
+  c.(Trace_sink.counter_index Trace_sink.Checkpoints_written) <- 0;
+  c.(Trace_sink.counter_index Trace_sink.Checkpoint_bytes) <- 0;
+  if mask_transport then begin
+    c.(Trace_sink.counter_index Trace_sink.Retries) <- 0;
+    c.(Trace_sink.counter_index Trace_sink.Timeouts) <- 0;
+    c.(Trace_sink.counter_index Trace_sink.Frames_corrupted) <- 0
+  end;
+  Array.to_list c
+
 (* Run q3 with a sink, then check every emitted payload decodes and
    re-encodes to the same bytes: the codec is canonical, so equality of
    state is equality of files. *)
@@ -109,6 +126,14 @@ let test_snapshot_codec_canonical () =
   Fun.protect ~finally:(fun () -> close ctx) @@ fun () ->
   ignore (Secyan.Secure_yannakakis.run ctx q);
   Alcotest.(check bool) "several snapshots emitted" true (sink.Checkpoint.written >= 3);
+  (* checkpoint emission sits below protocol accounting: a plain run of
+     the same query and seed has the same protocol counters, the Comm
+     tally (bits each way, rounds) included *)
+  let plain_ctx = Queries.context ~seed:99L () in
+  Fun.protect ~finally:(fun () -> close plain_ctx) (fun () ->
+      ignore (Secyan.Secure_yannakakis.run plain_ctx q);
+      Alcotest.(check (list int)) "tally and protocol counters equal a plain run's"
+        (protocol_counters plain_ctx) (protocol_counters ctx));
   Array.iter
     (fun f ->
       let l = Checkpoint.read_file (Filename.concat dir f) in
@@ -160,23 +185,6 @@ let project_content output (r : Secyan_relational.Relation.t) =
   |> List.filter (fun (t, _) -> not (Tuple.is_dummy t))
   |> List.map (fun (t, a) -> (Tuple.repr (Tuple.project r.Relation.schema output t), a))
   |> List.sort compare
-
-(* protocol counters with the per-process checkpoint accounting masked
-   out: those legitimately differ between a plain and a resumed run.
-   [mask_transport] additionally masks the transport-chatter counters
-   (retries, timeouts, corrupt frames) for runs resumed over a faulty
-   channel — retransmissions are below the protocol's accounting, so
-   everything else must still match exactly. *)
-let protocol_counters ?(mask_transport = false) ctx =
-  let c = Secyan_crypto.Context.counter_totals ctx in
-  c.(Trace_sink.counter_index Trace_sink.Checkpoints_written) <- 0;
-  c.(Trace_sink.counter_index Trace_sink.Checkpoint_bytes) <- 0;
-  if mask_transport then begin
-    c.(Trace_sink.counter_index Trace_sink.Retries) <- 0;
-    c.(Trace_sink.counter_index Trace_sink.Timeouts) <- 0;
-    c.(Trace_sink.counter_index Trace_sink.Frames_corrupted) <- 0
-  end;
-  Array.to_list c
 
 (* [resume_chaos] (a Chaos spec string) wraps the RESUME leg's channel in
    recoverable faults: a run killed by a disconnect must resume correctly
