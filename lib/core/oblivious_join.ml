@@ -85,6 +85,26 @@ let rec product_tree ctx = function
       in
       product_tree ctx (List.mapi (fun p _ -> Array.sub products (p * n) n) pairs @ odd)
 
+(** The element-wise product of equal-length annotation columns: for the
+    ring, a balanced tree of OT-based product batches (k columns take
+    ⌈log₂ k⌉ batches); otherwise one batched circuit chaining
+    [Semiring.circuit_mul]. *)
+let product ctx semiring = function
+  | [] -> invalid_arg "Oblivious_join.product: no columns"
+  | [ only ] -> only
+  | cols when semiring.Semiring.kind = Semiring.Ring -> product_tree ctx cols
+  | cols ->
+      let items =
+        Array.init
+          (Array.length (List.hd cols))
+          (fun i -> List.map (fun col -> Gc_protocol.Shared col.(i)) cols)
+      in
+      let build b (words : Circuits.word array) =
+        [ Array.fold_left (Semiring.circuit_mul semiring b) words.(0)
+            (Array.sub words 1 (Array.length words - 1)) ]
+      in
+      Array.map (fun s -> s.(0)) (Gc_protocol.eval_to_shares_batch ctx ~items ~build)
+
 (** Run the oblivious join over the remaining relations. [reveal_out]
     controls whether |J*| (after any padding the caller applied) goes to
     Bob. *)
@@ -200,28 +220,6 @@ let run ctx semiring (relations : Shared_relation.t list) : t =
           Oep.apply_shared ctx ~holder:Party.Alice ~xi:xis.(f)
             ~m:(Shared_relation.cardinality sr) sr.Shared_relation.annots)
     in
-    (* The annotation of each J* tuple is the product of its
-       per-relation annotations: for the ring, a balanced tree of OT-based
-       product batches (k columns take ⌈log₂ k⌉ batches); otherwise one
-       batched circuit. *)
-    let annots =
-      match aligned with
-      | [ only ] -> only
-      | _ when semiring.Semiring.kind = Semiring.Ring -> product_tree ctx aligned
-      | _ ->
-          let k = List.length aligned in
-          let items =
-            Array.init out (fun i ->
-                List.map (fun arr -> Gc_protocol.Shared arr.(i)) aligned)
-          in
-          let build b (words : Circuits.word array) =
-            let acc = ref words.(0) in
-            for f = 1 to k - 1 do
-              acc := Semiring.circuit_mul semiring b !acc words.(f)
-            done;
-            [ !acc ]
-          in
-          Array.map (fun s -> s.(0)) (Gc_protocol.eval_to_shares_batch ctx ~items ~build)
-    in
-    { joined; annots }
+    (* each J* tuple's annotation: the product of its per-relation ones *)
+    { joined; annots = product ctx semiring aligned }
   end

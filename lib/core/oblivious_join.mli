@@ -11,6 +11,14 @@ type t = {
   annots : Secret_share.t array;  (** shared annotations, one per J* tuple *)
 }
 
+(** [product ctx semiring cols]: the element-wise product of equal-length
+    shared annotation columns — OT-based products in a balanced tree
+    (⌈log₂ k⌉ batches for k columns) for the ring, one batched circuit
+    otherwise.
+
+    @raise Invalid_argument on an empty column list. *)
+val product : Context.t -> Semiring.t -> Secret_share.t array list -> Secret_share.t array
+
 (** Run the oblivious join over the remaining relations of the plan.
     O~(IN + OUT) cost, constant rounds.
 

@@ -21,25 +21,6 @@
 open Secyan_crypto
 open Secyan_relational
 
-(* Final step shared by all paths: new annotations v_j x z'_j in one
-   batch — an OT-based product for the ring, a circuit otherwise. *)
-let multiply_annotations ctx semiring (left : Shared_relation.t)
-    (z' : Secret_share.t array) : Secret_share.t array =
-  let m = Shared_relation.cardinality left in
-  if m = 0 then [||]
-  else if semiring.Semiring.kind = Semiring.Ring then
-    Secret_share.mul_batch ctx left.Shared_relation.annots z'
-  else begin
-    let items =
-      Array.init m (fun j ->
-          [ Gc_protocol.Shared left.Shared_relation.annots.(j); Gc_protocol.Shared z'.(j) ])
-    in
-    let build b (words : Circuits.word array) =
-      [ Semiring.circuit_mul semiring b words.(0) words.(1) ]
-    in
-    Array.map (fun s -> s.(0)) (Gc_protocol.eval_to_shares_batch ctx ~items ~build)
-  end
-
 (* Map each left tuple to the cuckoo bin holding its join key. *)
 let xi_from_table (left : Shared_relation.t) ~key_attrs (table : Cuckoo_hash.table) =
   let bin_of = Hashtbl.create 64 in
@@ -135,7 +116,8 @@ let join_constrained ctx semiring ~(left : Shared_relation.t) ~(right : Shared_r
       Oep.apply_shared ctx ~holder:owner ~xi ~m:(Array.length payload) payload
     end
   in
-  let annots = multiply_annotations ctx semiring left z' in
+  (* new annotations v_j x z'_j in one batch *)
+  let annots = Oblivious_join.product ctx semiring [ left.Shared_relation.annots; z' ] in
   Shared_relation.of_shares ~owner left.Shared_relation.rel annots
 
 (** R_F semijoin R_F': annotations of left tuples with no nonzero join
@@ -148,13 +130,10 @@ let semijoin ctx semiring ~(left : Shared_relation.t) ~(right : Shared_relation.
   in
   let projected =
     match right.Shared_relation.clear_annots with
-    | Some _ ->
+    | Some clear ->
         (* the right owner knows its annotations: compute pi^1 locally and
            re-enter the shared world *)
-        let plain =
-          Relation.with_annots right.Shared_relation.rel
-            (match right.Shared_relation.clear_annots with Some a -> a | None -> assert false)
-        in
+        let plain = Relation.with_annots right.Shared_relation.rel clear in
         let p = Operators.project_nonzero semiring ~attrs:key_attrs plain in
         let padded = Relation.pad_to ~size:(Shared_relation.cardinality right) p in
         Shared_relation.of_plain ctx ~owner:right.Shared_relation.owner padded

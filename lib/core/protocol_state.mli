@@ -55,8 +55,10 @@ val restore : Context.t -> session:string -> epoch:int -> snapshot -> unit
 
 (** Serialize and emit one snapshot through the context's checkpoint sink
     (no-op without one), under a ["checkpoint"] trace span, bumping the
-    [Checkpoints_written]/[Checkpoint_bytes] counters. *)
-val save : Context.t -> Query.t -> label:string -> stage:stage -> unit
+    [Checkpoints_written]/[Checkpoint_bytes] counters. [fingerprint] is
+    the run's {!fingerprint}, forced only when a sink is attached, so a
+    run computes it once for all its checkpoints. *)
+val save : Context.t -> fingerprint:string Lazy.t -> label:string -> stage:stage -> unit
 
 type resumed = {
   snapshot : snapshot;
@@ -65,9 +67,10 @@ type resumed = {
 }
 
 (** Load the latest checkpoint of the context's sink directory, verify it
-    belongs to [(ctx, q)], reinstate it on [ctx], and point the sink at
-    the next epoch of the same session. [None] when no sink is attached
-    or the directory holds no checkpoints (fresh start).
+    carries [fingerprint] (forced only when a sink is attached), reinstate
+    it on [ctx], and point the sink at the next epoch of the same session.
+    [None] when no sink is attached or the directory holds no checkpoints
+    (fresh start).
     @raise Checkpoint.Checkpoint_error on damaged or mismatched files.
     @raise Secyan_net.Resilient.Resume_mismatch on handshake disagreement. *)
-val load_and_restore : Context.t -> Query.t -> resumed option
+val load_and_restore : Context.t -> fingerprint:string Lazy.t -> resumed option

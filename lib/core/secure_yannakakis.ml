@@ -61,7 +61,10 @@ let run_shared ?(resume = false) ctx (q : Query.t) : result =
        the interrupted run, and [Trace.measure] started from zero on this
        fresh context, so the reported diff is the whole run's tally — the
        same figure an uninterrupted execution reports. *)
-    let resumed = if resume then Protocol_state.load_and_restore ctx q else None in
+    (* a SHA-256 over every input tuple: computed once per run, and only
+       when a checkpoint sink needs it *)
+    let fingerprint = lazy (Protocol_state.fingerprint ctx q) in
+    let resumed = if resume then Protocol_state.load_and_restore ctx ~fingerprint else None in
     match resumed with
     | Some { snapshot = { stage = Protocol_state.Joined { joined; annots }; _ }; _ } ->
         (* The interrupted run had already completed its join phase. *)
@@ -108,7 +111,7 @@ let run_shared ?(resume = false) ctx (q : Query.t) : result =
            remaining labels (in canonical tree order) are the whole live
            state. *)
         let save ~label ~done_ops =
-          Protocol_state.save ctx q ~label
+          Protocol_state.save ctx ~fingerprint ~label
             ~stage:
               (Protocol_state.Ops
                  {
@@ -180,7 +183,7 @@ let run_shared ?(resume = false) ctx (q : Query.t) : result =
           Trace.with_span ctx "phase:join" (fun () ->
               Oblivious_join.run ctx semiring final_rels)
         in
-        Protocol_state.save ctx q ~label:"join"
+        Protocol_state.save ctx ~fingerprint ~label:"join"
           ~stage:
             (Protocol_state.Joined
                { joined = join.Oblivious_join.joined; annots = join.Oblivious_join.annots });

@@ -80,28 +80,23 @@ let bump t counter n =
    — version, kind, declared and actual lengths, phase legality — so a
    Byzantine peer mutating bitwise-intact frames surfaces as a typed
    [Protocol_schema.Protocol_violation], not as silent acceptance. *)
-let push_wire t transport ~from ~bits =
+let push_wire s transport ~from ~bits =
   let dir =
     match (from : Party.t) with
     | Alice -> Secyan_net.Transport.Alice_to_bob
     | Bob -> Secyan_net.Transport.Bob_to_alice
   in
-  match t.schema with
-  | None ->
-      let payload = Bytes.make ((bits + 7) / 8) '\xa5' in
-      ignore (Secyan_net.Resilient.transfer transport ~dir payload : Bytes.t)
-  | Some s ->
-      let kind = Protocol_schema.check_send s ~bits in
-      let total = (bits + 7) / 8 in
-      let max_body = Secyan_net.Envelope.max_body in
-      let chunks = max 1 ((total + max_body - 1) / max_body) in
-      for c = 0 to chunks - 1 do
-        let body_len = min max_body (total - (c * max_body)) in
-        let body = Bytes.make (max body_len 0) '\xa5' in
-        let msg = Secyan_net.Envelope.encode ~kind body in
-        let echoed = Secyan_net.Resilient.transfer transport ~dir msg in
-        Protocol_schema.validate s ~kind ~expect_body:(Bytes.length body) echoed
-      done
+  let kind = Protocol_schema.check_send s ~bits in
+  let total = (bits + 7) / 8 in
+  let max_body = Secyan_net.Envelope.max_body in
+  let chunks = max 1 ((total + max_body - 1) / max_body) in
+  for c = 0 to chunks - 1 do
+    let body_len = min max_body (total - (c * max_body)) in
+    let body = Bytes.make (max body_len 0) '\xa5' in
+    let msg = Secyan_net.Envelope.encode ~kind body in
+    let echoed = Secyan_net.Resilient.transfer transport ~dir msg in
+    Protocol_schema.validate s ~kind ~expect_body:(Bytes.length body) echoed
+  done
 
 let send t ~from ~bits =
   if bits < 0 then
@@ -112,7 +107,11 @@ let send t ~from ~bits =
     | Bob -> Trace_sink.Bob_to_alice_bits)
     bits;
   bump t Trace_sink.Sends 1;
-  match t.transport with None -> () | Some tr -> push_wire t tr ~from ~bits
+  (* [create] builds a schema exactly when it attaches a transport; batch
+     item contexts carry neither *)
+  match (t.transport, t.schema) with
+  | Some tr, Some s -> push_wire s tr ~from ~bits
+  | _ -> ()
 
 let bump_rounds t n = bump t Trace_sink.Rounds n
 

@@ -206,4 +206,3 @@ let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
 let to_int_opt = function Int i -> Some i | _ -> None
 let to_float_opt = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None
 let to_string_opt = function Str s -> Some s | _ -> None
-let to_list_opt = function List l -> Some l | _ -> None

@@ -28,4 +28,3 @@ val to_int_opt : t -> int option
 val to_float_opt : t -> float option
 
 val to_string_opt : t -> string option
-val to_list_opt : t -> t list option

@@ -42,8 +42,6 @@ let snapshot ?ledger () =
 
 type format = Pretty | Jsonl | Prometheus
 
-let format_name = function Pretty -> "pretty" | Jsonl -> "jsonl" | Prometheus -> "prometheus"
-
 (* --- helpers --------------------------------------------------------- *)
 
 (* Upper bound of the bucket holding quantile [q] — the usual

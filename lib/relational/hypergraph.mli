@@ -9,7 +9,6 @@ type t = { edges : edge list }
 val create : edge list -> t
 
 val edge : label:string -> string list -> edge
-val vertices : t -> Schema.t
 
 (** @raise Not_found for unknown labels. *)
 val find : t -> string -> edge

@@ -35,8 +35,6 @@ let bottom_up_edges t =
       match parent_of t label with Some p -> Some (label, p) | None -> None)
     t.order
 
-let top_down_edges t = List.rev (bottom_up_edges t)
-
 (* --- construction ------------------------------------------------- *)
 
 let decode_prufer k seq =

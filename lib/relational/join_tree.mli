@@ -16,8 +16,6 @@ val children : t -> string -> string list
 (** Non-root nodes paired with their parents, children before parents. *)
 val bottom_up_edges : t -> (string * string) list
 
-val top_down_edges : t -> (string * string) list
-
 (** Find a rooted join tree witnessing free-connexity; [None] when the
     query is cyclic or not free-connex.
 

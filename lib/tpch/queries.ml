@@ -302,19 +302,10 @@ let run_q8 ctx (d : Datagen.dataset) : q8_result =
     let den_by_year = index_by_int_key den in
     List.map
       (fun (year, den_share) ->
-        let num_share =
-          Option.value ~default:Secret_share.zero (List.assoc_opt year num_by_year)
-        in
-        let out =
-          Gc_protocol.eval_reveal ctx ~to_:Party.Alice
-            ~inputs:[ Gc_protocol.Shared num_share; Gc_protocol.Shared den_share ]
-            ~build:(fun b words ->
-              let scaled =
-                Circuits.mul_word b words.(0) (Circuits.const_word ~bits:ring_bits 1000L)
-              in
-              [ Circuits.div_word b scaled words.(1) ])
-        in
-        (year, out.(0)))
+        let num = Option.value ~default:Secret_share.zero (List.assoc_opt year num_by_year) in
+        ( year,
+          Secyan.Composition.reveal_ratio ctx ~to_:Party.Alice ~scale:1000L ~num ~den:den_share
+            () ))
       (List.sort compare den_by_year)
   in
   { shares_per_year; tally; seconds }
@@ -431,8 +422,10 @@ let run_q9 ?nations ctx (d : Datagen.dataset) : q9_result =
         List.map
           (fun year ->
             let get map = Option.value ~default:Secret_share.zero (List.assoc_opt year map) in
-            let amount = Secret_share.sub ctx (get rev_by_year) (get cost_by_year) in
-            let revealed = Secret_share.reveal_to ctx Party.Alice amount in
+            let revealed =
+              Secyan.Composition.reveal_difference ctx ~to_:Party.Alice ~pos:(get rev_by_year)
+                ~neg:(get cost_by_year)
+            in
             (* revenue scale is cents x 100 *)
             (nationkey, year, Semiring.to_signed_int semiring revealed / 100))
           years)
