@@ -48,13 +48,17 @@ type spec = {
 let records = ref []
 
 (* The garbled-circuit baseline's rate, calibrated once on Q3 at xs: run
-   the real garbler over a few product rows and time it per AND gate. *)
+   the real garbler over a few product rows and time it per AND gate (the
+   median of five runs after a warm-up). *)
 let seconds_per_and =
   lazy
     (let q = Queries.q3 (Datagen.generate ~sf:(Datagen.preset_sf "xs") ~seed) in
-     let s = Cartesian_gc.calibrate ~seed q ~rows:32 in
-     line "(garbled-circuit baseline calibrated: %.3g s per AND gate, real half-gates garbling)" s;
-     s)
+     let lo, median, hi = Cartesian_gc.calibrate ~seed q ~rows:32 in
+     line
+       "(garbled-circuit baseline calibrated: %.3g s per AND gate, median of 5 runs, min %.3g, \
+        max %.3g; real half-gates garbling)"
+       median lo hi;
+     median)
 
 (* Depth-1 span breakdown of a traced run: one entry per protocol phase. *)
 let phase_breakdown root =

@@ -205,9 +205,17 @@ let run_small ctx (q : Secyan.Query.t) ~max_rows : measurement =
   }
 
 (** Measure seconds-per-AND-gate of the [Real] garbling backend on this
-    machine, for extrapolation. *)
-let calibrate ~seed (q : Secyan.Query.t) ~rows : float =
-  let ctx =
-    Context.create ~bits:(Semiring.bits q.Secyan.Query.semiring) ~gc_backend:Context.Real ~seed ()
+    machine, for extrapolation: one untimed warm-up run, then five timed
+    ones. Returns their (min, median, max). *)
+let calibrate ~seed (q : Secyan.Query.t) ~rows : float * float * float =
+  let once () =
+    let ctx =
+      Context.create ~bits:(Semiring.bits q.Secyan.Query.semiring) ~gc_backend:Context.Real
+        ~seed ()
+    in
+    (run_small ctx q ~max_rows:rows).seconds_per_and
   in
-  (run_small ctx q ~max_rows:rows).seconds_per_and
+  ignore (once () : float);
+  let runs = Array.init 5 (fun _ -> once ()) in
+  Array.sort Float.compare runs;
+  (runs.(0), runs.(2), runs.(4))

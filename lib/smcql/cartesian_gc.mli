@@ -35,5 +35,8 @@ type measurement = {
     through the GC protocol (validation and calibration). *)
 val run_small : Context.t -> Secyan.Query.t -> max_rows:int -> measurement
 
-(** Measure seconds-per-AND of real half-gates garbling on this machine. *)
-val calibrate : seed:int64 -> Secyan.Query.t -> rows:int -> float
+(** Measure seconds-per-AND of real half-gates garbling on this machine:
+    one untimed warm-up run over [rows] product rows, then five timed
+    runs. Returns their (min, median, max); callers extrapolate with the
+    median. *)
+val calibrate : seed:int64 -> Secyan.Query.t -> rows:int -> float * float * float

@@ -77,8 +77,9 @@ let test_measured_comm_matches_estimate_order () =
 
 let test_calibrate_positive () =
   let q = small_query () in
-  let spa = Cartesian_gc.calibrate ~seed:5L q ~rows:6 in
-  Alcotest.(check bool) "seconds per AND positive" true (spa > 0.)
+  let lo, median, hi = Cartesian_gc.calibrate ~seed:5L q ~rows:6 in
+  Alcotest.(check bool) "seconds per AND positive" true (lo > 0.);
+  Alcotest.(check bool) "min <= median <= max" true (lo <= median && median <= hi)
 
 let () =
   Alcotest.run "secyan_smcql"
