@@ -3,12 +3,11 @@
    communication of secure Yannakakis, of the garbled-circuit baseline
    (calibrated on real garbling, extrapolated by exact gate count, as in
    the paper) and of the plaintext run (communication = input size,
-   §8.2), printed and written to BENCH_1.json. Two ablations run on one
-   constrained join: PSI with clear vs secret-shared payloads, and the
-   annotation ring width. Every context garbles for real; OEP stays
-   dealer-simulated (DESIGN.md §2 item 5). Sections (argv): figure2 ..
-   figure6, ablation-psi, ablation-ring, or the groups figures, ablations
-   and all (the default). *)
+   §8.2), printed and written to BENCH_1.json. One ablation varies the
+   annotation ring width of one constrained join. Every context garbles
+   for real; OEP stays dealer-simulated (DESIGN.md §2 item 5). Sections
+   (argv): figure2 .. figure6, ablation-ring, or the groups figures,
+   ablations and all (the default). *)
 
 open Secyan_crypto
 open Secyan_relational
@@ -199,10 +198,8 @@ let write_bench_1 () =
 (* Ablations *)
 
 (* One constrained join of an Alice-owned L(a, b) of [n] rows into a
-   Bob-owned R(b) of [keys] rows at ring width [bits]. [shared] strips
-   Bob's clear annotations, so the semijoin takes the §5.5
-   secret-shared-payload PSI instead of the §6.5 clear-payload one. *)
-let constrained_join ?(bits = 32) ?(shared = false) ~n ~keys () =
+   Bob-owned R(b) of [keys] rows at ring width [bits]. *)
+let constrained_join ~bits ~n ~keys =
   let ctx = Context.create ~bits ~gc_backend:Context.Real ~seed () in
   let left =
     Relation.of_list ~name:"L" ~schema:(Schema.of_list [ "a"; "b" ])
@@ -214,31 +211,12 @@ let constrained_join ?(bits = 32) ?(shared = false) ~n ~keys () =
   in
   let sl = Secyan.Shared_relation.of_plain ctx ~owner:Party.Alice left in
   let sr = Secyan.Shared_relation.of_plain ctx ~owner:Party.Bob right in
-  let sr =
-    if shared then
-      Secyan.Shared_relation.of_shares ~owner:Party.Bob sr.Secyan.Shared_relation.rel
-        sr.Secyan.Shared_relation.annots
-    else sr
-  in
   let before = Context.tally ctx in
   let (_ : Secyan.Shared_relation.t), secs =
     time (fun () ->
         Secyan.Oblivious_semijoin.join_constrained ctx (Semiring.ring ~bits) ~left:sl ~right:sr)
   in
   (secs, Comm.diff (Context.tally ctx) before)
-
-let ablation_psi () =
-  banner "Ablation: oblivious semijoin via clear-payload PSI (6.5) vs secret-shared payloads (5.5)";
-  line "%-6s %9s %9s %10s %10s %8s %8s" "size" "clear-s" "shared-s" "clear-MB" "shared-MB"
-    "clear-r" "shared-r";
-  List.iter
-    (fun n ->
-      let clear_s, clear = constrained_join ~n ~keys:97 () in
-      let shared_s, shared = constrained_join ~shared:true ~n ~keys:97 () in
-      line "%-6d %9.3f %9.3f %10.2f %10.2f %8d %8d" n clear_s shared_s
-        (Comm.total_megabytes clear) (Comm.total_megabytes shared) clear.Comm.rounds
-        shared.Comm.rounds)
-    [ 200; 400; 800; 1600 ]
 
 (* The paper uses l = 32; our TPC-H queries need l = 52 for cent-precision
    sums. Annotation products are OT-based, l*kappa + l(l+1)/2 bits each
@@ -248,7 +226,7 @@ let ablation_ring () =
   line "%-6s %10s %10s %7s" "bits" "secs" "MB" "rounds";
   List.iter
     (fun bits ->
-      let secs, t = constrained_join ~bits ~n:1000 ~keys:200 () in
+      let secs, t = constrained_join ~bits ~n:1000 ~keys:200 in
       line "%-6d %10.3f %10.2f %7d" bits secs (Comm.total_megabytes t) t.Comm.rounds)
     [ 16; 32; 48; 52; 60 ]
 
@@ -270,12 +248,12 @@ let sections =
   List.map
     (fun (section, query, title, spec) -> (section, figure ~section ~query ~title spec))
     figures
-  @ [ ("ablation-psi", ablation_psi); ("ablation-ring", ablation_ring) ]
+  @ [ ("ablation-ring", ablation_ring) ]
 
 let groups =
   [
     ("figures", List.map (fun (section, _, _, _) -> section) figures);
-    ("ablations", [ "ablation-psi"; "ablation-ring" ]);
+    ("ablations", [ "ablation-ring" ]);
     ("all", List.map fst sections);
   ]
 

@@ -6,17 +6,18 @@
     shared 0 for tuples with no join partner. Nobody learns which is
     which.
 
-    Three execution paths, as in §6.2 and the §6.5 optimizations:
-    - different owners, right annotations clear to their owner: plain
-      PSI-with-payloads (cheap);
-    - different owners, shared annotations: PSI with secret-shared
-      payloads (§5.5);
+    Two execution paths, by the owners alone:
+    - different owners: PSI with secret-shared payloads (§5.5), whether
+      or not the right owner still knows its annotations in the clear —
+      the paper's §6.5 plain PSI-with-payloads for that case costs more
+      bits and AND gates here, so it is not implemented (DESIGN.md §2
+      item 12);
     - same owner: no PSI at all — the owner matches tuples locally and a
       single OEP + product re-randomizes.
 
     [semijoin] is R_F semijoin R_F' = R_F join pi^1(R_F'), with pi^1
-    computed locally when the right annotations are clear, and by the
-    oblivious pi^1 protocol otherwise. *)
+    computed locally when the right annotations are clear (§6.5), and by
+    the oblivious pi^1 protocol otherwise. *)
 
 open Secyan_crypto
 open Secyan_relational
@@ -75,7 +76,7 @@ let join_constrained ctx semiring ~(left : Shared_relation.t) ~(right : Shared_r
       Oep.apply_shared ctx ~holder:owner ~xi ~m:(n + 1) extended
     end
     else begin
-      (* Cross-party paths: PSI on the projected keys. *)
+      (* Cross-party path: PSI on the projected keys. *)
       let left_schema = Shared_relation.schema left in
       let encodings =
         Array.map (fun t -> Tuple.encode_on left_schema key_attrs t)
@@ -103,14 +104,8 @@ let join_constrained ctx semiring ~(left : Shared_relation.t) ~(right : Shared_r
           right.Shared_relation.rel.Relation.tuples
       in
       let { Psi.table; payload } =
-        match right.Shared_relation.clear_annots with
-        | Some clear ->
-            (* §6.5: right owner knows its annotations — plain PSI with
-               payloads suffices *)
-            Psi.with_payloads ctx ~receiver:owner ~alice_set ~bob_set ~bob_payloads:clear
-        | None ->
-            Psi.with_shared_payloads ctx ~receiver:owner ~alice_set ~bob_set
-              ~bob_payload_shares:right.Shared_relation.annots
+        Psi.with_shared_payloads ctx ~receiver:owner ~alice_set ~bob_set
+          ~bob_payload_shares:right.Shared_relation.annots
       in
       let xi = xi_from_table left ~key_attrs table in
       Oep.apply_shared ctx ~holder:owner ~xi ~m:(Array.length payload) payload

@@ -1,6 +1,8 @@
 (** Oblivious semijoin and constrained join (paper §6.2), with the §6.5
-    optimizations: plain PSI-with-payloads when the right annotations are
-    clear to their owner, no PSI at all when one party holds both sides. *)
+    optimizations that still pay off here: a local pi^1 when the right
+    annotations are clear to their owner, and no PSI at all when one party
+    holds both sides. Every cross-party constrained join runs the §5.5 PSI
+    with secret-shared payloads (DESIGN.md §2 item 12). *)
 
 open Secyan_crypto
 open Secyan_relational

@@ -383,8 +383,7 @@ let run ?resume ctx (q : Query.t) : Relation.t * result =
     garble, walking the plan as the run does:
     - a cross-party constrained join or semijoin: one PSI circuit per
       cuckoo bin of the left relation, a [Psi.cmp_bits]-wide equality
-      test plus one AND per payload bit (a ring word for clear right
-      annotations, an index for shared ones);
+      test plus one AND per bit of the revealed index;
     - [project_nonzero] over a semijoin's shared right relation, and the
       oblivious join's reveal circuits: per tuple, an adder that joins
       the two shares and a nonzero test;
@@ -413,8 +412,7 @@ let estimate_and_gates ctx (q : Query.t) =
     if Party.equal (owner left) (owner right) then 0
     else
       let bins = Cuckoo_hash.n_bins_for (card left) in
-      let payload = if clear right then bits else Psi.index_bits (card right + bins) in
-      bins * (Psi.cmp_bits ctx - 1 + payload)
+      bins * (Psi.cmp_bits ctx - 1 + Psi.index_bits (card right + bins))
   in
   let semijoin ~left ~right =
     let nonzero_chain = if clear right then 0 else card right * (shared_word + 2) in

@@ -3,10 +3,11 @@
     annotations are secret-shared between the two.
 
     [clear_annots] is the §6.5 optimization flag: at the start of the
-    protocol a party usually knows its own relation's annotations in the
-    clear, which lets the first semijoin layer use plain PSI-with-payloads
-    instead of the secret-shared-payload protocol. Any oblivious operator
-    output drops back to [None] (shared-only). *)
+    protocol a party knows its own relation's annotations in the clear,
+    which lets a semijoin compute pi^1 of that relation locally instead of
+    obliviously. The constrained join that follows takes the shares
+    either way (DESIGN.md §2 item 12). Any oblivious operator output drops
+    back to [None] (shared-only). *)
 
 open Secyan_crypto
 open Secyan_relational

@@ -10,7 +10,8 @@ type t = {
   annots : Secret_share.t array;      (** one share pair per tuple *)
   clear_annots : int64 array option;
       (** §6.5 optimization flag: annotations also known in clear by
-          [owner] (true for protocol inputs, reset by every operator) *)
+          [owner] (true for protocol inputs, reset by every operator); a
+          semijoin then computes pi^1 locally *)
 }
 
 val cardinality : t -> int

@@ -403,13 +403,13 @@ let test_peer_fuzz_pins () =
       ("replay:62,length-lie:16", "length-lie:16", "protocol-violation");
       ("truncate:53,reorder:9", "reorder:9,truncate:53", "protocol-violation");
       ("replay:59,retag:43,length-lie:46", "retag:43", "protocol-violation");
-      ("length-lie:138,extend:44,replay:167", "extend:44", "protocol-violation");
-      ("replay:360,extend:385", "replay:360", "protocol-violation");
-      ("extend:106,truncate:89,reorder:133", "truncate:89", "protocol-violation");
-      ("length-lie:130", "length-lie:130", "correct");
+      ("length-lie:19,extend:233,replay:59", "length-lie:19,replay:59", "protocol-violation");
+      ("replay:260,extend:83", "extend:83", "protocol-violation");
+      ("extend:76,truncate:62,reorder:13", "reorder:13,truncate:62", "protocol-violation");
+      ("length-lie:100", "length-lie:100", "correct");
       ("reorder:65,reorder:9", "reorder:9,reorder:65", "correct");
-      ("retag:93,replay:1", "replay:1,retag:93", "protocol-violation");
-      ("extend:80", "extend:80", "protocol-violation");
+      ("retag:74,replay:133", "retag:74", "protocol-violation");
+      ("extend:128", "extend:128", "protocol-violation");
       ("reorder:86,reorder:128", "reorder:86,reorder:128", "correct");
       ("retag:1,extend:7", "retag:1", "protocol-violation");
       ("extend:8,length-lie:4,truncate:7", "length-lie:4", "protocol-violation");

@@ -1055,19 +1055,16 @@ let test_oep_fresh_randomness () =
 (* ------------------------------------------------------------------ *)
 (* PSI *)
 
-(* The two PSI entry points over the same clear payloads; the §5.5 one
-   gets them as fresh shares of the sender. *)
+(* The PSI over the same payloads in the two forms the protocol hands
+   it: "clear" payloads the sender knows and shares itself (a protocol
+   input, as [Shared_relation.of_plain] shares it), and "shared" ones it
+   does not know (an operator's output, here dealt by the receiver). *)
 let psi_entries =
-  [
-    ( "clear",
-      fun ctx ~receiver ~alice_set ~bob_set ~payloads ->
-        Psi.with_payloads ctx ~receiver ~alice_set ~bob_set ~bob_payloads:payloads );
-    ( "shared",
-      fun ctx ~receiver ~alice_set ~bob_set ~payloads ->
-        Psi.with_shared_payloads ctx ~receiver ~alice_set ~bob_set
-          ~bob_payload_shares:
-            (Array.map (Secret_share.share ctx ~owner:(Party.other receiver)) payloads) );
-  ]
+  let entry dealer ctx ~receiver ~alice_set ~bob_set ~payloads =
+    Psi.with_shared_payloads ctx ~receiver ~alice_set ~bob_set
+      ~bob_payload_shares:(Array.map (Secret_share.share ctx ~owner:(dealer receiver)) payloads)
+  in
+  [ ("clear", entry Party.other); ("shared", entry Fun.id) ]
 
 let psi_payload_sum ctx (r : Psi.result) =
   Array.fold_left (fun acc s -> Int64.add acc (Secret_share.reconstruct ctx s)) 0L
@@ -1123,8 +1120,9 @@ let test_psi_element_bounds () =
           (Int64.shift_left 1L 61)))
     (fun () ->
       ignore
-        (Psi.with_payloads ctx ~receiver:Party.Alice ~alice_set:[| Int64.shift_left 1L 61 |]
-           ~bob_set:[| 1L |] ~bob_payloads:[| 0L |]))
+        (Psi.with_shared_payloads ctx ~receiver:Party.Alice
+           ~alice_set:[| Int64.shift_left 1L 61 |] ~bob_set:[| 1L |]
+           ~bob_payload_shares:[| Secret_share.zero |]))
 
 let test_psi_shared_payload () =
   let alice_set = Array.init 25 (fun i -> Int64.of_int ((i * 5) + 2)) in

@@ -247,18 +247,17 @@ let test_circuit_digests () =
     in
     Gc_protocol.circuit ctx ~inputs ~build:(build semiring ~n)
   in
-  (* PSI's per-bin circuits: receiver's (a_i, w_i), sender's (r_i, m_i),
-     and for the index reveal the sender's dummy index d_i *)
-  let psi_bin ~payload_bits ~extra build =
+  (* PSI's per-bin circuit: receiver's (a_i, w_i), sender's (r_i, m_i)
+     and dummy index d_i *)
+  let index_bits = 9 in
+  let psi_bin =
     let priv owner bits = Gc_protocol.Priv { owner; value = 0L; bits } in
     let cmp = Psi.cmp_bits ctx in
-    Gc_protocol.circuit ctx ~build
+    Gc_protocol.circuit ctx ~build:Psi.index_bin
       ~inputs:
-        ([ priv Party.Alice cmp; priv Party.Alice payload_bits; priv Party.Bob cmp;
-           priv Party.Bob payload_bits ]
-        @ List.map (priv Party.Bob) extra)
+        [ priv Party.Alice cmp; priv Party.Alice index_bits; priv Party.Bob cmp;
+          priv Party.Bob index_bits; priv Party.Bob index_bits ]
   in
-  let index_bits = 9 in
   List.iter
     (fun (name, c, ands, digest) ->
       Alcotest.(check int) (name ^ " AND count") ands (Boolean_circuit.and_count c);
@@ -271,11 +270,7 @@ let test_circuit_digests () =
         "5594c344086812761be25a33808f5269b24cbb14d618a4eb2a95551d8b6686d8" );
       ( "nonzero chain", chain semiring Oblivious_agg.nonzero_chain, 1833,
         "0081017166f88b35f966ba4938fcf7d5634cd7604358b665317978d6f9d64592" );
-      ( "PSI clear bin", psi_bin ~payload_bits:ring_bits ~extra:[] Psi.clear_bin, 107,
-        "611720c4a85faec1ed5a6e71265486bdb882519c8b180d08c66f7b1861329384" );
-      ( "PSI index-reveal bin",
-        psi_bin ~payload_bits:index_bits ~extra:[ index_bits ] Psi.index_bin,
-        55 + index_bits,
+      ( "PSI index-reveal bin", psi_bin, 55 + index_bits,
         "579ee2f6a9186c92febfc4780d501a5cbc1606773b5b446273da04127f29f89e" );
     ]
 
@@ -334,6 +329,43 @@ let test_join_constrained_same_owner () =
 
 let test_join_constrained_real () =
   join_constrained_case (ctx_real ()) ~left_owner:Party.Alice ~right_owner:Party.Bob ()
+
+(* Every cross-party constrained join takes the §5.5 shared-payload PSI:
+   a right relation whose owner still knows its annotations (of_plain)
+   gives the same answer at the same cost as the same shares without them
+   (of_shares), under both backends. *)
+let test_join_constrained_ignores_clear () =
+  let left =
+    rel "L" [ "a"; "b" ]
+      [ ([ 1; 10 ], 2); ([ 2; 20 ], 3); ([ 3; 30 ], 4); ([ 4; 20 ], 5) ]
+  in
+  let right = rel "R" [ "b" ] [ ([ 10 ], 7); ([ 20 ], 0); ([ 40 ], 9) ] in
+  List.iter
+    (fun (backend, make_ctx) ->
+      let run ~keep_clear =
+        let ctx = make_ctx () in
+        let sl = shared ctx ~owner:Party.Alice left in
+        let sr = shared ctx ~owner:Party.Bob right in
+        let sr =
+          if keep_clear then sr
+          else
+            Shared_relation.of_shares ~owner:Party.Bob sr.Shared_relation.rel
+              sr.Shared_relation.annots
+        in
+        Alcotest.(check bool) (backend ^ ": right annotations clear") keep_clear
+          (Option.is_some sr.Shared_relation.clear_annots);
+        let out = Oblivious_semijoin.join_constrained ctx ring32 ~left:sl ~right:sr in
+        (content (Shared_relation.reconstruct ctx out), Context.counter_totals ctx)
+      in
+      let clear_answer, clear_cost = run ~keep_clear:true in
+      let shared_answer, shared_cost = run ~keep_clear:false in
+      Alcotest.(check (list (pair string check_i64))) (backend ^ ": join semantics")
+        (content (expected_join_constrained ring32 left right))
+        clear_answer;
+      Alcotest.(check (list (pair string check_i64))) (backend ^ ": same answer")
+        clear_answer shared_answer;
+      Alcotest.(check (array int)) (backend ^ ": same counters") clear_cost shared_cost)
+    [ ("Sim", ctx_sim ?seed:None); ("Real", ctx_real ?seed:None) ]
 
 let join_constrained_random =
   QCheck.Test.make ~count:25 ~name:"oblivious constrained join = reference"
@@ -933,6 +965,8 @@ let () =
           Alcotest.test_case "cross-party flipped" `Quick test_join_constrained_cross_flipped;
           Alcotest.test_case "same owner" `Quick test_join_constrained_same_owner;
           Alcotest.test_case "real backend" `Quick test_join_constrained_real;
+          Alcotest.test_case "constrained join cost ignores clear annotations" `Quick
+            test_join_constrained_ignores_clear;
           Alcotest.test_case "semijoin" `Quick test_oblivious_semijoin;
           Alcotest.test_case "semijoin shared right" `Quick test_oblivious_semijoin_shared_right;
         ]

@@ -310,7 +310,7 @@ let test_figure_cost_pins () =
     [
       ("Q3", `Q3, (17013, 14328284, 6260984, 65, 20390, 26720));
       ("Q10", `Q10, (7122, 8225409, 4610262, 60, 18804, 13897));
-      ("Q18", `Q18, (31671, 26523660, 11778376, 86, 35196, 53236));
+      ("Q18", `Q18, (28206, 24259132, 11219475, 90, 36860, 46306));
       ("Q8", `Q8, (70172, 67752592, 32147554, 164, 78862, 194052));
       ("Q9", `Q9, (2478800, 2370144750, 1094918400, 4100, 2588700, 6642850));
     ];
