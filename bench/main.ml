@@ -197,10 +197,15 @@ let write_bench_1 () =
 (* ------------------------------------------------------------------ *)
 (* Ablations *)
 
-(* One constrained join of an Alice-owned L(a, b) of [n] rows into a
-   Bob-owned R(b) of [keys] rows at ring width [bits]. *)
-let constrained_join ~bits ~n ~keys =
-  let ctx = Context.create ~bits ~gc_backend:Context.Real ~seed () in
+(* One Q3-shaped constrained join per ring width: an Alice-owned L(a, b)
+   of 1000 rows into a Bob-owned R(b) of 200 keys. The paper uses
+   l = 32; our TPC-H queries need l = 52 for cent-precision sums.
+   Annotation products are OT-based, l*kappa + l(l+1)/2 bits each way,
+   and the remaining circuits are ~O(l). *)
+let ablation_ring () =
+  banner "Ablation: annotation ring width (Q3-shaped constrained join, 1000 tuples)";
+  line "%-6s %10s %10s %7s" "bits" "secs" "MB" "rounds";
+  let n = 1000 and keys = 200 in
   let left =
     Relation.of_list ~name:"L" ~schema:(Schema.of_list [ "a"; "b" ])
       (List.init n (fun i -> ([| Value.Int i; Value.Int (i mod keys) |], 1L)))
@@ -209,24 +214,18 @@ let constrained_join ~bits ~n ~keys =
     Relation.of_list ~name:"R" ~schema:(Schema.of_list [ "b" ])
       (List.init keys (fun i -> ([| Value.Int i |], Int64.of_int (i + 1))))
   in
-  let sl = Secyan.Shared_relation.of_plain ctx ~owner:Party.Alice left in
-  let sr = Secyan.Shared_relation.of_plain ctx ~owner:Party.Bob right in
-  let before = Context.tally ctx in
-  let (_ : Secyan.Shared_relation.t), secs =
-    time (fun () ->
-        Secyan.Oblivious_semijoin.join_constrained ctx (Semiring.ring ~bits) ~left:sl ~right:sr)
-  in
-  (secs, Comm.diff (Context.tally ctx) before)
-
-(* The paper uses l = 32; our TPC-H queries need l = 52 for cent-precision
-   sums. Annotation products are OT-based, l*kappa + l(l+1)/2 bits each
-   way, and the remaining circuits are ~O(l). *)
-let ablation_ring () =
-  banner "Ablation: annotation ring width (Q3-shaped constrained join, 1000 tuples)";
-  line "%-6s %10s %10s %7s" "bits" "secs" "MB" "rounds";
   List.iter
     (fun bits ->
-      let secs, t = constrained_join ~bits ~n:1000 ~keys:200 in
+      let ctx = Context.create ~bits ~gc_backend:Context.Real ~seed () in
+      let sl = Secyan.Shared_relation.of_plain ctx ~owner:Party.Alice left in
+      let sr = Secyan.Shared_relation.of_plain ctx ~owner:Party.Bob right in
+      let before = Context.tally ctx in
+      let (_ : Secyan.Shared_relation.t), secs =
+        time (fun () ->
+            Secyan.Oblivious_semijoin.join_constrained ctx (Semiring.ring ~bits) ~left:sl
+              ~right:sr)
+      in
+      let t = Comm.diff (Context.tally ctx) before in
       line "%-6d %10.3f %10.2f %7d" bits secs (Comm.total_megabytes t) t.Comm.rounds)
     [ 16; 32; 48; 52; 60 ]
 

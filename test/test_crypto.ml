@@ -1103,7 +1103,7 @@ let check_psi_cases label ctx ~receiver ~alice_set ~bob_set ~payloads entry =
   Alcotest.(check bool) (label ^ ": members, non-members and empty bins all occur") true
     (hits > 0 && misses > 0 && empties > 0)
 
-let test_psi_with_payloads () =
+let test_psi_clear_payloads () =
   let alice_set = Array.init 40 (fun i -> Int64.of_int ((i * 3) + 1)) in
   let bob_set = Array.init 30 (fun i -> Int64.of_int ((i * 2) + 1)) in
   check_psi_cases "clear" (ctx_sim ()) ~receiver:Party.Alice ~alice_set ~bob_set
@@ -1919,7 +1919,7 @@ let () =
         :: qsuite [ oblivious_sort_matches_clear ] );
       ( "psi",
         [
-          Alcotest.test_case "with payloads" `Quick test_psi_with_payloads;
+          Alcotest.test_case "with payloads" `Quick test_psi_clear_payloads;
           Alcotest.test_case "element bounds" `Quick test_psi_element_bounds;
           Alcotest.test_case "shared payloads" `Quick test_psi_shared_payload;
           Alcotest.test_case "shared payloads in a narrow ring" `Quick
