@@ -57,7 +57,7 @@ let index_bin builder (words : Circuits.word array) =
     2. Bob draws a random permutation xi1 of [N+B], and an OEP maps the
        shares, extended with B zeros, to z'_j = z_{xi1(j)}.
     3. Bob simple-hashes Y and draws per-bin targets r_i and masks m_i;
-       two batched OPPRFs give Alice a_i (= r_i iff her bin element is in
+       two batched OPPRFs give Alice a_i (= r_i iff Alice's bin element is in
        Y) and w_i (= xi1^{-1}(j) XOR m_i on a hit with y_j).
     4. Per bin, one garbled circuit ({!index_bin}) reveals to Alice only
        k_i = (a_i = r_i) ? (w_i XOR m_i) : xi1^{-1}(N+i): the matching
