@@ -44,9 +44,6 @@ let index_bits total =
   let rec needed b = if 1 lsl b >= total then b else needed (b + 1) in
   needed 1
 
-(* Per bin, from the receiver's OPPRF outputs (a_i, w_i) and the sender's
-   target, mask and dummy index (r_i, m_i, d_i):
-   k_i = (a_i = r_i) ? (w_i XOR m_i) : d_i. *)
 let index_bin builder (words : Circuits.word array) =
   let hit = Circuits.eq_word builder words.(0) words.(2) in
   [ Circuits.mux_word builder ~sel:hit (Circuits.xor_word builder words.(1) words.(3)) words.(4) ]
