@@ -278,7 +278,7 @@ let test_progress_estimate_within_2x () =
 
 (* Exact cost of the figure queries, as [secyan_cli run --query Q --scale
    S] runs them (data and protocol seed 1): (AND gates, bits A->B, bits
-   B->A, rounds, OEP switches, OTs). Every field is a function of public
+   B->A, rounds, OEP switches, OTs, B2A words, sends). Every field is a function of public
    sizes alone, so a change that moves one is a protocol change and
    updates the pin with its reason. *)
 let figure_cost ?(gc_backend = Secyan_crypto.Context.Sim) ?(scale = "xs") query =
@@ -298,23 +298,28 @@ let figure_cost ?(gc_backend = Secyan_crypto.Context.Sim) ?(scale = "xs") query 
       get Bob_to_alice_bits,
       get Rounds,
       get Oep_switches,
-      get Ots )
+      get Ots,
+      get B2a_words,
+      get Sends )
 
-let cost_fields = Alcotest.(pair (pair (triple int int int) int) (pair int int))
-let nest (a, b, c, d, e, f) = (((a, b, c), d), (e, f))
+let cost_fields =
+  Alcotest.(pair (pair (triple int int int) int) (pair (pair int int) (pair int int)))
+
+let nest (a, b, c, d, e, f, g, h) = (((a, b, c), d), ((e, f), (g, h)))
 
 let test_figure_cost_pins () =
   List.iter
     (fun (name, query, pin) ->
       Alcotest.check cost_fields (name ^ " at xs") (nest pin) (nest (figure_cost query)))
     [
-      ("Q3", `Q3, (17013, 14328284, 6260984, 65, 20390, 26720));
-      ("Q10", `Q10, (7122, 8225409, 4610262, 60, 18804, 13897));
-      ("Q18", `Q18, (28206, 24259132, 11219475, 90, 36860, 46306));
-      ("Q8", `Q8, (70172, 67752592, 32147554, 164, 78862, 194052));
-      ("Q9", `Q9, (2478800, 2370144750, 1094918400, 4100, 2588700, 6642850));
+      ("Q3", `Q3, (17013, 14328284, 6260984, 65, 20390, 26720, 24, 376));
+      ("Q10", `Q10, (7122, 8225409, 4610262, 60, 18804, 13897, 20, 371));
+      ("Q18", `Q18, (28206, 24259132, 11219475, 90, 36860, 46306, 60, 647));
+      ("Q8", `Q8, (70172, 67752592, 32147554, 164, 78862, 194052, 0, 802));
+      ("Q9", `Q9, (2478800, 2370144750, 1094918400, 4100, 2588700, 6642850, 0, 20150));
     ];
-  Alcotest.check cost_fields "Q3 at s" (nest (48863, 43223370, 19900596, 65, 69535, 77834))
+  Alcotest.check cost_fields "Q3 at s"
+    (nest (48863, 43223370, 19900596, 65, 69535, 77834, 24, 963))
     (nest (figure_cost ~scale:"s" `Q3));
   Alcotest.check cost_fields "Q3 at xs: Real tally = Sim tally"
     (nest (figure_cost `Q3))
