@@ -16,10 +16,10 @@ type t = {
   kappa : int;        (** computational security parameter (bits) *)
   sigma : int;        (** statistical security parameter (bits) *)
   gc_backend : gc_backend;
-  domains : int;      (** parallelism of the batch-garbling engine *)
   pool : Domain_pool.t Lazy.t;
-      (** the work pool, made on first batch: [domains] claimants,
-          watched when the context was created with a hang timeout *)
+      (** the work pool, made on first batch: [create]'s [domains]
+          claimants ({!Domain_pool.size}), watched when the context was
+          created with a hang timeout *)
   prg_alice : Prg.t;
   prg_bob : Prg.t;
   dealer : Prg.t;
@@ -36,12 +36,6 @@ type t = {
           classic pure-accounting simulation *)
   checkpoint : Checkpoint.sink option;
       (** durable snapshot stream for the run, if checkpointing is on *)
-  mutable batch_ctxs : t array;
-      (** the batch engine's cache of per-item contexts ([[||]] until the
-          first batch): private ledger/PRGs reused across batches so
-          steady-state [map_batch] allocates no per-item context state.
-          Owned by {!Gc_protocol.map_batch}; reseeded and reset per batch,
-          so nothing here carries state between batches. *)
   mutable cancel : Secyan_deadline.t;
       (** the query's cancel token (deadline / memory budget / explicit),
           checked at phase boundaries, batch-item claims, and transport
@@ -107,8 +101,7 @@ let send t ~from ~bits =
     | Bob -> Trace_sink.Bob_to_alice_bits)
     bits;
   bump t Trace_sink.Sends 1;
-  (* [create] builds a schema exactly when it attaches a transport; batch
-     item contexts carry neither *)
+  (* [create] builds a schema exactly when it attaches a transport *)
   match (t.transport, t.schema) with
   | Some tr, Some s -> push_wire s tr ~from ~bits
   | _ -> ()
@@ -125,30 +118,6 @@ let tally_of_counters (counters : int array) : Comm.tally =
 
 let tally t = tally_of_counters t.counters
 
-(** Fold the ledgers of a finished parallel batch's item contexts into
-    [t], from the domain that owns [t]. Work counters and rounds are
-    bumped once each with the batch total; the items' traffic crosses
-    [t]'s channel as one send per direction carrying the batch total
-    (their individual sends were private to the item contexts). Sums are
-    order-independent, so the result is bit-identical for every pool
-    size, and each unit of work reaches the sink exactly once. *)
-let absorb t (items : t array) =
-  let sum c =
-    let i = Trace_sink.counter_index c in
-    Array.fold_left (fun acc item -> acc + item.counters.(i)) 0 items
-  in
-  List.iter
-    (fun c ->
-      let n = sum c in
-      if n <> 0 then bump t c n)
-    Trace_sink.work_counters;
-  let a_bits = sum Trace_sink.Alice_to_bob_bits in
-  let b_bits = sum Trace_sink.Bob_to_alice_bits in
-  let rounds = sum Trace_sink.Rounds in
-  if a_bits > 0 then send t ~from:Party.Alice ~bits:a_bits;
-  if b_bits > 0 then send t ~from:Party.Bob ~bits:b_bits;
-  if rounds > 0 then bump_rounds t rounds
-
 let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
     ?(domains = 1) ?transport ?checkpoint
     ?cancel ?hang_timeout_s ~seed () =
@@ -164,7 +133,6 @@ let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
       kappa;
       sigma;
       gc_backend;
-      domains;
       pool = lazy (Domain_pool.create ?hang_timeout_s domains);
       prg_alice = Prg.split master;
       prg_bob = Prg.split master;
@@ -173,7 +141,6 @@ let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
       counters = Array.make Trace_sink.n_counters 0;
       transport;
       checkpoint;
-      batch_ctxs = [||];
       cancel;
       current_label = "init";
       schema;

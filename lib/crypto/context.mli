@@ -12,10 +12,10 @@ type t = {
   kappa : int;        (** computational security parameter (bits) *)
   sigma : int;        (** statistical security parameter (bits) *)
   gc_backend : gc_backend;
-  domains : int;      (** parallelism of the batch-garbling engine *)
   pool : Domain_pool.t Lazy.t;
-      (** the work pool, made on first batch: [domains] claimants,
-          watched when the context was created with a hang timeout *)
+      (** the work pool, made on first batch: [create]'s [domains]
+          claimants ({!Domain_pool.size}), watched when the context was
+          created with a hang timeout *)
   prg_alice : Prg.t;
   prg_bob : Prg.t;
   dealer : Prg.t;
@@ -32,9 +32,6 @@ type t = {
           classic pure-accounting simulation *)
   checkpoint : Checkpoint.sink option;
       (** durable snapshot stream for the run, if checkpointing is on *)
-  mutable batch_ctxs : t array;
-      (** the batch engine's per-item context cache ([[||]] until the
-          first batch); owned and recycled by [Gc_protocol.map_batch] *)
   mutable cancel : Secyan_deadline.t;
       (** the query's cancel token; checked at phase boundaries,
           batch-item claims, and transport waits. Prefer {!set_cancel}
@@ -150,13 +147,6 @@ val counter_totals : t -> int array
     happened, in the run being resumed.
     @raise Invalid_argument on a wrong-length array. *)
 val restore_counters : t -> int array -> unit
-
-(** Fold the ledgers of a finished parallel batch's item contexts into
-    this context: each work counter and the rounds are bumped once with
-    the batch total, and the items' traffic crosses this context's
-    channel as one {!send} per direction. Call from the domain that owns
-    the context. *)
-val absorb : t -> t array -> unit
 
 (** Run [f] and return its result together with the communication it
     generated. *)

@@ -21,11 +21,13 @@
     constant number of rounds.
 
     Batches fan their independent items across the context's
-    {!Domain_pool} ([Context.domains], default 1 = sequential). Each item
-    runs in a per-item context whose PRGs are split sequentially from the
-    shared streams and whose ledger is private, absorbed once per batch —
-    so results, communication, rounds, and primitive counters are
-    bit-identical for every pool size (see DESIGN.md §9).
+    {!Domain_pool} (sized by [Context.create ?domains], default 1 =
+    sequential). Each item draws from its own two streams, split from
+    Alice's and the dealer's in item order on the calling domain, and
+    writes nothing to the context; every cost is booked once per batch
+    on the owning domain — so results, communication, rounds, and
+    primitive counters are bit-identical for every pool size (see
+    DESIGN.md §9).
 
     Alice is always the generator, Bob the evaluator. *)
 
@@ -151,13 +153,18 @@ let account_executions ctx (bc : built) (shape : input list) ~times =
    XOR of the two is the cleartext bit. *)
 type bool_share = { alice_bit : bool; bob_bit : bool }
 
-let run_real ctx (bc : built) (input_bits : bool array) : bool_share array =
+(* The randomness of one batch item: child streams of Alice's (she
+   garbles) and of the dealer's (Sim resharing, B2A daBits). No item
+   draws from Bob's stream. *)
+type item = { garbler : Prg.t; dealer : Prg.t }
+
+let run_real (item : item) (bc : built) (input_bits : bool array) : bool_share array =
   (* The executing domain's arena: garble writes its planes there and
      eval reuses them in place, so the whole item runs without per-gate
      or per-wire allocation; the planes are recycled by the next item on
      this domain (after the [bool_share]s below are built). *)
   let arena = Garbling.Arena.current () in
-  let g = Garbling.garble ~arena ctx.Context.prg_alice bc.circuit in
+  let g = Garbling.garble ~arena item.garbler bc.circuit in
   (* Bob's labels arrive via OT (accounted by the caller); functionally he
      receives exactly the label of his input bit — selecting the active
      label per input below is that exchange, collapsed into the plane. *)
@@ -167,38 +174,35 @@ let run_real ctx (bc : built) (input_bits : bool array) : bool_share array =
     (fun i ->
       { alice_bit = Garbling.decode_bit g i; bob_bit = Bytes.get colors i = '\001' })
 
-let run_sim ctx (bc : built) (input_bits : bool array) : bool_share array =
+let run_sim (item : item) (bc : built) (input_bits : bool array) : bool_share array =
   let clear = Boolean_circuit.eval bc.circuit input_bits in
   (* Fresh random Boolean sharing of each output bit. *)
   Array.map
     (fun bit ->
-      let r = Prg.bool ctx.Context.dealer in
+      let r = Prg.bool item.dealer in
       { alice_bit = r; bob_bit = bit <> r })
     clear
 
-let run_with ctx bc input_bits =
+let run_with ctx item bc input_bits =
   match ctx.Context.gc_backend with
-  | Context.Real -> run_real ctx bc input_bits
-  | Context.Sim -> run_sim ctx bc input_bits
+  | Context.Real -> run_real item bc input_bits
+  | Context.Sim -> run_sim item bc input_bits
 
 (* daBit-based Boolean-to-arithmetic conversion of one word of Yao/Boolean
    shares: the dealer supplies each random bit r both XOR-shared and
    arithmetically shared; the parties open x XOR r and correct linearly.
-   Costs accounted per the ABY OT-based construction; the openings of a
-   whole batch travel in one message each way (rounds bumped by caller). *)
-let b2a ctx (bits : bool_share array) : Secret_share.t =
-  let width = Array.length bits in
-  Context.bump ctx Trace_sink.B2a_words 1;
-  Context.bump ctx Trace_sink.Ots width;
-  Context.send ctx ~from:Party.Alice
-    ~bits:(Cost_model.b2a_word_bits ~kappa:ctx.Context.kappa ~bits:width / 2);
-  Context.send ctx ~from:Party.Bob
-    ~bits:(Cost_model.b2a_word_bits ~kappa:ctx.Context.kappa ~bits:width / 2);
+   Its cost is booked per batch by [account_b2a]. *)
+let b2a ctx (item : item) (bits : bool_share array) : Secret_share.t =
+  let ring = ctx.Context.ring in
   let acc = ref Secret_share.zero in
   Array.iteri
     (fun i bs ->
-      let r_bool = Prg.bool ctx.Context.dealer in
-      let r_arith = Secret_share.fresh_of_value ctx (if r_bool then 1L else 0L) in
+      let r_bool = Prg.bool item.dealer in
+      (* a fresh sharing of r, as [Secret_share.fresh_of_value] draws it *)
+      let r_a = Zn.random ring item.dealer in
+      let r_arith =
+        { Secret_share.a = r_a; b = Zn.sub ring (if r_bool then 1L else 0L) r_a }
+      in
       let x = bs.alice_bit <> bs.bob_bit in
       let m = x <> r_bool in
       (* [x] = m + [r] - 2 m [r]  (m public) *)
@@ -210,6 +214,21 @@ let b2a ctx (bits : bool_share array) : Secret_share.t =
     bits;
   !acc
 
+(* The B2A cost of [times] items, each converting every output word of
+   [bc], per the ABY OT-based construction: the openings of a whole batch
+   travel in one message each way (rounds bumped by the caller). *)
+let account_b2a ctx (bc : built) ~times =
+  let kappa = ctx.Context.kappa in
+  let sum f = times * List.fold_left (fun acc w -> acc + f w) 0 bc.output_widths in
+  let ots = sum Fun.id in
+  let half_bits = sum (fun w -> Cost_model.b2a_word_bits ~kappa ~bits:w / 2) in
+  if ots <> 0 then Context.bump ctx Trace_sink.Ots ots;
+  Context.bump ctx Trace_sink.B2a_words (sum (fun _ -> 1));
+  if half_bits > 0 then begin
+    Context.send ctx ~from:Party.Alice ~bits:half_bits;
+    Context.send ctx ~from:Party.Bob ~bits:half_bits
+  end
+
 (* Slice the flat output-bit array back into words. *)
 let slice_outputs widths (flat : 'a array) =
   let rec go offset = function
@@ -220,7 +239,7 @@ let slice_outputs widths (flat : 'a array) =
 
 (* Batch-shape histograms for the contention profile: how large the
    parallel fan-outs are and how long each takes end to end (including
-   the pool barrier and the per-batch delta merge). *)
+   the pool barrier). *)
 let m_batch_items =
   Secyan_metrics.lazily (fun () ->
       Secyan_metrics.histogram ~help:"items per GC parallel batch (fan-out width)"
@@ -229,7 +248,7 @@ let m_batch_items =
 let m_batch_seconds =
   Secyan_metrics.lazily (fun () ->
       Secyan_metrics.histogram
-        ~help:"wall-clock seconds per GC parallel batch (pool barrier and merge included)"
+        ~help:"wall-clock seconds per GC parallel batch (pool barrier included)"
         "secyan_gc_batch_seconds")
 
 (* Allocation-rate observability (DESIGN.md §14): minor/major heap words
@@ -285,73 +304,31 @@ let m_supervision_failures =
       Secyan_metrics.counter ~help:"GC batches failed (item fault, hang, or shutdown)"
         "secyan_supervision_failures_total")
 
-(* The per-item contexts of a batch over [ctx]: the expensive allocated
-   state of each slot — the three PRGs, the ledger, any nested batch
-   cache — is recycled across batches through
-   [ctx.batch_ctxs] and reseeded/reset per batch; only a fresh context
-   *record* per item is built each time, copying the immutable fields
-   (ring, kappa, backend) of the context running this batch.
-
-   Child PRGs are reseeded *sequentially* from the shared streams in item
-   order — exactly the draws [Prg.split] made when contexts were fresh
-   per batch — so the derivation depends only on the item index, never on
-   scheduling or cache state, and results stay bit-identical for every
-   pool size and batch history. *)
-let prepare_item_ctxs ctx n : Context.t array =
-  let cached = ctx.Context.batch_ctxs in
-  let n_cached = Array.length cached in
-  let ctxs =
-    Array.init n (fun i ->
-        if i < n_cached then begin
-          let c = cached.(i) in
-          Prg.split_into ctx.Context.prg_alice c.Context.prg_alice;
-          Prg.split_into ctx.Context.prg_bob c.Context.prg_bob;
-          Prg.split_into ctx.Context.dealer c.Context.dealer;
-          Array.fill c.Context.counters 0 Trace_sink.n_counters 0;
-          { ctx with Context.prg_alice = c.Context.prg_alice; prg_bob = c.Context.prg_bob;
-            dealer = c.Context.dealer; sink = Trace_sink.noop;
-            counters = c.Context.counters; transport = None;
-            batch_ctxs = c.Context.batch_ctxs; schema = None }
-        end
-        else begin
-          let prg_alice = Prg.split ctx.Context.prg_alice in
-          let prg_bob = Prg.split ctx.Context.prg_bob in
-          let dealer = Prg.split ctx.Context.dealer in
-          (* [transport = None, schema = None]: item sends stay in the
-             item's ledger (the parent pushes their total over its wire),
-             and workers must not touch the shared state machine from
-             their own domains. *)
-          { ctx with Context.prg_alice; prg_bob; dealer;
-            sink = Trace_sink.noop; counters = Array.make Trace_sink.n_counters 0;
-            transport = None; batch_ctxs = [||]; schema = None }
-        end)
-  in
-  (* Never shrink the cache: a smaller batch recycles a prefix and leaves
-     the rest for the next wide one. *)
-  if n > n_cached then ctx.Context.batch_ctxs <- ctxs;
-  ctxs
-
 (* Run [f] over the [n] independent batch items on the context's pool.
 
-   Each item gets a private context (see [prepare_item_ctxs]): a noop
-   sink, and a private ledger and PRGs whose state is a function of the
-   item index alone. After the barrier one [Context.absorb] folds the
-   item ledgers into the parent: sums are order-independent, so tallies
-   and span counters are bit-identical for every pool size, including 1,
-   watched or not. Results live in a fresh [Option]
-   array (not the recycled cache), so a straggler's late write after an
-   abort can never corrupt a later batch's results. Every pool fault
-   surfaces as the typed {!Supervision_error} naming the protocol phase;
-   cancellation surfaces as itself. Item code must not open spans (the
-   item sink ignores them). *)
-let map_batch ctx ~n (f : Context.t -> int -> 'a) : 'a array =
+   Each item gets its own two streams, split from Alice's and the
+   dealer's on the calling domain in item order, so what an item draws
+   depends on its index alone, never on scheduling. Item code reads only
+   immutable fields of [ctx] and writes nothing to it; callers book the
+   batch's cost on [ctx] themselves, so tallies and span counters are
+   bit-identical for every pool size, including 1, watched or not.
+   Results and item state are fresh per batch, so a straggler's late
+   write after an abort lands only in its own dead batch. Every pool
+   fault surfaces as the typed {!Supervision_error} naming the protocol
+   phase; cancellation surfaces as itself. *)
+let map_batch ctx ~n (f : item -> int -> 'a) : 'a array =
   if n = 0 then [||]
   else begin
     (* Phase-boundary check: a batch never starts under a fired token. *)
     Context.check_cancel ctx;
     let metrics_on = Secyan_metrics.enabled () in
     let t_start = if metrics_on then Unix.gettimeofday () else 0. in
-    let item_ctxs = prepare_item_ctxs ctx n in
+    let items =
+      Array.init n (fun _ ->
+          let garbler = Prg.split ctx.Context.prg_alice in
+          let dealer = Prg.split ctx.Context.dealer in
+          { garbler; dealer })
+    in
     (* Global item ids for deterministic fault injection: batches are
        submitted sequentially, so [base + i] identifies this item across
        runs of the same query. Constant 0 while disarmed. *)
@@ -362,14 +339,14 @@ let map_batch ctx ~n (f : Context.t -> int -> 'a) : 'a array =
         if metrics_on then begin
           let minor0 = Gc.minor_words () in
           let major0 = (Gc.quick_stat ()).Gc.major_words in
-          let r = f item_ctxs.(i) i in
+          let r = f items.(i) i in
           let minor1 = Gc.minor_words () in
           Secyan_metrics.observe (m_item_minor_words ()) (minor1 -. minor0);
           Secyan_metrics.observe (m_item_major_words ())
             ((Gc.quick_stat ()).Gc.major_words -. major0);
           r
         end
-        else f item_ctxs.(i) i
+        else f items.(i) i
       with e ->
         (* The claiming domain's arena may hold a half-written circuit;
            reset it so no later item garbles over dirty label material
@@ -395,18 +372,12 @@ let map_batch ctx ~n (f : Context.t -> int -> 'a) : 'a array =
         fail (fault_base + item) (Batch_item_raised { message = Printexc.to_string exn })
     | exception Domain_pool.Pool_failure (Domain_pool.Worker_hung { slot; item; silent_s })
       ->
-        (* The hung worker may eventually resume and write into its
-           recycled per-item context; drop the whole cache so no later
-           batch can reuse state it might touch. The pool itself is
-           already poisoned (sequential from here on). *)
-        ctx.Context.batch_ctxs <- [||];
         fail (fault_base + item) (Batch_worker_hung { slot; silent_s })
     | exception Domain_pool.Pool_shutdown { unclaimed } ->
         fail (-1) (Batch_shutdown { unclaimed }));
     let results =
       Array.map (function Some r -> r | None -> assert false (* barrier: all ran *)) slots
     in
-    Context.absorb ctx item_ctxs;
     if metrics_on then begin
       Secyan_metrics.observe (m_batch_items ()) (float_of_int n);
       Secyan_metrics.observe (m_batch_seconds ()) (Unix.gettimeofday () -. t_start)
@@ -426,11 +397,12 @@ let eval_to_shares_batch ctx ~(items : input list array) ~build : Secret_share.t
     account_executions ctx bc items.(0) ~times:(Array.length items);
     Context.bump_rounds ctx 2;
     let results =
-      map_batch ctx ~n:(Array.length items) (fun ictx i ->
-          let out_bits = run_with ictx bc (bits_of_inputs ictx items.(i)) in
+      map_batch ctx ~n:(Array.length items) (fun item i ->
+          let out_bits = run_with ctx item bc (bits_of_inputs ctx items.(i)) in
           let words = slice_outputs bc.output_widths out_bits in
-          Array.of_list (List.map (b2a ictx) words))
+          Array.of_list (List.map (b2a ctx item) words))
     in
+    account_b2a ctx bc ~times:(Array.length items);
     Context.bump_rounds ctx 1;
     results
 
@@ -453,8 +425,8 @@ let eval_reveal_batch ctx ~to_ ~(items : input list array) ~build : int64 array 
     let n_out = Boolean_circuit.n_outputs bc.circuit in
     Context.send ctx ~from:(Party.other to_) ~bits:(Array.length items * n_out);
     Context.bump_rounds ctx 1;
-    map_batch ctx ~n:(Array.length items) (fun ictx i ->
-        let out_bits = run_with ictx bc (bits_of_inputs ictx items.(i)) in
+    map_batch ctx ~n:(Array.length items) (fun item i ->
+        let out_bits = run_with ctx item bc (bits_of_inputs ctx items.(i)) in
         let words = slice_outputs bc.output_widths out_bits in
         Array.of_list
           (List.map

@@ -30,8 +30,8 @@ type supervision_cause =
       (** an item raised; the batch was abort-failed fail-fast *)
   | Batch_worker_hung of { slot : int; silent_s : float }
       (** a pool worker went silent mid-item; the pool is poisoned (later
-          batches run sequentially) and the recycled per-item context
-          cache was dropped so the abandoned worker can corrupt nothing *)
+          batches run sequentially). Item state is fresh per batch, so
+          the abandoned worker can write only into its own dead batch *)
   | Batch_shutdown of { unclaimed : int }
       (** the pool was shut down mid-batch *)
 

@@ -15,17 +15,13 @@ let splitmix64 state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let reseed t seed =
-  let state = ref seed in
-  t.s0 <- splitmix64 state;
-  t.s1 <- splitmix64 state;
-  t.s2 <- splitmix64 state;
-  t.s3 <- splitmix64 state
-
 let create seed =
-  let t = { s0 = 0L; s1 = 0L; s2 = 0L; s3 = 0L } in
-  reseed t seed;
-  t
+  let state = ref seed in
+  let s0 = splitmix64 state in
+  let s1 = splitmix64 state in
+  let s2 = splitmix64 state in
+  let s3 = splitmix64 state in
+  { s0; s1; s2; s3 }
 
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
@@ -81,12 +77,6 @@ let permutation t n =
 (** Derive an independent child generator; used to hand each party its own
     stream from a master seed. *)
 let split t = create (next_int64 t)
-
-(** [split_into t child] reseeds [child] in place with the derivation
-    {!split} would use, consuming the same one draw from [t] — the
-    allocation-free variant for callers that recycle child generators
-    (the GC batch engine's per-item contexts). *)
-let split_into t child = reseed child (next_int64 t)
 
 (** The full generator state as four words; with {!set_state} this lets a
     checkpoint capture and later replay a stream position exactly. *)

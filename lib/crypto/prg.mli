@@ -25,16 +25,6 @@ val permutation : t -> int -> int array
 (** Derive an independent child generator. *)
 val split : t -> t
 
-(** [split_into t child] reseeds [child] in place exactly as {!split}
-    would seed a fresh generator (same single draw from [t], same
-    derivation), without allocating. The streams of [split t] and of a
-    [split_into t child] at the same point of [t]'s stream are
-    bit-identical. *)
-val split_into : t -> t -> unit
-
-(** [reseed t seed] re-initializes [t] in place as [create seed] would. *)
-val reseed : t -> int64 -> unit
-
 (** The full generator state as four words: capture a stream position for
     a checkpoint, replay it with {!set_state}. *)
 val state : t -> int64 array

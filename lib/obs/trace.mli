@@ -9,11 +9,10 @@
     protocol transcripts and tallies.
 
     The recording sink is single-domain: only the domain that attached
-    the tracer may touch it. Parallel batches respect this by running
-    each item on a private ledger under the no-op sink and folding the
-    ledgers into the traced context once per batch from the owning
-    domain ([Context.absorb]), so traced parallel runs yield the same
-    span tree — traffic, rounds, and counters — as sequential ones. *)
+    the tracer may touch it. Parallel batches respect this: batch items
+    write nothing to the context, and the batch's cost is booked once
+    from the owning domain, so traced parallel runs yield the same span
+    tree — traffic, rounds, and counters — as sequential ones. *)
 
 open Secyan_crypto
 

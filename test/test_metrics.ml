@@ -168,9 +168,9 @@ let test_context_bump_mirrors () =
   Alcotest.(check (option int)) "ots exported" (Some 2)
     (List.assoc_opt "secyan_ots_total" exported)
 
-(* A parallel batch counts each unit of work exactly once: item ledgers
-   are private deltas that [Context.absorb] folds into the owning
-   context, so the ledger is identical at every pool size, and the
+(* A parallel batch counts each unit of work exactly once: items write
+   nothing to the context and the batch's cost is booked once on the
+   owning domain, so the ledger is identical at every pool size, and the
    export renders exactly that ledger — work and traffic counters
    alike. *)
 let test_parallel_batch_no_double_count () =
