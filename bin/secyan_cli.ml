@@ -246,11 +246,14 @@ let make_transport transport chaos chaos_seed malicious =
           in
           Ok (Some (Secyan_net.Resilient.create ~config ~seed:chaos_seed raw)))
 
-let print_checkpoint_stats = function
+let print_checkpoint_stats ctx = function
   | None -> ()
   | Some sink ->
+      let totals = Context.counter_totals ctx in
+      let get c = totals.(Trace_sink.counter_index c) in
       Fmt.pr "checkpoints: %d written (%d bytes) in %s%s@."
-        sink.Checkpoint.written sink.Checkpoint.bytes_written sink.Checkpoint.dir
+        (get Trace_sink.Checkpoints_written) (get Trace_sink.Checkpoint_bytes)
+        sink.Checkpoint.dir
         (match sink.Checkpoint.resumed_from with
         | None -> ""
         | Some epoch -> Printf.sprintf ", resumed from epoch %d" epoch)
@@ -558,7 +561,7 @@ let run_cmd query sql scale sf seed backend domains transport chaos chaos_seed m
           (Fault_inject.fired ());
         Fault_inject.disarm ());
     print_transport_stats tr;
-    print_checkpoint_stats ck;
+    print_checkpoint_stats ctx ck;
     export_metrics ();
     Context.close_transport ctx;
     Context.shutdown_pool ctx;

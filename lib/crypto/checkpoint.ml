@@ -264,8 +264,6 @@ type sink = {
   dir : string;
   mutable session : string;
   mutable next_epoch : int;
-  mutable written : int;        (** snapshots emitted by this process *)
-  mutable bytes_written : int;  (** total on-disk bytes of those snapshots *)
   mutable resumed_from : int option;
       (** epoch this run restarted from, for reporting; set by the resume
           machinery *)
@@ -286,7 +284,7 @@ let sink ?session ~dir () =
   let session =
     match session with Some s -> s | None -> "session:" ^ Filename.basename dir
   in
-  { dir; session; next_epoch = 0; written = 0; bytes_written = 0; resumed_from = None }
+  { dir; session; next_epoch = 0; resumed_from = None }
 
 (** Next epoch to be written (also the count of the logical snapshot
     stream so far). *)
@@ -316,8 +314,6 @@ let emit t ~fingerprint ~label (payload : Bytes.t) : int =
      Sys.rename tmp path
    with Sys_error msg -> error ~path Io ("detail = " ^ msg));
   t.next_epoch <- epoch + 1;
-  t.written <- t.written + 1;
-  t.bytes_written <- t.bytes_written + Bytes.length blob;
   Bytes.length blob
 
 (** Rebind the sink to continue the stream of a loaded checkpoint: adopt

@@ -93,14 +93,13 @@ val latest_path : string -> (int * string) option
     latest file — resumption never silently skips a damaged snapshot. *)
 val load_latest : dir:string -> fingerprint:string -> loaded option
 
-(** An on-disk emission stream: directory, session id, dense epoch
-    counter, and write statistics. *)
+(** An on-disk emission stream: directory, session id and dense epoch
+    counter. What a run wrote is counted in its context's ledger
+    ([Checkpoints_written], [Checkpoint_bytes]). *)
 type sink = {
   dir : string;
   mutable session : string;
   mutable next_epoch : int;
-  mutable written : int;        (** snapshots emitted by this process *)
-  mutable bytes_written : int;  (** total on-disk bytes of those snapshots *)
   mutable resumed_from : int option;
       (** epoch this run restarted from, for reporting *)
 }
