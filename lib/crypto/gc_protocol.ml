@@ -219,11 +219,14 @@ let b2a ctx (item : item) (bits : bool_share array) : Secret_share.t =
    travel in one message each way (rounds bumped by the caller). *)
 let account_b2a ctx (bc : built) ~times =
   let kappa = ctx.Context.kappa in
-  let sum f = times * List.fold_left (fun acc w -> acc + f w) 0 bc.output_widths in
-  let ots = sum Fun.id in
-  let half_bits = sum (fun w -> Cost_model.b2a_word_bits ~kappa ~bits:w / 2) in
+  let widths = bc.output_widths in
+  let ots = times * List.fold_left ( + ) 0 widths in
+  let half_bits =
+    times
+    * List.fold_left (fun acc w -> acc + (Cost_model.b2a_word_bits ~kappa ~bits:w / 2)) 0 widths
+  in
   if ots <> 0 then Context.bump ctx Trace_sink.Ots ots;
-  Context.bump ctx Trace_sink.B2a_words (sum (fun _ -> 1));
+  Context.bump ctx Trace_sink.B2a_words (times * List.length widths);
   if half_bits > 0 then begin
     Context.send ctx ~from:Party.Alice ~bits:half_bits;
     Context.send ctx ~from:Party.Bob ~bits:half_bits
