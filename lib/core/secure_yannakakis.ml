@@ -88,10 +88,10 @@ let run_shared ?(resume = false) ctx (q : Query.t) : result =
                its working state is the snapshot's. *)
             List.iter (fun (label, sr) -> Hashtbl.replace rels label sr) entries
         | None ->
-            Trace.with_span ctx "phase:share" (fun () ->
+            Context.with_span ctx "phase:share" (fun () ->
                 List.iter
                   (fun (label, (i : Query.input)) ->
-                    Trace.with_span ctx ("share:" ^ label) @@ fun () ->
+                    Context.with_span ctx ("share:" ^ label) @@ fun () ->
                     Hashtbl.replace rels label
                       (Shared_relation.of_plain ctx ~owner:i.Query.owner i.Query.relation))
                   q.Query.inputs));
@@ -129,7 +129,7 @@ let run_shared ?(resume = false) ctx (q : Query.t) : result =
         let exec op =
           match (op : Yannakakis.phase_op) with
           | Yannakakis.Fold { child; parent; group_on } ->
-              Trace.with_span ctx (op_label op) (fun () ->
+              Context.with_span ctx (op_label op) (fun () ->
                   let agg =
                     Oblivious_agg.aggregate ctx semiring (get child) ~attrs:group_on
                   in
@@ -138,18 +138,18 @@ let run_shared ?(resume = false) ctx (q : Query.t) : result =
                        ~right:agg));
               remaining := List.filter (fun l -> not (String.equal l child)) !remaining
           | Yannakakis.Stop { node; group_on } ->
-              Trace.with_span ctx (op_label op) (fun () ->
+              Context.with_span ctx (op_label op) (fun () ->
                   set node (Oblivious_agg.aggregate ctx semiring (get node) ~attrs:group_on))
           | Yannakakis.Root_project { node; group_on } ->
-              Trace.with_span ctx (op_label op) (fun () ->
+              Context.with_span ctx (op_label op) (fun () ->
                   set node (Oblivious_agg.aggregate ctx semiring (get node) ~attrs:group_on))
           | Yannakakis.Semijoin_up { child; parent } ->
-              Trace.with_span ctx (op_label op) (fun () ->
+              Context.with_span ctx (op_label op) (fun () ->
                   set parent
                     (Oblivious_semijoin.semijoin ctx semiring ~left:(get parent)
                        ~right:(get child)))
           | Yannakakis.Semijoin_down { child; parent } ->
-              Trace.with_span ctx (op_label op) (fun () ->
+              Context.with_span ctx (op_label op) (fun () ->
                   set child
                     (Oblivious_semijoin.semijoin ctx semiring ~left:(get child)
                        ~right:(get parent)))
@@ -175,12 +175,12 @@ let run_shared ?(resume = false) ctx (q : Query.t) : result =
               end)
             phase_ops
         in
-        Trace.with_span ctx "phase:reduce" (fun () -> exec_from reduce_ops);
-        Trace.with_span ctx "phase:semijoin" (fun () -> exec_from semijoin_ops);
+        Context.with_span ctx "phase:reduce" (fun () -> exec_from reduce_ops);
+        Context.with_span ctx "phase:semijoin" (fun () -> exec_from semijoin_ops);
         Context.check_cancel ctx;
         let final_rels = List.map get !remaining in
         let join =
-          Trace.with_span ctx "phase:join" (fun () ->
+          Context.with_span ctx "phase:join" (fun () ->
               Oblivious_join.run ctx semiring final_rels)
         in
         Protocol_state.save ctx ~fingerprint ~label:"join"
@@ -363,9 +363,9 @@ let run ?resume ctx (q : Query.t) : Relation.t * result =
   let revealed, seconds, tally =
     Trace.measure ctx @@ fun () ->
     if Query.has_order q then
-      Trace.with_span ctx "phase:order" @@ fun () -> order_phase ctx q r
+      Context.with_span ctx "phase:order" @@ fun () -> order_phase ctx q r
     else
-      Trace.with_span ctx "reveal" @@ fun () ->
+      Context.with_span ctx "reveal" @@ fun () ->
       let annots = Secret_share.reveal_batch ctx Party.Alice r.annots in
       (* J* can retain non-output attributes (a Stop-reduced node keeps its
          join attributes), so distinct J* tuples may coincide on the output

@@ -43,12 +43,12 @@ type t = {
   mutable current_label : string;
       (** the innermost span name ([with_span] maintains it even when no
           tracer is attached) — names the protocol phase in [Cancelled]
-          and [Supervision_error] *)
-  schema : Protocol_schema.t option;
-      (** the protocol state machine guarding the attached transport
-          ([None] without one): [with_span] drives its phase tracking,
-          {!send} consults it pre-send, and the wire validates every
-          received payload against it *)
+          and [Supervision_error], and classifies outgoing traffic *)
+  mutable phase : Protocol_schema.phase;
+      (** the protocol phase the innermost phase-marker span opened
+          ([Unrestricted] outside any), restored by [with_span] beside
+          [current_label]: {!send} checks outgoing traffic against it
+          and the wire validates every received payload against it *)
 }
 
 (** Add [n] to one ledger counter: the running totals, then the active
@@ -66,21 +66,22 @@ let bump t counter n =
    communication stays bit-identical to the simulated path.
 
    Each payload travels inside a typed [Envelope] tagged with the message
-   kind the current protocol span implies — checked against the state
-   machine before anything crosses the wire, so traffic the receive path
+   kind the innermost span label implies — checked against the current
+   phase's legality before anything crosses the wire, so traffic the receive path
    would reject as out-of-phase is caught at the source — and chunked at
    [Envelope.max_body] so no single frame exceeds the receive-side
-   acceptance cap. The delivered payload is validated against the schema
+   acceptance cap. The delivered payload is validated against the phase
    — version, kind, declared and actual lengths, phase legality — so a
    Byzantine peer mutating bitwise-intact frames surfaces as a typed
    [Protocol_schema.Protocol_violation], not as silent acceptance. *)
-let push_wire s transport ~from ~bits =
+let push_wire t transport ~from ~bits =
   let dir =
     match (from : Party.t) with
     | Alice -> Secyan_net.Transport.Alice_to_bob
     | Bob -> Secyan_net.Transport.Bob_to_alice
   in
-  let kind = Protocol_schema.check_send s ~bits in
+  let phase = t.phase in
+  let kind = Protocol_schema.check_send ~phase ~label:t.current_label ~bits in
   let total = (bits + 7) / 8 in
   let max_body = Secyan_net.Envelope.max_body in
   let chunks = max 1 ((total + max_body - 1) / max_body) in
@@ -89,7 +90,7 @@ let push_wire s transport ~from ~bits =
     let body = Bytes.make (max body_len 0) '\xa5' in
     let msg = Secyan_net.Envelope.encode ~kind body in
     let echoed = Secyan_net.Resilient.transfer transport ~dir msg in
-    Protocol_schema.validate s ~kind ~expect_body:(Bytes.length body) echoed
+    Protocol_schema.validate ~phase ~kind ~expect_body:(Bytes.length body) echoed
   done
 
 let send t ~from ~bits =
@@ -101,10 +102,7 @@ let send t ~from ~bits =
     | Bob -> Trace_sink.Bob_to_alice_bits)
     bits;
   bump t Trace_sink.Sends 1;
-  (* [create] builds a schema exactly when it attaches a transport *)
-  match (t.transport, t.schema) with
-  | Some tr, Some s -> push_wire s tr ~from ~bits
-  | _ -> ()
+  match t.transport with Some tr -> push_wire t tr ~from ~bits | None -> ()
 
 let bump_rounds t n = bump t Trace_sink.Rounds n
 
@@ -124,9 +122,6 @@ let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
   let domains = max 1 domains in
   let master = Prg.create seed in
   let cancel = match cancel with Some c -> c | None -> Secyan_deadline.never () in
-  let schema =
-    match transport with None -> None | Some _ -> Some (Protocol_schema.create ())
-  in
   let t =
     {
       ring = Zn.create bits;
@@ -143,7 +138,7 @@ let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
       checkpoint;
       cancel;
       current_label = "init";
-      schema;
+      phase = Protocol_schema.Unrestricted;
     }
   in
   (match transport with
@@ -196,46 +191,32 @@ let set_cancel t cancel =
     current protocol phase if it has fired. The phase-boundary check. *)
 let check_cancel t = Secyan_deadline.check ~where:t.current_label t.cancel
 
-(** Run [f] inside a span named [name] of the attached tracer; when no
-    tracer is attached this is just [f ()] plus phase-label maintenance
-    (so cancellation errors can always name their phase). The span is
-    closed, and the label restored, even when [f] raises. The sink never
-    draws randomness, so tracing cannot perturb the protocol
+(** Run [f] inside a span named [name] of the attached sink (the no-op
+    sink when untraced). The innermost label and the protocol phase are
+    maintained either way — a phase marker enters its phase, any other
+    label inherits the enclosing one — so cancellation errors can always
+    name their phase and the wire can always check it. The span is
+    closed, and label and phase restored, even when [f] raises. The sink
+    never draws randomness, so tracing cannot perturb the protocol
     transcript. *)
 let with_span t name f =
-  let prev = t.current_label in
+  let prev_label = t.current_label and prev_phase = t.phase in
   t.current_label <- name;
-  (* The protocol state machine tracks phases by the same span discipline
-     the label does — entered here, restored on every exit path below. *)
-  (match t.schema with None -> () | Some s -> Protocol_schema.enter s name);
-  let leave_schema () =
-    match t.schema with None -> () | Some s -> Protocol_schema.leave s
-  in
+  t.phase <- Protocol_schema.phase_of_label prev_phase name;
   let sink = t.sink in
-  if sink == Trace_sink.noop then (
-    match f () with
-    | r ->
-        leave_schema ();
-        t.current_label <- prev;
-        r
-    | exception e ->
-        leave_schema ();
-        t.current_label <- prev;
-        raise e)
-  else begin
-    sink.Trace_sink.enter name;
-    match f () with
-    | r ->
-        sink.Trace_sink.exit ();
-        leave_schema ();
-        t.current_label <- prev;
-        r
-    | exception e ->
-        sink.Trace_sink.exit ();
-        leave_schema ();
-        t.current_label <- prev;
-        raise e
-  end
+  sink.Trace_sink.enter name;
+  let leave () =
+    sink.Trace_sink.exit ();
+    t.current_label <- prev_label;
+    t.phase <- prev_phase
+  in
+  match f () with
+  | r ->
+      leave ();
+      r
+  | exception e ->
+      leave ();
+      raise e
 
 (** A copy of the context's counter totals (index by
     [Trace_sink.counter_index]). *)

@@ -38,12 +38,14 @@ type t = {
           over assigning — it also re-points the transport. *)
   mutable current_label : string;
       (** innermost span name, maintained by {!with_span} even untraced;
-          names the phase in cancellation/supervision errors *)
-  schema : Protocol_schema.t option;
-      (** the protocol state machine guarding the attached transport
-          ([None] without one): {!with_span} drives its phase tracking,
-          {!send} consults it pre-send, and the wire validates every
-          received payload against it, raising the typed
+          names the phase in cancellation/supervision errors and
+          classifies outgoing traffic *)
+  mutable phase : Protocol_schema.phase;
+      (** protocol phase opened by the innermost phase-marker span
+          ([Unrestricted] outside any), maintained by {!with_span}
+          beside [current_label]. With a transport attached, {!send}
+          checks outgoing traffic against it and the wire validates
+          every received payload against it, raising the typed
           [Protocol_schema.Protocol_violation] on out-of-schema peer
           traffic *)
 }
@@ -111,8 +113,10 @@ val set_cancel : t -> Secyan_deadline.t -> unit
     cheap enough to call per operator. *)
 val check_cancel : t -> unit
 
-(** Run [f] inside a span named [name] of the attached tracer; just
-    [f ()] when untraced. The span closes even if [f] raises. *)
+(** Run [f] inside a span named [name] of the attached tracer (the
+    no-op sink when untraced), with [current_label] set to [name] and
+    [phase] to {!Protocol_schema.phase_of_label} of it. The span closes,
+    and label and phase are restored, even if [f] raises. *)
 val with_span : t -> string -> (unit -> 'a) -> 'a
 
 (** The ledger's one write path: add [n] to a counter's running total
@@ -121,8 +125,8 @@ val bump : t -> Trace_sink.counter -> int -> unit
 
 (** Account [bits] sent by [from] to the other party: the direction's
     bit counter and [Sends] are bumped ({!bump}), then — with a transport
-    attached — the state machine is consulted and a payload of the
-    declared size crosses the wire. [bits = 0] is legal (the sink still
+    attached — {!Protocol_schema.check_send} vets it against [phase]
+    and a payload of the declared size crosses the wire. [bits = 0] is legal (the sink still
     sees the event). Accounting depends on the declared count alone, so
     it is bit-identical with and without a transport.
     @raise Invalid_argument on negative counts. *)

@@ -1,26 +1,26 @@
-(** Per-query protocol state machine: which message kinds (and sizes) are
-    legal at each phase of secure Yannakakis.
+(** Per-query protocol legality check: which message kinds (and sizes)
+    are legal at each phase of secure Yannakakis.
 
-    The machine mirrors the three-phase plan plus its bracketing steps:
+    The phases mirror the three-phase plan plus its bracketing steps:
 
     {v
       Unrestricted --"phase:share"-->    Share_phase   (share only)
       Unrestricted --"phase:reduce"-->   Reduce        (ot/oprf/psi/oep/gc/op)
       Unrestricted --"phase:semijoin"--> Semijoin      (ot/oprf/psi/oep/gc/op)
       Unrestricted --"phase:join"-->     Join          (reduce set + reveal)
+      Unrestricted --"phase:order"-->    Order         (reduce set + reveal)
       Unrestricted --"reveal"-->         Reveal_phase  (reveal only)
-      (session resume)                   Resume        (hello only)
     v}
 
-    Phase tracking piggybacks on the span discipline the tracing layer
-    already maintains: {!Context.with_span} reports every span enter/exit
-    here, phase-marker labels push a new phase, and all other labels
-    inherit the enclosing one — so exiting a phase span restores its
+    The module is stateless. {!Context.with_span} tracks the phase
+    beside the innermost span label: phase-marker labels enter their
+    phase, all other labels inherit the enclosing one, and both are
+    restored on every span exit — so exiting a phase span restores its
     parent, and nested runs (query compositions) are handled by plain
-    stack discipline. The innermost label also classifies what an
-    outgoing message {e is} (a ["psi:*"] span sends PSI traffic), which
-    is what [Context.send] consults before any payload crosses the wire and
-    what the receive path checks the peer's envelope against.
+    span discipline. The label also classifies what an outgoing message
+    {e is} (a ["psi:*"] span sends PSI traffic); [Context.send] passes
+    both to {!check_send} before any payload crosses the wire and to
+    {!validate} for the peer's envelope.
 
     Everything that fails validation raises the typed
     {!Protocol_violation} naming the phase, what was legal, what arrived,
@@ -32,7 +32,6 @@ module Envelope = Secyan_net.Envelope
 
 type phase =
   | Unrestricted
-  | Resume
   | Share_phase
   | Reduce
   | Semijoin
@@ -42,7 +41,6 @@ type phase =
 
 let phase_name = function
   | Unrestricted -> "unrestricted"
-  | Resume -> "resume-handshake"
   | Share_phase -> "share"
   | Reduce -> "reduce"
   | Semijoin -> "semijoin"
@@ -90,21 +88,22 @@ let kind_of_label l =
   else if String.equal l "reveal" || has "reveal:" then Envelope.Reveal
   else Envelope.Op
 
-let phase_of_label current l =
-  match l with
-  | "phase:share" -> Share_phase
-  | "phase:reduce" -> Reduce
-  | "phase:semijoin" -> Semijoin
-  | "phase:join" -> Join
-  | "phase:order" -> Order
-  | "reveal" -> Reveal_phase
-  | _ -> current
+let marker_phase = function
+  | "phase:share" -> Some Share_phase
+  | "phase:reduce" -> Some Reduce
+  | "phase:semijoin" -> Some Semijoin
+  | "phase:join" -> Some Join
+  | "phase:order" -> Some Order
+  | "reveal" -> Some Reveal_phase
+  | _ -> None
+
+let is_phase_marker l = Option.is_some (marker_phase l)
+
+let phase_of_label current l = Option.value (marker_phase l) ~default:current
 
 let legal phase (kind : Envelope.kind) =
   match (phase, kind) with
   | Unrestricted, k -> k <> Envelope.Hello
-  | Resume, Envelope.Hello -> true
-  | Resume, _ -> false
   | Share_phase, Envelope.Share -> true
   | Share_phase, _ -> false
   | (Reduce | Semijoin), (Envelope.Psi | Oprf | Oep | Ot | Gc | Op) -> true
@@ -123,43 +122,22 @@ let expected_kinds phase = List.filter (legal phase) Envelope.all_kinds
 let expected_kinds_string phase =
   String.concat "|" (List.map Envelope.kind_name (expected_kinds phase))
 
-type t = {
-  mutable phases : phase list;  (* span-shaped stack; head = current *)
-  mutable labels : string list;  (* parallel label stack; head = innermost *)
-}
-
-let create () = { phases = []; labels = [] }
-
-let phase t = match t.phases with [] -> Unrestricted | p :: _ -> p
-
-let label t = match t.labels with [] -> "init" | l :: _ -> l
-
-let enter t name =
-  t.phases <- phase_of_label (phase t) name :: t.phases;
-  t.labels <- name :: t.labels
-
-let leave t =
-  (match t.phases with [] -> () | _ :: rest -> t.phases <- rest);
-  match t.labels with [] -> () | _ :: rest -> t.labels <- rest
-
-let outgoing_kind t = kind_of_label (label t)
-
-let violation t ~expected ~got ~offset =
+let violation phase ~expected ~got ~offset =
   Secyan_metrics.add m_violations 1;
-  raise (Protocol_violation { phase = phase_name (phase t); expected; got; offset })
+  raise (Protocol_violation { phase = phase_name phase; expected; got; offset })
 
 (* Pre-send consultation from [Context.send]: derive what the outgoing
-   message is from the current span and verify the state machine allows
+   message is from the innermost span label and verify the phase allows
    it — a self-check that protocol code cannot emit traffic the receive
    path would reject. Returns the kind for the wire to tag the envelope
    with. *)
-let check_send t ~bits =
+let check_send ~phase ~label ~bits =
   if bits < 0 then invalid_arg "Protocol_schema.check_send: negative bit count";
-  let kind = outgoing_kind t in
-  if not (legal (phase t) kind) then
-    violation t
-      ~expected:(expected_kinds_string (phase t))
-      ~got:(Printf.sprintf "outgoing %s under span %S" (Envelope.kind_name kind) (label t))
+  let kind = kind_of_label label in
+  if not (legal phase kind) then
+    violation phase
+      ~expected:(expected_kinds_string phase)
+      ~got:(Printf.sprintf "outgoing %s under span %S" (Envelope.kind_name kind) label)
       ~offset:0;
   kind
 
@@ -170,7 +148,7 @@ let check_send t ~bits =
    the wire, so any tampering — retag, truncate, extend, length lie,
    cross-phase splice, stale replay of a different shape — surfaces here
    as a typed violation with the offending byte offset. *)
-let validate t ~kind ~expect_body payload =
+let validate ~phase ~kind ~expect_body payload =
   match Envelope.check_header payload with
   | Error e ->
       Secyan_metrics.add m_rejected_frames 1;
@@ -180,28 +158,28 @@ let validate t ~kind ~expect_body payload =
         | Envelope.Unknown_kind _ -> 1
         | Envelope.Length_mismatch _ | Envelope.Oversized _ -> 2
       in
-      violation t
+      violation phase
         ~expected:(Printf.sprintf "%s envelope v%d" (Envelope.kind_name kind) Envelope.version)
         ~got:(Envelope.error_to_string e) ~offset
   | Ok (got_kind, declared) ->
       let actual = Bytes.length payload - Envelope.header_len in
       if declared <> actual then begin
         Secyan_metrics.add m_rejected_frames 1;
-        violation t
+        violation phase
           ~expected:(Printf.sprintf "declared length matching %d body bytes" actual)
           ~got:(Printf.sprintf "declares %d" declared)
           ~offset:2
       end;
-      if not (legal (phase t) got_kind) then
-        violation t
-          ~expected:(expected_kinds_string (phase t))
+      if not (legal phase got_kind) then
+        violation phase
+          ~expected:(expected_kinds_string phase)
           ~got:(Envelope.kind_name got_kind) ~offset:1;
       if got_kind <> kind then
-        violation t
+        violation phase
           ~expected:(Envelope.kind_name kind)
           ~got:(Envelope.kind_name got_kind) ~offset:1;
       if actual <> expect_body then
-        violation t
+        violation phase
           ~expected:(Printf.sprintf "%s of %d body bytes" (Envelope.kind_name kind) expect_body)
           ~got:(Printf.sprintf "%s of %d body bytes" (Envelope.kind_name got_kind) actual)
           ~offset:2

@@ -7,8 +7,8 @@
     Primitives announce span boundaries and every write to the context's
     ledger (work counters and traffic alike) reaches the sink as a typed
     counter bump; an attached tracer replaces it with recording closures.
-    Untraced runs pay one physical-equality check per span and a call to a
-    shared no-op closure per counter bump — no allocation. *)
+    Untraced runs pay a call to a shared no-op closure per span boundary
+    and per counter bump — no allocation. *)
 
 (** Typed event counters bumped by the primitives. Semantics:
 

@@ -3,7 +3,7 @@
     through which primitives announce span boundaries and every write to
     the context's counter ledger arrives as a typed counter bump. A tracer
     attaches by replacing the sink with recording closures; untraced runs
-    cost one physical-equality check (no allocation). *)
+    call shared no-op closures (no allocation). *)
 
 (** Typed counters of the context ledger. Work counters: AND gates
     garbled, OTs executed (GC evaluator inputs, B2A, OT extension — OEP

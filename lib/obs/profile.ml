@@ -4,8 +4,8 @@
     labelled registry gauges (so one [--metrics] export carries them).
 
     The GC sampler works by wrapping the context's {!Trace_sink.t}: every
-    time a phase-level span opens ([phase:*] or [reveal] — the names
-    {!Secyan.Secure_yannakakis} uses), it cuts a [Gc.quick_stat] delta
+    time a phase-marker span opens ({!Protocol_schema.is_phase_marker}:
+    [phase:*] or [reveal]), it cuts a [Gc.quick_stat] delta
     and attributes it to the phase that just ended. Wrapping composes
     with an attached tracer (events are forwarded) and works equally on
     an untraced context. *)
@@ -34,9 +34,6 @@ type gc_sampler = {
   mutable rev_phases : gc_phase list;
   mutable detached : bool;
 }
-
-let is_phase_name name =
-  String.length name >= 6 && String.sub name 0 6 = "phase:" || name = "reveal"
 
 let cut s next_phase =
   let now_stat = Gc.quick_stat () in
@@ -78,7 +75,7 @@ let attach_gc_sampler ctx =
     {
       Trace_sink.enter =
         (fun name ->
-          if is_phase_name name then cut s name;
+          if Protocol_schema.is_phase_marker name then cut s name;
           prev.Trace_sink.enter name);
       exit = prev.Trace_sink.exit;
       bump = prev.Trace_sink.bump;

@@ -17,15 +17,12 @@ type gc_phase = {
   compactions : int;
 }
 
-(** Whether a span name marks a protocol phase boundary ([phase:*] or
-    [reveal] — the names {!Secyan.Secure_yannakakis} emits). *)
-val is_phase_name : string -> bool
-
 type gc_sampler
 
 (** Start sampling GC activity per protocol phase on [ctx], by wrapping
-    its sink and cutting a delta whenever a [phase:*] or [reveal] span
-    opens. Work before the first phase is attributed to ["setup"].
+    its sink and cutting a delta whenever a phase-marker span
+    ({!Protocol_schema.is_phase_marker}) opens. Work before the first
+    phase is attributed to ["setup"].
     Attach {e after} any tracer; detach in reverse order. *)
 val attach_gc_sampler : Context.t -> gc_sampler
 

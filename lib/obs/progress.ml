@@ -1,6 +1,7 @@
 (** Live progress reporter: a sink wrapper that watches [And_gates]
-    bumps and phase-span openings, renders a single refreshing status
-    line on stderr, and optionally appends machine-readable JSONL
+    bumps and phase-marker span openings
+    ({!Protocol_schema.is_phase_marker}), renders a single refreshing
+    status line on stderr, and optionally appends machine-readable JSONL
     heartbeats. The gate total comes from
     {!Secyan.Secure_yannakakis.estimate_and_gates} (a cost-model
     estimate, so the percentage is approximate and clamped at 99% until
@@ -119,7 +120,7 @@ let attach ?total ?(interval = 0.2) ?(render = true) ?heartbeat ctx =
     {
       Trace_sink.enter =
         (fun name ->
-          if Profile.is_phase_name name then begin
+          if Protocol_schema.is_phase_marker name then begin
             t.phase <- name;
             tick t ~force:true
           end;

@@ -92,11 +92,6 @@ let with_tracing ?name ctx f =
       ignore (finish t : Span.t);
       raise e
 
-(** Open a span around [f] on whatever tracer is attached to [ctx]
-    (no-op untraced). Re-export of {!Context.with_span} so protocol code
-    above the crypto layer has one obvious entry point. *)
-let with_span = Context.with_span
-
 (** Run [f] and return its result together with its wall-clock seconds
     and the communication it generated — the one-stop replacement for
     hand-rolled [Unix.gettimeofday] + [Comm.diff] bracketing. *)

@@ -2,7 +2,8 @@
     {!Span.t} tree.
 
     Attaching installs a recording {!Trace_sink.t} on the context, so
-    span entry/exit and every write to the context's ledger — primitive
+    span entry/exit ({!Context.with_span}, the one way protocol code
+    opens a span) and every write to the context's ledger — primitive
     counters, [Context.send], [Context.bump_rounds] — is attributed to
     the innermost open span. The tracer draws no randomness and never
     touches the channel: traced and untraced runs produce identical
@@ -36,12 +37,6 @@ val finish : t -> Span.t
     with the finished span tree (also on exception, which is re-raised
     after detaching). *)
 val with_tracing : ?name:string -> Context.t -> (unit -> 'a) -> 'a * Span.t
-
-(** [with_span ctx name f] opens a span around [f] on whatever tracer is
-    attached to [ctx]; free when untraced. Re-export of
-    {!Context.with_span} as the one obvious entry point for protocol
-    code above the crypto layer. *)
-val with_span : Context.t -> string -> (unit -> 'a) -> 'a
 
 (** [measure ctx f] runs [f] and returns [(result, wall_seconds,
     comm_delta)] — the one-stop replacement for hand-rolled

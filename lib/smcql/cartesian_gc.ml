@@ -150,7 +150,7 @@ type measurement = {
 let run_small ctx (q : Secyan.Query.t) ~max_rows : measurement =
   let (rows_run, total), wall, tally =
     Trace.measure ctx @@ fun () ->
-    Trace.with_span ctx "smcql:cartesian" @@ fun () ->
+    Context.with_span ctx "smcql:cartesian" @@ fun () ->
     let rels = List.map snd q.Secyan.Query.inputs in
   let sizes = List.map (fun (i : Secyan.Query.input) -> Relation.cardinality i.relation) rels in
   let k = List.length rels in

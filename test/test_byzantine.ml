@@ -6,6 +6,7 @@
    or silently accepted wrong answer. *)
 
 open Secyan_net
+module Context = Secyan_crypto.Context
 module Protocol_schema = Secyan_crypto.Protocol_schema
 module Peer_oracle = Secyan_fuzz.Peer_oracle
 
@@ -129,35 +130,34 @@ let test_kind_of_label () =
       ("init", Envelope.Op);
     ]
 
-let check_phase name want s =
+let check_phase name want (ctx : Context.t) =
   Alcotest.(check string)
     name
     (Protocol_schema.phase_name want)
-    (Protocol_schema.phase_name (Protocol_schema.phase s))
+    (Protocol_schema.phase_name ctx.phase)
 
 let test_phase_tracking () =
-  let s = Protocol_schema.create () in
-  check_phase "initial" Protocol_schema.Unrestricted s;
-  Protocol_schema.enter s "phase:share";
-  check_phase "share marker" Protocol_schema.Share_phase s;
-  Protocol_schema.enter s "share:customer";
-  check_phase "inner span inherits" Protocol_schema.Share_phase s;
-  Protocol_schema.leave s;
-  Protocol_schema.leave s;
-  check_phase "unwound" Protocol_schema.Unrestricted s;
-  Protocol_schema.enter s "phase:reduce";
-  Protocol_schema.enter s "psi:batch";
-  check_phase "reduce" Protocol_schema.Reduce s;
-  Protocol_schema.leave s;
-  Protocol_schema.leave s;
-  Protocol_schema.enter s "phase:join";
-  check_phase "join" Protocol_schema.Join s;
-  Protocol_schema.enter s "reveal";
-  check_phase "reveal nested in join" Protocol_schema.Reveal_phase s;
-  Protocol_schema.leave s;
-  check_phase "back to join" Protocol_schema.Join s;
-  Protocol_schema.leave s;
-  check_phase "unwound again" Protocol_schema.Unrestricted s
+  let module P = Protocol_schema in
+  let ctx = Context.create ~seed:1L () in
+  let span = Context.with_span ctx in
+  check_phase "initial" P.Unrestricted ctx;
+  span "phase:share" (fun () ->
+      check_phase "share marker" P.Share_phase ctx;
+      span "share:customer" (fun () -> check_phase "inner span inherits" P.Share_phase ctx));
+  check_phase "unwound" P.Unrestricted ctx;
+  span "phase:reduce" (fun () ->
+      span "psi:batch" (fun () -> check_phase "reduce" P.Reduce ctx));
+  span "phase:join" (fun () ->
+      check_phase "join" P.Join ctx;
+      span "reveal" (fun () -> check_phase "reveal nested in join" P.Reveal_phase ctx);
+      check_phase "back to join" P.Join ctx);
+  check_phase "unwound again" P.Unrestricted ctx;
+  (* a raising span restores the phase and label it entered under *)
+  (match span "phase:order" (fun () -> span "reveal" (fun () -> failwith "boom")) with
+  | () -> Alcotest.fail "the span must re-raise"
+  | exception Failure _ -> ());
+  check_phase "unwound after raise" P.Unrestricted ctx;
+  Alcotest.(check string) "label unwound after raise" "init" ctx.current_label
 
 let test_legality_table () =
   let module P = Protocol_schema in
@@ -165,8 +165,6 @@ let test_legality_table () =
     [
       (P.Unrestricted, Envelope.Psi, true);
       (P.Unrestricted, Envelope.Hello, false);
-      (P.Resume, Envelope.Hello, true);
-      (P.Resume, Envelope.Share, false);
       (P.Share_phase, Envelope.Share, true);
       (P.Share_phase, Envelope.Psi, false);
       (P.Share_phase, Envelope.Reveal, false);
@@ -190,18 +188,14 @@ let test_legality_table () =
     cases
 
 let test_check_send_violation () =
-  let s = Protocol_schema.create () in
-  Protocol_schema.enter s "phase:share";
-  Protocol_schema.enter s "share:orders";
-  (match Protocol_schema.check_send s ~bits:8 with
+  let module P = Protocol_schema in
+  (match P.check_send ~phase:P.Share_phase ~label:"share:orders" ~bits:8 with
   | k -> Alcotest.(check string) "share is legal" "share" (Envelope.kind_name k)
-  | exception Protocol_schema.Protocol_violation _ ->
-      Alcotest.fail "legal send must pass");
+  | exception P.Protocol_violation _ -> Alcotest.fail "legal send must pass");
   (* a reveal attempted during share distribution is a violation *)
-  Protocol_schema.enter s "reveal:orders";
-  match Protocol_schema.check_send s ~bits:8 with
+  match P.check_send ~phase:P.Share_phase ~label:"reveal:orders" ~bits:8 with
   | _ -> Alcotest.fail "reveal during share must be refused"
-  | exception Protocol_schema.Protocol_violation { phase; got; _ } ->
+  | exception P.Protocol_violation { phase; got; _ } ->
       Alcotest.(check string) "phase" "share" phase;
       Alcotest.(check bool) "names the offender" true
         (String.length got >= 15 && String.sub got 0 15 = "outgoing reveal")
@@ -213,30 +207,30 @@ let expect_violation name ~offset f =
       Alcotest.(check int) (name ^ " offset") offset v.offset
 
 let test_validate_offsets () =
-  let s = Protocol_schema.create () in
+  let validate = Protocol_schema.validate ~phase:Protocol_schema.Unrestricted in
   let p = Envelope.encode ~kind:Envelope.Psi (Bytes.of_string "abc") in
   (* the honest echo passes *)
-  Protocol_schema.validate s ~kind:Envelope.Psi ~expect_body:3 p;
+  validate ~kind:Envelope.Psi ~expect_body:3 p;
   (* bad version: offset 0 *)
   expect_violation "bad version" ~offset:0 (fun () ->
       let v = Bytes.copy p in
       Bytes.set v 0 '\007';
-      Protocol_schema.validate s ~kind:Envelope.Psi ~expect_body:3 v);
+      validate ~kind:Envelope.Psi ~expect_body:3 v);
   (* retagged kind: offset 1 *)
   expect_violation "retag" ~offset:1 (fun () ->
-      Protocol_schema.validate s ~kind:Envelope.Gc ~expect_body:3 p);
-  (* hello outside the resume handshake: offset 1 *)
+      validate ~kind:Envelope.Gc ~expect_body:3 p);
+  (* a hello, legal in no phase: offset 1 *)
   expect_violation "cross-phase hello" ~offset:1 (fun () ->
-      Protocol_schema.validate s ~kind:Envelope.Hello ~expect_body:0
+      validate ~kind:Envelope.Hello ~expect_body:0
         (Envelope.encode ~kind:Envelope.Hello Bytes.empty));
   (* lying declared length: offset 2 *)
   expect_violation "length lie" ~offset:2 (fun () ->
       let l = Bytes.copy p in
       le32 l 2 2;
-      Protocol_schema.validate s ~kind:Envelope.Psi ~expect_body:3 l);
+      validate ~kind:Envelope.Psi ~expect_body:3 l);
   (* right envelope, wrong size for what this transfer expects: offset 2 *)
   expect_violation "unexpected size" ~offset:2 (fun () ->
-      Protocol_schema.validate s ~kind:Envelope.Psi ~expect_body:5 p)
+      validate ~kind:Envelope.Psi ~expect_body:5 p)
 
 (* ------------------------------------------------------------------ *)
 (* Hello caps                                                         *)
