@@ -88,7 +88,7 @@ let measure ~section ~query ~scale ~sf s =
   let (), plain_s = time s.plaintext in
   let eff = float_of_int (Queries.effective_input_bytes s.inner) in
   let est =
-    Cartesian_gc.estimate ~seconds_per_and:(Lazy.force seconds_per_and) ~kappa:128 s.inner
+    Cartesian_gc.estimate ~seconds_per_and:(Lazy.force seconds_per_and) s.inner
   in
   let f = float_of_int s.factor and g = float_of_int s.gc_runs in
   let secyan_s = f *. secyan_s and secyan_mb = f *. Comm.total_megabytes tally in

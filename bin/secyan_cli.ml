@@ -667,7 +667,7 @@ let estimate_cmd query scale sf seed =
   (* the inner run repeats: q8 once per numerator/denominator, q9 once
      per nation and measure *)
   let runs = match query with `Q8 -> 2 | `Q9 -> 50 | `Q3 | `Q10 | `Q18 -> 1 in
-  let e = Secyan_smcql.Cartesian_gc.estimate ~kappa:128 q in
+  let e = Secyan_smcql.Cartesian_gc.estimate q in
   let f = float_of_int runs in
   Fmt.pr "garbled-circuit baseline for %s (x%d runs):@." q.Secyan.Query.name runs;
   Fmt.pr "  Cartesian product rows: %.3g@." (e.Secyan_smcql.Cartesian_gc.product_rows *. f);

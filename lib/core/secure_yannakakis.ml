@@ -412,7 +412,7 @@ let estimate_and_gates ctx (q : Query.t) =
     if Party.equal (owner left) (owner right) then 0
     else
       let bins = Cuckoo_hash.n_bins_for (card left) in
-      bins * (Psi.cmp_bits ctx - 1 + Psi.index_bits (card right + bins))
+      bins * (Psi.cmp_bits - 1 + Psi.index_bits (card right + bins))
   in
   let semijoin ~left ~right =
     let nonzero_chain = if clear right then 0 else card right * (shared_word + 2) in

@@ -1,5 +1,7 @@
-(** Shared state for one protocol execution: the annotation ring, security
-    parameters, the accounting ledger, and each party's randomness.
+(** Shared state for one protocol execution: the annotation ring, the
+    accounting ledger, the current span label and protocol phase, and
+    each party's randomness. The security parameters are the constants
+    [Cost_model.kappa] and [Cost_model.sigma].
 
     The [dealer] stream realizes the trusted-dealer substitution described
     in DESIGN.md: correlated randomness (OT correlations, OPRF keys, fresh
@@ -13,8 +15,6 @@ type gc_backend =
 
 type t = {
   ring : Zn.t;
-  kappa : int;        (** computational security parameter (bits) *)
-  sigma : int;        (** statistical security parameter (bits) *)
   gc_backend : gc_backend;
   pool : Domain_pool.t Lazy.t;
       (** the work pool, made on first batch: [create]'s [domains]
@@ -116,7 +116,7 @@ let tally_of_counters (counters : int array) : Comm.tally =
 
 let tally t = tally_of_counters t.counters
 
-let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
+let create ?(bits = 32) ?(gc_backend = Sim)
     ?(domains = 1) ?transport ?checkpoint
     ?cancel ?hang_timeout_s ~seed () =
   let domains = max 1 domains in
@@ -125,8 +125,6 @@ let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
   let t =
     {
       ring = Zn.create bits;
-      kappa;
-      sigma;
       gc_backend;
       pool = lazy (Domain_pool.create ?hang_timeout_s domains);
       prg_alice = Prg.split master;

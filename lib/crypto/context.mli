@@ -1,7 +1,9 @@
-(** Shared state of one protocol execution: annotation ring, security
-    parameters, the accounting ledger, and each party's randomness (plus
-    the trusted-dealer stream realizing the correlated-randomness
-    substitutions of DESIGN.md §2). *)
+(** Shared state of one protocol execution: annotation ring, the
+    accounting ledger, the current span label and protocol phase, and
+    each party's randomness (plus the trusted-dealer stream realizing the
+    correlated-randomness substitutions of DESIGN.md §2). The security
+    parameters are the constants {!Cost_model.kappa} and
+    {!Cost_model.sigma}. *)
 
 type gc_backend =
   | Real  (** actually garble and evaluate circuits (tests, small benches) *)
@@ -9,8 +11,6 @@ type gc_backend =
 
 type t = {
   ring : Zn.t;
-  kappa : int;        (** computational security parameter (bits) *)
-  sigma : int;        (** statistical security parameter (bits) *)
   gc_backend : gc_backend;
   pool : Domain_pool.t Lazy.t;
       (** the work pool, made on first batch: [create]'s [domains]
@@ -51,7 +51,7 @@ type t = {
 }
 
 (** Defaults match the paper's evaluation: bits = 32 annotation ring,
-    kappa = 128, sigma = 40, simulated GC backend,
+    simulated GC backend,
     [domains = 1] (fully sequential). [domains > 1] parallelizes the GC
     batch entry points with bit-identical results, communication, and
     rounds (see DESIGN.md §9). [transport] attaches a real framed channel
@@ -74,7 +74,7 @@ type t = {
     token and a watched pool are observationally identical to the
     defaults. *)
 val create :
-  ?bits:int -> ?kappa:int -> ?sigma:int -> ?gc_backend:gc_backend ->
+  ?bits:int -> ?gc_backend:gc_backend ->
   ?domains:int -> ?transport:Secyan_net.Resilient.t ->
   ?checkpoint:Checkpoint.sink -> ?cancel:Secyan_deadline.t ->
   ?hang_timeout_s:float -> seed:int64 -> unit -> t

@@ -124,7 +124,6 @@ let circuit ctx ~inputs ~build = (build_circuit ctx ~inputs ~build).circuit
    garbled tables, garbler input labels, evaluator input OTs. Rounds are
    bumped separately, once per batch. *)
 let account_executions ctx (bc : built) (shape : input list) ~times =
-  let kappa = ctx.Context.kappa in
   let ring_bits = Context.ring_bits ctx in
   let n_bob_inputs =
     List.fold_left
@@ -142,9 +141,9 @@ let account_executions ctx (bc : built) (shape : input list) ~times =
   Context.send ctx ~from:Party.Alice
     ~bits:
       (times
-      * ((Boolean_circuit.and_count bc.circuit * Cost_model.and_gate_bits ~kappa)
-        + (n_alice_inputs * Cost_model.garbler_input_bits ~kappa)));
-  let recv_bits, send_bits = Cost_model.evaluator_input_ot ~kappa in
+      * ((Boolean_circuit.and_count bc.circuit * Cost_model.and_gate_bits)
+        + (n_alice_inputs * Cost_model.garbler_input_bits)));
+  let recv_bits, send_bits = Cost_model.evaluator_input_ot in
   Context.send ctx ~from:Party.Bob ~bits:(times * n_bob_inputs * recv_bits);
   Context.send ctx ~from:Party.Alice ~bits:(times * n_bob_inputs * send_bits)
 
@@ -218,12 +217,11 @@ let b2a ctx (item : item) (bits : bool_share array) : Secret_share.t =
    [bc], per the ABY OT-based construction: the openings of a whole batch
    travel in one message each way (rounds bumped by the caller). *)
 let account_b2a ctx (bc : built) ~times =
-  let kappa = ctx.Context.kappa in
   let widths = bc.output_widths in
   let ots = times * List.fold_left ( + ) 0 widths in
   let half_bits =
     times
-    * List.fold_left (fun acc w -> acc + (Cost_model.b2a_word_bits ~kappa ~bits:w / 2)) 0 widths
+    * List.fold_left (fun acc w -> acc + (Cost_model.b2a_word_bits ~bits:w / 2)) 0 widths
   in
   if ots <> 0 then Context.bump ctx Trace_sink.Ots ots;
   Context.bump ctx Trace_sink.B2a_words (times * List.length widths);

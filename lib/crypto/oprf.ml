@@ -21,10 +21,10 @@ let batch ctx ~sender ~out_bits ~(programming : (int64 * int64) list array)
          (Array.length queries) n_bins);
   Context.with_span ctx "oprf:batch" @@ fun () ->
   let receiver = Party.other sender in
-  let per_bin = Cost_model.opprf_bin_bits ~kappa:ctx.Context.kappa ~sigma:ctx.Context.sigma in
+  let per_bin = Cost_model.opprf_bin_bits in
   (* receiver's OPRF evaluations (OT-extension traffic), then the sender's
      programmed hints *)
-  Context.send ctx ~from:receiver ~bits:(n_bins * ctx.Context.kappa);
+  Context.send ctx ~from:receiver ~bits:(n_bins * Cost_model.kappa);
   Context.send ctx ~from:sender ~bits:(n_bins * per_bin);
   Context.bump_rounds ctx 2;
   let instance_key = Prg.next_int64 ctx.Context.dealer in

@@ -71,7 +71,7 @@ let extend ctx ~sender ~(messages : (block * block) array) ~(choices : bool arra
   Context.with_span ctx "ot:extend" @@ fun () ->
   Context.bump ctx Trace_sink.Ots m;
   let receiver = Party.other sender in
-  let kappa = 128 in
+  let kappa = Cost_model.kappa in
   let recv_prg = Context.prg_of ctx receiver in
   (* receiver's random matrix T, one column per base OT *)
   let t_cols = Array.init kappa (fun _ -> column_random recv_prg m) in

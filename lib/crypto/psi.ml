@@ -37,7 +37,7 @@ type result = {
 
 (** Comparison width for the OPPRF targets: sigma bits of statistical
     security plus slack for the number of comparisons. *)
-let cmp_bits ctx = min 58 (ctx.Context.sigma + 16)
+let cmp_bits = min 58 (Cost_model.sigma + 16)
 
 (** Width of the index words over [total] = N + B positions. *)
 let index_bits total =
@@ -103,7 +103,7 @@ let with_shared_payloads ctx ~receiver ~alice_set ~bob_set ~bob_payload_shares :
     Array.init total (fun j -> if j < n then bob_payload_shares.(j) else Secret_share.zero)
   in
   let z' = Oep.permute_shared ctx ~holder:sender ~xi:xi1 ~m:total extended in
-  let cmp = cmp_bits ctx in
+  let cmp = cmp_bits in
   let bob_bins = Cuckoo_hash.simple_hash table.Cuckoo_hash.keys bob_set in
   let targets = Array.init b (fun _ -> Prg.bits sender_prg cmp) in
   let masks = Array.init b (fun _ -> Prg.bits sender_prg index_bits) in

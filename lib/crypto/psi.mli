@@ -17,7 +17,7 @@ type result = {
 }
 
 (** Comparison width of the OPPRF targets (sigma plus slack). *)
-val cmp_bits : Context.t -> int
+val cmp_bits : int
 
 (** The width of the index words over [total] = N + B positions (sender
     elements plus cuckoo bins): ceil(log2 total), at least 1. *)

@@ -133,7 +133,7 @@ let mul_batch ctx xs ys =
     let ring = ctx.Context.ring in
     let l = Zn.bits ring in
     let choice_bits, correction_bits =
-      Cost_model.ot_product_bits ~kappa:ctx.Context.kappa ~bits:l
+      Cost_model.ot_product_bits ~bits:l
     in
     Context.bump ctx Trace_sink.Ots (2 * m * l);
     Context.send ctx ~from:Party.Alice ~bits:(m * choice_bits);

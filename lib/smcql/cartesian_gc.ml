@@ -122,7 +122,7 @@ let row_and_gates (q : Secyan.Query.t) =
 (** Default calibration: measured on this machine by [calibrate]. *)
 let default_seconds_per_and = 1.2e-6
 
-let estimate ?(seconds_per_and = default_seconds_per_and) ~kappa (q : Secyan.Query.t) : estimate =
+let estimate ?(seconds_per_and = default_seconds_per_and) (q : Secyan.Query.t) : estimate =
   let sizes =
     List.map
       (fun (_, (i : Secyan.Query.input)) ->
@@ -132,7 +132,7 @@ let estimate ?(seconds_per_and = default_seconds_per_and) ~kappa (q : Secyan.Que
   let product_rows = List.fold_left ( *. ) 1. sizes in
   let and_gates_per_row = row_and_gates q in
   let total_and_gates = product_rows *. float_of_int and_gates_per_row in
-  let comm_bytes = total_and_gates *. float_of_int (2 * kappa) /. 8. in
+  let comm_bytes = total_and_gates *. float_of_int Cost_model.and_gate_bits /. 8. in
   { product_rows; and_gates_per_row; total_and_gates;
     comm_bytes; seconds = total_and_gates *. seconds_per_and }
 

@@ -21,7 +21,7 @@ type estimate = {
 val default_seconds_per_and : float
 
 (** Exact-gate-count cost estimate, the extrapolation the figures plot. *)
-val estimate : ?seconds_per_and:float -> kappa:int -> Secyan.Query.t -> estimate
+val estimate : ?seconds_per_and:float -> Secyan.Query.t -> estimate
 
 type measurement = {
   rows_run : int;

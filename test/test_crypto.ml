@@ -183,7 +183,7 @@ let mul_batch_matches_zn =
 
 let test_mul_batch_cost_model () =
   Alcotest.(check (pair int int)) "52-bit product, kappa 128" (6656, 1378)
-    (Cost_model.ot_product_bits ~kappa:128 ~bits:52);
+    (Cost_model.ot_product_bits ~bits:52);
   Alcotest.check_raises "length mismatch"
     (Invalid_argument "Secret_share.mul_batch: 1 left operands, 0 right") (fun () ->
       ignore (Secret_share.mul_batch (ctx_sim ()) [| Secret_share.zero |] [||]))

@@ -199,7 +199,7 @@ let test_and_gates_within_traffic () =
   (* every garbled AND gate costs and_gate_bits from the garbler (Alice in
      our convention), so the garbled-table traffic is a lower bound on the
      A->B direction *)
-  let table_bits = Span.counter root Trace_sink.And_gates * Cost_model.and_gate_bits ~kappa:128 in
+  let table_bits = Span.counter root Trace_sink.And_gates * Cost_model.and_gate_bits in
   Alcotest.(check bool) "AND-gate tables fit in A->B traffic" true
     (table_bits <= stats.Secyan.Secure_yannakakis.tally.Comm.alice_to_bob_bits)
 
@@ -217,7 +217,7 @@ let test_oep_counter_exact () =
   Alcotest.(check int) "switch counter exact" expected_switches
     (Span.counter root Trace_sink.Oep_switches);
   let per_switch =
-    Cost_model.oep_switch_bits ~kappa:ctx.Context.kappa ~bits:(Context.ring_bits ctx)
+    Cost_model.oep_switch_bits ~bits:(Context.ring_bits ctx)
   in
   Alcotest.(check int) "OEP bits = switches x per-switch cost"
     (expected_switches * per_switch)

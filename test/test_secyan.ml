@@ -252,7 +252,7 @@ let test_circuit_digests () =
   let index_bits = 9 in
   let psi_bin =
     let priv owner bits = Gc_protocol.Priv { owner; value = 0L; bits } in
-    let cmp = Psi.cmp_bits ctx in
+    let cmp = Psi.cmp_bits in
     Gc_protocol.circuit ctx ~build:Psi.index_bin
       ~inputs:
         [ priv Party.Alice cmp; priv Party.Alice index_bits; priv Party.Bob cmp;

@@ -42,7 +42,7 @@ let test_baseline_real_backend () =
 
 let test_estimate_scales_with_product () =
   let q = small_query () in
-  let e = Cartesian_gc.estimate ~kappa:128 q in
+  let e = Cartesian_gc.estimate q in
   Alcotest.(check bool) "6 product rows" true (e.Cartesian_gc.product_rows = 6.);
   Alcotest.(check bool) "per-row gates positive" true (e.Cartesian_gc.and_gates_per_row > 0);
   Alcotest.(check bool) "total = rows x per-row" true
@@ -60,7 +60,7 @@ let test_estimate_scales_with_product () =
           ("R2", (List.assoc "R2" q.Secyan.Query.inputs));
         ]
   in
-  let e2 = Cartesian_gc.estimate ~kappa:128 q2 in
+  let e2 = Cartesian_gc.estimate q2 in
   Alcotest.(check bool) "2x rows -> 2x gates" true
     (e2.Cartesian_gc.total_and_gates = 2. *. e.Cartesian_gc.total_and_gates)
 
@@ -70,7 +70,7 @@ let test_measured_comm_matches_estimate_order () =
   let ctx = Context.create ~gc_backend:Context.Sim ~seed:4L () in
   let q = small_query () in
   let m = Cartesian_gc.run_small ctx q ~max_rows:1000 in
-  let e = Cartesian_gc.estimate ~kappa:128 q in
+  let e = Cartesian_gc.estimate q in
   let measured = float_of_int (Comm.total_bytes m.Cartesian_gc.tally) in
   Alcotest.(check bool) "same order of magnitude" true
     (measured > e.Cartesian_gc.comm_bytes *. 0.5 && measured < e.Cartesian_gc.comm_bytes *. 10.)
