@@ -108,17 +108,8 @@ let lazily register =
 (* 2^-20 .. 2^30: spans ~1 microsecond to ~18 minutes when observing
    seconds, and 1 .. 10^9 when observing counts, rates, or bytes. 51
    buckets * 16 stripes * one word is ~6 KB per histogram — cheap. *)
-let default_buckets () = Array.init 51 (fun i -> Float.pow 2. (float_of_int (i - 20)))
-
-let histogram ?buckets ~help name =
-  let upper = match buckets with Some b -> Array.copy b | None -> default_buckets () in
-  Array.iteri
-    (fun i b ->
-      if i > 0 && not (b > upper.(i - 1)) then
-        invalid_arg
-          (Printf.sprintf "Secyan_metrics.histogram %S: buckets must be strictly increasing"
-             name))
-    upper;
+let histogram ~help name =
+  let upper = Array.init 51 (fun i -> Float.pow 2. (float_of_int (i - 20))) in
   let m =
     intern name
       (fun () ->

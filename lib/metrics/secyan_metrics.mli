@@ -43,13 +43,11 @@ val gauge : help:string -> string -> gauge
 (** [set g v] stores [v] when metrics are enabled (last writer wins). *)
 val set : gauge -> float -> unit
 
-(** [histogram ?buckets ~help name] interns a fixed-bucket histogram.
-    [buckets] is the strictly increasing array of upper bounds (an
-    implicit +Inf bucket is appended); defaults to powers of two from
-    2^-20 to 2^30, which covers microseconds-to-minutes latencies, item
-    counts, and byte sizes alike.
-    @raise Invalid_argument on non-increasing bounds. *)
-val histogram : ?buckets:float array -> help:string -> string -> histogram
+(** [histogram ~help name] interns a fixed-bucket histogram whose upper
+    bounds are the powers of two from 2^-20 to 2^30 (plus an implicit
+    +Inf bucket), which covers microseconds-to-minutes latencies, item
+    counts, and byte sizes alike. *)
+val histogram : help:string -> string -> histogram
 
 (** [lazily register] defers [register] (a [counter], [gauge] or
     [histogram] call) to its first use, like [lazy], but may be forced
@@ -61,8 +59,6 @@ val lazily : (unit -> 'a) -> unit -> 'a
 
 (** [observe h v] records one observation when metrics are enabled. *)
 val observe : histogram -> float -> unit
-
-val default_buckets : unit -> float array
 
 (** {1 Reading} *)
 

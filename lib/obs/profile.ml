@@ -100,13 +100,10 @@ let labelled_gauge ~help name labels =
 (** Publish one pool's per-domain timelines as labelled gauges
     ([secyan_domain_busy_seconds{domain="0"}], ...). Call after the runs
     of interest; gauges overwrite on re-publish. *)
-let publish_pool_timelines ?(labels = "") pool =
+let publish_pool_timelines pool =
   List.iter
     (fun (tl : Domain_pool.timeline_snapshot) ->
-      let l =
-        if labels = "" then Printf.sprintf "domain=\"%d\"" tl.Domain_pool.domain
-        else Printf.sprintf "domain=\"%d\",%s" tl.Domain_pool.domain labels
-      in
+      let l = Printf.sprintf "domain=\"%d\"" tl.Domain_pool.domain in
       let g name help v = Secyan_metrics.set (labelled_gauge ~help name l) v in
       g "secyan_domain_busy_seconds" "seconds spent running batch items"
         (tl.Domain_pool.busy_ns *. 1e-9);

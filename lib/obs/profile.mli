@@ -31,9 +31,8 @@ val attach_gc_sampler : Context.t -> gc_sampler
 val detach_gc_sampler : gc_sampler -> gc_phase list
 
 (** Publish per-domain pool timelines as labelled gauges
-    ([secyan_domain_busy_seconds{domain="0"}], ...). [labels] appends
-    extra Prometheus labels (e.g. [{|pool="4"|}]). *)
-val publish_pool_timelines : ?labels:string -> Domain_pool.t -> unit
+    ([secyan_domain_busy_seconds{domain="0"}], ...). *)
+val publish_pool_timelines : Domain_pool.t -> unit
 
 (** Publish GC phase samples as labelled gauges
     ([secyan_gc_phase_minor_words{phase="phase:reduce"}], ...). *)

@@ -21,7 +21,6 @@ type t = {
   total : int option;  (** estimated total AND gates, when known *)
   render : bool;
   heartbeat : out_channel option;
-  interval : float;
   started : float;
   mutable done_gates : int;
   mutable phase : string;
@@ -87,9 +86,12 @@ let heartbeat_line t oc =
   output_char oc '\n';
   flush oc
 
+(* Seconds between unforced refreshes. *)
+let interval = 0.2
+
 let tick t ~force =
   let now = Unix.gettimeofday () in
-  if force || now -. t.last_tick >= t.interval then begin
+  if force || now -. t.last_tick >= interval then begin
     t.last_tick <- now;
     if t.render then render_line t ~final:false;
     Option.iter (heartbeat_line t) t.heartbeat
@@ -98,7 +100,7 @@ let tick t ~force =
 (** Start reporting on [ctx]. [total] is the estimated AND-gate total
     (omit for a gate counter without percentage/ETA); [render] controls
     the stderr line; [heartbeat] receives one JSONL object per refresh. *)
-let attach ?total ?(interval = 0.2) ?(render = true) ?heartbeat ctx =
+let attach ?total ?(render = true) ?heartbeat ctx =
   let prev = ctx.Context.sink in
   let t =
     {
@@ -107,7 +109,6 @@ let attach ?total ?(interval = 0.2) ?(render = true) ?heartbeat ctx =
       total;
       render;
       heartbeat;
-      interval;
       started = Unix.gettimeofday ();
       done_gates = 0;
       phase = "setup";

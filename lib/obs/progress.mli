@@ -10,13 +10,13 @@ type t
 
 (** Start reporting on [ctx]. [total] is the estimated AND-gate total
     from [Secure_yannakakis.estimate_and_gates] (omit for a plain gate
-    counter without percentage/ETA); [interval] throttles refreshes
-    (seconds, default 0.2); [render] controls the stderr line (default
-    true); [heartbeat] receives one JSONL object per refresh. Attach
+    counter without percentage/ETA); refreshes are throttled to one per
+    0.2 s, plus one at every phase boundary; [render] controls the
+    stderr line (default true); [heartbeat] receives one JSONL object per
+    refresh. Attach
     after a tracer; detach in reverse order. *)
 val attach :
   ?total:int ->
-  ?interval:float ->
   ?render:bool ->
   ?heartbeat:out_channel ->
   Context.t ->

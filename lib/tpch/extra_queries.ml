@@ -22,14 +22,13 @@ let ring_bits = Queries.ring_bits
 (* --- Q1: pricing summary (single relation) -------------------------- *)
 
 (** Q1 (restricted to one aggregate): sum of revenue per
-    (l_returnflag) for lineitems shipped before the cutoff. A
+    (l_returnflag) for lineitems shipped before 1998-09-02. A
     single-relation query: the join tree is one node, the protocol is
     reduce + reveal. *)
-let q1 ?(cutoff = Value.date ~year:1998 ~month:9 ~day:2) (d : Datagen.dataset) :
-    Secyan.Query.t =
+let q1 (d : Datagen.dataset) : Secyan.Query.t =
   let lineitem =
     Queries.shape d.Datagen.lineitem ~name:"lineitem" ~attrs:[ "l_returnflag" ]
-      ~keep:(Queries.date_lt "l_shipdate" cutoff)
+      ~keep:(Queries.date_lt "l_shipdate" (Value.date ~year:1998 ~month:9 ~day:2))
       ~annot:Queries.revenue ()
   in
   Secyan.Query.prepare ~name:"Q1" ~semiring ~output:[ "l_returnflag" ]
@@ -37,17 +36,13 @@ let q1 ?(cutoff = Value.date ~year:1998 ~month:9 ~day:2) (d : Datagen.dataset) :
 
 (* --- Q4: order priority checking (EXISTS subquery) ------------------- *)
 
-(** Q4: count orders placed in a quarter that have at least one lineitem
-    received after its commit date, per order priority. The EXISTS
-    subquery becomes a padded distinct-orderkey relation computed locally
-    by lineitem's owner (cf. Q18). *)
-let q4 ?(quarter_start = Value.date ~year:1993 ~month:7 ~day:1) (d : Datagen.dataset) :
-    Secyan.Query.t =
-  let quarter_end =
-    match quarter_start with
-    | Value.Date days -> Value.Date (days + 92)
-    | _ -> invalid_arg "q4: quarter_start must be a date"
-  in
+(** Q4: count orders placed in the quarter from 1993-07-01 that have at
+    least one lineitem received after its commit date, per order
+    priority. The EXISTS subquery becomes a padded distinct-orderkey
+    relation computed locally by lineitem's owner (cf. Q18). *)
+let q4 (d : Datagen.dataset) : Secyan.Query.t =
+  let quarter_start = Value.date ~year:1993 ~month:7 ~day:1 in
+  let quarter_end = Value.date ~year:1993 ~month:10 ~day:1 in
   (* our generator has no commit/receipt dates; late delivery is modelled
      as shipdate more than 60 days after the order date, which only the
      lineitem owner needs to evaluate *)
@@ -103,13 +98,11 @@ let q4 ?(quarter_start = Value.date ~year:1993 ~month:7 ~day:1) (d : Datagen.dat
 
 (* --- Q14: promo revenue (composition) -------------------------------- *)
 
-(* inner query shared by both aggregates: lineitem x part in a month *)
-let q14_inner (d : Datagen.dataset) ~promo_only ~month_start : Secyan.Query.t =
-  let month_end =
-    match month_start with
-    | Value.Date days -> Value.Date (days + 30)
-    | _ -> invalid_arg "q14: month_start must be a date"
-  in
+(* inner query shared by both aggregates: lineitem x part shipped in
+   September 1995 *)
+let q14_inner (d : Datagen.dataset) ~promo_only : Secyan.Query.t =
+  let month_start = Value.date ~year:1995 ~month:9 ~day:1 in
+  let month_end = Value.date ~year:1995 ~month:10 ~day:1 in
   let lineitem =
     Queries.shape d.Datagen.lineitem ~name:"lineitem" ~attrs:[ "partkey" ]
       ~keep:(fun s t ->
@@ -145,8 +138,7 @@ type q14_result = {
 
 (** Composed Q14: two scalar aggregates with shared outputs, one division
     circuit revealing only the ratio. *)
-let run_q14 ?(month_start = Value.date ~year:1995 ~month:9 ~day:1) ctx (d : Datagen.dataset)
-    : q14_result =
+let run_q14 ctx (d : Datagen.dataset) : q14_result =
   let share, seconds, tally =
     Trace.measure ctx @@ fun () ->
     let scalar_share q =
@@ -156,23 +148,22 @@ let run_q14 ?(month_start = Value.date ~year:1995 ~month:9 ~day:1) ctx (d : Data
       | [||] -> Secret_share.zero
       | _ -> invalid_arg "q14: scalar aggregate expected"
     in
-    let promo = scalar_share (q14_inner d ~promo_only:true ~month_start) in
-    let total = scalar_share (q14_inner d ~promo_only:false ~month_start) in
+    let promo = scalar_share (q14_inner d ~promo_only:true) in
+    let total = scalar_share (q14_inner d ~promo_only:false) in
     Secyan.Composition.reveal_ratio ctx ~to_:Party.Alice ~scale:1000L ~num:promo ~den:total ()
   in
   { promo_share_millis = share; tally; seconds }
 
 (** Plaintext reference for Q14. *)
-let q14_plaintext ?(month_start = Value.date ~year:1995 ~month:9 ~day:1)
-    (d : Datagen.dataset) : int64 =
+let q14_plaintext (d : Datagen.dataset) : int64 =
   let total_of q =
     match Relation.nonzero (Secyan.Query.plaintext q) with
     | [ (_, v) ] -> v
     | [] -> 0L
     | _ -> invalid_arg "q14_plaintext: scalar expected"
   in
-  let promo = total_of (q14_inner d ~promo_only:true ~month_start) in
-  let total = total_of (q14_inner d ~promo_only:false ~month_start) in
+  let promo = total_of (q14_inner d ~promo_only:true) in
+  let total = total_of (q14_inner d ~promo_only:false) in
   if Int64.equal total 0L then 0L else Int64.div (Int64.mul promo 1000L) total
 
 let _ = ring_bits

@@ -4,19 +4,19 @@
     composition like Q8). *)
 
 open Secyan_crypto
-open Secyan_relational
 
 (** Q1 restricted to one aggregate: revenue per return flag for lineitems
-    shipped before [cutoff]. *)
-val q1 : ?cutoff:Value.t -> Datagen.dataset -> Secyan.Query.t
+    shipped before 1998-09-02. *)
+val q1 : Datagen.dataset -> Secyan.Query.t
 
-(** Q4: orders of one quarter with at least one late lineitem, counted
-    per ship priority; the EXISTS subquery is computed locally by the
-    lineitem owner and padded to |lineitem|. *)
-val q4 : ?quarter_start:Value.t -> Datagen.dataset -> Secyan.Query.t
+(** Q4: orders of the quarter from 1993-07-01 with at least one late
+    lineitem, counted per ship priority; the EXISTS subquery is computed
+    locally by the lineitem owner and padded to |lineitem|. *)
+val q4 : Datagen.dataset -> Secyan.Query.t
 
-val q14_inner :
-  Datagen.dataset -> promo_only:bool -> month_start:Value.t -> Secyan.Query.t
+(** Q14's inner query over September 1995: revenue of lineitem x part,
+    of promo parts only when [promo_only]. *)
+val q14_inner : Datagen.dataset -> promo_only:bool -> Secyan.Query.t
 
 type q14_result = {
   promo_share_millis : int64;  (** promo revenue / total revenue x 1000 *)
@@ -26,6 +26,6 @@ type q14_result = {
 
 (** Composed Q14: two scalar aggregates with shared outputs, one division
     circuit revealing only the ratio. *)
-val run_q14 : ?month_start:Value.t -> Context.t -> Datagen.dataset -> q14_result
+val run_q14 : Context.t -> Datagen.dataset -> q14_result
 
-val q14_plaintext : ?month_start:Value.t -> Datagen.dataset -> int64
+val q14_plaintext : Datagen.dataset -> int64

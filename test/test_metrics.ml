@@ -334,7 +334,7 @@ let test_progress_heartbeats () =
   let ctx = Context.create ~seed () in
   let file = Filename.temp_file "secyan_hb" ".jsonl" in
   let oc = open_out file in
-  let t = Progress.attach ~total:1000 ~interval:0. ~render:false ~heartbeat:oc ctx in
+  let t = Progress.attach ~total:1000 ~render:false ~heartbeat:oc ctx in
   Context.with_span ctx "phase:reduce" (fun () ->
       Context.bump ctx Trace_sink.And_gates 250;
       Context.bump ctx Trace_sink.And_gates 250);
