@@ -352,12 +352,6 @@ let print_cost (tally : Comm.tally) seconds =
     (Comm.total_megabytes tally) tally.Comm.alice_to_bob_bits tally.Comm.bob_to_alice_bits
     tally.Comm.rounds
 
-let content output (r : Relation.t) =
-  Relation.nonzero r
-  |> List.filter (fun (t, _) -> not (Tuple.is_dummy t))
-  |> List.map (fun (t, a) -> (Tuple.repr (Tuple.project r.Relation.schema output t), a))
-  |> List.sort compare
-
 (* Print the verdict of a plaintext cross-check; its exit code. *)
 let verdict ?(ordered = false) ok =
   Fmt.pr "verify vs plaintext%s: %s@." (if ordered then " (ordered)" else "")
@@ -374,7 +368,7 @@ let verify_query (q : Secyan.Query.t) revealed =
     (if ordered then
        List.map (fun (t, a) -> (Tuple.repr t, a)) (Secyan.Query.ordered_rows q expected)
        = List.map (fun (t, a) -> (Tuple.repr t, a)) (Relation.nonzero revealed)
-     else content q.Secyan.Query.output expected = content q.Secyan.Query.output revealed)
+     else Secyan_fuzz.Oracle.content q expected = Secyan_fuzz.Oracle.content q revealed)
 
 (* Validate the checkpoint flags and build the sink. Compositions (q8,
    q9) run several protocol executions over one context, so a single

@@ -140,18 +140,6 @@ end
 let magic = "SYCP"
 let version = 2
 
-(* magic + version + crc + the three str length prefixes + epoch + payload
-   length: everything in the envelope except the string bodies. *)
-let envelope_overhead ~fingerprint ~session ~label =
-  4 + 1 + 4 + (4 + String.length fingerprint) + (4 + String.length session) + 4
-  + (4 + String.length label) + 4
-
-(** Exact file size of a checkpoint whose payload will be [payload_len]
-    bytes — computable before the payload is serialized, so byte-level
-    accounting can be folded into the payload itself. *)
-let file_size ~fingerprint ~session ~label ~payload_len =
-  envelope_overhead ~fingerprint ~session ~label + payload_len
-
 let encode ~fingerprint ~session ~epoch ~label (payload : Bytes.t) : Bytes.t =
   let body = Writer.create () in
   Writer.str body fingerprint;
@@ -289,12 +277,6 @@ let sink ?session ~dir () =
 (** Next epoch to be written (also the count of the logical snapshot
     stream so far). *)
 let next_epoch t = t.next_epoch
-
-(** Predict the on-disk size of the next emission given its label and
-    payload length — exact, so the emitter can account the write inside
-    the payload it is about to serialize. *)
-let predict_size t ~fingerprint ~label ~payload_len =
-  file_size ~fingerprint ~session:t.session ~label ~payload_len
 
 (** Emit one snapshot: encode, write to a temp file in [dir], atomically
     rename over the epoch's filename (a stale file from a crashed run is

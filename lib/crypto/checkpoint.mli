@@ -71,12 +71,6 @@ val encode :
 (** Decode and validate one envelope blob. @raise Checkpoint_error *)
 val decode : path:string -> Bytes.t -> loaded
 
-(** Exact on-disk size of a checkpoint with the given header strings and
-    payload length — computable {e before} serializing the payload, so
-    byte accounting can be folded into the payload itself. *)
-val file_size :
-  fingerprint:string -> session:string -> label:string -> payload_len:int -> int
-
 (** Read and validate one checkpoint file. @raise Checkpoint_error *)
 val read_file : string -> loaded
 
@@ -111,10 +105,6 @@ val sink : ?session:string -> dir:string -> unit -> sink
 
 (** Next epoch to be written. *)
 val next_epoch : sink -> int
-
-(** Exact on-disk size the next {!emit} on this sink will produce for a
-    payload of [payload_len] bytes. *)
-val predict_size : sink -> fingerprint:string -> label:string -> payload_len:int -> int
 
 (** Emit one snapshot: encode, write to a temp file, atomically rename to
     the epoch's filename (replacing any stale file from a crashed run),

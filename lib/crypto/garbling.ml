@@ -47,8 +47,6 @@ module Label = struct
   let hash_aes t ~tweak =
     let hi, lo = Aes128.label_hash ~tweak (t.hi, t.lo) in
     { hi; lo }
-
-  let cond_xor cond a b = if cond then xor a b else a
 end
 
 (** Key-derivation function used for garbled rows. *)

@@ -34,8 +34,6 @@ module Label : sig
 
   (** Fixed-key AES-128 key derivation (faster; standard MPC practice). *)
   val hash_aes : t -> tweak:int64 -> t
-
-  val cond_xor : bool -> t -> t -> t
 end
 
 (** Key-derivation function used for garbled rows. The default throughout

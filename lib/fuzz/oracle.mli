@@ -13,8 +13,8 @@ val check : Gen.instance -> outcome
 
 (** Canonical revealed content of a query result — non-dummy,
     nonzero-annotated rows projected onto the output schema, sorted —
-    the comparison key every executor (and the peer-fuzzing oracle) is
-    held to. *)
+    the comparison key every executor (and the peer-fuzzing oracle and
+    the CLI's [--verify]) is held to. *)
 val content :
   Secyan.Query.t -> Secyan_relational.Relation.t -> (string * int64) list
 
