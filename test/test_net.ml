@@ -288,7 +288,20 @@ let test_backoff_jitter_reproducible () =
   Alcotest.(check (list (float 0.))) "same seed: sleeps bit-identical" a
     (record_backoffs ~seed:7L);
   Alcotest.(check bool) "different seed: sleeps desynchronized" true
-    (a <> record_backoffs ~seed:8L)
+    (a <> record_backoffs ~seed:8L);
+  (* pinned: the splitmix64 hash behind the jitter *)
+  List.iter
+    (fun (seed, seq, attempt, want) ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "jitter_frac %Ld %Ld %d" seed seq attempt)
+        want
+        (Resilient.jitter_frac ~seed ~seq ~attempt))
+    [
+      (0L, 0L, 0, 0x1.1c13ade1c7e5cp-3);
+      (1L, 2L, 3, 0x1.ac54fedc523fdp-1);
+      (0x5EC7A11L, 17L, 1, 0x1.0ed83c22e7eap-4);
+      (-1L, 1000L, 7, 0x1.eb9dc4d8b44d8p-4);
+    ]
 
 let test_bad_config_rejected () =
   Alcotest.(check bool) "max_attempts 0 rejected" true
