@@ -1,26 +1,19 @@
 (** Deterministic pseudo-random generator.
 
-    A splitmix64 stream seeds an xoshiro256** state; the combination is the
+    A splitmix64 stream ([Secyan_net.Rng], the one splitmix64 in the
+    code base) seeds an xoshiro256** state; the combination is the
     standard recipe recommended by the xoshiro authors. Every source of
     randomness in the library flows through a [Prg.t] so that protocol runs
     are reproducible from a single seed. *)
 
 type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
 
-let splitmix64 state =
-  let open Int64 in
-  state := add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
 let create seed =
-  let state = ref seed in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
+  let sm = Secyan_net.Rng.create seed in
+  let s0 = Secyan_net.Rng.next sm in
+  let s1 = Secyan_net.Rng.next sm in
+  let s2 = Secyan_net.Rng.next sm in
+  let s3 = Secyan_net.Rng.next sm in
   { s0; s1; s2; s3 }
 
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))

@@ -173,18 +173,10 @@ let close t = t.raw.Transport.close ()
    (seed, seq, attempt) instead gives every attempt of every transfer
    its own fraction, reproducible from the seed alone (the determinism
    test pins this) while desynchronizing concurrent retriers. *)
-let splitmix64 x =
-  let x = Int64.add x 0x9E3779B97F4A7C15L in
-  let x = Int64.mul (Int64.logxor x (Int64.shift_right_logical x 30)) 0xBF58476D1CE4E5B9L in
-  let x = Int64.mul (Int64.logxor x (Int64.shift_right_logical x 27)) 0x94D049BB133111EBL in
-  Int64.logxor x (Int64.shift_right_logical x 31)
-
 let jitter_frac ~seed ~seq ~attempt =
-  let h =
-    splitmix64
-      (Int64.logxor seed
-         (splitmix64 (Int64.logxor seq (splitmix64 (Int64.of_int attempt)))))
-  in
+  (* one splitmix64 step from state [x]: a stateless 64-bit hash *)
+  let mix x = Rng.next (Rng.create x) in
+  let h = mix (Int64.logxor seed (mix (Int64.logxor seq (mix (Int64.of_int attempt))))) in
   (* top 53 bits -> [0, 1) exactly representable in a float *)
   Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.
 

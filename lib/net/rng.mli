@@ -1,6 +1,8 @@
 (** Minimal splitmix64 generator for transport-internal randomness
     (fault-schedule layout, corruption positions, backoff jitter) —
-    deliberately independent of the protocol's randomness. *)
+    deliberately independent of the protocol's randomness. Also the
+    seeding stream of [Prg.create] and the hash of
+    [Resilient.jitter_frac]: the code base's one splitmix64. *)
 
 type t
 
