@@ -67,7 +67,7 @@ let bump t counter n =
 
    Each payload travels inside a typed [Envelope] tagged with the message
    kind the innermost span label implies — checked against the current
-   phase's legality before anything crosses the wire, so traffic the receive path
+   phase before anything crosses the wire, so traffic the receive path
    would reject as out-of-phase is caught at the source — and chunked at
    [Envelope.max_body] so no single frame exceeds the receive-side
    acceptance cap. The delivered payload is validated against the phase

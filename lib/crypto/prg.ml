@@ -1,10 +1,9 @@
 (** Deterministic pseudo-random generator.
 
-    A splitmix64 stream ([Secyan_net.Rng], the one splitmix64 in the
-    code base) seeds an xoshiro256** state; the combination is the
-    standard recipe recommended by the xoshiro authors. Every source of
-    randomness in the library flows through a [Prg.t] so that protocol runs
-    are reproducible from a single seed. *)
+    A splitmix64 stream ([Secyan_net.Rng]) seeds an xoshiro256** state;
+    the combination is the standard recipe recommended by the xoshiro
+    authors. Every source of randomness in the library flows through a
+    [Prg.t] so that protocol runs are reproducible from a single seed. *)
 
 type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
 

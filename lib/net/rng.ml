@@ -1,9 +1,9 @@
-(** Minimal splitmix64 generator, the one splitmix64 in the code base.
-    The net library sits below the crypto library, so it carries its own
-    tiny deterministic source for schedule layout, corruption positions,
-    and backoff jitter — none of which may touch (or depend on) the
-    protocol's randomness. [Prg.create] seeds xoshiro256** from a stream
-    of its own, and [Resilient.jitter_frac] hashes with single steps. *)
+(** Minimal splitmix64 generator. The net library sits below the crypto
+    library, so it carries its own tiny deterministic source for schedule
+    layout, corruption positions, and backoff jitter — none of which may
+    touch (or depend on) the protocol's randomness. [Prg.create] seeds
+    xoshiro256** from a stream of its own, so this is the code base's one
+    splitmix64. *)
 
 type t = { mutable state : int64 }
 
