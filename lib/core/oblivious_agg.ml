@@ -7,7 +7,7 @@
 
     - [Ring] is a segmented sum in arithmetic shares (DESIGN.md §2
       item 11). Each party takes local prefix sums of its aligned shares,
-      and one extended OEP programmed by the owner routes to every
+      and one monotone OEP programmed by the owner routes to every
       position the prefix at the last run end at or before it. One local
       subtraction per position leaves each run's sum at its last position
       and a fresh sharing of zero everywhere else.
@@ -114,11 +114,13 @@ let nonzero_chain semiring ~n b (words : Circuits.word array) =
     (Array.to_list outs)
 
 (* The Ring aggregate as a segmented sum: P = [0; P_0..P_{n-1}] are the
-   local prefix sums of the aligned shares, and output i of the extended
+   local prefix sums of the aligned shares, and output i of the monotone
    OEP is P at 1 + L(i), where L(i) is the last run end at or before i
    (P's leading 0 when there is none). Output i minus output i-1 is then
    P_i - P_{s(i)-1} at a last-of-run position i with run start s(i), and
-   a fresh sharing of 0 elsewhere. The switch count depends on n alone. *)
+   a fresh sharing of 0 elsewhere. The map is non-decreasing by
+   construction whatever the runs are, so it takes the monotone kind and
+   the switch count depends on n alone. *)
 let segmented_sum ctx ~owner equal_next aligned =
   let n = Array.length aligned in
   let prefix = Array.make (n + 1) Secret_share.zero in
@@ -129,7 +131,7 @@ let segmented_sum ctx ~owner equal_next aligned =
         if i = n - 1 || not equal_next.(i) then last_end := i + 1;
         !last_end)
   in
-  let y = Oep.apply_shared ctx ~holder:owner ~xi ~m:(n + 1) prefix in
+  let y = Oep.map_monotone_shared ctx ~holder:owner ~xi ~m:(n + 1) prefix in
   Array.mapi (fun i yi -> if i = 0 then yi else Secret_share.sub ctx yi y.(i - 1)) y
 
 (** Semantically-equivalent pi^plus_attrs(R), owner and size preserved. *)

@@ -1,6 +1,6 @@
 (** Oblivious projection-aggregation (paper §6.1): sort + an aligning
     OEP, then a segmented sum for [Ring] (local prefix sums + one
-    extended OEP) or a garbled circuit of merge gates for the other
+    monotone OEP) or a garbled circuit of merge gates for the other
     semirings. Both operators preserve the relation's owner and
     cardinality; group sizes, aggregate values, and which output tuples
     are dummies all stay hidden, and the cost depends on the cardinality

@@ -49,8 +49,10 @@ let ot_product_bits ~bits = (bits * ot_receiver_bits, bits * (bits + 1) / 2)
     (kappa + hint) bits per bin for the OPRF evaluations plus hints. *)
 let opprf_bin_bits = kappa + sigma + 24
 
-(** One oblivious switch of a permutation network on [bits]-wide payloads:
-    one OT carrying the two swapped outputs. *)
+(** One oblivious switch of an OEP on [bits]-wide payloads — a switch of
+    an AS-Waksman network or of the duplication chain: one OT carrying
+    the two swapped outputs. An OEP costs this times its switch count
+    ([Oep.n_switches]), which depends on the public sizes alone. *)
 let oep_switch_bits ~bits = ot_receiver_bits + ot_sender_bits ~msg_bits:(2 * bits)
 
 (** Rough AND-gate count of one per-tuple merge or product circuit of

@@ -38,8 +38,8 @@ val ot_product_bits : bits:int -> int * int
 (** Per-cuckoo-bin OPPRF traffic (PSTY19 hint + OPRF evaluation). *)
 val opprf_bin_bits : int
 
-(** One oblivious switch of a permutation network on [bits]-wide
-    payloads. *)
+(** One oblivious switch of an OEP (an AS-Waksman network switch or a
+    duplication-chain switch) on [bits]-wide payloads. *)
 val oep_switch_bits : bits:int -> int
 
 (** Rough AND-gate count of one per-tuple merge or product circuit of a

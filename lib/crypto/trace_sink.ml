@@ -20,7 +20,7 @@
       also realized by one OT each but are counted separately as
       [Oep_switches], never double-counted here.
     - [Oep_switches]: switches of programmed permutation networks
-      (Benes + duplication layer) evaluated obliviously.
+      (AS-Waksman networks + duplication layer) evaluated obliviously.
     - [Cuckoo_bins]: cuckoo bins processed by circuit-PSI (the batched
       OPPRF and the per-bin match circuits are sized by this).
     - [B2a_words]: Boolean-to-arithmetic share conversions of one output

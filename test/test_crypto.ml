@@ -819,7 +819,7 @@ let test_gc_backend_agreement () =
 (* Permutation networks *)
 
 let perm_network_correct =
-  QCheck.Test.make ~count:200 ~name:"Benes network realizes its permutation"
+  QCheck.Test.make ~count:200 ~name:"AS-Waksman realizes its permutation"
     QCheck.(oneof [ int_range 1 64; int_range 65 5000 ])
     (fun n ->
       let prg = Prg.create (Int64.of_int (n * 31)) in
@@ -829,11 +829,43 @@ let perm_network_correct =
       Permutation_network.n_switches net = Permutation_network.switch_count_for n
       && Array.for_all (fun j -> out.(j) = perm.(j)) (Array.init n (fun j -> j)))
 
+(* Every permutation of every width 0..7, then one seeded random
+   permutation of every width up to 600: odd and even widths at every
+   depth, bypass wires and fixed output pairs included. *)
+let test_perm_network_realizes_all () =
+  let check perm =
+    let n = Array.length perm in
+    let net = Permutation_network.build perm in
+    if Permutation_network.apply net (Array.init n Fun.id) <> perm then
+      Alcotest.failf "width %d: network does not realize [%s]" n
+        (String.concat "; " (Array.to_list (Array.map string_of_int perm)))
+  in
+  let rec perms = function
+    | [] -> [ [] ]
+    | xs -> List.concat_map (fun x -> List.map (List.cons x) (perms (List.filter (( <> ) x) xs))) xs
+  in
+  for n = 0 to 7 do
+    List.iter (fun p -> check (Array.of_list p)) (perms (List.init n Fun.id))
+  done;
+  for n = 8 to 600 do
+    check (Prg.permutation (Prg.create (Int64.of_int n)) n)
+  done
+
 let test_perm_network_switch_count () =
-  (* Benes over 2^k wires has n log n - n/2 switches. *)
-  Alcotest.(check int) "n=8" 20 (Permutation_network.switch_count_for 8);
-  Alcotest.(check int) "n=16" 56 (Permutation_network.switch_count_for 16);
+  (* AS-Waksman over w wires has Σᵢ₌₁..w ⌈log₂ i⌉ switches, and its
+     recursion S(w) = w - 1 + S(⌊w/2⌋) + S(⌈w/2⌉) agrees. *)
+  Alcotest.(check int) "n=8" 17 (Permutation_network.switch_count_for 8);
+  Alcotest.(check int) "n=16" 49 (Permutation_network.switch_count_for 16);
   Alcotest.(check int) "n=2" 1 (Permutation_network.switch_count_for 2);
+  let s = Permutation_network.switch_count_for in
+  let rec ceil_log2 i = if i <= 1 then 0 else 1 + ceil_log2 ((i + 1) / 2) in
+  let sum = ref 0 in
+  for w = 0 to 2048 do
+    if w >= 1 then sum := !sum + ceil_log2 w;
+    if s w <> !sum then Alcotest.failf "w=%d: %d switches, expected %d" w (s w) !sum;
+    if w >= 2 && s w <> w - 1 + s (w / 2) + s (w - (w / 2)) then
+      Alcotest.failf "w=%d: %d switches break the recursion" w (s w)
+  done;
   (* 0 or 1 wires: no switch, data passes through *)
   List.iter
     (fun n ->
@@ -847,12 +879,12 @@ let test_perm_network_switch_count () =
 
 let hex_digest s = Sha256.to_hex (Sha256.digest_string s)
 
-(* Golden programs, captured from the list router that built one
-   [{ a; b; swap }] record per switch before networks became control
-   strings. The control digest is a SHA-256 over each switch's swap byte
-   in switch order; the endpoint digest is a SHA-256 over each switch's
-   [(a, b)] as two 64-bit little-endian ints, which pins the implicit
-   layout that [iter_switches] derives to the recorded wires. *)
+(* Golden programs, captured from the AS-Waksman router when it
+   replaced the padded Beneš one. The control digest is a SHA-256 over
+   each switch's swap byte in switch order; the endpoint digest is a
+   SHA-256 over each switch's [(a, b)] as two 64-bit little-endian ints,
+   which pins the implicit layout that [iter_switches] derives. The
+   widths cover odd and even subnetworks at every depth. *)
 let test_perm_network_golden () =
   let endpoint_digest net =
     let buf = Buffer.create (16 * Permutation_network.n_switches net) in
@@ -872,36 +904,39 @@ let test_perm_network_golden () =
     [
       ( 2, 1, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
         "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db" );
-      ( 3, 6, "7b9453f4b6c2ef939d3959400b0ef356025da295b5402bab5e3ec0312f166c52",
-        "43206696ede98b9bd1c3954f19e1571b25653d818260b28a1a0cf89b142ebc7a" );
-      ( 5, 20, "39e08b5d690f286839f204d1e292395840fdb858483b2f45e84d46926a441020",
-        "e2a57aa02bdfc8fa2295489f51c0f9944445a1a45e6a4dbe727c144da4064d72" );
-      ( 8, 20, "c810030a19bd51d27ea0fb5cf154e8bb6b89e25d7ad0b6ec8fc33688446e8f5a",
-        "e2a57aa02bdfc8fa2295489f51c0f9944445a1a45e6a4dbe727c144da4064d72" );
-      ( 13, 56, "1a802e1426e9f023e97d2b8735e7eb6900254e823cd66cc57809de6c073e709e",
-        "b4053daa7d3f8721b458f49e36b5de43d6ce07f0ad3ffe697773052fce55687c" );
-      ( 100, 832, "1a14313026fe72dc72791c61f1015b572538a008932314a8a039093801bbef4f",
-        "fed82b4a8474b0e061dc55995ae2c5309fbba106a75c5d0babefe38b002aec99" );
-      ( 1000, 9728, "10e50fec033bd0191e8694b839f7c75bfe117b6325cf4ddf32d78fdf4ef74eb2",
-        "2c5a6f859501dc792960db584bdca55ddb66282fc3d4d3d58d46dd45cd1446e4" );
-      ( 4097, 102400, "544afb56d40fad7f7f07fb4862f1975d0723eadb11db34f16442491a46b2fffc",
-        "086929a7143b9b62a6318f5ddf8f5cf59d7eea8e65659c366f5e20697772634f" );
+      ( 3, 3, "75c8fd04ad916aec3e3d5cb76a452b116b3d4d0912a0a485e9fb8e3d240e210c",
+        "eb564e99fde497c42107aff53ccdf5850364af69e43621bca815d2a8b5471e50" );
+      ( 5, 8, "167c3d8afd33c12b73b8110418ff82d7e5261628697e47707e9c18ded3dc79f6",
+        "5ee09dc53fb474eaa86b1ee2e4601cf5f71b46563ff08d4e96d2d8c62d6d1b4a" );
+      ( 8, 17, "91037e7d326ce8f62cca30f47108552b310c95f74b229d3a11cbcd9eaa8bb2f6",
+        "d9c9fe3b651a78a33cdb1c86ad687b813f983af26090f4212d157a646c10c7a6" );
+      ( 13, 37, "4a2c506e24cf7f76a5e9574d49e8e5480624e72bc468294182ab029ddcb8e588",
+        "b087ed0d0cf031ca15d7317b9ec16e442c8a3ba5510e6e41bd94e0634129b8b6" );
+      ( 100, 573, "857e2899e889f41895b26788f71600792da06e0cd3975d9c99d6686d24233e36",
+        "428e7b11ba1216f8868c6bc307142bfd42d92bdf9944dedeaef65d3b23bcbd4b" );
+      ( 1000, 8977, "ce63a93978a1c1c67aab8c8e035c8a5aeb782275343a1c01daab8b5f48d83c94",
+        "87cfab6302348164bb2a7e95d85be408f89dc6dbceb6d1c04cb19ad16deb4aa9" );
+      ( 4097, 45070, "7244d4877ff6c6a2eff6c0f27e36d81d4a11e90008f9fdbbe19c116318192fb5",
+        "f5170b0e39025a1cc66cc9afec42b32142f997223698fcb83efeb7a7e036888c" );
     ]
 
 (* Routing scratch is a few words per wire, allocated once per build: on
-   4096 wires the whole build allocates the per-depth sub-permutations
-   (< 2P words), the inverse (P), the route plane and the control string
-   (one byte per switch), never a word per switch. *)
+   n wires the whole build allocates the per-depth sub-permutations
+   below the top one (about n words), the inverse (n), the route plane
+   and the control string (one byte per switch), never a word per
+   switch. Checked at a power-of-two width and at one that is not. *)
 let test_perm_network_build_alloc () =
-  let p = 4096 in
-  let perm = Prg.permutation (Prg.create 4096L) p in
-  ignore (Permutation_network.build perm : Permutation_network.t);
-  let before = Gc.allocated_bytes () in
-  let net = Permutation_network.build perm in
-  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
-  let bound = (4 * p) + (Permutation_network.n_switches net / 8) + 256 in
-  if words > float_of_int bound then
-    Alcotest.failf "build allocated %.0f words on %d wires (bound %d)" words p bound
+  List.iter
+    (fun n ->
+      let perm = Prg.permutation (Prg.create (Int64.of_int n)) n in
+      ignore (Permutation_network.build perm : Permutation_network.t);
+      let before = Gc.allocated_bytes () in
+      let net = Permutation_network.build perm in
+      let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+      let bound = (3 * n) + (Permutation_network.n_switches net / 8) + 256 in
+      if words > float_of_int bound then
+        Alcotest.failf "build allocated %.0f words on %d wires (bound %d)" words n bound)
+    [ 4096; 3000 ]
 
 (* ------------------------------------------------------------------ *)
 (* Cuckoo hashing *)
@@ -962,6 +997,41 @@ let oep_program_correct =
       let out = Oep.apply_clear prog data in
       Array.length out = n && Array.for_all2 (fun o s -> o = s * 10) out xi)
 
+(* Random non-decreasing maps at arbitrary (m, n), both m > n and n > m,
+   with and without repeats, realize xi through perm1 and the
+   duplication chain alone. *)
+let oep_monotone_correct =
+  QCheck.Test.make ~count:100 ~name:"OEP monotone network realizes xi"
+    QCheck.(pair (int_range 1 300) (int_range 0 300))
+    (fun (m, n) ->
+      let prg = Prg.create (Int64.of_int ((m * 1000) + n)) in
+      let xi = Array.init n (fun _ -> Prg.below prg m) in
+      Array.sort compare xi;
+      let out = Oep.apply_clear (Oep.program_monotone ~m xi) (Array.init m (fun i -> i * 10)) in
+      Array.length out = n && Array.for_all2 (fun o s -> o = s * 10) out xi)
+
+(* An unsorted map is refused at its first decrease, by name. *)
+let oep_monotone_rejects_decrease =
+  QCheck.Test.make ~count:100 ~name:"OEP monotone map refuses a decrease"
+    QCheck.(pair (int_range 2 50) (int_range 2 50))
+    (fun (m, n) ->
+      let prg = Prg.create (Int64.of_int ((m * 100) + n)) in
+      let xi = Array.init n (fun _ -> Prg.below prg m) in
+      let first_decrease =
+        let rec go i = if i >= n then None else if xi.(i) < xi.(i - 1) then Some i else go (i + 1) in
+        go 1
+      in
+      match (first_decrease, Oep.program_monotone ~m xi) with
+      | None, _ -> true
+      | Some _, _ -> false
+      | exception Invalid_argument msg -> (
+          match first_decrease with
+          | None -> false
+          | Some i ->
+              msg
+              = Printf.sprintf "Oep.program_monotone: xi.(%d) = %d decreases from xi.(%d) = %d" i
+                  xi.(i) (i - 1) xi.(i - 1)))
+
 (* A random injection [n] -> [m]: the first n values of a permutation. *)
 let random_injection prg ~m ~n = Array.sub (Prg.permutation prg m) 0 n
 
@@ -986,9 +1056,10 @@ let test_oep_injective_rejects_repeat () =
       ignore (Oep.permute_shared ctx ~holder:Party.Alice ~xi:[| 4; 1; 4 |] ~m:5 values))
 
 (* The OEP's switch count is a function of the public sizes m and n
-   alone, whatever xi is: an extended map costs a Benes network over
-   max(m, n) wires, an n-switch duplication chain and a Benes network
-   over n wires; an injective one a single Benes network over m wires.
+   alone, whatever xi is: an extended map costs an AS-Waksman network
+   over max(m, n) wires, an n-switch duplication chain and a network
+   over n wires; a non-decreasing one the first network and the chain;
+   an injective one a single network over m wires.
    m and n range independently, so both m > n and n > m occur. *)
 let oep_switches_size_only =
   QCheck.Test.make ~count:100 ~name:"OEP switch count depends on sizes only"
@@ -998,13 +1069,17 @@ let oep_switches_size_only =
       let xi = Array.init n (fun _ -> Prg.below prg m) in
       let s = Permutation_network.switch_count_for in
       Oep.n_switches (Oep.program ~m xi) = s (max m n) + n + s n
+      && Oep.n_switches (Oep.program_monotone ~m (Array.of_list (List.sort compare (Array.to_list xi))))
+         = s (max m n) + n
       && (n > m
          || Oep.n_switches (Oep.program_injective ~m (random_injection prg ~m ~n)) = s m))
 
 (* Golden OEP programs, a SHA-256 over every swap byte of the program's
    networks in evaluation order: perm1, the duplication chain and perm2
-   of extended maps with duplicates (m > n and n > m), and the one
-   network of an injective map. *)
+   of extended maps with duplicates (m > n and n > m), the one network
+   of an injective map, and perm1 and the chain of a monotone map with
+   n > m. Re-captured when the AS-Waksman router replaced the padded
+   Beneš one. *)
 let test_oep_program_golden () =
   let check name prog switches digest =
     Alcotest.(check int) (name ^ " switches") switches (Oep.n_switches prog);
@@ -1012,23 +1087,30 @@ let test_oep_program_golden () =
       match prog with
       | Oep.Extended { perm1; dup_ctrl; perm2 } ->
           [ perm1.Permutation_network.controls; dup_ctrl; perm2.Permutation_network.controls ]
+      | Oep.Monotone { perm1; dup_ctrl } -> [ perm1.Permutation_network.controls; dup_ctrl ]
       | Oep.Injective { perm; _ } -> [ perm.Permutation_network.controls ]
     in
     Alcotest.(check string) (name ^ " controls") digest
       (hex_digest (String.concat "" (List.map Bytes.to_string controls)))
   in
-  check "m=10" (Oep.program ~m:10 [| 3; 3; 0; 9; 1; 1; 1 |]) 83
-    "0310f056cb8969aecebd002c4c09f92b336770f36c5a5d1deea56c91d80c0320";
+  check "m=10" (Oep.program ~m:10 [| 3; 3; 0; 9; 1; 1; 1 |]) 46
+    "cabf40521187d637d6eac5987eb57ab50e46f7240d7f89d704f9bc8d98b1c875";
   let prg = Prg.create 1200L in
-  check "m=500" (Oep.program ~m:500 (Array.init 1200 (fun _ -> Prg.below prg 500))) 44208
-    "ff786b991b6137b1f91293e8c776519feae9d023a11f2d51487cbc5d9b798317";
+  check "m=500" (Oep.program ~m:500 (Array.init 1200 (fun _ -> Prg.below prg 500))) 23506
+    "3d47fd4e7d18328a6a30a05b4dec9f44eb6df7fbbf78fe356c5adff210acff70";
   check "m=1000 injective"
     (Oep.program_injective ~m:1000 (random_injection (Prg.create 1000L) ~m:1000 ~n:700))
-    9728 "4e03fdcbb188cbd457350d142a00f8f2781ae0880fc17ed2ac6138a66db15437"
+    8977 "7e3c0f7088541e148f9df2a0a5ebeda9942b7e030d000ccd6bf46ebf3a61b3dc";
+  let prg = Prg.create 900L in
+  let xi = Array.init 900 (fun _ -> Prg.below prg 301) in
+  Array.sort compare xi;
+  check "m=301 monotone" (Oep.program_monotone ~m:301 xi) 8877
+    "f0dfa51bbe6f5e3e4e811de5766028ec214a62f6b5e1ef161c8482350d1d39f0"
 
-(* Output i of both shared OEPs reconstructs to source xi.(i): extended
-   maps with more sources than outputs and more outputs than sources, and
-   injective maps onto fewer and onto all sources. *)
+(* Output i of the three shared OEPs reconstructs to source xi.(i):
+   extended and monotone maps with more sources than outputs and more
+   outputs than sources, and injective maps onto fewer and onto all
+   sources. *)
 let test_oep_shared () =
   let ctx = ctx_sim () in
   let check name oep ~m xi =
@@ -1042,6 +1124,8 @@ let test_oep_shared () =
   in
   check "extended m > n" Oep.apply_shared ~m:10 [| 3; 3; 0; 9; 1; 1; 1 |];
   check "extended n > m" Oep.apply_shared ~m:3 [| 2; 0; 0; 1; 2; 2; 0; 1 |];
+  check "monotone m > n" Oep.map_monotone_shared ~m:10 [| 0; 1; 1; 1; 3; 3; 9 |];
+  check "monotone n > m" Oep.map_monotone_shared ~m:3 [| 0; 0; 0; 1; 2; 2; 2; 2 |];
   check "injective m > n" Oep.permute_shared ~m:9 [| 8; 2; 0; 5 |];
   check "injective m = n" Oep.permute_shared ~m:6 [| 3; 0; 5; 1; 4; 2 |]
 
@@ -1874,6 +1958,8 @@ let () =
         ] );
       ( "permutation-network",
         Alcotest.test_case "switch counts" `Quick test_perm_network_switch_count
+        :: Alcotest.test_case "realizes every small permutation" `Quick
+             test_perm_network_realizes_all
         :: Alcotest.test_case "golden controls" `Quick test_perm_network_golden
         :: Alcotest.test_case "build allocates no per-switch words" `Quick
              test_perm_network_build_alloc
@@ -1890,7 +1976,14 @@ let () =
         :: Alcotest.test_case "golden controls" `Quick test_oep_program_golden
         :: Alcotest.test_case "injective rejects a repeated index" `Quick
              test_oep_injective_rejects_repeat
-        :: qsuite [ oep_program_correct; oep_injective_correct; oep_switches_size_only ] );
+        :: qsuite
+             [
+               oep_program_correct;
+               oep_injective_correct;
+               oep_monotone_correct;
+               oep_monotone_rejects_decrease;
+               oep_switches_size_only;
+             ] );
       ( "aes",
         [
           Alcotest.test_case "FIPS vector" `Quick test_aes_fips_vector;

@@ -203,25 +203,34 @@ let test_and_gates_within_traffic () =
   Alcotest.(check bool) "AND-gate tables fit in A->B traffic" true
     (table_bits <= stats.Secyan.Secure_yannakakis.tally.Comm.alice_to_bob_bits)
 
+(* Each OEP kind books its program's switches under its own span, and
+   its bits are switches x the per-switch cost: an extended map under
+   [oep:shared], a non-decreasing one under [oep:monotone]. *)
 let test_oep_counter_exact () =
   let ctx = Context.create ~bits:32 ~seed () in
   let m = 13 in
-  let xi = [| 0; 5; 5; 2; 12; 7; 7; 7; 1; 0 |] in
   let values =
     Array.init m (fun i -> Secret_share.share ctx ~owner:Party.Alice (Int64.of_int i))
   in
-  let _, root =
-    Trace.with_tracing ctx (fun () -> Oep.apply_shared ctx ~holder:Party.Bob ~xi ~m values)
-  in
-  let expected_switches = Oep.n_switches (Oep.program ~m xi) in
-  Alcotest.(check int) "switch counter exact" expected_switches
-    (Span.counter root Trace_sink.Oep_switches);
-  let per_switch =
-    Cost_model.oep_switch_bits ~bits:(Context.ring_bits ctx)
-  in
-  Alcotest.(check int) "OEP bits = switches x per-switch cost"
-    (expected_switches * per_switch)
-    (Comm.total_bits (Span.tally root))
+  let per_switch = Cost_model.oep_switch_bits ~bits:(Context.ring_bits ctx) in
+  List.iter
+    (fun (span, oep, program, xi) ->
+      let _, root =
+        Trace.with_tracing ctx (fun () -> oep ctx ~holder:Party.Bob ~xi ~m values)
+      in
+      let expected_switches = Oep.n_switches (program ~m xi) in
+      Alcotest.(check (list string)) (span ^ " span") [ span ]
+        (List.map (fun (c : Span.t) -> c.Span.name) (Span.children root));
+      Alcotest.(check int) (span ^ " switch counter exact") expected_switches
+        (Span.counter root Trace_sink.Oep_switches);
+      Alcotest.(check int) (span ^ " bits = switches x per-switch cost")
+        (expected_switches * per_switch)
+        (Comm.total_bits (Span.tally root)))
+    [
+      ("oep:shared", Oep.apply_shared, Oep.program, [| 0; 5; 5; 2; 12; 7; 7; 7; 1; 0 |]);
+      ( "oep:monotone", Oep.map_monotone_shared, Oep.program_monotone,
+        [| 0; 0; 1; 2; 2; 2; 5; 7; 7; 12; 12; 12; 12; 12; 12 |] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Tracing changes nothing *)

@@ -312,14 +312,14 @@ let test_figure_cost_pins () =
     (fun (name, query, pin) ->
       Alcotest.check cost_fields (name ^ " at xs") (nest pin) (nest (figure_cost query)))
     [
-      ("Q3", `Q3, (17013, 14328284, 6260984, 65, 20390, 26720, 24, 376));
-      ("Q10", `Q10, (7122, 8225409, 4610262, 60, 18804, 13897, 20, 371));
-      ("Q18", `Q18, (28206, 24259132, 11219475, 90, 36860, 46306, 60, 647));
-      ("Q8", `Q8, (70172, 67752592, 32147554, 164, 78862, 194052, 0, 802));
-      ("Q9", `Q9, (2478800, 2370144750, 1094918400, 4100, 2588700, 6642850, 0, 20150));
+      ("Q3", `Q3, (17013, 12850556, 4783256, 65, 11594, 26720, 24, 376));
+      ("Q10", `Q10, (7122, 6803121, 3187974, 60, 10338, 13897, 20, 371));
+      ("Q18", `Q18, (28206, 21520396, 8480739, 90, 20558, 46306, 60, 647));
+      ("Q8", `Q8, (70172, 62349712, 26744674, 164, 46702, 194052, 0, 802));
+      ("Q9", `Q9, (2478800, 2189805150, 914578800, 4100, 1515250, 6642850, 0, 20150));
     ];
   Alcotest.check cost_fields "Q3 at s"
-    (nest (48863, 43223370, 19900596, 65, 69535, 77834, 24, 963))
+    (nest (48863, 38612442, 15289668, 65, 42089, 77834, 24, 963))
     (nest (figure_cost ~scale:"s" `Q3));
   Alcotest.check cost_fields "Q3 at xs: Real tally = Sim tally"
     (nest (figure_cost `Q3))
