@@ -170,7 +170,7 @@ let n_switches = function
 let apply_clear prog (data : 'a array) : 'a array =
   (* perm1 over max(m, n) wires (filler wires past the m sources are
      [None]), then the duplication chain over its first n outputs *)
-  let copies perm1 dup_ctrl =
+  let duplicated perm1 dup_ctrl =
     let n = Bytes.length dup_ctrl in
     let wires =
       Array.init perm1.Permutation_network.n (fun i ->
@@ -188,9 +188,9 @@ let apply_clear prog (data : 'a array) : 'a array =
   in
   match prog with
   | Injective { n_outputs; perm } -> Array.sub (Permutation_network.apply perm data) 0 n_outputs
-  | Monotone { perm1; dup_ctrl } -> values (copies perm1 dup_ctrl)
+  | Monotone { perm1; dup_ctrl } -> values (duplicated perm1 dup_ctrl)
   | Extended { perm1; dup_ctrl; perm2 } ->
-      values (Permutation_network.apply perm2 (copies perm1 dup_ctrl))
+      values (Permutation_network.apply perm2 (duplicated perm1 dup_ctrl))
 
 let account ctx prog =
   let bits_per_switch =
