@@ -75,15 +75,27 @@ let phase_breakdown root =
            ])
        (Span.children root))
 
+(* Secure runs per figure point: one timing of a shared host is noise. *)
+let runs_per_point = 3
+
 (* One figure point: print its row, record it, and return its scale and
    the baseline / secure Yannakakis ratios in time and communication. The
-   secure run executes under a tracer so the record carries a per-phase
-   breakdown (of the measured run, unscaled); the tracer adds only span
-   bookkeeping to the timed region. *)
+   secure run executes [runs_per_point] times, each on a fresh context
+   under a tracer; the point takes the median time and that run's
+   per-phase breakdown (unscaled). The tracer adds only span bookkeeping
+   to the timed region. The runs' tallies are deterministic, so they must
+   agree. *)
 let measure ~section ~query ~scale ~sf s =
-  let ctx = Queries.context ~gc_backend:Context.Real ~seed () in
-  let (tally, root), secyan_s =
-    time (fun () -> Trace.with_tracing ~name:query ctx (fun () -> s.run ctx))
+  let runs =
+    List.init runs_per_point (fun _ ->
+        let ctx = Queries.context ~gc_backend:Context.Real ~seed () in
+        time (fun () -> Trace.with_tracing ~name:query ctx (fun () -> s.run ctx)))
+  in
+  let tally = fst (fst (List.hd runs)) in
+  if not (List.for_all (fun ((t, _), _) -> Comm.equal t tally) runs) then
+    failwith (Printf.sprintf "%s at %s: the secure runs' tallies differ" query scale);
+  let (_, root), secyan_s =
+    List.nth (List.sort (fun (_, a) (_, b) -> Float.compare a b) runs) (runs_per_point / 2)
   in
   let (), plain_s = time s.plaintext in
   let eff = float_of_int (Queries.effective_input_bytes s.inner) in

@@ -85,11 +85,11 @@ let metrics_arg =
   let doc =
     "Export a metrics snapshot after the run: the run's ledger totals as \
      $(b,secyan_<counter>_total) counters (equal to the cost line, work restored by \
-     --resume included), plus the metrics registry this flag enables (pool, \
-     supervision, arena, schema and wire counters, histograms and gauges recorded in \
-     the crypto and transport hot paths). $(docv) is $(b,pretty) (aligned table, the \
-     default), $(b,jsonl) (one JSON object per metric per line) or $(b,prometheus) \
-     (Prometheus text exposition format)."
+     --resume included), each pool participant's contention timeline as \
+     $(b,secyan_domain_*) gauges (this flag switches the timelines on), and each \
+     protocol phase's GC activity as $(b,secyan_gc_phase_*) gauges. $(docv) is \
+     $(b,pretty) (aligned table, the default), $(b,jsonl) (one JSON object per metric \
+     per line) or $(b,prometheus) (Prometheus text exposition format)."
   in
   Arg.(value
     & opt ~vopt:(Some `Pretty)
@@ -458,7 +458,8 @@ let run_cmd query sql scale sf seed backend domains transport chaos chaos_seed m
     Context.create ~bits ~gc_backend:backend ~domains ?transport:tr ?checkpoint:ck ~cancel
       ?hang_timeout_s ~seed ()
   in
-  if metrics <> None then Secyan_obs.Metrics.set_enabled true;
+  if metrics <> None then Secyan_metrics.set_enabled true;
+  let gc_phases = ref [] in
   (* Attach the per-phase GC sampler and the live progress reporter
      around one protocol execution (inside the tracer, so both wrappers
      forward events to it); detach in reverse attach order. *)
@@ -477,8 +478,7 @@ let run_cmd query sql scale sf seed backend domains transport chaos chaos_seed m
         Option.iter Secyan_obs.Progress.detach reporter;
         Option.iter close_out heartbeat;
         Option.iter
-          (fun s ->
-            Secyan_obs.Profile.publish_gc_phases (Secyan_obs.Profile.detach_gc_sampler s))
+          (fun s -> gc_phases := Secyan_obs.Profile.detach_gc_sampler s)
           sampler)
       f
   in
@@ -486,7 +486,6 @@ let run_cmd query sql scale sf seed backend domains transport chaos chaos_seed m
     match metrics with
     | None -> ()
     | Some format ->
-        Option.iter Secyan_obs.Profile.publish_pool_timelines (Context.pool_opt ctx);
         let format =
           match format with
           | `Pretty -> Secyan_obs.Metrics.Pretty
@@ -496,10 +495,11 @@ let run_cmd query sql scale sf seed backend domains transport chaos chaos_seed m
         (match metrics_out with
         | None ->
             Fmt.pr "@.";
-            Secyan_obs.Metrics.export ~ledger:ctx format Format.std_formatter
+            Secyan_obs.Metrics.export ~ledger:ctx ~gc_phases:!gc_phases format Format.std_formatter
         | Some file ->
             let oc = open_out file in
-            Secyan_obs.Metrics.export ~ledger:ctx format (Format.formatter_of_out_channel oc);
+            Secyan_obs.Metrics.export ~ledger:ctx ~gc_phases:!gc_phases format
+              (Format.formatter_of_out_channel oc);
             close_out oc;
             Fmt.pr "metrics written to %s@." file)
   in

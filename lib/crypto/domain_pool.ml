@@ -49,8 +49,8 @@
     plus batches/items claimed and condvar wakeups — readable via
     {!timelines}. Timing uses [Unix.gettimeofday] (microsecond
     resolution), which is far finer than the millisecond-scale waits the
-    profile exists to expose. With metrics disabled an unwatched pool
-    reads no clock. *)
+    profile exists to expose. With the flag off an unwatched pool reads
+    no clock. *)
 
 type timeline = {
   slot : int;  (* 0 = the calling domain, 1.. = workers *)
@@ -132,22 +132,6 @@ let now_ns () = Unix.gettimeofday () *. 1e9
 (* 63-bit ns since the epoch: fits until ~2262, and [int Atomic.t] sets
    are unboxed (an [int64 Atomic.t] would allocate per heartbeat). *)
 let now_ns_int () = int_of_float (Unix.gettimeofday () *. 1e9)
-
-let m_hangs =
-  lazy
-    (Secyan_metrics.counter ~help:"pool workers declared hung by the watching caller"
-       "secyan_worker_hangs_total")
-
-let m_poisoned =
-  lazy
-    (Secyan_metrics.counter ~help:"pools poisoned after a worker hang"
-       "secyan_pool_poisoned_total")
-
-let m_sequential_fallbacks =
-  lazy
-    (Secyan_metrics.counter
-       ~help:"batches run sequentially because the pool was poisoned"
-       "secyan_pool_sequential_fallbacks_total")
 
 let fresh_timeline slot =
   { slot; busy_ns = 0.; queue_wait_ns = 0.; lock_wait_ns = 0.; batches = 0; items = 0;
@@ -346,14 +330,7 @@ let run_sequential ?cancel t ~n ~f =
     incr ran
   done
 
-let sequential_only t =
-  workers t = 0 || Atomic.get t.stop
-  ||
-  if Atomic.get t.poisoned then begin
-    Secyan_metrics.add (Lazy.force m_sequential_fallbacks) 1;
-    true
-  end
-  else false
+let sequential_only t = workers t = 0 || Atomic.get t.stop || Atomic.get t.poisoned
 
 let post t tl job =
   lock_timed t tl;
@@ -415,9 +392,7 @@ let declare_hung t job ~slot ~item ~silent_s =
   if fresh then t.hung.(slot) <- true;
   Mutex.unlock t.lock;
   if fresh then begin
-    Secyan_metrics.add (Lazy.force m_hangs) 1;
-    if not (Atomic.exchange t.poisoned true) then
-      Secyan_metrics.add (Lazy.force m_poisoned) 1;
+    Atomic.set t.poisoned true;
     record_fault job (Worker_hung { slot; item; silent_s });
     Atomic.set job.abort true
   end

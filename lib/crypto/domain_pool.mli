@@ -84,7 +84,7 @@ val shutdown : t -> unit
 
 (** {1 Contention profiling}
 
-    Recorded only while [Secyan_metrics.enabled]; with metrics off an
+    Recorded only while [Secyan_metrics.enabled]; with the flag off an
     unwatched pool never reads a clock (watching is clock-based by
     nature). *)
 

@@ -97,16 +97,6 @@ module Arena = struct
         (** 48 B: one shifted label at 0, two hash outputs at 16 and 32 *)
   }
 
-  let m_grows =
-    Secyan_metrics.lazily (fun () ->
-        Secyan_metrics.counter ~help:"arena plane growth events (steady state: none)"
-          "secyan_arena_grows_total")
-
-  let m_bytes =
-    Secyan_metrics.lazily (fun () ->
-        Secyan_metrics.counter ~help:"bytes added to arena planes by growth"
-          "secyan_arena_grow_bytes_total")
-
   let create () =
     {
       wires_g = Bytes.create 0;
@@ -129,14 +119,7 @@ module Arena = struct
      circuits settles after the first item and allocates nothing. *)
   let grown cur need =
     if Bytes.length cur >= need then cur
-    else begin
-      let cap = max need (max 64 (2 * Bytes.length cur)) in
-      if Secyan_metrics.enabled () then begin
-        Secyan_metrics.add (m_grows ()) 1;
-        Secyan_metrics.add (m_bytes ()) (cap - Bytes.length cur)
-      end;
-      Bytes.create cap
-    end
+    else Bytes.create (max need (max 64 (2 * Bytes.length cur)))
 
   let prepare_garble a ~n_wires ~n_ands ~n_outputs =
     a.wires_g <- grown a.wires_g (16 * n_wires);
@@ -147,11 +130,6 @@ module Arena = struct
     a.wires_e <- grown a.wires_e (16 * n_wires);
     a.colors <- grown a.colors (max 1 n_outputs)
 
-  let m_resets =
-    Secyan_metrics.lazily (fun () ->
-        Secyan_metrics.counter ~help:"arena planes dropped after a faulted batch item"
-          "secyan_arena_resets_total")
-
   (* Drop every plane back to empty. After an item raises mid-garble the
      planes hold a half-written circuit; any [garbled] value aliasing
      them is poison. Resetting forces the next item on this domain to
@@ -159,7 +137,6 @@ module Arena = struct
      (DESIGN.md §15 arena-reset rule). Costs one regrowth cycle, only
      ever paid after a fault. *)
   let reset a =
-    Secyan_metrics.add (m_resets ()) 1;
     a.wires_g <- Bytes.create 0;
     a.wires_e <- Bytes.create 0;
     a.tables <- Bytes.create 0;
@@ -179,18 +156,6 @@ type garbled = {
   decode : Bytes.t;  (** 1 B per output: 1 iff the false label has color 1 *)
 }
 
-(* Garbling throughput histograms. Half-gates hashes 4 labels per AND
-   gate (two per half gate), so labels/s ~ 4 x gates / elapsed; the
-   per-circuit gate count doubles as a circuit-size profile. *)
-let m_garble_gates =
-  Secyan_metrics.lazily (fun () ->
-      Secyan_metrics.histogram ~help:"AND gates per garbled circuit" "secyan_garble_and_gates")
-
-let m_garble_labels_per_s =
-  Secyan_metrics.lazily (fun () ->
-      Secyan_metrics.histogram ~help:"label hashes per second while garbling (4 per AND gate)"
-        "secyan_garble_labels_per_s")
-
 (** Garble [circuit] with randomness from [prg] (the generator's stream).
     With [?arena] the result's planes alias the arena and stay valid only
     until the next garble on the same arena (the batch engine's per-item
@@ -199,7 +164,6 @@ let m_garble_labels_per_s =
     KDF). *)
 let garble ?(kdf = Aes128_kdf) ?arena prg circuit =
   let open Boolean_circuit in
-  let t_start = if Secyan_metrics.enabled () then Unix.gettimeofday () else 0. in
   let hash = bytes_hash kdf in
   (* Draw order matches Label.random_delta / Label.random: hi then lo. *)
   let delta_hi = Prg.next_int64 prg in
@@ -283,13 +247,6 @@ let garble ?(kdf = Aes128_kdf) ?arena prg circuit =
       Bytes.unsafe_set decode oi
         (if Int64.to_int (get64u wires ((16 * w) + 8)) land 1 = 1 then '\001' else '\000'))
     circuit.outputs;
-  if Secyan_metrics.enabled () then begin
-    let dt = Unix.gettimeofday () -. t_start in
-    Secyan_metrics.observe (m_garble_gates ()) (float_of_int circuit.and_count);
-    if dt > 0. then
-      Secyan_metrics.observe (m_garble_labels_per_s ())
-        (4. *. float_of_int circuit.and_count /. dt)
-  end;
   { circuit; wires; delta_hi; delta_lo; tables; decode }
 
 (** The color (Boolean share) of output [out_index]'s false label — the

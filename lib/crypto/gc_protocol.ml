@@ -238,42 +238,6 @@ let slice_outputs widths (flat : 'a array) =
   in
   go 0 widths
 
-(* Batch-shape histograms for the contention profile: how large the
-   parallel fan-outs are and how long each takes end to end (including
-   the pool barrier). *)
-let m_batch_items =
-  Secyan_metrics.lazily (fun () ->
-      Secyan_metrics.histogram ~help:"items per GC parallel batch (fan-out width)"
-        "secyan_gc_batch_items")
-
-let m_batch_seconds =
-  Secyan_metrics.lazily (fun () ->
-      Secyan_metrics.histogram
-        ~help:"wall-clock seconds per GC parallel batch (pool barrier included)"
-        "secyan_gc_batch_seconds")
-
-(* Allocation-rate observability (DESIGN.md §14): minor/major heap words
-   allocated per batch item, measured as GC-counter deltas on the
-   executing domain (minor words are domain-local in OCaml 5, so the
-   delta brackets exactly the item's own allocation). Minor words come
-   from [Gc.minor_words], which is exact in native code — the
-   [Gc.quick_stat] figure only advances at GC points, and an
-   allocation-free item never reaches one. The regression target is
-   "arena reuse holds": steady-state items of the Real backend should sit
-   within a few hundred words (boxed boundary values only), not the tens
-   of words *per AND gate* the boxed kernels used to cost. *)
-let m_item_minor_words =
-  Secyan_metrics.lazily (fun () ->
-      Secyan_metrics.histogram
-        ~help:"minor-heap words allocated per GC batch item (executing domain)"
-        "secyan_gc_item_minor_words")
-
-let m_item_major_words =
-  Secyan_metrics.lazily (fun () ->
-      Secyan_metrics.histogram
-        ~help:"major-heap words allocated per GC batch item, promotions included"
-        "secyan_gc_item_major_words")
-
 (* --- batch supervision ------------------------------------------------ *)
 
 type supervision_cause =
@@ -300,11 +264,6 @@ let () =
              item (supervision_cause_to_string cause))
     | _ -> None)
 
-let m_supervision_failures =
-  Secyan_metrics.lazily (fun () ->
-      Secyan_metrics.counter ~help:"GC batches failed (item fault, hang, or shutdown)"
-        "secyan_supervision_failures_total")
-
 (* Run [f] over the [n] independent batch items on the context's pool.
 
    Each item gets its own two streams, split from Alice's and the
@@ -322,8 +281,6 @@ let map_batch ctx ~n (f : item -> int -> 'a) : 'a array =
   else begin
     (* Phase-boundary check: a batch never starts under a fired token. *)
     Context.check_cancel ctx;
-    let metrics_on = Secyan_metrics.enabled () in
-    let t_start = if metrics_on then Unix.gettimeofday () else 0. in
     let items =
       Array.init n (fun _ ->
           let garbler = Prg.split ctx.Context.prg_alice in
@@ -337,17 +294,7 @@ let map_batch ctx ~n (f : item -> int -> 'a) : 'a array =
     let run_item i =
       try
         Fault_inject.fire (fault_base + i);
-        if metrics_on then begin
-          let minor0 = Gc.minor_words () in
-          let major0 = (Gc.quick_stat ()).Gc.major_words in
-          let r = f items.(i) i in
-          let minor1 = Gc.minor_words () in
-          Secyan_metrics.observe (m_item_minor_words ()) (minor1 -. minor0);
-          Secyan_metrics.observe (m_item_major_words ())
-            ((Gc.quick_stat ()).Gc.major_words -. major0);
-          r
-        end
-        else f items.(i) i
+        f items.(i) i
       with e ->
         (* The claiming domain's arena may hold a half-written circuit;
            reset it so no later item garbles over dirty label material
@@ -357,7 +304,6 @@ let map_batch ctx ~n (f : item -> int -> 'a) : 'a array =
     in
     let slots = Array.make n None in
     let fail item cause =
-      Secyan_metrics.add (m_supervision_failures ()) 1;
       raise (Supervision_error { phase = ctx.Context.current_label; item; cause })
     in
     (match
@@ -376,14 +322,7 @@ let map_batch ctx ~n (f : item -> int -> 'a) : 'a array =
         fail (fault_base + item) (Batch_worker_hung { slot; silent_s })
     | exception Domain_pool.Pool_shutdown { unclaimed } ->
         fail (-1) (Batch_shutdown { unclaimed }));
-    let results =
-      Array.map (function Some r -> r | None -> assert false (* barrier: all ran *)) slots
-    in
-    if metrics_on then begin
-      Secyan_metrics.observe (m_batch_items ()) (float_of_int n);
-      Secyan_metrics.observe (m_batch_seconds ()) (Unix.gettimeofday () -. t_start)
-    end;
-    results
+    Array.map (function Some r -> r | None -> assert false (* barrier: all ran *)) slots
   end
 
 (** Evaluate the same circuit over a batch of same-shaped input lists; each

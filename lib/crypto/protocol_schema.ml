@@ -65,15 +65,6 @@ let () =
              expected got offset)
     | _ -> None)
 
-(* Registered eagerly so the names appear in every metrics snapshot. *)
-let m_violations =
-  Secyan_metrics.counter ~help:"peer messages rejected by the protocol state machine"
-    "secyan_protocol_violations_total"
-
-let m_rejected_frames =
-  Secyan_metrics.counter ~help:"frames rejected at the receive trust boundary"
-    "secyan_rejected_frames_total"
-
 (* Message-kind classification of the innermost span label: what traffic
    sent under that label *is*. Unknown labels are generic operator
    traffic. *)
@@ -123,7 +114,6 @@ let expected_kinds_string phase =
   String.concat "|" (List.map Envelope.kind_name (expected_kinds phase))
 
 let violation phase ~expected ~got ~offset =
-  Secyan_metrics.add m_violations 1;
   raise (Protocol_violation { phase = phase_name phase; expected; got; offset })
 
 (* Pre-send consultation from [Context.send]: derive what the outgoing
@@ -151,7 +141,6 @@ let check_send ~phase ~label ~bits =
 let validate ~phase ~kind ~expect_body payload =
   match Envelope.check_header payload with
   | Error e ->
-      Secyan_metrics.add m_rejected_frames 1;
       let offset =
         match e with
         | Envelope.Bad_version _ | Envelope.Truncated _ -> 0
@@ -163,13 +152,11 @@ let validate ~phase ~kind ~expect_body payload =
         ~got:(Envelope.error_to_string e) ~offset
   | Ok (got_kind, declared) ->
       let actual = Bytes.length payload - Envelope.header_len in
-      if declared <> actual then begin
-        Secyan_metrics.add m_rejected_frames 1;
+      if declared <> actual then
         violation phase
           ~expected:(Printf.sprintf "declared length matching %d body bytes" actual)
           ~got:(Printf.sprintf "declares %d" declared)
-          ~offset:2
-      end;
+          ~offset:2;
       if not (legal phase got_kind) then
         violation phase
           ~expected:(expected_kinds_string phase)

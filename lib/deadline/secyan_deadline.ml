@@ -75,32 +75,7 @@ let constrained t =
 
 (* --- firing ------------------------------------------------------------ *)
 
-let cancellations_total =
-  lazy
-    (Secyan_metrics.counter ~help:"cancel tokens fired, any reason"
-       "secyan_cancellations_total")
-
-let deadline_expired_total =
-  lazy
-    (Secyan_metrics.counter ~help:"cancel tokens fired by deadline expiry"
-       "secyan_deadline_expired_total")
-
-let over_budget_total =
-  lazy
-    (Secyan_metrics.counter ~help:"cancel tokens fired by the memory-budget guard"
-       "secyan_over_budget_total")
-
-let count_cancel reason =
-  Secyan_metrics.add (Lazy.force cancellations_total) 1;
-  match reason with
-  | Expired _ -> Secyan_metrics.add (Lazy.force deadline_expired_total) 1
-  | Over_budget _ -> Secyan_metrics.add (Lazy.force over_budget_total) 1
-  | User _ -> ()
-
-let cancel t reason =
-  let won = Atomic.compare_and_set t.state None (Some reason) in
-  if won then count_cancel reason;
-  won
+let cancel t reason = Atomic.compare_and_set t.state None (Some reason)
 
 (* Major-heap footprint in MiB. [quick_stat] reads per-domain counters
    without forcing a collection; [heap_words] is the major heap, which

@@ -67,18 +67,6 @@ let () =
              alice_session alice_epoch alice_version bob_session bob_epoch bob_version)
     | _ -> None)
 
-(* Frames rejected at the trust boundary (CRC-damaged, misframed,
-   oversized, or undecodable hellos) and handshake disagreements, for the
-   operator-facing metrics surface. Registered eagerly so the names
-   appear in every metrics snapshot, violated or not. *)
-let m_rejected_frames =
-  Secyan_metrics.counter ~help:"frames rejected at the receive trust boundary"
-    "secyan_rejected_frames_total"
-
-let m_handshake_mismatches =
-  Secyan_metrics.counter ~help:"resume handshakes rejected for session/epoch/version disagreement"
-    "secyan_handshake_mismatches_total"
-
 type event = Retry | Timeout_hit | Corrupt_frame | Duplicate_dropped
 
 type config = {
@@ -209,7 +197,6 @@ let recv_attempt t dir ~deadline =
     | Some blob -> (
         match Frame.decode blob with
         | Error _ ->
-            Secyan_metrics.add m_rejected_frames 1;
             event t Corrupt_frame;
             saw_corrupt := true;
             go ()
@@ -225,28 +212,12 @@ let recv_attempt t dir ~deadline =
             else begin
               (* A sequence number from the future cannot occur in a
                  lock-step two-party run; treat it as line corruption. *)
-              Secyan_metrics.add m_rejected_frames 1;
               event t Corrupt_frame;
               saw_corrupt := true;
               go ()
             end)
   in
   go ()
-
-(* Per-transfer latency profile: every logical transfer's end-to-end
-   seconds, and separately the end-to-end seconds of transfers that
-   needed at least one retransmission (backoffs included) — the cost a
-   flaky channel adds per recovered message. *)
-let m_transfer_seconds =
-  lazy
-    (Secyan_metrics.histogram ~help:"end-to-end seconds per logical transfer"
-       "secyan_net_transfer_seconds")
-
-let m_retry_latency_seconds =
-  lazy
-    (Secyan_metrics.histogram
-       ~help:"end-to-end seconds of transfers that needed retransmission"
-       "secyan_net_retry_latency_seconds")
 
 let transfer t ~dir payload =
   let i = dir_index dir in
@@ -289,14 +260,7 @@ let transfer t ~dir payload =
             (Unix.gettimeofday ()
             +. Float.min t.config.timeout (remaining_budget_s t))
       with
-      | `Delivered payload ->
-          if Secyan_metrics.enabled () then begin
-            let elapsed = Unix.gettimeofday () -. start in
-            Secyan_metrics.observe (Lazy.force m_transfer_seconds) elapsed;
-            if n > 1 then
-              Secyan_metrics.observe (Lazy.force m_retry_latency_seconds) elapsed
-          end;
-          payload
+      | `Delivered payload -> payload
       | `Timeout ->
           event t Timeout_hit;
           attempt (n + 1) `Timeout
@@ -390,7 +354,6 @@ let resume_handshake ?alice_version ?bob_version t ~alice ~bob =
     transfer t ~dir:Transport.Bob_to_alice (hello_payload ?version:bob_version bob)
   in
   let corrupt detail =
-    Secyan_metrics.add m_rejected_frames 1;
     raise
       (Transport_error { kind = Corrupt; attempts = 1; elapsed = 0.; detail = "detail = " ^ detail })
   in
@@ -411,9 +374,7 @@ let resume_handshake ?alice_version ?bob_version t ~alice ~bob =
       (alice_version = bob_version
       && String.equal alice_session bob_session
       && alice_epoch = bob_epoch)
-  then begin
-    Secyan_metrics.add m_handshake_mismatches 1;
+  then
     raise
       (Resume_mismatch
          { alice_session; alice_epoch; alice_version; bob_session; bob_epoch; bob_version })
-  end

@@ -44,18 +44,6 @@ type raw = {
   kind : string;  (** backend name for error messages ("inproc", "tcp") *)
 }
 
-(* Physical frame sizes, observed once per frame pushed into a backend —
-   retransmissions and chaos-duplicated frames included, since each
-   crosses the wire again. *)
-let m_frame_bytes =
-  lazy
-    (Secyan_metrics.histogram ~help:"encoded frame size in bytes at the raw transport"
-       "secyan_net_frame_bytes")
-
-let observe_frame frame =
-  if Secyan_metrics.enabled () then
-    Secyan_metrics.observe (Lazy.force m_frame_bytes) (float_of_int (Bytes.length frame))
-
 (* --- in-process duplex queue --------------------------------------- *)
 
 let inproc () =
@@ -70,7 +58,6 @@ let inproc () =
     send_frame =
       (fun dir frame ->
         check dir "send";
-        observe_frame frame;
         Queue.push (Bytes.copy frame) queues.(index dir));
     recv_frame =
       (fun dir ~deadline:_ ->
@@ -199,7 +186,6 @@ let tcp ?(stall_timeout_s = 30.) () =
   in
   let send_frame dir frame =
     check dir "send";
-    observe_frame frame;
     let wfd, rfd = fds dir in
     let len = Bytes.length frame in
     let pos = ref 0 in

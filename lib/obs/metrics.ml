@@ -1,78 +1,105 @@
-(** Exporters over the {!Secyan_metrics} registry and a context's
-    ledger: pretty tables for terminals, JSONL for machine diffing, and
-    Prometheus text exposition for scrapers. The registry itself
-    (handles, recording, the enable flag) lives at the bottom of the
-    dependency chain so the crypto and net hot paths can record into it;
-    this module re-exports the control surface so CLI-level code needs
-    only [Secyan_obs.Metrics]. *)
+(** The [--metrics] export: one sample list built at export time from a
+    run context (its ledger counters and its pool's timelines) and the
+    GC sampler's phases, rendered as a pretty table, JSONL or Prometheus
+    text exposition. Nothing is recorded on the side: every sample is
+    read from a record the run keeps anyway. *)
 
 open Secyan_crypto
 
-(* --- registry re-exports -------------------------------------------- *)
-
-let enabled = Secyan_metrics.enabled
-let set_enabled = Secyan_metrics.set_enabled
-let reset = Secyan_metrics.reset
-
-(* --- samples --------------------------------------------------------- *)
-
-let by_name (a : Secyan_metrics.sample) (b : Secyan_metrics.sample) =
-  String.compare a.Secyan_metrics.name b.Secyan_metrics.name
+type value = Counter of int | Gauge of float
+type sample = { name : string; help : string; value : value }
 
 (* The ledger's counters as monotonic [secyan_<name>_total] samples
-   (Prometheus convention), rendered at export: the ledger is the only
-   record of them, so the registry holds no copy. *)
+   (Prometheus convention). *)
 let ledger_samples ctx =
   let totals = Context.counter_totals ctx in
-  List.sort by_name
-    (List.map
-       (fun c ->
-         {
-           Secyan_metrics.name = "secyan_" ^ Trace_sink.counter_name c ^ "_total";
-           help = Trace_sink.counter_help c;
-           value = Secyan_metrics.Counter totals.(Trace_sink.counter_index c);
-         })
-       Trace_sink.all_counters)
+  List.map
+    (fun c ->
+      {
+        name = "secyan_" ^ Trace_sink.counter_name c ^ "_total";
+        help = Trace_sink.counter_help c;
+        value = Counter totals.(Trace_sink.counter_index c);
+      })
+    Trace_sink.all_counters
 
-let snapshot ?ledger () =
-  let registry = Secyan_metrics.snapshot () in
-  match ledger with
-  | None -> registry
-  | Some ctx -> List.merge by_name (ledger_samples ctx) registry
+(* One gauge family member: [name{labels}]. *)
+let labelled name labels help v =
+  { name = Printf.sprintf "%s{%s}" name labels; help; value = Gauge v }
+
+(* Per-participant pool timelines ([secyan_domain_busy_seconds{domain="0"}],
+   ...), when the context ever spawned its pool. They hold time only
+   while the pool-timeline flag ({!Secyan_metrics.set_enabled}) is on. *)
+let pool_samples ctx =
+  match Context.pool_opt ctx with
+  | None -> []
+  | Some pool ->
+      List.concat_map
+        (fun (tl : Domain_pool.timeline_snapshot) ->
+          let g name help v =
+            labelled name (Printf.sprintf "domain=\"%d\"" tl.Domain_pool.domain) help v
+          in
+          [
+            g "secyan_domain_busy_seconds" "seconds spent running batch items"
+              (tl.Domain_pool.busy_ns *. 1e-9);
+            g "secyan_domain_queue_wait_seconds"
+              "seconds parked or waiting on the batch barrier"
+              (tl.Domain_pool.queue_wait_ns *. 1e-9);
+            g "secyan_domain_lock_wait_seconds" "seconds acquiring the pool mutex"
+              (tl.Domain_pool.lock_wait_ns *. 1e-9);
+            g "secyan_domain_wall_seconds" "participant wall-clock (see Domain_pool.timelines)"
+              (tl.Domain_pool.wall_ns *. 1e-9);
+            g "secyan_domain_batches" "batches this participant claimed items of"
+              (float_of_int tl.Domain_pool.batches);
+            g "secyan_domain_items" "batch items this participant ran"
+              (float_of_int tl.Domain_pool.items);
+            g "secyan_domain_wakeups" "condition-variable wakeups"
+              (float_of_int tl.Domain_pool.wakeups);
+          ])
+        (Domain_pool.timelines pool)
+
+(* GC phase samples ([secyan_gc_phase_minor_words{phase="phase:reduce"}],
+   ...). A phase that recurs (a composed query runs the protocol more
+   than once) reports its last occurrence. *)
+let gc_phase_samples (phases : Profile.gc_phase list) =
+  let last =
+    List.fold_left
+      (fun acc (p : Profile.gc_phase) -> (p.Profile.phase, p) :: List.remove_assoc p.phase acc)
+      [] phases
+  in
+  List.concat_map
+    (fun (phase, (p : Profile.gc_phase)) ->
+      let g name help v = labelled name (Printf.sprintf "phase=%S" phase) help v in
+      [
+        g "secyan_gc_phase_seconds" "wall-clock seconds of the phase" p.seconds;
+        g "secyan_gc_phase_minor_words" "minor-heap words allocated during the phase"
+          p.minor_words;
+        g "secyan_gc_phase_promoted_words" "words promoted during the phase" p.promoted_words;
+        g "secyan_gc_phase_major_words" "major-heap words allocated during the phase"
+          p.major_words;
+        g "secyan_gc_phase_minor_collections" "minor collections during the phase"
+          (float_of_int p.minor_collections);
+        g "secyan_gc_phase_major_collections" "major collections during the phase"
+          (float_of_int p.major_collections);
+        g "secyan_gc_phase_compactions" "heap compactions during the phase"
+          (float_of_int p.compactions);
+      ])
+    last
+
+let snapshot ~ledger ~gc_phases =
+  List.sort
+    (fun a b -> String.compare a.name b.name)
+    (ledger_samples ledger @ pool_samples ledger @ gc_phase_samples gc_phases)
 
 type format = Pretty | Jsonl | Prometheus
 
-(* --- helpers --------------------------------------------------------- *)
-
-(* Upper bound of the bucket holding quantile [q] — the usual
-   fixed-bucket estimate (exact value unknowable inside a bucket). *)
-let quantile (h : Secyan_metrics.histogram_snapshot) q =
-  if h.Secyan_metrics.count = 0 then 0.
-  else begin
-    let target =
-      int_of_float (Float.round (q *. float_of_int h.Secyan_metrics.count)) |> max 1
-    in
-    let n_upper = Array.length h.Secyan_metrics.upper in
-    let rec go i acc =
-      if i >= n_upper then infinity
-      else
-        let acc = acc + h.Secyan_metrics.counts.(i) in
-        if acc >= target then h.Secyan_metrics.upper.(i) else go (i + 1) acc
-    in
-    go 0 0
-  end
-
-let mean (h : Secyan_metrics.histogram_snapshot) =
-  if h.Secyan_metrics.count = 0 then 0.
-  else h.Secyan_metrics.sum /. float_of_int h.Secyan_metrics.count
-
-(* A metric name with optional embedded Prometheus labels
-   ("secyan_domain_busy_seconds{domain=\"2\"}"): the base name carries
-   the TYPE/HELP lines. *)
+(* A labelled name ("secyan_domain_busy_seconds{domain=\"2\"}") shares
+   its family's HELP/TYPE lines under the base name. *)
 let base_name name =
   match String.index_opt name '{' with
   | None -> name
   | Some i -> String.sub name 0 i
+
+let kind_name = function Counter _ -> "counter" | Gauge _ -> "gauge"
 
 (* --- pretty ---------------------------------------------------------- *)
 
@@ -81,113 +108,60 @@ let pp_value ppf v =
   else Format.fprintf ppf "%.6g" v
 
 let pretty ppf samples =
-  let open Secyan_metrics in
   Format.fprintf ppf "%-44s %-10s %s@." "metric" "kind" "value";
   Format.fprintf ppf "%s@." (String.make 100 '-');
   List.iter
     (fun s ->
       match s.value with
       | Counter n -> Format.fprintf ppf "%-44s %-10s %d@." s.name "counter" n
-      | Gauge v -> Format.fprintf ppf "%-44s %-10s %a@." s.name "gauge" pp_value v
-      | Histogram h ->
-          Format.fprintf ppf "%-44s %-10s count %d  sum %a  mean %a  p50 %a  p90 %a  p99 %a@."
-            s.name "histogram" h.count pp_value h.sum pp_value (mean h) pp_value
-            (quantile h 0.50) pp_value (quantile h 0.90) pp_value (quantile h 0.99))
+      | Gauge v -> Format.fprintf ppf "%-44s %-10s %a@." s.name "gauge" pp_value v)
     samples
 
 (* --- JSONL ----------------------------------------------------------- *)
 
-let sample_to_json (s : Secyan_metrics.sample) =
-  let open Secyan_metrics in
-  let fields =
-    match s.value with
-    | Counter n -> [ ("kind", Json.Str "counter"); ("value", Json.Int n) ]
-    | Gauge v -> [ ("kind", Json.Str "gauge"); ("value", Json.Float v) ]
-    | Histogram h ->
-        [
-          ("kind", Json.Str "histogram");
-          ("count", Json.Int h.count);
-          ("sum", Json.Float h.sum);
-          ("mean", Json.Float (mean h));
-          ("p50", Json.Float (quantile h 0.50));
-          ("p90", Json.Float (quantile h 0.90));
-          ("p99", Json.Float (quantile h 0.99));
-          ( "buckets",
-            Json.List
-              (List.filter_map Fun.id
-                 (List.init (Array.length h.counts) (fun i ->
-                      if h.counts.(i) = 0 then None
-                      else
-                        Some
-                          (Json.Obj
-                             [
-                               ( "le",
-                                 if i < Array.length h.upper then Json.Float h.upper.(i)
-                                 else Json.Str "+Inf" );
-                               ("count", Json.Int h.counts.(i));
-                             ])))) );
-        ]
-  in
-  Json.Obj (("name", Json.Str s.name) :: fields)
-
 let jsonl ppf samples =
-  List.iter (fun s -> Format.fprintf ppf "%s@." (Json.to_string (sample_to_json s))) samples
+  List.iter
+    (fun s ->
+      let value = match s.value with Counter n -> Json.Int n | Gauge v -> Json.Float v in
+      let fields =
+        [ ("name", Json.Str s.name); ("kind", Json.Str (kind_name s.value)); ("value", value) ]
+      in
+      Format.fprintf ppf "%s@." (Json.to_string (Json.Obj fields)))
+    samples
 
 (* --- Prometheus text format ------------------------------------------ *)
 
-(* %h-style float: integers print bare, +Inf prints as "+Inf". *)
+(* Integers print bare. *)
 let prom_float v =
-  if v = infinity then "+Inf"
-  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%g" v
 
 let prometheus ppf samples =
-  let open Secyan_metrics in
   let seen_base = Hashtbl.create 16 in
   List.iter
     (fun s ->
       let base = base_name s.name in
-      let kind =
-        match s.value with Counter _ -> "counter" | Gauge _ -> "gauge" | Histogram _ -> "histogram"
-      in
       if not (Hashtbl.mem seen_base base) then begin
         Hashtbl.replace seen_base base ();
         Format.fprintf ppf "# HELP %s %s@." base s.help;
-        Format.fprintf ppf "# TYPE %s %s@." base kind
+        Format.fprintf ppf "# TYPE %s %s@." base (kind_name s.value)
       end;
       match s.value with
       | Counter n -> Format.fprintf ppf "%s %d@." s.name n
-      | Gauge v -> Format.fprintf ppf "%s %s@." s.name (prom_float v)
-      | Histogram h ->
-          (* cumulative le-buckets, as the exposition format requires *)
-          let cum = ref 0 in
-          Array.iteri
-            (fun i c ->
-              cum := !cum + c;
-              let le =
-                if i < Array.length h.upper then prom_float h.upper.(i) else "+Inf"
-              in
-              (* suppress interior empty buckets to keep the output
-                 readable; first, last, and non-empty buckets remain *)
-              if c > 0 || i = 0 || i = Array.length h.counts - 1 then
-                Format.fprintf ppf "%s_bucket{le=\"%s\"} %d@." s.name le !cum)
-            h.counts;
-          Format.fprintf ppf "%s_sum %s@." s.name (prom_float h.sum);
-          Format.fprintf ppf "%s_count %d@." s.name h.count)
+      | Gauge v -> Format.fprintf ppf "%s %s@." s.name (prom_float v))
     samples
 
 (* --- entry point ----------------------------------------------------- *)
 
-(** Render the current snapshot in [format]. *)
-let export ?ledger format ppf =
-  let samples = snapshot ?ledger () in
+let export ~ledger ~gc_phases format ppf =
+  let samples = snapshot ~ledger ~gc_phases in
   (match format with
   | Pretty -> pretty ppf samples
   | Jsonl -> jsonl ppf samples
   | Prometheus -> prometheus ppf samples);
   Format.pp_print_flush ppf ()
 
-let export_string ?ledger format =
+let export_string ~ledger ~gc_phases format =
   let buf = Buffer.create 4096 in
-  export ?ledger format (Format.formatter_of_buffer buf);
+  export ~ledger ~gc_phases format (Format.formatter_of_buffer buf);
   Buffer.contents buf

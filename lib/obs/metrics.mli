@@ -1,37 +1,36 @@
-(** Exporters over the {!Secyan_metrics} registry and a context's
-    ledger, plus re-exports of the registry's control surface so
-    CLI-level code needs only [Secyan_obs.Metrics]. Metric handles
-    themselves are registered via [Secyan_metrics] (see DESIGN.md §13
-    for the architecture and naming conventions). *)
+(** The [--metrics] export: one sample list built at export time, with
+    no store of its own (DESIGN.md §13). Its samples are
 
-val enabled : unit -> bool
-val set_enabled : bool -> unit
-val reset : unit -> unit
+    - the ledger's counters as [secyan_<counter>_total] counters
+      ({!Secyan_crypto.Trace_sink.counter_name}, help text
+      {!Secyan_crypto.Trace_sink.counter_help}) carrying
+      {!Secyan_crypto.Context.counter_totals}, work restored from a
+      checkpoint included;
+    - one [secyan_domain_*{domain="i"}] gauge family per
+      {!Secyan_crypto.Domain_pool.timelines} field, when the context
+      ever spawned its pool (they hold time only while
+      [Secyan_metrics.enabled]);
+    - one [secyan_gc_phase_*{phase="..."}] gauge family per
+      {!Profile.gc_phase} field, the last occurrence of each phase. *)
 
-(** Every registered metric, sorted by name. With [ledger], the
-    context's ledger counters join them as [secyan_<counter>_total]
-    counter samples ({!Secyan_crypto.Trace_sink.counter_name},
-    help text {!Secyan_crypto.Trace_sink.counter_help}) carrying
-    {!Secyan_crypto.Context.counter_totals} — including work restored
-    from a checkpoint. *)
-val snapshot : ?ledger:Secyan_crypto.Context.t -> unit -> Secyan_metrics.sample list
+type value = Counter of int | Gauge of float
+type sample = { name : string; help : string; value : value }
+
+(** Every sample of [ledger] and [gc_phases], sorted by name. *)
+val snapshot : ledger:Secyan_crypto.Context.t -> gc_phases:Profile.gc_phase list -> sample list
 
 type format =
-  | Pretty       (** aligned table with histogram count/sum/mean/p50/p90/p99 *)
-  | Jsonl        (** one JSON object per metric per line *)
+  | Pretty       (** aligned table *)
+  | Jsonl        (** one JSON object per sample per line *)
   | Prometheus   (** Prometheus text exposition format *)
 
-(** Bucket-upper-bound estimate of quantile [q] (in [0,1]); [+inf] when
-    the quantile falls in the overflow bucket, [0.] on an empty
-    histogram. *)
-val quantile : Secyan_metrics.histogram_snapshot -> float -> float
-
-val mean : Secyan_metrics.histogram_snapshot -> float
-
-(** One metric as a JSON object (the JSONL line shape). *)
-val sample_to_json : Secyan_metrics.sample -> Json.t
-
 (** Render {!snapshot} in [format] (flushes [ppf]). *)
-val export : ?ledger:Secyan_crypto.Context.t -> format -> Format.formatter -> unit
+val export :
+  ledger:Secyan_crypto.Context.t ->
+  gc_phases:Profile.gc_phase list ->
+  format ->
+  Format.formatter ->
+  unit
 
-val export_string : ?ledger:Secyan_crypto.Context.t -> format -> string
+val export_string :
+  ledger:Secyan_crypto.Context.t -> gc_phases:Profile.gc_phase list -> format -> string

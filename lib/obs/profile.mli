@@ -1,7 +1,6 @@
-(** Contention/GC profiling glue above the raw registry: a per-phase GC
-    sampler driven by the span stream, and publishers that turn
-    {!Secyan_crypto.Domain_pool} timelines and GC samples into labelled
-    registry gauges. See DESIGN.md §13. *)
+(** A per-phase GC sampler driven by the span stream. [--metrics]
+    renders its samples as [secyan_gc_phase_*] gauges ({!Metrics}). See
+    DESIGN.md §13. *)
 
 open Secyan_crypto
 
@@ -29,11 +28,3 @@ val attach_gc_sampler : Context.t -> gc_sampler
 (** Restore the wrapped sink, close the open phase (as ["done"]), and
     return the samples in execution order. Idempotent. *)
 val detach_gc_sampler : gc_sampler -> gc_phase list
-
-(** Publish per-domain pool timelines as labelled gauges
-    ([secyan_domain_busy_seconds{domain="0"}], ...). *)
-val publish_pool_timelines : Domain_pool.t -> unit
-
-(** Publish GC phase samples as labelled gauges
-    ([secyan_gc_phase_minor_words{phase="phase:reduce"}], ...). *)
-val publish_gc_phases : gc_phase list -> unit

@@ -366,10 +366,10 @@ let test_resume_export_equals_tally () =
   let exported name =
     match
       List.find_opt
-        (fun s -> s.Secyan_metrics.name = name)
-        (Secyan_obs.Metrics.snapshot ~ledger:resume_ctx ())
+        (fun s -> s.Secyan_obs.Metrics.name = name)
+        (Secyan_obs.Metrics.snapshot ~ledger:resume_ctx ~gc_phases:[])
     with
-    | Some { Secyan_metrics.value = Secyan_metrics.Counter n; _ } -> n
+    | Some { Secyan_obs.Metrics.value = Secyan_obs.Metrics.Counter n; _ } -> n
     | _ -> Alcotest.failf "no counter %s in the export" name
   in
   let tally = Context.tally resume_ctx in

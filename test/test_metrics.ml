@@ -1,150 +1,45 @@
-(* Tests for the metrics layer: the lock-striped registry (lib/metrics),
-   merge-on-read correctness across pool sizes, the ledger counters in
-   the export, the exporters, the live progress reporter, and
-   the BENCH regression differ. The registry is a process-wide
-   singleton, so every test uses uniquely-named metrics and restores the
-   enable flag it found. *)
+(* Tests for the [--metrics] export (lib/obs/metrics.ml), which is built
+   at export time from a run context's ledger, its pool's timelines and
+   the GC sampler's phases, plus the GC sampler and the live progress
+   reporter. The pool-timeline flag is process-wide, so every test that
+   turns it on restores the value it found. *)
 
 open Secyan_crypto
 open Secyan_obs
 
 let seed = 23L
 
-let with_metrics f =
+let with_pool_timelines f =
   let was = Secyan_metrics.enabled () in
   Secyan_metrics.set_enabled true;
   Fun.protect ~finally:(fun () -> Secyan_metrics.set_enabled was) f
 
-let find_sample name =
-  List.find_opt (fun s -> s.Secyan_metrics.name = name) (Secyan_metrics.snapshot ())
-
-let get_sample name =
-  match find_sample name with
-  | Some s -> s
-  | None -> Alcotest.failf "metric %s not in snapshot" name
-
-(* ------------------------------------------------------------------ *)
-(* Registry basics *)
-
-let test_counter_basics () =
-  with_metrics @@ fun () ->
-  let c = Secyan_metrics.counter ~help:"test" "test_counter_basics_total" in
-  Secyan_metrics.add c 3;
-  Secyan_metrics.add c 4;
-  match (get_sample "test_counter_basics_total").Secyan_metrics.value with
-  | Secyan_metrics.Counter n -> Alcotest.(check int) "sum of adds" 7 n
-  | _ -> Alcotest.fail "expected a counter"
-
-let test_disabled_records_nothing () =
-  let was = Secyan_metrics.enabled () in
-  Secyan_metrics.set_enabled false;
-  Fun.protect ~finally:(fun () -> Secyan_metrics.set_enabled was) @@ fun () ->
-  let c = Secyan_metrics.counter ~help:"test" "test_disabled_total" in
-  let h = Secyan_metrics.histogram ~help:"test" "test_disabled_hist" in
-  Secyan_metrics.add c 5;
-  Secyan_metrics.observe h 1.0;
-  Secyan_metrics.set_enabled true;
-  (match (get_sample "test_disabled_total").Secyan_metrics.value with
-  | Secyan_metrics.Counter n -> Alcotest.(check int) "no count while disabled" 0 n
-  | _ -> Alcotest.fail "expected a counter");
-  match (get_sample "test_disabled_hist").Secyan_metrics.value with
-  | Secyan_metrics.Histogram h -> Alcotest.(check int) "no observations" 0 h.Secyan_metrics.count
-  | _ -> Alcotest.fail "expected a histogram"
-
-let test_gauge_overwrites () =
-  with_metrics @@ fun () ->
-  let g = Secyan_metrics.gauge ~help:"test" "test_gauge" in
-  Secyan_metrics.set g 1.5;
-  Secyan_metrics.set g 2.5;
-  match (get_sample "test_gauge").Secyan_metrics.value with
-  | Secyan_metrics.Gauge v -> Alcotest.(check (float 1e-9)) "last write wins" 2.5 v
-  | _ -> Alcotest.fail "expected a gauge"
-
-let test_kind_clash_rejected () =
-  Alcotest.check_raises "counter reused as gauge"
-    (Invalid_argument "Secyan_metrics: \"test_kind_clash\" is already registered as a counter")
-    (fun () ->
-      ignore (Secyan_metrics.counter ~help:"test" "test_kind_clash");
-      ignore (Secyan_metrics.gauge ~help:"test" "test_kind_clash"))
-
-(* Pool workers force deferred registrations: forcing one from several
-   domains at once must neither raise (racing [Lazy.force] raises
-   [CamlinternalLazy.Undefined]) nor hand out two handles. The slow
-   registration keeps every domain inside it together. *)
-let test_lazily_across_domains () =
-  let get =
-    Secyan_metrics.lazily (fun () ->
-        Unix.sleepf 0.02;
-        Secyan_metrics.counter ~help:"test" "test_lazily_total")
+(* One Real GC batch of [n] multiplications. *)
+let run_gc_batch ctx ~n =
+  let inp = Prg.create 5L in
+  let items =
+    Array.init n (fun _ ->
+        [
+          Gc_protocol.Priv { owner = Party.Alice; value = Prg.bits inp 16; bits = 32 };
+          Gc_protocol.Priv { owner = Party.Bob; value = Prg.bits inp 16; bits = 32 };
+        ])
   in
-  let go = Atomic.make false in
-  let workers =
-    List.init 4 (fun _ ->
-        Domain.spawn (fun () ->
-            while not (Atomic.get go) do
-              Domain.cpu_relax ()
-            done;
-            get ()))
+  let build b words = [ Circuits.mul_word b words.(0) words.(1) ] in
+  Gc_protocol.eval_to_shares_batch ctx ~items ~build
+
+let count_sub ~sub out =
+  let n = String.length out and m = String.length sub in
+  let rec go i acc =
+    if i + m > n then acc else go (i + 1) (if String.sub out i m = sub then acc + 1 else acc)
   in
-  Atomic.set go true;
-  let handles = List.map Domain.join workers in
-  List.iter (fun h -> Alcotest.(check bool) "one handle" true (h == get ())) handles
-
-let test_histogram_counts_and_sum () =
-  with_metrics @@ fun () ->
-  let h = Secyan_metrics.histogram ~help:"test" "test_hist_counts" in
-  List.iter (Secyan_metrics.observe h) [ 0.5; 1.0; 2.0; 1024.0; 1e12 ];
-  match (get_sample "test_hist_counts").Secyan_metrics.value with
-  | Secyan_metrics.Histogram hs ->
-      Alcotest.(check int) "count" 5 hs.Secyan_metrics.count;
-      Alcotest.(check (float 1e-3)) "sum" (0.5 +. 1.0 +. 2.0 +. 1024.0 +. 1e12)
-        hs.Secyan_metrics.sum;
-      Alcotest.(check int) "bucket cells = bounds + overflow"
-        (Array.length hs.Secyan_metrics.upper + 1)
-        (Array.length hs.Secyan_metrics.counts);
-      Alcotest.(check int) "overflow bucket holds the huge value" 1
-        hs.Secyan_metrics.counts.(Array.length hs.Secyan_metrics.counts - 1)
-  | _ -> Alcotest.fail "expected a histogram"
-
-let test_snapshot_sorted () =
-  with_metrics @@ fun () ->
-  let names = List.map (fun s -> s.Secyan_metrics.name) (Secyan_metrics.snapshot ()) in
-  Alcotest.(check (list string)) "sorted by name" (List.sort compare names) names
-
-(* ------------------------------------------------------------------ *)
-(* Merge-on-read across pool sizes (satellite: bit-identical counts) *)
-
-let merged_histogram_counts pool_size =
-  let h = Secyan_metrics.histogram ~help:"test" "test_merge_hist" in
-  Secyan_metrics.reset ();
-  let pool = Domain_pool.create pool_size in
-  (* a spread of values so many distinct buckets fill *)
-  Domain_pool.run pool ~n:96 ~f:(fun i ->
-      Secyan_metrics.observe h (Float.pow 1.7 (float_of_int (i mod 40)) *. 0.01));
-  Domain_pool.shutdown pool;
-  match (get_sample "test_merge_hist").Secyan_metrics.value with
-  | Secyan_metrics.Histogram hs -> (hs.Secyan_metrics.counts, hs.Secyan_metrics.count)
-  | _ -> Alcotest.fail "expected a histogram"
-
-let test_merge_bit_identical () =
-  with_metrics @@ fun () ->
-  let base_counts, base_count = merged_histogram_counts 1 in
-  List.iter
-    (fun size ->
-      let counts, count = merged_histogram_counts size in
-      Alcotest.(check int) (Printf.sprintf "total at pool size %d" size) base_count count;
-      Alcotest.(check (array int))
-        (Printf.sprintf "bucket counts at pool size %d" size)
-        base_counts counts)
-    [ 2; 4 ];
-  Secyan_metrics.reset ()
+  go 0 0
 
 (* ------------------------------------------------------------------ *)
 (* Ledger counters in the export *)
 
 (* The [secyan_<counter>_total] samples of a JSONL export, by name. *)
 let exported_ledger ctx =
-  Metrics.export_string ~ledger:ctx Metrics.Jsonl
+  Metrics.export_string ~ledger:ctx ~gc_phases:[] Metrics.Jsonl
   |> String.split_on_char '\n'
   |> List.filter_map (fun line ->
          match Json.parse line with
@@ -174,18 +69,9 @@ let test_context_bump_mirrors () =
    export renders exactly that ledger — work and traffic counters
    alike. *)
 let test_parallel_batch_no_double_count () =
-  let build b words = [ Circuits.mul_word b words.(0) words.(1) ] in
   let run domains =
     let ctx = Context.create ~gc_backend:Context.Real ~domains ~seed () in
-    let inp = Prg.create 5L in
-    let items =
-      Array.init 6 (fun _ ->
-          [
-            Gc_protocol.Priv { owner = Party.Alice; value = Prg.bits inp 16; bits = 32 };
-            Gc_protocol.Priv { owner = Party.Bob; value = Prg.bits inp 16; bits = 32 };
-          ])
-    in
-    let _ = Gc_protocol.eval_to_shares_batch ctx ~items ~build in
+    ignore (run_gc_batch ctx ~n:6);
     Context.shutdown_pool ctx;
     (Context.counter_totals ctx, exported_ledger ctx)
   in
@@ -209,106 +95,119 @@ let test_parallel_batch_no_double_count () =
     (base.(Trace_sink.counter_index Trace_sink.Alice_to_bob_bits) > 0
     && base.(Trace_sink.counter_index Trace_sink.Sends) > 0)
 
-(* Per-item allocation observability (DESIGN.md §14): every batch item
-   records its minor/major word delta, at any pool size, and turning the
-   histograms on must not perturb the results. *)
-let test_batch_alloc_words_histograms () =
-  with_metrics @@ fun () ->
-  Secyan_metrics.reset ();
-  let run domains =
-    let ctx = Context.create ~gc_backend:Context.Real ~domains ~seed () in
-    let inp = Prg.create 5L in
-    let items =
-      Array.init 6 (fun _ ->
-          [
-            Gc_protocol.Priv { owner = Party.Alice; value = Prg.bits inp 16; bits = 32 };
-            Gc_protocol.Priv { owner = Party.Bob; value = Prg.bits inp 16; bits = 32 };
-          ])
-    in
-    let build b words = [ Circuits.mul_word b words.(0) words.(1) ] in
-    let shares = Gc_protocol.eval_to_shares_batch ctx ~items ~build in
-    Context.shutdown_pool ctx;
-    shares
-  in
-  let hist name =
-    match (get_sample name).Secyan_metrics.value with
-    | Secyan_metrics.Histogram h -> h
-    | _ -> Alcotest.failf "metric %s is not a histogram" name
-  in
-  let s1 = run 1 in
-  let h1 = hist "secyan_gc_item_minor_words" in
-  Alcotest.(check bool) "at least one observation per item" true
-    (h1.Secyan_metrics.count >= 6);
-  Alcotest.(check bool) "items allocate a measurable amount" true
-    (h1.Secyan_metrics.sum > 0.);
-  let s4 = run 4 in
-  Alcotest.(check bool) "shares identical under metrics" true (s1 = s4);
-  let h4 = hist "secyan_gc_item_minor_words" in
-  Alcotest.(check int) "same observation count at pool 4" (2 * h1.Secyan_metrics.count)
-    h4.Secyan_metrics.count;
-  let major = hist "secyan_gc_item_major_words" in
-  Alcotest.(check int) "major histogram observes with minor"
-    h4.Secyan_metrics.count major.Secyan_metrics.count
-
 (* ------------------------------------------------------------------ *)
 (* Exporters *)
 
-let test_prometheus_format () =
-  with_metrics @@ fun () ->
-  Secyan_metrics.reset ();
-  let h = Secyan_metrics.histogram ~help:"test histogram" "test_prom_hist" in
-  List.iter (Secyan_metrics.observe h) [ 0.5; 0.5; 3.0 ];
-  let g0 = Secyan_metrics.gauge ~help:"labelled" "test_prom_gauge{domain=\"0\"}" in
-  let g1 = Secyan_metrics.gauge ~help:"labelled" "test_prom_gauge{domain=\"1\"}" in
-  Secyan_metrics.set g0 1.;
-  Secyan_metrics.set g1 2.;
-  let out = Metrics.export_string Metrics.Prometheus in
-  let count_sub sub =
-    let n = String.length out and m = String.length sub in
-    let rec go i acc =
-      if i + m > n then acc
-      else go (i + 1) (if String.sub out i m = sub then acc + 1 else acc)
-    in
-    go 0 0
+let phase name seconds =
+  {
+    Profile.phase = name;
+    seconds;
+    minor_words = 100.;
+    promoted_words = 0.;
+    major_words = 0.;
+    minor_collections = 1;
+    major_collections = 0;
+    compactions = 0;
+  }
+
+let test_snapshot_sorted () =
+  with_pool_timelines @@ fun () ->
+  let ctx = Context.create ~gc_backend:Context.Real ~domains:2 ~seed () in
+  ignore (run_gc_batch ctx ~n:4);
+  Context.shutdown_pool ctx;
+  let names =
+    List.map
+      (fun s -> s.Metrics.name)
+      (Metrics.snapshot ~ledger:ctx ~gc_phases:[ phase "setup" 0.5; phase "reveal" 1. ])
   in
+  Alcotest.(check (list string)) "sorted by name" (List.sort compare names) names
+
+let test_prometheus_format () =
+  let ctx = Context.create ~seed () in
+  Context.bump ctx Trace_sink.And_gates 12;
+  let out =
+    Metrics.export_string ~ledger:ctx
+      ~gc_phases:[ phase "phase:reduce" 0.25; phase "reveal" 2. ]
+      Metrics.Prometheus
+  in
+  let count sub = count_sub ~sub out in
+  Alcotest.(check int) "one TYPE per counter" 1
+    (count "# TYPE secyan_and_gates_total counter\n");
+  Alcotest.(check int) "counter line" 1 (count "\nsecyan_and_gates_total 12\n");
   (* one TYPE header per base name, even for labelled gauge families *)
   Alcotest.(check int) "one TYPE for the gauge family" 1
-    (count_sub "# TYPE test_prom_gauge gauge");
-  Alcotest.(check int) "one TYPE for the histogram" 1
-    (count_sub "# TYPE test_prom_hist histogram");
-  Alcotest.(check int) "sum line" 1 (count_sub "test_prom_hist_sum 4\n");
-  Alcotest.(check int) "count line" 1 (count_sub "test_prom_hist_count 3\n");
-  Alcotest.(check int) "cumulative +Inf bucket" 1
-    (count_sub "test_prom_hist_bucket{le=\"+Inf\"} 3\n");
-  Secyan_metrics.reset ()
+    (count "# TYPE secyan_gc_phase_seconds gauge\n");
+  Alcotest.(check int) "labelled gauge" 1
+    (count "secyan_gc_phase_seconds{phase=\"phase:reduce\"} 0.25\n");
+  Alcotest.(check int) "integral gauge prints bare" 1
+    (count "secyan_gc_phase_seconds{phase=\"reveal\"} 2\n")
 
 let test_jsonl_export_parses () =
-  with_metrics @@ fun () ->
-  let h = Secyan_metrics.histogram ~help:"test" "test_jsonl_hist" in
-  Secyan_metrics.observe h 2.0;
-  let out = Metrics.export_string Metrics.Jsonl in
+  let ctx = Context.create ~seed () in
+  let out = Metrics.export_string ~ledger:ctx ~gc_phases:[ phase "setup" 0.5 ] Metrics.Jsonl in
   let lines = String.split_on_char '\n' out |> List.filter (fun l -> l <> "") in
-  Alcotest.(check bool) "at least one metric" true (lines <> []);
+  Alcotest.(check int) "every ledger counter and gc-phase gauge"
+    (Trace_sink.n_counters + 7) (List.length lines);
   List.iter
     (fun l ->
       match Json.parse l with
       | Ok (Json.Obj fields) ->
-          Alcotest.(check bool) "has name" true (List.mem_assoc "name" fields)
+          Alcotest.(check bool) "has name" true (List.mem_assoc "name" fields);
+          Alcotest.(check bool) "has kind" true (List.mem_assoc "kind" fields);
+          Alcotest.(check bool) "has value" true (List.mem_assoc "value" fields)
       | Ok _ -> Alcotest.fail "line is not an object"
       | Error e -> Alcotest.failf "unparsable JSONL line %s: %s" l e)
     lines
 
-let test_quantile_estimates () =
-  with_metrics @@ fun () ->
-  let h = Secyan_metrics.histogram ~help:"test" "test_quantile_hist" in
-  for _ = 1 to 90 do Secyan_metrics.observe h 1.0 done;
-  for _ = 1 to 10 do Secyan_metrics.observe h 1000.0 done;
-  match (get_sample "test_quantile_hist").Secyan_metrics.value with
-  | Secyan_metrics.Histogram hs ->
-      let p50 = Metrics.quantile hs 0.50 and p99 = Metrics.quantile hs 0.99 in
-      Alcotest.(check bool) "p50 near 1" true (p50 >= 1.0 && p50 <= 2.0);
-      Alcotest.(check bool) "p99 near 1000" true (p99 >= 1000.0 && p99 <= 2048.0)
-  | _ -> Alcotest.fail "expected a histogram"
+(* A watched pool of two claiming workers: the export carries three
+   participants' timelines, the watching caller (domain 0) at 0 items,
+   and the items of the one batch add up to its size. *)
+let test_export_renders_pool_timelines () =
+  with_pool_timelines @@ fun () ->
+  let n = 6 in
+  let ctx =
+    Context.create ~gc_backend:Context.Real ~domains:2 ~hang_timeout_s:10. ~seed ()
+  in
+  ignore (run_gc_batch ctx ~n);
+  Context.shutdown_pool ctx;
+  let gauges family =
+    List.filter_map
+      (fun s ->
+        match s.Metrics.value with
+        | Metrics.Gauge v
+          when String.length s.Metrics.name > String.length family
+               && String.sub s.Metrics.name 0 (String.length family + 1) = family ^ "{" ->
+            Some (s.Metrics.name, v)
+        | _ -> None)
+      (Metrics.snapshot ~ledger:ctx ~gc_phases:[])
+  in
+  let items = gauges "secyan_domain_items" in
+  Alcotest.(check (list string)) "three participants"
+    [ "secyan_domain_items{domain=\"0\"}"; "secyan_domain_items{domain=\"1\"}";
+      "secyan_domain_items{domain=\"2\"}" ]
+    (List.map fst items);
+  Alcotest.(check (float 0.)) "the watching caller runs no item" 0.
+    (List.assoc "secyan_domain_items{domain=\"0\"}" items);
+  Alcotest.(check (float 0.)) "items sum to the batch size" (float_of_int n)
+    (List.fold_left (fun acc (_, v) -> acc +. v) 0. items);
+  let out = Metrics.export_string ~ledger:ctx ~gc_phases:[] Metrics.Prometheus in
+  List.iter
+    (fun family ->
+      Alcotest.(check int) (family ^ ": one HELP") 1
+        (count_sub ~sub:(Printf.sprintf "# HELP %s " family) out);
+      Alcotest.(check int) (family ^ ": one TYPE") 1
+        (count_sub ~sub:(Printf.sprintf "# TYPE %s gauge\n" family) out);
+      Alcotest.(check int) (family ^ ": three samples") 3
+        (count_sub ~sub:(Printf.sprintf "\n%s{domain=" family) out))
+    [
+      "secyan_domain_busy_seconds"; "secyan_domain_queue_wait_seconds";
+      "secyan_domain_lock_wait_seconds"; "secyan_domain_wall_seconds";
+      "secyan_domain_batches"; "secyan_domain_items"; "secyan_domain_wakeups";
+    ];
+  let unpooled = Context.create ~seed () in
+  Alcotest.(check int) "no pool, no secyan_domain_* sample" 0
+    (count_sub ~sub:"secyan_domain_"
+       (Metrics.export_string ~ledger:unpooled ~gc_phases:[] Metrics.Jsonl))
 
 (* ------------------------------------------------------------------ *)
 (* GC sampler and progress reporter *)
@@ -396,30 +295,19 @@ let test_progress_composes_with_tracer () =
 let () =
   Alcotest.run "secyan_metrics"
     [
-      ( "registry",
-        [
-          Alcotest.test_case "counter adds" `Quick test_counter_basics;
-          Alcotest.test_case "disabled records nothing" `Quick test_disabled_records_nothing;
-          Alcotest.test_case "gauge overwrites" `Quick test_gauge_overwrites;
-          Alcotest.test_case "kind clash rejected" `Quick test_kind_clash_rejected;
-          Alcotest.test_case "histogram counts and sum" `Quick test_histogram_counts_and_sum;
-          Alcotest.test_case "snapshot sorted" `Quick test_snapshot_sorted;
-          Alcotest.test_case "lazily forced across domains" `Quick test_lazily_across_domains;
-        ] );
       ( "merge",
         [
-          Alcotest.test_case "bit-identical across pool sizes" `Quick test_merge_bit_identical;
           Alcotest.test_case "context bump mirrors" `Quick test_context_bump_mirrors;
           Alcotest.test_case "parallel batch no double count" `Quick
             test_parallel_batch_no_double_count;
-          Alcotest.test_case "batch allocation histograms" `Quick
-            test_batch_alloc_words_histograms;
         ] );
       ( "exporters",
         [
+          Alcotest.test_case "snapshot sorted" `Quick test_snapshot_sorted;
           Alcotest.test_case "prometheus format" `Quick test_prometheus_format;
           Alcotest.test_case "jsonl parses" `Quick test_jsonl_export_parses;
-          Alcotest.test_case "quantile estimates" `Quick test_quantile_estimates;
+          Alcotest.test_case "export renders pool timelines" `Quick
+            test_export_renders_pool_timelines;
         ] );
       ( "profiling",
         [
