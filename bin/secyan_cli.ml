@@ -86,8 +86,9 @@ let metrics_arg =
     "Export a metrics snapshot after the run: the run's ledger totals as \
      $(b,secyan_<counter>_total) counters (equal to the cost line, work restored by \
      --resume included), each pool participant's contention timeline as \
-     $(b,secyan_domain_*) gauges (this flag switches the timelines on), and each \
-     protocol phase's GC activity as $(b,secyan_gc_phase_*) gauges. $(docv) is \
+     $(b,secyan_domain_*) gauges, and each protocol phase's wall time and allocation, \
+     summed over its spans in the run's trace, as $(b,secyan_gc_phase_*) gauges \
+     (the run is traced; the tree is printed only with --trace). $(docv) is \
      $(b,pretty) (aligned table, the default), $(b,jsonl) (one JSON object per metric \
      per line) or $(b,prometheus) (Prometheus text exposition format)."
   in
@@ -258,43 +259,57 @@ let print_checkpoint_stats ctx = function
         | None -> ""
         | Some epoch -> Printf.sprintf ", resumed from epoch %d" epoch)
 
-let print_transport_stats = function
+(* Retries, timeouts and corrupt frames are read from the run's ledger
+   (restored work included after --resume); transfers and dropped
+   duplicates exist only in the transport's own stats. *)
+let print_transport_stats ctx = function
   | None -> ()
   | Some tr ->
       let s = Secyan_net.Resilient.stats tr in
+      let ledger = Context.counter_totals ctx in
+      let count c = ledger.(Trace_sink.counter_index c) in
       Fmt.pr "transport: %s, %d transfers, %d retries, %d timeouts, %d corrupt frames, \
               %d duplicates dropped@."
         (Secyan_net.Resilient.kind tr) s.Secyan_net.Resilient.transfers
-        s.Secyan_net.Resilient.retries s.Secyan_net.Resilient.timeouts
-        s.Secyan_net.Resilient.corrupt_frames s.Secyan_net.Resilient.duplicates_dropped
+        (count Trace_sink.Retries) (count Trace_sink.Timeouts)
+        (count Trace_sink.Frames_corrupted) s.Secyan_net.Resilient.duplicates_dropped
 
-(* Run [f] under a tracer when requested and export the resulting span
-   tree; untraced runs call [f] directly (no sink installed at all). *)
-let traced ?(name = "query") trace trace_out ctx f =
-  match trace with
-  | None -> f ()
-  | Some format ->
-      let result, root = Secyan_obs.Trace.with_tracing ~name ctx f in
-      let export ppf =
-        match format with
-        | `Pretty -> Secyan_obs.Export.pretty ppf root
-        | `Chrome ->
-            Format.fprintf ppf "%s@." (Secyan_obs.Export.chrome_string root)
-        | `Jsonl -> Secyan_obs.Export.jsonl ppf root
-      in
-      (match trace_out with
-      | None ->
-          Fmt.pr "@.";
-          export Format.std_formatter;
-          Format.pp_print_flush Format.std_formatter ()
-      | Some file ->
-          let oc = open_out file in
-          let ppf = Format.formatter_of_out_channel oc in
-          export ppf;
-          Format.pp_print_flush ppf ();
-          close_out oc;
-          Fmt.pr "trace written to %s@." file);
-      result
+(* Run [f] under a tracer when [--trace] or [--metrics] is given. The
+   finished tree lands in [tree] (also when [f] raises, so the metrics
+   export sees every phase that ran) and is exported for [--trace].
+   Untraced runs call [f] directly (no sink installed at all). *)
+let traced ?(name = "query") ~tree ~metrics trace trace_out ctx f =
+  if trace = None && not metrics then f ()
+  else begin
+    let tracer = Secyan_obs.Trace.create ~name () in
+    Secyan_obs.Trace.attach tracer ctx;
+    let result =
+      Fun.protect ~finally:(fun () -> tree := Some (Secyan_obs.Trace.finish tracer)) f
+    in
+    let root = Option.get !tree in
+    Option.iter
+      (fun format ->
+        let export ppf =
+          match format with
+          | `Pretty -> Secyan_obs.Export.pretty ppf root
+          | `Chrome -> Format.fprintf ppf "%s@." (Secyan_obs.Export.chrome_string root)
+          | `Jsonl -> Secyan_obs.Export.jsonl ppf root
+        in
+        match trace_out with
+        | None ->
+            Fmt.pr "@.";
+            export Format.std_formatter;
+            Format.pp_print_flush Format.std_formatter ()
+        | Some file ->
+            let oc = open_out file in
+            let ppf = Format.formatter_of_out_channel oc in
+            export ppf;
+            Format.pp_print_flush ppf ();
+            close_out oc;
+            Fmt.pr "trace written to %s@." file)
+      trace;
+    result
+  end
 
 let resolve_sf scale sf =
   match sf, scale with
@@ -458,15 +473,12 @@ let run_cmd query sql scale sf seed backend domains transport chaos chaos_seed m
     Context.create ~bits ~gc_backend:backend ~domains ?transport:tr ?checkpoint:ck ~cancel
       ?hang_timeout_s ~seed ()
   in
-  if metrics <> None then Secyan_metrics.set_enabled true;
-  let gc_phases = ref [] in
-  (* Attach the per-phase GC sampler and the live progress reporter
-     around one protocol execution (inside the tracer, so both wrappers
-     forward events to it); detach in reverse attach order. *)
+  (* the run's span tree, whose phase spans the metrics export reads *)
+  let tree = ref None in
+  let traced ~name f = traced ~name ~tree ~metrics:(metrics <> None) trace trace_out ctx f in
+  (* Attach the live progress reporter around one protocol execution
+     (inside the tracer, so it forwards events to it). *)
   let observed ?total f =
-    let sampler =
-      if metrics <> None then Some (Secyan_obs.Profile.attach_gc_sampler ctx) else None
-    in
     let heartbeat = Option.map open_out progress_out in
     let reporter =
       if progress || heartbeat <> None then
@@ -476,10 +488,7 @@ let run_cmd query sql scale sf seed backend domains transport chaos chaos_seed m
     Fun.protect
       ~finally:(fun () ->
         Option.iter Secyan_obs.Progress.detach reporter;
-        Option.iter close_out heartbeat;
-        Option.iter
-          (fun s -> gc_phases := Secyan_obs.Profile.detach_gc_sampler s)
-          sampler)
+        Option.iter close_out heartbeat)
       f
   in
   let export_metrics () =
@@ -495,10 +504,10 @@ let run_cmd query sql scale sf seed backend domains transport chaos chaos_seed m
         (match metrics_out with
         | None ->
             Fmt.pr "@.";
-            Secyan_obs.Metrics.export ~ledger:ctx ~gc_phases:!gc_phases format Format.std_formatter
+            Secyan_obs.Metrics.export ?trace:!tree ~ledger:ctx format Format.std_formatter
         | Some file ->
             let oc = open_out file in
-            Secyan_obs.Metrics.export ~ledger:ctx ~gc_phases:!gc_phases format
+            Secyan_obs.Metrics.export ?trace:!tree ~ledger:ctx format
               (Format.formatter_of_out_channel oc);
             close_out oc;
             Fmt.pr "metrics written to %s@." file)
@@ -509,7 +518,7 @@ let run_cmd query sql scale sf seed backend domains transport chaos chaos_seed m
           q.Secyan.Query.tree (Join_tree.root q.Secyan.Query.tree);
         let total = Secyan.Secure_yannakakis.estimate_and_gates ctx q in
         let revealed, stats =
-          traced ~name:q.Secyan.Query.name trace trace_out ctx (fun () ->
+          traced ~name:q.Secyan.Query.name (fun () ->
               observed ~total (fun () -> Secyan.Secure_yannakakis.run ~resume ctx q))
         in
         if Secyan.Query.has_order q then
@@ -522,7 +531,7 @@ let run_cmd query sql scale sf seed backend domains transport chaos chaos_seed m
         if verify then verify_query q revealed else 0
     | `Q8 ->
         let r =
-          traced ~name:"q8" trace trace_out ctx (fun () ->
+          traced ~name:"q8" (fun () ->
               observed (fun () -> Secyan_tpch.Queries.run_q8 ctx d))
         in
         Fmt.pr "market share per year (x1000):@.";
@@ -533,7 +542,7 @@ let run_cmd query sql scale sf seed backend domains transport chaos chaos_seed m
         else 0
     | `Q9 ->
         let r =
-          traced ~name:"q9" trace trace_out ctx (fun () ->
+          traced ~name:"q9" (fun () ->
               observed (fun () -> Secyan_tpch.Queries.run_q9 ctx d))
         in
         let rows = List.filter (fun (_, _, a) -> a <> 0) r.Secyan_tpch.Queries.rows in
@@ -554,7 +563,7 @@ let run_cmd query sql scale sf seed backend domains transport chaos chaos_seed m
             Fmt.pr "fault fired: %s at item %d@." (Fault_inject.fault_to_string f) item)
           (Fault_inject.fired ());
         Fault_inject.disarm ());
-    print_transport_stats tr;
+    print_transport_stats ctx tr;
     print_checkpoint_stats ctx ck;
     export_metrics ();
     Context.close_transport ctx;

@@ -236,9 +236,3 @@ let prg_of t = function
 
 let ring_bits t = Zn.bits t.ring
 
-(** Snapshot-and-measure helper: runs [f] and returns its result with the
-    communication it generated. *)
-let measured t f =
-  let before = tally t in
-  let result = f () in
-  (result, Comm.diff (tally t) before)

@@ -151,7 +151,3 @@ val counter_totals : t -> int array
     happened, in the run being resumed.
     @raise Invalid_argument on a wrong-length array. *)
 val restore_counters : t -> int array -> unit
-
-(** Run [f] and return its result together with the communication it
-    generated. *)
-val measured : t -> (unit -> 'a) -> 'a * Comm.tally

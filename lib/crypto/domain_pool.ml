@@ -43,14 +43,15 @@
     Heartbeats are per-claim, so a single item must finish within the
     timeout; size it for the workload, not the batch.
 
-    When [Secyan_metrics.enabled], every participant keeps a contention
-    timeline — nanoseconds spent running items (busy), parked or waiting
-    on the barrier (queue-wait), and acquiring the pool lock (lock-wait),
-    plus batches/items claimed and condvar wakeups — readable via
+    Every participant always keeps a contention timeline — nanoseconds
+    spent running items (busy), parked or waiting on the barrier
+    (queue-wait), and acquiring the pool lock (lock-wait), plus
+    batches/items claimed and condvar wakeups — readable via
     {!timelines}. Timing uses [Unix.gettimeofday] (microsecond
     resolution), which is far finer than the millisecond-scale waits the
-    profile exists to expose. With the flag off an unwatched pool reads
-    no clock. *)
+    profile exists to expose. A read costs ~45 ns (2-vCPU host, 200k-call
+    loop): two per item on the pooled path and two per batch on the
+    sequential one, plus two per contended lock and per wakeup. *)
 
 type timeline = {
   slot : int;  (* 0 = the calling domain, 1.. = workers *)
@@ -125,8 +126,6 @@ let watched t = Option.is_some t.hang_timeout_s
 (* Workers occupy slots 1 .. [workers t]; slot 0 is the caller. *)
 let workers t = Array.length t.timelines - 1
 
-let profiling () = Secyan_metrics.enabled ()
-
 let now_ns () = Unix.gettimeofday () *. 1e9
 
 (* 63-bit ns since the epoch: fits until ~2262, and [int Atomic.t] sets
@@ -137,17 +136,14 @@ let fresh_timeline slot =
   { slot; busy_ns = 0.; queue_wait_ns = 0.; lock_wait_ns = 0.; batches = 0; items = 0;
     wakeups = 0; origin_ns = 0.; run_ns = 0. }
 
-(* Take the pool lock, charging contention to [tl] when profiling. The
-   try_lock fast path keeps the uncontended case clock-free. *)
+(* Take the pool lock, charging contention to [tl]. The try_lock fast
+   path keeps the uncontended case clock-free. *)
 let lock_timed t tl =
-  if profiling () then begin
-    if not (Mutex.try_lock t.lock) then begin
-      let t0 = now_ns () in
-      Mutex.lock t.lock;
-      tl.lock_wait_ns <- tl.lock_wait_ns +. (now_ns () -. t0)
-    end
+  if not (Mutex.try_lock t.lock) then begin
+    let t0 = now_ns () in
+    Mutex.lock t.lock;
+    tl.lock_wait_ns <- tl.lock_wait_ns +. (now_ns () -. t0)
   end
-  else Mutex.lock t.lock
 
 let record_fault job fault =
   ignore (Atomic.compare_and_set job.failure None (Some fault) : bool)
@@ -205,14 +201,11 @@ let drain t tl ~slot job =
           Atomic.set t.beats.(slot) (now_ns_int ());
           Atomic.set t.claims.(slot) i
         end;
-        if profiling () then begin
-          if not claimed_any then tl.batches <- tl.batches + 1;
-          let t0 = now_ns () in
-          run_item i;
-          tl.busy_ns <- tl.busy_ns +. (now_ns () -. t0);
-          tl.items <- tl.items + 1
-        end
-        else run_item i;
+        if not claimed_any then tl.batches <- tl.batches + 1;
+        let t0 = now_ns () in
+        run_item i;
+        tl.busy_ns <- tl.busy_ns +. (now_ns () -. t0);
+        tl.items <- tl.items + 1;
         if heartbeat then Atomic.set t.claims.(slot) (-1);
         ignore (Atomic.fetch_and_add job.finished 1 : int);
         Atomic.decr job.active;
@@ -231,13 +224,10 @@ let rec worker t slot =
   let tl = t.timelines.(slot) in
   lock_timed t tl;
   while t.pending = None && not (Atomic.get t.stop) do
-    if profiling () then begin
-      let t0 = now_ns () in
-      Condition.wait t.work t.lock;
-      tl.queue_wait_ns <- tl.queue_wait_ns +. (now_ns () -. t0);
-      tl.wakeups <- tl.wakeups + 1
-    end
-    else Condition.wait t.work t.lock
+    let t0 = now_ns () in
+    Condition.wait t.work t.lock;
+    tl.queue_wait_ns <- tl.queue_wait_ns +. (now_ns () -. t0);
+    tl.wakeups <- tl.wakeups + 1
   done;
   if Atomic.get t.stop then Mutex.unlock t.lock
   else begin
@@ -309,17 +299,15 @@ let create ?hang_timeout_s size =
    [Item_raised]. *)
 let run_sequential ?cancel t ~n ~f =
   let tl = t.timelines.(0) in
-  let t0 = if profiling () then now_ns () else 0. in
+  let t0 = now_ns () in
   let ran = ref 0 in
   let account () =
-    if profiling () then begin
-      (* all of a sequential batch's wall-clock is busy time *)
-      let d = now_ns () -. t0 in
-      tl.busy_ns <- tl.busy_ns +. d;
-      tl.run_ns <- tl.run_ns +. d;
-      tl.items <- tl.items + !ran;
-      if !ran > 0 then tl.batches <- tl.batches + 1
-    end
+    (* all of a sequential batch's wall-clock is busy time *)
+    let d = now_ns () -. t0 in
+    tl.busy_ns <- tl.busy_ns +. d;
+    tl.run_ns <- tl.run_ns +. d;
+    tl.items <- tl.items + !ran;
+    if !ran > 0 then tl.batches <- tl.batches + 1
   in
   Fun.protect ~finally:account @@ fun () ->
   for i = 0 to n - 1 do
@@ -367,13 +355,10 @@ let claim_and_wait t tl job =
       (Atomic.get job.finished = job.n
       || ((Atomic.get job.abort || Atomic.get t.stop) && Atomic.get job.active = 0))
   do
-    if profiling () then begin
-      let t0 = now_ns () in
-      Condition.wait t.idle t.lock;
-      tl.queue_wait_ns <- tl.queue_wait_ns +. (now_ns () -. t0);
-      tl.wakeups <- tl.wakeups + 1
-    end
-    else Condition.wait t.idle t.lock
+    let t0 = now_ns () in
+    Condition.wait t.idle t.lock;
+    tl.queue_wait_ns <- tl.queue_wait_ns +. (now_ns () -. t0);
+    tl.wakeups <- tl.wakeups + 1
   done;
   Mutex.unlock t.lock
 
@@ -402,7 +387,7 @@ let declare_hung t job ~slot ~item ~silent_s =
    needs a clock anyway. A watcher stuck inside [f] could rescue nobody,
    which is why it never claims. *)
 let watch_and_wait t tl job ~hang_timeout_s =
-  let t0 = if profiling () then now_ns () else 0. in
+  let t0 = now_ns () in
   let rec go () =
     if Atomic.get job.finished < job.n then begin
       (match job.cancel with
@@ -426,14 +411,14 @@ let watch_and_wait t tl job ~hang_timeout_s =
     end
   in
   go ();
-  if profiling () then tl.queue_wait_ns <- tl.queue_wait_ns +. (now_ns () -. t0)
+  tl.queue_wait_ns <- tl.queue_wait_ns +. (now_ns () -. t0)
 
 let run ?cancel t ~n ~f =
   if n > 0 then
     if sequential_only t || (n = 1 && not (watched t)) then run_sequential ?cancel t ~n ~f
     else begin
       let tl = t.timelines.(0) in
-      let t_start = if profiling () then now_ns () else 0. in
+      let t_start = now_ns () in
       let job =
         { f; n; next = Atomic.make 0; finished = Atomic.make 0;
           active = Atomic.make 0; abort = Atomic.make false; cancel;
@@ -452,7 +437,7 @@ let run ?cancel t ~n ~f =
           done;
           post t tl job;
           watch_and_wait t tl job ~hang_timeout_s);
-      if profiling () then tl.run_ns <- tl.run_ns +. (now_ns () -. t_start);
+      tl.run_ns <- tl.run_ns +. (now_ns () -. t_start);
       resolve t job
     end
 

@@ -84,16 +84,15 @@ val shutdown : t -> unit
 
 (** {1 Contention profiling}
 
-    Recorded only while [Secyan_metrics.enabled]; with the flag off an
-    unwatched pool never reads a clock (watching is clock-based by
-    nature). *)
+    Always recorded: every participant reads the clock around each item
+    it runs, each wait and each contended lock. *)
 
 (** One participant's accumulated timeline. [domain] 0 is the calling
     domain; workers are 1 .. size-1 (unwatched) or 1 .. size (watched,
     where the caller claims no items). For workers [wall_ns] is the time
     since the domain was spawned (or since {!reset_timelines}); for the
     caller it is the total time spent inside {!run}, sequential batches
-    included. While profiling, busy + queue-wait + lock-wait accounts
+    included. Busy + queue-wait + lock-wait accounts
     for a participant's wall clock (workers spend the rest of their
     lives parked, and a watching caller its batches watching, which
     both count as queue-wait). *)

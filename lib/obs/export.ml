@@ -57,6 +57,17 @@ let pretty ppf root =
 
 (* --- Chrome trace events --- *)
 
+(* A span's inclusive allocation, as both machine formats carry it. *)
+let alloc_fields (a : Span.alloc) =
+  [
+    ("minor_words", Json.Float a.Span.minor_words);
+    ("promoted_words", Json.Float a.Span.promoted_words);
+    ("major_words", Json.Float a.Span.major_words);
+    ("minor_collections", Json.Int a.Span.minor_collections);
+    ("major_collections", Json.Int a.Span.major_collections);
+    ("compactions", Json.Int a.Span.compactions);
+  ]
+
 let span_args span =
   let tally = Span.tally span in
   let self = Span.self_tally span in
@@ -77,7 +88,7 @@ let span_args span =
        ("self_bob_to_alice_bits", Json.Int self.Comm.bob_to_alice_bits);
        ("sends", Json.Int (Span.sends span));
      ]
-    @ counter_fields)
+    @ alloc_fields span.Span.alloc @ counter_fields)
 
 (** Complete ("X") events: one per span, timestamps and durations in
     microseconds relative to the trace origin, all on pid 1 / tid 1 so
@@ -120,21 +131,24 @@ let span_record ~depth ~path span =
       Trace_sink.work_counters
   in
   Json.Obj
-    [
-      ("path", Json.Str path);
-      ("name", Json.Str span.Span.name);
-      ("depth", Json.Int depth);
-      ("start_s", Json.Float span.Span.start_s);
-      ("dur_s", Json.Float span.Span.dur_s);
-      ("alice_to_bob_bits", Json.Int tally.Comm.alice_to_bob_bits);
-      ("bob_to_alice_bits", Json.Int tally.Comm.bob_to_alice_bits);
-      ("rounds", Json.Int tally.Comm.rounds);
-      ("self_alice_to_bob_bits", Json.Int self.Comm.alice_to_bob_bits);
-      ("self_bob_to_alice_bits", Json.Int self.Comm.bob_to_alice_bits);
-      ("self_rounds", Json.Int self.Comm.rounds);
-      ("sends", Json.Int (Span.sends span));
-      ("counters", Json.Obj counter_fields);
-    ]
+    ([
+       ("path", Json.Str path);
+       ("name", Json.Str span.Span.name);
+       ("depth", Json.Int depth);
+       ("start_s", Json.Float span.Span.start_s);
+       ("dur_s", Json.Float span.Span.dur_s);
+     ]
+    @ alloc_fields span.Span.alloc
+    @ [
+        ("alice_to_bob_bits", Json.Int tally.Comm.alice_to_bob_bits);
+        ("bob_to_alice_bits", Json.Int tally.Comm.bob_to_alice_bits);
+        ("rounds", Json.Int tally.Comm.rounds);
+        ("self_alice_to_bob_bits", Json.Int self.Comm.alice_to_bob_bits);
+        ("self_bob_to_alice_bits", Json.Int self.Comm.bob_to_alice_bits);
+        ("self_rounds", Json.Int self.Comm.rounds);
+        ("sends", Json.Int (Span.sends span));
+        ("counters", Json.Obj counter_fields);
+      ])
 
 (** One compact JSON object per line per span, pre-order. Lines carry
     the slash-separated path so two traces can be joined by path and

@@ -11,12 +11,14 @@
 val pretty : Format.formatter -> Span.t -> unit
 
 (** Chrome trace-event document: [{"traceEvents": [...]}] with one
-    complete ("X") event per span, [ts]/[dur] in microseconds. *)
+    complete ("X") event per span, [ts]/[dur] in microseconds; its
+    [args] carry the span's traffic, counters and {!Span.alloc}. *)
 val chrome : Span.t -> Json.t
 
 val chrome_string : Span.t -> string
 
-(** One compact JSON object per line per span, pre-order. *)
+(** One compact JSON object per line per span, pre-order: path, timing,
+    {!Span.alloc} fields, traffic and counters. *)
 val jsonl : Format.formatter -> Span.t -> unit
 
 val jsonl_string : Span.t -> string

@@ -1,8 +1,8 @@
 (** The [--metrics] export: one sample list built at export time from a
     run context (its ledger counters and its pool's timelines) and the
-    GC sampler's phases, rendered as a pretty table, JSONL or Prometheus
-    text exposition. Nothing is recorded on the side: every sample is
-    read from a record the run keeps anyway. *)
+    run's span tree (its phase-marker spans), rendered as a pretty table,
+    JSONL or Prometheus text exposition. Nothing is recorded on the
+    side: every sample is read from a record the run keeps anyway. *)
 
 open Secyan_crypto
 
@@ -27,8 +27,7 @@ let labelled name labels help v =
   { name = Printf.sprintf "%s{%s}" name labels; help; value = Gauge v }
 
 (* Per-participant pool timelines ([secyan_domain_busy_seconds{domain="0"}],
-   ...), when the context ever spawned its pool. They hold time only
-   while the pool-timeline flag ({!Secyan_metrics.set_enabled}) is on. *)
+   ...), when the context ever spawned its pool. *)
 let pool_samples ctx =
   match Context.pool_opt ctx with
   | None -> []
@@ -57,38 +56,48 @@ let pool_samples ctx =
           ])
         (Domain_pool.timelines pool)
 
-(* GC phase samples ([secyan_gc_phase_minor_words{phase="phase:reduce"}],
-   ...). A phase that recurs (a composed query runs the protocol more
-   than once) reports its last occurrence. *)
-let gc_phase_samples (phases : Profile.gc_phase list) =
-  let last =
-    List.fold_left
-      (fun acc (p : Profile.gc_phase) -> (p.Profile.phase, p) :: List.remove_assoc p.phase acc)
-      [] phases
-  in
-  List.concat_map
-    (fun (phase, (p : Profile.gc_phase)) ->
+(* Phase gauges ([secyan_gc_phase_minor_words{phase="phase:reduce"}],
+   ...): each sums the duration and allocation of every phase-marker
+   span of that name, so a phase that recurs (a composed query runs the
+   protocol more than once) counts whole. *)
+let phase_samples root =
+  let phases = Hashtbl.create 8 in
+  Span.iter
+    (fun ~depth:_ ~path:_ (s : Span.t) ->
+      if Protocol_schema.is_phase_marker s.Span.name then begin
+        let seconds, alloc =
+          Option.value (Hashtbl.find_opt phases s.Span.name) ~default:(0., Span.no_alloc)
+        in
+        Hashtbl.replace phases s.Span.name
+          (seconds +. s.Span.dur_s, Span.add_alloc alloc s.Span.alloc)
+      end)
+    root;
+  Hashtbl.fold
+    (fun phase (seconds, (a : Span.alloc)) acc ->
       let g name help v = labelled name (Printf.sprintf "phase=%S" phase) help v in
       [
-        g "secyan_gc_phase_seconds" "wall-clock seconds of the phase" p.seconds;
+        g "secyan_gc_phase_seconds" "wall-clock seconds inside the phase's spans" seconds;
         g "secyan_gc_phase_minor_words" "minor-heap words allocated during the phase"
-          p.minor_words;
-        g "secyan_gc_phase_promoted_words" "words promoted during the phase" p.promoted_words;
+          a.Span.minor_words;
+        g "secyan_gc_phase_promoted_words" "words promoted during the phase"
+          a.Span.promoted_words;
         g "secyan_gc_phase_major_words" "major-heap words allocated during the phase"
-          p.major_words;
+          a.Span.major_words;
         g "secyan_gc_phase_minor_collections" "minor collections during the phase"
-          (float_of_int p.minor_collections);
+          (float_of_int a.Span.minor_collections);
         g "secyan_gc_phase_major_collections" "major collections during the phase"
-          (float_of_int p.major_collections);
+          (float_of_int a.Span.major_collections);
         g "secyan_gc_phase_compactions" "heap compactions during the phase"
-          (float_of_int p.compactions);
-      ])
-    last
+          (float_of_int a.Span.compactions);
+      ]
+      @ acc)
+    phases []
 
-let snapshot ~ledger ~gc_phases =
+let snapshot ?trace ~ledger () =
+  let phases = match trace with Some root -> phase_samples root | None -> [] in
   List.sort
     (fun a b -> String.compare a.name b.name)
-    (ledger_samples ledger @ pool_samples ledger @ gc_phase_samples gc_phases)
+    (ledger_samples ledger @ pool_samples ledger @ phases)
 
 type format = Pretty | Jsonl | Prometheus
 
@@ -153,15 +162,15 @@ let prometheus ppf samples =
 
 (* --- entry point ----------------------------------------------------- *)
 
-let export ~ledger ~gc_phases format ppf =
-  let samples = snapshot ~ledger ~gc_phases in
+let export ?trace ~ledger format ppf =
+  let samples = snapshot ?trace ~ledger () in
   (match format with
   | Pretty -> pretty ppf samples
   | Jsonl -> jsonl ppf samples
   | Prometheus -> prometheus ppf samples);
   Format.pp_print_flush ppf ()
 
-let export_string ~ledger ~gc_phases format =
+let export_string ?trace ~ledger format =
   let buf = Buffer.create 4096 in
-  export ~ledger ~gc_phases format (Format.formatter_of_buffer buf);
+  export ?trace ~ledger format (Format.formatter_of_buffer buf);
   Buffer.contents buf

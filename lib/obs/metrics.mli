@@ -8,16 +8,18 @@
       checkpoint included;
     - one [secyan_domain_*{domain="i"}] gauge family per
       {!Secyan_crypto.Domain_pool.timelines} field, when the context
-      ever spawned its pool (they hold time only while
-      [Secyan_metrics.enabled]);
-    - one [secyan_gc_phase_*{phase="..."}] gauge family per
-      {!Profile.gc_phase} field, the last occurrence of each phase. *)
+      ever spawned its pool;
+    - given the run's span tree, one [secyan_gc_phase_*{phase="..."}]
+      gauge family: per phase-marker name
+      ({!Secyan_crypto.Protocol_schema.is_phase_marker}), the summed
+      [dur_s] and {!Span.alloc} of every span of that name. Time outside
+      every phase span is the root's self time, not a gauge. *)
 
 type value = Counter of int | Gauge of float
 type sample = { name : string; help : string; value : value }
 
-(** Every sample of [ledger] and [gc_phases], sorted by name. *)
-val snapshot : ledger:Secyan_crypto.Context.t -> gc_phases:Profile.gc_phase list -> sample list
+(** Every sample of [ledger] and [trace], sorted by name. *)
+val snapshot : ?trace:Span.t -> ledger:Secyan_crypto.Context.t -> unit -> sample list
 
 type format =
   | Pretty       (** aligned table *)
@@ -26,11 +28,6 @@ type format =
 
 (** Render {!snapshot} in [format] (flushes [ppf]). *)
 val export :
-  ledger:Secyan_crypto.Context.t ->
-  gc_phases:Profile.gc_phase list ->
-  format ->
-  Format.formatter ->
-  unit
+  ?trace:Span.t -> ledger:Secyan_crypto.Context.t -> format -> Format.formatter -> unit
 
-val export_string :
-  ledger:Secyan_crypto.Context.t -> gc_phases:Profile.gc_phase list -> format -> string
+val export_string : ?trace:Span.t -> ledger:Secyan_crypto.Context.t -> format -> string

@@ -7,9 +7,11 @@
     estimate, so the percentage is approximate and clamped at 99% until
     the run actually finishes).
 
-    Like {!Profile.attach_gc_sampler}, the reporter composes by wrapping
-    whatever sink is attached and forwarding every event; attach after a
-    tracer, detach in reverse order. Bumps reach the wrapped sink on the
+    It is the one live sink wrapper: it composes by wrapping whatever
+    sink is attached (the tracer, when there is one) and forwarding every
+    event; attach after a tracer, detach in reverse order. Everything
+    read after the run — per-span time, traffic, allocation, phase
+    gauges — comes from the tracer's span tree instead. Bumps reach the wrapped sink on the
     caller's domain only (parallel batches merge worker counters before
     bumping), so rendering needs no synchronization. *)
 

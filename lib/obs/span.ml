@@ -3,25 +3,63 @@
     occurred while it was the innermost open span ("self" metrics), plus
     its child spans.
 
-    Inclusive metrics (self + all descendants) are derived on demand, so
-    recording stays allocation-light: the tracer only mutates the integer
-    counter array of the active span. *)
+    Inclusive ledger metrics (self + all descendants) are derived on
+    demand, so recording stays allocation-light: the tracer only mutates
+    the integer counter array of the active span. Allocation is the
+    other way round: the tracer stamps each span's inclusive
+    [Gc.quick_stat] delta when it closes, because a heap counter cannot
+    be split between a span and its children after the fact. *)
 
 open Secyan_crypto
+
+type alloc = {
+  minor_words : float;
+  promoted_words : float;
+  major_words : float;
+  minor_collections : int;
+  major_collections : int;
+  compactions : int;
+}
 
 type t = {
   name : string;
   start_s : float;    (** seconds since the trace origin *)
   mutable dur_s : float;  (** set when the span closes; -1 while open *)
+  mutable alloc : alloc;  (** set when the span closes; zero while open *)
   self_counters : int array;  (** indexed by [Trace_sink.counter_index] *)
   mutable rev_children : t list;  (** newest first *)
 }
+
+let no_alloc =
+  { minor_words = 0.; promoted_words = 0.; major_words = 0.; minor_collections = 0;
+    major_collections = 0; compactions = 0 }
+
+let alloc_between (a : Gc.stat) (b : Gc.stat) =
+  {
+    minor_words = b.Gc.minor_words -. a.Gc.minor_words;
+    promoted_words = b.Gc.promoted_words -. a.Gc.promoted_words;
+    major_words = b.Gc.major_words -. a.Gc.major_words;
+    minor_collections = b.Gc.minor_collections - a.Gc.minor_collections;
+    major_collections = b.Gc.major_collections - a.Gc.major_collections;
+    compactions = b.Gc.compactions - a.Gc.compactions;
+  }
+
+let add_alloc a b =
+  {
+    minor_words = a.minor_words +. b.minor_words;
+    promoted_words = a.promoted_words +. b.promoted_words;
+    major_words = a.major_words +. b.major_words;
+    minor_collections = a.minor_collections + b.minor_collections;
+    major_collections = a.major_collections + b.major_collections;
+    compactions = a.compactions + b.compactions;
+  }
 
 let create ~name ~start_s =
   {
     name;
     start_s;
     dur_s = -1.;
+    alloc = no_alloc;
     self_counters = Array.make Trace_sink.n_counters 0;
     rev_children = [];
   }

@@ -4,16 +4,21 @@
     Attachment installs a {!Trace_sink.t} on the context, so
     [Context.with_span] and every write to the context's ledger — primitive
     counters, [Context.send], [Context.bump_rounds] — reach the tracer and
-    are attributed to the active span in real time. Detaching restores the
-    no-op sink, returning the context to its zero-overhead untraced state.
-    The tracer draws no randomness and never touches the channel, so
-    traced and untraced runs produce identical transcripts. *)
+    are attributed to the active span in real time. Each span also reads
+    [Gc.quick_stat] when it opens and when it closes, and keeps the delta
+    as its inclusive allocation. Detaching restores the no-op sink,
+    returning the context to its zero-overhead untraced state. The tracer
+    draws no randomness and never touches the channel, so traced and
+    untraced runs produce identical transcripts. *)
 
 open Secyan_crypto
 
 type t = {
   root : Span.t;
-  mutable stack : Span.t list;  (** open spans, innermost first (root excluded) *)
+  root_stat : Gc.stat;          (** [Gc.quick_stat] at [create] *)
+  mutable stack : (Span.t * Gc.stat) list;
+      (** open spans with their opening [Gc.quick_stat], innermost first
+          (root excluded) *)
   origin : float;               (** Unix time of [create] *)
   mutable attached_to : Context.t option;
 }
@@ -21,24 +26,25 @@ type t = {
 let now t = Unix.gettimeofday () -. t.origin
 
 let create ?(name = "trace") () =
-  { root = Span.create ~name ~start_s:0.; stack = []; origin = Unix.gettimeofday ();
-    attached_to = None }
+  { root = Span.create ~name ~start_s:0.; root_stat = Gc.quick_stat (); stack = [];
+    origin = Unix.gettimeofday (); attached_to = None }
 
 (** The innermost open span (the root when none is open). *)
-let active t = match t.stack with span :: _ -> span | [] -> t.root
+let active t = match t.stack with (span, _) :: _ -> span | [] -> t.root
 
 let enter t name =
   let span = Span.create ~name ~start_s:(now t) in
   Span.add_child (active t) span;
-  t.stack <- span :: t.stack
+  t.stack <- (span, Gc.quick_stat ()) :: t.stack
 
 (* Unmatched exits are ignored rather than raised: a sink must never turn
    an otherwise-correct protocol run into a crash. *)
 let exit_span t =
   match t.stack with
   | [] -> ()
-  | span :: rest ->
+  | (span, stat) :: rest ->
       span.Span.dur_s <- now t -. span.Span.start_s;
+      span.Span.alloc <- Span.alloc_between stat (Gc.quick_stat ());
       t.stack <- rest
 
 let sink t : Trace_sink.t =
@@ -70,14 +76,15 @@ let detach t =
       Context.set_sink ctx Trace_sink.noop;
       t.attached_to <- None
 
-(** Detach, close any spans left open, stamp the root duration, and
-    return the completed span tree. *)
+(** Detach, close any spans left open, stamp the root's duration and
+    allocation, and return the completed span tree. *)
 let finish t =
   detach t;
   while t.stack <> [] do
     exit_span t
   done;
   t.root.Span.dur_s <- now t;
+  t.root.Span.alloc <- Span.alloc_between t.root_stat (Gc.quick_stat ());
   t.root
 
 (** Trace [f]: create a tracer named [name], attach it to [ctx] for the
@@ -97,5 +104,6 @@ let with_tracing ?name ctx f =
     hand-rolled [Unix.gettimeofday] + [Comm.diff] bracketing. *)
 let measure ctx f =
   let t0 = Unix.gettimeofday () in
-  let result, delta = Context.measured ctx f in
-  (result, Unix.gettimeofday () -. t0, delta)
+  let before = Context.tally ctx in
+  let result = f () in
+  (result, Unix.gettimeofday () -. t0, Comm.diff (Context.tally ctx) before)

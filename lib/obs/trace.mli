@@ -5,7 +5,9 @@
     span entry/exit ({!Context.with_span}, the one way protocol code
     opens a span) and every write to the context's ledger — primitive
     counters, [Context.send], [Context.bump_rounds] — is attributed to
-    the innermost open span. The tracer draws no randomness and never
+    the innermost open span. Every span, the root included, is stamped on
+    closing with its inclusive allocation ({!Span.alloc}): two
+    [Gc.quick_stat] reads per span, paid only while traced. The tracer draws no randomness and never
     touches the channel: traced and untraced runs produce identical
     protocol transcripts and tallies.
 
@@ -28,8 +30,8 @@ val attach : t -> Context.t -> unit
 (** Restore the context's no-op sink. No-op if not attached. *)
 val detach : t -> unit
 
-(** Detach, close any spans still open, stamp the root duration, and
-    return the completed tree. The root's inclusive tally equals exactly
+(** Detach, close any spans still open, stamp the root's duration and
+    allocation, and return the completed tree. The root's inclusive tally equals exactly
     the communication generated while attached. *)
 val finish : t -> Span.t
 

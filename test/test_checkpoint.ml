@@ -367,7 +367,7 @@ let test_resume_export_equals_tally () =
     match
       List.find_opt
         (fun s -> s.Secyan_obs.Metrics.name = name)
-        (Secyan_obs.Metrics.snapshot ~ledger:resume_ctx ~gc_phases:[])
+        (Secyan_obs.Metrics.snapshot ~ledger:resume_ctx ())
     with
     | Some { Secyan_obs.Metrics.value = Secyan_obs.Metrics.Counter n; _ } -> n
     | _ -> Alcotest.failf "no counter %s in the export" name

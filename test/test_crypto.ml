@@ -668,9 +668,6 @@ let test_pool_shutdown_idempotent () =
    watching caller, which claims nothing), and an unwatched size-1 pool
    (sequential, all on the caller). *)
 let test_pool_timelines_account_wall () =
-  let was = Secyan_metrics.enabled () in
-  Secyan_metrics.set_enabled true;
-  Fun.protect ~finally:(fun () -> Secyan_metrics.set_enabled was) @@ fun () ->
   List.iter
     (fun (size, hang_timeout_s, participants) ->
       let label =
@@ -716,15 +713,6 @@ let test_pool_timelines_account_wall () =
           Alcotest.(check int) "batches zeroed" 0 tl.Domain_pool.batches;
           Alcotest.(check (float 0.)) "busy zeroed" 0. tl.Domain_pool.busy_ns)
         (Domain_pool.timelines pool);
-      (* timelines survive shutdown without error, and record nothing while
-         metrics are disabled *)
-      Secyan_metrics.set_enabled false;
-      Domain_pool.reset_timelines pool;
-      Domain_pool.run pool ~n:4 ~f:(fun _ -> ());
-      List.iter
-        (fun tl -> Alcotest.(check int) "disabled records no items" 0 tl.Domain_pool.items)
-        (Domain_pool.timelines pool);
-      Secyan_metrics.set_enabled true;
       Domain_pool.shutdown pool)
     [ (2, None, 2); (2, Some 10., 3); (1, Some 10., 2); (1, None, 1) ]
 

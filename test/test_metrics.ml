@@ -1,18 +1,12 @@
 (* Tests for the [--metrics] export (lib/obs/metrics.ml), which is built
    at export time from a run context's ledger, its pool's timelines and
-   the GC sampler's phases, plus the GC sampler and the live progress
-   reporter. The pool-timeline flag is process-wide, so every test that
-   turns it on restores the value it found. *)
+   the phase spans of the run's trace, plus the spans' allocation stamps
+   and the live progress reporter. *)
 
 open Secyan_crypto
 open Secyan_obs
 
 let seed = 23L
-
-let with_pool_timelines f =
-  let was = Secyan_metrics.enabled () in
-  Secyan_metrics.set_enabled true;
-  Fun.protect ~finally:(fun () -> Secyan_metrics.set_enabled was) f
 
 (* One Real GC batch of [n] multiplications. *)
 let run_gc_batch ctx ~n =
@@ -39,7 +33,7 @@ let count_sub ~sub out =
 
 (* The [secyan_<counter>_total] samples of a JSONL export, by name. *)
 let exported_ledger ctx =
-  Metrics.export_string ~ledger:ctx ~gc_phases:[] Metrics.Jsonl
+  Metrics.export_string ~ledger:ctx Metrics.Jsonl
   |> String.split_on_char '\n'
   |> List.filter_map (fun line ->
          match Json.parse line with
@@ -98,27 +92,29 @@ let test_parallel_batch_no_double_count () =
 (* ------------------------------------------------------------------ *)
 (* Exporters *)
 
-let phase name seconds =
-  {
-    Profile.phase = name;
-    seconds;
-    minor_words = 100.;
-    promoted_words = 0.;
-    major_words = 0.;
-    minor_collections = 1;
-    major_collections = 0;
-    compactions = 0;
-  }
+(* A finished trace whose root holds one phase span per [(name, dur_s)],
+   each stamped with 100 minor words and one minor collection. *)
+let trace_of phases =
+  let root = Span.create ~name:"run" ~start_s:0. in
+  List.iter
+    (fun (name, dur_s) ->
+      let span = Span.create ~name ~start_s:0. in
+      span.Span.dur_s <- dur_s;
+      span.Span.alloc <- { Span.no_alloc with Span.minor_words = 100.; minor_collections = 1 };
+      Span.add_child root span)
+    phases;
+  root
 
 let test_snapshot_sorted () =
-  with_pool_timelines @@ fun () ->
   let ctx = Context.create ~gc_backend:Context.Real ~domains:2 ~seed () in
   ignore (run_gc_batch ctx ~n:4);
   Context.shutdown_pool ctx;
   let names =
     List.map
       (fun s -> s.Metrics.name)
-      (Metrics.snapshot ~ledger:ctx ~gc_phases:[ phase "setup" 0.5; phase "reveal" 1. ])
+      (Metrics.snapshot
+         ~trace:(trace_of [ ("phase:share", 0.5); ("reveal", 1.) ])
+         ~ledger:ctx ())
   in
   Alcotest.(check (list string)) "sorted by name" (List.sort compare names) names
 
@@ -126,9 +122,9 @@ let test_prometheus_format () =
   let ctx = Context.create ~seed () in
   Context.bump ctx Trace_sink.And_gates 12;
   let out =
-    Metrics.export_string ~ledger:ctx
-      ~gc_phases:[ phase "phase:reduce" 0.25; phase "reveal" 2. ]
-      Metrics.Prometheus
+    Metrics.export_string
+      ~trace:(trace_of [ ("phase:reduce", 0.25); ("reveal", 2.) ])
+      ~ledger:ctx Metrics.Prometheus
   in
   let count sub = count_sub ~sub out in
   Alcotest.(check int) "one TYPE per counter" 1
@@ -144,7 +140,9 @@ let test_prometheus_format () =
 
 let test_jsonl_export_parses () =
   let ctx = Context.create ~seed () in
-  let out = Metrics.export_string ~ledger:ctx ~gc_phases:[ phase "setup" 0.5 ] Metrics.Jsonl in
+  let out =
+    Metrics.export_string ~trace:(trace_of [ ("phase:share", 0.5) ]) ~ledger:ctx Metrics.Jsonl
+  in
   let lines = String.split_on_char '\n' out |> List.filter (fun l -> l <> "") in
   Alcotest.(check int) "every ledger counter and gc-phase gauge"
     (Trace_sink.n_counters + 7) (List.length lines);
@@ -163,7 +161,6 @@ let test_jsonl_export_parses () =
    participants' timelines, the watching caller (domain 0) at 0 items,
    and the items of the one batch add up to its size. *)
 let test_export_renders_pool_timelines () =
-  with_pool_timelines @@ fun () ->
   let n = 6 in
   let ctx =
     Context.create ~gc_backend:Context.Real ~domains:2 ~hang_timeout_s:10. ~seed ()
@@ -179,7 +176,7 @@ let test_export_renders_pool_timelines () =
                && String.sub s.Metrics.name 0 (String.length family + 1) = family ^ "{" ->
             Some (s.Metrics.name, v)
         | _ -> None)
-      (Metrics.snapshot ~ledger:ctx ~gc_phases:[])
+      (Metrics.snapshot ~ledger:ctx ())
   in
   let items = gauges "secyan_domain_items" in
   Alcotest.(check (list string)) "three participants"
@@ -190,7 +187,7 @@ let test_export_renders_pool_timelines () =
     (List.assoc "secyan_domain_items{domain=\"0\"}" items);
   Alcotest.(check (float 0.)) "items sum to the batch size" (float_of_int n)
     (List.fold_left (fun acc (_, v) -> acc +. v) 0. items);
-  let out = Metrics.export_string ~ledger:ctx ~gc_phases:[] Metrics.Prometheus in
+  let out = Metrics.export_string ~ledger:ctx Metrics.Prometheus in
   List.iter
     (fun family ->
       Alcotest.(check int) (family ^ ": one HELP") 1
@@ -207,27 +204,72 @@ let test_export_renders_pool_timelines () =
   let unpooled = Context.create ~seed () in
   Alcotest.(check int) "no pool, no secyan_domain_* sample" 0
     (count_sub ~sub:"secyan_domain_"
-       (Metrics.export_string ~ledger:unpooled ~gc_phases:[] Metrics.Jsonl))
+       (Metrics.export_string ~ledger:unpooled Metrics.Jsonl))
+
+(* A phase that recurs — a composed query runs the protocol more than
+   once — is one gauge per field, summed over every span of that name,
+   wherever in the tree it sits. *)
+let test_recurring_phase_summed () =
+  let ctx = Context.create ~seed () in
+  let allocate () = ignore (Sys.opaque_identity (Array.init 4096 (fun i -> string_of_int i))) in
+  let (), root =
+    Trace.with_tracing ctx (fun () ->
+        Context.with_span ctx "run:1" (fun () -> Context.with_span ctx "phase:reduce" allocate);
+        Context.with_span ctx "run:2" (fun () -> Context.with_span ctx "phase:reduce" allocate))
+  in
+  let reduces = ref [] in
+  Span.iter
+    (fun ~depth:_ ~path:_ (s : Span.t) ->
+      if s.Span.name = "phase:reduce" then reduces := s :: !reduces)
+    root;
+  Alcotest.(check int) "two phase:reduce spans" 2 (List.length !reduces);
+  let gauges family =
+    List.filter_map
+      (fun s ->
+        match s.Metrics.value with
+        | Metrics.Gauge v when String.starts_with ~prefix:(family ^ "{") s.Metrics.name ->
+            Some (s.Metrics.name, v)
+        | _ -> None)
+      (Metrics.snapshot ~trace:root ~ledger:ctx ())
+  in
+  let sum f = List.fold_left (fun acc s -> acc +. f s) 0. (List.rev !reduces) in
+  Alcotest.(check (list (pair string (float 0.)))) "one seconds gauge, the sum"
+    [ ("secyan_gc_phase_seconds{phase=\"phase:reduce\"}", sum (fun s -> s.Span.dur_s)) ]
+    (gauges "secyan_gc_phase_seconds");
+  Alcotest.(check (list (pair string (float 0.)))) "one minor-words gauge, the sum"
+    [
+      ( "secyan_gc_phase_minor_words{phase=\"phase:reduce\"}",
+        sum (fun s -> s.Span.alloc.Span.minor_words) );
+    ]
+    (gauges "secyan_gc_phase_minor_words")
 
 (* ------------------------------------------------------------------ *)
-(* GC sampler and progress reporter *)
+(* Span allocation stamps and the progress reporter *)
 
-let test_gc_sampler_phases () =
+(* The tracer stamps every span with its inclusive allocation: a span
+   that allocates records minor words, and a parent's figures include
+   its child's. *)
+let test_spans_record_allocation () =
   let ctx = Context.create ~seed () in
-  let s = Profile.attach_gc_sampler ctx in
-  Context.with_span ctx "phase:reduce" (fun () ->
-      ignore (Sys.opaque_identity (Array.init 4096 (fun i -> string_of_int i))));
-  Context.with_span ctx "reveal" (fun () -> ());
-  let phases = Profile.detach_gc_sampler s in
-  let names = List.map (fun p -> p.Profile.phase) phases in
-  Alcotest.(check (list string)) "phases in order"
-    [ "setup"; "phase:reduce"; "reveal" ] names;
+  let (), root =
+    Trace.with_tracing ctx (fun () ->
+        Context.with_span ctx "outer" (fun () ->
+            Context.with_span ctx "inner" (fun () ->
+                ignore (Sys.opaque_identity (Array.init 4096 (fun i -> string_of_int i))))))
+  in
   Alcotest.(check bool) "sink restored" true (ctx.Context.sink == Trace_sink.noop);
-  let reduce = List.nth phases 1 in
-  Alcotest.(check bool) "reduce allocated" true (reduce.Profile.minor_words > 0.);
-  (* detach is idempotent *)
-  Alcotest.(check int) "second detach returns same" (List.length phases)
-    (List.length (Profile.detach_gc_sampler s))
+  let outer = List.hd (Span.children root) in
+  let inner = List.hd (Span.children outer) in
+  Alcotest.(check bool) "inner allocated" true (inner.Span.alloc.Span.minor_words > 0.);
+  List.iter
+    (fun ((parent : Span.t), (child : Span.t)) ->
+      let p = parent.Span.alloc and c = child.Span.alloc in
+      let label what = Printf.sprintf "%s %s >= %s's" parent.Span.name what child.Span.name in
+      Alcotest.(check bool) (label "minor words") true (p.Span.minor_words >= c.Span.minor_words);
+      Alcotest.(check bool) (label "major words") true (p.Span.major_words >= c.Span.major_words);
+      Alcotest.(check bool) (label "minor collections") true
+        (p.Span.minor_collections >= c.Span.minor_collections))
+    [ (outer, inner); (root, outer) ]
 
 let test_progress_heartbeats () =
   let ctx = Context.create ~seed () in
@@ -308,10 +350,11 @@ let () =
           Alcotest.test_case "jsonl parses" `Quick test_jsonl_export_parses;
           Alcotest.test_case "export renders pool timelines" `Quick
             test_export_renders_pool_timelines;
+          Alcotest.test_case "recurring phase summed" `Quick test_recurring_phase_summed;
         ] );
       ( "profiling",
         [
-          Alcotest.test_case "gc sampler phases" `Quick test_gc_sampler_phases;
+          Alcotest.test_case "spans record allocation" `Quick test_spans_record_allocation;
           Alcotest.test_case "progress heartbeats" `Quick test_progress_heartbeats;
           Alcotest.test_case "progress composes with tracer" `Quick
             test_progress_composes_with_tracer;

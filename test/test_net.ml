@@ -641,6 +641,35 @@ let matrix_cases =
         fault_cases)
     matrix_queries
 
+(* The ledger is the one record of transport faults: on a fresh run
+   (nothing restored from a checkpoint) under a recoverable schedule, its
+   [Retries]/[Timeouts]/[Frames_corrupted] equal the transport's own
+   stats, which the end-to-end benchmark still reads. *)
+let test_ledger_equals_transport_stats () =
+  with_watchdog ~seconds:120.0 "ledger-vs-stats" @@ fun () ->
+  let spec =
+    match Chaos.parse_spec "drop:3,delay:2,corrupt:2" with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "bad spec: %s" e
+  in
+  let faulty, _ = Chaos.wrap ~seed:7L ~spec (Transport.inproc ()) in
+  let tr = Resilient.create ~seed:7L faulty in
+  let ctx = Queries.context ~transport:tr ~seed:99L () in
+  Fun.protect ~finally:(fun () ->
+      Context.close_transport ctx;
+      Context.shutdown_pool ctx)
+  @@ fun () ->
+  run_simple_query Queries.q3 ctx (xs ());
+  let s = Resilient.stats tr in
+  let ledger = Context.counter_totals ctx in
+  let count c = ledger.(Secyan_crypto.Trace_sink.counter_index c) in
+  Alcotest.(check int) "retries" s.Resilient.retries (count Secyan_crypto.Trace_sink.Retries);
+  Alcotest.(check int) "timeouts" s.Resilient.timeouts (count Secyan_crypto.Trace_sink.Timeouts);
+  Alcotest.(check int) "corrupt frames" s.Resilient.corrupt_frames
+    (count Secyan_crypto.Trace_sink.Frames_corrupted);
+  Alcotest.(check bool) "faults fired" true
+    (s.Resilient.retries > 0 && s.Resilient.timeouts > 0 && s.Resilient.corrupt_frames > 0)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -696,6 +725,8 @@ let () =
         [
           Alcotest.test_case "tally sim = transport" `Slow
             test_tally_identical_sim_vs_transport;
+          Alcotest.test_case "ledger = transport stats" `Slow
+            test_ledger_equals_transport_stats;
         ] );
       ("chaos-matrix", matrix_cases);
     ]

@@ -466,7 +466,9 @@ let test_oblivious_join_k_way () =
             (fun i r -> shared ctx ~owner:(if i mod 2 = 0 then Party.Alice else Party.Bob) r)
             rs
         in
-        let out, cost = Context.measured ctx (fun () -> Oblivious_join.run ctx ring32 srs) in
+        let out, _, cost =
+          Secyan_obs.Trace.measure ctx (fun () -> Oblivious_join.run ctx ring32 srs)
+        in
         ( content
             (Relation.with_annots out.Oblivious_join.joined
                (Array.map (Secret_share.reconstruct ctx) out.Oblivious_join.annots)),

@@ -255,9 +255,12 @@ let test_q9_per_nation_cost_uniform () =
     (Secyan_crypto.Comm.total_bits t2)
     (Secyan_crypto.Comm.total_bits t17)
 
-(* The progress estimate (ETA only) must stay within 2x of the measured
-   AND-gate total, or --progress stalls far from (or races to) 100%. *)
-let test_progress_estimate_within_2x () =
+(* The progress estimate (ETA only) never over-counts the measured
+   AND-gate total and stays within 25% under it, or --progress stalls far
+   from (or races to) 100%. It omits the top-k sort, so it is low by
+   what ORDER BY costs: estimate/measured at seed 1 is 0.930/0.976 for
+   Q3 xs/s, 0.848/0.774 for Q10 and 0.996/0.997 for Q18. *)
+let test_progress_estimate_under_measured () =
   List.iter
     (fun scale ->
       let d = Datagen.generate ~sf:(Datagen.preset_sf scale) ~seed:1L in
@@ -270,7 +273,7 @@ let test_progress_estimate_within_2x () =
             (Secyan_crypto.Context.counter_totals ctx).(Secyan_crypto.Trace_sink.counter_index
                                                           Secyan_crypto.Trace_sink.And_gates)
           in
-          if estimate > 2 * measured || measured > 2 * estimate then
+          if estimate > measured || 4 * estimate < 3 * measured then
             Alcotest.failf "%s at %s: estimate %d vs measured %d AND gates" name scale
               estimate measured)
         [ ("Q3", Queries.q3 d); ("Q10", Queries.q10 d); ("Q18", Queries.q18 d) ])
@@ -395,8 +398,8 @@ let () =
           Alcotest.test_case "rounds scale-free" `Quick test_rounds_scale_free;
           Alcotest.test_case "Q9 per-nation cost uniform" `Quick test_q9_per_nation_cost_uniform;
           Alcotest.test_case "effective input size" `Quick test_effective_input_size_monotone;
-          Alcotest.test_case "progress estimate within 2x" `Quick
-            test_progress_estimate_within_2x;
+          Alcotest.test_case "progress estimate 0.75-1x measured" `Quick
+            test_progress_estimate_under_measured;
           Alcotest.test_case "figure query cost pins" `Quick test_figure_cost_pins;
         ] );
     ]
