@@ -46,18 +46,18 @@ type spec = {
 
 let records = ref []
 
-(* The garbled-circuit baseline's rate, calibrated once on Q3 at xs: run
-   the real garbler over a few product rows and time it per AND gate (the
-   median of five runs after a warm-up). *)
-let seconds_per_and =
-  lazy
-    (let q = Queries.q3 (Datagen.generate ~sf:(Datagen.preset_sf "xs") ~seed) in
-     let lo, median, hi = Cartesian_gc.calibrate ~seed q ~rows:32 in
-     line
-       "(garbled-circuit baseline calibrated: %.3g s per AND gate, median of 5 runs, min %.3g, \
-        max %.3g; real half-gates garbling)"
-       median lo hi;
-     median)
+(* The garbled-circuit baseline's rate on Q3 at xs: run the real garbler
+   over a few product rows and time it per AND gate (the median of five
+   runs after a warm-up). Each figure calibrates at its start, so its
+   baseline columns share the host speed of its secure columns. *)
+let calibrate_seconds_per_and () =
+  let q = Queries.q3 (Datagen.generate ~sf:(Datagen.preset_sf "xs") ~seed) in
+  let lo, median, hi = Cartesian_gc.calibrate ~seed q ~rows:32 in
+  line
+    "(garbled-circuit baseline calibrated: %.3g s per AND gate, median of 5 runs, min %.3g, \
+     max %.3g; real half-gates garbling)"
+    median lo hi;
+  median
 
 (* Depth-1 span breakdown of a traced run: one entry per protocol phase. *)
 let phase_breakdown root =
@@ -85,7 +85,7 @@ let runs_per_point = 3
    per-phase breakdown (unscaled). The tracer adds only span bookkeeping
    to the timed region. The runs' tallies are deterministic, so they must
    agree. *)
-let measure ~section ~query ~scale ~sf s =
+let measure ~section ~query ~scale ~sf ~seconds_per_and s =
   let runs =
     List.init runs_per_point (fun _ ->
         let ctx = Queries.context ~gc_backend:Context.Real ~seed () in
@@ -99,9 +99,7 @@ let measure ~section ~query ~scale ~sf s =
   in
   let (), plain_s = time s.plaintext in
   let eff = float_of_int (Queries.effective_input_bytes s.inner) in
-  let est =
-    Cartesian_gc.estimate ~seconds_per_and:(Lazy.force seconds_per_and) s.inner
-  in
+  let est = Cartesian_gc.estimate ~seconds_per_and s.inner in
   let f = float_of_int s.factor and g = float_of_int s.gc_runs in
   let secyan_s = f *. secyan_s and secyan_mb = f *. Comm.total_megabytes tally in
   let rounds = s.factor * tally.Comm.rounds in
@@ -131,7 +129,7 @@ let measure ~section ~query ~scale ~sf s =
   (scale, gc_s /. secyan_s, gc_mb /. secyan_mb)
 
 let figure ~section ~title ~query spec () =
-  ignore (Lazy.force seconds_per_and) (* calibrate before the table prints *);
+  let seconds_per_and = calibrate_seconds_per_and () (* before the table prints *) in
   banner title;
   line "%-6s %12s %10s %11s %7s %12s %13s %9s %10s" "scale" "eff-input-KB" "secyan-s"
     "secyan-MB" "rounds" "gc-s(extr.)" "gc-MB(extr.)" "plain-s" "plain-MB";
@@ -140,7 +138,9 @@ let figure ~section ~title ~query spec () =
       (fun _ (scale, sf) ->
         (* settle the heap so one point's garbage does not time the next *)
         Gc.compact ();
-        Some (measure ~section ~query ~scale ~sf (spec (Datagen.generate ~sf ~seed) ~sf)))
+        Some
+          (measure ~section ~query ~scale ~sf ~seconds_per_and
+             (spec (Datagen.generate ~sf ~seed) ~sf)))
       None Datagen.presets
   in
   (* the paper's headline: who wins and by how much at the largest scale *)

@@ -23,7 +23,10 @@
     group sizes.
 
     pi^1 (project-nonzero) garbles per-tuple nonzero indicators through
-    OR-merge gates ([nonzero_chain]) for every semiring. *)
+    OR-merge gates ([nonzero_chain]) for every semiring. Each indicator
+    compares Alice's share with the negation of Bob's
+    ({!Gc_protocol.nonzero_test}), so no adder reconstructs the
+    annotation. *)
 
 open Secyan_crypto
 open Secyan_relational
@@ -67,12 +70,11 @@ let emit_output (sorted : Relation.t) ~attrs equal_next out_annots ~owner ~name 
   in
   Shared_relation.of_shares ~owner rel out_annots
 
-(* The chain's inputs: the owner's n-1 one-bit "same key as the next
-   tuple" indicators, then the n aligned annotation shares. *)
-let chain_inputs ~owner equal_next aligned =
+(* A chain's leading inputs: the owner's n-1 one-bit "same key as the
+   next tuple" indicators. The per-tuple inputs follow. *)
+let indicators ~owner equal_next =
   List.init (Array.length equal_next) (fun i ->
       Gc_protocol.Priv { owner; value = (if equal_next.(i) then 1L else 0L); bits = 1 })
-  @ List.map (fun s -> Gc_protocol.Shared s) (Array.to_list aligned)
 
 (** The N-1 merge gates of pi^plus over [n >= 2] sorted tuples: within a
     run of equal keys accumulate, at a run boundary emit and reset. *)
@@ -90,11 +92,15 @@ let merge_chain semiring ~n b (words : Circuits.word array) =
   outs.(n - 1) <- !z;
   Array.to_list outs
 
-(** The OR-merge gates of pi^1 over [n >= 1] sorted tuples; each output
-    is the semiring's times-identity for a present group, else zero. *)
+(** The OR-merge gates of pi^1 over [n >= 1] sorted tuples, whose inputs
+    are the n-1 indicators then each tuple's {!Gc_protocol.nonzero_inputs}
+    pair; each output is the semiring's times-identity for a present
+    group, else zero. *)
 let nonzero_chain semiring ~n b (words : Circuits.word array) =
   let ind i = words.(i).(0) in
-  let nz i = Circuits.nonzero_word b words.(n - 1 + i) in
+  let nz i =
+    Gc_protocol.nonzero_test b words.(n - 1 + (2 * i)) words.(n - 1 + (2 * i) + 1)
+  in
   let z = ref (nz 0) in
   let outs = Array.make n (nz 0) in
   for i = 0 to n - 2 do
@@ -148,7 +154,9 @@ let aggregate ctx semiring (sr : Shared_relation.t) ~attrs : Shared_relation.t =
     else if n = 1 then [| aligned.(0) |]
     else
       Gc_protocol.eval_to_shares ctx
-        ~inputs:(chain_inputs ~owner equal_next aligned)
+        ~inputs:
+          (indicators ~owner equal_next
+          @ List.map (fun s -> Gc_protocol.Shared s) (Array.to_list aligned))
         ~build:(merge_chain semiring ~n)
   in
   emit_output sorted ~attrs equal_next out_annots ~owner ~name
@@ -166,7 +174,9 @@ let project_nonzero ctx semiring (sr : Shared_relation.t) ~attrs : Shared_relati
   else begin
     let out_annots =
       Gc_protocol.eval_to_shares ctx
-        ~inputs:(chain_inputs ~owner equal_next aligned)
+        ~inputs:
+          (indicators ~owner equal_next
+          @ List.concat_map (Gc_protocol.nonzero_inputs ctx) (Array.to_list aligned))
         ~build:(nonzero_chain semiring ~n)
     in
     emit_output sorted ~attrs equal_next out_annots ~owner ~name

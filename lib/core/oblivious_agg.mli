@@ -26,11 +26,14 @@ val project_nonzero :
   Context.t -> Semiring.t -> Shared_relation.t -> attrs:Schema.t -> Shared_relation.t
 
 (** The two operators' garbled circuits, as {!Gc_protocol} builders over
-    the chain's input words (the n-1 one-bit equal-next indicators, then
-    the n annotations). [merge_chain semiring ~n] is {!aggregate}'s N-1
+    the chain's input words: the n-1 one-bit equal-next indicators, then
+    per tuple its annotation ([Gc_protocol.Shared], for [merge_chain]) or
+    its {!Gc_protocol.nonzero_inputs} pair (two words, for
+    [nonzero_chain]). [merge_chain semiring ~n] is {!aggregate}'s N-1
     merge gates ([n >= 2]) for the boolean and tropical semirings (a
     [Ring] aggregate garbles nothing); [nonzero_chain semiring ~n] is
-    {!project_nonzero}'s OR-merge gates ([n >= 1]) for every semiring. *)
+    {!project_nonzero}'s OR-merge gates ([n >= 1]) for every semiring,
+    with no adder in front of its nonzero tests. *)
 val merge_chain :
   Semiring.t -> n:int -> Boolean_circuit.Builder.b -> Circuits.word array -> Circuits.word list
 

@@ -6,7 +6,9 @@
     nothing beyond the query result. The three steps:
 
     1. Reveal: per relation, a batch of garbled circuits tests v(t) = 0 and
-       hands Alice either the tuple or a dummy (positions preserved).
+       hands Alice either the tuple or a dummy (positions preserved). The
+       test compares Alice's share with the negation of Bob's, so it
+       needs no adder to reconstruct v(t) first.
     2. Join: Alice joins the revealed relations locally (plaintext
        Yannakakis) and sends only OUT = |J*| to Bob.
     3. Annotations: per relation, Alice programs the extended permutation
@@ -31,11 +33,9 @@ let reveal_to_alice ctx semiring (sr : Shared_relation.t) : Relation.t =
   let n = Shared_relation.cardinality sr in
   if n = 0 then sr.Shared_relation.rel
   else begin
-    let items =
-      Array.map (fun s -> [ Gc_protocol.Shared s ]) sr.Shared_relation.annots
-    in
+    let items = Array.map (Gc_protocol.nonzero_inputs ctx) sr.Shared_relation.annots in
     let build b (words : Circuits.word array) =
-      [ [| Circuits.nonzero_word b words.(0) |] ]
+      [ [| Gc_protocol.nonzero_test b words.(0) words.(1) |] ]
     in
     let nonzero =
       Array.map (fun r -> r.(0)) (Gc_protocol.eval_reveal_batch ctx ~to_:Party.Alice ~items ~build)

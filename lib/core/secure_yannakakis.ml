@@ -385,8 +385,9 @@ let run ?resume ctx (q : Query.t) : Relation.t * result =
       cuckoo bin of the left relation, a [Psi.cmp_bits]-wide equality
       test plus one AND per bit of the revealed index;
     - [project_nonzero] over a semijoin's shared right relation, and the
-      oblivious join's reveal circuits: per tuple, an adder that joins
-      the two shares and a nonzero test;
+      oblivious join's reveal circuits: per tuple, one ℓ-bit equality of
+      Alice's share with the negation of Bob's (ℓ-1 ANDs, no adder), plus
+      the chain's OR-merge gates;
     - for the non-ring semirings, the aggregation merge chain and the
       product circuits, [Cost_model.merge_circuit_and_gates] per tuple.
     Ring aggregation (a segmented sum through one OEP) and ring products
@@ -407,7 +408,7 @@ let estimate_and_gates ctx (q : Query.t) =
   let shared = Hashtbl.create 8 and folded = Hashtbl.create 8 in
   let clear l = not (Hashtbl.mem shared l) in
   let make_shared l = Hashtbl.replace shared l () in
-  let shared_word = 2 * (bits - 1) in
+  let nonzero_test = bits - 1 in
   let psi ~left ~right =
     if Party.equal (owner left) (owner right) then 0
     else
@@ -415,7 +416,7 @@ let estimate_and_gates ctx (q : Query.t) =
       bins * (Psi.cmp_bits - 1 + Psi.index_bits (card right + bins))
   in
   let semijoin ~left ~right =
-    let nonzero_chain = if clear right then 0 else card right * (shared_word + 2) in
+    let nonzero_chain = if clear right then 0 else card right * (nonzero_test + 2) in
     let cost = nonzero_chain + psi ~left ~right + (card left * per_tuple) in
     make_shared left;
     cost
@@ -438,5 +439,5 @@ let estimate_and_gates ctx (q : Query.t) =
   let plan = Yannakakis.plan q.Query.tree ~output:q.Query.output in
   let operators = List.fold_left (fun acc o -> acc + op o) 0 plan in
   List.fold_left
-    (fun acc (l, _) -> if Hashtbl.mem folded l then acc else acc + (card l * shared_word))
+    (fun acc (l, _) -> if Hashtbl.mem folded l then acc else acc + (card l * nonzero_test))
     operators q.Query.inputs

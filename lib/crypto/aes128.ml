@@ -52,7 +52,8 @@ let gf_inv a =
 
 (* --- S-box: inverse followed by the affine transform ---------------- *)
 
-let sbox =
+(* Private: the core reads it unchecked, so no caller may write to it. *)
+let sbox_table =
   Array.init 256 (fun i ->
       let b = gf_inv i in
       let bit x n = (x lsr n) land 1 in
@@ -70,6 +71,8 @@ let sbox =
 let x2 = Array.init 256 xtime
 let x3 = Array.init 256 (fun b -> xtime b lxor b)
 
+let sbox () = Array.copy sbox_table
+
 (* --- T-tables ---------------------------------------------------------- *)
 
 (* Columns are big-endian 32-bit words (row 0 in the top byte). t0[b] is
@@ -78,7 +81,8 @@ let x3 = Array.init 256 (fun b -> xtime b lxor b)
    round's output column c is then
      t0[row 0 of c] ^ t1[row 1 of c+1] ^ t2[row 2 of c+2] ^ t3[row 3 of c+3]
    which is SubBytes, ShiftRows and MixColumns at once. *)
-let t0 = Array.map (fun s -> (x2.(s) lsl 24) lor (s lsl 16) lor (s lsl 8) lor x3.(s)) sbox
+let t0 =
+  Array.map (fun s -> (x2.(s) lsl 24) lor (s lsl 16) lor (s lsl 8) lor x3.(s)) sbox_table
 let rotr8 w = (w lsr 8) lor ((w land 0xff) lsl 24)
 let t1 = Array.map rotr8 t0
 let t2 = Array.map rotr8 t1
@@ -90,11 +94,17 @@ type schedule = int array  (* 44 round-key words, 4 per round *)
 
 let rcon = [| 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0x1b; 0x36 |]
 
+(* Unchecked reads ([Array.unsafe_get], specialised to [int array] so no
+   float-array check remains): every index below is a byte of a 32-bit
+   word (see {!encrypt_words}), and the tables hold 256 entries. *)
+external ( .!() ) : int array -> int -> int = "%array_unsafe_get"
+
+(* [w] must be < 2^32, so that [w lsr 24] is a byte. *)
 let sub_word w =
-  (sbox.(w lsr 24) lsl 24)
-  lor (sbox.((w lsr 16) land 0xff) lsl 16)
-  lor (sbox.((w lsr 8) land 0xff) lsl 8)
-  lor sbox.(w land 0xff)
+  (sbox_table.!(w lsr 24) lsl 24)
+  lor (sbox_table.!((w lsr 16) land 0xff) lsl 16)
+  lor (sbox_table.!((w lsr 8) land 0xff) lsl 8)
+  lor sbox_table.!(w land 0xff)
 
 let expand_key (key : Bytes.t) : schedule =
   if Bytes.length key <> 16 then
@@ -137,26 +147,37 @@ let pack hi lo = Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_i
 let last (rk : schedule) k w x y z =
   sub_word
     ((w land 0xff00_0000) lor (x land 0xff_0000) lor (y land 0xff00) lor (z land 0xff))
-  lxor rk.(k)
+  lxor rk.!(k)
 
 (* Encrypt the block whose column words are [c0..c3] (each < 2^32) and
    store it at [dst.(off, off+16)] as two native-order int64s, columns
    0-1 then 2-3. Taking the words as [int]s and storing the result keeps
-   every intermediate unboxed across the call. *)
+   every intermediate unboxed across the call.
+
+   Every table and schedule read is unchecked. The invariant that makes
+   this safe: every word here is < 2^32. The inputs are (callers pass
+   [hi32]/[lo32] of int64s); the schedule's words are ([expand_key]
+   masks the key words and rotword to 32 bits, and S-box bytes, [rcon]
+   bytes shifted by 24 and their XORs stay below 2^32); T-table entries
+   are 4 bytes. XORs of such words are < 2^32 too, so [x lsr 24] and
+   [(x lsr k) land 0xff] index the 256-entry tables in bounds. The
+   schedule is abstract and always 44 words, so [rk] indices 0..43 are
+   in bounds; the tables are private, so no caller can write a
+   wider entry into them. *)
 let encrypt_words (rk : schedule) c0 c1 c2 c3 (dst : Bytes.t) off =
-  let s0 = ref (c0 lxor rk.(0)) and s1 = ref (c1 lxor rk.(1)) in
-  let s2 = ref (c2 lxor rk.(2)) and s3 = ref (c3 lxor rk.(3)) in
+  let s0 = ref (c0 lxor rk.!(0)) and s1 = ref (c1 lxor rk.!(1)) in
+  let s2 = ref (c2 lxor rk.!(2)) and s3 = ref (c3 lxor rk.!(3)) in
   for round = 1 to 9 do
     let k = 4 * round in
     let a = !s0 and b = !s1 and c = !s2 and d = !s3 in
-    s0 := t0.(a lsr 24) lxor t1.((b lsr 16) land 0xff) lxor t2.((c lsr 8) land 0xff)
-          lxor t3.(d land 0xff) lxor rk.(k);
-    s1 := t0.(b lsr 24) lxor t1.((c lsr 16) land 0xff) lxor t2.((d lsr 8) land 0xff)
-          lxor t3.(a land 0xff) lxor rk.(k + 1);
-    s2 := t0.(c lsr 24) lxor t1.((d lsr 16) land 0xff) lxor t2.((a lsr 8) land 0xff)
-          lxor t3.(b land 0xff) lxor rk.(k + 2);
-    s3 := t0.(d lsr 24) lxor t1.((a lsr 16) land 0xff) lxor t2.((b lsr 8) land 0xff)
-          lxor t3.(c land 0xff) lxor rk.(k + 3)
+    s0 := t0.!(a lsr 24) lxor t1.!((b lsr 16) land 0xff) lxor t2.!((c lsr 8) land 0xff)
+          lxor t3.!(d land 0xff) lxor rk.!(k);
+    s1 := t0.!(b lsr 24) lxor t1.!((c lsr 16) land 0xff) lxor t2.!((d lsr 8) land 0xff)
+          lxor t3.!(a land 0xff) lxor rk.!(k + 1);
+    s2 := t0.!(c lsr 24) lxor t1.!((d lsr 16) land 0xff) lxor t2.!((a lsr 8) land 0xff)
+          lxor t3.!(b land 0xff) lxor rk.!(k + 2);
+    s3 := t0.!(d lsr 24) lxor t1.!((a lsr 16) land 0xff) lxor t2.!((b lsr 8) land 0xff)
+          lxor t3.!(c land 0xff) lxor rk.!(k + 3)
   done;
   let a = !s0 and b = !s1 and c = !s2 and d = !s3 in
   set64u dst off (pack (last rk 40 a b c d) (last rk 41 b c d a));

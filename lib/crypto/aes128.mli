@@ -6,8 +6,10 @@
     nothing and keeps no domain-local state, so it is safe under parallel
     garbling. *)
 
-(** The AES S-box, derived from the GF(2^8) arithmetic (test hook). *)
-val sbox : int array
+(** A fresh copy of the AES S-box, derived from the GF(2^8) arithmetic
+    (test hook). The table itself stays private: the core reads it
+    unchecked. *)
+val sbox : unit -> int array
 
 type schedule
 

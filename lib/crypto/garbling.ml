@@ -182,8 +182,8 @@ let garble ?(kdf = Aes128_kdf) ?arena prg circuit =
           Bytes.create 48 )
   in
   for i = 0 to circuit.n_inputs - 1 do
-    set64u wires (16 * i) (Prg.next_int64 prg);
-    set64u wires ((16 * i) + 8) (Prg.next_int64 prg)
+    Prg.next_into prg wires (16 * i);
+    Prg.next_into prg wires ((16 * i) + 8)
   done;
   let ops = circuit.ops and lhs = circuit.lhs and rhs = circuit.rhs in
   let and_idx = ref 0 in

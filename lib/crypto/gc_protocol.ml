@@ -3,8 +3,10 @@
     Callers describe a computation over words: private inputs contributed
     by one party and arithmetically shared inputs contributed by both (the
     circuit reconstructs shared values with an adder front-end, exactly as
-    the paper's merge gates do). Outputs either become fresh arithmetic
-    shares or are revealed to one party.
+    the paper's merge gates do). The nonzero tests need no adder: they
+    feed a share pair through {!nonzero_inputs} and compare it with
+    {!nonzero_test}. Outputs either become fresh arithmetic shares or are
+    revealed to one party.
 
     Two backends (see DESIGN.md §2.2):
     - [Real]: Alice garbles with half-gates, Bob receives his input labels
@@ -37,6 +39,19 @@ type input =
   | Shared of Secret_share.t
       (** an arithmetically shared ring element; the circuit sees its
           reconstruction (one adder is prepended) *)
+
+(* x = x_A + x_B is nonzero exactly when x_A <> -x_B in Z_2^l: Alice
+   inputs her share, Bob the negation of his, and one equality test
+   replaces an adder and a nonzero test. The input widths and owners are
+   those of [Shared s], so OTs and bits are unchanged. *)
+let nonzero_inputs ctx (s : Secret_share.t) =
+  let bits = Context.ring_bits ctx in
+  [
+    Priv { owner = Party.Alice; value = s.Secret_share.a; bits };
+    Priv { owner = Party.Bob; value = Zn.neg ctx.Context.ring s.Secret_share.b; bits };
+  ]
+
+let nonzero_test b x_a neg_x_b = Boolean_circuit.Builder.bnot b (Circuits.eq_word b x_a neg_x_b)
 
 type built = {
   circuit : Boolean_circuit.t;

@@ -16,6 +16,18 @@ type input =
       (** an arithmetically shared ring element; the circuit sees its
           reconstruction (an adder front-end is prepended) *)
 
+(** The inputs of a nonzero test of [s] that skips reconstruction:
+    Alice's share and the negation of Bob's, [ring_bits] wires each (the
+    widths and owners of [Shared s]). *)
+val nonzero_inputs : Context.t -> Secret_share.t -> input list
+
+(** [nonzero_test b x_a neg_x_b] over the two words of {!nonzero_inputs}:
+    1 iff the shared value is nonzero, since x_A + x_B <> 0 exactly when
+    x_A <> -x_B mod 2^l. One equality test, l-1 AND gates, where
+    reconstructing first would add an l-bit adder. *)
+val nonzero_test :
+  Boolean_circuit.Builder.b -> Circuits.word -> Circuits.word -> Boolean_circuit.Builder.value
+
 (** The circuit that a batch over items shaped like [inputs] evaluates
     (only the shape of [inputs] matters, not the values). *)
 val circuit :

@@ -5,29 +5,40 @@
     authors. Every source of randomness in the library flows through a
     [Prg.t] so that protocol runs are reproducible from a single seed. *)
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro state words s0..s3, native-endian at byte offsets 0,
+   8, 16 and 24 of one 32-byte buffer. Loads and stores through the
+   unaligned int64 primitives stay unboxed, so a draw allocates nothing
+   (mutable [int64] record fields would box on every store). *)
+type t = Bytes.t
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let create seed =
   let sm = Secyan_net.Rng.create seed in
-  let s0 = Secyan_net.Rng.next sm in
-  let s1 = Secyan_net.Rng.next sm in
-  let s2 = Secyan_net.Rng.next sm in
-  let s3 = Secyan_net.Rng.next sm in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set64u t (8 * i) (Secyan_net.Rng.next sm)
+  done;
+  t
 
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+[@@inline always]
 
 let next_int64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get64u t 0 and s1 = get64u t 8 and s2 = get64u t 16 and s3 = get64u t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set64u t 0 (logxor s0 s3);
+  set64u t 8 (logxor s1 s2);
+  set64u t 16 (logxor s2 (shift_left s1 17));
+  set64u t 24 (rotl s3 45);
   result
+[@@inline always]
+
+let next_into t dst off = set64u dst off (next_int64 t)
 
 (** [bits t n] returns a uniformly random non-negative value of [n] bits,
     [0 <= n <= 63]. *)
@@ -72,13 +83,10 @@ let split t = create (next_int64 t)
 
 (** The full generator state as four words; with {!set_state} this lets a
     checkpoint capture and later replay a stream position exactly. *)
-let state t = [| t.s0; t.s1; t.s2; t.s3 |]
+let state t = Array.init 4 (fun i -> get64u t (8 * i))
 
 let set_state t a =
   if Array.length a <> 4 then
     invalid_arg
       (Printf.sprintf "Prg.set_state: %d state words, expected 4" (Array.length a));
-  t.s0 <- a.(0);
-  t.s1 <- a.(1);
-  t.s2 <- a.(2);
-  t.s3 <- a.(3)
+  Array.iteri (fun i w -> set64u t (8 * i) w) a

@@ -7,6 +7,12 @@ type t
 val create : int64 -> t
 val next_int64 : t -> int64
 
+(** [next_into t dst off] stores {!next_int64} at [dst.(off, off+8)] in
+    native byte order without allocating (a draw returned across a
+    module boundary is boxed). [off] is not bounds-checked: callers are
+    the garbling loops, which size their planes first. *)
+val next_into : t -> Bytes.t -> int -> unit
+
 (** A uniformly random non-negative [n]-bit value, [0 <= n <= 63]. *)
 val bits : t -> int -> int64
 

@@ -24,6 +24,26 @@ let test_prg_deterministic () =
     [ -5480124913605472059L; -8846382939111011094L; -7856363154187860716L;
       7218738570589545383L ]
 
+(* DESIGN.md §14: a draw allocates nothing. The state is one unboxed
+   buffer, and [Prg.next_into] stores the word straight into a plane as
+   the garbler's input-label loop does, so 10k draws take 0 minor words;
+   the stream equals [next_int64]'s. *)
+let test_prg_no_alloc () =
+  let n = 10_000 in
+  let plane = Bytes.create (8 * n) in
+  let draw prg = for i = 0 to n - 1 do Prg.next_into prg plane (8 * i) done in
+  draw (Prg.create 3L);
+  let prg = Prg.create 3L in
+  let before = Gc.minor_words () in
+  draw prg;
+  let words = Gc.minor_words () -. before in
+  if words > 0. then Alcotest.failf "%d draws allocated %.0f minor words (bound 0)" n words;
+  let reference = Prg.create 3L in
+  for i = 0 to n - 1 do
+    if not (Int64.equal (Bytes.get_int64_ne plane (8 * i)) (Prg.next_int64 reference)) then
+      Alcotest.failf "draw %d differs from next_int64" i
+  done
+
 let test_prg_below_in_range () =
   let prg = Prg.create 1L in
   for _ = 1 to 1000 do
@@ -443,49 +463,64 @@ let test_garbling_arena_reuse () =
 (* DESIGN.md §14's allocation-free garbling kernels: garble + evaluate of
    the 32-bit multiplier through the unboxed arena path allocates at least
    10x fewer minor words per AND gate than the boxed reference, and at
-   most 8 words per AND gate outright. Counts, not timings: the figures
-   are deterministic for a given compiler. *)
+   most 1 word per AND gate outright. The 52-bit equality test (the
+   reveal's nonzero test: 104 input labels for 51 ANDs, so the input
+   labels dominate) stays within 16 words per AND. Counts, not timings:
+   the figures are deterministic for a given compiler. *)
 let test_garbling_alloc_per_and () =
   let module Bb = Boolean_circuit.Builder in
-  let b = Bb.create () in
-  let x = Circuits.input_word b 32 and y = Circuits.input_word b 32 in
-  let circuit =
-    Bb.finalize b ~outputs:(Circuits.materialize_word b 0 (Circuits.mul_word b x y))
+  let circuit_of build =
+    let b = Bb.create () in
+    Bb.finalize b ~outputs:(build b)
   in
-  let ands = Boolean_circuit.and_count circuit in
-  let n_inputs = circuit.Boolean_circuit.n_inputs in
+  let multiplier =
+    circuit_of (fun b ->
+        let x = Circuits.input_word b 32 and y = Circuits.input_word b 32 in
+        Circuits.materialize_word b 0 (Circuits.mul_word b x y))
+  in
+  let equality =
+    circuit_of (fun b ->
+        let x = Circuits.input_word b 52 and y = Circuits.input_word b 52 in
+        [| Circuits.eq_word b x y |])
+  in
   let input_bit i = i land 1 = 1 in
   let reps = 32 in
-  let minor_words_per_and f =
+  let minor_words_per_and circuit f =
     (* warm up first: arenas grown, lazy state forced *)
     f ();
     let before = Gc.minor_words () in
     for _ = 1 to reps do
       f ()
     done;
-    (Gc.minor_words () -. before) /. float_of_int (reps * ands)
+    (Gc.minor_words () -. before) /. float_of_int (reps * Boolean_circuit.and_count circuit)
   in
   let boxed_prg = Prg.create 9L in
   let boxed =
-    minor_words_per_and (fun () ->
-        let g = Garbling_reference.garble boxed_prg circuit in
+    minor_words_per_and multiplier (fun () ->
+        let g = Garbling_reference.garble boxed_prg multiplier in
         let labels =
-          Array.init n_inputs (fun i -> Garbling_reference.encode_input g i (input_bit i))
+          Array.init multiplier.Boolean_circuit.n_inputs (fun i ->
+              Garbling_reference.encode_input g i (input_bit i))
         in
         ignore (Garbling_reference.eval_labels g labels : Garbling.Label.t array))
   in
   let arena = Garbling.Arena.create () in
   let unboxed_prg = Prg.create 9L in
-  let unboxed =
-    minor_words_per_and (fun () ->
+  let unboxed circuit =
+    minor_words_per_and circuit (fun () ->
         let g = Garbling.garble ~arena unboxed_prg circuit in
         ignore (Garbling.eval_colors ~arena g input_bit : Bytes.t))
   in
-  Alcotest.(check int) "32-bit multiplier AND gates" 993 ands;
-  if unboxed > 8. then
-    Alcotest.failf "unboxed garble+eval allocates %.2f minor words per AND (bound 8)" unboxed;
-  if boxed < 10. *. unboxed then
-    Alcotest.failf "boxed/unboxed minor words per AND = %.2f / %.2f < 10x" boxed unboxed
+  Alcotest.(check int) "32-bit multiplier AND gates" 993 (Boolean_circuit.and_count multiplier);
+  Alcotest.(check int) "52-bit equality AND gates" 51 (Boolean_circuit.and_count equality);
+  let mul_words = unboxed multiplier and eq_words = unboxed equality in
+  if mul_words > 1. then
+    Alcotest.failf "unboxed garble+eval allocates %.2f minor words per AND (bound 1)" mul_words;
+  if eq_words > 16. then
+    Alcotest.failf "52-bit equality garble+eval allocates %.2f minor words per AND (bound 16)"
+      eq_words;
+  if boxed < 10. *. mul_words then
+    Alcotest.failf "boxed/unboxed minor words per AND = %.2f / %.2f < 10x" boxed mul_words
 
 (* ------------------------------------------------------------------ *)
 (* GC protocol: Real and Sim agree on values and on communication *)
@@ -1326,10 +1361,14 @@ let test_aes_garbled_tables_golden () =
     (Sha256.to_hex (Sha256.digest_bytes (Bytes.cat g.Garbling.tables g.Garbling.decode)))
 
 let test_aes_sbox () =
-  Alcotest.(check int) "sbox(0)" 0x63 Aes128.sbox.(0);
-  Alcotest.(check int) "sbox(0x53)" 0xed Aes128.sbox.(0x53);
+  let sbox = Aes128.sbox () in
+  Alcotest.(check int) "sbox(0)" 0x63 sbox.(0);
+  Alcotest.(check int) "sbox(0x53)" 0xed sbox.(0x53);
+  (* writing to the copy leaves the core's table intact *)
+  sbox.(0) <- 1 lsl 40;
+  Alcotest.(check int) "sbox is a copy" 0x63 (Aes128.sbox ()).(0);
   (* S-box is a permutation *)
-  let sorted = Array.copy Aes128.sbox in
+  let sorted = Aes128.sbox () in
   Array.sort compare sorted;
   Alcotest.(check bool) "bijective" true (Array.to_list sorted = List.init 256 Fun.id)
 
@@ -1876,6 +1915,7 @@ let () =
       ( "prg",
         [
           Alcotest.test_case "deterministic" `Quick test_prg_deterministic;
+          Alcotest.test_case "draws allocate nothing" `Quick test_prg_no_alloc;
           Alcotest.test_case "below in range" `Quick test_prg_below_in_range;
           Alcotest.test_case "permutation" `Quick test_prg_permutation;
           Alcotest.test_case "bits width" `Quick test_prg_bits_width;

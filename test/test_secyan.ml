@@ -204,12 +204,122 @@ let test_oblivious_project_nonzero () =
     (content (Operators.project_nonzero ring32 ~attrs r))
     (content (Shared_relation.reconstruct ctx out))
 
+(* pi^1 over random (g, x) relations against the plaintext operator:
+   annotations zero, one, all-ones, the top bit alone or uniform over the
+   [width]-bit ring, zero-annotated dummies mixed in, either owner, both
+   backends. Every indicator is the adder-free nonzero test. *)
+let project_nonzero_random =
+  QCheck.Test.make ~count:40 ~name:"oblivious project-nonzero = plaintext"
+    QCheck.(quad (int_bound 100000) (int_range 0 12) (int_range 0 3) (int_bound 5))
+    (fun (seed, real, dummies, shape) ->
+      let width = widths.(shape mod 3) and backend = backends.(shape / 3) in
+      let prg = Prg.create (Int64.of_int seed) in
+      let mask = Int64.sub (Int64.shift_left 1L width) 1L in
+      let annot () =
+        match Prg.below prg 5 with
+        | 0 -> 0L
+        | 1 -> 1L
+        | 2 -> mask
+        | 3 -> Int64.shift_left 1L (width - 1)
+        | _ -> Prg.bits prg width
+      in
+      let schema = Schema.of_list [ "g"; "x" ] in
+      let rows =
+        List.init real (fun i -> ([| v (Prg.below prg (1 + (real / 2))); v i |], annot ()))
+        @ List.init dummies (fun _ -> (Tuple.dummy schema, 0L))
+      in
+      let r = Relation.of_list ~name:"R" ~schema rows in
+      let semiring = Semiring.ring ~bits:width in
+      let ctx =
+        Context.create ~bits:width ~gc_backend:backend ~seed:(Int64.of_int (seed + 1)) ()
+      in
+      let owner = if seed mod 2 = 0 then Party.Alice else Party.Bob in
+      let attrs = Schema.of_list [ "g" ] in
+      let out = Oblivious_agg.project_nonzero ctx semiring (shared ctx ~owner r) ~attrs in
+      Shared_relation.cardinality out = real + dummies
+      && content (Operators.project_nonzero semiring ~attrs r)
+         = content (Shared_relation.reconstruct ctx out))
+
+(* The reveal's nonzero test compares Alice's share a with the negation
+   of Bob's b. Over one relation whose tuple i carries the shares
+   [pairs.(i)], the oblivious join keeps exactly the tuples with
+   a + b <> 0 mod 2^bits, each with annotation a + b, under Real and Sim
+   alike and with equal ledgers. *)
+let nonzero_reveal_matches ~bits ~owner pairs =
+  let zn = Zn.create bits in
+  let pairs = List.map (fun (a, b) -> (Zn.norm zn a, Zn.norm zn b)) pairs in
+  let r = rel "R" [ "i" ] (List.mapi (fun i _ -> ([ i ], 0)) pairs) in
+  let shares = Array.of_list (List.map (fun (a, b) -> { Secret_share.a; b }) pairs) in
+  let run backend =
+    let ctx = Context.create ~bits ~gc_backend:backend ~seed:5L () in
+    let out =
+      Oblivious_join.run ctx (Semiring.ring ~bits)
+        [ Shared_relation.of_shares ~owner r shares ]
+    in
+    let annot i = Secret_share.reconstruct ctx out.Oblivious_join.annots.(i) in
+    let kept =
+      List.sort compare
+        (Array.to_list
+           (Array.mapi
+              (fun i t -> (Tuple.repr t, annot i))
+              out.Oblivious_join.joined.Relation.tuples))
+    in
+    (kept, Context.counter_totals ctx)
+  in
+  let expected =
+    List.sort compare
+      (List.concat
+         (List.mapi
+            (fun i (a, b) ->
+              let x = Zn.add zn a b in
+              if Int64.equal x 0L then [] else [ (Tuple.repr [| v i |], x) ])
+            pairs))
+  in
+  let sim, sim_ledger = run Context.Sim and real, real_ledger = run Context.Real in
+  sim = expected && real = expected && sim_ledger = real_ledger
+
+let nonzero_bits = [| 1; 8; 52 |]
+
+let nonzero_reveal_random =
+  QCheck.Test.make ~count:40 ~name:"reveal nonzero test = reconstruct <> 0"
+    QCheck.(triple (int_bound 100000) (int_range 1 12) (int_bound 5))
+    (fun (seed, n, shape) ->
+      let bits = nonzero_bits.(shape mod 3) in
+      let owner = if shape < 3 then Party.Alice else Party.Bob in
+      let prg = Prg.create (Int64.of_int seed) in
+      let zn = Zn.create bits in
+      (* half the pairs share zero: b = -a *)
+      let pairs =
+        List.init n (fun _ ->
+            let a = Zn.random zn prg in
+            (a, if Prg.bool prg then Zn.neg zn a else Zn.random zn prg))
+      in
+      nonzero_reveal_matches ~bits ~owner pairs)
+
+(* The edges the random pairs may miss, at every width: x = 0 with
+   a <> 0, a = 0, b = 0, and a = 2^bits - 1. *)
+let test_nonzero_reveal_edges () =
+  Array.iter
+    (fun bits ->
+      let m = Int64.sub (Int64.shift_left 1L bits) 1L in
+      let pairs =
+        [ (1L, m); (m, 1L); (0L, 0L); (0L, 1L); (0L, m); (1L, 0L); (m, 0L); (m, m) ]
+      in
+      List.iter
+        (fun owner ->
+          if not (nonzero_reveal_matches ~bits ~owner pairs) then
+            Alcotest.failf "nonzero test edges at %d bits, %s-owned" bits
+              (Party.to_string owner))
+        [ Party.Alice; Party.Bob ])
+    nonzero_bits
+
 (* Gate-for-gate identity of the circuits the builder emits: a SHA-256
    over a canonical per-gate encoding (opcode byte, then lhs and rhs as
    64-bit little-endian ints, a NOT repeating its operand), then every
-   output wire. The kernel and nonzero-chain pins were taken from the
-   boxed circuit representation this flat format replaced; the PSI bin
-   and tropical merge-chain pins from this format. *)
+   output wire. The kernel pin was taken from the boxed circuit
+   representation this flat format replaced; the PSI bin and tropical
+   merge-chain pins from this format; the nonzero-chain pin when its
+   nonzero tests dropped the reconstruct adder (DESIGN.md §2 item 13). *)
 let circuit_digest (c : Boolean_circuit.t) =
   let buf = Buffer.create (17 * Boolean_circuit.n_gates c) in
   let int x = Buffer.add_int64_le buf (Int64.of_int x) in
@@ -236,14 +346,14 @@ let test_circuit_digests () =
   let ctx = Context.create ~bits:ring_bits ~gc_backend:Context.Sim ~seed:7L () in
   (* the chains over a context whose ring is the semiring's width, as a
      query runs them; [merge_chain] serves only the non-Ring semirings *)
-  let chain semiring build =
+  let chain ?(per_tuple = fun _ s -> [ Gc_protocol.Shared s ]) semiring build =
     let ctx =
       Context.create ~bits:(Semiring.bits semiring) ~gc_backend:Context.Sim ~seed:7L ()
     in
     let inputs =
       List.init (n - 1) (fun _ ->
           Gc_protocol.Priv { owner = Party.Bob; value = 0L; bits = 1 })
-      @ List.init n (fun _ -> Gc_protocol.Shared Secret_share.zero)
+      @ List.concat (List.init n (fun _ -> per_tuple ctx Secret_share.zero))
     in
     Gc_protocol.circuit ctx ~inputs ~build:(build semiring ~n)
   in
@@ -268,8 +378,9 @@ let test_circuit_digests () =
       ( "merge chain (tropical min)",
         chain (Semiring.tropical_min ~bits:32) Oblivious_agg.merge_chain, 2575,
         "5594c344086812761be25a33808f5269b24cbb14d618a4eb2a95551d8b6686d8" );
-      ( "nonzero chain", chain semiring Oblivious_agg.nonzero_chain, 1833,
-        "0081017166f88b35f966ba4938fcf7d5634cd7604358b665317978d6f9d64592" );
+      ( "nonzero chain",
+        chain ~per_tuple:Gc_protocol.nonzero_inputs semiring Oblivious_agg.nonzero_chain,
+        966, "986c9c2f572aa63a96a9e40ef3c928b179db739123bfda84d5f4144c148ce3a4" );
       ( "PSI index-reveal bin", psi_bin, 55 + index_bits,
         "579ee2f6a9186c92febfc4780d501a5cbc1606773b5b446273da04127f29f89e" );
     ]
@@ -960,7 +1071,7 @@ let () =
           Alcotest.test_case "ring aggregate cost from public sizes" `Quick
             test_ring_agg_cost_public;
         ]
-        @ qsuite [ oblivious_agg_random; ring_agg_random ] );
+        @ qsuite [ oblivious_agg_random; ring_agg_random; project_nonzero_random ] );
       ( "oblivious-semijoin",
         [
           Alcotest.test_case "cross-party" `Quick test_join_constrained_cross;
@@ -978,7 +1089,9 @@ let () =
           Alcotest.test_case "two relations" `Quick test_oblivious_join;
           Alcotest.test_case "single relation" `Quick test_oblivious_join_single_relation;
           Alcotest.test_case "k-way product tree" `Quick test_oblivious_join_k_way;
-        ] );
+          Alcotest.test_case "nonzero test edges" `Quick test_nonzero_reveal_edges;
+        ]
+        @ qsuite [ nonzero_reveal_random ] );
       ( "protocol",
         [
           Alcotest.test_case "fig1" `Quick test_protocol_fig1;
