@@ -477,11 +477,13 @@ let run_cmd query sql scale sf seed backend domains transport chaos chaos_seed m
   let tree = ref None in
   let traced ~name f = traced ~name ~tree ~metrics:(metrics <> None) trace trace_out ctx f in
   (* Attach the live progress reporter around one protocol execution
-     (inside the tracer, so it forwards events to it). *)
+     (inside the tracer, so it forwards events to it). [total], the
+     AND-gate estimate, is forced only when a reporter is attached. *)
   let observed ?total f =
     let heartbeat = Option.map open_out progress_out in
     let reporter =
       if progress || heartbeat <> None then
+        let total = Option.map Lazy.force total in
         Some (Secyan_obs.Progress.attach ?total ~render:progress ?heartbeat ctx)
       else None
     in
@@ -516,7 +518,7 @@ let run_cmd query sql scale sf seed backend domains transport chaos chaos_seed m
     | `Protocol q ->
         Fmt.pr "query %s, join tree %a (root %s)@." q.Secyan.Query.name Join_tree.pp
           q.Secyan.Query.tree (Join_tree.root q.Secyan.Query.tree);
-        let total = Secyan.Secure_yannakakis.estimate_and_gates ctx q in
+        let total = lazy (Secyan.Secure_yannakakis.estimate_and_gates ctx q) in
         let revealed, stats =
           traced ~name:q.Secyan.Query.name (fun () ->
               observed ~total (fun () -> Secyan.Secure_yannakakis.run ~resume ctx q))

@@ -105,9 +105,8 @@ let product ctx semiring = function
       in
       Array.map (fun s -> s.(0)) (Gc_protocol.eval_to_shares_batch ctx ~items ~build)
 
-(** Run the oblivious join over the remaining relations. [reveal_out]
-    controls whether |J*| (after any padding the caller applied) goes to
-    Bob. *)
+(** Run the oblivious join over the remaining relations: J* goes to
+    Alice and |J*| to Bob. *)
 let run ctx semiring (relations : Shared_relation.t list) : t =
   if relations = [] then invalid_arg "Oblivious_join.run: no relations";
   Context.with_span ctx "oblivious-join" @@ fun () ->

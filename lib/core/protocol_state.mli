@@ -46,13 +46,6 @@ val fingerprint : Context.t -> Query.t -> string
 (** Capture the context's current execution point around [stage]. *)
 val capture : Context.t -> stage:stage -> snapshot
 
-(** Reinstate a snapshot on [ctx]: the ledger (absolute tally and
-    protocol counters; the process's own checkpoint counters are kept),
-    PRG stream positions, dummy-id stream, and — when both sides carry one — the
-    transport sequence counters, after a session-resume handshake on
-    [(session, epoch)]. *)
-val restore : Context.t -> session:string -> epoch:int -> snapshot -> unit
-
 (** Serialize and emit one snapshot through the context's checkpoint sink
     (no-op without one), under a ["checkpoint"] trace span, bumping the
     [Checkpoints_written]/[Checkpoint_bytes] counters. [fingerprint] is

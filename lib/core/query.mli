@@ -71,14 +71,10 @@ val with_order : ?order_by:(sort_key * direction) list -> ?limit:int -> t -> t
     applied here — use {!ordered_rows} on the result. *)
 val plaintext : t -> Relation.t
 
-(** The query's total row order (ORDER BY keys, then the implicit
-    ascending [Tuple.repr] tiebreak) over (output tuple, encoded
-    annotation) rows; the rows must be projected onto the canonical
-    output schema. *)
-val compare_rows : t -> Tuple.t * int64 -> Tuple.t * int64 -> int
-
 (** Apply the query's ORDER BY / LIMIT to a result relation in the
     clear: nonzero non-dummy rows projected onto the canonical output
-    schema, sorted by {!compare_rows}, truncated to the limit. The
-    reference semantics the secure order phase reproduces bit for bit. *)
+    schema, sorted by the query's total row order (ORDER BY keys, then
+    the implicit ascending [Tuple.repr] tiebreak), truncated to the
+    limit. The reference semantics the secure order phase reproduces bit
+    for bit. *)
 val ordered_rows : t -> Relation.t -> (Tuple.t * int64) list

@@ -9,7 +9,6 @@
       matching tuples are kept and the relation is padded with dummies to
       exactly [b]. *)
 
-open Secyan_crypto
 open Secyan_relational
 
 type policy =
@@ -19,26 +18,19 @@ type policy =
 
 type predicate = Schema.t -> Tuple.t -> bool
 
-(* Selections run locally at the data owner, so there is no communication
-   to attribute — but when a traced context is supplied the work still
-   shows up as a span ("sel:<relation>") in the protocol timeline. *)
-let apply ?ctx (policy : policy) (pred : predicate) (r : Relation.t) : Relation.t =
-  let go () =
-    match policy with
-    | Private -> Relation.select_to_dummy pred r
-    | Public -> Relation.select pred r
-    | Bounded bound ->
-        let selected = Relation.select pred r in
-        if Relation.cardinality selected > bound then
-          invalid_arg
-            (Printf.sprintf
-               "Selection.apply: %d tuples satisfy the condition but the public bound is %d"
-               (Relation.cardinality selected) bound);
-        Relation.pad_to ~size:bound selected
-  in
-  match ctx with
-  | None -> go ()
-  | Some ctx -> Context.with_span ctx ("sel:" ^ r.Relation.name) go
+(* Selections run locally at the data owner: no communication. *)
+let apply (policy : policy) (pred : predicate) (r : Relation.t) : Relation.t =
+  match policy with
+  | Private -> Relation.select_to_dummy pred r
+  | Public -> Relation.select pred r
+  | Bounded bound ->
+      let selected = Relation.select pred r in
+      if Relation.cardinality selected > bound then
+        invalid_arg
+          (Printf.sprintf
+             "Selection.apply: %d tuples satisfy the condition but the public bound is %d"
+             (Relation.cardinality selected) bound);
+      Relation.pad_to ~size:bound selected
 
 (** Resulting (public) relation size under each policy. *)
 let public_size (policy : policy) ~original ~selected =

@@ -1,6 +1,5 @@
 (** Selection conditions under the three privacy policies of paper §7. *)
 
-open Secyan_crypto
 open Secyan_relational
 
 type policy =
@@ -12,10 +11,10 @@ type policy =
 type predicate = Schema.t -> Tuple.t -> bool
 
 (** Apply a selection under the chosen policy. Runs locally at the data
-    owner; pass [?ctx] to record the work as a span when tracing.
+    owner.
 
     @raise Invalid_argument when a [Bounded] policy's bound is exceeded. *)
-val apply : ?ctx:Context.t -> policy -> predicate -> Relation.t -> Relation.t
+val apply : policy -> predicate -> Relation.t -> Relation.t
 
 (** The relation size made public under each policy. *)
 val public_size : policy -> original:int -> selected:int -> int

@@ -3,12 +3,11 @@
     figure. Input wires occupy ids [0 .. n_inputs-1]; gate [i] defines
     wire [n_inputs + i].
 
-    The format is flat: gate [i]'s opcode is byte [i] of [ops] (one of
-    {!op_and}, {!op_xor}, {!op_not}) and its operands are [lhs.(i)] and
+    The format is flat: gate [i]'s opcode is byte [i] of [ops] (AND,
+    {!op_xor} or {!op_not}) and its operands are [lhs.(i)] and
     [rhs.(i)], both wires below [n_inputs + i]; a NOT carries its operand
     in both. Circuits come only from {!Builder.finalize}. *)
 
-val op_and : char
 val op_xor : char
 val op_not : char
 

@@ -274,10 +274,6 @@ let sink ?session ~dir () =
   in
   { dir; session; next_epoch = 0; resumed_from = None }
 
-(** Next epoch to be written (also the count of the logical snapshot
-    stream so far). *)
-let next_epoch t = t.next_epoch
-
 (** Emit one snapshot: encode, write to a temp file in [dir], atomically
     rename over the epoch's filename (a stale file from a crashed run is
     replaced), and advance the epoch counter. Returns the bytes written.

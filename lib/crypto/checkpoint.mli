@@ -103,9 +103,6 @@ type sink = {
     replaced by the stored session when a run is resumed. *)
 val sink : ?session:string -> dir:string -> unit -> sink
 
-(** Next epoch to be written. *)
-val next_epoch : sink -> int
-
 (** Emit one snapshot: encode, write to a temp file, atomically rename to
     the epoch's filename (replacing any stale file from a crashed run),
     advance the epoch. Returns bytes written.

@@ -30,9 +30,6 @@ let int64_of_bool_array bits_arr =
 let xor_word b (x : word) (y : word) : word =
   Array.init (width x) (fun i -> bxor b x.(i) y.(i))
 
-(** AND every bit of [x] with the single bit [bit]. *)
-let gate_word b bit (x : word) : word = Array.map (fun xi -> band b bit xi) x
-
 let not_word b (x : word) : word = Array.map (bnot b) x
 
 (** Ripple-carry addition modulo 2^n; carry chain uses one AND per bit:
@@ -118,7 +115,7 @@ let divmod_word b (x : word) (y : word) : word * word =
 let div_word b x y = fst (divmod_word b x y)
 
 (** Conditional word: sel ? x : 0. One AND per bit. *)
-let zero_unless b sel (x : word) : word = gate_word b sel x
+let zero_unless b sel (x : word) : word = Array.map (fun xi -> band b sel xi) x
 
 (** Materialize every bit of a word onto real wires (used before finalize
     when a word may contain folded constants). [anchor] is any input wire. *)

@@ -15,13 +15,8 @@ val bool_array_of_int64 : bits:int -> int64 -> bool array
 val int64_of_bool_array : bool array -> int64
 val xor_word : Boolean_circuit.Builder.b -> word -> word -> word
 
-(** AND every bit of the word with one gating bit. *)
-val gate_word :
-  Boolean_circuit.Builder.b -> Boolean_circuit.Builder.value -> word -> word
-
 val not_word : Boolean_circuit.Builder.b -> word -> word
 val add_word : Boolean_circuit.Builder.b -> word -> word -> word
-val neg_word : Boolean_circuit.Builder.b -> word -> word
 val sub_word : Boolean_circuit.Builder.b -> word -> word -> word
 val mul_word : Boolean_circuit.Builder.b -> word -> word -> word
 

@@ -18,12 +18,6 @@ val and_gate_bits : int
 (** One wire label for a garbler input. *)
 val garbler_input_bits : int
 
-(** Receiver-side traffic of one IKNP-extended OT. *)
-val ot_receiver_bits : int
-
-(** Sender-side traffic of one OT of two [msg_bits]-wide messages. *)
-val ot_sender_bits : msg_bits:int -> int
-
 (** One evaluator input = one OT of wire labels: (receiver, sender) bits. *)
 val evaluator_input_ot : int * int
 

@@ -5,12 +5,8 @@
 
 type keys = { k1 : int64; k2 : int64; k3 : int64; n_bins : int }
 
-val fresh_keys : Prg.t -> int -> keys
-
 (** The bin of element [x] under hash function [0 <= which <= 2]. *)
 val bin : keys -> int -> int64 -> int
-
-val candidate_bins : keys -> int64 -> int list
 
 type table = {
   keys : keys;

@@ -32,8 +32,6 @@ val arm : spec -> unit
 (** Disarm and release alloc ballast. Idempotent. *)
 val disarm : unit -> unit
 
-val armed : unit -> bool
-
 (** Faults that actually fired, in firing order. *)
 val fired : unit -> (int * fault) list
 

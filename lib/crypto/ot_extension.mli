@@ -7,8 +7,6 @@
 (** 128-bit message block (wire-label width). *)
 type block = int64 * int64
 
-val block_xor : block -> block -> block
-
 (** [extend ctx ~sender ~messages ~choices] delivers, per index, the
     chosen one of the sender's message pair to the receiver.
 

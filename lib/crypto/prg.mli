@@ -22,9 +22,6 @@ val below : t -> int -> int
 
 val bool : t -> bool
 
-(** Fisher–Yates shuffle, in place. *)
-val shuffle : t -> 'a array -> unit
-
 (** A fresh uniformly random permutation of [[0, n)]. *)
 val permutation : t -> int -> int array
 

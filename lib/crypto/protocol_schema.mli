@@ -49,8 +49,6 @@ val phase_of_label : phase -> string -> phase
     hellos below the schema. *)
 val legal : phase -> Secyan_net.Envelope.kind -> bool
 
-val expected_kinds : phase -> Secyan_net.Envelope.kind list
-
 (** Pre-send consultation from [Context.send]: derive the outgoing
     message's kind from the innermost span [label] and verify [phase]
     allows it.

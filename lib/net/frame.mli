@@ -6,10 +6,6 @@
 val header_len : int
 val overhead : int
 
-(** Sanity cap on one payload (1 GiB); larger length fields are treated as
-    corruption. *)
-val max_payload : int
-
 (** Acceptance cap on received frames (default [Envelope.max_body] plus
     slack, i.e. ~4 MiB): {!required} and {!decode} reject a declared
     payload length above it as [Oversized] {e before} any reassembly
@@ -18,11 +14,12 @@ val max_payload : int
 val default_accept_limit : int
 
 (** Adjust the acceptance cap (tests lower it; deployments may raise it
-    up to {!max_payload}).
-    @raise Invalid_argument outside [[1, max_payload]]. *)
+    up to the 1 GiB sanity cap on one payload, above which a length
+    field is treated as corruption).
+    @raise Invalid_argument outside [[1, 2^30]]. *)
 val set_accept_limit : int -> unit
 
-(** @raise Invalid_argument if the payload exceeds {!max_payload}. *)
+(** @raise Invalid_argument if the payload exceeds 1 GiB. *)
 val encode : seq:int64 -> Bytes.t -> Bytes.t
 
 type error = Bad_magic | Bad_length | Bad_crc | Oversized

@@ -6,9 +6,6 @@
 
 open Secyan_crypto
 
-(** Width of the attribute encodings entering the row circuit. *)
-val attr_bits : int
-
 type estimate = {
   product_rows : float;      (** prod |R_i| *)
   and_gates_per_row : int;   (** exact, from the real row circuit *)
@@ -17,10 +14,9 @@ type estimate = {
   seconds : float;           (** extrapolated at the calibrated rate *)
 }
 
-(** Calibration fallback when no machine-specific measurement is given. *)
-val default_seconds_per_and : float
-
-(** Exact-gate-count cost estimate, the extrapolation the figures plot. *)
+(** Exact-gate-count cost estimate, the extrapolation the figures plot.
+    [seconds_per_and] is the calibrated rate (default 1.2e-6, a fallback
+    for when no machine-specific measurement is given). *)
 val estimate : ?seconds_per_and:float -> Secyan.Query.t -> estimate
 
 type measurement = {

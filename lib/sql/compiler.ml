@@ -4,9 +4,9 @@
     - equality conditions between columns of different tables become the
       natural-join structure: joined columns are unified under one
       attribute name;
-    - every other condition is a per-table selection, applied under a
-      {!Secyan.Selection.policy} (default [Private]: non-matching tuples
-      become dummies and the selectivity stays hidden);
+    - every other condition is a per-table selection, applied under the
+      {!Secyan.Selection.Private} policy: non-matching tuples become
+      dummies and the selectivity stays hidden;
     - SUM(e)/COUNT pick the (+, x) ring; MIN(e)/MAX(e) pick the
       tropical semirings; [e] must use columns of a single table, whose
       tuples it annotates — all other annotations are the times-identity;
@@ -113,7 +113,7 @@ let like_match s pattern =
 
 (* --- compilation ----------------------------------------------------- *)
 
-let compile ?(bits = 52) ?(selection = Secyan.Selection.Private) (catalog : catalog)
+let compile ?(bits = 52) (catalog : catalog)
     (q : Ast.select) : Secyan.Query.t =
   let tables = q.Ast.tables in
   List.iter
@@ -328,7 +328,7 @@ let compile ?(bits = 52) ?(selection = Secyan.Selection.Private) (catalog : cata
             selections_by_table
         in
         let pred sch tup = List.for_all (fun h -> h sch tup) conds in
-        let selected = Secyan.Selection.apply selection pred rel in
+        let selected = Secyan.Selection.apply Secyan.Selection.Private pred rel in
         (* annotation: this table's aggregate factors, if any *)
         let annot sch tup =
           match List.assoc_opt t annot_spec with
@@ -421,4 +421,4 @@ let compile ?(bits = 52) ?(selection = Secyan.Selection.Private) (catalog : cata
   with Invalid_argument msg -> fail "%s" msg
 
 (** Parse and compile in one step. *)
-let query ?bits ?selection catalog sql = compile ?bits ?selection catalog (Parser.select sql)
+let query ?bits catalog sql = compile ?bits catalog (Parser.select sql)

@@ -21,9 +21,6 @@ type dataset = {
 val nations : string array
 val n_nations : int
 
-(** Base-table row counts at a scale factor (before lineitem fan-out). *)
-val row_counts : sf:float -> (string * int) list
-
 val generate : sf:float -> seed:int64 -> dataset
 
 (** Total tuple count across base tables (the paper's IN). *)

@@ -27,34 +27,6 @@ val context :
   ?cancel:Secyan_deadline.t -> ?hang_timeout_s:float ->
   seed:int64 -> unit -> Context.t
 
-(** {2 Relation shaping helpers} (shared with {!Extra_queries}) *)
-
-val geti : Schema.t -> string -> Tuple.t -> int
-val gets : Schema.t -> string -> Tuple.t -> string
-
-(** Project onto [attrs] (+ virtual columns), dummy out tuples failing
-    [keep], annotate with [annot]; duplicate projections pre-aggregate
-    locally and the cardinality stays public. *)
-val shape :
-  Relation.t ->
-  name:string ->
-  attrs:string list ->
-  ?virtuals:(string * (Schema.t -> Tuple.t -> Value.t)) list ->
-  keep:(Schema.t -> Tuple.t -> bool) ->
-  annot:(Schema.t -> Tuple.t -> int64) ->
-  unit ->
-  Relation.t
-
-val always : Schema.t -> Tuple.t -> bool
-val const_one : Schema.t -> Tuple.t -> int64
-
-(** revenue = l_extendedprice x (100 - l_discount), cents x 100. *)
-val revenue : Schema.t -> Tuple.t -> int64
-
-val date_lt : string -> Value.t -> Schema.t -> Tuple.t -> bool
-val date_ge : string -> Value.t -> Schema.t -> Tuple.t -> bool
-val year_virtual : Schema.t -> Tuple.t -> Value.t
-
 (** {2 The evaluation queries} *)
 
 val q3 : Datagen.dataset -> Secyan.Query.t
@@ -63,11 +35,8 @@ val q10 : Datagen.dataset -> Secyan.Query.t
 (** [threshold] is the HAVING sum(l_quantity) bound (default 300). *)
 val q18 : ?threshold:int -> Datagen.dataset -> Secyan.Query.t
 
-val q8_nation : int
-val q8_customer_nations : int list
-
 (** One of Q8's two inner queries: [numerator] restricts supplier
-    annotations to Ind(s_nationkey = {!q8_nation}). *)
+    annotations to Ind(s_nationkey = BRAZIL). *)
 val q8_inner : Datagen.dataset -> numerator:bool -> Secyan.Query.t
 
 type q8_result = {
@@ -80,10 +49,6 @@ type q8_result = {
 val run_q8 : Context.t -> Datagen.dataset -> q8_result
 
 val q8_plaintext : Datagen.dataset -> (int * int64) list
-
-(** Index a shared-output protocol result by its single int attribute. *)
-val index_by_int_key :
-  Secyan.Secure_yannakakis.result -> (int * Secret_share.t) list
 
 (** Q9's inner query for one nation; [volume] selects revenue vs
     supplycost x quantity. *)

@@ -281,77 +281,6 @@ let test_project_nonzero () =
     (annots_by_tuple p)
 
 (* ------------------------------------------------------------------ *)
-(* CSV I/O *)
-
-let test_csv_roundtrip () =
-  let r =
-    Relation.of_list ~name:"people"
-      ~schema:(Schema.of_list [ "id"; "name"; "joined" ])
-      [
-        ([| v 1; Value.Str "Ada"; Value.date ~year:1990 ~month:5 ~day:1 |], 10L);
-        ([| v 2; Value.Str "Grace, \"the\" admiral"; Value.date ~year:1985 ~month:12 ~day:9 |], 20L);
-      ]
-  in
-  let text = Csv_io.export r in
-  let back = Csv_io.import ~name:"people" text in
-  Alcotest.(check (list string)) "schema preserved"
-    (Schema.to_list r.Relation.schema)
-    (Schema.to_list back.Relation.schema);
-  Alcotest.(check int) "rows preserved" 2 (Relation.cardinality back);
-  Alcotest.(check bool) "tuples equal" true
-    (Array.for_all2 Tuple.equal r.Relation.tuples back.Relation.tuples);
-  Alcotest.(check bool) "annots equal" true (r.Relation.annots = back.Relation.annots)
-
-let test_csv_skips_dummies () =
-  let r = Relation.pad_to ~size:5 (rel "R" [ "x" ] [ ([ 1 ], 2); ([ 2 ], 3) ]) in
-  let back = Csv_io.import ~name:"R" (Csv_io.export r) in
-  Alcotest.(check int) "only real rows" 2 (Relation.cardinality back)
-
-let test_csv_without_annot_column () =
-  let back = Csv_io.import ~name:"R" "a:int,b:str\n1,hello\n2,world\n" in
-  Alcotest.(check int) "rows" 2 (Relation.cardinality back);
-  Alcotest.check check_i64 "default annotation 1" 1L back.Relation.annots.(0)
-
-(* Errors carry the typed location: source name, 1-based line, 1-based
-   column, and the offending token in the reason. *)
-let csv_error f =
-  match f () with
-  | _ -> Alcotest.fail "expected Csv_error"
-  | exception Csv_io.Csv_error { file; line; column; reason } -> (file, line, column, reason)
-
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
-let test_csv_errors () =
-  let loc (file, line, column, _) = (file, line, column) in
-  let check_loc what expected got =
-    Alcotest.(check (triple string int int)) what expected (loc got)
-  in
-  check_loc "empty input" ("R", 0, 0)
-    (csv_error (fun () -> Csv_io.import ~name:"R" "  \n "));
-  (* the blank-line filter must not renumber lines: row on physical line 4 *)
-  let ((_, _, _, reason) as e) =
-    csv_error (fun () -> Csv_io.import ~name:"R" "a:int\n1\n\n1,2\n3\n")
-  in
-  check_loc "cell count at original line" ("R", 4, 0) e;
-  Alcotest.(check bool) "reason quotes the offending row" true
-    (contains ~sub:"\"1,2\"" reason);
-  check_loc "unknown type in header" ("R", 1, 2)
-    (csv_error (fun () -> Csv_io.import ~name:"R" "a:int,b:float\n1,2.5\n"));
-  check_loc "bad integer names line and column" ("R", 3, 1)
-    (csv_error (fun () -> Csv_io.import ~name:"R" "a:int\n1\nx\n"));
-  check_loc "bad date" ("R", 2, 2)
-    (csv_error (fun () -> Csv_io.import ~name:"R" "a:int,d:date\n1,2020-13\n"));
-  check_loc "bad annotation column index" ("R", 2, 2)
-    (csv_error (fun () -> Csv_io.import ~name:"R" "a:int,annot\n1,zzz\n"));
-  check_loc "unterminated quote" ("R", 2, 1)
-    (csv_error (fun () -> Csv_io.import ~name:"R" "a:str\n\"oops\n"));
-  check_loc "file overrides name in errors" ("data.csv", 0, 0)
-    (csv_error (fun () -> Csv_io.import ~file:"data.csv" ~name:"R" ""))
-
-(* ------------------------------------------------------------------ *)
 (* Yannakakis = naive on random instances *)
 
 let random_instance seed =
@@ -505,13 +434,6 @@ let () =
           Alcotest.test_case "join" `Quick test_join;
           Alcotest.test_case "semijoin" `Quick test_semijoin;
           Alcotest.test_case "project nonzero" `Quick test_project_nonzero;
-        ] );
-      ( "csv",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_csv_roundtrip;
-          Alcotest.test_case "skips dummies" `Quick test_csv_skips_dummies;
-          Alcotest.test_case "no annot column" `Quick test_csv_without_annot_column;
-          Alcotest.test_case "errors" `Quick test_csv_errors;
         ] );
       ( "yannakakis",
         Alcotest.test_case "Example 1.1" `Quick test_yannakakis_example_11

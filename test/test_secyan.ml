@@ -870,6 +870,52 @@ let test_protocol_singletons () =
   Alcotest.(check (list (pair string check_i64))) "single row" [ ("i7", 15L) ]
     (project_content q.Query.output revealed)
 
+(* A one-relation query is the degenerate join tree: the plan is the
+   reduce to the output attributes and the reveal, with no semijoin or
+   join between parties. Duplicate output keys aggregate, dummies and
+   zero annotations (so the all-zero group 4) drop out, and the result
+   matches the plaintext evaluation for the ring (both backends) and a
+   tropical semiring. *)
+let single_relation_query semiring ~owner =
+  let e x = Semiring.of_value semiring (Int64.of_int x) in
+  let r =
+    Relation.pad_to ~size:8
+      (Relation.of_list ~name:"R"
+         ~schema:(Schema.of_list [ "flag"; "item" ])
+         [
+           ([| v 1; v 10 |], e 5);
+           ([| v 1; v 11 |], e 7);
+           ([| v 2; v 12 |], e 3);
+           ([| v 2; v 13 |], Semiring.zero);
+           ([| v 3; v 14 |], e 9);
+           ([| v 4; v 15 |], Semiring.zero);
+         ])
+  in
+  Query.prepare ~name:"single-relation" ~semiring ~output:[ "flag" ]
+    ~inputs:[ ("R", { Query.relation = r; owner }) ]
+
+let test_protocol_single_relation () =
+  let check name ctx semiring ~owner expected =
+    let q = single_relation_query semiring ~owner in
+    let revealed, stats = Secure_yannakakis.run ctx q in
+    let decoded =
+      project_content q.Query.output revealed
+      |> List.map (fun (k, a) -> (k, Semiring.to_value semiring a))
+    in
+    Alcotest.(check (list (pair string (option check_i64)))) (name ^ ": result") expected decoded;
+    Alcotest.(check (list (pair string check_i64))) (name ^ ": secure = plaintext")
+      (project_content q.Query.output (Query.plaintext q))
+      (project_content q.Query.output revealed);
+    Alcotest.(check bool) (name ^ ": reduce + reveal only, few rounds") true
+      (stats.Secure_yannakakis.tally.Comm.rounds < 30)
+  in
+  check "ring, sim" (ctx_sim ()) ring32 ~owner:Party.Bob
+    [ ("i1", Some 12L); ("i2", Some 3L); ("i3", Some 9L) ];
+  check "ring, real" (ctx_real ()) ring32 ~owner:Party.Alice
+    [ ("i1", Some 12L); ("i2", Some 3L); ("i3", Some 9L) ];
+  check "tropical max" (ctx_sim ()) (Semiring.tropical_max ~bits:32) ~owner:Party.Bob
+    [ ("i1", Some 7L); ("i2", Some 3L); ("i3", Some 9L) ]
+
 (* tropical operators against plaintext semantics on random instances *)
 let tropical_operators_random =
   QCheck.Test.make ~count:20 ~name:"oblivious ops = plaintext (tropical min)"
@@ -1107,6 +1153,7 @@ let () =
           Alcotest.test_case "empty result" `Quick test_protocol_empty_result;
           Alcotest.test_case "all dummies" `Quick test_protocol_all_dummies;
           Alcotest.test_case "singletons" `Quick test_protocol_singletons;
+          Alcotest.test_case "single relation" `Quick test_protocol_single_relation;
           Alcotest.test_case "order by agg desc" `Quick test_order_by_agg_desc;
           Alcotest.test_case "order by attr + limit" `Quick test_order_by_attr_asc_limit;
           Alcotest.test_case "limit edge cases" `Quick test_order_limit_edges;

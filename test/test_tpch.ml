@@ -335,35 +335,6 @@ let test_effective_input_size_monotone () =
   let size sf = Queries.effective_input_bytes (Queries.q3 (Datagen.generate ~sf ~seed:1L)) in
   Alcotest.(check bool) "monotone in scale" true (size 1.2e-4 > size 4e-5)
 
-(* ------------------------------------------------------------------ *)
-(* Extra queries beyond the paper's evaluation *)
-
-let test_q1_single_relation () =
-  let q = Extra_queries.q1 (xs ()) in
-  let stats = check_query q in
-  (* one relation: reduce + reveal only, very few rounds *)
-  Alcotest.(check bool) "few rounds" true
-    (stats.Secyan.Secure_yannakakis.tally.Secyan_crypto.Comm.rounds < 30);
-  let plain = Secyan.Query.plaintext q in
-  Alcotest.(check bool) "non-empty" true (Relation.nonzero plain <> [])
-
-let test_q4_exists_subquery () =
-  let d = xs () in
-  let q = Extra_queries.q4 d in
-  ignore (check_query q)
-
-let test_q14_composition () =
-  let d = small () in
-  let expected = Extra_queries.q14_plaintext d in
-  let ctx = Queries.context ~seed:21L () in
-  let r = Extra_queries.run_q14 ctx d in
-  Alcotest.check check_i64 "q14 secure = plaintext" expected
-    r.Extra_queries.promo_share_millis;
-  (* a sensible share: promo is one of six type prefixes *)
-  Alcotest.(check bool) "share within [0, 1000]" true
-    (Int64.compare r.Extra_queries.promo_share_millis 0L >= 0
-    && Int64.compare r.Extra_queries.promo_share_millis 1000L <= 0)
-
 let () =
   Alcotest.run "secyan_tpch"
     [
@@ -383,9 +354,6 @@ let () =
           Alcotest.test_case "Q18" `Quick test_q18;
           Alcotest.test_case "Q8 composed" `Quick test_q8_composed;
           Alcotest.test_case "Q9 composed" `Quick test_q9_composed;
-          Alcotest.test_case "Q1 (extra)" `Quick test_q1_single_relation;
-          Alcotest.test_case "Q4 (extra)" `Quick test_q4_exists_subquery;
-          Alcotest.test_case "Q14 (extra)" `Quick test_q14_composition;
         ] );
       ( "top-k",
         [
