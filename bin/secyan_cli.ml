@@ -67,9 +67,11 @@ let domains_arg =
 
 let trace_arg =
   let doc =
-    "Trace the protocol and export the span tree. $(docv) is $(b,pretty) (aligned text \
-     tree, the default), $(b,chrome) (Chrome trace-event JSON, loadable in Perfetto or \
-     chrome://tracing), or $(b,jsonl) (one JSON object per span per line, for diffing)."
+    "Trace the protocol and export the span tree when the run ends, also when it fails \
+     typed (exit 3-7): the tree then holds the phases that ran. $(docv) is $(b,pretty) \
+     (aligned text tree, the default), $(b,chrome) (Chrome trace-event JSON, loadable in \
+     Perfetto or chrome://tracing), or $(b,jsonl) (one JSON object per span per line, for \
+     diffing)."
   in
   Arg.(value
     & opt ~vopt:(Some `Pretty)
@@ -80,27 +82,6 @@ let trace_arg =
 let trace_out_arg =
   let doc = "Write the trace to $(docv) instead of stdout." in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
-
-let metrics_arg =
-  let doc =
-    "Export a metrics snapshot after the run: the run's ledger totals as \
-     $(b,secyan_<counter>_total) counters (equal to the cost line, work restored by \
-     --resume included), each pool participant's contention timeline as \
-     $(b,secyan_domain_*) gauges, and each protocol phase's wall time and allocation, \
-     summed over its spans in the run's trace, as $(b,secyan_gc_phase_*) gauges \
-     (the run is traced; the tree is printed only with --trace). $(docv) is \
-     $(b,pretty) (aligned table, the default), $(b,jsonl) (one JSON object per metric \
-     per line) or $(b,prometheus) (Prometheus text exposition format)."
-  in
-  Arg.(value
-    & opt ~vopt:(Some `Pretty)
-        (some (enum [ ("pretty", `Pretty); ("jsonl", `Jsonl); ("prometheus", `Prometheus) ]))
-        None
-    & info [ "metrics" ] ~docv:"FORMAT" ~doc)
-
-let metrics_out_arg =
-  let doc = "Write the metrics export to $(docv) instead of stdout." in
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
 let progress_arg =
   let doc =
@@ -274,42 +255,64 @@ let print_transport_stats ctx = function
         (count Trace_sink.Retries) (count Trace_sink.Timeouts)
         (count Trace_sink.Frames_corrupted) s.Secyan_net.Resilient.duplicates_dropped
 
-(* Run [f] under a tracer when [--trace] or [--metrics] is given. The
-   finished tree lands in [tree] (also when [f] raises, so the metrics
-   export sees every phase that ran) and is exported for [--trace].
-   Untraced runs call [f] directly (no sink installed at all). *)
-let traced ?(name = "query") ~tree ~metrics trace trace_out ctx f =
-  if trace = None && not metrics then f ()
+(* The run report's ledger line: the six protocol work counters of the
+   whole run (restored work included after --resume); the transport and
+   checkpoint counters have their own lines. *)
+let print_work_stats ctx =
+  let totals = Context.counter_totals ctx in
+  let count c = totals.(Trace_sink.counter_index c) in
+  Fmt.pr "work: %d AND gates, %d OTs, %d OEP switches, %d cuckoo bins, %d B2A words, \
+          %d GC circuits@."
+    (count Trace_sink.And_gates) (count Trace_sink.Ots) (count Trace_sink.Oep_switches)
+    (count Trace_sink.Cuckoo_bins) (count Trace_sink.B2a_words) (count Trace_sink.Gc_circuits)
+
+(* One line per pool participant (domain 0 is the caller), printed when
+   the run's pool has worker domains. *)
+let print_pool_stats ctx =
+  match Option.map Domain_pool.timelines (Context.pool_opt ctx) with
+  | None | Some ([] | [ _ ]) -> ()
+  | Some timelines ->
+      List.iter
+        (fun (tl : Domain_pool.timeline_snapshot) ->
+          Fmt.pr "pool: domain %d, %d batches, %d items, %.3f s busy, %.3f s queue wait, \
+                  %.3f s lock wait, %.3f s wall, %d wakeups@."
+            tl.Domain_pool.domain tl.Domain_pool.batches tl.Domain_pool.items
+            (tl.Domain_pool.busy_ns *. 1e-9) (tl.Domain_pool.queue_wait_ns *. 1e-9)
+            (tl.Domain_pool.lock_wait_ns *. 1e-9) (tl.Domain_pool.wall_ns *. 1e-9)
+            tl.Domain_pool.wakeups)
+        timelines
+
+(* Run [f] under a tracer when [--trace] is given; the finished tree
+   lands in [tree] also when [f] raises, so a failed run exports the
+   phases that ran. Untraced runs call [f] directly (no sink installed
+   at all). *)
+let traced ~name ~tree trace ctx f =
+  if trace = None then f ()
   else begin
     let tracer = Secyan_obs.Trace.create ~name () in
     Secyan_obs.Trace.attach tracer ctx;
-    let result =
-      Fun.protect ~finally:(fun () -> tree := Some (Secyan_obs.Trace.finish tracer)) f
-    in
-    let root = Option.get !tree in
-    Option.iter
-      (fun format ->
-        let export ppf =
-          match format with
-          | `Pretty -> Secyan_obs.Export.pretty ppf root
-          | `Chrome -> Format.fprintf ppf "%s@." (Secyan_obs.Export.chrome_string root)
-          | `Jsonl -> Secyan_obs.Export.jsonl ppf root
-        in
-        match trace_out with
-        | None ->
-            Fmt.pr "@.";
-            export Format.std_formatter;
-            Format.pp_print_flush Format.std_formatter ()
-        | Some file ->
-            let oc = open_out file in
-            let ppf = Format.formatter_of_out_channel oc in
-            export ppf;
-            Format.pp_print_flush ppf ();
-            close_out oc;
-            Fmt.pr "trace written to %s@." file)
-      trace;
-    result
+    Fun.protect ~finally:(fun () -> tree := Some (Secyan_obs.Trace.finish tracer)) f
   end
+
+let export_trace format trace_out root =
+  let export ppf =
+    match format with
+    | `Pretty -> Secyan_obs.Export.pretty ppf root
+    | `Chrome -> Format.fprintf ppf "%s@." (Secyan_obs.Export.chrome_string root)
+    | `Jsonl -> Secyan_obs.Export.jsonl ppf root
+  in
+  match trace_out with
+  | None ->
+      Fmt.pr "@.";
+      export Format.std_formatter;
+      Format.pp_print_flush Format.std_formatter ()
+  | Some file ->
+      let oc = open_out file in
+      let ppf = Format.formatter_of_out_channel oc in
+      export ppf;
+      Format.pp_print_flush ppf ();
+      close_out oc;
+      Fmt.pr "trace written to %s@." file
 
 let resolve_sf scale sf =
   match sf, scale with
@@ -416,7 +419,7 @@ let job_of d = function
 
 let run_cmd query sql scale sf seed backend domains transport chaos chaos_seed malicious
     checkpoint_dir resume deadline memory_budget fault hang_timeout verify trace trace_out
-    metrics metrics_out progress progress_out =
+    progress progress_out =
   let ( let* ) = Result.bind in
   let labelled label = Result.map_error (fun msg -> label ^ ": " ^ msg) in
   match
@@ -473,9 +476,9 @@ let run_cmd query sql scale sf seed backend domains transport chaos chaos_seed m
     Context.create ~bits ~gc_backend:backend ~domains ?transport:tr ?checkpoint:ck ~cancel
       ?hang_timeout_s ~seed ()
   in
-  (* the run's span tree, whose phase spans the metrics export reads *)
+  (* the run's span tree, exported by [finish] on every exit path *)
   let tree = ref None in
-  let traced ~name f = traced ~name ~tree ~metrics:(metrics <> None) trace trace_out ctx f in
+  let traced ~name f = traced ~name ~tree trace ctx f in
   (* Attach the live progress reporter around one protocol execution
      (inside the tracer, so it forwards events to it). [total], the
      AND-gate estimate, is forced only when a reporter is attached. *)
@@ -492,27 +495,6 @@ let run_cmd query sql scale sf seed backend domains transport chaos chaos_seed m
         Option.iter Secyan_obs.Progress.detach reporter;
         Option.iter close_out heartbeat)
       f
-  in
-  let export_metrics () =
-    match metrics with
-    | None -> ()
-    | Some format ->
-        let format =
-          match format with
-          | `Pretty -> Secyan_obs.Metrics.Pretty
-          | `Jsonl -> Secyan_obs.Metrics.Jsonl
-          | `Prometheus -> Secyan_obs.Metrics.Prometheus
-        in
-        (match metrics_out with
-        | None ->
-            Fmt.pr "@.";
-            Secyan_obs.Metrics.export ?trace:!tree ~ledger:ctx format Format.std_formatter
-        | Some file ->
-            let oc = open_out file in
-            Secyan_obs.Metrics.export ?trace:!tree ~ledger:ctx format
-              (Format.formatter_of_out_channel oc);
-            close_out oc;
-            Fmt.pr "metrics written to %s@." file)
   in
   let execute = function
     | `Protocol q ->
@@ -567,7 +549,11 @@ let run_cmd query sql scale sf seed backend domains transport chaos chaos_seed m
         Fault_inject.disarm ());
     print_transport_stats ctx tr;
     print_checkpoint_stats ctx ck;
-    export_metrics ();
+    print_work_stats ctx;
+    print_pool_stats ctx;
+    (match (trace, !tree) with
+    | Some format, Some root -> export_trace format trace_out root
+    | _ -> ());
     Context.close_transport ctx;
     Context.shutdown_pool ctx;
     code
@@ -876,7 +862,7 @@ let run_t =
           $ domains_arg $ transport_arg $ chaos_arg $ chaos_seed_arg $ malicious_arg
           $ checkpoint_dir_arg $ resume_arg $ deadline_arg $ memory_budget_arg
           $ fault_arg $ hang_timeout_arg $ verify_arg $ trace_arg $ trace_out_arg
-          $ metrics_arg $ metrics_out_arg $ progress_arg $ progress_out_arg)
+          $ progress_arg $ progress_out_arg)
 
 let plan_t =
   Cmd.v (Cmd.info "plan" ~doc:"Show a query's join tree and protocol plan")

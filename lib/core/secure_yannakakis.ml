@@ -53,6 +53,14 @@ let run_shared ?(resume = false) ctx (q : Query.t) : result =
   if resume && Option.is_none ctx.Context.checkpoint then
     invalid_arg
       "Secure_yannakakis.run_shared: ~resume:true without a checkpoint sink on the context";
+  (* annotation shares live in the context's ring: any other width
+     computes in the wrong ring and answers wrongly, with no error *)
+  if Context.ring_bits ctx <> Semiring.bits q.Query.semiring then
+    invalid_arg
+      (Printf.sprintf
+         "Secure_yannakakis.run_shared: the context's ring is %d bits but query %s's \
+          semiring is %d bits"
+         (Context.ring_bits ctx) q.Query.name (Semiring.bits q.Query.semiring));
   Context.check_cancel ctx;
   let join, seconds, tally =
     Trace.measure ctx @@ fun () ->

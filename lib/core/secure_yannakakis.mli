@@ -24,7 +24,8 @@ type result = {
     uninterrupted run (DESIGN.md §11).
     @raise Checkpoint.Checkpoint_error on a damaged or query-mismatched
     checkpoint.
-    @raise Invalid_argument for [~resume:true] without a sink. *)
+    @raise Invalid_argument for [~resume:true] without a sink, or when
+    the context's ring width differs from the query semiring's. *)
 val run_shared : ?resume:bool -> Context.t -> Query.t -> result
 
 (** Run the protocol and reveal the result annotations to Alice, the

@@ -4,10 +4,9 @@
     with every compare-exchange a garbled-circuit gadget: one GC batch per
     (k, j) pass (comparators within a pass touch disjoint wire pairs), so
     a sort costs m(m+1)/2 batches — O(log^2 n) rounds — plus one prep
-    batch and, for top-k, one reveal round. The schedule, the batch
-    shapes, and the per-pass circuit are all functions of the (public)
-    padded row count alone, so the execution trace leaks row count and
-    nothing else.
+    batch and one reveal round. The schedule, the batch shapes, and the
+    per-pass circuit are all functions of the (public) padded row count
+    alone, so the execution trace leaks row count and nothing else.
 
     Padding to the power-of-two network width uses {e in-protocol sentinel
     rows}: shares of all-zero words with the validity bit clear, built by
@@ -48,12 +47,6 @@ type row = {
           [payload.(i) <> 0] inside the prep circuit *)
   keys : key list;
   payload : word_spec list;
-}
-
-type sorted = {
-  invalid : Secret_share.t array;  (** 1 iff the row is invalid, per position *)
-  keys : Secret_share.t array array;
-  payload : Secret_share.t array array;
 }
 
 (* ---- shape handling ------------------------------------------------- *)
@@ -228,35 +221,6 @@ let run_network ctx (s : shape) (net : Sorting_network.t) state =
         pass)
     net.Sorting_network.passes
 
-let sort_to_state ctx rows =
-  let n = Array.length rows in
-  let s = check_shapes rows in
-  check_widths ctx rows;
-  let net = Sorting_network.build n in
-  let items =
-    Array.init net.Sorting_network.padded (fun i ->
-        if i < n then row_inputs rows.(i) else sentinel_inputs ctx s)
-  in
-  let state = prep ctx s items in
-  run_network ctx s net state;
-  (s, state)
-
-let split_state (s : shape) state n =
-  let n_keys = List.length s.s_keys in
-  let n_payload = List.length s.s_payload in
-  {
-    invalid = Array.init n (fun i -> state.(i).(0));
-    keys = Array.init n (fun i -> Array.sub state.(i) 1 n_keys);
-    payload = Array.init n (fun i -> Array.sub state.(i) (1 + n_keys) n_payload);
-  }
-
-let sort ctx rows =
-  if Array.length rows = 0 then { invalid = [||]; keys = [||]; payload = [||] }
-  else
-    Context.with_span ctx "sort:bitonic" @@ fun () ->
-    let s, state = sort_to_state ctx rows in
-    split_state s state (Array.length rows)
-
 let top_k_reveal ctx ~k ~to_ rows =
   if k < 0 then invalid_arg "Oblivious_sort.top_k_reveal: negative k";
   let n = Array.length rows in
@@ -264,7 +228,15 @@ let top_k_reveal ctx ~k ~to_ rows =
   if k = 0 then [||]
   else
     Context.with_span ctx "sort:bitonic" @@ fun () ->
-    let s, state = sort_to_state ctx rows in
+    let s = check_shapes rows in
+    check_widths ctx rows;
+    let net = Sorting_network.build n in
+    let items =
+      Array.init net.Sorting_network.padded (fun i ->
+          if i < n then row_inputs rows.(i) else sentinel_inputs ctx s)
+    in
+    let state = prep ctx s items in
+    run_network ctx s net state;
     let n_keys = List.length s.s_keys in
     let n_payload = List.length s.s_payload in
     (* Reveal only the validity bit and the payload of the top k

@@ -38,26 +38,16 @@ type row = {
       (** carried through the compare-exchange muxes, never compared *)
 }
 
-type sorted = {
-  invalid : Secret_share.t array;  (** 1 iff the row at that position is invalid *)
-  keys : Secret_share.t array array;
-  payload : Secret_share.t array array;
-}
-
-(** Sort [rows] (all same-shaped) obliviously; returns fresh shares of
-    the first [n] positions — valid rows first in key order, then
-    invalid rows. Communication, rounds, gates, and the trace depend
-    only on [n] and the row shape.
-
-    @raise Invalid_argument on mixed row shapes or width violations. *)
-val sort : Context.t -> row array -> sorted
-
 (** Sort and reveal to [to_] only the validity bit and payload words of
     the first [min k n] positions (key shares are never opened): one
     extra round. Element [(invalid, payload)] with [invalid = true]
     means every later position is invalid too — fewer than [k] valid
     rows exist.
 
-    @raise Invalid_argument on negative [k] or a bad row array. *)
+    Communication, rounds, gates, and the trace depend only on [n],
+    [k] and the row shape.
+
+    @raise Invalid_argument on negative [k], or (for [k, n > 0]) on
+    mixed row shapes or width violations. *)
 val top_k_reveal :
   Context.t -> k:int -> to_:Party.t -> row array -> (bool * int64 array) array

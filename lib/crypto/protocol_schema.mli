@@ -36,8 +36,7 @@ val kind_of_label : string -> Secyan_net.Envelope.kind
 (** Whether a span label opens a phase: the phase markers
     ["phase:share"], ["phase:reduce"], ["phase:semijoin"],
     ["phase:join"], ["phase:order"] and ["reveal"]. The one definition
-    of a phase boundary, shared by the [--metrics] phase gauges and the
-    progress reporter. *)
+    of a phase boundary, read by the progress reporter. *)
 val is_phase_marker : string -> bool
 
 (** The phase a span label enters: a phase marker's own phase; any other

@@ -102,23 +102,6 @@ let work_counters =
 
 let all_counters = work_counters @ [ Alice_to_bob_bits; Bob_to_alice_bits; Rounds; Sends ]
 
-let counter_help = function
-  | And_gates -> "AND gates garbled or cost-equivalently simulated"
-  | Ots -> "1-out-of-2 oblivious transfers executed or accounted"
-  | Oep_switches -> "oblivious permutation-network switches evaluated"
-  | Cuckoo_bins -> "cuckoo bins processed by circuit-PSI"
-  | B2a_words -> "Boolean-to-arithmetic share conversions"
-  | Gc_circuits -> "individual circuit executions through the GC protocol"
-  | Retries -> "transport-level retransmissions"
-  | Timeouts -> "transport receive attempts that expired"
-  | Frames_corrupted -> "frames rejected by the transport CRC check"
-  | Checkpoints_written -> "durable protocol-state snapshots emitted"
-  | Checkpoint_bytes -> "total on-disk bytes of checkpoints"
-  | Alice_to_bob_bits -> "declared communication from Alice to Bob, in bits"
-  | Bob_to_alice_bits -> "declared communication from Bob to Alice, in bits"
-  | Rounds -> "declared communication rounds"
-  | Sends -> "declared transfers"
-
 type t = {
   enter : string -> unit;  (** open a child span under the active span *)
   exit : unit -> unit;     (** close the active span *)

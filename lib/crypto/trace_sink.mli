@@ -37,7 +37,7 @@ val n_counters : int
 (** Dense index in [0, n_counters), stable across a run. *)
 val counter_index : counter -> int
 
-(** Stable snake_case name used by exporters and metrics files. *)
+(** Stable snake_case name used by the trace exporters. *)
 val counter_name : counter -> string
 
 (** The primitive-work counters ([And_gates] .. [Checkpoint_bytes]);
@@ -48,9 +48,6 @@ val work_counters : counter list
 (** Every counter, in [counter_index] order: [work_counters], then
     [Alice_to_bob_bits], [Bob_to_alice_bits], [Rounds], [Sends]. *)
 val all_counters : counter list
-
-(** One-line description of a counter, used as metric help text. *)
-val counter_help : counter -> string
 
 type t = {
   enter : string -> unit;  (** open a child span under the active span *)

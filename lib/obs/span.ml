@@ -44,16 +44,6 @@ let alloc_between (a : Gc.stat) (b : Gc.stat) =
     compactions = b.Gc.compactions - a.Gc.compactions;
   }
 
-let add_alloc a b =
-  {
-    minor_words = a.minor_words +. b.minor_words;
-    promoted_words = a.promoted_words +. b.promoted_words;
-    major_words = a.major_words +. b.major_words;
-    minor_collections = a.minor_collections + b.minor_collections;
-    major_collections = a.major_collections + b.major_collections;
-    compactions = a.compactions + b.compactions;
-  }
-
 let create ~name ~start_s =
   {
     name;

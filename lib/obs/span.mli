@@ -25,14 +25,9 @@ type t = {
   mutable rev_children : t list;  (** newest first *)
 }
 
-val no_alloc : alloc
-
 (** [alloc_between before after]: the allocation from one
     [Gc.quick_stat] reading to a later one. *)
 val alloc_between : Gc.stat -> Gc.stat -> alloc
-
-(** Field-wise sum. *)
-val add_alloc : alloc -> alloc -> alloc
 
 val create : name:string -> start_s:float -> t
 val add_child : t -> t -> unit

@@ -21,10 +21,8 @@ let ring_bits = 52
 
 let semiring = Semiring.ring ~bits:ring_bits
 
-let context ?(gc_backend = Context.Sim) ?(domains = 1) ?transport ?checkpoint ?cancel
-    ?hang_timeout_s ~seed () =
-  Context.create ~bits:ring_bits ~gc_backend ~domains ?transport ?checkpoint ?cancel
-    ?hang_timeout_s ~seed ()
+let context ?(gc_backend = Context.Sim) ?(domains = 1) ?transport ~seed () =
+  Context.create ~bits:ring_bits ~gc_backend ~domains ?transport ~seed ()
 
 (* --- relation shaping helpers ------------------------------------- *)
 

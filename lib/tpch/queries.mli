@@ -17,15 +17,11 @@ val semiring : Semiring.t
     parallelism of the GC batch engine (default 1; results are
     bit-identical for every value); [transport] attaches a real framed
     channel behind the communication accounting (default: pure
-    simulation); [checkpoint] attaches a durable snapshot stream for
-    checkpoint/resume (default: none); [cancel]/[hang_timeout_s] thread the
-    robustness layer through (default: unconstrained token, unwatched
-    pool — see DESIGN.md §15). *)
+    simulation). Checkpoints, cancellation and a watched pool are
+    {!Context.create}'s options. *)
 val context :
   ?gc_backend:Context.gc_backend -> ?domains:int ->
-  ?transport:Secyan_net.Resilient.t -> ?checkpoint:Checkpoint.sink ->
-  ?cancel:Secyan_deadline.t -> ?hang_timeout_s:float ->
-  seed:int64 -> unit -> Context.t
+  ?transport:Secyan_net.Resilient.t -> seed:int64 -> unit -> Context.t
 
 (** {2 The evaluation queries} *)
 

@@ -124,7 +124,7 @@ let test_snapshot_codec_canonical () =
   let d = xs () in
   let q = Queries.q3 d in
   let sink = Checkpoint.sink ~dir () in
-  let ctx = Queries.context ~checkpoint:sink ~seed:99L () in
+  let ctx = Context.create ~bits:Queries.ring_bits ~checkpoint:sink ~seed:99L () in
   Fun.protect ~finally:(fun () -> close ctx) @@ fun () ->
   ignore (Secyan.Secure_yannakakis.run ctx q);
   Alcotest.(check bool) "several snapshots emitted" true (checkpoints_written ctx >= 3);
@@ -214,7 +214,10 @@ let kill_and_resume ?(resume_chaos = "") make () =
   in
   let crash_tr = Resilient.create ~seed:7L faulty in
   let crash_sink = Checkpoint.sink ~dir () in
-  let crash_ctx = Queries.context ~transport:crash_tr ~checkpoint:crash_sink ~seed:99L () in
+  let crash_ctx =
+    Context.create ~bits:Queries.ring_bits
+      ~transport:crash_tr ~checkpoint:crash_sink ~seed:99L ()
+  in
   (Fun.protect ~finally:(fun () -> close crash_ctx) @@ fun () ->
    match Secyan.Secure_yannakakis.run crash_ctx q with
    | _ -> Alcotest.fail "the disconnect must kill the run"
@@ -235,7 +238,8 @@ let kill_and_resume ?(resume_chaos = "") make () =
   let resume_tr = Resilient.create ~seed:11L resume_raw in
   let resume_sink = Checkpoint.sink ~dir () in
   let resume_ctx =
-    Queries.context ~transport:resume_tr ~checkpoint:resume_sink ~seed:99L ()
+    Context.create ~bits:Queries.ring_bits
+      ~transport:resume_tr ~checkpoint:resume_sink ~seed:99L ()
   in
   Fun.protect ~finally:(fun () -> close resume_ctx) @@ fun () ->
   let resumed_rel, resumed_stats = Secyan.Secure_yannakakis.run ~resume:true resume_ctx q in
@@ -277,7 +281,9 @@ let cancel_and_resume make () =
   Fun.protect ~finally:(fun () -> rm_rf_flat dir) @@ fun () ->
   let tok = Secyan_deadline.never () in
   let sink = Checkpoint.sink ~dir () in
-  let cancel_ctx = Queries.context ~checkpoint:sink ~cancel:tok ~seed:99L () in
+  let cancel_ctx =
+    Context.create ~bits:Queries.ring_bits ~checkpoint:sink ~cancel:tok ~seed:99L ()
+  in
   let watcher =
     Domain.spawn (fun () ->
         let t0 = Unix.gettimeofday () in
@@ -300,7 +306,9 @@ let cancel_and_resume make () =
   Domain.join watcher;
   Alcotest.(check bool) "cancel left snapshots behind" true (checkpoints_written cancel_ctx >= 2);
   let resume_sink = Checkpoint.sink ~dir () in
-  let resume_ctx = Queries.context ~checkpoint:resume_sink ~seed:99L () in
+  let resume_ctx =
+    Context.create ~bits:Queries.ring_bits ~checkpoint:resume_sink ~seed:99L ()
+  in
   Fun.protect ~finally:(fun () -> close resume_ctx) @@ fun () ->
   let resumed_rel, resumed_stats = Secyan.Secure_yannakakis.run ~resume:true resume_ctx q in
   Alcotest.(check bool) "really resumed mid-stream" true
@@ -320,17 +328,21 @@ let test_resume_wrong_query_rejected () =
   let dir = tmpdir () in
   Fun.protect ~finally:(fun () -> rm_rf_flat dir) @@ fun () ->
   let d = xs () in
-  let ctx = Queries.context ~checkpoint:(Checkpoint.sink ~dir ()) ~seed:99L () in
+  let ctx =
+    Context.create ~bits:Queries.ring_bits ~checkpoint:(Checkpoint.sink ~dir ()) ~seed:99L ()
+  in
   (Fun.protect ~finally:(fun () -> close ctx) @@ fun () ->
    ignore (Secyan.Secure_yannakakis.run ctx (Queries.q3 d)));
-  let ctx2 = Queries.context ~checkpoint:(Checkpoint.sink ~dir ()) ~seed:99L () in
+  let ctx2 =
+    Context.create ~bits:Queries.ring_bits ~checkpoint:(Checkpoint.sink ~dir ()) ~seed:99L ()
+  in
   Fun.protect ~finally:(fun () -> close ctx2) @@ fun () ->
   expect_error Checkpoint.Fingerprint_mismatch (fun () ->
       Secyan.Secure_yannakakis.run ~resume:true ctx2 (Queries.q10 d))
 
-(* The metrics export renders the ledger, and a resume restores the
-   ledger: after a resume the exported traffic totals are the run's whole
-   tally (restored work included), equal to an uninterrupted run's. *)
+(* A resume restores the ledger, which the CLI's report lines read:
+   after a resume the ledger's traffic totals are the run's whole tally
+   (restored work included), equal to an uninterrupted run's. *)
 let test_resume_export_equals_tally () =
   let d = xs () in
   let q = Queries.q3 d in
@@ -347,7 +359,7 @@ let test_resume_export_equals_tally () =
     Chaos.wrap ~seed:7L ~spec:[ (Chaos.Disconnect, transfers - 5) ] (Transport.inproc ())
   in
   let crash_ctx =
-    Queries.context ~transport:(Resilient.create ~seed:7L faulty)
+    Context.create ~bits:Queries.ring_bits ~transport:(Resilient.create ~seed:7L faulty)
       ~checkpoint:(Checkpoint.sink ~dir ()) ~seed:99L ()
   in
   (Fun.protect ~finally:(fun () -> close crash_ctx) @@ fun () ->
@@ -356,29 +368,21 @@ let test_resume_export_equals_tally () =
    | exception Resilient.Transport_error _ -> ());
   let resume_sink = Checkpoint.sink ~dir () in
   let resume_ctx =
-    Queries.context ~transport:(Resilient.create (Transport.inproc ()))
+    Context.create ~bits:Queries.ring_bits ~transport:(Resilient.create (Transport.inproc ()))
       ~checkpoint:resume_sink ~seed:99L ()
   in
   Fun.protect ~finally:(fun () -> close resume_ctx) @@ fun () ->
   ignore (Secyan.Secure_yannakakis.run ~resume:true resume_ctx q);
   Alcotest.(check bool) "really resumed mid-stream" true
     (Option.is_some resume_sink.Checkpoint.resumed_from);
-  let exported name =
-    match
-      List.find_opt
-        (fun s -> s.Secyan_obs.Metrics.name = name)
-        (Secyan_obs.Metrics.snapshot ~ledger:resume_ctx ())
-    with
-    | Some { Secyan_obs.Metrics.value = Secyan_obs.Metrics.Counter n; _ } -> n
-    | _ -> Alcotest.failf "no counter %s in the export" name
-  in
+  let totals = Context.counter_totals resume_ctx in
+  let ledger c = totals.(Trace_sink.counter_index c) in
   let tally = Context.tally resume_ctx in
-  Alcotest.(check int) "exported A->B bits = tally" tally.Comm.alice_to_bob_bits
-    (exported "secyan_alice_to_bob_bits_total");
-  Alcotest.(check int) "exported B->A bits = tally" tally.Comm.bob_to_alice_bits
-    (exported "secyan_bob_to_alice_bits_total");
-  Alcotest.(check int) "exported rounds = tally" tally.Comm.rounds
-    (exported "secyan_rounds_total");
+  Alcotest.(check int) "ledger A->B bits = tally" tally.Comm.alice_to_bob_bits
+    (ledger Trace_sink.Alice_to_bob_bits);
+  Alcotest.(check int) "ledger B->A bits = tally" tally.Comm.bob_to_alice_bits
+    (ledger Trace_sink.Bob_to_alice_bits);
+  Alcotest.(check int) "ledger rounds = tally" tally.Comm.rounds (ledger Trace_sink.Rounds);
   Alcotest.(check bool) "tally equals the uninterrupted run's" true
     (Comm.equal clean_tally tally)
 
@@ -388,7 +392,9 @@ let test_resume_corrupted_rejected () =
   Fun.protect ~finally:(fun () -> rm_rf_flat dir) @@ fun () ->
   let d = xs () in
   let q = Queries.q3 d in
-  let ctx = Queries.context ~checkpoint:(Checkpoint.sink ~dir ()) ~seed:99L () in
+  let ctx =
+    Context.create ~bits:Queries.ring_bits ~checkpoint:(Checkpoint.sink ~dir ()) ~seed:99L ()
+  in
   (Fun.protect ~finally:(fun () -> close ctx) @@ fun () ->
    ignore (Secyan.Secure_yannakakis.run ctx q));
   (match Checkpoint.latest_path dir with
@@ -403,7 +409,9 @@ let test_resume_corrupted_rejected () =
       output_bytes oc b;
       close_out oc
   | None -> Alcotest.fail "no checkpoint to corrupt");
-  let ctx2 = Queries.context ~checkpoint:(Checkpoint.sink ~dir ()) ~seed:99L () in
+  let ctx2 =
+    Context.create ~bits:Queries.ring_bits ~checkpoint:(Checkpoint.sink ~dir ()) ~seed:99L ()
+  in
   Fun.protect ~finally:(fun () -> close ctx2) @@ fun () ->
   expect_error Checkpoint.Crc_mismatch (fun () ->
       Secyan.Secure_yannakakis.run ~resume:true ctx2 q)
@@ -419,11 +427,15 @@ let resume_disagreement make other () =
   let q = make d in
   let dir = tmpdir () in
   Fun.protect ~finally:(fun () -> rm_rf_flat dir) @@ fun () ->
-  let ctx = Queries.context ~checkpoint:(Checkpoint.sink ~dir ()) ~seed:99L () in
+  let ctx =
+    Context.create ~bits:Queries.ring_bits ~checkpoint:(Checkpoint.sink ~dir ()) ~seed:99L ()
+  in
   (Fun.protect ~finally:(fun () -> close ctx) @@ fun () ->
    ignore (Secyan.Secure_yannakakis.run ctx q));
   (* (a) fingerprint: the stream under a different query refuses to load *)
-  let ctx2 = Queries.context ~checkpoint:(Checkpoint.sink ~dir ()) ~seed:99L () in
+  let ctx2 =
+    Context.create ~bits:Queries.ring_bits ~checkpoint:(Checkpoint.sink ~dir ()) ~seed:99L ()
+  in
   (Fun.protect ~finally:(fun () -> close ctx2) @@ fun () ->
    expect_error Checkpoint.Fingerprint_mismatch (fun () ->
        Secyan.Secure_yannakakis.run ~resume:true ctx2 (other d)));

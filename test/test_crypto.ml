@@ -1646,7 +1646,7 @@ let test_oblivious_sort_shape_mismatch () =
   let bad =
     [| rows.(0); { rows.(1) with Oblivious_sort.payload = [ List.hd rows.(1).Oblivious_sort.payload ] } |]
   in
-  (match Oblivious_sort.sort ctx bad with
+  (match Oblivious_sort.top_k_reveal ctx ~k:2 ~to_:Party.Alice bad with
   | _ -> Alcotest.fail "mixed shapes must be rejected"
   | exception Invalid_argument _ -> ());
   (* width violation: private input wider than the declared width *)
@@ -1670,7 +1670,7 @@ let test_oblivious_sort_shape_mismatch () =
       };
     |]
   in
-  match Oblivious_sort.sort ctx too_wide with
+  match Oblivious_sort.top_k_reveal ctx ~k:1 ~to_:Party.Alice too_wide with
   | _ -> Alcotest.fail "width violation must be rejected"
   | exception Invalid_argument _ -> ()
 
@@ -1740,7 +1740,7 @@ let test_oblivious_sort_narrow_ring () =
       };
     |]
   in
-  match Oblivious_sort.sort ctx wide with
+  match Oblivious_sort.top_k_reveal ctx ~k:1 ~to_:Party.Alice wide with
   | _ -> Alcotest.fail "ring-exceeding width must be rejected"
   | exception Invalid_argument msg ->
       Alcotest.(check bool) "message points at limb splitting" true

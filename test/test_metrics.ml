@@ -1,7 +1,6 @@
-(* Tests for the [--metrics] export (lib/obs/metrics.ml), which is built
-   at export time from a run context's ledger, its pool's timelines and
-   the phase spans of the run's trace, plus the spans' allocation stamps
-   and the live progress reporter. *)
+(* Tests for the run record: the context ledger's accounting, the CLI's
+   [work:] and [pool:] report lines, the trace's phase spans and their
+   allocation stamps, and the live progress reporter. *)
 
 open Secyan_crypto
 open Secyan_obs
@@ -21,227 +20,129 @@ let run_gc_batch ctx ~n =
   let build b words = [ Circuits.mul_word b words.(0) words.(1) ] in
   Gc_protocol.eval_to_shares_batch ctx ~items ~build
 
-let count_sub ~sub out =
-  let n = String.length out and m = String.length sub in
-  let rec go i acc =
-    if i + m > n then acc else go (i + 1) (if String.sub out i m = sub then acc + 1 else acc)
-  in
-  go 0 0
-
 (* ------------------------------------------------------------------ *)
-(* Ledger counters in the export *)
+(* The ledger *)
 
-(* The [secyan_<counter>_total] samples of a JSONL export, by name. *)
-let exported_ledger ctx =
-  Metrics.export_string ~ledger:ctx Metrics.Jsonl
-  |> String.split_on_char '\n'
-  |> List.filter_map (fun line ->
-         match Json.parse line with
-         | Ok (Json.Obj fields) -> (
-             match (List.assoc_opt "name" fields, List.assoc_opt "value" fields) with
-             | Some (Json.Str name), Some (Json.Int v) -> Some (name, v)
-             | _ -> None)
-         | _ -> None)
+let ledger ctx c = (Context.counter_totals ctx).(Trace_sink.counter_index c)
 
-(* Every [Context.bump] reaches the export: the [secyan_<counter>_total]
-   samples are rendered from the context's ledger, so they carry the
-   bumped sums. *)
+(* Every [Context.bump] reaches the ledger's totals. *)
 let test_context_bump_mirrors () =
   let ctx = Context.create ~seed () in
   Context.bump ctx Trace_sink.And_gates 5;
   Context.bump ctx Trace_sink.And_gates 7;
   Context.bump ctx Trace_sink.Ots 2;
-  let exported = exported_ledger ctx in
-  Alcotest.(check (option int)) "and_gates exported" (Some 12)
-    (List.assoc_opt "secyan_and_gates_total" exported);
-  Alcotest.(check (option int)) "ots exported" (Some 2)
-    (List.assoc_opt "secyan_ots_total" exported)
+  Alcotest.(check int) "and_gates summed" 12 (ledger ctx Trace_sink.And_gates);
+  Alcotest.(check int) "ots summed" 2 (ledger ctx Trace_sink.Ots)
 
 (* A parallel batch counts each unit of work exactly once: items write
    nothing to the context and the batch's cost is booked once on the
-   owning domain, so the ledger is identical at every pool size, and the
-   export renders exactly that ledger — work and traffic counters
-   alike. *)
+   owning domain, so the ledger — work and traffic counters alike — is
+   identical at every pool size. *)
 let test_parallel_batch_no_double_count () =
   let run domains =
     let ctx = Context.create ~gc_backend:Context.Real ~domains ~seed () in
     ignore (run_gc_batch ctx ~n:6);
     Context.shutdown_pool ctx;
-    (Context.counter_totals ctx, exported_ledger ctx)
+    Context.counter_totals ctx
   in
-  let base, _ = run 1 in
+  let base = run 1 in
   List.iter
     (fun domains ->
-      let totals, exported = run domains in
       Alcotest.(check (array int))
         (Printf.sprintf "ledger identical at pool size %d" domains)
-        base totals;
-      List.iter
-        (fun c ->
-          let name = "secyan_" ^ Trace_sink.counter_name c ^ "_total" in
-          Alcotest.(check (option int))
-            (Printf.sprintf "%s exported from the ledger at pool size %d" name domains)
-            (Some totals.(Trace_sink.counter_index c))
-            (List.assoc_opt name exported))
-        Trace_sink.all_counters)
-    [ 1; 2; 4 ];
+        base (run domains))
+    [ 2; 4 ];
   Alcotest.(check bool) "the batch moved traffic" true
     (base.(Trace_sink.counter_index Trace_sink.Alice_to_bob_bits) > 0
     && base.(Trace_sink.counter_index Trace_sink.Sends) > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Exporters *)
+(* The CLI's run report *)
 
-(* A finished trace whose root holds one phase span per [(name, dur_s)],
-   each stamped with 100 minor words and one minor collection. *)
-let trace_of phases =
-  let root = Span.create ~name:"run" ~start_s:0. in
-  List.iter
-    (fun (name, dur_s) ->
-      let span = Span.create ~name ~start_s:0. in
-      span.Span.dur_s <- dur_s;
-      span.Span.alloc <- { Span.no_alloc with Span.minor_words = 100.; minor_collections = 1 };
-      Span.add_child root span)
-    phases;
-  root
+(* Run [secyan_cli run ARGS] (built beside this test, see test/dune) and
+   return its exit code and output lines. *)
+let cli args =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/secyan_cli.exe"
+  in
+  let out = Filename.temp_file "secyan_cli" ".out" in
+  Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+  let code =
+    Sys.command
+      (Printf.sprintf "%s run %s > %s 2>&1" (Filename.quote exe) args (Filename.quote out))
+  in
+  (code, In_channel.with_open_text out In_channel.input_lines)
 
-let test_snapshot_sorted () =
-  let ctx = Context.create ~gc_backend:Context.Real ~domains:2 ~seed () in
-  ignore (run_gc_batch ctx ~n:4);
-  Context.shutdown_pool ctx;
-  let names =
-    List.map
-      (fun s -> s.Metrics.name)
-      (Metrics.snapshot
-         ~trace:(trace_of [ ("phase:share", 0.5); ("reveal", 1.) ])
-         ~ledger:ctx ())
-  in
-  Alcotest.(check (list string)) "sorted by name" (List.sort compare names) names
+let lines_with ~prefix lines = List.filter (String.starts_with ~prefix) lines
 
-let test_prometheus_format () =
-  let ctx = Context.create ~seed () in
-  Context.bump ctx Trace_sink.And_gates 12;
-  let out =
-    Metrics.export_string
-      ~trace:(trace_of [ ("phase:reduce", 0.25); ("reveal", 2.) ])
-      ~ledger:ctx Metrics.Prometheus
+(* The [work:] line carries the ledger's six protocol counters, equal to
+   the trace root's; a watched pool of two claimants prints three
+   [pool:] lines, the watching caller (domain 0) at 0 items; without
+   worker domains there is no [pool:] line. *)
+let test_report_lines () =
+  let trace = Filename.temp_file "secyan_trace" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove trace) @@ fun () ->
+  let code, lines =
+    cli
+      (Printf.sprintf
+         "--query q10 --scale xs --domains 2 --hang-timeout 10 --trace=jsonl --trace-out %s"
+         (Filename.quote trace))
   in
-  let count sub = count_sub ~sub out in
-  Alcotest.(check int) "one TYPE per counter" 1
-    (count "# TYPE secyan_and_gates_total counter\n");
-  Alcotest.(check int) "counter line" 1 (count "\nsecyan_and_gates_total 12\n");
-  (* one TYPE header per base name, even for labelled gauge families *)
-  Alcotest.(check int) "one TYPE for the gauge family" 1
-    (count "# TYPE secyan_gc_phase_seconds gauge\n");
-  Alcotest.(check int) "labelled gauge" 1
-    (count "secyan_gc_phase_seconds{phase=\"phase:reduce\"} 0.25\n");
-  Alcotest.(check int) "integral gauge prints bare" 1
-    (count "secyan_gc_phase_seconds{phase=\"reveal\"} 2\n")
-
-let test_jsonl_export_parses () =
-  let ctx = Context.create ~seed () in
-  let out =
-    Metrics.export_string ~trace:(trace_of [ ("phase:share", 0.5) ]) ~ledger:ctx Metrics.Jsonl
+  Alcotest.(check int) "exit code" 0 code;
+  let root =
+    match Json.parse (In_channel.with_open_text trace In_channel.input_line |> Option.get) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "unparsable trace root: %s" e
   in
-  let lines = String.split_on_char '\n' out |> List.filter (fun l -> l <> "") in
-  Alcotest.(check int) "every ledger counter and gc-phase gauge"
-    (Trace_sink.n_counters + 7) (List.length lines);
-  List.iter
-    (fun l ->
-      match Json.parse l with
-      | Ok (Json.Obj fields) ->
-          Alcotest.(check bool) "has name" true (List.mem_assoc "name" fields);
-          Alcotest.(check bool) "has kind" true (List.mem_assoc "kind" fields);
-          Alcotest.(check bool) "has value" true (List.mem_assoc "value" fields)
-      | Ok _ -> Alcotest.fail "line is not an object"
-      | Error e -> Alcotest.failf "unparsable JSONL line %s: %s" l e)
-    lines
-
-(* A watched pool of two claiming workers: the export carries three
-   participants' timelines, the watching caller (domain 0) at 0 items,
-   and the items of the one batch add up to its size. *)
-let test_export_renders_pool_timelines () =
-  let n = 6 in
-  let ctx =
-    Context.create ~gc_backend:Context.Real ~domains:2 ~hang_timeout_s:10. ~seed ()
+  let root_counter name =
+    Option.get (Option.bind (Json.member "counters" root) (Json.member name))
+    |> Json.to_int_opt |> Option.get
   in
-  ignore (run_gc_batch ctx ~n);
-  Context.shutdown_pool ctx;
-  let gauges family =
-    List.filter_map
-      (fun s ->
-        match s.Metrics.value with
-        | Metrics.Gauge v
-          when String.length s.Metrics.name > String.length family
-               && String.sub s.Metrics.name 0 (String.length family + 1) = family ^ "{" ->
-            Some (s.Metrics.name, v)
-        | _ -> None)
-      (Metrics.snapshot ~ledger:ctx ())
-  in
-  let items = gauges "secyan_domain_items" in
-  Alcotest.(check (list string)) "three participants"
-    [ "secyan_domain_items{domain=\"0\"}"; "secyan_domain_items{domain=\"1\"}";
-      "secyan_domain_items{domain=\"2\"}" ]
-    (List.map fst items);
-  Alcotest.(check (float 0.)) "the watching caller runs no item" 0.
-    (List.assoc "secyan_domain_items{domain=\"0\"}" items);
-  Alcotest.(check (float 0.)) "items sum to the batch size" (float_of_int n)
-    (List.fold_left (fun acc (_, v) -> acc +. v) 0. items);
-  let out = Metrics.export_string ~ledger:ctx Metrics.Prometheus in
-  List.iter
-    (fun family ->
-      Alcotest.(check int) (family ^ ": one HELP") 1
-        (count_sub ~sub:(Printf.sprintf "# HELP %s " family) out);
-      Alcotest.(check int) (family ^ ": one TYPE") 1
-        (count_sub ~sub:(Printf.sprintf "# TYPE %s gauge\n" family) out);
-      Alcotest.(check int) (family ^ ": three samples") 3
-        (count_sub ~sub:(Printf.sprintf "\n%s{domain=" family) out))
+  Alcotest.(check (list string)) "work line = trace root counters"
     [
-      "secyan_domain_busy_seconds"; "secyan_domain_queue_wait_seconds";
-      "secyan_domain_lock_wait_seconds"; "secyan_domain_wall_seconds";
-      "secyan_domain_batches"; "secyan_domain_items"; "secyan_domain_wakeups";
-    ];
-  let unpooled = Context.create ~seed () in
-  Alcotest.(check int) "no pool, no secyan_domain_* sample" 0
-    (count_sub ~sub:"secyan_domain_"
-       (Metrics.export_string ~ledger:unpooled Metrics.Jsonl))
-
-(* A phase that recurs — a composed query runs the protocol more than
-   once — is one gauge per field, summed over every span of that name,
-   wherever in the tree it sits. *)
-let test_recurring_phase_summed () =
-  let ctx = Context.create ~seed () in
-  let allocate () = ignore (Sys.opaque_identity (Array.init 4096 (fun i -> string_of_int i))) in
-  let (), root =
-    Trace.with_tracing ctx (fun () ->
-        Context.with_span ctx "run:1" (fun () -> Context.with_span ctx "phase:reduce" allocate);
-        Context.with_span ctx "run:2" (fun () -> Context.with_span ctx "phase:reduce" allocate))
-  in
-  let reduces = ref [] in
-  Span.iter
-    (fun ~depth:_ ~path:_ (s : Span.t) ->
-      if s.Span.name = "phase:reduce" then reduces := s :: !reduces)
-    root;
-  Alcotest.(check int) "two phase:reduce spans" 2 (List.length !reduces);
-  let gauges family =
-    List.filter_map
-      (fun s ->
-        match s.Metrics.value with
-        | Metrics.Gauge v when String.starts_with ~prefix:(family ^ "{") s.Metrics.name ->
-            Some (s.Metrics.name, v)
-        | _ -> None)
-      (Metrics.snapshot ~trace:root ~ledger:ctx ())
-  in
-  let sum f = List.fold_left (fun acc s -> acc +. f s) 0. (List.rev !reduces) in
-  Alcotest.(check (list (pair string (float 0.)))) "one seconds gauge, the sum"
-    [ ("secyan_gc_phase_seconds{phase=\"phase:reduce\"}", sum (fun s -> s.Span.dur_s)) ]
-    (gauges "secyan_gc_phase_seconds");
-  Alcotest.(check (list (pair string (float 0.)))) "one minor-words gauge, the sum"
-    [
-      ( "secyan_gc_phase_minor_words{phase=\"phase:reduce\"}",
-        sum (fun s -> s.Span.alloc.Span.minor_words) );
+      Printf.sprintf
+        "work: %d AND gates, %d OTs, %d OEP switches, %d cuckoo bins, %d B2A words, %d GC \
+         circuits"
+        (root_counter "and_gates") (root_counter "ots") (root_counter "oep_switches")
+        (root_counter "cuckoo_bins") (root_counter "b2a_words") (root_counter "gc_circuits");
     ]
-    (gauges "secyan_gc_phase_minor_words")
+    (lines_with ~prefix:"work: " lines);
+  Alcotest.(check bool) "the run garbled" true (root_counter "gc_circuits" > 0);
+  let pool = lines_with ~prefix:"pool: " lines in
+  let items =
+    List.map
+      (fun l -> Scanf.sscanf l "pool: domain %d, %d batches, %d items" (fun d _ i -> (d, i)))
+      pool
+  in
+  Alcotest.(check (list int)) "one line per participant" [ 0; 1; 2 ] (List.map fst items);
+  Alcotest.(check int) "the watching caller runs no item" 0 (List.assoc 0 items);
+  Alcotest.(check bool) "the workers ran items" true
+    (List.fold_left (fun acc (_, i) -> acc + i) 0 items > 0);
+  let code, lines = cli "--query q10 --scale xs" in
+  Alcotest.(check int) "sequential exit code" 0 code;
+  Alcotest.(check int) "sequential: one work line" 1
+    (List.length (lines_with ~prefix:"work: " lines));
+  Alcotest.(check (list string)) "sequential: no pool line" []
+    (lines_with ~prefix:"pool: " lines)
+
+(* A composed query runs the protocol more than once: Q8's trace keeps
+   each run's phases as their own spans, both [phase:reduce] spans with
+   their own duration and allocation. *)
+let test_q8_trace_keeps_both_reduces () =
+  let d = Secyan_tpch.Datagen.generate ~sf:4e-5 ~seed in
+  let ctx = Secyan_tpch.Queries.context ~seed () in
+  let _, root =
+    Trace.with_tracing ~name:"q8" ctx (fun () -> Secyan_tpch.Queries.run_q8 ctx d)
+  in
+  let reduces =
+    List.filter (fun (s : Span.t) -> s.Span.name = "phase:reduce") (Span.children root)
+  in
+  Alcotest.(check int) "two phase:reduce spans under the root" 2 (List.length reduces);
+  List.iter
+    (fun (s : Span.t) ->
+      Alcotest.(check bool) "closed" true (s.Span.dur_s >= 0.);
+      Alcotest.(check bool) "allocated" true (s.Span.alloc.Span.minor_words > 0.))
+    reduces
 
 (* ------------------------------------------------------------------ *)
 (* Span allocation stamps and the progress reporter *)
@@ -343,14 +244,11 @@ let () =
           Alcotest.test_case "parallel batch no double count" `Quick
             test_parallel_batch_no_double_count;
         ] );
-      ( "exporters",
+      ( "report",
         [
-          Alcotest.test_case "snapshot sorted" `Quick test_snapshot_sorted;
-          Alcotest.test_case "prometheus format" `Quick test_prometheus_format;
-          Alcotest.test_case "jsonl parses" `Quick test_jsonl_export_parses;
-          Alcotest.test_case "export renders pool timelines" `Quick
-            test_export_renders_pool_timelines;
-          Alcotest.test_case "recurring phase summed" `Quick test_recurring_phase_summed;
+          Alcotest.test_case "work and pool lines" `Quick test_report_lines;
+          Alcotest.test_case "q8 trace keeps both reduces" `Quick
+            test_q8_trace_keeps_both_reduces;
         ] );
       ( "profiling",
         [

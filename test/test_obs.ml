@@ -130,7 +130,10 @@ let test_root_is_ledger_resumed () =
           Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
           Sys.rmdir dir)
       @@ fun () ->
-      let first = Secyan_tpch.Queries.context ~checkpoint:(Checkpoint.sink ~dir ()) ~seed () in
+      let first =
+        Context.create ~bits:Secyan_tpch.Queries.ring_bits
+          ~checkpoint:(Checkpoint.sink ~dir ()) ~seed ()
+      in
       let _, full = Secyan.Secure_yannakakis.run first q in
       (* the ledger the resumed run starts from: the latest snapshot's *)
       let restored =
@@ -141,7 +144,10 @@ let test_root_is_ledger_resumed () =
               .Secyan.Protocol_state.counters
         | None -> Alcotest.fail "no checkpoint written"
       in
-      let ctx = Secyan_tpch.Queries.context ~checkpoint:(Checkpoint.sink ~dir ()) ~seed () in
+      let ctx =
+        Context.create ~bits:Secyan_tpch.Queries.ring_bits
+          ~checkpoint:(Checkpoint.sink ~dir ()) ~seed ()
+      in
       let (_, stats), root =
         Trace.with_tracing ctx (fun () -> Secyan.Secure_yannakakis.run ~resume:true ctx q)
       in

@@ -755,6 +755,29 @@ let test_run_shared_consistent () =
     (project_content q.Query.output (Query.plaintext q))
     (project_content q.Query.output reconstructed)
 
+(* A context whose ring is narrower than the query's semiring would wrap
+   every share: the run is refused before any traffic, naming both
+   widths. *)
+let test_ring_width_mismatch_rejected () =
+  let q = fig1_query 21 (Party.Alice, Party.Bob, Party.Alice, Party.Bob, Party.Alice) in
+  let ctx = Context.create ~bits:16 ~seed:7L () in
+  let bits = Semiring.bits q.Query.semiring in
+  match Secure_yannakakis.run ctx q with
+  | _ -> Alcotest.fail "a ring-width mismatch must be rejected"
+  | exception Invalid_argument msg ->
+      let contains sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool) "names the context's width" true (contains "16 bits");
+      Alcotest.(check bool) "names the semiring's width" true
+        (contains (Printf.sprintf "%d bits" bits));
+      Alcotest.(check bool) "nothing sent" true
+        (Comm.equal Comm.empty_tally (Context.tally ctx))
+
 (* Fully random free-connex queries: a random tree shape, one fresh join
    attribute per tree edge plus private per-node attributes, output = the
    attributes of a random root-containing subtree (which always satisfies
@@ -1145,6 +1168,8 @@ let () =
           Alcotest.test_case "all relations at Bob" `Quick test_protocol_all_bob;
           Alcotest.test_case "Example 1.1" `Quick test_protocol_example_11;
           Alcotest.test_case "run_shared consistent" `Quick test_run_shared_consistent;
+          Alcotest.test_case "ring width mismatch rejected" `Quick
+            test_ring_width_mismatch_rejected;
           Alcotest.test_case "tropical min aggregate" `Quick test_protocol_tropical_min;
         ]
         @ qsuite [ protocol_random ] );

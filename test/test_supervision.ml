@@ -340,7 +340,10 @@ let run_fault_case ~qname ~make ~domains ~fault () =
   | Worker_raise -> Fault_inject.arm [ (0, Fault_inject.Raise) ]
   | Worker_hang -> Fault_inject.arm [ (0, Fault_inject.Hang 2.0) ]
   | Deadline_expiry | Over_budget -> Fault_inject.disarm ());
-  let ctx = Queries.context ~domains ~cancel ~hang_timeout_s:fast_timeout ~seed:99L () in
+  let ctx =
+    Context.create ~bits:Queries.ring_bits
+      ~domains ~cancel ~hang_timeout_s:fast_timeout ~seed:99L ()
+  in
   Fun.protect
     ~finally:(fun () ->
       Fault_inject.disarm ();
@@ -405,7 +408,7 @@ let test_supervised_run_bit_identical () =
   let d = xs () in
   let q = Queries.q3 d in
   let run ~domains ?hang_timeout_s () =
-    let ctx = Queries.context ~domains ?hang_timeout_s ~seed:99L () in
+    let ctx = Context.create ~bits:Queries.ring_bits ~domains ?hang_timeout_s ~seed:99L () in
     Fun.protect ~finally:(fun () -> close ctx) @@ fun () ->
     let revealed, stats = Secyan.Secure_yannakakis.run ctx q in
     ( project_content q.Secyan.Query.output revealed,
