@@ -266,6 +266,14 @@ let print_work_stats ctx =
     (count Trace_sink.And_gates) (count Trace_sink.Ots) (count Trace_sink.Oep_switches)
     (count Trace_sink.Cuckoo_bins) (count Trace_sink.B2a_words) (count Trace_sink.Gc_circuits)
 
+(* Which AES core hashed the garbled gates, so that a Real timing quoted
+   from the run report is attributable (Sim garbles nothing). *)
+let print_garbling_core = function
+  | Context.Sim -> ()
+  | Context.Real ->
+      Fmt.pr "garbling: half-gates, fixed-key AES (%s)@."
+        (if Aes128.hardware then "aes-ni" else "t-table")
+
 (* One line per pool participant (domain 0 is the caller), printed when
    the run's pool has worker domains. *)
 let print_pool_stats ctx =
@@ -549,6 +557,7 @@ let run_cmd query sql scale sf seed backend domains transport chaos chaos_seed m
         Fault_inject.disarm ());
     print_transport_stats ctx tr;
     print_checkpoint_stats ctx ck;
+    print_garbling_core backend;
     print_work_stats ctx;
     print_pool_stats ctx;
     (match (trace, !tree) with

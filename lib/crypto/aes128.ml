@@ -1,20 +1,24 @@
-(** AES-128 encryption (FIPS 197), pure OCaml.
+(** AES-128 encryption (FIPS 197), used as a fixed-key permutation for
+    fast garbled-circuit key derivation (the standard practice in MPC
+    implementations such as the one the paper builds on: one key
+    schedule, then one AES call per hashed label). Only encryption is
+    implemented — the KDF never decrypts.
 
-    Used as a fixed-key permutation for fast garbled-circuit key
-    derivation (the standard practice in MPC implementations such as the
-    one the paper builds on: one key schedule, then two AES calls per
-    garbled row). The S-box is derived from the field arithmetic rather
-    than embedded as a table; encryption is validated against the FIPS-197
-    vectors in the test suite. Only encryption is implemented — the KDF
-    never decrypts.
+    Two cores run the same function. On an x86-64 CPU with AES-NI every
+    entry point calls the hardware core, a C stub ([aes128_stubs.c])
+    over the schedule's 176 round-key bytes; a CPUID check picks it once,
+    at module initialisation ({!hardware}). Elsewhere the pure-OCaml
+    T-table core ({!Table}) runs: the state is four 32-bit column words
+    held in local [int]s, a round is sixteen lookups into four 256-entry
+    tables (SubBytes, ShiftRows and MixColumns fused) XORed with a
+    round-key word, and the schedule is 44 precomputed words. The T-table
+    core is also the differential oracle the tests hold the stub to, as
+    both are to the FIPS-197 vectors. The S-box is derived from the
+    field arithmetic rather than embedded as a table.
 
-    Every entry point runs one T-table core ({!encrypt_words}): the state
-    is four 32-bit column words held in local [int]s, a round is sixteen
-    lookups into four 256-entry tables (SubBytes, ShiftRows and
-    MixColumns fused) XORed with a round-key word, and the schedule is 44
-    precomputed words. The per-gate hash {!label_hash_bytes} loads the
-    label straight into the column words and stores the digest back into
-    the plane — no state array, no domain-local scratch, no allocation. *)
+    The per-gate hashes load labels from a [Bytes] plane and store the
+    digests back into one: no state array, no domain-local scratch, no
+    allocation, on either core. *)
 
 (* --- GF(2^8) arithmetic -------------------------------------------- *)
 
@@ -90,7 +94,10 @@ let t3 = Array.map rotr8 t2
 
 (* --- key schedule ---------------------------------------------------- *)
 
-type schedule = int array  (* 44 round-key words, 4 per round *)
+(* The 44 round-key words, 4 per round, for the T-table core, and the
+   same words as 176 bytes (each word big-endian) for the hardware
+   core. *)
+type schedule = { words : int array; keys : Bytes.t }
 
 let rcon = [| 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0x1b; 0x36 |]
 
@@ -126,9 +133,11 @@ let expand_key (key : Bytes.t) : schedule =
     in
     w.(i) <- w.(i - 4) lxor temp
   done;
-  w
+  let keys = Bytes.create 176 in
+  Array.iteri (fun i word -> Bytes.set_int32_be keys (4 * i) (Int32.of_int word)) w;
+  { words = w; keys }
 
-(* --- the core ----------------------------------------------------------- *)
+(* --- the T-table core ---------------------------------------------------- *)
 
 (* Unaligned native-endian int64 access into [Bytes]. These compile to
    plain loads/stores in native code, so the operands stay unboxed. *)
@@ -144,7 +153,7 @@ let pack hi lo = Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_i
 
 (* Final-round column: SubBytes and ShiftRows only, then round-key word
    [k]. *)
-let last (rk : schedule) k w x y z =
+let last (rk : int array) k w x y z =
   sub_word
     ((w land 0xff00_0000) lor (x land 0xff_0000) lor (y land 0xff00) lor (z land 0xff))
   lxor rk.!(k)
@@ -161,10 +170,10 @@ let last (rk : schedule) k w x y z =
    bytes shifted by 24 and their XORs stay below 2^32); T-table entries
    are 4 bytes. XORs of such words are < 2^32 too, so [x lsr 24] and
    [(x lsr k) land 0xff] index the 256-entry tables in bounds. The
-   schedule is abstract and always 44 words, so [rk] indices 0..43 are
-   in bounds; the tables are private, so no caller can write a
-   wider entry into them. *)
-let encrypt_words (rk : schedule) c0 c1 c2 c3 (dst : Bytes.t) off =
+   schedule is abstract and [expand_key] always builds 44 words, so [rk]
+   indices 0..43 are in bounds; the tables are private, so no caller can
+   write a wider entry into them. *)
+let encrypt_words (rk : int array) c0 c1 c2 c3 (dst : Bytes.t) off =
   let s0 = ref (c0 lxor rk.!(0)) and s1 = ref (c1 lxor rk.!(1)) in
   let s2 = ref (c2 lxor rk.!(2)) and s3 = ref (c3 lxor rk.!(3)) in
   for round = 1 to 9 do
@@ -183,51 +192,126 @@ let encrypt_words (rk : schedule) c0 c1 c2 c3 (dst : Bytes.t) off =
   set64u dst off (pack (last rk 40 a b c d) (last rk 41 b c d a));
   set64u dst (off + 8) (pack (last rk 42 c d a b) (last rk 43 d a b c))
 
-let encrypt_block (sched : schedule) (input : Bytes.t) : Bytes.t =
+(* H(x, tweak) = pi(x') XOR x' with x' = (2 hi XOR tweak, 2 lo XOR
+   NOT tweak), written to [dst.(off, off+16)] in the plane layout. *)
+let hash_into (rk : int array) ~tweak hi lo dst off =
+  let hi' = Int64.logxor (Int64.shift_left hi 1) tweak in
+  let lo' = Int64.logxor (Int64.shift_left lo 1) (Int64.lognot tweak) in
+  encrypt_words rk (hi32 hi') (lo32 hi') (hi32 lo') (lo32 lo') dst off;
+  set64u dst off (Int64.logxor (get64u dst off) hi');
+  set64u dst (off + 8) (Int64.logxor (get64u dst (off + 8)) lo')
+[@@inline always]
+
+let check_block fn (input : Bytes.t) =
   if Bytes.length input <> 16 then
     invalid_arg
-      (Printf.sprintf "Aes128.encrypt_block: block of %d bytes, expected exactly 16"
-         (Bytes.length input));
-  let hi = Bytes.get_int64_be input 0 and lo = Bytes.get_int64_be input 8 in
-  let out = Bytes.create 16 in
-  encrypt_words sched (hi32 hi) (lo32 hi) (hi32 lo) (lo32 lo) out 0;
-  Bytes.set_int64_be out 0 (get64u out 0);
-  Bytes.set_int64_be out 8 (get64u out 8);
-  out
+      (Printf.sprintf "Aes128.%s: block of %d bytes, expected exactly 16" fn
+         (Bytes.length input))
+
+module Table = struct
+  let encrypt_block (sched : schedule) (input : Bytes.t) : Bytes.t =
+    check_block "Table.encrypt_block" input;
+    let hi = Bytes.get_int64_be input 0 and lo = Bytes.get_int64_be input 8 in
+    let out = Bytes.create 16 in
+    encrypt_words sched.words (hi32 hi) (lo32 hi) (hi32 lo) (lo32 lo) out 0;
+    Bytes.set_int64_be out 0 (get64u out 0);
+    Bytes.set_int64_be out 8 (get64u out 8);
+    out
+
+  let label_hash_with (sched : schedule) ~tweak (hi, lo) =
+    let out = Bytes.create 16 in
+    hash_into sched.words ~tweak hi lo out 0;
+    (get64u out 0, get64u out 8)
+
+  let label_hash_bytes (sched : schedule) ~tweak (src : Bytes.t) soff (dst : Bytes.t) doff =
+    hash_into sched.words ~tweak:(Int64.of_int tweak) (get64u src soff)
+      (get64u src (soff + 8)) dst doff
+
+  (* The gate-shaped entries as single hashes; every read precedes the
+     first write. *)
+  let garble_and_hashes (sched : schedule) ~tweak (src : Bytes.t) a b (dst : Bytes.t) doff =
+    let rk = sched.words and j = Int64.of_int tweak in
+    let j1 = Int64.succ j in
+    let d_hi = get64u dst doff and d_lo = get64u dst (doff + 8) in
+    let a_hi = get64u src a and a_lo = get64u src (a + 8) in
+    let b_hi = get64u src b and b_lo = get64u src (b + 8) in
+    hash_into rk ~tweak:j a_hi a_lo dst (doff + 16);
+    hash_into rk ~tweak:j (Int64.logxor a_hi d_hi) (Int64.logxor a_lo d_lo) dst (doff + 32);
+    hash_into rk ~tweak:j1 b_hi b_lo dst (doff + 48);
+    hash_into rk ~tweak:j1 (Int64.logxor b_hi d_hi) (Int64.logxor b_lo d_lo) dst (doff + 64)
+
+  let eval_and_hashes (sched : schedule) ~tweak (src : Bytes.t) a b (dst : Bytes.t) doff =
+    let rk = sched.words and j = Int64.of_int tweak in
+    let a_hi = get64u src a and a_lo = get64u src (a + 8) in
+    let b_hi = get64u src b and b_lo = get64u src (b + 8) in
+    hash_into rk ~tweak:j a_hi a_lo dst doff;
+    hash_into rk ~tweak:(Int64.succ j) b_hi b_lo dst (doff + 16)
+end
+
+(* --- the hardware core ------------------------------------------------ *)
+
+(* [aes128_stubs.c]. Each takes the schedule's [keys] and writes into a
+   plane at offsets the caller has sized; none allocates or raises. *)
+external ni_available : unit -> bool = "secyan_aes_ni_available"
+
+external ni_encrypt : Bytes.t -> Bytes.t -> Bytes.t -> unit = "secyan_aes_encrypt"
+[@@noalloc]
+
+external ni_hash :
+  Bytes.t -> (int64[@unboxed]) -> Bytes.t -> (int[@untagged]) -> Bytes.t ->
+  (int[@untagged]) -> unit = "secyan_aes_hash_byte" "secyan_aes_hash"
+[@@noalloc]
+
+external ni_hash_half :
+  Bytes.t -> (int64[@unboxed]) -> (int64[@unboxed]) -> (int64[@unboxed]) ->
+  (int[@untagged]) -> (int64[@unboxed]) = "secyan_aes_hash_half_byte" "secyan_aes_hash_half"
+[@@noalloc]
+
+external ni_garble_and :
+  Bytes.t -> (int[@untagged]) -> Bytes.t -> (int[@untagged]) -> (int[@untagged]) ->
+  Bytes.t -> (int[@untagged]) -> unit = "secyan_aes_garble_and_byte" "secyan_aes_garble_and"
+[@@noalloc]
+
+external ni_eval_and :
+  Bytes.t -> (int[@untagged]) -> Bytes.t -> (int[@untagged]) -> (int[@untagged]) ->
+  Bytes.t -> (int[@untagged]) -> unit = "secyan_aes_eval_and_byte" "secyan_aes_eval_and"
+[@@noalloc]
+
+let hardware = ni_available ()
+
+(* --- entry points: the hardware core when present, else the T-table core *)
+
+let encrypt_block (sched : schedule) (input : Bytes.t) : Bytes.t =
+  if hardware then begin
+    check_block "encrypt_block" input;
+    let out = Bytes.create 16 in
+    ni_encrypt sched.keys input out;
+    out
+  end
+  else Table.encrypt_block sched input
 
 (** The fixed key used for garbling KDFs (a nothing-up-my-sleeve value),
     expanded once at module initialization. *)
 let fixed_key : schedule =
   expand_key (Bytes.of_string "\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f")
 
-(* H(x, tweak) = pi(x') XOR x' with x' = (2 hi XOR tweak, 2 lo XOR
-   NOT tweak), written to [dst.(off, off+16)] in the plane layout. *)
-let hash_into sched ~tweak hi lo dst off =
-  let hi' = Int64.logxor (Int64.shift_left hi 1) tweak in
-  let lo' = Int64.logxor (Int64.shift_left lo 1) (Int64.lognot tweak) in
-  encrypt_words sched (hi32 hi') (lo32 hi') (hi32 lo') (lo32 lo') dst off;
-  set64u dst off (Int64.logxor (get64u dst off) hi');
-  set64u dst (off + 8) (Int64.logxor (get64u dst (off + 8)) lo')
-[@@inline always]
-
 (** Fixed-key hash for wire labels under an explicit (pre-expanded)
     schedule: H(x, tweak) = pi(x') XOR x' where x' = 2x XOR tweak (the
     standard correlation-robust construction). *)
 let label_hash_with (sched : schedule) ~tweak (hi, lo) =
-  let out = Bytes.create 16 in
-  hash_into sched ~tweak hi lo out 0;
-  (get64u out 0, get64u out 8)
+  if hardware then (ni_hash_half sched.keys tweak hi lo 0, ni_hash_half sched.keys tweak hi lo 1)
+  else Table.label_hash_with sched ~tweak (hi, lo)
 
 let label_hash ~tweak pair = label_hash_with fixed_key ~tweak pair
 
-(** The label hash over [Bytes] planes: reads the 128-bit label at
-    [src.(soff, soff+16)] ([hi] first, [lo] at [soff + 8], native byte
-    order) and writes H(label, tweak) at [dst.(doff, doff+16)] in the
-    same layout. Bit-identical to {!label_hash_with} at the same
-    [tweak] value; every intermediate stays unboxed, so the per-gate
-    call allocates nothing. Offsets are not bounds-checked: callers are
-    the garbling inner loops, which size their planes from the circuit
-    before the loop. *)
 let label_hash_bytes (sched : schedule) ~tweak (src : Bytes.t) soff (dst : Bytes.t) doff =
-  hash_into sched ~tweak:(Int64.of_int tweak) (get64u src soff) (get64u src (soff + 8)) dst
-    doff
+  if hardware then ni_hash sched.keys (Int64.of_int tweak) src soff dst doff
+  else Table.label_hash_bytes sched ~tweak src soff dst doff
+
+let garble_and_hashes (sched : schedule) ~tweak (src : Bytes.t) a b (dst : Bytes.t) doff =
+  if hardware then ni_garble_and sched.keys tweak src a b dst doff
+  else Table.garble_and_hashes sched ~tweak src a b dst doff
+
+let eval_and_hashes (sched : schedule) ~tweak (src : Bytes.t) a b (dst : Bytes.t) doff =
+  if hardware then ni_eval_and sched.keys tweak src a b dst doff
+  else Table.eval_and_hashes sched ~tweak src a b dst doff

@@ -1,10 +1,12 @@
-(** AES-128 encryption (FIPS 197), pure OCaml, used as a fixed-key
-    permutation for fast garbled-circuit key derivation. Encryption only;
-    validated against the FIPS-197 vectors. Every entry point runs one
-    T-table core over four 32-bit column words held in locals, with a
-    44-word key schedule expanded once; the per-gate hash allocates
-    nothing and keeps no domain-local state, so it is safe under parallel
-    garbling. *)
+(** AES-128 encryption (FIPS 197), used as a fixed-key permutation for
+    fast garbled-circuit key derivation. Encryption only; validated
+    against the FIPS-197 vectors. Two cores compute the same function:
+    AES-NI through a C stub on an x86-64 CPU that has it, chosen once at
+    module initialisation ({!hardware}), and a pure-OCaml T-table core
+    ({!Table}) everywhere else. The T-table core is also the oracle the
+    tests compare the stub with. The per-gate hashes allocate nothing
+    and keep no domain-local state on either core, so they are safe
+    under parallel garbling. *)
 
 (** A fresh copy of the AES S-box, derived from the GF(2^8) arithmetic
     (test hook). The table itself stays private: the core reads it
@@ -16,6 +18,11 @@ type schedule
 (** @raise Invalid_argument unless the key is 16 bytes. *)
 val expand_key : Bytes.t -> schedule
 
+(** Whether the entry points below run on AES-NI ([true]) or on the
+    T-table core. Read-only: it is a CPUID check made at module
+    initialisation, and nothing selects the core. *)
+val hardware : bool
+
 (** @raise Invalid_argument unless the block is 16 bytes. *)
 val encrypt_block : schedule -> Bytes.t -> Bytes.t
 
@@ -25,7 +32,7 @@ val fixed_key : schedule
 
 (** Fixed-key correlation-robust hash for wire labels under an explicit
     pre-expanded schedule: H(x, tweak) = pi(x') XOR x' with x' derived
-    from x and the tweak. *)
+    from x and the tweak. All 64 bits of the tweak count. *)
 val label_hash_with : schedule -> tweak:int64 -> int64 * int64 -> int64 * int64
 
 (** {!label_hash_with} under {!fixed_key}. *)
@@ -34,9 +41,36 @@ val label_hash : tweak:int64 -> int64 * int64 -> int64 * int64
 (** The label hash over [Bytes] planes, for the unboxed garbling kernels:
     reads the label at [src.(soff, soff+16)] ([hi] then [lo], native byte
     order), writes H(label, tweak) at [dst.(doff, doff+16)] in the same
-    layout. Bit-identical to {!label_hash_with} at the same tweak value,
-    but every intermediate stays unboxed — the call allocates nothing.
-    Offsets are {e not} bounds-checked (callers size their planes from
-    the circuit before the loop); [src == dst] is fine as long as the
-    ranges do not overlap. *)
+    layout. Bit-identical to {!label_hash_with} at tweak
+    [Int64.of_int tweak], but every intermediate stays unboxed — the
+    call allocates nothing. Offsets are {e not} bounds-checked (callers
+    size their planes from the circuit before the loop); the label is
+    read before the digest is written, so [src == dst] is fine even at
+    the same offset. *)
 val label_hash_bytes : schedule -> tweak:int -> Bytes.t -> int -> Bytes.t -> int -> unit
+
+(** The four hashes of a garbled half-gates AND in one call:
+    [garble_and_hashes sched ~tweak src a b dst doff] reads the labels
+    A = [src.(a, a+16)] and B = [src.(b, b+16)] and the free-XOR offset
+    Δ at [dst.(doff, doff+16)], and writes H(A, j), H(A ⊕ Δ, j),
+    H(B, j+1) and H(B ⊕ Δ, j+1) at [dst] offsets [doff + 16], [+ 32],
+    [+ 48] and [+ 64], where j = [Int64.of_int tweak] and j+1 is its
+    int64 successor. Same layout, bounds and allocation contract as
+    {!label_hash_bytes}; the written range must not overlap A or B. *)
+val garble_and_hashes :
+  schedule -> tweak:int -> Bytes.t -> int -> int -> Bytes.t -> int -> unit
+
+(** The two hashes of an evaluated half-gates AND in one call: writes
+    H(A, j) at [dst.(doff, doff+16)] and H(B, j+1) at [doff + 16], with
+    A, B and j as in {!garble_and_hashes}. *)
+val eval_and_hashes : schedule -> tweak:int -> Bytes.t -> int -> int -> Bytes.t -> int -> unit
+
+(** The T-table core by name: the fallback the entry points above run
+    when {!hardware} is [false], and the differential oracle for the
+    hardware core. Same contracts as the entry points of the same
+    name. *)
+module Table : sig
+  val encrypt_block : schedule -> Bytes.t -> Bytes.t
+  val label_hash_with : schedule -> tweak:int64 -> int64 * int64 -> int64 * int64
+  val label_hash_bytes : schedule -> tweak:int -> Bytes.t -> int -> Bytes.t -> int -> unit
+end

@@ -65,6 +65,9 @@ type timeline = {
       (* workers: spawn (or last reset) timestamp, for wall-clock;
          caller (slot 0): unused, wall accumulates in [run_ns] *)
   mutable run_ns : float;  (* slot 0 only: wall-clock spent inside [run] *)
+  mutable park_ns : float;
+      (* workers: when the current park began, 0. when not parked; read
+         and written under the pool lock *)
 }
 
 type worker_fault =
@@ -134,7 +137,7 @@ let now_ns_int () = int_of_float (Unix.gettimeofday () *. 1e9)
 
 let fresh_timeline slot =
   { slot; busy_ns = 0.; queue_wait_ns = 0.; lock_wait_ns = 0.; batches = 0; items = 0;
-    wakeups = 0; origin_ns = 0.; run_ns = 0. }
+    wakeups = 0; origin_ns = 0.; run_ns = 0.; park_ns = 0. }
 
 (* Take the pool lock, charging contention to [tl]. The try_lock fast
    path keeps the uncontended case clock-free. *)
@@ -224,9 +227,10 @@ let rec worker t slot =
   let tl = t.timelines.(slot) in
   lock_timed t tl;
   while t.pending = None && not (Atomic.get t.stop) do
-    let t0 = now_ns () in
+    tl.park_ns <- now_ns ();
     Condition.wait t.work t.lock;
-    tl.queue_wait_ns <- tl.queue_wait_ns +. (now_ns () -. t0);
+    tl.queue_wait_ns <- tl.queue_wait_ns +. (now_ns () -. tl.park_ns);
+    tl.park_ns <- 0.;
     tl.wakeups <- tl.wakeups + 1
   done;
   if Atomic.get t.stop then Mutex.unlock t.lock
@@ -452,7 +456,10 @@ type timeline_snapshot = {
   wakeups : int;
 }
 
+(* Both read and reset under the pool lock, so a worker's current park
+   (counted up to [now]) and its [queue_wait_ns] are seen consistently. *)
 let timelines t =
+  Mutex.protect t.lock @@ fun () ->
   let now = now_ns () in
   Array.to_list
     (Array.map
@@ -460,7 +467,9 @@ let timelines t =
          {
            domain = tl.slot;
            busy_ns = tl.busy_ns;
-           queue_wait_ns = tl.queue_wait_ns;
+           queue_wait_ns =
+             (if tl.park_ns > 0. then tl.queue_wait_ns +. (now -. tl.park_ns)
+              else tl.queue_wait_ns);
            lock_wait_ns = tl.lock_wait_ns;
            wall_ns =
              (if tl.slot = 0 then tl.run_ns
@@ -473,6 +482,7 @@ let timelines t =
        t.timelines)
 
 let reset_timelines t =
+  Mutex.protect t.lock @@ fun () ->
   let now = now_ns () in
   Array.iter
     (fun (tl : timeline) ->
@@ -483,5 +493,6 @@ let reset_timelines t =
       tl.items <- 0;
       tl.wakeups <- 0;
       tl.run_ns <- 0.;
+      if tl.park_ns > 0. then tl.park_ns <- now;
       if tl.slot > 0 && tl.origin_ns > 0. then tl.origin_ns <- now)
     t.timelines

@@ -95,7 +95,8 @@ val shutdown : t -> unit
     included. Busy + queue-wait + lock-wait accounts
     for a participant's wall clock (workers spend the rest of their
     lives parked, and a watching caller its batches watching, which
-    both count as queue-wait). *)
+    both count as queue-wait; a worker parked at the snapshot counts its
+    park so far). *)
 type timeline_snapshot = {
   domain : int;
   busy_ns : float;        (** running items *)
@@ -107,9 +108,10 @@ type timeline_snapshot = {
   wakeups : int;          (** condition-variable wakeups *)
 }
 
-(** Snapshot every participant's timeline (index = [domain]). Safe to
-    call between batches; racing a running batch reads slightly stale
-    values, never corrupt ones. *)
+(** Snapshot every participant's timeline (index = [domain]), under the
+    pool lock. Safe to call between batches; racing a running batch
+    reads slightly stale values, never corrupt ones. Not from inside an
+    item. *)
 val timelines : t -> timeline_snapshot list
 
 (** Zero the timelines (and restart the workers' wall-clock origin).

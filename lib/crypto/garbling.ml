@@ -62,24 +62,51 @@ type kdf = Sha256_kdf | Aes128_kdf
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* The plane-level hash: dst.(doff, doff+16) <- H(src.(soff, soff+16),
-   tweak). The AES branch is Aes128.label_hash_bytes under the
-   pre-expanded fixed schedule — fully unboxed, zero allocation per
-   call. The SHA branch allocates its digest (SHA-256 is the legacy KDF,
-   kept for differential coverage, not throughput). *)
-let bytes_hash kdf : tweak:int -> Bytes.t -> int -> Bytes.t -> int -> unit =
+(* The gate-level hashes over the planes. [garble_hashes kdf ~tweak src a
+   b scratch] reads Δ at scratch.(0, 16) and writes H(A, j), H(A ⊕ Δ, j),
+   H(B, j+1), H(B ⊕ Δ, j+1) at scratch offsets 16, 32, 48 and 64 for the
+   labels A = src.(a, a+16), B = src.(b, b+16) and j = tweak;
+   [eval_hashes] writes H(A, j) and H(B, j+1) at 16 and 32. The AES
+   branch is one Aes128 call per gate, allocation-free; which AES core
+   runs is Aes128's business. The SHA branch hashes one label at a time
+   and allocates its digests (SHA-256 is the legacy KDF, kept for
+   differential coverage, not throughput). *)
+let sha_hash tweak src soff dst doff =
+  let d = Sha256.digest_int64s [ get64u src soff; get64u src (soff + 8); tweak ] in
+  set64u dst doff (Bytes.get_int64_be d 0);
+  set64u dst (doff + 8) (Bytes.get_int64_be d 8)
+
+(* H(src.(soff, soff+16) ⊕ Δ, tweak) at dst.(doff, doff+16), Δ at
+   dst.(0, 16). *)
+let sha_hash_delta tweak src soff dst doff =
+  set64u dst doff (Int64.logxor (get64u src soff) (get64u dst 0));
+  set64u dst (doff + 8) (Int64.logxor (get64u src (soff + 8)) (get64u dst 8));
+  sha_hash tweak dst doff dst doff
+
+let garble_hashes kdf : tweak:int -> Bytes.t -> int -> int -> Bytes.t -> unit =
   match kdf with
   | Aes128_kdf ->
       let sched = Aes128.fixed_key in
-      fun ~tweak src soff dst doff -> Aes128.label_hash_bytes sched ~tweak src soff dst doff
+      fun ~tweak src a b scratch -> Aes128.garble_and_hashes sched ~tweak src a b scratch 0
   | Sha256_kdf ->
-      fun ~tweak src soff dst doff ->
-        let d =
-          Sha256.digest_int64s
-            [ get64u src soff; get64u src (soff + 8); Int64.of_int tweak ]
-        in
-        set64u dst doff (Bytes.get_int64_be d 0);
-        set64u dst (doff + 8) (Bytes.get_int64_be d 8)
+      fun ~tweak src a b scratch ->
+        let j = Int64.of_int tweak in
+        let j1 = Int64.succ j in
+        sha_hash j src a scratch 16;
+        sha_hash_delta j src a scratch 32;
+        sha_hash j1 src b scratch 48;
+        sha_hash_delta j1 src b scratch 64
+
+let eval_hashes kdf : tweak:int -> Bytes.t -> int -> int -> Bytes.t -> unit =
+  match kdf with
+  | Aes128_kdf ->
+      let sched = Aes128.fixed_key in
+      fun ~tweak src a b scratch -> Aes128.eval_and_hashes sched ~tweak src a b scratch 16
+  | Sha256_kdf ->
+      fun ~tweak src a b scratch ->
+        let j = Int64.of_int tweak in
+        sha_hash j src a scratch 16;
+        sha_hash (Int64.succ j) src b scratch 32
 
 (** Per-domain scratch arena: every plane the garble/eval hot paths touch,
     grown geometrically and reused across batch items, so steady-state
@@ -94,7 +121,8 @@ module Arena = struct
     mutable decode : Bytes.t;   (** 1 B per output: color of the false label *)
     mutable colors : Bytes.t;   (** 1 B per output: color of the active label *)
     scratch : Bytes.t;
-        (** 48 B: one shifted label at 0, two hash outputs at 16 and 32 *)
+        (** 80 B: the free-XOR offset Δ at 0 (garbling), the gate's hash
+            outputs at 16, 32, 48 and 64 *)
   }
 
   let create () =
@@ -104,7 +132,7 @@ module Arena = struct
       tables = Bytes.create 0;
       decode = Bytes.create 0;
       colors = Bytes.create 0;
-      scratch = Bytes.create 48;
+      scratch = Bytes.create 80;
     }
 
   let key = Domain.DLS.new_key create
@@ -164,7 +192,7 @@ type garbled = {
     KDF). *)
 let garble ?(kdf = Aes128_kdf) ?arena prg circuit =
   let open Boolean_circuit in
-  let hash = bytes_hash kdf in
+  let hashes = garble_hashes kdf in
   (* Draw order matches Label.random_delta / Label.random: hi then lo. *)
   let delta_hi = Prg.next_int64 prg in
   let delta_lo = Int64.logor (Prg.next_int64 prg) 1L in
@@ -179,8 +207,10 @@ let garble ?(kdf = Aes128_kdf) ?arena prg circuit =
         ( Bytes.create (16 * n_wires),
           Bytes.create (32 * circuit.and_count),
           Bytes.create (max 1 n_outputs),
-          Bytes.create 48 )
+          Bytes.create 80 )
   in
+  set64u scratch 0 delta_hi;
+  set64u scratch 8 delta_lo;
   for i = 0 to circuit.n_inputs - 1 do
     Prg.next_into prg wires (16 * i);
     Prg.next_into prg wires ((16 * i) + 8)
@@ -202,32 +232,24 @@ let garble ?(kdf = Aes128_kdf) ?arena prg circuit =
     end
     else begin
       let k = !and_idx in
-      let j = 2 * k in
-      let j' = (2 * k) + 1 in
       let ax = 16 * x and by = 16 * y in
       let wa0_hi = get64u wires ax and wa0_lo = get64u wires (ax + 8) in
-      let wb0_hi = get64u wires by and wb0_lo = get64u wires (by + 8) in
       let pa = Int64.to_int wa0_lo land 1 = 1 in
-      let pb = Int64.to_int wb0_lo land 1 = 1 in
-      (* generator half-gate: ha0 = H(j, wa0), ha1 = H(j, wa0 ^ delta) *)
-      hash ~tweak:j wires ax scratch 16;
-      set64u scratch 0 (Int64.logxor wa0_hi delta_hi);
-      set64u scratch 8 (Int64.logxor wa0_lo delta_lo);
-      hash ~tweak:j scratch 0 scratch 32;
+      let pb = Int64.to_int (get64u wires (by + 8)) land 1 = 1 in
+      (* ha0 = H(wa0, 2k), ha1 = H(wa0 ^ delta, 2k), hb0 = H(wb0, 2k+1),
+         hb1 = H(wb0 ^ delta, 2k+1) *)
+      hashes ~tweak:(2 * k) wires ax by scratch;
       let ha0_hi = get64u scratch 16 and ha0_lo = get64u scratch 24 in
       let ha1_hi = get64u scratch 32 and ha1_lo = get64u scratch 40 in
+      let hb0_hi = get64u scratch 48 and hb0_lo = get64u scratch 56 in
+      let hb1_hi = get64u scratch 64 and hb1_lo = get64u scratch 72 in
+      (* generator half-gate *)
       let tg_hi = Int64.logxor ha0_hi ha1_hi and tg_lo = Int64.logxor ha0_lo ha1_lo in
       let tg_hi = if pb then Int64.logxor tg_hi delta_hi else tg_hi in
       let tg_lo = if pb then Int64.logxor tg_lo delta_lo else tg_lo in
       let wg0_hi = if pa then Int64.logxor ha0_hi tg_hi else ha0_hi in
       let wg0_lo = if pa then Int64.logxor ha0_lo tg_lo else ha0_lo in
-      (* evaluator half-gate: hb0 = H(j', wb0), hb1 = H(j', wb0 ^ delta) *)
-      hash ~tweak:j' wires by scratch 16;
-      set64u scratch 0 (Int64.logxor wb0_hi delta_hi);
-      set64u scratch 8 (Int64.logxor wb0_lo delta_lo);
-      hash ~tweak:j' scratch 0 scratch 32;
-      let hb0_hi = get64u scratch 16 and hb0_lo = get64u scratch 24 in
-      let hb1_hi = get64u scratch 32 and hb1_lo = get64u scratch 40 in
+      (* evaluator half-gate *)
       let te_hi = Int64.logxor (Int64.logxor hb0_hi hb1_hi) wa0_hi in
       let te_lo = Int64.logxor (Int64.logxor hb0_lo hb1_lo) wa0_lo in
       let we0_hi = if pb then Int64.logxor hb0_hi (Int64.logxor te_hi wa0_hi) else hb0_hi in
@@ -262,7 +284,7 @@ let encode_input g i b =
 (* Half-gates evaluation over a preloaded active-label plane: wires 0 ..
    n_inputs-1 must already hold the active input labels. Shares the plane
    layout (and the zero-allocation property) with [garble]. *)
-let eval_plane hash g (wires : Bytes.t) (scratch : Bytes.t) =
+let eval_plane hashes g (wires : Bytes.t) (scratch : Bytes.t) =
   let open Boolean_circuit in
   let circuit = g.circuit in
   let tables = g.tables in
@@ -285,19 +307,17 @@ let eval_plane hash g (wires : Bytes.t) (scratch : Bytes.t) =
     end
     else begin
       let k = !and_idx in
-      let j = 2 * k in
-      let j' = (2 * k) + 1 in
       let ax = 16 * x and by = 16 * y in
       let wa_hi = get64u wires ax and wa_lo = get64u wires (ax + 8) in
       let sa = Int64.to_int wa_lo land 1 = 1 in
       let sb = Int64.to_int (get64u wires (by + 8)) land 1 = 1 in
       let tk = 32 * k in
-      hash ~tweak:j wires ax scratch 16;
+      (* ha = H(wa, 2k), hb = H(wb, 2k+1) *)
+      hashes ~tweak:(2 * k) wires ax by scratch;
       let ha_hi = get64u scratch 16 and ha_lo = get64u scratch 24 in
       let wg_hi = if sa then Int64.logxor ha_hi (get64u tables tk) else ha_hi in
       let wg_lo = if sa then Int64.logxor ha_lo (get64u tables (tk + 8)) else ha_lo in
-      hash ~tweak:j' wires by scratch 16;
-      let hb_hi = get64u scratch 16 and hb_lo = get64u scratch 24 in
+      let hb_hi = get64u scratch 32 and hb_lo = get64u scratch 40 in
       let we_hi =
         if sb then Int64.logxor hb_hi (Int64.logxor (get64u tables (tk + 16)) wa_hi)
         else hb_hi
@@ -329,14 +349,14 @@ let eval_labels ?(kdf = Aes128_kdf) ?arena g (input_labels : Label.t array) =
     | Some a ->
         Arena.prepare_eval a ~n_wires ~n_outputs;
         (a.Arena.wires_e, a.Arena.scratch)
-    | None -> (Bytes.create (16 * n_wires), Bytes.create 48)
+    | None -> (Bytes.create (16 * n_wires), Bytes.create 80)
   in
   Array.iteri
     (fun i (l : Label.t) ->
       set64u wires (16 * i) l.Label.hi;
       set64u wires ((16 * i) + 8) l.Label.lo)
     input_labels;
-  eval_plane (bytes_hash kdf) g wires scratch;
+  eval_plane (eval_hashes kdf) g wires scratch;
   Array.map
     (fun w -> { Label.hi = get64u wires (16 * w); lo = get64u wires ((16 * w) + 8) })
     circuit.Boolean_circuit.outputs
@@ -365,7 +385,7 @@ let eval_colors ?(kdf = Aes128_kdf) ~arena g (bit : int -> bool) : Bytes.t =
       set64u wires ((16 * i) + 8) lo
     end
   done;
-  eval_plane (bytes_hash kdf) g wires arena.Arena.scratch;
+  eval_plane (eval_hashes kdf) g wires arena.Arena.scratch;
   let colors = arena.Arena.colors in
   Array.iteri
     (fun oi w ->

@@ -712,6 +712,9 @@ let test_pool_timelines_account_wall () =
       Alcotest.(check int) (label ^ ": size counts claimants") size (Domain_pool.size pool);
       Domain_pool.run pool ~n:12 ~f:(fun i ->
           ignore (Sys.opaque_identity (Array.init ((i * 53 mod 400) + 100) Fun.id)));
+      (* the workers park between batches: a snapshot taken then counts
+         the park so far *)
+      Unix.sleepf 0.05;
       let tls = Domain_pool.timelines pool in
       Alcotest.(check int) (label ^ ": one timeline per participant") participants
         (List.length tls);
@@ -735,6 +738,11 @@ let test_pool_timelines_account_wall () =
             (Printf.sprintf "%s: domain %d accounted <= wall" label tl.Domain_pool.domain)
             true
             (accounted <= (tl.Domain_pool.wall_ns *. 1.05) +. 1e6);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: domain %d accounted >= 90%% of wall" label
+               tl.Domain_pool.domain)
+            true
+            (accounted >= (tl.Domain_pool.wall_ns *. 0.9) -. 1e6);
           if tl.Domain_pool.items > 0 then begin
             Alcotest.(check bool) "claimed at least one batch" true
               (tl.Domain_pool.batches >= 1);
@@ -1286,36 +1294,80 @@ let test_psi_backends_same_cost () =
 (* ------------------------------------------------------------------ *)
 (* AES-128 *)
 
+(* Both AES cores, by name: the entry points (AES-NI where the CPU has
+   it) and the T-table core, which is their fallback and oracle. *)
+let aes_cores =
+  [ ("entry point", Aes128.encrypt_block); ("T-table", Aes128.Table.encrypt_block) ]
+
+(* The entry points run on AES-NI whenever an x86-64 CPU reports it, so
+   the oracle properties below compare two cores there, not one core
+   with itself. *)
+let test_aes_hardware_probe () =
+  let x86_flags =
+    try
+      let ic = open_in "/proc/cpuinfo" in
+      Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+      let rec find () =
+        let line = input_line ic in
+        if String.starts_with ~prefix:"flags" line then Some (line ^ " ") else find ()
+      in
+      find ()
+    with Sys_error _ | End_of_file -> None
+  in
+  let has flag s =
+    let flag = " " ^ flag ^ " " in
+    let n = String.length flag in
+    let rec go i = i + n <= String.length s && (String.sub s i n = flag || go (i + 1)) in
+    go 0
+  in
+  match x86_flags with
+  | Some flags when has "aes" flags && has "ssse3" flags ->
+      Alcotest.(check bool) "CPU reports AES-NI: hardware core runs" true Aes128.hardware
+  | _ -> ()
+
 let test_aes_fips_vector () =
   (* FIPS 197 appendix C.1 *)
   let key = Bytes.of_string "\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f" in
   let plaintext = Bytes.of_string "\x00\x11\x22\x33\x44\x55\x66\x77\x88\x99\xaa\xbb\xcc\xdd\xee\xff" in
   let sched = Aes128.expand_key key in
-  let ct = Aes128.encrypt_block sched plaintext in
-  let hex = Sha256.to_hex ct in
-  Alcotest.(check string) "FIPS 197 C.1" "69c4e0d86a7b0430d8cdb78070b4c55a" hex
+  List.iter
+    (fun (core, encrypt) ->
+      Alcotest.(check string) ("FIPS 197 C.1, " ^ core) "69c4e0d86a7b0430d8cdb78070b4c55a"
+        (Sha256.to_hex (encrypt sched plaintext)))
+    aes_cores
 
 let test_aes_fips_appendix_b () =
   (* FIPS 197 appendix B: a key with no structure, so every byte lane of
      every round key is exercised *)
   let key = Bytes.of_string "\x2b\x7e\x15\x16\x28\xae\xd2\xa6\xab\xf7\x15\x88\x09\xcf\x4f\x3c" in
   let plaintext = Bytes.of_string "\x32\x43\xf6\xa8\x88\x5a\x30\x8d\x31\x31\x98\xa2\xe0\x37\x07\x34" in
-  let ct = Aes128.encrypt_block (Aes128.expand_key key) plaintext in
-  Alcotest.(check string) "FIPS 197 B" "3925841d02dc09fbdc118597196a0b32" (Sha256.to_hex ct)
+  List.iter
+    (fun (core, encrypt) ->
+      Alcotest.(check string) ("FIPS 197 B, " ^ core) "3925841d02dc09fbdc118597196a0b32"
+        (Sha256.to_hex (encrypt (Aes128.expand_key key) plaintext)))
+    aes_cores
 
 (* Golden outputs of the fixed-key label hash, captured from the
    byte-wise round function the T-table core replaced. *)
 let test_aes_label_hash_golden () =
   let check name ~tweak label (hi, lo) =
-    let got_hi, got_lo = Aes128.label_hash ~tweak label in
-    Alcotest.check check_i64 (name ^ " hi") hi got_hi;
-    Alcotest.check check_i64 (name ^ " lo") lo got_lo
+    List.iter
+      (fun (core, hash) ->
+        let got_hi, got_lo = hash ~tweak label in
+        Alcotest.check check_i64 (name ^ " hi, " ^ core) hi got_hi;
+        Alcotest.check check_i64 (name ^ " lo, " ^ core) lo got_lo)
+      [ ("entry point", Aes128.label_hash);
+        ("T-table", Aes128.Table.label_hash_with Aes128.fixed_key) ]
   in
   let label = (0x0001020304050607L, 0x08090a0b0c0d0e0fL) in
   check "tweak 0" ~tweak:0L label (0xb3d1bb4d736f309eL, 0x565b907bfe1532a0L);
   check "tweak 1" ~tweak:1L label (0x1785220d85a1e419L, 0xba116b0462293e4dL);
   check "wide tweak" ~tweak:0x1_0000_0001L (-1L, 0x123456789abcdef0L)
-    (0x886332206ab559d7L, 0x5f03317ddec65823L)
+    (0x886332206ab559d7L, 0x5f03317ddec65823L);
+  (* bit 63 of the tweak counts (captured from the T-table core) *)
+  check "tweak bit 63" ~tweak:0x8000_0000_0000_0001L (-1L, 0x123456789abcdef0L)
+    (0xea567602ad4e3f8aL, 0x6960c9d32f6ac442L);
+  check "tweak min_int" ~tweak:Int64.min_int label (0x48be853a3fd02159L, 0x84da31b5665cd733L)
 
 (* The plane entry point and the pair entry point agree on every label
    and tweak (offsets are deliberately unaligned). *)
@@ -1333,18 +1385,93 @@ let aes_label_hash_bytes_matches_pair =
       Int64.equal (Bytes.get_int64_ne dst 3) want_hi
       && Int64.equal (Bytes.get_int64_ne dst 11) want_lo)
 
+(* The hardware core against the T-table core: single hashes on random
+   labels and on every kind of int64 tweak (negative, bit 63 set), at
+   unaligned offsets and in place ([src == dst], same offset). *)
+let aes_stub_matches_table =
+  QCheck.Test.make ~count:500 ~name:"hardware core = T-table core"
+    QCheck.(quad int64 int64 int64 int)
+    (fun (hi, lo, tweak64, tweak) ->
+      let sched = Aes128.fixed_key in
+      let pair_ok =
+        Aes128.label_hash_with sched ~tweak:tweak64 (hi, lo)
+        = Aes128.Table.label_hash_with sched ~tweak:tweak64 (hi, lo)
+      in
+      let plane () =
+        let b = Bytes.make 27 '\x00' in
+        Bytes.set_int64_ne b 5 hi;
+        Bytes.set_int64_ne b 13 lo;
+        b
+      in
+      let moved hash =
+        let src = plane () and dst = Bytes.make 19 '\x00' in
+        hash sched ~tweak src 5 dst 3;
+        dst
+      in
+      let in_place hash =
+        let b = plane () in
+        hash sched ~tweak b 5 b 5;
+        b
+      in
+      pair_ok
+      && Bytes.equal (moved Aes128.label_hash_bytes) (moved Aes128.Table.label_hash_bytes)
+      && Bytes.equal (in_place Aes128.label_hash_bytes) (in_place Aes128.Table.label_hash_bytes))
+
+(* Each gate-shaped entry is its four (garble) or two (eval) single
+   T-table hashes, tweaks j and j + 1 as int64s. *)
+let aes_gate_hashes_match_singles =
+  QCheck.Test.make ~count:300 ~name:"gate-shaped hashes = single T-table hashes"
+    QCheck.(pair (array_of_size (Gen.return 6) int64) int)
+    (fun (w, tweak) ->
+      let sched = Aes128.fixed_key in
+      (* labels A at 3 and B at 19 of an unaligned plane; Δ at 7 of the
+         output plane, the digests after it *)
+      let src = Bytes.make 40 '\x00' and dst = Bytes.make 90 '\x00' in
+      Bytes.set_int64_ne src 3 w.(0);
+      Bytes.set_int64_ne src 11 w.(1);
+      Bytes.set_int64_ne src 19 w.(2);
+      Bytes.set_int64_ne src 27 w.(3);
+      Bytes.set_int64_ne dst 7 w.(4);
+      Bytes.set_int64_ne dst 15 w.(5);
+      let j = Int64.of_int tweak in
+      let j1 = Int64.succ j in
+      let a = (w.(0), w.(1)) and b = (w.(2), w.(3)) in
+      let xd (hi, lo) = (Int64.logxor hi w.(4), Int64.logxor lo w.(5)) in
+      let single ~tweak l = Aes128.Table.label_hash_with sched ~tweak l in
+      let at buf off = (Bytes.get_int64_ne buf off, Bytes.get_int64_ne buf (off + 8)) in
+      Aes128.garble_and_hashes sched ~tweak src 3 19 dst 7;
+      let garble_ok =
+        at dst 23 = single ~tweak:j a
+        && at dst 39 = single ~tweak:j (xd a)
+        && at dst 55 = single ~tweak:j1 b
+        && at dst 71 = single ~tweak:j1 (xd b)
+        && at dst 7 = (w.(4), w.(5))
+      in
+      let out = Bytes.make 37 '\x00' in
+      Aes128.eval_and_hashes sched ~tweak src 3 19 out 5;
+      garble_ok && at out 5 = single ~tweak:j a && at out 21 = single ~tweak:j1 b)
+
 (* DESIGN.md §14's allocation-free property, checked at the AES boundary:
-   the per-gate hash allocates nothing at all. *)
+   the per-gate hashes allocate nothing at all, on either core and in
+   the gate-shaped entries. *)
 let test_aes_label_hash_bytes_no_alloc () =
-  let src = Bytes.make 16 '\x5a' and dst = Bytes.make 16 '\x00' in
+  let src = Bytes.make 32 '\x5a' and dst = Bytes.make 80 '\x00' in
   let sched = Aes128.fixed_key in
-  Aes128.label_hash_bytes sched ~tweak:0 src 0 dst 0;
-  let before = Gc.minor_words () in
-  for tweak = 1 to 10_000 do
-    Aes128.label_hash_bytes sched ~tweak src 0 dst 0
-  done;
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check (float 0.)) "minor words over 10k hashes" 0. words
+  let count name f =
+    f 0;
+    let before = Gc.minor_words () in
+    for tweak = 1 to 10_000 do
+      f tweak
+    done;
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check (float 0.)) (name ^ ": minor words over 10k hashes") 0. words
+  in
+  count "label_hash_bytes" (fun tweak -> Aes128.label_hash_bytes sched ~tweak src 0 dst 0);
+  count "T-table label_hash_bytes" (fun tweak ->
+      Aes128.Table.label_hash_bytes sched ~tweak src 0 dst 0);
+  count "garble_and_hashes" (fun tweak ->
+      Aes128.garble_and_hashes sched ~tweak src 0 16 dst 0);
+  count "eval_and_hashes" (fun tweak -> Aes128.eval_and_hashes sched ~tweak src 0 16 dst 0)
 
 (* Pins the whole AES-KDF garbling path: the SHA-256 of [tables ‖ decode]
    for a fixed-seed garbling of the 52-bit x * y + z circuit. *)
@@ -2014,6 +2141,7 @@ let () =
              ] );
       ( "aes",
         [
+          Alcotest.test_case "hardware probe" `Quick test_aes_hardware_probe;
           Alcotest.test_case "FIPS vector" `Quick test_aes_fips_vector;
           Alcotest.test_case "FIPS appendix B vector" `Quick test_aes_fips_appendix_b;
           Alcotest.test_case "sbox" `Quick test_aes_sbox;
@@ -2023,7 +2151,12 @@ let () =
           Alcotest.test_case "garbled tables golden" `Quick test_aes_garbled_tables_golden;
           Alcotest.test_case "AES-kdf garbling" `Quick test_garbling_aes_kdf;
         ]
-        @ qsuite [ aes_label_hash_bytes_matches_pair ] );
+        @ qsuite
+            [
+              aes_label_hash_bytes_matches_pair;
+              aes_stub_matches_table;
+              aes_gate_hashes_match_singles;
+            ] );
       ( "ot-extension",
         [
           Alcotest.test_case "correctness" `Quick test_ot_extension_correct;

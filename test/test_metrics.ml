@@ -1,5 +1,5 @@
 (* Tests for the run record: the context ledger's accounting, the CLI's
-   [work:] and [pool:] report lines, the trace's phase spans and their
+   [work:], [pool:] and [garbling:] report lines, the trace's phase spans and their
    allocation stamps, and the live progress reporter. *)
 
 open Secyan_crypto
@@ -125,6 +125,22 @@ let test_report_lines () =
   Alcotest.(check (list string)) "sequential: no pool line" []
     (lines_with ~prefix:"pool: " lines)
 
+(* A Real run names the AES core that garbled its gates in one
+   [garbling:] line; a Sim run garbles nothing and prints none. *)
+let test_garbling_line () =
+  let code, lines = cli "--query q3 --scale xs --backend real" in
+  Alcotest.(check int) "real exit code" 0 code;
+  Alcotest.(check (list string)) "one garbling line"
+    [
+      Printf.sprintf "garbling: half-gates, fixed-key AES (%s)"
+        (if Aes128.hardware then "aes-ni" else "t-table");
+    ]
+    (lines_with ~prefix:"garbling: " lines);
+  let code, lines = cli "--query q3 --scale xs" in
+  Alcotest.(check int) "sim exit code" 0 code;
+  Alcotest.(check (list string)) "sim: no garbling line" []
+    (lines_with ~prefix:"garbling: " lines)
+
 (* A composed query runs the protocol more than once: Q8's trace keeps
    each run's phases as their own spans, both [phase:reduce] spans with
    their own duration and allocation. *)
@@ -247,6 +263,7 @@ let () =
       ( "report",
         [
           Alcotest.test_case "work and pool lines" `Quick test_report_lines;
+          Alcotest.test_case "garbling line" `Quick test_garbling_line;
           Alcotest.test_case "q8 trace keeps both reduces" `Quick
             test_q8_trace_keeps_both_reduces;
         ] );
