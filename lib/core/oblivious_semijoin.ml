@@ -22,19 +22,19 @@
 open Secyan_crypto
 open Secyan_relational
 
-(* Map each left tuple to the cuckoo bin holding its join key. *)
-let xi_from_table (left : Shared_relation.t) ~key_attrs (table : Cuckoo_hash.table) =
+(* Map each left tuple, by the encoding of its join key, to the cuckoo
+   bin holding that key. *)
+let xi_from_table (encodings : int64 array) (table : Cuckoo_hash.table) =
   let bin_of = Hashtbl.create 64 in
   Array.iteri
     (fun b slot -> match slot with Some e -> Hashtbl.replace bin_of e b | None -> ())
     table.Cuckoo_hash.slots;
   Array.map
-    (fun t ->
-      let e = Tuple.encode_on left.Shared_relation.rel.Relation.schema key_attrs t in
+    (fun e ->
       match Hashtbl.find_opt bin_of e with
       | Some b -> b
       | None -> invalid_arg "Oblivious_semijoin: left key missing from cuckoo table")
-    left.Shared_relation.rel.Relation.tuples
+    encodings
 
 let join_constrained ctx semiring ~(left : Shared_relation.t) ~(right : Shared_relation.t) :
     Shared_relation.t =
@@ -107,7 +107,7 @@ let join_constrained ctx semiring ~(left : Shared_relation.t) ~(right : Shared_r
         Psi.with_shared_payloads ctx ~receiver:owner ~alice_set ~bob_set
           ~bob_payload_shares:right.Shared_relation.annots
       in
-      let xi = xi_from_table left ~key_attrs table in
+      let xi = xi_from_table encodings table in
       Oep.apply_shared ctx ~holder:owner ~xi ~m:(Array.length payload) payload
     end
   in

@@ -223,9 +223,10 @@ module Table = struct
     hash_into sched.words ~tweak hi lo out 0;
     (get64u out 0, get64u out 8)
 
-  let label_hash_bytes (sched : schedule) ~tweak (src : Bytes.t) soff (dst : Bytes.t) doff =
-    hash_into sched.words ~tweak:(Int64.of_int tweak) (get64u src soff)
-      (get64u src (soff + 8)) dst doff
+  let label_hash_hi (sched : schedule) ~tweak hi lo =
+    let out = Bytes.create 16 in
+    hash_into sched.words ~tweak hi lo out 0;
+    get64u out 0
 
   (* The gate-shaped entries as single hashes; every read precedes the
      first write. *)
@@ -255,11 +256,6 @@ end
 external ni_available : unit -> bool = "secyan_aes_ni_available"
 
 external ni_encrypt : Bytes.t -> Bytes.t -> Bytes.t -> unit = "secyan_aes_encrypt"
-[@@noalloc]
-
-external ni_hash :
-  Bytes.t -> (int64[@unboxed]) -> Bytes.t -> (int[@untagged]) -> Bytes.t ->
-  (int[@untagged]) -> unit = "secyan_aes_hash_byte" "secyan_aes_hash"
 [@@noalloc]
 
 external ni_hash_half :
@@ -304,9 +300,9 @@ let label_hash_with (sched : schedule) ~tweak (hi, lo) =
 
 let label_hash ~tweak pair = label_hash_with fixed_key ~tweak pair
 
-let label_hash_bytes (sched : schedule) ~tweak (src : Bytes.t) soff (dst : Bytes.t) doff =
-  if hardware then ni_hash sched.keys (Int64.of_int tweak) src soff dst doff
-  else Table.label_hash_bytes sched ~tweak src soff dst doff
+let label_hash_hi (sched : schedule) ~tweak hi lo =
+  if hardware then ni_hash_half sched.keys tweak hi lo 0
+  else Table.label_hash_hi sched ~tweak hi lo
 
 let garble_and_hashes (sched : schedule) ~tweak (src : Bytes.t) a b (dst : Bytes.t) doff =
   if hardware then ni_garble_and sched.keys tweak src a b dst doff

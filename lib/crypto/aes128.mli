@@ -23,7 +23,11 @@ val expand_key : Bytes.t -> schedule
     initialisation, and nothing selects the core. *)
 val hardware : bool
 
-(** @raise Invalid_argument unless the block is 16 bytes. *)
+(** One block in FIPS-197 byte order. No protocol path calls it: it is
+    how the FIPS vectors in the tests reach the hardware core, which the
+    hashes below otherwise reach only through their tweaked input.
+
+    @raise Invalid_argument unless the block is 16 bytes. *)
 val encrypt_block : schedule -> Bytes.t -> Bytes.t
 
 (** The fixed key schedule used by garbling KDFs, expanded at module
@@ -38,16 +42,11 @@ val label_hash_with : schedule -> tweak:int64 -> int64 * int64 -> int64 * int64
 (** {!label_hash_with} under {!fixed_key}. *)
 val label_hash : tweak:int64 -> int64 * int64 -> int64 * int64
 
-(** The label hash over [Bytes] planes, for the unboxed garbling kernels:
-    reads the label at [src.(soff, soff+16)] ([hi] then [lo], native byte
-    order), writes H(label, tweak) at [dst.(doff, doff+16)] in the same
-    layout. Bit-identical to {!label_hash_with} at tweak
-    [Int64.of_int tweak], but every intermediate stays unboxed — the
-    call allocates nothing. Offsets are {e not} bounds-checked (callers
-    size their planes from the circuit before the loop); the label is
-    read before the digest is written, so [src == dst] is fine even at
-    the same offset. *)
-val label_hash_bytes : schedule -> tweak:int -> Bytes.t -> int -> Bytes.t -> int -> unit
+(** [label_hash_hi sched ~tweak hi lo] is the high word of
+    [label_hash_with sched ~tweak (hi, lo)], for callers that need 64
+    bits: one AES block, not two. The PSI's hash families (cuckoo bins,
+    OPPRF outputs) run on it. *)
+val label_hash_hi : schedule -> tweak:int64 -> int64 -> int64 -> int64
 
 (** The four hashes of a garbled half-gates AND in one call:
     [garble_and_hashes sched ~tweak src a b dst doff] reads the labels
@@ -55,8 +54,10 @@ val label_hash_bytes : schedule -> tweak:int -> Bytes.t -> int -> Bytes.t -> int
     Δ at [dst.(doff, doff+16)], and writes H(A, j), H(A ⊕ Δ, j),
     H(B, j+1) and H(B ⊕ Δ, j+1) at [dst] offsets [doff + 16], [+ 32],
     [+ 48] and [+ 64], where j = [Int64.of_int tweak] and j+1 is its
-    int64 successor. Same layout, bounds and allocation contract as
-    {!label_hash_bytes}; the written range must not overlap A or B. *)
+    int64 successor. Each label is two native-order int64s, [hi] then
+    [lo]. Offsets are {e not} bounds-checked (callers size their planes
+    from the circuit before the loop); the call allocates nothing; the
+    written range must not overlap A or B. *)
 val garble_and_hashes :
   schedule -> tweak:int -> Bytes.t -> int -> int -> Bytes.t -> int -> unit
 
@@ -72,5 +73,5 @@ val eval_and_hashes : schedule -> tweak:int -> Bytes.t -> int -> int -> Bytes.t 
 module Table : sig
   val encrypt_block : schedule -> Bytes.t -> Bytes.t
   val label_hash_with : schedule -> tweak:int64 -> int64 * int64 -> int64 * int64
-  val label_hash_bytes : schedule -> tweak:int -> Bytes.t -> int -> Bytes.t -> int -> unit
+  val label_hash_hi : schedule -> tweak:int64 -> int64 -> int64 -> int64
 end

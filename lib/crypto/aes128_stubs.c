@@ -98,20 +98,11 @@ AESNI CAMLprim value secyan_aes_encrypt(value keys, value src, value dst)
   return Val_unit;
 }
 
-/* dst.(doff, doff+16) <- H(src.(soff, soff+16), tweak). */
-AESNI CAMLprim value secyan_aes_hash(value keys, int64_t tweak, value src, intnat soff,
-                                     value dst, intnat doff)
-{
-  __m128i x = tweaked(load(Bytes_val(src) + soff), tweak);
-  hash_blocks(Bytes_val(keys), &x, 1);
-  store(Bytes_val(dst) + doff, x);
-  return Val_unit;
-}
-
 /* One 64-bit half of H((hi, lo), tweak): the hi word when [half] is 0,
    the lo word otherwise. The pair entry point makes two such calls:
    they need no buffer (a Bytes one costs an allocating C call) and
-   share no data, so the CPU overlaps their AES pipelines. */
+   share no data, so the CPU overlaps their AES pipelines. The PSI's
+   hashes (cuckoo bins, OPPRF outputs) need one half and make one. */
 AESNI CAMLprim int64_t secyan_aes_hash_half(value keys, int64_t tweak, int64_t hi,
                                             int64_t lo, intnat half)
 {
@@ -168,13 +159,6 @@ CAMLprim value secyan_aes_encrypt(value keys, value src, value dst)
   abort();
 }
 
-CAMLprim value secyan_aes_hash(value keys, int64_t tweak, value src, intnat soff,
-                               value dst, intnat doff)
-{
-  (void) keys; (void) tweak; (void) src; (void) soff; (void) dst; (void) doff;
-  abort();
-}
-
 CAMLprim int64_t secyan_aes_hash_half(value keys, int64_t tweak, int64_t hi, int64_t lo,
                                       intnat half)
 {
@@ -200,13 +184,6 @@ CAMLprim value secyan_aes_eval_and(value keys, intnat tweak, value src, intnat a
 
 /* Bytecode entry points: boxed arguments and results, and the argv form
    for more than five arguments. */
-
-CAMLprim value secyan_aes_hash_byte(value *argv, int argn)
-{
-  (void) argn;
-  return secyan_aes_hash(argv[0], Int64_val(argv[1]), argv[2], Long_val(argv[3]),
-                         argv[4], Long_val(argv[5]));
-}
 
 CAMLprim value secyan_aes_hash_half_byte(value keys, value tweak, value hi, value lo,
                                          value half)

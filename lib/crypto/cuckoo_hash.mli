@@ -11,7 +11,6 @@ val bin : keys -> int -> int64 -> int
 type table = {
   keys : keys;
   slots : int64 option array;   (** element stored in each bin *)
-  sources : int option array;   (** index of that element in the input *)
 }
 
 exception Insertion_failed

@@ -8,7 +8,9 @@
     Realization: the programmed behaviour is computed by the runtime with
     unprogrammed outputs drawn from a per-instance dealer-keyed PRF
     (DESIGN.md §2.4 — real OPPRFs derive the same distribution from OT
-    extension). Communication is accounted per PSTY19: a constant number of
+    extension): the high word of the fixed-key AES hash
+    {!Aes128.label_hash_hi} of the block (bin, query), with the dealer's
+    instance key as its tweak, one AES block per output. Communication is accounted per PSTY19: a constant number of
     rounds and O(kappa + sigma) bits per bin. *)
 
 let batch ctx ~sender ~out_bits ~(programming : (int64 * int64) list array)
@@ -34,4 +36,6 @@ let batch ctx ~sender ~out_bits ~(programming : (int64 * int64) list array)
       match List.assoc_opt q programming.(i) with
       | Some v -> Int64.logand v mask
       | None ->
-          Int64.logand (Sha256.prf64 ~tweak:instance_key [ Int64.of_int i; q ]) mask)
+          Int64.logand
+            (Aes128.label_hash_hi Aes128.fixed_key ~tweak:instance_key (Int64.of_int i) q)
+            mask)

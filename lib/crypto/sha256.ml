@@ -1,9 +1,12 @@
 (** SHA-256 (FIPS 180-4), pure OCaml.
 
-    Used as the key-derivation function for garbled-circuit wire labels and
-    as a collision-resistant hash for hashing tuples into PSI bins. The
-    implementation follows the specification directly; it is validated
-    against the FIPS test vectors in the test suite. *)
+    Used as the reference key-derivation function for garbled-circuit wire
+    labels (the AES KDF is the default), as the collision-resistant digest
+    behind tuple encodings (variable-length join keys become the PSI's
+    60-bit elements), and for checkpoint digests. The PSI's own hash
+    families (cuckoo bins, OPPRF outputs) run on fixed-key AES instead
+    (DESIGN.md §6). The implementation follows the specification directly;
+    it is validated against the FIPS test vectors in the test suite. *)
 
 let k = [|
   0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl; 0x59f111f1l;
@@ -136,9 +139,3 @@ let digest_int64s words =
   let b = Bytes.create (8 * List.length words) in
   List.iteri (fun i w -> Bytes.set_int64_be b (i * 8) w) words;
   digest_bytes b
-
-(** First 8 bytes of the digest of [words], as an int64. Used for building
-    hash functions with distinct tweaks. *)
-let prf64 ~tweak words =
-  let d = digest_int64s (tweak :: words) in
-  Bytes.get_int64_be d 0

@@ -1,7 +1,8 @@
-(** SHA-256 (FIPS 180-4), pure OCaml: the key-derivation function for
-    garbled-circuit wire labels and the collision-resistant hash behind
-    tuple encodings and PSI bin mapping. Validated against the FIPS test
-    vectors. *)
+(** SHA-256 (FIPS 180-4), pure OCaml: the reference key-derivation
+    function for garbled-circuit wire labels, the collision-resistant
+    digest behind tuple encodings, and checkpoint digests. PSI bin mapping
+    and OPPRF outputs run on fixed-key AES instead ({!Aes128}). Validated
+    against the FIPS test vectors. *)
 
 type ctx
 
@@ -19,7 +20,3 @@ val to_hex : Bytes.t -> string
 
 (** Hash a list of big-endian int64 words. *)
 val digest_int64s : int64 list -> Bytes.t
-
-(** First 8 bytes of the digest of [tweak :: words]; the keyed-PRF shape
-    used to build families of hash functions. *)
-val prf64 : tweak:int64 -> int64 list -> int64

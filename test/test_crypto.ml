@@ -1014,6 +1014,103 @@ let test_cuckoo_build_error () =
       Alcotest.(check bool) "attempts exhausted" true (attempts > 64);
       Alcotest.(check string) "context" "test" context
 
+(* Golden candidate bins and OPPRF outputs, captured from the T-table
+   core (Aes128.Table), so the hardware core is pinned to the fallback's
+   tables. The elements include 2^60 - 1 and a receiver's empty-bin
+   query (bit 62 set); k3 has bit 63 set. *)
+let psi_golden_elements = [| 0L; 1L; 0x0fff_ffff_ffff_ffffL; 0x4000_0000_0000_0007L |]
+
+let test_cuckoo_bins_golden () =
+  let keys =
+    { Cuckoo_hash.k1 = 0x0123456789abcdefL; k2 = -0x5a5a5a5a5a5a5a5bL; k3 = Int64.min_int;
+      n_bins = 1021 }
+  in
+  let table_bin k x =
+    Int64.to_int
+      (Int64.unsigned_rem (Aes128.Table.label_hash_hi Aes128.fixed_key ~tweak:k 0L x) 1021L)
+  in
+  let golden = [| [| 338; 469; 859 |]; [| 348; 846; 272 |]; [| 695; 58; 190 |]; [| 134; 77; 187 |] |] in
+  Array.iteri
+    (fun e x ->
+      List.iteri
+        (fun which k ->
+          let name = Printf.sprintf "element %Lx, hash %d" x which in
+          Alcotest.(check int) (name ^ ", T-table") golden.(e).(which) (table_bin k x);
+          Alcotest.(check int) name golden.(e).(which) (Cuckoo_hash.bin keys which x))
+        [ keys.k1; keys.k2; keys.k3 ])
+    psi_golden_elements
+
+let test_oprf_outputs_golden () =
+  (* The dealer's first draw on a fresh context is the instance key. *)
+  let instance_key = Prg.next_int64 (ctx_sim ()).Context.dealer in
+  let mask = 0xff_ffff_ffffL in
+  let golden = [| 0x5d9bf7e01cL; 0x7566129f89L; 0xe483c6b9cfL; 0x80c49986e2L |] in
+  (* bin 0 programs another point; bin 4 is a programmed hit *)
+  let queries = Array.append psi_golden_elements [| 77L |] in
+  let programming = [| [ (5L, 9L) ]; []; []; []; [ (77L, 0x1234L) ] |] in
+  let got = Oprf.batch (ctx_sim ()) ~sender:Party.Bob ~out_bits:40 ~programming ~queries in
+  Array.iteri
+    (fun i want ->
+      let q = queries.(i) in
+      let name = Printf.sprintf "bin %d query %Lx" i q in
+      Alcotest.check check_i64 (name ^ ", T-table") want
+        (Int64.logand
+           (Aes128.Table.label_hash_hi Aes128.fixed_key ~tweak:instance_key (Int64.of_int i) q)
+           mask);
+      Alcotest.check check_i64 name want got.(i))
+    golden;
+  Alcotest.check check_i64 "programmed hit" 0x1234L got.(4)
+
+(* Distinct 60-bit elements drawn from [seed]. *)
+let distinct_60bit ~seed n =
+  let prg = Prg.create seed and seen = Hashtbl.create n in
+  let rec draw acc k =
+    if k = 0 then Array.of_list acc
+    else
+      let x = Int64.logand (Prg.next_int64 prg) 0x0fff_ffff_ffff_ffffL in
+      if Hashtbl.mem seen x then draw acc k
+      else begin
+        Hashtbl.add seen x ();
+        draw (x :: acc) (k - 1)
+      end
+  in
+  draw [] n
+
+(* Every element lands in one of its candidate bins, and simple hashing
+   lists every element in each of its distinct candidate bins and
+   nowhere else. *)
+let cuckoo_random_sets =
+  QCheck.Test.make ~count:60 ~name:"cuckoo table + simple hash on random sets"
+    QCheck.(pair (int_range 1 2000) int64)
+    (fun (n, seed) ->
+      let xs = distinct_60bit ~seed n in
+      let table = Cuckoo_hash.build (Prg.create (Int64.succ seed)) xs in
+      let keys = table.Cuckoo_hash.keys in
+      let bins = Cuckoo_hash.simple_hash keys xs in
+      let distinct_bins y = List.sort_uniq compare (List.init 3 (fun w -> Cuckoo_hash.bin keys w y)) in
+      let listed = Array.fold_left (fun acc l -> acc + List.length l) 0 bins in
+      let expected = Array.fold_left (fun acc y -> acc + List.length (distinct_bins y)) 0 xs in
+      Cuckoo_hash.check_table table xs
+      && listed = expected
+      && Array.for_all
+           (fun j -> List.for_all (fun b -> List.mem j bins.(b)) (distinct_bins xs.(j)))
+           (Array.init n Fun.id))
+
+(* The bin hashes are one AES block each: building a table and simple
+   hashing the same set allocate under 64 minor words per element, where
+   a SHA-256 bin hash (~350 words per call) would pass 1,000. *)
+let test_cuckoo_alloc_bound () =
+  let n = 10_000 in
+  let xs = distinct_60bit ~seed:5L n in
+  let before = Gc.minor_words () in
+  let table = Cuckoo_hash.build (Prg.create 6L) xs in
+  let bins = Cuckoo_hash.simple_hash table.Cuckoo_hash.keys xs in
+  let per_element = (Gc.minor_words () -. before) /. float_of_int n in
+  ignore (Sys.opaque_identity bins);
+  if per_element >= 64. then
+    Alcotest.failf "build + simple_hash allocated %.1f minor words per element (bound 64)"
+      per_element
+
 (* ------------------------------------------------------------------ *)
 (* OEP *)
 
@@ -1369,53 +1466,18 @@ let test_aes_label_hash_golden () =
     (0xea567602ad4e3f8aL, 0x6960c9d32f6ac442L);
   check "tweak min_int" ~tweak:Int64.min_int label (0x48be853a3fd02159L, 0x84da31b5665cd733L)
 
-(* The plane entry point and the pair entry point agree on every label
-   and tweak (offsets are deliberately unaligned). *)
-let aes_label_hash_bytes_matches_pair =
-  QCheck.Test.make ~count:500 ~name:"label_hash_bytes = label_hash_with"
-    QCheck.(triple int64 int64 int)
-    (fun (hi, lo, tweak) ->
-      let src = Bytes.make 21 '\x00' and dst = Bytes.make 19 '\x00' in
-      Bytes.set_int64_ne src 5 hi;
-      Bytes.set_int64_ne src 13 lo;
-      Aes128.label_hash_bytes Aes128.fixed_key ~tweak src 5 dst 3;
-      let want_hi, want_lo =
-        Aes128.label_hash_with Aes128.fixed_key ~tweak:(Int64.of_int tweak) (hi, lo)
-      in
-      Int64.equal (Bytes.get_int64_ne dst 3) want_hi
-      && Int64.equal (Bytes.get_int64_ne dst 11) want_lo)
-
 (* The hardware core against the T-table core: single hashes on random
-   labels and on every kind of int64 tweak (negative, bit 63 set), at
-   unaligned offsets and in place ([src == dst], same offset). *)
+   labels and on every kind of int64 tweak (negative, bit 63 set), as a
+   pair and as the high word alone. *)
 let aes_stub_matches_table =
   QCheck.Test.make ~count:500 ~name:"hardware core = T-table core"
-    QCheck.(quad int64 int64 int64 int)
-    (fun (hi, lo, tweak64, tweak) ->
+    QCheck.(triple int64 int64 int64)
+    (fun (hi, lo, tweak) ->
       let sched = Aes128.fixed_key in
-      let pair_ok =
-        Aes128.label_hash_with sched ~tweak:tweak64 (hi, lo)
-        = Aes128.Table.label_hash_with sched ~tweak:tweak64 (hi, lo)
-      in
-      let plane () =
-        let b = Bytes.make 27 '\x00' in
-        Bytes.set_int64_ne b 5 hi;
-        Bytes.set_int64_ne b 13 lo;
-        b
-      in
-      let moved hash =
-        let src = plane () and dst = Bytes.make 19 '\x00' in
-        hash sched ~tweak src 5 dst 3;
-        dst
-      in
-      let in_place hash =
-        let b = plane () in
-        hash sched ~tweak b 5 b 5;
-        b
-      in
-      pair_ok
-      && Bytes.equal (moved Aes128.label_hash_bytes) (moved Aes128.Table.label_hash_bytes)
-      && Bytes.equal (in_place Aes128.label_hash_bytes) (in_place Aes128.Table.label_hash_bytes))
+      let pair = Aes128.Table.label_hash_with sched ~tweak (hi, lo) in
+      Aes128.label_hash_with sched ~tweak (hi, lo) = pair
+      && Int64.equal (Aes128.label_hash_hi sched ~tweak hi lo) (fst pair)
+      && Int64.equal (Aes128.Table.label_hash_hi sched ~tweak hi lo) (fst pair))
 
 (* Each gate-shaped entry is its four (garble) or two (eval) single
    T-table hashes, tweaks j and j + 1 as int64s. *)
@@ -1452,9 +1514,8 @@ let aes_gate_hashes_match_singles =
       garble_ok && at out 5 = single ~tweak:j a && at out 21 = single ~tweak:j1 b)
 
 (* DESIGN.md §14's allocation-free property, checked at the AES boundary:
-   the per-gate hashes allocate nothing at all, on either core and in
-   the gate-shaped entries. *)
-let test_aes_label_hash_bytes_no_alloc () =
+   the gate-shaped hashes allocate nothing at all. *)
+let test_aes_gate_hashes_no_alloc () =
   let src = Bytes.make 32 '\x5a' and dst = Bytes.make 80 '\x00' in
   let sched = Aes128.fixed_key in
   let count name f =
@@ -1466,9 +1527,6 @@ let test_aes_label_hash_bytes_no_alloc () =
     let words = Gc.minor_words () -. before in
     Alcotest.(check (float 0.)) (name ^ ": minor words over 10k hashes") 0. words
   in
-  count "label_hash_bytes" (fun tweak -> Aes128.label_hash_bytes sched ~tweak src 0 dst 0);
-  count "T-table label_hash_bytes" (fun tweak ->
-      Aes128.Table.label_hash_bytes sched ~tweak src 0 dst 0);
   count "garble_and_hashes" (fun tweak ->
       Aes128.garble_and_hashes sched ~tweak src 0 16 dst 0);
   count "eval_and_hashes" (fun tweak -> Aes128.eval_and_hashes sched ~tweak src 0 16 dst 0)
@@ -2124,7 +2182,10 @@ let () =
           Alcotest.test_case "build" `Quick test_cuckoo_build;
           Alcotest.test_case "simple hash covers" `Quick test_cuckoo_simple_hash_covers;
           Alcotest.test_case "build error" `Quick test_cuckoo_build_error;
-        ] );
+          Alcotest.test_case "golden bins" `Quick test_cuckoo_bins_golden;
+          Alcotest.test_case "allocation per element" `Quick test_cuckoo_alloc_bound;
+        ]
+        @ qsuite [ cuckoo_random_sets ] );
       ( "oep",
         Alcotest.test_case "shared" `Quick test_oep_shared
         :: Alcotest.test_case "fresh randomness" `Quick test_oep_fresh_randomness
@@ -2146,14 +2207,13 @@ let () =
           Alcotest.test_case "FIPS appendix B vector" `Quick test_aes_fips_appendix_b;
           Alcotest.test_case "sbox" `Quick test_aes_sbox;
           Alcotest.test_case "label hash golden" `Quick test_aes_label_hash_golden;
-          Alcotest.test_case "label_hash_bytes allocates nothing" `Quick
-            test_aes_label_hash_bytes_no_alloc;
+          Alcotest.test_case "gate hashes allocate nothing" `Quick
+            test_aes_gate_hashes_no_alloc;
           Alcotest.test_case "garbled tables golden" `Quick test_aes_garbled_tables_golden;
           Alcotest.test_case "AES-kdf garbling" `Quick test_garbling_aes_kdf;
         ]
         @ qsuite
             [
-              aes_label_hash_bytes_matches_pair;
               aes_stub_matches_table;
               aes_gate_hashes_match_singles;
             ] );
@@ -2187,6 +2247,7 @@ let () =
           Alcotest.test_case "boundary sizes" `Quick test_psi_boundary_sizes;
           Alcotest.test_case "transcript oblivious" `Quick test_transcript_oblivious;
           Alcotest.test_case "backends same cost" `Quick test_psi_backends_same_cost;
+          Alcotest.test_case "OPPRF outputs golden" `Quick test_oprf_outputs_golden;
         ]
         @ qsuite (List.map psi_random_sets psi_entries) );
     ]
