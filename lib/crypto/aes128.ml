@@ -286,8 +286,9 @@ let encrypt_block (sched : schedule) (input : Bytes.t) : Bytes.t =
   end
   else Table.encrypt_block sched input
 
-(** The fixed key used for garbling KDFs (a nothing-up-my-sleeve value),
-    expanded once at module initialization. *)
+(** The fixed key of every correlation-robust hash (a
+    nothing-up-my-sleeve value), expanded once at module
+    initialization. *)
 let fixed_key : schedule =
   expand_key (Bytes.of_string "\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f")
 

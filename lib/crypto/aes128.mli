@@ -30,7 +30,8 @@ val hardware : bool
     @raise Invalid_argument unless the block is 16 bytes. *)
 val encrypt_block : schedule -> Bytes.t -> Bytes.t
 
-(** The fixed key schedule used by garbling KDFs, expanded at module
+(** The fixed key schedule of every correlation-robust hash: garbling, OT
+    extension rows, cuckoo bins and OPPRF outputs. Expanded at module
     initialization (no lazy check on the hot path). *)
 val fixed_key : schedule
 

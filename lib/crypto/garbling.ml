@@ -5,22 +5,23 @@
     garbled by the generator and evaluated on labels by the evaluator. Each
     AND gate costs two 128-bit ciphertexts; XOR and NOT are free.
 
-    Two key-derivation functions are supported: fixed-key AES-128 (the
-    default — the standard choice in MPC practice) and SHA-256.
+    The correlation-robust hash is fixed-key AES-128 ({!Aes128}): the
+    gate loops call [Aes128.garble_and_hashes] or [Aes128.eval_and_hashes]
+    on [Aes128.fixed_key] directly, once per AND gate.
 
-    The garble/eval inner loops are {e allocation-free} (under the AES
-    KDF): wire labels, half-gate tables, and output decode bits live in
-    [Bytes] planes accessed through unaligned native [int64] loads and
-    stores, so no per-gate value is ever boxed — unlike [int64 array],
-    whose every element store allocates a 3-word box on the minor heap
-    (see DESIGN.md §14). Planes come either from fresh per-call buffers
-    (the safe default) or from a per-domain {!Arena} reused across batch
-    items. The boxed {!Label} module remains the representation at the
-    protocol boundary (input encoding, output labels).
+    The garble/eval inner loops are {e allocation-free}: wire labels,
+    half-gate tables, and output decode bits live in [Bytes] planes
+    accessed through unaligned native [int64] loads and stores, so no
+    per-gate value is ever boxed — unlike [int64 array], whose every
+    element store allocates a 3-word box on the minor heap (see
+    DESIGN.md §14). Every plane comes from an {!Arena}; the per-domain
+    one is reused across batch items. The boxed {!Label} module remains
+    the representation at the protocol boundary (input encoding, output
+    labels).
 
     {!Garbling_reference} preserves the pre-arena boxed implementation;
-    the test suite asserts both paths are bit-identical and the bench
-    harness uses it as the allocation baseline. *)
+    the test suite asserts both paths are bit-identical and uses it as
+    the allocation baseline. *)
 
 module Label = struct
   type t = { hi : int64; lo : int64 }
@@ -38,19 +39,14 @@ module Label = struct
     let l = random prg in
     { l with lo = Int64.logor l.lo 1L }
 
-  (** H(label, tweak): first 128 bits of SHA-256(hi || lo || tweak). *)
-  let hash t ~tweak =
-    let d = Sha256.digest_int64s [ t.hi; t.lo; tweak ] in
-    { hi = Bytes.get_int64_be d 0; lo = Bytes.get_int64_be d 8 }
-
-  (** Fixed-key AES hash (faster; the standard choice in MPC practice). *)
+  (** The fixed-key AES hash H(label, tweak). *)
   let hash_aes t ~tweak =
     let hi, lo = Aes128.label_hash ~tweak (t.hi, t.lo) in
     { hi; lo }
 end
 
-(** Key-derivation function used for garbled rows. *)
-type kdf = Sha256_kdf | Aes128_kdf
+(* The only KDF; see the interface for why the type survives. *)
+type kdf = Aes128_kdf
 
 (* Unaligned native-endian int64 access into the label planes. The layout
    convention everywhere below: wire [w]'s false (resp. active) label
@@ -61,52 +57,6 @@ type kdf = Sha256_kdf | Aes128_kdf
    any platform. *)
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-
-(* The gate-level hashes over the planes. [garble_hashes kdf ~tweak src a
-   b scratch] reads Δ at scratch.(0, 16) and writes H(A, j), H(A ⊕ Δ, j),
-   H(B, j+1), H(B ⊕ Δ, j+1) at scratch offsets 16, 32, 48 and 64 for the
-   labels A = src.(a, a+16), B = src.(b, b+16) and j = tweak;
-   [eval_hashes] writes H(A, j) and H(B, j+1) at 16 and 32. The AES
-   branch is one Aes128 call per gate, allocation-free; which AES core
-   runs is Aes128's business. The SHA branch hashes one label at a time
-   and allocates its digests (SHA-256 is the legacy KDF, kept for
-   differential coverage, not throughput). *)
-let sha_hash tweak src soff dst doff =
-  let d = Sha256.digest_int64s [ get64u src soff; get64u src (soff + 8); tweak ] in
-  set64u dst doff (Bytes.get_int64_be d 0);
-  set64u dst (doff + 8) (Bytes.get_int64_be d 8)
-
-(* H(src.(soff, soff+16) ⊕ Δ, tweak) at dst.(doff, doff+16), Δ at
-   dst.(0, 16). *)
-let sha_hash_delta tweak src soff dst doff =
-  set64u dst doff (Int64.logxor (get64u src soff) (get64u dst 0));
-  set64u dst (doff + 8) (Int64.logxor (get64u src (soff + 8)) (get64u dst 8));
-  sha_hash tweak dst doff dst doff
-
-let garble_hashes kdf : tweak:int -> Bytes.t -> int -> int -> Bytes.t -> unit =
-  match kdf with
-  | Aes128_kdf ->
-      let sched = Aes128.fixed_key in
-      fun ~tweak src a b scratch -> Aes128.garble_and_hashes sched ~tweak src a b scratch 0
-  | Sha256_kdf ->
-      fun ~tweak src a b scratch ->
-        let j = Int64.of_int tweak in
-        let j1 = Int64.succ j in
-        sha_hash j src a scratch 16;
-        sha_hash_delta j src a scratch 32;
-        sha_hash j1 src b scratch 48;
-        sha_hash_delta j1 src b scratch 64
-
-let eval_hashes kdf : tweak:int -> Bytes.t -> int -> int -> Bytes.t -> unit =
-  match kdf with
-  | Aes128_kdf ->
-      let sched = Aes128.fixed_key in
-      fun ~tweak src a b scratch -> Aes128.eval_and_hashes sched ~tweak src a b scratch 16
-  | Sha256_kdf ->
-      fun ~tweak src a b scratch ->
-        let j = Int64.of_int tweak in
-        sha_hash j src a scratch 16;
-        sha_hash (Int64.succ j) src b scratch 32
 
 (** Per-domain scratch arena: every plane the garble/eval hot paths touch,
     grown geometrically and reused across batch items, so steady-state
@@ -185,30 +135,20 @@ type garbled = {
 }
 
 (** Garble [circuit] with randomness from [prg] (the generator's stream).
-    With [?arena] the result's planes alias the arena and stay valid only
-    until the next garble on the same arena (the batch engine's per-item
-    lifetime); without it the result owns freshly allocated, exactly
-    sized planes. The inner loop allocates nothing either way (AES
-    KDF). *)
-let garble ?(kdf = Aes128_kdf) ?arena prg circuit =
+    The result's planes alias [arena] and stay valid only until the next
+    garble on the same arena (the batch engine's per-item lifetime); the
+    planes may be longer than the circuit needs. The inner loop
+    allocates nothing. *)
+let garble ?kdf:(_ : kdf option) ~arena prg circuit =
   let open Boolean_circuit in
-  let hashes = garble_hashes kdf in
   (* Draw order matches Label.random_delta / Label.random: hi then lo. *)
   let delta_hi = Prg.next_int64 prg in
   let delta_lo = Int64.logor (Prg.next_int64 prg) 1L in
   let n_wires = n_wires circuit in
   let n_outputs = Array.length circuit.outputs in
-  let wires, tables, decode, scratch =
-    match arena with
-    | Some a ->
-        Arena.prepare_garble a ~n_wires ~n_ands:circuit.and_count ~n_outputs;
-        (a.Arena.wires_g, a.Arena.tables, a.Arena.decode, a.Arena.scratch)
-    | None ->
-        ( Bytes.create (16 * n_wires),
-          Bytes.create (32 * circuit.and_count),
-          Bytes.create (max 1 n_outputs),
-          Bytes.create 80 )
-  in
+  Arena.prepare_garble arena ~n_wires ~n_ands:circuit.and_count ~n_outputs;
+  let wires = arena.Arena.wires_g and tables = arena.Arena.tables in
+  let decode = arena.Arena.decode and scratch = arena.Arena.scratch in
   set64u scratch 0 delta_hi;
   set64u scratch 8 delta_lo;
   for i = 0 to circuit.n_inputs - 1 do
@@ -238,7 +178,7 @@ let garble ?(kdf = Aes128_kdf) ?arena prg circuit =
       let pb = Int64.to_int (get64u wires (by + 8)) land 1 = 1 in
       (* ha0 = H(wa0, 2k), ha1 = H(wa0 ^ delta, 2k), hb0 = H(wb0, 2k+1),
          hb1 = H(wb0 ^ delta, 2k+1) *)
-      hashes ~tweak:(2 * k) wires ax by scratch;
+      Aes128.garble_and_hashes Aes128.fixed_key ~tweak:(2 * k) wires ax by scratch 0;
       let ha0_hi = get64u scratch 16 and ha0_lo = get64u scratch 24 in
       let ha1_hi = get64u scratch 32 and ha1_lo = get64u scratch 40 in
       let hb0_hi = get64u scratch 48 and hb0_lo = get64u scratch 56 in
@@ -284,7 +224,7 @@ let encode_input g i b =
 (* Half-gates evaluation over a preloaded active-label plane: wires 0 ..
    n_inputs-1 must already hold the active input labels. Shares the plane
    layout (and the zero-allocation property) with [garble]. *)
-let eval_plane hashes g (wires : Bytes.t) (scratch : Bytes.t) =
+let eval_plane g (wires : Bytes.t) (scratch : Bytes.t) =
   let open Boolean_circuit in
   let circuit = g.circuit in
   let tables = g.tables in
@@ -313,7 +253,7 @@ let eval_plane hashes g (wires : Bytes.t) (scratch : Bytes.t) =
       let sb = Int64.to_int (get64u wires (by + 8)) land 1 = 1 in
       let tk = 32 * k in
       (* ha = H(wa, 2k), hb = H(wb, 2k+1) *)
-      hashes ~tweak:(2 * k) wires ax by scratch;
+      Aes128.eval_and_hashes Aes128.fixed_key ~tweak:(2 * k) wires ax by scratch 16;
       let ha_hi = get64u scratch 16 and ha_lo = get64u scratch 24 in
       let wg_hi = if sa then Int64.logxor ha_hi (get64u tables tk) else ha_hi in
       let wg_lo = if sa then Int64.logxor ha_lo (get64u tables (tk + 8)) else ha_lo in
@@ -333,10 +273,9 @@ let eval_plane hashes g (wires : Bytes.t) (scratch : Bytes.t) =
   done
 
 (** Evaluate on active labels; returns the active label of each output.
-    [kdf] must match the one used at garbling time. With [?arena] the
-    evaluator wire plane comes from (and the call leaves state in) the
-    arena; the returned labels are fresh boxed values either way. *)
-let eval_labels ?(kdf = Aes128_kdf) ?arena g (input_labels : Label.t array) =
+    The evaluator wire plane comes from (and the call leaves state in)
+    [arena]; the returned labels are fresh boxed values. *)
+let eval_labels ~arena g (input_labels : Label.t array) =
   let circuit = g.circuit in
   if Array.length input_labels <> circuit.Boolean_circuit.n_inputs then
     invalid_arg
@@ -344,19 +283,14 @@ let eval_labels ?(kdf = Aes128_kdf) ?arena g (input_labels : Label.t array) =
          (Array.length input_labels) circuit.Boolean_circuit.n_inputs);
   let n_wires = Boolean_circuit.n_wires circuit in
   let n_outputs = Array.length circuit.Boolean_circuit.outputs in
-  let wires, scratch =
-    match arena with
-    | Some a ->
-        Arena.prepare_eval a ~n_wires ~n_outputs;
-        (a.Arena.wires_e, a.Arena.scratch)
-    | None -> (Bytes.create (16 * n_wires), Bytes.create 80)
-  in
+  Arena.prepare_eval arena ~n_wires ~n_outputs;
+  let wires = arena.Arena.wires_e in
   Array.iteri
     (fun i (l : Label.t) ->
       set64u wires (16 * i) l.Label.hi;
       set64u wires ((16 * i) + 8) l.Label.lo)
     input_labels;
-  eval_plane (eval_hashes kdf) g wires scratch;
+  eval_plane g wires arena.Arena.scratch;
   Array.map
     (fun w -> { Label.hi = get64u wires (16 * w); lo = get64u wires ((16 * w) + 8) })
     circuit.Boolean_circuit.outputs
@@ -367,8 +301,8 @@ let eval_labels ?(kdf = Aes128_kdf) ?arena g (input_labels : Label.t array) =
     each ([1] = color set) in the arena's color plane — valid until the
     next eval on the same arena. No boxed label is created anywhere:
     together with [garble ~arena] this runs a whole item without a
-    single per-gate or per-wire heap allocation (AES KDF). *)
-let eval_colors ?(kdf = Aes128_kdf) ~arena g (bit : int -> bool) : Bytes.t =
+    single per-gate or per-wire heap allocation. *)
+let eval_colors ?kdf:(_ : kdf option) ~arena g (bit : int -> bool) : Bytes.t =
   let circuit = g.circuit in
   let n_wires = Boolean_circuit.n_wires circuit in
   let n_outputs = Array.length circuit.Boolean_circuit.outputs in
@@ -385,7 +319,7 @@ let eval_colors ?(kdf = Aes128_kdf) ~arena g (bit : int -> bool) : Bytes.t =
       set64u wires ((16 * i) + 8) lo
     end
   done;
-  eval_plane (eval_hashes kdf) g wires arena.Arena.scratch;
+  eval_plane g wires arena.Arena.scratch;
   let colors = arena.Arena.colors in
   Array.iteri
     (fun oi w ->

@@ -3,12 +3,13 @@
     ciphertexts per gate; XOR and NOT are free. This is the [Real] backend
     of {!Gc_protocol}.
 
-    The garble/eval inner loops are {e allocation-free} under the AES
-    KDF: wire labels, half-gate tables, and decode bits live in [Bytes]
-    planes accessed through unaligned native [int64] primitives — never
-    in [int64 array], whose element stores box (DESIGN.md §14). Planes
-    come from fresh per-call buffers by default, or from a per-domain
-    {!Arena} reused across batch items. {!Label.t} remains the boxed
+    The correlation-robust hash is fixed-key AES-128 ({!Aes128}), one
+    call per AND gate. The garble/eval inner loops are
+    {e allocation-free}: wire labels, half-gate tables, and decode bits
+    live in [Bytes] planes accessed through unaligned native [int64]
+    primitives — never in [int64 array], whose element stores box
+    (DESIGN.md §14). Every plane comes from an {!Arena}, the per-domain
+    one reused across batch items. {!Label.t} remains the boxed
     representation at the protocol boundary.
 
     {!Garbling_reference} preserves the previous boxed implementation as
@@ -29,16 +30,16 @@ module Label : sig
   (** Free-XOR global offset, color bit forced to 1. *)
   val random_delta : Prg.t -> t
 
-  (** SHA-256-based key derivation: H(label, tweak). *)
-  val hash : t -> tweak:int64 -> t
-
-  (** Fixed-key AES-128 key derivation (faster; standard MPC practice). *)
+  (** The fixed-key AES-128 hash H(label, tweak) ({!Aes128.label_hash}). *)
   val hash_aes : t -> tweak:int64 -> t
 end
 
-(** Key-derivation function used for garbled rows. The default throughout
-    is [Aes128_kdf] (the standard choice in MPC practice). *)
-type kdf = Sha256_kdf | Aes128_kdf
+(** The garbling hash has one instantiation, fixed-key AES. This
+    one-constructor type and the [?kdf] arguments of {!garble} and
+    {!eval_colors}, which are ignored, are kept only because the
+    benchmark harness ([e2ebench/main.ml]) names them; nothing else
+    should. *)
+type kdf = Aes128_kdf
 
 (** Per-domain scratch arena for the garble/eval planes: grown
     geometrically, never shrunk, reused across items, so steady-state
@@ -69,21 +70,23 @@ type garbled = {
   wires : Bytes.t;
       (** false-label planes of {e every} wire: [hi] at byte [16 * w],
           [lo] at [16 * w + 8], native byte order. Input wires are the
-          prefix — no separate copy is taken. May alias an arena. *)
+          prefix — no separate copy is taken. Aliases an arena. *)
   delta_hi : int64;
   delta_lo : int64;
   tables : Bytes.t;
       (** per AND gate [k] in gate order: T_G.hi, T_G.lo, T_E.hi, T_E.lo
-          at byte [32 * k]. May alias an arena. *)
+          at byte [32 * k]. Aliases an arena. *)
   decode : Bytes.t;
-      (** 1 byte per output: ['\001'] iff the false label has color 1 *)
+      (** 1 byte per output: ['\001'] iff the false label has color 1.
+          Aliases an arena. *)
 }
 
-(** Garble a circuit with the generator's randomness. With [?arena] the
-    result's planes alias the arena and stay valid only until the next
-    garble on the same arena; without it the result owns fresh, exactly
-    sized planes. *)
-val garble : ?kdf:kdf -> ?arena:Arena.t -> Prg.t -> Boolean_circuit.t -> garbled
+(** Garble a circuit with the generator's randomness. The result's planes
+    alias [arena] and stay valid only until the next garble on the same
+    arena. They may be longer than the circuit needs: only the first
+    [32 * and_count] table bytes and [n_outputs] decode bytes are this
+    circuit's. *)
+val garble : ?kdf:kdf -> arena:Arena.t -> Prg.t -> Boolean_circuit.t -> garbled
 
 (** The label encoding bit [b] on input wire [i]. *)
 val encode_input : garbled -> int -> bool -> Label.t
@@ -92,17 +95,16 @@ val encode_input : garbled -> int -> bool -> Label.t
     generator's half of the Yao sharing of that output. *)
 val decode_bit : garbled -> int -> bool
 
-(** Evaluate on active labels; [kdf] must match garbling. With [?arena]
-    the evaluator wire plane comes from the arena (the returned labels
-    are fresh boxed values either way). *)
-val eval_labels : ?kdf:kdf -> ?arena:Arena.t -> garbled -> Label.t array -> Label.t array
+(** Evaluate on active labels. The evaluator wire plane comes from
+    [arena]; the returned labels are fresh boxed values. *)
+val eval_labels : arena:Arena.t -> garbled -> Label.t array -> Label.t array
 
 (** Select each input's active label by its cleartext bit ([bit i] is
     input wire [i]'s value), evaluate, and return the active color of
     every output — one byte per output, ['\001'] = color set — in the
     arena's color plane, valid until the next eval on the same arena.
     The batch hot path: with [garble ~arena] this runs a whole item with
-    no per-gate or per-wire allocation (AES KDF). *)
+    no per-gate or per-wire allocation. *)
 val eval_colors : ?kdf:kdf -> arena:Arena.t -> garbled -> (int -> bool) -> Bytes.t
 
 (** Decode an output's active label to its cleartext bit. *)

@@ -18,19 +18,6 @@
 
 module Label = Garbling.Label
 
-(* The flat (plane-level) hash: tweak, hi, lo -> (hi, lo). The AES branch
-   captures the pre-expanded fixed schedule so the per-gate call does no
-   lazy checks or schedule lookups. *)
-let flat_hash (kdf : Garbling.kdf) : int64 -> int64 -> int64 -> int64 * int64 =
-  match kdf with
-  | Aes128_kdf ->
-      let sched = Aes128.fixed_key in
-      fun tweak hi lo -> Aes128.label_hash_with sched ~tweak (hi, lo)
-  | Sha256_kdf ->
-      fun tweak hi lo ->
-        let d = Sha256.digest_int64s [ hi; lo; tweak ] in
-        (Bytes.get_int64_be d 0, Bytes.get_int64_be d 8)
-
 type garbled = {
   circuit : Boolean_circuit.t;
   input_hi : int64 array;  (** false-label [hi] plane of each input wire *)
@@ -44,9 +31,8 @@ type garbled = {
   output_decode : bool array;  (** color of the false label of each output *)
 }
 
-let garble ?(kdf = Garbling.Aes128_kdf) prg circuit =
+let garble prg circuit =
   let open Boolean_circuit in
-  let hash = flat_hash kdf in
   (* Draw order matches Label.random_delta / Label.random: hi then lo. *)
   let delta_hi = Prg.next_int64 prg in
   let delta_lo = Int64.logor (Prg.next_int64 prg) 1L in
@@ -84,9 +70,10 @@ let garble ?(kdf = Garbling.Aes128_kdf) prg circuit =
       let pa = Int64.logand wa0_lo 1L = 1L in
       let pb = Int64.logand wb0_lo 1L = 1L in
       (* generator half-gate *)
-      let ha0_hi, ha0_lo = hash j wa0_hi wa0_lo in
+      let ha0_hi, ha0_lo = Aes128.label_hash ~tweak:j (wa0_hi, wa0_lo) in
       let ha1_hi, ha1_lo =
-        hash j (Int64.logxor wa0_hi delta_hi) (Int64.logxor wa0_lo delta_lo)
+        Aes128.label_hash ~tweak:j
+          (Int64.logxor wa0_hi delta_hi, Int64.logxor wa0_lo delta_lo)
       in
       let tg_hi = Int64.logxor ha0_hi ha1_hi and tg_lo = Int64.logxor ha0_lo ha1_lo in
       let tg_hi = if pb then Int64.logxor tg_hi delta_hi else tg_hi in
@@ -94,9 +81,10 @@ let garble ?(kdf = Garbling.Aes128_kdf) prg circuit =
       let wg0_hi = if pa then Int64.logxor ha0_hi tg_hi else ha0_hi in
       let wg0_lo = if pa then Int64.logxor ha0_lo tg_lo else ha0_lo in
       (* evaluator half-gate *)
-      let hb0_hi, hb0_lo = hash j' wb0_hi wb0_lo in
+      let hb0_hi, hb0_lo = Aes128.label_hash ~tweak:j' (wb0_hi, wb0_lo) in
       let hb1_hi, hb1_lo =
-        hash j' (Int64.logxor wb0_hi delta_hi) (Int64.logxor wb0_lo delta_lo)
+        Aes128.label_hash ~tweak:j'
+          (Int64.logxor wb0_hi delta_hi, Int64.logxor wb0_lo delta_lo)
       in
       let te_hi = Int64.logxor (Int64.logxor hb0_hi hb1_hi) wa0_hi in
       let te_lo = Int64.logxor (Int64.logxor hb0_lo hb1_lo) wa0_lo in
@@ -135,9 +123,8 @@ let encode_input g i b =
   else { Label.hi = g.input_hi.(i); lo = g.input_lo.(i) }
 
 (** Evaluate on active labels; returns the active label of each output. *)
-let eval_labels ?(kdf = Garbling.Aes128_kdf) g (input_labels : Label.t array) =
+let eval_labels g (input_labels : Label.t array) =
   let open Boolean_circuit in
-  let hash = flat_hash kdf in
   let circuit = g.circuit in
   if Array.length input_labels <> circuit.n_inputs then
     invalid_arg
@@ -174,10 +161,10 @@ let eval_labels ?(kdf = Garbling.Aes128_kdf) g (input_labels : Label.t array) =
       let wb_hi = hi.(y) and wb_lo = lo.(y) in
       let sa = Int64.logand wa_lo 1L = 1L in
       let sb = Int64.logand wb_lo 1L = 1L in
-      let ha_hi, ha_lo = hash j wa_hi wa_lo in
+      let ha_hi, ha_lo = Aes128.label_hash ~tweak:j (wa_hi, wa_lo) in
       let wg_hi = if sa then Int64.logxor ha_hi g.table_g_hi.(k) else ha_hi in
       let wg_lo = if sa then Int64.logxor ha_lo g.table_g_lo.(k) else ha_lo in
-      let hb_hi, hb_lo = hash j' wb_hi wb_lo in
+      let hb_hi, hb_lo = Aes128.label_hash ~tweak:j' (wb_hi, wb_lo) in
       let we_hi =
         if sb then Int64.logxor hb_hi (Int64.logxor g.table_e_hi.(k) wa_hi) else hb_hi
       in

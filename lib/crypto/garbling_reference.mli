@@ -2,7 +2,7 @@
     differential baseline for {!Garbling}'s unboxed kernels.
 
     Bit-identical to {!Garbling} by construction (same half-gates math,
-    same PRG draw order, same KDF tweak schedule) — the test suite
+    same PRG draw order, same AES hash and tweaks) — the test suite
     asserts this on randomized circuits, and bounds the minor-heap
     allocation rate the unboxed rewrite removed against this module.
     Not called by any production path; see DESIGN.md §14. *)
@@ -22,7 +22,7 @@ type garbled = {
   output_decode : bool array;  (** color of the false label of each output *)
 }
 
-val garble : ?kdf:Garbling.kdf -> Prg.t -> Boolean_circuit.t -> garbled
+val garble : Prg.t -> Boolean_circuit.t -> garbled
 val encode_input : garbled -> int -> bool -> Label.t
-val eval_labels : ?kdf:Garbling.kdf -> garbled -> Label.t array -> Label.t array
+val eval_labels : garbled -> Label.t array -> Label.t array
 val decode_output : garbled -> out_index:int -> Label.t -> bool

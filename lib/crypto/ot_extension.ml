@@ -15,10 +15,9 @@ type block = int64 * int64
 
 let block_xor (a1, a2) (b1, b2) = (Int64.logxor a1 b1, Int64.logxor a2 b2)
 
-(* H(j, x): hash a 128-bit row with its index (breaks row correlations). *)
-let row_hash j (hi, lo) =
-  let d = Sha256.digest_int64s [ Int64.of_int j; hi; lo ] in
-  (Bytes.get_int64_be d 0, Bytes.get_int64_be d 8)
+(* H(j, x): the fixed-key AES correlation-robust hash of a 128-bit row,
+   tweaked by its index (breaks row correlations). *)
+let row_hash j row = Aes128.label_hash ~tweak:(Int64.of_int j) row
 
 (* A column of the m x 128 bit matrix, stored as a bit array. *)
 type column = Bytes.t

@@ -46,19 +46,23 @@ let bits t n =
   if n = 0 then 0L
   else Int64.shift_right_logical (next_int64 t) (64 - n)
 
-(** Uniform integer in [\[0, bound)] by rejection sampling. *)
+(** Uniform integer in [\[0, bound)] by rejection sampling. The loop
+    keeps its [int64] values in let-bindings used only by unboxed
+    primitives and its result in a local [int] ref, so a call allocates
+    nothing. *)
 let below t bound =
   if bound <= 0 then
     invalid_arg (Printf.sprintf "Prg.below: bound = %d, expected a positive integer" bound);
-  let bound64 = Int64.of_int bound in
-  let rec loop () =
+  let result = ref (-1) in
+  while !result < 0 do
+    let bound64 = Int64.of_int bound in
     let r = Int64.shift_right_logical (next_int64 t) 1 in
     let v = Int64.rem r bound64 in
     (* Reject the final partial block to avoid modulo bias. *)
-    if Int64.sub r v > Int64.sub (Int64.sub Int64.max_int bound64) 1L then loop ()
-    else Int64.to_int v
-  in
-  loop ()
+    if Int64.sub r v <= Int64.sub (Int64.sub Int64.max_int bound64) 1L then
+      result := Int64.to_int v
+  done;
+  !result
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 

@@ -1,12 +1,12 @@
 (** SHA-256 (FIPS 180-4), pure OCaml.
 
-    Used as the reference key-derivation function for garbled-circuit wire
-    labels (the AES KDF is the default), as the collision-resistant digest
-    behind tuple encodings (variable-length join keys become the PSI's
-    60-bit elements), and for checkpoint digests. The PSI's own hash
-    families (cuckoo bins, OPPRF outputs) run on fixed-key AES instead
-    (DESIGN.md §6). The implementation follows the specification directly;
-    it is validated against the FIPS test vectors in the test suite. *)
+    The collision-resistant digest behind tuple encodings (variable-length
+    join keys become the PSI's 60-bit elements) and checkpoint
+    fingerprints. Every correlation-robust hash — garbled-circuit labels,
+    OT extension rows, cuckoo bins, OPPRF outputs — runs on fixed-key AES
+    instead (DESIGN.md §6, §9). The implementation follows the
+    specification directly; it is validated against the FIPS test vectors
+    in the test suite. *)
 
 let k = [|
   0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl; 0x59f111f1l;
@@ -133,9 +133,3 @@ let to_hex digest =
   let buf = Buffer.create 64 in
   Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) digest;
   Buffer.contents buf
-
-(** Hash a list of int64 words; convenience for KDF-style derivations. *)
-let digest_int64s words =
-  let b = Bytes.create (8 * List.length words) in
-  List.iteri (fun i w -> Bytes.set_int64_be b (i * 8) w) words;
-  digest_bytes b

@@ -1,8 +1,8 @@
-(** SHA-256 (FIPS 180-4), pure OCaml: the reference key-derivation
-    function for garbled-circuit wire labels, the collision-resistant
-    digest behind tuple encodings, and checkpoint digests. PSI bin mapping
-    and OPPRF outputs run on fixed-key AES instead ({!Aes128}). Validated
-    against the FIPS test vectors. *)
+(** SHA-256 (FIPS 180-4), pure OCaml: the collision-resistant digest
+    behind tuple encodings and checkpoint fingerprints. Every
+    correlation-robust hash (garbling, OT extension rows, PSI bins, OPPRF
+    outputs) runs on fixed-key AES instead ({!Aes128}). Validated against
+    the FIPS test vectors. *)
 
 type ctx
 
@@ -17,6 +17,3 @@ val finish : ctx -> Bytes.t
 val digest_bytes : Bytes.t -> Bytes.t
 val digest_string : string -> Bytes.t
 val to_hex : Bytes.t -> string
-
-(** Hash a list of big-endian int64 words. *)
-val digest_int64s : int64 list -> Bytes.t

@@ -8,11 +8,11 @@
     it in the clear, and [comparator_count] drives cost accounting:
     Theta(n log^2 n) comparators.
 
-    The schedule is built directly into a preallocated array — it sits on
-    the per-query hot path of the oblivious ORDER BY phase, where it is
-    walked once per sort (and its passes drive one GC batch each), so no
-    cons-list, no [List.rev], no [List.length]. The closed-form count
-    [expected_count] cross-checks construction. *)
+    The schedule is built directly into preallocated per-pass arrays — it
+    sits on the per-query hot path of the oblivious ORDER BY phase, where
+    it is walked once per sort (and its passes drive one GC batch each),
+    so no cons-list, no [List.rev], no [List.length]. The closed-form
+    count [expected_count] cross-checks construction. *)
 
 type comparator = { lo : int; hi : int }
 (** compare-exchange: after the gate, position [lo] holds the smaller
@@ -21,12 +21,10 @@ type comparator = { lo : int; hi : int }
 type t = {
   n : int;           (** logical input count *)
   padded : int;      (** power-of-two network width *)
-  comparators : comparator array;
-      (** the full schedule in execution order (passes concatenated) *)
   passes : comparator array array;
-      (** the same schedule grouped by (k, j) pass: comparators within
-          one pass touch pairwise-disjoint wire pairs, so a pass can be
-          executed as a single parallel batch *)
+      (** the schedule in execution order, grouped by (k, j) pass:
+          comparators within one pass touch pairwise-disjoint wire pairs,
+          so a pass can be executed as a single parallel batch *)
 }
 
 let next_pow2 n =
@@ -50,17 +48,15 @@ let build n =
   let m = log2_exact padded in
   let n_passes = m * (m + 1) / 2 in
   let per_pass = padded / 2 in
-  let total = n_passes * per_pass in
-  let comparators = Array.make total { lo = 0; hi = 0 } in
   let passes = Array.make n_passes [||] in
-  let next = ref 0 in
   let pass = ref 0 in
   (* standard iterative bitonic sort over indices 0..padded-1 *)
   let k = ref 2 in
   while !k <= padded do
     let j = ref (!k / 2) in
     while !j >= 1 do
-      let start = !next in
+      let comparators = Array.make per_pass { lo = 0; hi = 0 } in
+      let next = ref 0 in
       for i = 0 to padded - 1 do
         let partner = i lxor !j in
         if partner > i then begin
@@ -70,24 +66,23 @@ let build n =
           incr next
         end
       done;
-      if !next - start <> per_pass then
+      if !next <> per_pass then
         invalid_arg
           (Printf.sprintf "Sorting_network.build: pass %d emitted %d comparators, expected %d"
-             !pass (!next - start) per_pass);
-      passes.(!pass) <- Array.sub comparators start per_pass;
+             !pass !next per_pass);
+      passes.(!pass) <- comparators;
       incr pass;
       j := !j / 2
     done;
     k := !k * 2
   done;
   (* cross-check construction against the closed form *)
-  if !next <> total || !pass <> n_passes then
+  if !pass <> n_passes then
     invalid_arg
-      (Printf.sprintf "Sorting_network.build: emitted %d comparators in %d passes, expected %d in %d"
-         !next !pass total n_passes);
-  { n; padded; comparators; passes }
+      (Printf.sprintf "Sorting_network.build: emitted %d passes, expected %d" !pass n_passes);
+  { n; padded; passes }
 
-let comparator_count t = Array.length t.comparators
+let comparator_count t = Array.fold_left (fun acc pass -> acc + Array.length pass) 0 t.passes
 
 let pass_count t = Array.length t.passes
 
@@ -107,13 +102,13 @@ let apply ?(compare = Stdlib.compare) t (data : 'a array) =
     | None, None -> true
   in
   Array.iter
-    (fun { lo; hi } ->
-      if not (le work.(lo) work.(hi)) then begin
-        let tmp = work.(lo) in
-        work.(lo) <- work.(hi);
-        work.(hi) <- tmp
-      end)
-    t.comparators;
+    (Array.iter (fun { lo; hi } ->
+         if not (le work.(lo) work.(hi)) then begin
+           let tmp = work.(lo) in
+           work.(lo) <- work.(hi);
+           work.(hi) <- tmp
+         end))
+    t.passes;
   Array.init t.n (fun i ->
       match work.(i) with
       | Some v -> v

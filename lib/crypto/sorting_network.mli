@@ -1,9 +1,9 @@
 (** Bitonic sorting networks (Batcher): data-independent comparator
     schedules, the standard substrate for oblivious sorting (the secure
     ORDER BY / top-k phase executes exactly this schedule over
-    secret-shared rows). Theta(n log^2 n) comparators, built into a
-    preallocated array with the closed-form count as a construction
-    cross-check. *)
+    secret-shared rows). Theta(n log^2 n) comparators, built into
+    preallocated per-pass arrays with the closed-form count as a
+    construction cross-check. *)
 
 type comparator = { lo : int; hi : int }
 (** compare-exchange: afterwards [lo] holds the smaller element. *)
@@ -11,12 +11,11 @@ type comparator = { lo : int; hi : int }
 type t = {
   n : int;           (** logical input count *)
   padded : int;      (** power-of-two network width *)
-  comparators : comparator array;
-      (** the full schedule in execution order (passes concatenated) *)
   passes : comparator array array;
-      (** the schedule grouped by (k, j) pass; comparators within one
-          pass touch pairwise-disjoint wire pairs, so each pass runs as
-          one parallel batch of compare-exchange gadgets *)
+      (** the schedule in execution order, grouped by (k, j) pass;
+          comparators within one pass touch pairwise-disjoint wire pairs,
+          so each pass runs as one parallel batch of compare-exchange
+          gadgets *)
 }
 
 (** The comparator schedule sorting [n] elements ascending. *)
