@@ -402,20 +402,17 @@ let random_circuit prg ~n_inputs ~n_gates =
 
 let test_garbling_matches_clear () =
   let arena = Garbling.Arena.create () in
-  List.iter
-    (fun (seed, trials) ->
-      let prg = Prg.create seed in
-      for _trial = 1 to trials do
-        let circuit = random_circuit prg ~n_inputs:6 ~n_gates:40 in
-        let inputs = Array.init 6 (fun _ -> Prg.bool prg) in
-        let expected = Boolean_circuit.eval circuit inputs in
-        let g = Garbling.garble ~arena prg circuit in
-        let labels = Array.mapi (fun i b -> Garbling.encode_input g i b) inputs in
-        let out_labels = Garbling.eval_labels ~arena g labels in
-        let got = Array.mapi (fun i l -> Garbling.decode_output g ~out_index:i l) out_labels in
-        Alcotest.(check (array bool)) "garbling = clear" expected got
-      done)
-    [ (99L, 50); (77L, 20) ]
+  let prg = Prg.create 99L in
+  for _trial = 1 to 50 do
+    let circuit = random_circuit prg ~n_inputs:6 ~n_gates:40 in
+    let inputs = Array.init 6 (fun _ -> Prg.bool prg) in
+    let expected = Boolean_circuit.eval circuit inputs in
+    let g = Garbling.garble ~arena prg circuit in
+    let labels = Array.mapi (fun i b -> Garbling.encode_input g i b) inputs in
+    let out_labels = Garbling.eval_labels ~arena g labels in
+    let got = Array.mapi (fun i l -> Garbling.decode_output g ~out_index:i l) out_labels in
+    Alcotest.(check (array bool)) "garbling = clear" expected got
+  done
 
 let test_garbling_label_privacy () =
   (* The two labels of an input wire differ and have opposite colors. *)
@@ -1602,6 +1599,30 @@ let test_aes_sbox () =
   Array.sort compare sorted;
   Alcotest.(check bool) "bijective" true (Array.to_list sorted = List.init 256 Fun.id)
 
+(* The explicit [~kdf:Aes128_kdf] argument, which callers may still pass,
+   garbles exactly as the default: same input labels, and the evaluation
+   decodes to the clear result. *)
+let test_garbling_aes_kdf () =
+  let prg = Prg.create 77L in
+  let arena = Garbling.Arena.create () and default_arena = Garbling.Arena.create () in
+  for _trial = 1 to 20 do
+    let circuit = random_circuit prg ~n_inputs:6 ~n_gates:40 in
+    let inputs = Array.init 6 (fun _ -> Prg.bool prg) in
+    let expected = Boolean_circuit.eval circuit inputs in
+    let seed = Prg.next_int64 prg in
+    let g = Garbling.garble ~kdf:Garbling.Aes128_kdf ~arena (Prg.create seed) circuit in
+    let d = Garbling.garble ~arena:default_arena (Prg.create seed) circuit in
+    Array.iteri
+      (fun i b ->
+        Alcotest.(check bool) "same input label as the default" true
+          (Garbling.Label.equal (Garbling.encode_input g i b) (Garbling.encode_input d i b)))
+      inputs;
+    let labels = Array.mapi (fun i b -> Garbling.encode_input g i b) inputs in
+    let out_labels = Garbling.eval_labels ~arena g labels in
+    let got = Array.mapi (fun i l -> Garbling.decode_output g ~out_index:i l) out_labels in
+    Alcotest.(check (array bool)) "AES-kdf garbling = clear" expected got
+  done
+
 (* ------------------------------------------------------------------ *)
 (* IKNP OT extension *)
 
@@ -2275,6 +2296,7 @@ let () =
           Alcotest.test_case "gate hashes allocate nothing" `Quick
             test_aes_gate_hashes_no_alloc;
           Alcotest.test_case "garbled tables golden" `Quick test_aes_garbled_tables_golden;
+          Alcotest.test_case "AES-kdf garbling" `Quick test_garbling_aes_kdf;
         ]
         @ qsuite
             [
